@@ -47,7 +47,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -362,8 +362,10 @@ class ProgramCache:
     that file's programs (:meth:`clear` with an owner).  The loop key is
     held weakly: dropping a datatype (and with it the cached dataloop)
     drops every program compiled from it.  Guarded by a lock because
-    simulated ranks are threads sharing the cache.  One instance per
-    session, plus the process-wide default.
+    simulated ranks are threads sharing the cache; :meth:`get` is
+    single-flight per key, so ranks that miss the same key together
+    compile it once.  One instance per session, plus the process-wide
+    default.
     """
 
     def __init__(self) -> None:
@@ -371,6 +373,8 @@ class ProgramCache:
             weakref.WeakKeyDictionary()
         )
         self._lock = threading.Lock()
+        #: ``(loop, key) -> Event`` of compiles in flight.
+        self._inflight: Dict[tuple, threading.Event] = {}
 
     def clear(self, owner=None) -> None:
         """Drop compiled programs: all of them (``owner=None``), or only
@@ -383,26 +387,49 @@ class ProgramCache:
                 for key in [k for k in progs if k[0] == owner]:
                     del progs[key]
 
-    def lookup(self, loop: Dataloop, key: tuple):
-        """The cached program for ``key``, LRU-promoted, or ``None``."""
-        with self._lock:
-            progs = self._cache.get(loop)
-            if progs is None:
-                return None
-            prog = progs.get(key)
-            if prog is not None:
-                progs.move_to_end(key)
-            return prog
+    def _store(self, loop, key, prog) -> None:
+        progs = self._cache.get(loop)
+        if progs is None:
+            progs = OrderedDict()
+            self._cache[loop] = progs
+        progs[key] = prog
+        while len(progs) > _MAX_PROGRAMS_PER_LOOP:
+            progs.popitem(last=False)
 
-    def store(self, loop: Dataloop, key: tuple, prog: "BlockProgram"):
-        with self._lock:
-            progs = self._cache.get(loop)
-            if progs is None:
-                progs = OrderedDict()
-                self._cache[loop] = progs
-            progs[key] = prog
-            while len(progs) > _MAX_PROGRAMS_PER_LOOP:
-                progs.popitem(last=False)
+    def get(self, loop: Dataloop, key: tuple, stats, compile_fn, *args):
+        """The program for ``key``, compiling it with ``compile_fn(loop,
+        *args)`` on a miss; counts one hit or one miss in ``stats``.
+
+        Single-flight: the first thread to miss a key compiles it
+        outside the lock; threads missing the same key meanwhile wait
+        for that compile and count a hit.  A failed compile wakes the
+        waiters, and the next of them compiles in its place.
+        """
+        while True:
+            with self._lock:
+                progs = self._cache.get(loop)
+                prog = progs.get(key) if progs is not None else None
+                if prog is not None:
+                    progs.move_to_end(key)
+                    stats.hits += 1
+                    return prog
+                ident = (loop, key)
+                ev = self._inflight.get(ident)
+                if ev is None:
+                    ev = self._inflight[ident] = threading.Event()
+                    stats.misses += 1
+                    break
+            ev.wait()
+        prog = None
+        try:
+            prog = compile_fn(loop, *args)
+        finally:
+            with self._lock:
+                if prog is not None:
+                    self._store(loop, key, prog)
+                del self._inflight[ident]
+            ev.set()
+        return prog
 
 
 _DEFAULT_CACHE = ProgramCache()
@@ -500,15 +527,15 @@ def program_for(
         return None
     n = s_hi - s_lo
     residue, base = _periodicity(loop, s_lo, n)
-    key = (owner, residue, n)
-    cache = active_cache()
-    prog = cache.lookup(loop, key)
-    if prog is not None:
-        stats.hits += 1
-        return prog, base
-    stats.misses += 1
-    # Compile outside the lock: blocks_range is the expensive part and
-    # touches only the immutable loop.
+    prog = active_cache().get(loop, (owner, residue, n), stats,
+                              _compile, residue, n)
+    return prog, base
+
+
+def _compile(loop: Dataloop, residue: int, n: int) -> BlockProgram:
+    """Compile the program of ``n`` data bytes at ``residue`` (runs
+    outside the cache lock: ``blocks_range`` is the expensive part and
+    touches only the immutable loop)."""
     from repro.obs import trace
 
     t0 = trace.now() if trace.TRACE_ON else 0.0
@@ -516,8 +543,7 @@ def program_for(
     prog = BlockProgram(offs, lens)
     if trace.TRACE_ON:
         trace.TRACER.add("blockprog.compile", t0, blocks=int(offs.size))
-    cache.store(loop, key, prog)
-    return prog, base
+    return prog
 
 
 def blocks_range_cached(

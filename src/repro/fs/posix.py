@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import FileSystemError
 from repro.fs.locks import FcntlRangeLockManager
-from repro.fs.simfile import SimFile
+from repro.fs.simfile import SimFile, as_extents
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
 from repro.obs import trace
@@ -119,6 +119,58 @@ class OsFile:
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)
         return n
+
+    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
+                      pos: int = 0):
+        """Vectored read (contract: :meth:`SimFile.preadv_blocks`).
+
+        Still one ``preadv`` syscall per extent: ``preadv`` scatters
+        into many buffers but from *one* file offset, and the standard
+        library has no call that takes many file offsets.  What the list
+        saves is the Python around each syscall.
+        """
+        offs, lens, total = as_extents(offsets, lengths, "read",
+                                       out.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        fd, preadv, mv = self._fd, os.preadv, memoryview(out)
+        got = lens
+        short = None
+        p = pos
+        for i, (o, ln) in enumerate(zip(offs, lens)):
+            n = preadv(fd, [mv[p:p + ln]], o)
+            if n < ln:
+                out[p + n:p + ln] = 0
+                if short is None:
+                    short = (i, n)
+                    got = lens.copy()
+                total -= ln - n
+                got[i] = n
+            p += ln
+        secs = self.device.extents_time(offs, got, self.striping, False)
+        self.stats.record_read(total, secs, len(offs))
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.preadv", t0, extents=len(offs))
+        return short, secs
+
+    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
+                       pos: int = 0):
+        """Vectored write (contract: :meth:`SimFile.pwritev_blocks`);
+        one ``pwrite`` syscall per extent, as for reads."""
+        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        offs, lens, _total = as_extents(offsets, lengths, "write",
+                                        buf.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        fd, pwrite, mv = self._fd, os.pwrite, memoryview(buf)
+        total = 0
+        p = pos
+        for o, ln in zip(offs, lens):
+            total += pwrite(fd, mv[p:p + ln], o)
+            p += ln
+        secs = self.device.extents_time(offs, lens, self.striping, True)
+        self.stats.record_write(total, secs, len(offs))
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.pwritev", t0, extents=len(offs))
+        return total, secs
 
     def truncate(self, length: int) -> None:
         """Set the file size (extend with zeros or cut)."""
@@ -222,6 +274,20 @@ class PosixFile:
         """Positional write (does not move the cursor)."""
         self._check_open()
         return self._file.pwrite(offset, data)
+
+    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
+                      pos: int = 0):
+        """Vectored positional read (contract:
+        :meth:`SimFile.preadv_blocks`)."""
+        self._check_open()
+        return self._file.preadv_blocks(offsets, lengths, out, pos)
+
+    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
+                       pos: int = 0):
+        """Vectored positional write (contract:
+        :meth:`SimFile.pwritev_blocks`)."""
+        self._check_open()
+        return self._file.pwritev_blocks(offsets, lengths, data, pos)
 
     # fcntl(F_SETLKW)-style advisory byte-range locks, so the POSIX
     # handle can run plans containing read-modify-write windows.

@@ -64,6 +64,7 @@ import numpy as np
 from repro.errors import FileSystemError
 from repro.fs.filesystem import OsFileSystem, SimFileSystem
 from repro.fs.locks import RangeLockManager
+from repro.fs.simfile import as_extents
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
 from repro.obs import flight
@@ -285,23 +286,22 @@ class _ServerState:
 
 
 def _read_extents(st: _ServerState, path, loffs, lens, rnd):
-    """Read per-extent into one zero-filled payload; returns
-    ``(payload_ref, short)`` where ``short`` is ``None`` or the
-    ``(payload position, local offset, length, bytes got)`` of the
-    first short read — enough for the client to reconstruct the exact
-    failing extent whatever its own extent granularity is."""
+    """Read the extents into one payload with the backing file's
+    vectored call (past-EOF bytes zero-filled); returns ``(payload_ref,
+    short)`` where ``short`` is ``None`` or the ``(payload position,
+    local offset, length, bytes got)`` of the first short read — enough
+    for the client to reconstruct the exact failing extent whatever its
+    own extent granularity is."""
     f = st.fs.create(path, exist_ok=True)
     loffs = np.asarray(loffs, dtype=np.int64).reshape(-1)
     lens = np.asarray(lens, dtype=np.int64).reshape(-1)
     total = int(lens.sum())
-    buf = np.zeros(total, dtype=np.uint8)
-    pos, short = 0, None
-    for i in range(loffs.size):
-        o, ln = int(loffs[i]), int(lens[i])
-        got = f.pread_into(o, buf[pos:pos + ln])
-        if got < ln and short is None:
-            short = (pos, o, ln, got)
-        pos += ln
+    buf = np.empty(total, dtype=np.uint8)
+    first, _secs = f.preadv_blocks(loffs, lens, buf)
+    short = None
+    if first is not None:
+        i, got = first
+        short = (int(lens[:i].sum()), int(loffs[i]), int(lens[i]), got)
     st.beacon(rnd)
     st.bump(reads=1, bytes_read=total)
     return _pack_payload(buf), short
@@ -309,17 +309,10 @@ def _read_extents(st: _ServerState, path, loffs, lens, rnd):
 
 def _write_extents(st: _ServerState, path, loffs, lens, payload_ref, rnd):
     f = st.fs.create(path, exist_ok=True)
-    data = _unpack_payload(payload_ref)
-    loffs = np.asarray(loffs, dtype=np.int64).reshape(-1)
-    lens = np.asarray(lens, dtype=np.int64).reshape(-1)
-    pos = 0
-    for i in range(loffs.size):
-        o, ln = int(loffs[i]), int(lens[i])
-        f.pwrite(o, data[pos:pos + ln])
-        pos += ln
+    n, _secs = f.pwritev_blocks(loffs, lens, _unpack_payload(payload_ref))
     st.beacon(rnd)
-    st.bump(writes=1, bytes_written=pos)
-    return pos
+    st.bump(writes=1, bytes_written=n)
+    return n
 
 
 def _shard_parts(st: _ServerState, vid, d_lo, d_hi, fdelta):
@@ -857,16 +850,6 @@ class ShardedFile:
                     tot[key] += v
         return tot
 
-    # -- geometry helpers ----------------------------------------------
-    def _per_shard(self, offset: int, nbytes: int):
-        """Group :func:`split_extent` output by shard, preserving file
-        order: ``{shard: [(local_off, length, data_off), ...]}``."""
-        per: Dict[int, list] = {}
-        for k, lo, ln, doff in split_extent(
-                offset, nbytes, self.fs.stripe_size, self.fs.nshards):
-            per.setdefault(k, []).append((lo, ln, doff))
-        return per
-
     # -- SimFile surface -----------------------------------------------
     @property
     def size(self) -> int:
@@ -887,64 +870,86 @@ class ShardedFile:
         return out[:got]
 
     def pread_into(self, offset: int, out: np.ndarray) -> int:
-        if offset < 0:
-            raise FileSystemError(f"invalid read offset {offset}")
-        o = out.view(np.uint8).reshape(-1)
-        n = o.size
-        if n == 0:
-            return 0
-        per = self._per_shard(offset, n)
+        n = out.nbytes
+        short, _secs = self.preadv_blocks([offset], [n], out)
+        return n if short is None else short[1]
+
+    def pwrite(self, offset: int, data: np.ndarray) -> int:
+        d = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        return self.pwritev_blocks([offset], [d.size], d)[0]
+
+    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
+                      pos: int = 0):
+        """Vectored read (contract: :meth:`SimFile.preadv_blocks`): the
+        extents are split at stripe boundaries and grouped per shard by
+        :func:`split_blocks`, then one ``read`` request per shard
+        carries that shard's whole list.  The servers report only their
+        first short sub-extent; that is enough for the exact first short
+        extent of the list (every short sub-extent belongs to a short
+        extent, so the earliest server report lies in the earliest short
+        extent)."""
+        arr = out.view(np.uint8).reshape(-1)
+        offs, lens, total = as_extents(offsets, lengths, "read",
+                                       arr.size - pos)
+        per = split_blocks(offs, lens, self.fs.stripe_size, self.fs.nshards)
         shards = sorted(per)
         for k in shards:
-            parts = per[k]
-            loffs = np.array([p[0] for p in parts], dtype=np.int64)
-            lens = np.array([p[1] for p in parts], dtype=np.int64)
-            self.fs._post(k, ("read", self.name, loffs, lens, -1))
+            loffs, llens, _d = per[k]
+            self.fs._post(k, ("read", self.name, loffs, llens, -1))
             self._count(k, requests=1,
                         request_bytes=WIRE_HEADER_BYTES
-                        + WIRE_EXTENT_BYTES * len(parts))
-        got = n
+                        + WIRE_EXTENT_BYTES * loffs.size)
+        first = None  # data-stream position of the earliest short byte
         for k in shards:
             ref, short = self.fs._collect(k)
             payload = _unpack_payload(ref)
             self._count(k, payload_bytes=payload.nbytes)
-            pos = 0
-            for _lo, ln, doff in per[k]:
-                o[doff:doff + ln] = payload[pos:pos + ln]
-                if short is not None and short[0] == pos:
-                    got = min(got, doff + short[3])
-                pos += ln
-        self.stats.record_read(n, 0.0)
-        return got
+            _lo, llens, doffs = per[k]
+            q = 0
+            for ln, doff in zip(llens.tolist(), doffs.tolist()):
+                arr[pos + doff:pos + doff + ln] = payload[q:q + ln]
+                if short is not None and short[0] == q:
+                    d = doff + short[3]
+                    if first is None or d < first:
+                        first = d
+                q += ln
+        short = None
+        if first is not None:
+            ends = np.cumsum(lens)
+            i = int(np.searchsorted(ends, first, side="right"))
+            short = (i, first - int(ends[i]) + lens[i])
+        secs = self.device.extents_time(offs, lens, self.striping, False)
+        self.stats.record_read(total, secs, len(offs))
+        return short, secs
 
-    def pwrite(self, offset: int, data: np.ndarray) -> int:
-        if offset < 0:
-            raise FileSystemError(f"invalid write offset {offset}")
-        d = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        n = d.size
-        if n == 0:
-            return 0
-        per = self._per_shard(offset, n)
+    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
+                       pos: int = 0):
+        """Vectored write (contract: :meth:`SimFile.pwritev_blocks`):
+        one ``write`` request per shard carrying that shard's extents
+        and their bytes, all shards in flight at once."""
+        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        offs, lens, total = as_extents(offsets, lengths, "write",
+                                       buf.size - pos)
+        per = split_blocks(offs, lens, self.fs.stripe_size, self.fs.nshards)
         shards = sorted(per)
         for k in shards:
-            parts = per[k]
-            loffs = np.array([p[0] for p in parts], dtype=np.int64)
-            lens = np.array([p[1] for p in parts], dtype=np.int64)
-            payload = np.empty(int(lens.sum()), dtype=np.uint8)
-            pos = 0
-            for _lo, ln, doff in parts:
-                payload[pos:pos + ln] = d[doff:doff + ln]
-                pos += ln
-            self.fs._post(k, ("write", self.name, loffs, lens,
+            loffs, llens, doffs = per[k]
+            payload = np.empty(int(llens.sum()), dtype=np.uint8)
+            q = 0
+            for ln, doff in zip(llens.tolist(), doffs.tolist()):
+                payload[q:q + ln] = buf[pos + doff:pos + doff + ln]
+                q += ln
+            self.fs._post(k, ("write", self.name, loffs, llens,
                               _pack_payload(payload), -1))
             self._count(k, requests=1,
                         request_bytes=WIRE_HEADER_BYTES
-                        + WIRE_EXTENT_BYTES * len(parts),
+                        + WIRE_EXTENT_BYTES * loffs.size,
                         payload_bytes=payload.nbytes)
         for k in shards:
             self.fs._collect(k)
-        self.stats.record_write(n, 0.0)
-        return n
+        secs = self.device.extents_time(offs, lens, self.striping, True)
+        self.stats.record_write(total, secs, len(offs))
+        return total, secs
 
     def truncate(self, length: int) -> None:
         if length < 0:

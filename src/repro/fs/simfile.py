@@ -8,6 +8,15 @@ its :class:`~repro.fs.stats.FileStats` via the owning file system's
 
 Reads beyond end-of-file return the available prefix (POSIX semantics);
 writes beyond end-of-file extend the file, zero-filling any gap.
+
+Besides the one-extent ``pread_into``/``pwrite``, every file backend
+(:class:`SimFile`, :class:`~repro.fs.posix.OsFile`,
+:class:`~repro.fs.posix.PosixFile`, :class:`~repro.fs.sharded.ShardedFile`)
+offers the vectored pair ``preadv_blocks``/``pwritev_blocks``: a whole
+offset/length list per call, with the semantics of one per-extent call
+each (same bytes, same :class:`FileStats` counts, same device seconds)
+but one validation, one device-time expression and one stats update per
+list.  :func:`as_extents` is their shared argument check.
 """
 
 from __future__ import annotations
@@ -22,7 +31,38 @@ from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
 from repro.obs import trace
 
-__all__ = ["SimFile"]
+__all__ = ["SimFile", "as_extents"]
+
+
+def as_extents(offsets, lengths, kind: str, room: int):
+    """Validated ``(offsets, lengths, total)`` of a vectored ``kind``
+    (``"read"``/``"write"``) call on a buffer of ``room`` bytes.
+
+    ``offsets``/``lengths`` are int sequences (lists or int64 arrays);
+    the returned ones are Python lists, what the per-extent loop
+    iterates.  A negative offset raises the same
+    :class:`~repro.errors.FileSystemError` as the one-extent call.
+    """
+    offs = offsets.tolist() if isinstance(offsets, np.ndarray) \
+        else list(offsets)
+    lens = lengths.tolist() if isinstance(lengths, np.ndarray) \
+        else list(lengths)
+    if len(offs) != len(lens):
+        raise FileSystemError(
+            f"{kind}: {len(offs)} offsets but {len(lens)} lengths"
+        )
+    if offs and min(offs) < 0:
+        bad = next(o for o in offs if o < 0)
+        raise FileSystemError(f"invalid {kind} offset {bad}")
+    if lens and min(lens) < 0:
+        bad = next(ln for ln in lens if ln < 0)
+        raise FileSystemError(f"negative {kind} length {bad}")
+    total = sum(lens)
+    if total > room:
+        raise FileSystemError(
+            f"{kind} of {total} bytes overruns a {room}-byte buffer"
+        )
+    return offs, lens, total
 
 
 class SimFile:
@@ -124,6 +164,75 @@ class SimFile:
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)
         return n
+
+    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
+                      pos: int = 0):
+        """Read extent ``i`` into ``out[pos + sum(lengths[:i]):]`` for
+        every ``i``, zero-filling what lies past end-of-file.  ``out``
+        is a byte (uint8) buffer, as for :meth:`pread_into`.
+
+        Returns ``(short, seconds)``: ``short`` is ``None`` when every
+        extent was read in full, else ``(i, got)`` of the first short
+        extent; ``seconds`` is the simulated device time charged (one
+        read per extent, as the same ``pread_into`` calls would be).
+        """
+        offs, lens, total = as_extents(offsets, lengths, "read",
+                                       out.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        got = lens
+        short = None
+        with self._mu:
+            data, size = self._data, self._size
+            p = pos
+            for i, (o, ln) in enumerate(zip(offs, lens)):
+                n = max(min(o + ln, size) - o, 0)
+                if n == ln:
+                    out[p:p + ln] = data[o:o + ln]
+                else:
+                    out[p:p + n] = data[o:o + n]
+                    out[p + n:p + ln] = 0
+                    if short is None:
+                        short = (i, n)
+                        got = lens.copy()
+                    total -= ln - n
+                    got[i] = n
+                p += ln
+        secs = self.device.extents_time(offs, got, self.striping, False)
+        self.stats.record_read(total, secs, len(offs))
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.preadv", t0, extents=len(offs))
+        return short, secs
+
+    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
+                       pos: int = 0):
+        """Write ``data[pos + sum(lengths[:i]):]`` to extent ``i`` for
+        every ``i``, in list order (a later extent wins an overlap).
+
+        Returns ``(nbytes, seconds)``: bytes written and the simulated
+        device time charged (one write per extent).
+        """
+        buf = data.view(np.uint8).reshape(-1)
+        offs, lens, total = as_extents(offsets, lengths, "write",
+                                       buf.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        with self._mu:
+            if offs:
+                self._ensure_capacity(max(map(int.__add__, offs, lens)))
+            dst, size = self._data, self._size
+            p = pos
+            for o, ln in zip(offs, lens):
+                if o > size:
+                    dst[size:o] = 0  # POSIX hole (see pwrite)
+                dst[o:o + ln] = buf[p:p + ln]
+                if o + ln > size:
+                    size = o + ln
+                p += ln
+            self._size = size
+        secs = self.device.extents_time(offs, lens, self.striping, True)
+        self.stats.record_write(total, secs, len(offs))
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.pwritev", t0, extents=len(offs))
+        return total, secs
 
     def truncate(self, length: int) -> None:
         """Set the file size (extend with zeros or cut)."""

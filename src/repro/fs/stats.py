@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["DeviceModel", "FileStats"]
 
 
@@ -40,6 +42,26 @@ class DeviceModel:
             self.write_bandwidth * max(nstreams, 1)
         )
 
+    def extents_time(self, offsets, nbytes, striping, write: bool) -> float:
+        """Simulated seconds for one op per extent: the sum of
+        :meth:`read_time`/:meth:`write_time` over ``(offsets[i],
+        nbytes[i])``, each with its own stream count.
+
+        Unstriped (one disk) the sum is closed-form; striped, it is one
+        NumPy expression over the offset/length arrays.
+        """
+        bw = self.write_bandwidth if write else self.read_bandwidth
+        if striping.ndisks == 1:
+            return len(offsets) * self.latency + sum(nbytes) / bw
+        offs = np.asarray(offsets, dtype=np.int64)
+        nb = np.asarray(nbytes, dtype=np.int64)
+        ss = striping.stripe_size
+        streams = np.minimum(
+            (offs + np.maximum(nb, 1) - 1) // ss - offs // ss + 1,
+            striping.ndisks,
+        )
+        return float(offs.size * self.latency + (nb / (bw * streams)).sum())
+
 
 @dataclass
 class FileStats:
@@ -55,15 +77,19 @@ class FileStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record_read(self, nbytes: int, sim_time: float) -> None:
+    def record_read(self, nbytes: int, sim_time: float,
+                    ops: int = 1) -> None:
+        """Charge ``ops`` reads moving ``nbytes`` in total (a vectored
+        call counts one read per extent)."""
         with self._mu:
-            self.n_reads += 1
+            self.n_reads += ops
             self.bytes_read += nbytes
             self.sim_time += sim_time
 
-    def record_write(self, nbytes: int, sim_time: float) -> None:
+    def record_write(self, nbytes: int, sim_time: float,
+                     ops: int = 1) -> None:
         with self._mu:
-            self.n_writes += 1
+            self.n_writes += ops
             self.bytes_written += nbytes
             self.sim_time += sim_time
 

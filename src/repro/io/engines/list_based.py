@@ -353,6 +353,12 @@ class ListBasedEngine(IOEngine):
             copied += ln
         return copied
 
+    # One file call per ol-list tuple, on purpose: this engine is the
+    # paper's conventional list-based baseline, whose per-tuple access
+    # cost is what the listless engine is measured against.  Handing
+    # the tuples to the vectored ``preadv_blocks``/``pwritev_blocks``
+    # (as the executor does for listless direct pieces) would erase
+    # that cost from the comparison.
     def stream_read_blocks(self, file, lo: int, hi: int, arr: np.ndarray,
                            base_d: int, d_hi: int) -> None:
         for a, ln, doff in self._view_blocks(lo, hi):

@@ -43,7 +43,7 @@ and re-ship anywhere — same contract as the local file primitives.
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.core.fileview_cache import CompactFileview
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.errors import FFError, IOEngineError
 from repro.obs import trace
-from repro.plan.dataplane import block_lists
+from repro.plan.dataplane import block_arrays
 from repro.plan.ops import (
     Blocks,
     FileReadOp,
@@ -210,7 +210,7 @@ def _piece_view(engine, piece) -> Optional[tuple]:
         return None
     vid, cv = resolved
     blocks = piece.blocks
-    offs, lens = _block_arrays(blocks)
+    offs, lens = block_arrays(blocks)
     if offs.size == 0:
         return None
     if offs.size > 1 and not np.all(offs[1:] >= offs[:-1] + lens[:-1]):
@@ -269,14 +269,6 @@ def _resolve_view(engine, slot) -> Optional[tuple]:
     return (path, src, ("local", seq)), cv
 
 
-def _block_arrays(blocks) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(blocks, Blocks):
-        return blocks.offsets, blocks.lengths
-    offs, lens = block_lists(blocks)
-    return (np.asarray(offs, dtype=np.int64),
-            np.asarray(lens, dtype=np.int64))
-
-
 # ----------------------------------------------------------------------
 # ShipOp execution
 # ----------------------------------------------------------------------
@@ -300,7 +292,7 @@ def execute_ship(executor, plan, op: ShipOp, mem, bufs, rnd: int) -> None:
     for i, piece in enumerate(op.pieces):
         if piece.d_hi <= piece.d_lo:
             continue
-        offs, lens = _block_arrays(piece.blocks)
+        offs, lens = block_arrays(piece.blocks)
         if offs.size == 0:
             continue
         if fdelta:

@@ -23,14 +23,14 @@ fuses them into single NumPy batched kernels:
     layer disabled the per-tuple interpreted loop is preserved, so A/B
     runs compare fused against interpreted copies end to end.
 
-Per-block *file* accesses (direct mode) stay per-block — that is real
-I/O, not copy overhead — but the Python lists they iterate are derived
-once per block spec and memoized (:func:`block_lists`).
+Per-block *file* accesses (direct mode) are real I/O, not copy
+overhead: the executor hands the whole block list (:func:`block_arrays`)
+to the backend's vectored ``preadv_blocks``/``pwritev_blocks`` call.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.core import blockprog
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.plan.ops import Blocks, TupleBlocks
 
-__all__ = ["DataPlane", "block_lists", "tuple_arrays"]
+__all__ = ["DataPlane", "block_arrays", "tuple_arrays"]
 
 
 def tuple_arrays(blocks: TupleBlocks) -> Tuple[np.ndarray, np.ndarray]:
@@ -56,19 +56,12 @@ def tuple_arrays(blocks: TupleBlocks) -> Tuple[np.ndarray, np.ndarray]:
     return arrs
 
 
-def block_lists(blocks) -> Tuple[List[int], List[int]]:
-    """Python ``(offsets, lengths)`` lists for per-block file I/O,
-    memoized on the block spec (direct-mode plans replay without
-    re-running ``tolist`` per access)."""
-    lists = blocks.lists
-    if lists is None:
-        if isinstance(blocks, Blocks):
-            lists = (blocks.offsets.tolist(), blocks.lengths.tolist())
-        else:
-            lists = ([o for o, _ in blocks.pairs],
-                     [ln for _, ln in blocks.pairs])
-        object.__setattr__(blocks, "lists", lists)
-    return lists
+def block_arrays(blocks) -> Tuple[np.ndarray, np.ndarray]:
+    """int64 ``(offsets, lengths)`` arrays of a block spec, the form
+    the vectored file calls take (memoized for tuple lists)."""
+    if isinstance(blocks, Blocks):
+        return blocks.offsets, blocks.lengths
+    return tuple_arrays(blocks)
 
 
 class DataPlane:

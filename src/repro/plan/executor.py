@@ -41,7 +41,7 @@ from repro.io.fileview import MemDescriptor
 from repro.io.sieving import read_window
 from repro.obs import flight, trace
 from repro.obs.phases import PhaseAccumulator, RoundLog
-from repro.plan.dataplane import DataPlane, block_lists, tuple_arrays
+from repro.plan.dataplane import DataPlane, block_arrays, tuple_arrays
 from repro.plan.ops import (
     STAGE,
     Blocks,
@@ -186,6 +186,16 @@ class PlanExecutor:
         raise NotImplementedError
 
     def _pwrite(self, offset: int, data: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _preadv(self, offsets, lengths, out: np.ndarray, pos: int):
+        """Vectored read of a block list (backend ``preadv_blocks``);
+        returns ``(first short block or None, device seconds)``."""
+        raise NotImplementedError
+
+    def _pwritev(self, offsets, lengths, data: np.ndarray, pos: int):
+        """Vectored write of a block list (backend ``pwritev_blocks``);
+        returns ``(bytes written, device seconds)``."""
         raise NotImplementedError
 
     def _lock(self, lo: int, hi: int) -> None:
@@ -722,17 +732,20 @@ class PlanExecutor:
                 self, op.lo, op.hi, buf.arr, buf.d_lo, buf.d_hi
             )
             return
-        pos = piece.d_lo - buf.d_lo
-        offs, lens = block_lists(blocks)
-        for o, ln in zip(offs, lens):
-            got = self.pread_into(o, buf.arr[pos : pos + ln])
-            if got < ln:
-                if op.strict:
-                    raise IOEngineError(
-                        f"short read: {got} of {ln} bytes at {o}"
-                    )
-                buf.arr[pos + got : pos + ln] = 0
-            pos += ln
+        # One vectored backend call for the whole block list; it
+        # zero-fills past-EOF bytes and reports the first short block.
+        offs, lens = block_arrays(blocks)
+        short, secs = self._preadv(
+            offs + self._fdelta if self._fdelta else offs, lens, buf.arr,
+            piece.d_lo - buf.d_lo,
+        )
+        self.stats.executed_file_reads += offs.size
+        self.stats.device_sync_seconds += secs
+        if short is not None and op.strict:
+            i, got = short
+            raise IOEngineError(
+                f"short read: {got} of {lens[i]} bytes at {offs[i]}"
+            )
 
     # -- file writes ---------------------------------------------------
     def _do_file_write(self, plan, op: FileWriteOp, bufs) -> None:
@@ -768,11 +781,13 @@ class PlanExecutor:
                 self, op.lo, op.hi, arr, base, piece.d_hi
             )
             return
-        pos = piece.d_lo - base
-        offs, lens = block_lists(blocks)
-        for o, ln in zip(offs, lens):
-            self.pwrite(o, arr[pos : pos + ln])
-            pos += ln
+        offs, lens = block_arrays(blocks)
+        _n, secs = self._pwritev(
+            offs + self._fdelta if self._fdelta else offs, lens, arr,
+            piece.d_lo - base,
+        )
+        self.stats.executed_file_writes += offs.size
+        self.stats.device_sync_seconds += secs
 
     # -- exchange ------------------------------------------------------
     def _do_exchange(self, plan, op: ExchangeOp, bufs,
@@ -827,12 +842,14 @@ class PlanExecutor:
         return (send.ol, send.d_lo)
 
     # ------------------------------------------------------------------
-    # Counted file access shims.  ``pread_into`` doubles as the SimFile
-    # interface expected by :func:`repro.io.sieving.read_window`, and
-    # deferred-piece codecs call them to stream blocks (``file.pwrite``
-    # in ``stream_write_blocks``, for example).  The running plan's
-    # ``file_delta`` applies here, so every file access of a replayed
-    # plan — windows, direct blocks, streamed blocks — lands translated.
+    # Counted one-extent file access shims.  ``pread_into`` doubles as
+    # the SimFile interface expected by
+    # :func:`repro.io.sieving.read_window`, and deferred-piece codecs
+    # call them to stream blocks (``file.pwrite`` in
+    # ``stream_write_blocks``, for example).  The running plan's
+    # ``file_delta`` applies here, so windows and streamed blocks of a
+    # replayed plan land translated; direct block lists are translated
+    # once per vectored call (``_read_piece_direct``).
     # ------------------------------------------------------------------
     def pread_into(self, offset: int, out: np.ndarray) -> int:
         n = self._pread_into(offset + self._fdelta, out)
@@ -864,6 +881,12 @@ class SimFileExecutor(PlanExecutor):
 
     def _pwrite(self, offset, data):
         return self.simfile.pwrite(offset, data)
+
+    def _preadv(self, offsets, lengths, out, pos):
+        return self.simfile.preadv_blocks(offsets, lengths, out, pos)
+
+    def _pwritev(self, offsets, lengths, data, pos):
+        return self.simfile.pwritev_blocks(offsets, lengths, data, pos)
 
     def _lock(self, lo, hi):
         self.simfile.lock_range(lo, hi)
@@ -906,6 +929,12 @@ class PosixExecutor(PlanExecutor):
 
     def _pwrite(self, offset, data):
         return self.file.pwrite(offset, data)
+
+    def _preadv(self, offsets, lengths, out, pos):
+        return self.file.preadv_blocks(offsets, lengths, out, pos)
+
+    def _pwritev(self, offsets, lengths, data, pos):
+        return self.file.pwritev_blocks(offsets, lengths, data, pos)
 
     def _lock(self, lo, hi):
         self.file.lock_range(lo, hi)

@@ -78,17 +78,14 @@ class Blocks:
     ``prog`` memoizes the compiled :class:`~repro.core.blockprog.
     BlockProgram` of these blocks (set lazily by the executor via
     ``program_for_blocks``), so replaying a cached plan reuses the
-    one-time kernel dispatch instead of re-deriving it per run.
-    ``lists`` memoizes the Python offset/length lists direct-mode file
-    I/O iterates (``repro.plan.dataplane.block_lists``).  Both are
-    caches, not part of the block description — excluded from
+    one-time kernel dispatch instead of re-deriving it per run.  It is
+    a cache, not part of the block description — excluded from
     comparison.
     """
 
     offsets: np.ndarray
     lengths: np.ndarray
     prog: object = field(default=None, compare=False)
-    lists: object = field(default=None, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -109,13 +106,12 @@ class TupleBlocks:
     The data plane lowers the tuples once to ``(offsets, lengths)``
     index arrays — memoized in ``arrs`` — and moves the bytes in one
     batched copy; with the program layer disabled it falls back to the
-    historical interpreted per-tuple loop.  ``arrs`` and ``lists`` are
-    caches like ``Blocks.prog`` — excluded from comparison.
+    historical interpreted per-tuple loop.  ``arrs`` is a cache like
+    ``Blocks.prog`` — excluded from comparison.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
     arrs: object = field(default=None, compare=False)
-    lists: object = field(default=None, compare=False)
 
     @property
     def nbytes(self) -> int:

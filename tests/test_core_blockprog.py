@@ -7,6 +7,10 @@ gather/scatter it executes is byte-identical to the cold traversal path
 residue-class reduction is easiest to get wrong.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +141,118 @@ class TestCache:
         BLOCKPROG_STATS.reset()
         program_for(loop, 0, 1)
         assert BLOCKPROG_STATS.misses == 1
+
+    def test_concurrent_miss_compiles_once(self, monkeypatch):
+        """Two rank threads missing the same key at once: one compiles,
+        the other waits for that program — one miss, one hit."""
+        loop = top_dataloop(periodic_type(), 8)
+        real = blockprog.BlockProgram
+        compiles = []
+
+        def slow_compile(offs, lens):
+            compiles.append(1)
+            time.sleep(0.05)  # hold the compile open across the race
+            return real(offs, lens)
+
+        monkeypatch.setattr(blockprog, "BlockProgram", slow_compile)
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def rank(i):
+            barrier.wait()
+            got[i] = program_for(loop, 0, 10)
+
+        threads = [threading.Thread(target=rank, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(compiles) == 1
+        assert BLOCKPROG_STATS.compiled == 1
+        assert BLOCKPROG_STATS.misses == 1 and BLOCKPROG_STATS.hits == 1
+        assert got[0][0] is got[1][0]
+
+    def test_failed_compile_wakes_waiter(self, monkeypatch):
+        """A compile that raises releases its key: a thread waiting on
+        it compiles in its place instead of hanging."""
+        loop = top_dataloop(periodic_type(), 8)
+        real = blockprog.BlockProgram
+        calls = []
+
+        def flaky_compile(offs, lens):
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(0.05)
+                raise RuntimeError("compile failed")
+            return real(offs, lens)
+
+        monkeypatch.setattr(blockprog, "BlockProgram", flaky_compile)
+        barrier = threading.Barrier(2)
+        results = []
+
+        def rank():
+            barrier.wait()
+            try:
+                results.append(program_for(loop, 0, 10))
+            except RuntimeError as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=rank) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 2
+        assert sum(isinstance(r, RuntimeError) for r in results) == 1
+        assert program_for(loop, 0, 10) is not None
+
+    def test_concurrent_misses_stress(self, monkeypatch):
+        """More threads than cores hammering overlapping keys with a
+        short switch interval: every key compiles exactly once and every
+        lookup counts as exactly one hit or one miss."""
+        loop = top_dataloop(periodic_type(), 64)
+        real = blockprog.BlockProgram
+        mu = threading.Lock()
+        compiles = []
+
+        def counted_compile(offs, lens):
+            with mu:
+                compiles.append(1)
+            return real(offs, lens)
+
+        monkeypatch.setattr(blockprog, "BlockProgram", counted_compile)
+        nthreads, shapes, reps = 8, 12, 20
+        barrier = threading.Barrier(nthreads)
+        progs = [dict() for _ in range(nthreads)]
+
+        def rank(i):
+            barrier.wait()
+            for r in range(reps):
+                n = 1 + (i + r) % shapes
+                progs[i].setdefault(n, set()).add(
+                    id(program_for(loop, 0, n)[0]))
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rank, args=(i,))
+                       for i in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert len(compiles) == shapes
+        assert BLOCKPROG_STATS.misses == shapes
+        assert BLOCKPROG_STATS.hits == nthreads * reps - shapes
+        # Every thread saw the one program of each shape.
+        for n in range(1, shapes + 1):
+            ids = set().union(*(p.get(n, set()) for p in progs))
+            assert len(ids) == 1
 
     def test_planner_invalidate_clears_programs(self):
         loop = top_dataloop(periodic_type(), 8)

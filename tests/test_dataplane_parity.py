@@ -21,7 +21,7 @@ from repro import datatypes as dt
 from repro.core import blockprog
 from repro.core.blockprog import BLOCKPROG_STATS, program_for
 from repro.core.ff_pack import top_dataloop
-from repro.plan.dataplane import DataPlane, block_lists, tuple_arrays
+from repro.plan.dataplane import DataPlane, block_arrays, tuple_arrays
 from repro.plan.ops import Blocks, TupleBlocks
 from tests.conftest import datatype_trees, fill_pattern
 
@@ -191,12 +191,13 @@ class TestDataPlaneParity:
         assert offs1.tolist() == [4, 10]
         assert lens1.tolist() == [2, 3]
 
-    def test_block_lists_memoized_both_flavors(self):
+    def test_block_arrays_both_flavors(self):
         b = Blocks(np.array([8, 20], dtype=np.int64),
                    np.array([4, 1], dtype=np.int64))
         tb = TupleBlocks(((8, 4), (20, 1)))
         for spec in (b, tb):
-            l1 = block_lists(spec)
-            l2 = block_lists(spec)
-            assert l1 is l2
-            assert l1 == ([8, 20], [4, 1])
+            o1, l1 = block_arrays(spec)
+            o2, l2 = block_arrays(spec)
+            assert o1 is o2 and l1 is l2
+            assert o1.dtype == np.int64 and l1.dtype == np.int64
+            assert (o1.tolist(), l1.tolist()) == ([8, 20], [4, 1])

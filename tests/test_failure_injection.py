@@ -59,6 +59,28 @@ class FlakyFile(SimFile):
             self._reads_left -= 1
         return super().pread_into(offset, out)
 
+    # The vectored calls fail at the same extent the per-extent calls
+    # would: the extents ahead of it are done, then the fault raises.
+    def pwritev_blocks(self, offsets, lengths, data, pos=0):
+        left = self._writes_left
+        if left is not None and left < len(offsets):
+            super().pwritev_blocks(offsets[:left], lengths[:left], data, pos)
+            self._writes_left = 0
+            raise FileSystemError("injected write fault")
+        if left is not None:
+            self._writes_left -= len(offsets)
+        return super().pwritev_blocks(offsets, lengths, data, pos)
+
+    def preadv_blocks(self, offsets, lengths, out, pos=0):
+        left = self._reads_left
+        if left is not None and left < len(offsets):
+            super().preadv_blocks(offsets[:left], lengths[:left], out, pos)
+            self._reads_left = 0
+            raise FileSystemError("injected read fault")
+        if left is not None:
+            self._reads_left -= len(offsets)
+        return super().preadv_blocks(offsets, lengths, out, pos)
+
 
 def flaky_fs(path="/f", **kw) -> SimFileSystem:
     fs = SimFileSystem()

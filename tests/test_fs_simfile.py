@@ -1,10 +1,26 @@
-"""The in-memory file object: POSIX read/write semantics and stats."""
+"""The in-memory file object: POSIX read/write semantics and stats,
+and the vectored extent calls of every file backend, differentially
+against the one-extent calls."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import FileSystemError
-from repro.fs import DeviceModel, SimFile, SimFileSystem, StripingConfig
+from repro.errors import FileSystemError, IOEngineError
+from repro.fs import (
+    DeviceModel,
+    OsFileSystem,
+    PosixFile,
+    ShardedFileSystem,
+    SimFile,
+    SimFileSystem,
+    StripingConfig,
+)
+from repro.plan import STAGE, Blocks, FileReadOp, IOPlan, Piece
+from repro.plan.executor import PosixExecutor, SimFileExecutor
 from tests.conftest import fill_pattern
 
 
@@ -166,3 +182,230 @@ class TestFileSystem:
         assert fs.total_sim_time() > 0
         fs.reset_stats()
         assert fs.total_sim_time() == 0
+
+
+# ----------------------------------------------------------------------
+# Vectored extent calls (preadv_blocks / pwritev_blocks) on every file
+# backend, against a loop of the one-extent pread_into / pwrite calls on
+# a twin file.  A finite device model and multi-disk striping make the
+# simulated-time comparison non-trivial.
+# ----------------------------------------------------------------------
+DEV = DeviceModel(read_bandwidth=3e6, write_bandwidth=2e6, latency=1e-5)
+STRIPES = StripingConfig(ndisks=3, stripe_size=32)
+BACKENDS = ["sim", "os", "posix", "sharded"]
+_names = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def twins(tmp_path_factory):
+    """``make(kind) -> ((handle, file), (handle, file))``: two fresh,
+    identically configured files of one backend (``file`` carries the
+    stats and contents; it differs from ``handle`` for PosixFile)."""
+    sharded = ShardedFileSystem(str(tmp_path_factory.mktemp("vsh")),
+                                nshards=2, stripe_size=32, device=DEV)
+    osfs = OsFileSystem(str(tmp_path_factory.mktemp("vos")), device=DEV,
+                        striping=STRIPES)
+
+    def make(kind):
+        n = next(_names)
+        if kind == "sharded":
+            fs = sharded
+        elif kind == "os":
+            fs = osfs
+        else:
+            fs = SimFileSystem(device=DEV, striping=STRIPES)
+        pair = []
+        for name in (f"/a{n}", f"/b{n}"):
+            f = fs.create(name)
+            pair.append((PosixFile(f) if kind == "posix" else f, f))
+        return pair
+
+    yield make
+    osfs.close()
+    sharded.close()
+
+
+def loop_read(h, offs, lens, out, pos):
+    """The per-extent reference: one ``pread_into`` per extent, the
+    unread tail zero-filled; returns the first short ``(i, got)``."""
+    first = None
+    for i, (o, ln) in enumerate(zip(offs, lens)):
+        got = h.pread_into(o, out[pos:pos + ln])
+        if got < ln:
+            out[pos + got:pos + ln] = 0
+            if first is None:
+                first = (i, got)
+        pos += ln
+    return first
+
+
+def loop_write(h, offs, lens, data, pos):
+    n = 0
+    for o, ln in zip(offs, lens):
+        n += h.pwrite(o, data[pos:pos + ln])
+        pos += ln
+    return n
+
+
+def assert_same_stats(fa, fb):
+    a, b = fa.stats.snapshot(), fb.stats.snapshot()
+    for key in ("n_reads", "n_writes", "bytes_read", "bytes_written"):
+        assert a[key] == b[key], key
+    assert a["sim_time"] == pytest.approx(b["sim_time"], rel=1e-12,
+                                          abs=1e-300)
+
+
+def seeded_twins(make, kind, size):
+    (ha, fa), (hb, fb) = make(kind)
+    if size:
+        fa.pwrite(0, fill_pattern(size, 5))
+        fb.pwrite(0, fill_pattern(size, 5))
+    fa.stats.reset()
+    fb.stats.reset()
+    return ha, fa, hb, fb
+
+
+extent_lists = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 70)), max_size=10,
+)
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestVectoredDifferential:
+    @settings(max_examples=50, deadline=None)
+    @given(size=st.integers(0, 300), extents=extent_lists,
+           pos=st.integers(0, 5))
+    def test_read_matches_per_extent_calls(self, twins, kind, size,
+                                           extents, pos):
+        ha, fa, hb, fb = seeded_twins(twins, kind, size)
+        offs = [o for o, _ in extents]
+        lens = [ln for _, ln in extents]
+        total = sum(lens)
+        out_a = np.full(pos + total + 3, 0xAB, dtype=np.uint8)
+        out_b = out_a.copy()
+        short, secs = ha.preadv_blocks(np.array(offs, dtype=np.int64),
+                                       np.array(lens, dtype=np.int64),
+                                       out_a, pos)
+        assert short == loop_read(hb, offs, lens, out_b, pos)
+        assert np.array_equal(out_a, out_b)
+        assert_same_stats(fa, fb)
+        assert fa.stats.n_reads == len(extents)
+        assert secs == pytest.approx(fa.stats.sim_time, rel=1e-12,
+                                     abs=1e-300)
+
+    @settings(max_examples=50, deadline=None)
+    @given(size=st.integers(0, 300), extents=extent_lists,
+           pos=st.integers(0, 5))
+    def test_write_matches_per_extent_calls(self, twins, kind, size,
+                                            extents, pos):
+        ha, fa, hb, fb = seeded_twins(twins, kind, size)
+        offs = [o for o, _ in extents]
+        lens = [ln for _, ln in extents]
+        data = fill_pattern(pos + sum(lens), 9)
+        n, secs = ha.pwritev_blocks(offs, lens, data, pos)
+        assert n == loop_write(hb, offs, lens, data, pos) == sum(lens)
+        assert_same_stats(fa, fb)
+        assert fa.stats.n_writes == len(extents)
+        assert secs == pytest.approx(fa.stats.sim_time, rel=1e-12,
+                                     abs=1e-300)
+        assert np.array_equal(fa.contents(), fb.contents())
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestVectoredEdges:
+    def test_empty_list(self, twins, kind):
+        ha, fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        out = np.full(4, 7, dtype=np.uint8)
+        assert ha.preadv_blocks([], [], out) == (None, 0.0)
+        assert ha.pwritev_blocks([], [], out) == (0, 0.0)
+        assert (out == 7).all()
+        s = fa.stats.snapshot()
+        assert s["n_reads"] == s["n_writes"] == 0
+        assert s["sim_time"] == 0.0
+
+    def test_zero_length_extents(self, twins, kind):
+        ha, fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        out = np.full(4, 7, dtype=np.uint8)
+        # Zero-length extents are counted calls that move no bytes,
+        # past end-of-file too, and are never short.
+        assert ha.preadv_blocks([3, 500], [0, 0], out)[0] is None
+        assert ha.preadv_blocks([2, 600, 5], [2, 0, 2], out)[0] is None
+        assert out.tolist() == fill_pattern(10, 5)[[2, 3, 5, 6]].tolist()
+        assert fa.stats.n_reads == 5
+        assert fa.stats.bytes_read == 4
+
+    def test_short_reads_zero_fill_and_report_the_first(self, twins, kind):
+        # Sharded (2 shards x 32 B stripes): extent 1 is short on shard
+        # 1, extent 2 on shard 0 — the earlier one must win.
+        ha, _fa, _hb, _fb = seeded_twins(twins, kind, 40)
+        out = np.full(30, 7, dtype=np.uint8)
+        short, _ = ha.preadv_blocks([0, 36, 64, 10], [10, 8, 5, 7], out)
+        assert short == (1, 4)
+        want = np.concatenate([fill_pattern(40, 5)[:10],
+                               fill_pattern(40, 5)[36:40],
+                               np.zeros(9, np.uint8),
+                               fill_pattern(40, 5)[10:17]])
+        assert np.array_equal(out, want)
+
+    def test_negative_offset_rejected(self, twins, kind):
+        ha, fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        out = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(FileSystemError, match="invalid read offset -3"):
+            ha.preadv_blocks([0, -3], [4, 4], out)
+        with pytest.raises(FileSystemError,
+                           match="invalid write offset -3"):
+            ha.pwritev_blocks([0, -3], [4, 4], out)
+        assert fa.stats.n_reads == fa.stats.n_writes == 0
+
+    def test_malformed_lists_rejected(self, twins, kind):
+        ha, _fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        out = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(FileSystemError, match="2 offsets but 1"):
+            ha.preadv_blocks([0, 4], [4], out)
+        with pytest.raises(FileSystemError, match="negative read length"):
+            ha.preadv_blocks([0], [-1], out)
+        with pytest.raises(FileSystemError, match="overruns"):
+            ha.pwritev_blocks([0, 8], [4, 4], out, pos=2)
+
+
+def strict_read_plan(strict):
+    """Direct read of file blocks [0,4) + [8,12) into data [0,8)."""
+    blocks = Blocks(np.array([0, 8], dtype=np.int64),
+                    np.array([4, 4], dtype=np.int64))
+    op = FileReadOp(0, 12, "direct", (Piece(STAGE, 0, 8, blocks),),
+                    strict=strict)
+    return IOPlan("read-independent", 0, 8, (op,), slots={STAGE: (0, 8)})
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestExecutorShortReads:
+    """The direct-read contract the executor keeps on the vectored
+    path: strict → today's error message (plan offsets, untranslated),
+    otherwise the unread tail is zero-filled."""
+
+    def executor(self, h, kind):
+        return PosixExecutor(h) if kind == "posix" else SimFileExecutor(h)
+
+    def test_strict_short_read_raises(self, twins, kind):
+        ha, _fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        ex = self.executor(ha, kind)
+        with pytest.raises(IOEngineError,
+                           match=r"^short read: 2 of 4 bytes at 8$"):
+            ex.run(strict_read_plan(True))
+
+    def test_strict_short_read_reports_plan_offsets(self, twins, kind):
+        ha, _fa, _hb, _fb = seeded_twins(twins, kind, 110)
+        ex = self.executor(ha, kind)
+        with pytest.raises(IOEngineError,
+                           match=r"^short read: 2 of 4 bytes at 8$"):
+            ex.run(strict_read_plan(True), file_delta=100)
+
+    def test_non_strict_short_read_zero_fills(self, twins, kind):
+        ha, fa, _hb, _fb = seeded_twins(twins, kind, 10)
+        ex = self.executor(ha, kind)
+        bufs = ex.run(strict_read_plan(False))
+        want = fill_pattern(10, 5)
+        assert bufs[STAGE].arr.tolist() == (
+            want[:4].tolist() + want[8:10].tolist() + [0, 0])
+        assert ex.stats.executed_file_reads == 2
+        assert fa.stats.n_reads == 2

@@ -45,6 +45,22 @@ class FlakyFile(SimFile):
         self.writes_done += 1
         return n
 
+    def pwritev_blocks(self, offsets, lengths, data, pos=0):
+        # One fault check and one count per extent, as for pwrite: the
+        # extents ahead of the failing one land, then the fault raises.
+        n = len(offsets)
+        left = self._writes_left
+        if left is not None and left < n:
+            super().pwritev_blocks(offsets[:left], lengths[:left], data, pos)
+            self.writes_done += left
+            self._writes_left = 0
+            raise FileSystemError("injected write fault")
+        if left is not None:
+            self._writes_left -= n
+        res = super().pwritev_blocks(offsets, lengths, data, pos)
+        self.writes_done += n
+        return res
+
 
 def flaky_fs(path="/f", **kw):
     fs = SimFileSystem()
