@@ -16,10 +16,10 @@ A :class:`BlockProgram` is the compiled form of one range query:
   :class:`~repro.core.dataloop.DLVector` are dropped and struct fields
   (:class:`~repro.core.dataloop.DLSeq`) are descended recursively, so
   nested and struct dataloops canonicalize, not just top-level vectors;
-* a **precompiled kernel dispatch** — which gather/scatter path fires
-  (single slice / small loop / strided view / big-block loop / index
-  gather), with the per-call derivations (``tolist`` conversions, the
-  flat byte-index array of the fancy paths) computed once and reused.
+* a **classified kernel** — :func:`repro.core.gather.classify` run
+  once at compile time: which gather/scatter path fires, with its
+  per-call derivations (slice pairs of the loop paths, the element or
+  byte index of the index paths) computed once and reused.
 
 Steady-state pack/unpack of a recurring window shape is then O(1)
 Python-level setup — translate the cached program by a scalar base —
@@ -53,12 +53,7 @@ import numpy as np
 
 from repro._ctx import SESSION
 from repro.core.dataloop import DLContig, DLSeq, DLVector, Dataloop
-from repro.core.gather import (
-    _BIG_BLOCK,
-    _SMALL_N,
-    active_kernel_paths,
-    block_index,
-)
+from repro.core.gather import classify
 
 __all__ = [
     "BlockProgram",
@@ -75,9 +70,9 @@ __all__ = [
     "set_enabled",
 ]
 
-#: Cached flat byte-index arrays cost 8 B per payload byte; above this
-#: payload size the index paths would not fire anyway (the big-block
-#: loop wins) and caching an index array would only burn memory.
+#: Payload cap of a cached byte index: it costs 8 B per payload byte
+#: and lives as long as the program, so above 1 MiB the per-block loop
+#: runs instead (element indexes, 8 B per block, are not capped).
 _IDX_CAP = 1 << 20
 
 #: Per-loop LRU bound: distinct (residue, length) shapes kept per loop.
@@ -148,39 +143,18 @@ def blockprog_stats() -> dict:
     return active_stats().snapshot()
 
 
-# Kernel kinds, decided once at compile time (matching the dispatch
-# thresholds of repro.core.gather so a program fires the same kernel
-# the uncompiled path would).
-_K_SINGLE = 0
-_K_SMALL = 1
-_K_STRIDED = 2
-_K_BIG = 3
-_K_INDEX = 4
-
-
 class BlockProgram:
-    """One compiled range query: canonical blocks + kernel dispatch.
+    """One compiled range query: canonical blocks + classified kernel.
 
     ``offsets``/``lengths`` are the canonical descriptor (read-only
-    arrays).  :meth:`gather`/:meth:`scatter` execute the program against
-    a buffer with all offsets translated by a scalar ``base`` — the
-    relocation that makes one program serve every period of a periodic
-    access.
+    arrays).  :meth:`gather`/:meth:`scatter` run the
+    :class:`~repro.core.gather.Kernel` classified once at compile time
+    against a buffer with all offsets translated by a scalar ``base`` —
+    the relocation that makes one program serve every period of a
+    periodic access.
     """
 
-    __slots__ = (
-        "offsets",
-        "lengths",
-        "nbytes",
-        "count",
-        "_kind",
-        "_off_list",
-        "_len_list",
-        "_first",
-        "_step",
-        "_start",
-        "_idx",
-    )
+    __slots__ = ("offsets", "lengths", "nbytes", "count", "kernel")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
         # Own copies: programs outlive the call that compiled them, and
@@ -192,66 +166,29 @@ class BlockProgram:
         self.offsets = offsets
         self.lengths = lengths
         self.count = int(offsets.size)
-        self.nbytes = int(lengths.sum()) if self.count else 0
-        self._off_list = None
-        self._len_list = None
-        self._idx = None
-        self._first = 0
-        self._step = 0
-        self._start = 0
-        self._kind = self._compile()
+        self.kernel = classify(offsets, lengths, idx_cap=_IDX_CAP)
+        self.nbytes = self.kernel.nbytes
         active_stats().compiled += 1
 
-    # ------------------------------------------------------------------
-    def _compile(self) -> int:
-        """Pick the kernel path once; precompute what it needs."""
-        n = self.count
-        if n <= 1:
-            return _K_SINGLE
-        if n <= _SMALL_N:
-            self._off_list = self.offsets.tolist()
-            self._len_list = self.lengths.tolist()
-            return _K_SMALL
-        first = int(self.lengths[0])
-        if bool((self.lengths == first).all()):
-            d = np.diff(self.offsets)
-            step = int(d[0])
-            if bool((d == step).all()) and step >= first > 0:
-                self._first = first
-                self._step = step
-                self._start = int(self.offsets[0])
-                return _K_STRIDED
-        if self.nbytes >= n * _BIG_BLOCK or self.nbytes > _IDX_CAP:
-            self._off_list = self.offsets.tolist()
-            self._len_list = self.lengths.tolist()
-            return _K_BIG
-        # Index gather/scatter with the flat byte-index array built once
-        # (canonical — translated per call by the scalar base).
-        self._idx = block_index(self.offsets, self.lengths)
-        self._idx.setflags(write=False)
-        return _K_INDEX
-
-    # ------------------------------------------------------------------
     @property
     def kind_name(self) -> str:
         """Name of the kernel path the program compiled to."""
-        return ("single", "small_loop", "strided_view", "big_block",
-                "fancy_index")[self._kind]
+        return self.kernel.name
 
     @property
     def index_nbytes(self) -> int:
-        """Size of the precomputed flat byte-index array (0 unless the
-        program compiled to the fancy-index kernel)."""
-        return int(self._idx.nbytes) if self._idx is not None else 0
+        """Size of the precomputed index array (0 unless the program
+        compiled to an element or byte index kernel)."""
+        idx = self.kernel.idx
+        return int(idx.nbytes) if isinstance(idx, np.ndarray) else 0
 
     def describe(self) -> str:
         """One-line shape summary, for ``plan-dump``."""
         s = f"{self.kind_name}(k={self.count}, nbytes={self.nbytes}"
-        if self._idx is not None:
-            s += f", idx={self._idx.size}"
+        if self.index_nbytes:
+            s += f", idx={self.kernel.idx.size}"
         return s + ")"
 
-    # ------------------------------------------------------------------
     def materialize(self, base: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(offsets + base, lengths)`` — the relocated descriptor."""
         active_stats().translations += 1
@@ -259,92 +196,24 @@ class BlockProgram:
             return self.offsets, self.lengths
         return self.offsets + base, self.lengths
 
-    # ------------------------------------------------------------------
     def gather(self, src: np.ndarray, base: int, out: np.ndarray,
                out_pos: int = 0) -> int:
         """Copy the program's blocks (translated by ``base``) of ``src``
         into ``out`` at ``out_pos``; returns bytes copied."""
         active_stats().translations += 1
-        paths = active_kernel_paths()
-        kind = self._kind
-        if kind == _K_SINGLE:
-            paths.single += 1
-            if self.count == 0:
-                return 0
-            o = int(self.offsets[0]) + base
-            ln = int(self.lengths[0])
-            out[out_pos : out_pos + ln] = src[o : o + ln]
-            return ln
-        if kind == _K_STRIDED:
-            paths.strided_view += 1
-            view = np.lib.stride_tricks.as_strided(
-                src[self._start + base :],
-                shape=(self.count, self._first),
-                strides=(self._step, 1),
-                writeable=False,
-            )
-            out[out_pos : out_pos + self.nbytes] = view.reshape(-1)
-            return self.nbytes
-        if kind == _K_INDEX:
-            paths.fancy_index += 1
-            idx = self._idx if base == 0 else self._idx + base
-            out[out_pos : out_pos + self.nbytes] = src[idx]
-            return self.nbytes
-        paths.small_loop += 1 if kind == _K_SMALL else 0
-        paths.big_block += 1 if kind == _K_BIG else 0
-        pos = out_pos
-        for o, ln in zip(self._off_list, self._len_list):
-            o += base
-            out[pos : pos + ln] = src[o : o + ln]
-            pos += ln
-        return pos - out_pos
+        return self.kernel.gather(src, base, out, out_pos)
 
     def scatter(self, dst: np.ndarray, base: int, src: np.ndarray,
                 src_pos: int = 0) -> int:
         """Copy contiguous ``src`` bytes from ``src_pos`` into the
         program's blocks of ``dst`` (translated by ``base``)."""
         active_stats().translations += 1
-        paths = active_kernel_paths()
-        kind = self._kind
-        if kind == _K_SINGLE:
-            paths.single += 1
-            if self.count == 0:
-                return 0
-            o = int(self.offsets[0]) + base
-            ln = int(self.lengths[0])
-            dst[o : o + ln] = src[src_pos : src_pos + ln]
-            return ln
-        if kind == _K_STRIDED:
-            paths.strided_view += 1
-            view = np.lib.stride_tricks.as_strided(
-                dst[self._start + base :],
-                shape=(self.count, self._first),
-                strides=(self._step, 1),
-            )
-            view[...] = src[src_pos : src_pos + self.nbytes].reshape(
-                self.count, self._first
-            )
-            return self.nbytes
-        if kind == _K_INDEX:
-            paths.fancy_index += 1
-            idx = self._idx if base == 0 else self._idx + base
-            dst[idx] = src[src_pos : src_pos + self.nbytes]
-            return self.nbytes
-        paths.small_loop += 1 if kind == _K_SMALL else 0
-        paths.big_block += 1 if kind == _K_BIG else 0
-        pos = src_pos
-        for o, ln in zip(self._off_list, self._len_list):
-            o += base
-            dst[o : o + ln] = src[pos : pos + ln]
-            pos += ln
-        return pos - src_pos
+        return self.kernel.scatter(dst, base, src, src_pos)
 
     def __repr__(self) -> str:  # pragma: no cover
-        kinds = {_K_SINGLE: "single", _K_SMALL: "small",
-                 _K_STRIDED: "strided", _K_BIG: "big", _K_INDEX: "index"}
         return (
             f"BlockProgram(k={self.count}, nbytes={self.nbytes}, "
-            f"kind={kinds[self._kind]})"
+            f"kind={self.kind_name})"
         )
 
 

@@ -65,7 +65,16 @@ def top_dataloop(dt: Datatype, count: int) -> Dataloop | None:
 
 
 def _as_bytes(buf: np.ndarray, writeable: bool) -> np.ndarray:
-    """Flat uint8 view of a buffer without copying."""
+    """Flat uint8 view of a buffer.  A destination must be C-contiguous
+    (a flat view of any other layout is a copy the kernel would fill and
+    drop); a source in another layout is copied once."""
+    if not buf.flags.c_contiguous:
+        if writeable:
+            raise FFError(
+                f"destination buffer of shape {buf.shape} with strides "
+                f"{buf.strides} is not C-contiguous"
+            )
+        buf = np.ascontiguousarray(buf)
     b = buf.view(np.uint8).reshape(-1)
     if writeable and not b.flags.writeable:
         raise FFError("destination buffer is read-only")

@@ -437,7 +437,8 @@ class File:
     # Access plumbing
     # ------------------------------------------------------------------
     def _mem(
-        self, buf: np.ndarray, count: Optional[int], memtype: Optional[Datatype]
+        self, buf: np.ndarray, count: Optional[int],
+        memtype: Optional[Datatype], dest: bool = False,
     ) -> MemDescriptor:
         if memtype is None:
             memtype = BYTE
@@ -445,7 +446,7 @@ class File:
                 count = buf.nbytes
         elif count is None:
             count = 1
-        return MemDescriptor(buf, count, memtype)
+        return MemDescriptor(buf, count, memtype, dest=dest)
 
     def _advance(self, mem: MemDescriptor, ptr: int) -> int:
         nbytes = mem.nbytes
@@ -498,7 +499,7 @@ class File:
         """Independent read at etype offset ``offset``."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         d0 = offset * self.view.esize
         guard = self._atomic_guard(mem, d0)
         try:
@@ -528,7 +529,7 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Independent read at the individual file pointer."""
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         self.read_at(self._ind_ptr, buf, mem.count, mem.memtype)
         self._ind_ptr = self._advance(mem, self._ind_ptr)
 
@@ -561,7 +562,7 @@ class File:
         """Independent read at the shared file pointer."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         pos = self._bump_shared(mem)
         self.read_at(pos, buf, mem.count, mem.memtype)
 
@@ -609,7 +610,7 @@ class File:
         """Collective read at etype offset ``offset``."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         self.engine.read_collective(mem, offset * self.view.esize)
 
     def write_all(
@@ -630,7 +631,7 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Collective read at the individual file pointer."""
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         self.read_at_all(self._ind_ptr, buf, mem.count, mem.memtype)
         self._ind_ptr = self._advance(mem, self._ind_ptr)
 
@@ -684,7 +685,7 @@ class File:
         (``MPI_File_read_ordered``)."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         my_off = self._ordered_offsets(mem)
         self.engine.read_collective(mem, my_off * self.view.esize)
 
@@ -786,7 +787,7 @@ class File:
         """Nonblocking independent read at etype offset ``offset``."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         return self._defer(mem, offset * self.view.esize, write=False)
 
     def iwrite(self, buf, count=None, memtype=None) -> Request:
@@ -802,7 +803,7 @@ class File:
         """Nonblocking read at the individual pointer (advances it)."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype)
+        mem = self._mem(buf, count, memtype, dest=True)
         d0 = self._ind_ptr * self.view.esize
         self._ind_ptr = self._advance(mem, self._ind_ptr)
         return self._defer(mem, d0, write=False)

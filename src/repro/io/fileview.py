@@ -85,18 +85,31 @@ class MemDescriptor:
     ``origin`` is the byte offset within ``buf`` that corresponds to the
     datatype origin; it defaults to ``-memtype.lb`` for marker-adjusted
     types so that the whole access stays inside the buffer.
+
+    ``dest`` marks a read destination: it must be C-contiguous, since a
+    flat byte view of any other layout is a copy the read would fill
+    and drop.  A write source in another layout is copied once.
     """
 
     buf: np.ndarray
     count: int
     memtype: Datatype
     origin: Optional[int] = None
+    dest: bool = False
     _bytes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.count < 0:
             raise IOEngineError(f"negative count {self.count}")
-        self._bytes = self.buf.view(np.uint8).reshape(-1)
+        buf = self.buf
+        if not buf.flags.c_contiguous:
+            if self.dest:
+                raise IOEngineError(
+                    f"read destination of shape {buf.shape} with strides "
+                    f"{buf.strides} is not C-contiguous"
+                )
+            buf = np.ascontiguousarray(buf)
+        self._bytes = buf.view(np.uint8).reshape(-1)
         if self.origin is None:
             self.origin = -min(self.memtype.lb, self.memtype.true_lb, 0)
 

@@ -63,8 +63,9 @@ def read_window(simfile: SimFile, wlo: int, whi: int) -> np.ndarray:
     from repro.obs import trace
 
     with trace.span("sieve.read_window", bytes=whi - wlo):
-        fb = np.zeros(whi - wlo, dtype=np.uint8)
-        simfile.pread_into(wlo, fb)
+        fb = np.empty(whi - wlo, dtype=np.uint8)
+        n = simfile.pread_into(wlo, fb)
+        fb[n:] = 0
     return fb
 
 

@@ -476,14 +476,15 @@ class PlanExecutor:
         )
 
         def job_read():
+            # Zero only past the bytes read (EOF), never the whole window.
             if dense:
-                arr = targets[0][1].arr
-                got = pread(lo + fdelta, arr)
-                if got < arr.size:
-                    arr[got:] = 0
+                fb = targets[0][1].arr
+            else:
+                fb = np.empty(hi - lo, dtype=np.uint8)
+            got = pread(lo + fdelta, fb)
+            fb[got:] = 0
+            if dense:
                 return
-            fb = np.zeros(hi - lo, dtype=np.uint8)
-            pread(lo + fdelta, fb)
             for piece, buf in targets:
                 DataPlane.gather(fb, lo, piece.blocks, buf.arr,
                                  piece.d_lo - buf.d_lo, progs)

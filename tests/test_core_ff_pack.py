@@ -156,3 +156,24 @@ class TestIterSegments:
     def test_bad_segment_size(self):
         with pytest.raises(ValueError):
             list(iter_segments(10, 0))
+
+
+class TestBufferLayout:
+    def test_non_contiguous_destination_rejected(self):
+        # A flat byte view of a strided 2-D buffer is a copy: unpacking
+        # into it would report success and leave the buffer unchanged.
+        t = dt.contiguous(16, dt.BYTE)
+        dst = np.zeros((4, 32), dtype=np.uint8)[:, :4]
+        with pytest.raises(FFError, match="not C-contiguous"):
+            ff_unpack(fill_pattern(16), 16, dst, 1, t, 0)
+        assert (dst == 0).all()
+        with pytest.raises(FFError, match="not C-contiguous"):
+            ff_pack(fill_pattern(16), 1, t, 0, dst, 16)
+
+    def test_non_contiguous_source_is_copied(self):
+        t = dt.vector(4, 2, 4, dt.BYTE)
+        src = fill_pattern(64, seed=2).reshape(4, 16)[:, :4]
+        out = np.zeros(t.size, dtype=np.uint8)
+        assert ff_pack(src, 1, t, 0, out, t.size) == t.size
+        flat = np.ascontiguousarray(src).reshape(-1)
+        assert (out == pack_typemap(flat, 1, t)).all()

@@ -1,15 +1,24 @@
-"""Gather/scatter kernels: all three dispatch paths."""
+"""Gather/scatter kernels: every dispatch path, bounds, and a
+differential property test of compiled and one-shot kernels against a
+per-block slice-copy loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.blockprog import _IDX_CAP, BlockProgram
 from repro.core.gather import (
+    _ELEM_MIN,
     _SMALL_N,
     _uniform_stride,
     block_index,
+    classify,
     gather_blocks,
+    kernel_path_counts,
     scatter_blocks,
 )
+from repro.errors import FFError
 from tests.conftest import fill_pattern
 
 
@@ -200,3 +209,230 @@ class TestHardening:
         dst = np.zeros(span, dtype=np.uint8)
         assert scatter_blocks(dst, offs, lens, data) == total
         assert (dst == self._ref_scatter(span, offs, lens, data)).all()
+
+
+def ref_scatter(dst, offs, lens, data, pos=0):
+    """Per-block slice-copy loop, in list order (last block wins)."""
+    for o, ln in zip(offs.tolist(), lens.tolist()):
+        dst[o : o + ln] = data[pos : pos + ln]
+        pos += ln
+
+
+def fired(before):
+    """Kernel paths bumped since the ``before`` snapshot."""
+    after = kernel_path_counts()
+    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
+
+
+class TestKernelChoice:
+    """Which kernel a block list gets, and what it precomputes."""
+
+    @pytest.mark.parametrize("pairs,path", [
+        # small_indep's 8 x 8 B: a short uniform list still takes one view
+        ([(i * 16, 8) for i in range(8)], "strided_view"),
+        ([(i * 8, 8) for i in range(40)], "strided_view"),
+        # uniform negative step, blocks apart: a view with a negative stride
+        ([((39 - i) * 16, 8) for i in range(40)], "strided_view"),
+        ([(0, 3), (9, 1), (30, 7)], "small_loop"),
+        ([(7, 5)], "single"),
+        # uniform, ascending, irregular: one element per block
+        ([(i * 20 + (i % 3), 16) for i in range(40)], "fancy_index"),
+        ([(i * 600 + (i % 3), 512) for i in range(40)], "fancy_index"),
+        # tiny uniform blocks: byte index
+        ([(i * 8 + (i % 3), 2) for i in range(40)], "fancy_index"),
+        # long overlapping blocks: per-block loop
+        ([(i * 100 + (i % 3), 512) for i in range(40)], "big_block"),
+        ([(i * 9, (i % 5) + 1) for i in range(40)], "ragged_index"),
+    ])
+    def test_path_same_for_compiled_and_one_shot(self, pairs, path):
+        offs, lens = arrs(pairs)
+        assert classify(offs, lens).name == path
+        assert BlockProgram(offs, lens).kind_name == path
+        src = fill_pattern(int((offs + lens).max()), seed=2)
+        out = np.zeros(int(lens.sum()), np.uint8)
+        before = kernel_path_counts()
+        gather_blocks(src, offs, lens, out)
+        assert fired(before) == {f"kernel_path_{path}": 1}
+
+    def test_element_index_is_one_entry_per_block(self):
+        n, size = 64, 32
+        offs, lens = arrs([(i * 40 + (i % 5), size) for i in range(n)])
+        prog = BlockProgram(offs, lens)
+        assert prog.kind_name == "fancy_index"
+        assert prog.index_nbytes == 8 * n  # a byte index: 8 * n * size
+
+    def test_tiny_blocks_keep_the_byte_index(self):
+        n, size = 64, _ELEM_MIN - 1
+        offs, lens = arrs([(i * 16 + (i % 5), size) for i in range(n)])
+        assert BlockProgram(offs, lens).index_nbytes == 8 * n * size
+
+    def test_overlapping_tiny_scatter_last_block_wins(self):
+        offs, lens = arrs([(i * 2, 4) for i in range(_SMALL_N + 8)])
+        data = fill_pattern(int(lens.sum()), seed=1)
+        got = np.zeros(64, np.uint8)
+        ref = np.zeros(64, np.uint8)
+        scatter_blocks(got, offs, lens, data)
+        ref_scatter(ref, offs, lens, data)
+        assert (got == ref).all()
+
+
+class TestBounds:
+    """A block list outside the buffer raises ``FFError`` before any byte
+    moves — on every kernel, compiled and one-shot, both directions."""
+
+    CASES = {
+        "single": [(200, 64)],
+        "small_loop": [(0, 3), (9, 1), (250, 7)],
+        "strided_view": [(i * 16, 8) for i in range(64)],
+        "strided_backwards": [((63 - i) * 16, 8) for i in range(64)],
+        "fancy_index": [(i * 20 + (i % 3), 16) for i in range(40)],
+        "byte_index": [(i * 8 + (i % 3), 2) for i in range(40)],
+        "big_block": [(i * 100 + (i % 3), 512) for i in range(40)],
+        "ragged_index": [(i * 9, (i % 5) + 1) for i in range(40)],
+    }
+
+    @staticmethod
+    def run(mode, direction, offs, lens, buf, base):
+        """One kernel call on ``buf``; the other side is a fresh array."""
+        other = np.zeros(int(lens.sum()) + 8, np.uint8)
+        if mode == "compiled":
+            prog = BlockProgram(offs, lens)
+            if direction == "gather":
+                return prog.gather(buf, base, other, 0)
+            return prog.scatter(buf, base, other, 0)
+        if direction == "gather":
+            return gather_blocks(buf, offs + base, lens, other, 0)
+        return scatter_blocks(buf, offs + base, lens, other, 0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("mode", ["compiled", "one_shot"])
+    @pytest.mark.parametrize("direction", ["gather", "scatter"])
+    def test_past_the_end(self, name, mode, direction):
+        offs, lens = arrs(self.CASES[name])
+        hi = int((offs + lens).max())
+        buf = np.full(hi - 1, 7, np.uint8)  # one byte short
+        with pytest.raises(FFError, match=rf"\[\d+, {hi}\).*holds {hi - 1}"):
+            self.run(mode, direction, offs, lens, buf, 0)
+        assert (buf == 7).all()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("mode", ["compiled", "one_shot"])
+    @pytest.mark.parametrize("direction", ["gather", "scatter"])
+    def test_negative_translated_offset(self, name, mode, direction):
+        offs, lens = arrs(self.CASES[name])
+        lo = int(offs.min())
+        buf = np.full(int((offs + lens).max()) + 64, 7, np.uint8)
+        with pytest.raises(FFError, match=rf"\[-1, "):
+            self.run(mode, direction, offs, lens, buf, -lo - 1)
+        assert (buf == 7).all()
+
+    def test_strided_program_past_a_short_source(self):
+        # 64 blocks of 8 B at stride 16 span 1016 bytes; the source
+        # holds 256, so no byte may be read from past its end.
+        prog = BlockProgram(np.arange(64) * 16, np.full(64, 8))
+        out = np.zeros(512, np.uint8)
+        with pytest.raises(FFError, match=r"\[0, 1016\).*holds 256"):
+            prog.gather(fill_pattern(256), 0, out)
+        assert (out == 0).all()
+
+
+@st.composite
+def block_lists(draw):
+    """``(offsets, lengths)`` in one of the layouts a type map produces,
+    all offsets >= 0."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(4900, 5100)))
+    size = draw(st.integers(1, 300))
+    layout = draw(st.sampled_from([
+        "dense", "gapped", "irregular", "overlapping", "negative_step",
+        "shuffled", "ragged",
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lens = np.full(n, size, np.int64)
+    if layout == "dense":
+        offs = np.arange(n, dtype=np.int64) * size
+    elif layout == "gapped":
+        offs = np.arange(n, dtype=np.int64) * (size + draw(
+            st.integers(1, 64)))
+    elif layout == "irregular":
+        offs = np.cumsum(size + rng.integers(0, size + 1, n)) - size
+    elif layout == "overlapping":
+        offs = np.cumsum(rng.integers(0, size, n))
+    elif layout == "negative_step":
+        offs = (np.arange(n, dtype=np.int64)[::-1]
+                * (size + draw(st.integers(0, 8))))
+    elif layout == "shuffled":
+        offs = rng.permutation(np.arange(n, dtype=np.int64) * (size + 3))
+    else:
+        lens = rng.integers(1, size + 1, n).astype(np.int64)
+        offs = np.cumsum(lens + rng.integers(0, 9, n)) - lens
+    return offs.astype(np.int64), lens
+
+
+def one_shot_path(offs, lens, compiled):
+    """The path a one-shot call must fire, given the compiled call's:
+    the same one, except where a program's byte index would pass
+    ``_IDX_CAP`` and the program loops instead."""
+    assert len(compiled) == 1 and list(compiled.values()) == [1]
+    if classify(offs, lens).name != classify(offs, lens, _IDX_CAP).name:
+        assert compiled == {"kernel_path_big_block": 1}
+        assert int(lens.sum()) > _IDX_CAP
+        return {f"kernel_path_{classify(offs, lens).name}": 1}
+    return compiled
+
+
+class TestDifferential:
+    """Compiled and one-shot kernels against a per-block slice-copy loop:
+    same bytes, same return, one kernel-path count per call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(blocks=block_lists(), pad=st.integers(0, 40),
+           base=st.integers(-40, 40), pos=st.integers(0, 16))
+    def test_gather(self, blocks, pad, base, pos):
+        offs, lens = blocks
+        offs = offs + pad  # where the blocks sit in the buffer
+        total = int(lens.sum())
+        src = fill_pattern(int((offs + lens).max()) + pad, seed=3)
+        src.setflags(write=False)
+        ref = np.zeros(total + pos + 8, np.uint8)
+        ref[pos : pos + total] = np.concatenate(
+            [src[o : o + ln] for o, ln in zip(offs.tolist(), lens.tolist())])
+
+        prog = BlockProgram(offs - base, lens)
+        got = np.zeros_like(ref)
+        before = kernel_path_counts()
+        assert prog.gather(src, base, got, pos) == total
+        compiled = fired(before)
+        assert (got == ref).all()
+
+        got = np.zeros_like(ref)
+        before = kernel_path_counts()
+        assert gather_blocks(src, offs, lens, got, pos) == total
+        assert fired(before) == one_shot_path(offs, lens, compiled)
+        assert (got == ref).all()
+
+    @settings(max_examples=120, deadline=None)
+    @given(blocks=block_lists(), pad=st.integers(0, 40),
+           base=st.integers(-40, 40), pos=st.integers(0, 16))
+    def test_scatter(self, blocks, pad, base, pos):
+        offs, lens = blocks
+        offs = offs + pad
+        total = int(lens.sum())
+        span = int((offs + lens).max()) + pad
+        data = fill_pattern(total + pos, seed=4)
+        data.setflags(write=False)
+        ref = fill_pattern(span, seed=5)
+        start = ref.copy()
+        ref_scatter(ref, offs, lens, data, pos)
+
+        prog = BlockProgram(offs - base, lens)
+        got = start.copy()
+        before = kernel_path_counts()
+        assert prog.scatter(got, base, data, pos) == total
+        compiled = fired(before)
+        assert (got == ref).all()
+
+        got = start.copy()
+        before = kernel_path_counts()
+        assert scatter_blocks(got, offs, lens, data, pos) == total
+        assert fired(before) == one_shot_path(offs, lens, compiled)
+        assert (got == ref).all()

@@ -409,3 +409,35 @@ class TestExecutorShortReads:
             want[:4].tolist() + want[8:10].tolist() + [0, 0])
         assert ex.stats.executed_file_reads == 2
         assert fa.stats.n_reads == 2
+
+
+class TestSieveWindow:
+    """``read_window`` fills a window once: the bytes before EOF come
+    from the file, and only the tail past EOF is zeroed."""
+
+    @pytest.mark.parametrize("kind", ["sim", "os"])
+    def test_window_straddling_eof(self, twins, monkeypatch, kind):
+        from repro.io import sieving
+
+        class DirtyNumpy:
+            """``np`` for the sieving module, with ``empty`` returning
+            garbage so a window that is not fully written shows."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                return np.full(shape, 0xAB, dtype=dtype)
+
+        monkeypatch.setattr(sieving, "np", DirtyNumpy())
+        (f, _), _ = twins(kind)
+        data = fill_pattern(100, seed=9)
+        f.pwrite(0, data)
+        reads = f.stats.n_reads
+        fb = sieving.read_window(f, 60, 160)
+        assert fb.size == 100
+        assert (fb[:40] == data[60:]).all()
+        assert (fb[40:] == 0).all()
+        assert f.stats.n_reads == reads + 1
+        assert (sieving.read_window(f, 120, 130) == 0).all()

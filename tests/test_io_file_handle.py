@@ -302,3 +302,47 @@ class TestSizeManagement:
             fh.close()
 
         spmd(1, worker)
+
+
+class TestNonContiguousBuffers:
+    """A read destination must be C-contiguous (a flat byte view of any
+    other layout is a copy the read would fill and drop); a write source
+    in another layout is copied once."""
+
+    READS = ["read_at", "read_at_all", "iread_at", "read", "read_all",
+             "read_shared", "read_ordered"]
+
+    @pytest.mark.parametrize("method", READS)
+    def test_read_into_strided_buffer_raises(self, engine, method):
+        fs = SimFileSystem()
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            fh.write_at(0, fill_pattern(64))
+            buf = np.zeros((4, 32), np.uint8)[:, :4]
+            args = (0, buf) if "_at" in method else (buf,)
+            with pytest.raises(IOEngineError, match="not C-contiguous"):
+                getattr(fh, method)(*args)
+            assert (buf == 0).all()
+            assert fh.get_position() == 0
+            assert fh.get_position_shared() == 0
+            fh.close()
+
+        spmd(1, worker)
+
+    def test_write_from_strided_buffer(self, engine):
+        fs = SimFileSystem()
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            fh.set_view(0, dt.BYTE, dt.vector(4, 4, 8, dt.BYTE))
+            src = fill_pattern(128, seed=3).reshape(4, 32)[:, :4]
+            fh.write_at(0, src)
+            back = np.zeros((4, 4), np.uint8)
+            fh.read_at(0, back)
+            assert (back == src).all()
+            fh.close()
+
+        spmd(1, worker)
