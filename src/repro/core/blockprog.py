@@ -151,12 +151,16 @@ class BlockProgram:
     :class:`~repro.core.gather.Kernel` classified once at compile time
     against a buffer with all offsets translated by a scalar ``base`` —
     the relocation that makes one program serve every period of a
-    periodic access.
+    periodic access.  With ``other`` (block ``i`` paired with
+    ``other[i]`` in a second buffer, see :func:`~repro.core.gather.
+    pair_blocks`) the kernel is a two-sided pair kernel; its second
+    buffer is translated by the ``pos`` argument.
     """
 
     __slots__ = ("offsets", "lengths", "nbytes", "count", "kernel")
 
-    def __init__(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
+    def __init__(self, offsets: np.ndarray, lengths: np.ndarray,
+                 other: Optional[np.ndarray] = None) -> None:
         # Own copies: programs outlive the call that compiled them, and
         # the read-only flag must never leak onto a caller's arrays.
         offsets = np.array(offsets, dtype=np.int64)
@@ -166,7 +170,10 @@ class BlockProgram:
         self.offsets = offsets
         self.lengths = lengths
         self.count = int(offsets.size)
-        self.kernel = classify(offsets, lengths, idx_cap=_IDX_CAP)
+        if other is not None:
+            other = np.asarray(other, dtype=np.int64)
+        self.kernel = classify(offsets, lengths, idx_cap=_IDX_CAP,
+                               other=other)
         self.nbytes = self.kernel.nbytes
         active_stats().compiled += 1
 
@@ -177,16 +184,15 @@ class BlockProgram:
 
     @property
     def index_nbytes(self) -> int:
-        """Size of the precomputed index array (0 unless the program
+        """Size of the precomputed index arrays (0 unless the program
         compiled to an element or byte index kernel)."""
-        idx = self.kernel.idx
-        return int(idx.nbytes) if isinstance(idx, np.ndarray) else 0
+        return self.kernel.index_nbytes
 
     def describe(self) -> str:
         """One-line shape summary, for ``plan-dump``."""
         s = f"{self.kind_name}(k={self.count}, nbytes={self.nbytes}"
         if self.index_nbytes:
-            s += f", idx={self.kernel.idx.size}"
+            s += f", idx={self.index_nbytes // 8}"
         return s + ")"
 
     def materialize(self, base: int) -> Tuple[np.ndarray, np.ndarray]:

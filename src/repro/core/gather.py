@@ -3,25 +3,35 @@
 On the NEC SX, flattening-on-the-fly hands evenly spaced blocks to the
 hardware gather/scatter units, which move one block per vector element.
 The NumPy kernels here do the same: a block of ``S`` bytes is one
-element of dtype ``void[S]``, so a copy costs one element move per
-block, not ``S`` byte moves.
+element (an integer for 2/4/8-byte blocks, ``void[S]`` otherwise — see
+:data:`_INT`), so a copy costs one element move per block, not ``S``
+byte moves.
+
+A kernel is two-sided: it copies between the blocks of one buffer and
+the same bytes, in the same order, in another.  A gather/scatter is the
+case whose other side is one contiguous run; a *pair* kernel pairs two
+block lists (:func:`pair_blocks`) — the sieved independent access copies
+between the user buffer and the file buffer this way, with no staging
+copy in between.  Each side gets its own view:
 
 * uniform blocks at a uniform stride (either sign) → one strided
-  element view of the buffer, copied in one pass (no index array, no
-  temporary);
+  element view of the buffer (no index array, no temporary); a stride
+  equal to the block size is a contiguous run;
 * uniform, non-overlapping blocks at ascending irregular offsets, of at
   least :data:`_ELEM_MIN` bytes → an element index (one int64 per
   block) over an overlapping ``strides=(1,)`` element view;
 * tiny, overlapping or unsorted uniform blocks, and ragged blocks → a
   byte index (elements of one byte);
-* a handful of blocks, or long ragged blocks → a loop of slice copies.
+* a handful of blocks, or long blocks a side would need a byte index
+  for → a loop of slice copies.
 
-:func:`classify` makes that choice once per block list and precomputes
-what the kernel needs into a :class:`Kernel`; :meth:`Kernel.gather` /
-:meth:`Kernel.scatter` run it against a buffer, translated by a scalar
-base.  The one-shot :func:`gather_blocks`/:func:`scatter_blocks`
-classify and run; compiled block programs (:mod:`repro.core.blockprog`)
-classify once and run per call — one implementation for both.
+:func:`classify` makes that choice once per block list (or pair of
+lists) and precomputes what the kernel needs into a :class:`Kernel`;
+:meth:`Kernel.gather` / :meth:`Kernel.scatter` run it between two
+buffers, each side translated by a scalar base.  The one-shot
+:func:`gather_blocks`/:func:`scatter_blocks` classify and run; compiled
+block programs (:mod:`repro.core.blockprog`) classify once and run per
+call — one implementation for both, and for both kinds of kernel.
 
 The contrast with the list-based engine — which copies one ``(offset,
 length)`` tuple at a time in an interpreted loop, reading the tuple before
@@ -32,6 +42,7 @@ copies and per-block list traversal (§2.1, "Copy time").
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -42,6 +53,7 @@ from repro.errors import FFError
 __all__ = [
     "Kernel",
     "classify",
+    "pair_blocks",
     "gather_blocks",
     "scatter_blocks",
     "block_index",
@@ -163,157 +175,323 @@ def _elem(size: int) -> np.dtype:
     return np.dtype(np.uint8) if size == 1 else np.dtype((np.void, size))
 
 
-class Kernel:
-    """A classified block list: the kernel that copies it, ready to run.
+#: Integer element dtypes for 2-, 4- and 8-byte blocks.  NumPy copies
+#: one strided ``void[S]`` array into another one item at a time; an
+#: aligned integer view takes its vectorized strided loop instead.
+#: Measured on 32768 x 8 B at stride 16 (2-vCPU VM, NumPy 2.4),
+#: strided to strided, µs: void 127, uint64 18, and — through a
+#: contiguous temporary, as two passes — void 33.  Misaligned, uint64
+#: takes 138, so a misaligned call falls back to void through the
+#: temporary.  Other sizes stay ``void`` in one pass (8192 x 64 B: 61
+#: vs 116 µs for two passes; 65536 x 3 B: 258 vs 590 µs).  Lists of at
+#: most :data:`_SMALL_N` blocks stay ``void`` too: there the alignment
+#: check costs more than the copy.
+_INT = {2: np.dtype(np.uint16), 4: np.dtype(np.uint32),
+        8: np.dtype(np.uint64)}
 
-    Built by :func:`classify`.  ``kind`` is one of ``SINGLE``/``SMALL``/
-    ``BIG`` (a loop of slice copies over ``pairs``) or ``STRIDED``/
-    ``INDEX``/``RAGGED`` (an element view of the buffer: ``shape``,
-    ``dtype``, ``strides`` at byte ``start``, indexed by ``idx`` —
-    ``...`` for the strided view, an element or byte index otherwise).
-    ``[lo, hi)`` is the byte span the blocks touch, checked against the
-    buffer on every call.
+# A side of a kernel: where its blocks sit in one buffer, as the tuple
+# ``(lo, hi, start, shape, strides, idx)``.  ``[lo, hi)`` is the byte
+# span the blocks touch, checked against the buffer on every call.  The
+# element view starts at byte ``start``: ``shape is None`` marks one
+# contiguous run (a plain slice), otherwise ``shape``/``strides`` give
+# the view and ``idx`` indexes it — ``...`` for a strided view, an
+# element or byte index over an overlapping ``strides=(1,)`` view.
+_LO, _HI, _START, _SHAPE, _STRIDES, _IDX = range(6)
+
+
+def _run_side(start: int, nbytes: int) -> tuple:
+    """One contiguous run of ``nbytes`` at ``start``."""
+    return (start, start + nbytes, start, None, None, ...)
+
+
+def _strided_side(start: int, step: int, size: int, n: int) -> tuple:
+    """``n`` blocks of ``size`` bytes, ``step`` apart (either sign)."""
+    if step == size:
+        return _run_side(start, n * size)
+    last = start + (n - 1) * step
+    return (min(start, last), max(start, last) + size, start, (n,),
+            (step,), ...)
+
+
+def _index_side(offsets: np.ndarray, lengths: np.ndarray,
+                size: int) -> tuple:
+    """Index over an overlapping element view of the blocks' span:
+    element ``i`` of the view starts at byte ``lo + i``.  ``size`` is
+    the element size: the block size for an element index (one entry
+    per block), 1 for a byte index (one entry per byte)."""
+    lo = int(offsets.min())
+    hi = int((offsets + lengths).max())
+    rel = offsets - lo
+    idx = rel if size > 1 else block_index(rel, lengths)
+    idx.setflags(write=False)
+    return (lo, hi, lo, (hi - lo - size + 1,), (1,), idx)
+
+
+def _loop_side(offs: list, lens: list) -> tuple:
+    """A loop kernel's side: only its span is needed."""
+    return (min(offs, default=0),
+            max(map(operator.add, offs, lens), default=0),
+            None, None, None, None)
+
+
+def _starts(lens: list) -> list:
+    """Offsets of ``lens`` laid end to end from 0."""
+    return list(itertools.accumulate(lens[:-1], initial=0)) if lens else []
+
+
+def _span_error(what: str, side: tuple, buf: np.ndarray,
+                base: int) -> FFError:
+    return FFError(
+        f"{what} spans bytes [{side[_LO] + base}, {side[_HI] + base}) "
+        f"but the buffer holds {buf.size} (translation base {base})"
+    )
+
+
+class Kernel:
+    """A classified pair of block lists: the kernel that copies between
+    them, ready to run.
+
+    Built by :func:`classify`.  Side ``a`` holds the classified blocks;
+    side ``b`` holds the same bytes in the same order in the other
+    buffer — one contiguous run for a plain gather/scatter, the paired
+    blocks of another list for a two-sided copy.  ``kind`` is one of
+    ``SINGLE``/``SMALL``/``BIG`` (a loop of slice copies over ``pairs``
+    of ``(a offset, b offset, length)``) or ``STRIDED``/``INDEX``/
+    ``RAGGED`` (one element view per side, copied in one NumPy
+    assignment).  ``dtype`` is the element dtype both views take;
+    ``vdtype`` is the ``void`` dtype a call falls back to when an
+    integer view is misaligned; ``stage`` sends a ``void`` copy between
+    two non-contiguous 2/4/8-byte views through a contiguous temporary
+    (see :data:`_INT`).
     """
 
-    __slots__ = ("kind", "count", "nbytes", "lo", "hi", "pairs", "dtype",
-                 "shape", "start", "strides", "idx")
+    __slots__ = ("kind", "count", "nbytes", "a", "b", "pairs", "dtype",
+                 "vdtype", "stage")
 
-    def __init__(self, kind, count, nbytes, lo, hi, pairs=None,
-                 dtype=None, shape=None, start=0, strides=None,
-                 idx=None) -> None:
+    def __init__(self, kind: int, count: int, nbytes: int, a: tuple,
+                 b: tuple, pairs=None, size: int = 1) -> None:
         self.kind = kind
         self.count = count
         self.nbytes = nbytes
-        self.lo = lo
-        self.hi = hi
+        self.a = a
+        self.b = b
         self.pairs = pairs
-        self.dtype = dtype
-        self.shape = shape
-        self.start = start
-        self.strides = strides
-        self.idx = idx
+        self.dtype = _elem(size)
+        self.vdtype = None
+        self.stage = False
+        it = _INT.get(size)
+        if it is not None and pairs is None and count > _SMALL_N:
+            views = [s for s in (a, b) if s[_SHAPE] is not None]
+            self.stage = len(views) == 2
+            if all(s[_STRIDES][0] % size == 0 for s in views):
+                self.dtype, self.vdtype = it, self.dtype
 
     @property
     def name(self) -> str:
         """Name of the kernel path (the ``kernel_path_*`` suffix)."""
         return _PATH_NAMES[self.kind]
 
-    def _enter(self, buf: np.ndarray, base: int):
-        """Check the translated span against ``buf``, count the call,
-        and return the element view (``None`` for the loop kinds)."""
-        lo = self.lo + base
-        if (lo < 0 or self.hi + base > buf.size) and self.count:
-            raise FFError(
-                f"block list spans bytes [{lo}, {self.hi + base}) but the "
-                f"buffer holds {buf.size} (translation base {base})"
-            )
+    @property
+    def index_nbytes(self) -> int:
+        """Bytes of the precomputed index arrays, both sides."""
+        return sum(s[_IDX].nbytes for s in (self.a, self.b)
+                   if isinstance(s[_IDX], np.ndarray))
+
+    def gather(self, buf: np.ndarray, base: int, other: np.ndarray,
+               pos: int = 0) -> int:
+        """Copy side ``a`` of ``buf`` (offsets translated by ``base``)
+        to side ``b`` of ``other`` (translated by ``pos`` — for a
+        one-sided kernel, where the contiguous run starts); returns
+        bytes copied."""
+        return self._copy(buf, base, other, pos, True)
+
+    def scatter(self, buf: np.ndarray, base: int, other: np.ndarray,
+                pos: int = 0) -> int:
+        """Copy side ``b`` of ``other`` (translated by ``pos``) to side
+        ``a`` of ``buf`` (translated by ``base``); returns bytes copied.
+        Overlapping blocks are written in list order, so the last block
+        touching a byte wins, as in a per-block loop."""
+        return self._copy(buf, base, other, pos, False)
+
+    def _copy(self, buf: np.ndarray, base: int, other: np.ndarray,
+              pos: int, to_b: bool) -> int:
+        """Check both translated spans, count the call, copy ``a`` to
+        ``b`` (``to_b``) or back."""
+        alo, ahi, astart, ashape, astrides, aidx = self.a
+        blo, bhi, bstart, bshape, bstrides, bidx = self.b
+        n = self.nbytes
+        if self.count:
+            if alo + base < 0 or ahi + base > buf.size:
+                raise _span_error("block list", self.a, buf, base)
+            if blo + pos < 0 or bhi + pos > other.size:
+                raise _span_error("other side", self.b, other, pos)
         active_kernel_paths().counts[self.kind] += 1
-        if self.pairs is not None:
-            return None
-        return np.ndarray(self.shape, self.dtype, buffer=buf,
-                          offset=self.start + base, strides=self.strides)
-
-    def gather(self, src: np.ndarray, base: int, out: np.ndarray,
-               out_pos: int = 0) -> int:
-        """Copy the blocks of ``src`` (offsets translated by ``base``)
-        into ``out`` at ``out_pos``; returns bytes copied."""
-        v = self._enter(src, base)
-        if v is not None:
-            end = out_pos + self.nbytes
-            out[out_pos:end].view(self.dtype)[...] = v[self.idx]
-            return self.nbytes
-        pos = out_pos
-        for o, ln in self.pairs:
-            o += base
-            out[pos : pos + ln] = src[o : o + ln]
-            pos += ln
-        return pos - out_pos
-
-    def scatter(self, dst: np.ndarray, base: int, src: np.ndarray,
-                src_pos: int = 0) -> int:
-        """Copy contiguous ``src`` bytes from ``src_pos`` into the blocks
-        of ``dst`` (offsets translated by ``base``); returns bytes
-        copied.  Overlapping blocks are written in list order, so the
-        last block touching a byte wins, as in a per-block loop."""
-        v = self._enter(dst, base)
-        if v is not None:
-            end = src_pos + self.nbytes
-            v[self.idx] = src[src_pos:end].view(self.dtype)
-            return self.nbytes
-        pos = src_pos
-        for o, ln in self.pairs:
-            o += base
-            dst[o : o + ln] = src[pos : pos + ln]
-            pos += ln
-        return pos - src_pos
-
-
-def _loop(kind: int, offs: list, lens: list) -> Kernel:
-    lo = min(offs, default=0)
-    hi = max(map(operator.add, offs, lens), default=0)
-    return Kernel(kind, len(offs), sum(lens), lo, hi,
-                  pairs=list(zip(offs, lens)))
+        pairs = self.pairs
+        if pairs is not None:
+            if to_b:
+                for a, b, ln in pairs:
+                    a += base
+                    b += pos
+                    other[b : b + ln] = buf[a : a + ln]
+            else:
+                for a, b, ln in pairs:
+                    a += base
+                    b += pos
+                    buf[a : a + ln] = other[b : b + ln]
+            return n
+        dt = self.dtype
+        s = astart + base
+        va = (buf[s : s + n].view(dt) if ashape is None else
+              np.ndarray(ashape, dt, buffer=buf, offset=s,
+                         strides=astrides))
+        s = bstart + pos
+        vb = (other[s : s + n].view(dt) if bshape is None else
+              np.ndarray(bshape, dt, buffer=other, offset=s,
+                         strides=bstrides))
+        staged = self.stage
+        vdt = self.vdtype
+        if vdt is not None:
+            if va.flags.aligned and vb.flags.aligned:
+                staged = False
+            else:
+                va, vb = va.view(vdt), vb.view(vdt)
+        if staged:
+            if to_b:
+                _staged_copy(va, aidx, vb, bidx)
+            else:
+                _staged_copy(vb, bidx, va, aidx)
+        elif to_b:
+            vb[bidx] = va[aidx]
+        else:
+            va[aidx] = vb[bidx]
+        return n
 
 
-def _strided(start: int, step: int, size: int, n: int) -> Kernel:
-    """One element view: ``n`` blocks of ``size`` bytes, ``step`` apart."""
-    last = start + (n - 1) * step
-    return Kernel(STRIDED, n, n * size, min(start, last),
-                  max(start, last) + size, dtype=_elem(size), shape=(n,),
-                  start=start, strides=(step,), idx=...)
+def _staged_copy(src, sidx, dst, didx) -> None:
+    """``dst[didx] = src[sidx]`` through a contiguous temporary."""
+    tmp = src[sidx]
+    dst[didx] = tmp.copy() if sidx is ... else tmp
 
 
-def _index(kind: int, offsets: np.ndarray, lengths: np.ndarray,
-           size: int, nbytes: int, lo: int, hi: int) -> Kernel:
-    """Index kernel over an overlapping element view of ``[lo, hi)``:
-    element ``i`` of the view starts at byte ``lo + i``.  ``size`` is
-    the element size: the block size for an element index, 1 for a
-    byte index."""
-    rel = offsets - lo
-    idx = rel if size > 1 else block_index(rel, lengths)
-    idx.setflags(write=False)
-    return Kernel(kind, int(offsets.size), nbytes, lo, hi,
-                  dtype=_elem(size), shape=(hi - lo - size + 1,),
-                  start=lo, strides=(1,), idx=idx)
+def _loop(kind: int, offs: list, boffs: list, lens: list) -> Kernel:
+    return Kernel(kind, len(offs), sum(lens), _loop_side(offs, lens),
+                  _loop_side(boffs, lens),
+                  pairs=list(zip(offs, boffs, lens)))
+
+
+def _py_step(offs: list, size: int) -> int | None:
+    """Common step of a short offset list, if blocks do not overlap."""
+    step = offs[1] - offs[0]
+    if abs(step) >= size and all(
+            y - x == step for x, y in zip(offs, offs[1:])):
+        return step
+    return None
+
+
+def _elem_side(offsets: np.ndarray, lengths: np.ndarray, size: int,
+               n: int) -> tuple | None:
+    """Side of ``n`` uniform blocks moved one element per block: a
+    strided view, or an element index for ascending non-overlapping
+    blocks of at least :data:`_ELEM_MIN` bytes; ``None`` otherwise."""
+    step = _uniform_stride(offsets)
+    if step is not None and abs(step) >= size:
+        return _strided_side(int(offsets[0]), step, size, n)
+    if size >= _ELEM_MIN and bool((np.diff(offsets) >= size).all()):
+        return _index_side(offsets, lengths, size)
+    return None
+
+
+def _is_run(offsets: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether the blocks lie end to end, in list order."""
+    return bool((offsets[1:] == offsets[:-1] + lengths[:-1]).all())
 
 
 def classify(offsets: np.ndarray, lengths: np.ndarray,
-             idx_cap: int | None = None) -> Kernel:
+             idx_cap: int | None = None,
+             other: np.ndarray | None = None) -> Kernel:
     """Pick the kernel for a block list and precompute what it needs.
 
-    ``idx_cap`` bounds the payload a byte index may cover (compiled
-    programs keep their index for life; one-shot calls pass ``None``);
-    above it the per-block loop runs instead.
+    ``other`` pairs the list with a second one: block ``i`` is copied
+    to (or from) ``other[i]`` in the other buffer, with the same
+    length (see :func:`pair_blocks`).  ``None`` — a plain gather/
+    scatter — lays the other side out as one contiguous run from 0.
+
+    ``idx_cap`` bounds the payload a byte index may cover, per indexed
+    side (compiled programs keep their index for life; one-shot calls
+    pass ``None``); above it the per-block loop runs instead.
     """
     n = int(offsets.size)
     if n <= _SMALL_N:
         # Short lists classify on Python ints: a NumPy reduction costs
         # more here than the whole copy.
         offs, lens = offsets.tolist(), lengths.tolist()
+        boffs = _starts(lens) if other is None else other.tolist()
         first = lens[0] if n else 0
         if n > 1 and first > 0 and lens.count(first) == n:
-            step = offs[1] - offs[0]
-            if abs(step) >= first and all(
-                    b - a == step for a, b in zip(offs, offs[1:])):
-                return _strided(offs[0], step, first, n)
-        return _loop(SINGLE if n <= 1 else SMALL, offs, lens)
+            sa = _py_step(offs, first)
+            sb = _py_step(boffs, first)
+            if sa is not None and sb is not None:
+                return Kernel(STRIDED, n, n * first,
+                              _strided_side(offs[0], sa, first, n),
+                              _strided_side(boffs[0], sb, first, n),
+                              size=first)
+        return _loop(SINGLE if n <= 1 else SMALL, offs, boffs, lens)
     first = int(lengths[0])
     uniform = bool((lengths == first).all())
-    if uniform and first > 0:
-        step = _uniform_stride(offsets)
-        if step is not None and abs(step) >= first:
-            return _strided(int(offsets[0]), step, first, n)
     nbytes = n * first if uniform else int(lengths.sum())
-    if (uniform and first >= _ELEM_MIN
-            and bool((np.diff(offsets) >= first).all())):
-        return _index(INDEX, offsets, lengths, first, nbytes,
-                      int(offsets[0]), int(offsets[-1]) + first)
-    if nbytes >= n * _BIG_BLOCK or (idx_cap is not None
-                                    and nbytes > idx_cap):
-        return _loop(BIG, offsets.tolist(), lengths.tolist())
-    return _index(INDEX if uniform else RAGGED, offsets, lengths, 1,
-                  nbytes, int(offsets.min()),
-                  int((offsets + lengths).max()))
+    if uniform and first > 0:
+        sa = _elem_side(offsets, lengths, first, n)
+        sb = (_run_side(0, nbytes) if other is None
+              else _elem_side(other, lengths, first, n))
+        if sa is not None and sb is not None:
+            kind = (STRIDED if sa[_IDX] is ... and sb[_IDX] is ...
+                    else INDEX)
+            return Kernel(kind, n, nbytes, sa, sb, size=first)
+    # Byte level: each side is one run or a byte index.
+    ra = _is_run(offsets, lengths)
+    rb = other is None or _is_run(other, lengths)
+    nidx = (not ra) + (not rb)
+    if nidx and (nbytes >= n * _BIG_BLOCK
+                 or (idx_cap is not None and nbytes > idx_cap)):
+        return _loop(BIG, offsets.tolist(),
+                     _starts(lengths.tolist()) if other is None
+                     else other.tolist(), lengths.tolist())
+    sa = (_run_side(int(offsets[0]), nbytes) if ra
+          else _index_side(offsets, lengths, 1))
+    sb = (_run_side(0 if other is None else int(other[0]), nbytes) if rb
+          else _index_side(other, lengths, 1))
+    return Kernel(INDEX if uniform else RAGGED, n, nbytes, sa, sb)
+
+
+def pair_blocks(a_offs: np.ndarray, a_lens: np.ndarray,
+                b_offs: np.ndarray, b_lens: np.ndarray):
+    """Pair two block lists that hold the same bytes in the same order.
+
+    Returns ``(a, b, lengths)``: piece ``i`` of ``lengths[i]`` bytes
+    sits at ``a[i]`` in the first list's buffer and at ``b[i]`` in the
+    second's — the input of a two-sided :func:`classify`.  Lists with
+    equal lengths pair as they are; otherwise both are cut at the union
+    of their cumulative block boundaries.
+    """
+    total = int(a_lens.sum())
+    if total != int(b_lens.sum()):
+        raise FFError(
+            f"cannot pair block lists of {total} and {int(b_lens.sum())} "
+            f"bytes"
+        )
+    if a_lens.size == b_lens.size and bool((a_lens == b_lens).all()):
+        return a_offs, b_offs, a_lens
+    ea = np.cumsum(a_lens)
+    eb = np.cumsum(b_lens)
+    ends = np.union1d(ea, eb)
+    ends = ends[ends > 0]
+    starts = np.concatenate(([0], ends[:-1]))
+    # side="right" skips zero-length blocks ending exactly at a start.
+    ia = np.searchsorted(ea, starts, side="right")
+    ib = np.searchsorted(eb, starts, side="right")
+    a = a_offs[ia] + (starts - (ea[ia] - a_lens[ia]))
+    b = b_offs[ib] + (starts - (eb[ib] - b_lens[ib]))
+    return a, b, ends - starts
 
 
 def gather_blocks(

@@ -63,9 +63,20 @@ class DeviceModel:
         return float(offs.size * self.latency + (nb / (bw * streams)).sum())
 
 
+class _LastCharge(threading.local):
+    """Per-thread device seconds of the last charged op."""
+
+    seconds = 0.0
+
+
 @dataclass
 class FileStats:
-    """Mutable operation counters (thread-safe)."""
+    """Mutable operation counters (thread-safe).
+
+    Each thread's last charge is kept too (:meth:`last_seconds`): the
+    plan executor bills the device time of its own one-extent ops from
+    it instead of recomputing the backend's figure.
+    """
 
     n_reads: int = 0
     n_writes: int = 0
@@ -76,6 +87,9 @@ class FileStats:
     _mu: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    _last: _LastCharge = field(
+        default_factory=_LastCharge, repr=False, compare=False
+    )
 
     def record_read(self, nbytes: int, sim_time: float,
                     ops: int = 1) -> None:
@@ -85,6 +99,7 @@ class FileStats:
             self.n_reads += ops
             self.bytes_read += nbytes
             self.sim_time += sim_time
+        self._last.seconds = sim_time
 
     def record_write(self, nbytes: int, sim_time: float,
                      ops: int = 1) -> None:
@@ -92,6 +107,12 @@ class FileStats:
             self.n_writes += ops
             self.bytes_written += nbytes
             self.sim_time += sim_time
+        self._last.seconds = sim_time
+
+    def last_seconds(self) -> float:
+        """Simulated seconds of the calling thread's last read or write
+        charged here (0.0 before its first)."""
+        return self._last.seconds
 
     def record_lock(self) -> None:
         with self._mu:

@@ -197,6 +197,16 @@ class ListlessEngine(IOEngine):
             owner=self.fh.shared.file_key,
         )
 
+    def note_mem_copy(self, mem: MemDescriptor) -> bool:
+        """Executor hook, once per MEM-piece copy (a sieved window moving
+        straight between file buffer and user memory): counts the
+        memory-side kernel call as :meth:`pack_mem` would, and lets
+        memoized pair programs serve it unless ``ff_block_programs`` is
+        off."""
+        if not mem.is_contiguous:
+            self.stats.ff_kernel_calls += 1
+        return self.fh.hints.ff_block_programs
+
     # ------------------------------------------------------------------
     # Collective access: one cached round-based plan for both roles
     # ------------------------------------------------------------------

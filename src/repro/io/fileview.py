@@ -88,7 +88,13 @@ class MemDescriptor:
 
     ``dest`` marks a read destination: it must be C-contiguous, since a
     flat byte view of any other layout is a copy the read would fill
-    and drop.  A write source in another layout is copied once.
+    and drop, and writeable.  A write source in another layout is
+    copied once.
+
+    The buffer is validated here, once, before any lock is taken or byte
+    moves: every byte the layout touches (``count`` instances tiled at
+    the memtype extent from ``origin``) must lie inside it.  The copy
+    kernels read and write user memory directly on that contract.
     """
 
     buf: np.ndarray
@@ -97,10 +103,15 @@ class MemDescriptor:
     origin: Optional[int] = None
     dest: bool = False
     _bytes: np.ndarray = field(init=False, repr=False)
+    #: True when the data occupies one contiguous run of the buffer.
+    is_contiguous: bool = field(init=False, repr=False)
+    #: Total data bytes of the access.
+    nbytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise IOEngineError(f"negative count {self.count}")
+        count = self.count
+        if count < 0:
+            raise IOEngineError(f"negative count {count}")
         buf = self.buf
         if not buf.flags.c_contiguous:
             if self.dest:
@@ -109,24 +120,33 @@ class MemDescriptor:
                     f"{buf.strides} is not C-contiguous"
                 )
             buf = np.ascontiguousarray(buf)
-        self._bytes = buf.view(np.uint8).reshape(-1)
+        b = self._bytes = buf.view(np.uint8).reshape(-1)
+        if self.dest and not b.flags.writeable:
+            raise IOEngineError("read destination is read-only")
+        mt = self.memtype
         if self.origin is None:
-            self.origin = -min(self.memtype.lb, self.memtype.true_lb, 0)
-
-    @property
-    def nbytes(self) -> int:
-        """Total data bytes of the access."""
-        return self.count * self.memtype.size
+            self.origin = -min(mt.lb, mt.true_lb, 0)
+        self.is_contiguous = mt.is_contiguous
+        self.nbytes = count * mt.size
+        if self.nbytes:
+            lo = self.origin + mt.true_lb
+            hi = self.origin + mt.true_ub
+            step = (count - 1) * mt.extent
+            if step < 0:
+                lo += step
+            else:
+                hi += step
+            if lo < 0 or hi > b.size:
+                raise IOEngineError(
+                    f"{count} x memtype (extent {mt.extent}) from origin "
+                    f"{self.origin} touches buffer bytes [{lo}, {hi}), but "
+                    f"the buffer holds {b.size}"
+                )
 
     @property
     def as_bytes(self) -> np.ndarray:
         """Flat uint8 view of the buffer."""
         return self._bytes
-
-    @property
-    def is_contiguous(self) -> bool:
-        """True when the data occupies one contiguous run of the buffer."""
-        return self.memtype.is_contiguous
 
     def contiguous_slice(self, start: int, nbytes: int) -> np.ndarray:
         """For contiguous memtypes: the byte slice holding data bytes

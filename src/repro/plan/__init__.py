@@ -15,6 +15,7 @@ from repro.plan.executor import (
     SimFileExecutor,
 )
 from repro.plan.ops import (
+    MEM,
     STAGE,
     Blocks,
     ExchangeOp,
@@ -57,6 +58,7 @@ __all__ = [
     "Piece",
     "Blocks",
     "TupleBlocks",
+    "MEM",
     "STAGE",
     "in_slot",
     "out_slot",

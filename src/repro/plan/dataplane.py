@@ -23,6 +23,12 @@ fuses them into single NumPy batched kernels:
     layer disabled the per-tuple interpreted loop is preserved, so A/B
     runs compare fused against interpreted copies end to end.
 
+A :data:`~repro.plan.ops.MEM` piece (a sieved independent window) has
+no staging buffer at all: its bytes move straight between the file
+buffer and the user buffer in one two-sided kernel call, through a
+*pair program* (:func:`pair_program`) that pairs the piece's file
+blocks with the memory blocks of the same data bytes.
+
 Per-block *file* accesses (direct mode) are real I/O, not copy
 overhead: the executor hands the whole block list (:func:`block_arrays`)
 to the backend's vectored ``preadv_blocks``/``pwritev_blocks`` call.
@@ -30,15 +36,22 @@ to the backend's vectored ``preadv_blocks``/``pwritev_blocks`` call.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
 from repro.core import blockprog
-from repro.core.gather import gather_blocks, scatter_blocks
+from repro.core.ff_pack import top_dataloop
+from repro.core.gather import gather_blocks, pair_blocks, scatter_blocks
+from repro.io.fileview import MemDescriptor
 from repro.plan.ops import Blocks, TupleBlocks
 
-__all__ = ["DataPlane", "block_arrays", "tuple_arrays"]
+__all__ = ["DataPlane", "block_arrays", "pair_program", "tuple_arrays"]
+
+#: Memory layouts whose pair programs one ``Blocks`` object keeps (an
+#: LRU): a cached plan normally serves one layout, a few at most.
+_MAX_PAIRS = 4
 
 
 def tuple_arrays(blocks: TupleBlocks) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,6 +77,56 @@ def block_arrays(blocks) -> Tuple[np.ndarray, np.ndarray]:
     return tuple_arrays(blocks)
 
 
+def pair_program(blocks: Blocks, mem: MemDescriptor, rel: int,
+                 enabled: bool) -> blockprog.BlockProgram:
+    """The two-sided program of a :data:`~repro.plan.ops.MEM` piece.
+
+    Pairs ``blocks`` (absolute file offsets) with the memory blocks of
+    data bytes ``[rel, rel + blocks.nbytes)`` of ``mem`` (``rel``
+    counted from the start of the access): the memory side is
+    ``top_dataloop(memtype, count).blocks_range`` — one run for a
+    contiguous memtype — with offsets relative to the datatype origin,
+    so callers translate it by ``mem.origin``.
+
+    Compiled once per memory layout ``(memtype, count, rel)`` and kept
+    in a small LRU on the ``Blocks`` object (``Blocks.pairs``), so a
+    replayed plan pays neither the memory traversal nor the kernel
+    choice again; hits and misses count in the block-program stats
+    (runs do not count as translations: the memory side is not
+    relocated by periodicity).  A byte index stays within the programs'
+    ``_IDX_CAP``.  ``enabled`` false (the block-program layer or the
+    file's ``ff_block_programs`` hint off) compiles a fresh program per
+    call and keeps nothing.
+    """
+    key = (mem.memtype, mem.count, rel)
+    memo = blocks.pairs
+    if enabled and memo is not None:
+        prog = memo.get(key)
+        if prog is not None:
+            memo.move_to_end(key)
+            blockprog.active_stats().hits += 1
+            return prog
+    n = blocks.nbytes
+    if mem.is_contiguous:
+        moffs = np.array([mem.memtype.lb + rel], dtype=np.int64)
+        mlens = np.array([n], dtype=np.int64)
+    else:
+        loop = top_dataloop(mem.memtype, mem.count)
+        moffs, mlens = loop.blocks_range(rel, rel + n)
+    foffs, moffs, lens = pair_blocks(blocks.offsets, blocks.lengths,
+                                     moffs, mlens)
+    prog = blockprog.BlockProgram(foffs, lens, other=moffs)
+    if enabled:
+        blockprog.active_stats().misses += 1
+        if memo is None:
+            memo = OrderedDict()
+            object.__setattr__(blocks, "pairs", memo)
+        memo[key] = prog
+        while len(memo) > _MAX_PAIRS:
+            memo.popitem(last=False)
+    return prog
+
+
 class DataPlane:
     """Batched gather/scatter between window buffers and block specs.
 
@@ -76,10 +139,16 @@ class DataPlane:
     """
 
     @staticmethod
-    def gather(fb: np.ndarray, wlo: int, blocks, out: np.ndarray,
-               pos: int, enabled: bool) -> int:
+    def gather(fb: np.ndarray, wlo: int, blocks, out, pos: int,
+               enabled: bool) -> int:
         """Copy ``blocks`` of window buffer ``fb`` into ``out`` at
-        ``pos``; returns bytes copied."""
+        ``pos``; returns bytes copied.  ``out`` is a staging array, or
+        the access's :class:`~repro.io.fileview.MemDescriptor` — then
+        ``pos`` is the blocks' first data byte relative to the access,
+        and one pair-program call copies into user memory."""
+        if isinstance(out, MemDescriptor):
+            kernel = pair_program(blocks, out, pos, enabled).kernel
+            return kernel.gather(fb, -wlo, out.as_bytes, out.origin)
         if isinstance(blocks, Blocks):
             if enabled:
                 prog = blockprog.program_for_blocks(blocks)
@@ -97,10 +166,15 @@ class DataPlane:
         return copied
 
     @staticmethod
-    def scatter(fb: np.ndarray, wlo: int, blocks, src: np.ndarray,
-                pos: int, enabled: bool) -> int:
+    def scatter(fb: np.ndarray, wlo: int, blocks, src, pos: int,
+                enabled: bool) -> int:
         """Copy contiguous ``src`` bytes from ``pos`` into ``blocks`` of
-        window buffer ``fb``; returns bytes copied."""
+        window buffer ``fb``; returns bytes copied.  ``src`` may be a
+        :class:`~repro.io.fileview.MemDescriptor`, as for
+        :meth:`gather`."""
+        if isinstance(src, MemDescriptor):
+            kernel = pair_program(blocks, src, pos, enabled).kernel
+            return kernel.scatter(fb, -wlo, src.as_bytes, src.origin)
         if isinstance(blocks, Blocks):
             if enabled:
                 prog = blockprog.program_for_blocks(blocks)

@@ -20,6 +20,9 @@ The *memory* side of gather/scatter ops is delegated to a ``codec``
 representation costs; the *file* side — every block copy between window
 buffers and staging — goes through the shared
 :class:`~repro.plan.dataplane.DataPlane` facade, which batches it.
+:data:`~repro.plan.ops.MEM` pieces (sieved independent windows) skip
+staging: one ``DataPlane`` pair-program call copies between the file
+buffer and user memory, billed to the ``pack``/``unpack`` phase.
 
 Plans from the planner's replay fast path execute with a ``file_delta``:
 every file offset the plan names (windows, direct blocks, lock ranges)
@@ -43,6 +46,7 @@ from repro.obs import flight, trace
 from repro.obs.phases import PhaseAccumulator, RoundLog
 from repro.plan.dataplane import DataPlane, block_arrays, tuple_arrays
 from repro.plan.ops import (
+    MEM,
     STAGE,
     Blocks,
     DrainOp,
@@ -86,6 +90,10 @@ class MemCodec(Protocol):
 
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                    data: np.ndarray) -> None: ...
+
+    # Optional: ``note_mem_copy(mem) -> bool`` is called once per
+    # MEM-piece copy; it may count the memory-side kernel call and says
+    # whether memoized pair programs may serve it (default: yes).
 
 
 class KernelCodec:
@@ -178,6 +186,8 @@ class PlanExecutor:
         #: ``file_io_async`` when an offloaded op completes after its
         #: round closed.
         self._round_rows: Dict[int, dict] = {}
+        #: The codec's optional MEM-copy hook (see :class:`MemCodec`).
+        self._note_mem = getattr(self.codec, "note_mem_copy", None)
 
     # ------------------------------------------------------------------
     # File primitives (backend-specific)
@@ -205,9 +215,14 @@ class PlanExecutor:
         raise NotImplementedError
 
     def _device_cost(self, kind: str, offset: int, nbytes: int) -> float:
-        """Simulated device seconds one file op costs (0 for backends
-        without a device model — real devices are measured, not
-        modelled)."""
+        """Simulated device seconds one offloaded file op will cost (0
+        for backends without a device model — real devices are
+        measured, not modelled)."""
+        return 0.0
+
+    def _charged(self) -> float:
+        """Simulated device seconds the backend charged for this
+        thread's last one-extent op (0 without a device model)."""
         return 0.0
 
     # ------------------------------------------------------------------
@@ -215,7 +230,8 @@ class PlanExecutor:
             buffers: Optional[dict] = None, file_delta: int = 0) -> dict:
         """Execute ``plan``; returns the final staging-buffer table.
 
-        ``mem`` is required when the plan contains gather/scatter ops.
+        ``mem`` is required when the plan contains gather/scatter ops
+        or :data:`~repro.plan.ops.MEM` pieces.
         ``buffers`` seeds the staging table (used to hand the inbound
         payloads of one plan's exchange to a follow-up plan).
         ``file_delta`` translates every file offset the plan names —
@@ -279,7 +295,7 @@ class PlanExecutor:
                         # must land before a synchronous file op runs.
                         if self._worker is not None:
                             self._drain_worker(plan, 0, cur_round, bufs)
-                        self._do_file_write(plan, op, bufs)
+                        self._do_file_write(plan, op, mem, bufs)
                     bucket = "file_io"
                 elif isinstance(op, DrainOp):
                     self._drain_worker(plan, op.keep, cur_round, bufs)
@@ -384,8 +400,9 @@ class PlanExecutor:
     def _ensure_buf(self, plan, slot, d_lo, d_hi, mem, bufs) -> _Buf:
         """Staging buffer covering ``[d_lo, d_hi)``, allocating if needed.
 
-        The default ``STAGE`` slot of a contiguous memory descriptor is
-        a zero-copy view of the user buffer itself.
+        The default ``STAGE`` slot — and a ``MEM`` piece — of a
+        contiguous memory descriptor is a zero-copy view of the user
+        buffer itself.
         """
         buf = bufs.get(slot)
         if isinstance(buf, _Buf) and buf.d_lo <= d_lo and buf.d_hi >= d_hi:
@@ -393,7 +410,8 @@ class PlanExecutor:
         if slot in plan.slots:
             d_lo, d_hi = plan.slots[slot]
         n = d_hi - d_lo
-        if slot == STAGE and mem is not None and mem.is_contiguous:
+        if (slot == STAGE or slot == MEM) and mem is not None \
+                and mem.is_contiguous:
             arr = mem.contiguous_slice(d_lo - plan.d0, n)
             buf = _Buf(d_lo, d_hi, arr, zero_copy=True)
         else:
@@ -698,18 +716,24 @@ class PlanExecutor:
             return
         # Window mode: one file buffer per coalesced window.  A single
         # piece whose blocks are one full-window run reads straight into
-        # its staging buffer (the dense fast path: no extra copy).
+        # its staging buffer — or, for a MEM piece, into contiguous user
+        # memory (the dense fast path: no extra copy).
         if (
             len(op.pieces) == 1
             and isinstance(op.pieces[0].blocks, Blocks)
             and op.pieces[0].blocks.count == 1
             and op.pieces[0].blocks.nbytes == op.hi - op.lo
+            and (op.pieces[0].slot != MEM
+                 or (mem is not None and mem.is_contiguous))
         ):
             self._read_piece_direct(plan, op, op.pieces[0], mem, bufs)
             return
         fb = read_window(self, op.lo, op.hi)
         progs = blockprog.enabled()
         for piece in op.pieces:
+            if piece.slot == MEM:
+                self._mem_copy(plan, fb, op.lo, piece, mem, False)
+                continue
             buf = self._ensure_buf(
                 plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
             )
@@ -748,8 +772,33 @@ class PlanExecutor:
                 f"short read: {got} of {lens[i]} bytes at {offs[i]}"
             )
 
+    def _mem_copy(self, plan, fb: np.ndarray, wlo: int, piece: Piece,
+                  mem, write: bool) -> int:
+        """Copy a MEM piece between window buffer ``fb`` and user memory
+        in one pair-program call; returns bytes copied.  Billed to the
+        ``pack`` (write) or ``unpack`` (read) phase and taken back out
+        of ``file_io``, the bucket the enclosing file op charges."""
+        if mem is None:
+            raise IOEngineError("memory piece in a plan run without memory")
+        now = time.perf_counter
+        t0 = now()
+        note = self._note_mem
+        progs = blockprog.enabled() and (note is None or note(mem))
+        rel = piece.d_lo - plan.d0
+        phases = self.phases
+        if write:
+            n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel, progs)
+            el = now() - t0
+            phases.pack += el
+        else:
+            n = DataPlane.gather(fb, wlo, piece.blocks, mem, rel, progs)
+            el = now() - t0
+            phases.unpack += el
+        phases.file_io -= el
+        return n
+
     # -- file writes ---------------------------------------------------
-    def _do_file_write(self, plan, op: FileWriteOp, bufs) -> None:
+    def _do_file_write(self, plan, op: FileWriteOp, mem, bufs) -> None:
         if op.mode == "direct":
             for piece in op.pieces:
                 self._write_piece_direct(op, piece, bufs)
@@ -759,13 +808,16 @@ class PlanExecutor:
         else:  # rmw: pre-read the window, overlay, write back
             fb = read_window(self, op.lo, op.hi)
         scattered = 0
-        progs = blockprog.enabled()
         for piece in op.pieces:
+            if piece.slot == MEM:
+                scattered += self._mem_copy(plan, fb, op.lo, piece, mem,
+                                            True)
+                continue
             arr, base, _zc = self._payload_view(bufs, piece)
             pos = piece.d_lo - base
             if piece.blocks is not None:
                 scattered += DataPlane.scatter(
-                    fb, op.lo, piece.blocks, arr, pos, progs
+                    fb, op.lo, piece.blocks, arr, pos, blockprog.enabled()
                 )
             else:
                 scattered += self.codec.stream_scatter_window(
@@ -855,17 +907,14 @@ class PlanExecutor:
     def pread_into(self, offset: int, out: np.ndarray) -> int:
         n = self._pread_into(offset + self._fdelta, out)
         self.stats.executed_file_reads += 1
-        self.stats.device_sync_seconds += self._device_cost(
-            "read", offset + self._fdelta, n
-        )
+        self.stats.device_sync_seconds += self._charged()
         return n
 
     def pwrite(self, offset: int, data: np.ndarray):
         self.stats.executed_file_writes += 1
-        self.stats.device_sync_seconds += self._device_cost(
-            "write", offset + self._fdelta, data.nbytes
-        )
-        return self._pwrite(offset + self._fdelta, data)
+        n = self._pwrite(offset + self._fdelta, data)
+        self.stats.device_sync_seconds += self._charged()
+        return n
 
 
 class SimFileExecutor(PlanExecutor):
@@ -876,6 +925,9 @@ class SimFileExecutor(PlanExecutor):
         super().__init__(codec=codec, comm=comm, stats=stats,
                          phases=phases, rounds=rounds)
         self.simfile = simfile
+        # The backend's file stats keep the device seconds of each
+        # thread's last op: bind the reader once (see ``_charged``).
+        self._charged = simfile.stats.last_seconds
 
     def _pread_into(self, offset, out):
         return self.simfile.pread_into(offset, out)

@@ -11,9 +11,10 @@ performing it, so the description can be optimized, cached and replayed.
 Data coordinates are *absolute view-data bytes* (bytes through the
 fileview, counted from the view origin); file coordinates are absolute
 file bytes.  The memory side of an access is never baked into a plan —
-gather/scatter ops carry only data ranges and the executor applies them
-to whatever :class:`~repro.io.fileview.MemDescriptor` the access
-supplies, so one cached plan serves any memory layout of the same size.
+gather/scatter ops and :data:`MEM` pieces carry only data ranges and the
+executor applies them to whatever :class:`~repro.io.fileview.
+MemDescriptor` the access supplies, so one cached plan serves any memory
+layout of the same size.
 
 Block descriptions come in three flavors, preserving each engine's
 characteristic copy machinery:
@@ -56,10 +57,16 @@ __all__ = [
     "TupleBlocks",
     "Send",
     "STAGE",
+    "MEM",
 ]
 
 #: Default staging slot used by independent-access plans.
 STAGE = "stage"
+
+#: Pseudo-slot of a piece that copies straight between the file buffer
+#: and the access's user buffer, through its memory layout (sieved
+#: independent windows: no staging buffer, no gather/scatter op).
+MEM = "mem"
 
 #: Slot key of the outbound exchange payload for a peer rank.
 def out_slot(rank: int) -> Tuple[str, int]:
@@ -78,14 +85,17 @@ class Blocks:
     ``prog`` memoizes the compiled :class:`~repro.core.blockprog.
     BlockProgram` of these blocks (set lazily by the executor via
     ``program_for_blocks``), so replaying a cached plan reuses the
-    one-time kernel dispatch instead of re-deriving it per run.  It is
-    a cache, not part of the block description — excluded from
-    comparison.
+    one-time kernel dispatch instead of re-deriving it per run.
+    ``pairs`` memoizes the pair programs of a :data:`MEM` piece, one
+    per memory layout (a small LRU, see :func:`repro.plan.dataplane.
+    pair_program`).  Both are caches, not part of the block description
+    — excluded from comparison.
     """
 
     offsets: np.ndarray
     lengths: np.ndarray
     prog: object = field(default=None, compare=False)
+    pairs: object = field(default=None, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -133,8 +143,10 @@ class Piece:
     """One buffer's contribution to a file op.
 
     ``slot`` names the staging/exchange buffer holding (or receiving)
-    the data bytes ``[d_lo, d_hi)``; ``blocks`` are the file blocks they
-    occupy (``None`` → stream through the emitting engine's view walk).
+    the data bytes ``[d_lo, d_hi)`` — or is :data:`MEM`: the bytes are
+    copied straight to or from the user buffer; ``blocks`` are the file
+    blocks they occupy (``None`` → stream through the emitting engine's
+    view walk).
     """
 
     slot: object
@@ -216,7 +228,8 @@ class FileReadOp(PlanOp):
 
     ``"window"``
         read the whole window into a file buffer once, then gather each
-        piece's blocks out of it (data sieving);
+        piece's blocks out of it — into its slot, or for a :data:`MEM`
+        piece straight into user memory (data sieving);
     ``"direct"``
         read each block of each piece with its own file access (sieving
         disabled, or the cost model found few/large blocks).
@@ -260,9 +273,10 @@ class FileWriteOp(PlanOp):
 
     ``"rmw"``
         read-modify-write: pre-read the window, scatter every piece's
-        blocks into it, write it back (the general sieved write — pair
-        with :class:`LockOp`/:class:`UnlockOp` when racing writers are
-        possible);
+        blocks into it — from its slot, or for a :data:`MEM` piece
+        straight from user memory — and write it back (the general
+        sieved write — pair with :class:`LockOp`/:class:`UnlockOp` when
+        racing writers are possible);
     ``"assemble"``
         the pieces together cover every byte of the window, so skip the
         pre-read, assemble the window in memory and write once (the

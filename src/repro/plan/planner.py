@@ -58,6 +58,7 @@ from repro.mpi.cost_model import StorageModel, choose_access_strategy
 from repro.obs import trace
 from repro.obs.phases import PhaseAccumulator
 from repro.plan.ops import (
+    MEM,
     STAGE,
     Blocks,
     FileReadOp,
@@ -336,14 +337,16 @@ class Planner:
     def _plan_sieved(self, kind, d0, d1, lo, hi, geom, write, bufsize,
                      sig) -> IOPlan:
         """Windowed data sieving; writes lock their read-modify-write
-        windows, reads just gather out of the file buffer."""
+        windows, reads just copy out of the file buffer."""
         ops: List[object] = []
         nwin = 0
         coalesced = 0
         entries = 0
         if geom is not None:
-            # Per-window staging keyed off the compact view: each window
-            # gathers/scatters exactly the data bytes it covers.
+            # Per-window pieces keyed off the compact view: each window
+            # copies exactly the data bytes it covers, straight between
+            # the file buffer and user memory (a MEM piece — no staging
+            # buffer, no gather/scatter op).
             for wlo, whi in windows(lo, hi, bufsize):
                 dl = _clip(geom.data_of_abs(wlo), d0, d1)
                 dh = _clip(geom.data_of_abs(whi), d0, d1)
@@ -353,14 +356,13 @@ class Planner:
                 offs, lens, merged = coalesce_blocks(offs, lens)
                 coalesced += merged
                 entries += int(offs.size)
-                piece = Piece(STAGE, dl, dh, Blocks(offs, lens))
+                piece = Piece(MEM, dl, dh, Blocks(offs, lens))
                 if write:
-                    ops += [GatherOp(dl, dh), LockOp(wlo, whi),
+                    ops += [LockOp(wlo, whi),
                             FileWriteOp(wlo, whi, "rmw", (piece,)),
                             UnlockOp(wlo, whi)]
                 else:
-                    ops += [FileReadOp(wlo, whi, "window", (piece,)),
-                            ScatterOp(dl, dh)]
+                    ops.append(FileReadOp(wlo, whi, "window", (piece,)))
                 nwin += 1
             slots = {}
         else:

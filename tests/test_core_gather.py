@@ -16,6 +16,7 @@ from repro.core.gather import (
     classify,
     gather_blocks,
     kernel_path_counts,
+    pair_blocks,
     scatter_blocks,
 )
 from repro.errors import FFError
@@ -436,3 +437,205 @@ class TestDifferential:
         assert scatter_blocks(got, offs, lens, data, pos) == total
         assert fired(before) == one_shot_path(offs, lens, compiled)
         assert (got == ref).all()
+
+
+# ----------------------------------------------------------------------
+# Two-sided (pair) kernels
+# ----------------------------------------------------------------------
+def byte_index(offs, lens):
+    """Per-byte positions of a block list, in list order (oracle)."""
+    if not len(offs):
+        return np.empty(0, np.int64)
+    return np.concatenate([np.arange(o, o + ln, dtype=np.int64)
+                           for o, ln in zip(offs.tolist(), lens.tolist())])
+
+
+def lay_out(lens, layout, rng, size):
+    """Offsets (all >= 0) placing blocks of ``lens`` in ``layout``."""
+    n = lens.size
+    if layout == "dense":
+        return np.cumsum(lens) - lens
+    if layout == "gapped":
+        gap = int(rng.integers(1, 64))
+        return np.cumsum(lens + gap) - lens
+    if layout == "irregular":
+        return np.cumsum(lens + rng.integers(0, size + 1, n)) - lens
+    if layout == "negative_step":
+        gap = int(rng.integers(0, 9))
+        rev = lens[::-1]
+        return (np.cumsum(rev + gap) - rev)[::-1]
+    if layout == "shuffled":
+        order = rng.permutation(n)
+        placed = np.cumsum(lens[order] + 3) - lens[order]
+        offs = np.empty(n, np.int64)
+        offs[order] = placed
+        return offs
+    # overlapping: each block starts inside its predecessor
+    return np.cumsum(rng.integers(0, max(1, int(lens.min())), n))
+
+
+@st.composite
+def block_pairs(draw):
+    """``(write, (file offs, lens), (mem offs, lens))``: two block lists
+    holding the same bytes.  The file side never overlaps; the memory
+    side may overlap only as a write source."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(300, 700)))
+    size = draw(st.integers(1, 300))
+    write = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        flens = np.full(n, size, np.int64)
+    else:
+        flens = rng.integers(1, size + 1, n).astype(np.int64)
+    flay = draw(st.sampled_from(["dense", "gapped", "irregular"]))
+    foffs = lay_out(flens, flay, rng, size).astype(np.int64)
+    if draw(st.booleans()):
+        mlens = flens.copy()  # equal lengths: paired as they are
+    else:  # re-cut the same bytes at other boundaries
+        total = int(flens.sum())
+        k = int(rng.integers(1, min(total, 2 * n) + 1))
+        cuts = np.unique(rng.integers(1, total, k - 1)) if total > 1 \
+            else np.empty(0, np.int64)
+        ends = np.concatenate((cuts, [total]))
+        mlens = np.diff(np.concatenate(([0], ends))).astype(np.int64)
+    layouts = ["dense", "gapped", "irregular", "negative_step", "shuffled"]
+    if write:
+        layouts.append("overlapping")
+    mlay = draw(st.sampled_from(layouts))
+    moffs = lay_out(mlens, mlay, rng, size).astype(np.int64)
+    return write, (foffs, flens), (moffs, mlens)
+
+
+def side_buffer(span, pad, misaligned, seed):
+    """A buffer of ``span + pad`` bytes, one byte off 8-alignment when
+    ``misaligned``."""
+    raw = fill_pattern(span + pad + 9, seed=seed)
+    start = 1 if misaligned else 0
+    return raw[start : start + span + pad]
+
+
+class TestPairKernel:
+    """Two-sided kernels against a per-byte oracle: same bytes, one
+    kernel-path count per call, misaligned and read-only buffers."""
+
+    def test_pair_blocks_equal_lengths_pass_through(self):
+        fo, fl = arrs([(0, 4), (8, 4)])
+        mo = np.array([100, 50], np.int64)
+        a, b, lens = pair_blocks(fo, fl, mo, fl)
+        assert a is fo and b is mo and lens is fl
+
+    def test_pair_blocks_ragged_cuts_at_union(self):
+        fo, fl = arrs([(0, 3), (10, 5)])  # data [0, 3) [3, 8)
+        mo, ml = arrs([(100, 2), (200, 6)])  # data [0, 2) [2, 8)
+        a, b, lens = pair_blocks(fo, fl, mo, ml)
+        assert a.tolist() == [0, 2, 10]
+        assert b.tolist() == [100, 200, 201]
+        assert lens.tolist() == [2, 1, 5]
+
+    def test_pair_blocks_rejects_unequal_totals(self):
+        fo, fl = arrs([(0, 3)])
+        with pytest.raises(FFError, match="cannot pair"):
+            pair_blocks(fo, fl, fo, fl + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=block_pairs(), fpad=st.integers(0, 24),
+           mpad=st.integers(0, 24), fmis=st.booleans(),
+           mmis=st.booleans(), ro=st.booleans())
+    def test_matches_per_byte_oracle(self, pair, fpad, mpad, fmis, mmis,
+                                     ro):
+        write, (fo, fl), (mo, ml) = pair
+        fbuf = side_buffer(int((fo + fl).max()), fpad, fmis, seed=1)
+        mbuf = side_buffer(int((mo + ml).max()), mpad, mmis, seed=2)
+        fidx, midx = byte_index(fo, fl), byte_index(mo, ml)
+        a, b, lens = pair_blocks(fo, fl, mo, ml)
+        # Compile relocated by the pads; each call translates back.
+        prog = BlockProgram(a - fpad, lens, other=b - mpad)
+        if write:  # memory -> file
+            ref = fbuf.copy()
+            ref[fidx] = mbuf[midx]
+            if ro:
+                mbuf.setflags(write=False)
+            before = kernel_path_counts()
+            n = prog.kernel.scatter(fbuf, fpad, mbuf, mpad)
+            got = fbuf
+        else:  # file -> memory
+            ref = mbuf.copy()
+            ref[midx] = fbuf[fidx]
+            if ro:
+                fbuf.setflags(write=False)
+            before = kernel_path_counts()
+            n = prog.kernel.gather(fbuf, fpad, mbuf, mpad)
+            got = mbuf
+        assert n == int(fl.sum())
+        assert list(fired(before).values()) == [1]
+        assert (got == ref).all()
+
+    @pytest.mark.parametrize("misaligned", [False, True])
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_integer_elements_and_misaligned_fallback(self, size,
+                                                      misaligned):
+        n = 64
+        fo, fl = arrs([(i * 2 * size, size) for i in range(n)])
+        mo = np.arange(n, dtype=np.int64)[::-1] * 3 * size
+        prog = BlockProgram(fo, fl, other=mo)
+        assert prog.kind_name == "strided_view"
+        assert prog.kernel.dtype == np.dtype(f"u{size}")
+        fbuf = side_buffer(2 * n * size, 0, misaligned, seed=3)
+        mbuf = side_buffer(3 * n * size, 0, misaligned, seed=4)
+        ref = mbuf.copy()
+        ref[byte_index(mo, fl)] = fbuf[byte_index(fo, fl)]
+        before = kernel_path_counts()
+        prog.kernel.gather(fbuf, 0, mbuf, 0)
+        assert fired(before) == {"kernel_path_strided_view": 1}
+        assert (mbuf == ref).all()
+
+    @pytest.mark.parametrize("direction", ["gather", "scatter"])
+    def test_staged_void_copy_with_an_element_index(self, direction):
+        # 8-byte blocks, strided on one side and an element index on the
+        # other: the index view cannot take uint64, so the void copy goes
+        # through a contiguous temporary.
+        n = 64
+        fo, fl = arrs([(i * 16, 8) for i in range(n)])
+        mo = np.cumsum(np.full(n, 8) + np.arange(n) % 3) - 8
+        prog = BlockProgram(fo, fl, other=mo)
+        k = prog.kernel
+        assert prog.kind_name == "fancy_index" and k.stage
+        assert k.dtype == np.dtype((np.void, 8))
+        fbuf = fill_pattern(16 * n, seed=5)
+        mbuf = fill_pattern(int(mo[-1]) + 8, seed=6)
+        fidx, midx = byte_index(fo, fl), byte_index(mo, fl)
+        if direction == "gather":
+            ref = mbuf.copy()
+            ref[midx] = fbuf[fidx]
+            k.gather(fbuf, 0, mbuf, 0)
+            assert (mbuf == ref).all()
+        else:
+            ref = fbuf.copy()
+            ref[fidx] = mbuf[midx]
+            k.scatter(fbuf, 0, mbuf, 0)
+            assert (fbuf == ref).all()
+
+    def test_contiguous_memory_side_needs_no_index(self):
+        # Ragged file blocks against one memory run: only the file side
+        # carries a byte index.
+        fo, fl = arrs([(i * 9, (i % 5) + 1) for i in range(40)])
+        total = int(fl.sum())
+        a, b, lens = pair_blocks(fo, fl, np.array([7], np.int64),
+                                 np.array([total], np.int64))
+        prog = BlockProgram(a, lens, other=b)
+        assert prog.kind_name == "ragged_index"
+        assert prog.index_nbytes == 8 * total
+
+    @pytest.mark.parametrize("side", ["file", "memory"])
+    def test_bounds_on_both_sides(self, side):
+        fo, fl = arrs([(i * 16, 8) for i in range(40)])
+        mo = np.arange(40, dtype=np.int64) * 24
+        prog = BlockProgram(fo, fl, other=mo)
+        # The sides span [0, 632) and [0, 944): one of them a byte short.
+        fbuf = np.full(632 - (side == "file"), 7, np.uint8)
+        mbuf = np.full(944 - (side == "memory"), 5, np.uint8)
+        with pytest.raises(FFError, match="spans bytes"):
+            prog.kernel.gather(fbuf, 0, mbuf, 0)
+        with pytest.raises(FFError, match="spans bytes"):
+            prog.kernel.scatter(fbuf, 0, mbuf, 0)
+        assert (fbuf == 7).all() and (mbuf == 5).all()

@@ -346,3 +346,89 @@ class TestNonContiguousBuffers:
             fh.close()
 
         spmd(1, worker)
+
+
+class TestBadUserBuffers:
+    """A buffer too short for its layout, or a read-only read
+    destination, raises ``IOEngineError`` before any lock is taken or
+    byte moves — contiguous and non-contiguous memory alike."""
+
+    @staticmethod
+    def view_type():
+        return dt.struct([1, 1, 1], [0, 0, 128],
+                         [dt.LB, dt.vector(8, 8, 16, dt.BYTE), dt.UB])
+
+    def run(self, engine, access):
+        fs = SimFileSystem()
+        before = fill_pattern(512, seed=9)
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            fh.write_at(0, before)
+            fh.set_view(0, dt.BYTE, self.view_type())
+            with pytest.raises(IOEngineError) as exc:
+                access(fh)
+            box["msg"] = str(exc.value)
+            assert fh.simfile.locks.held_by_me() == []
+            fh.close()
+
+        spmd(1, worker)
+        assert (fs.lookup("/f").contents() == before).all()
+        return box["msg"]
+
+    def test_write_from_short_contiguous_buffer(self, engine):
+        src = np.arange(10, dtype=np.uint8)
+        msg = self.run(engine, lambda fh: fh.write_at(0, src, 64, dt.BYTE))
+        assert "holds 10" in msg
+
+    def test_write_from_short_noncontiguous_buffer(self, engine):
+        mt = dt.vector(8, 8, 16, dt.BYTE)  # touches 120 bytes
+        src = fill_pattern(119)
+        msg = self.run(engine, lambda fh: fh.write_at(0, src, 1, mt))
+        assert "[0, 120)" in msg and "holds 119" in msg
+
+    def test_short_tiled_count(self, engine):
+        # Blocks at 0 and 8, extent 12: the second instance ends at 24.
+        mt = dt.vector(2, 4, 8, dt.BYTE)
+        src = fill_pattern(23)
+        msg = self.run(engine, lambda fh: fh.write_at(0, src, 2, mt))
+        assert "[0, 24)" in msg and "holds 23" in msg
+
+    def test_read_into_short_buffer(self, engine):
+        out = np.zeros(63, np.uint8)
+        self.run(engine, lambda fh: fh.read_at(0, out, 64, dt.BYTE))
+        assert (out == 0).all()
+
+    def test_read_into_readonly_contiguous_buffer(self, engine):
+        out = np.zeros(64, np.uint8)
+        out.setflags(write=False)
+        msg = self.run(engine, lambda fh: fh.read_at(0, out))
+        assert "read-only" in msg
+
+    def test_read_into_readonly_noncontiguous_buffer(self, engine):
+        out = np.zeros(128, np.uint8)
+        out.setflags(write=False)
+        mt = dt.vector(8, 8, 16, dt.BYTE)
+        msg = self.run(engine, lambda fh: fh.read_at(0, out, 1, mt))
+        assert "read-only" in msg
+
+    def test_readonly_write_source_is_fine(self, engine):
+        fs = SimFileSystem()
+        src = fill_pattern(128, seed=4)
+        src.setflags(write=False)
+        mt = dt.vector(8, 8, 16, dt.BYTE)
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            fh.set_view(0, dt.BYTE, self.view_type())
+            fh.write_at(0, src, 1, mt)
+            back = np.zeros(128, np.uint8)
+            fh.read_at(0, back, 1, mt)
+            keep = np.arange(128) % 16 < 8
+            assert (back[keep] == src[keep]).all()
+            fh.close()
+
+        spmd(1, worker)

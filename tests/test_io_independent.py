@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 from repro import datatypes as dt
+from repro.core import blockprog
 from repro.bench.noncontig import (
     build_noncontig_filetype,
     build_noncontig_memtype,
 )
-from repro.fs import SimFileSystem
+from repro.datatypes.packing import (
+    pack_typemap,
+    typemap_blocks,
+    unpack_typemap,
+)
+from repro.fs import OsFileSystem, SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
@@ -219,3 +225,108 @@ def test_write_beyond_eof_extends(engine):
     f = fs.lookup("/f")
     assert f.size == 1000 + 3 * 8
     assert (f.contents()[:1000] == 0).all()
+
+
+# ----------------------------------------------------------------------
+# Sieved accesses copying straight between user memory and the file
+# buffer, against the type-map oracle
+# ----------------------------------------------------------------------
+def _file_index(ft, disp, d0, n):
+    """File byte of each view data byte ``[d0, d0 + n)`` (oracle)."""
+    inst = -(-(d0 + n) // ft.size)
+    runs = typemap_blocks(ft, inst)
+    idx = np.concatenate([np.arange(o, o + ln) for o, ln in runs])
+    return disp + idx[d0 : d0 + n]
+
+
+def _memtype(kind, nbytes):
+    """``(count, memtype, buffer bytes)`` holding ``nbytes`` of data."""
+    if kind == "c":
+        return nbytes, dt.BYTE, nbytes
+    if kind == "c_lb":  # contiguous, but its data starts 16 bytes in
+        mt = dt.hindexed([5], [16], dt.BYTE)
+        return nbytes // 5, mt, 16 + nbytes
+    # 5-byte blocks every 8: ragged against 3- or 8-byte file blocks
+    mt = dt.vector(nbytes // 5, 5, 8, dt.BYTE)
+    return 1, mt, mt.extent
+
+
+SIEVED_VIEWS = {
+    # Gapped blocks make sieving win over one access per block.
+    "vector8": lambda: dt.vector(16, 8, 24, dt.BYTE),
+    # Blocks wider than a window: some windows are one full run.
+    "wide": lambda: dt.vector(6, 60, 64, dt.BYTE),
+    "ragged": lambda: dt.indexed([3, 5, 1, 7], [0, 9, 20, 24], dt.BYTE),
+    "struct": lambda: dt.struct([1, 1, 1], [0, 4, 200],
+                                [dt.LB, dt.vector(12, 4, 13, dt.BYTE),
+                                 dt.UB]),
+}
+
+
+@pytest.mark.parametrize("backend", ["sim", "os"])
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("view", sorted(SIEVED_VIEWS))
+@pytest.mark.parametrize("mem", ["c", "c_lb", "nc"])
+def test_sieved_windows_against_typemap_oracle(backend, engine, view, mem,
+                                               tmp_path):
+    """Several small windows per access, accesses replayed whole filetype
+    periods apart and at a mid-period offset, misaligned user buffers:
+    every file byte and every read-back byte matches the oracle."""
+    ft = SIEVED_VIEWS[view]()
+    disp = 3
+    nbytes = min(40 * (ft.size // 8 or 1), 400) // 5 * 5
+    count, mt, bufbytes = _memtype(mem, nbytes)
+    assert count * mt.size == nbytes
+    # Replays whole periods apart, plus one access mid-period.
+    offsets = [0, ft.size * 3, ft.size * 7, ft.size * 7 + 5 * ft.size + 1]
+    if backend == "os":
+        fs = OsFileSystem(str(tmp_path / "fs"))
+    else:
+        fs = SimFileSystem()
+    hints = Hints(ind_rd_buffer_size=48, ind_wr_buffer_size=48)
+    rng = np.random.default_rng(7)
+    srcs = []
+    for _ in offsets:
+        raw = rng.integers(0, 256, bufbytes + 1, dtype=np.uint8)
+        srcs.append(raw[1:])  # one byte off the allocation's alignment
+    base = rng.integers(0, 256, 4096, dtype=np.uint8)
+    box = {}
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                       engine=engine, hints=hints)
+        fh.write_at(0, base)  # pre-existing bytes the gaps must keep
+        fh.set_view(disp, dt.BYTE, ft)
+        for off, src in zip(offsets, srcs):
+            fh.write_at(off, src, count, mt)
+        reads = []
+        for off in offsets:
+            raw = np.full(bufbytes + 1, 0xA5, dtype=np.uint8)
+            out = raw[1:]
+            fh.read_at(off, out, count, mt)
+            reads.append(out)
+        box["reads"] = reads
+        box["plan"] = fh.engine.stats.snapshot()
+        fh.close()
+
+    run_spmd(1, worker)
+    if engine == "listless" and blockprog.enabled():
+        assert box["plan"]["plan_replays"] >= 2
+    fidxs = [_file_index(ft, disp, off, nbytes) for off in offsets]
+    end = max(base.size, max(int(f.max()) + 1 for f in fidxs))
+    want = np.zeros(end, dtype=np.uint8)
+    want[: base.size] = base
+    for src, fidx in zip(srcs, fidxs):
+        want[fidx] = pack_typemap(src, count, mt)
+    got = fs.lookup("/f")
+    if backend == "os":
+        got = np.fromfile(got.path, dtype=np.uint8)
+        fs.close()
+    else:
+        got = got.contents()
+    assert got.size == end
+    assert (got == want).all()
+    for fidx, out in zip(fidxs, box["reads"]):
+        expect = np.full(bufbytes, 0xA5, dtype=np.uint8)
+        unpack_typemap(want[fidx], expect, count, mt)
+        assert (out == expect).all()

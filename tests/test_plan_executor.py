@@ -290,3 +290,45 @@ class TestPipelineWorker:
         gate.set()
         w.drain(0)
         w.close()
+
+
+class TestDeviceAccounting:
+    """The executor bills the device seconds the backend charged for
+    each of its file ops: over any run of independent accesses,
+    ``device_sync_seconds`` grows exactly as the file's device time."""
+
+    @pytest.mark.parametrize("engine", ["listless", "list_based"])
+    @pytest.mark.parametrize("sieve", [True, False])
+    @pytest.mark.parametrize("ndisks", [1, 4])
+    def test_sync_seconds_equal_file_device_time(self, engine, sieve,
+                                                 ndisks):
+        fs = SimFileSystem(
+            device=DeviceModel(read_bandwidth=3e8, write_bandwidth=2e8,
+                               latency=7e-6),
+            striping=StripingConfig(stripe_size=64, ndisks=ndisks))
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine,
+                           info={"ind_rd_buffer_size": "100",
+                                 "ind_wr_buffer_size": "100",
+                                 "ds_read": str(sieve).lower(),
+                                 "ds_write": str(sieve).lower()})
+            fh.set_view(5, dt.BYTE, dt.vector(16, 4, 9, dt.BYTE))
+            f = fs.lookup("/f")
+            st = fh.engine.stats.plan
+            t0, s0 = f.stats.sim_time, st.device_sync_seconds
+            mt = dt.vector(32, 6, 8, dt.BYTE)
+            for k in range(3):
+                fh.write_at(k * 64 + 3, np.arange(256, dtype=np.uint8),
+                            1, mt)
+                fh.read_at(k * 64 + 3, np.zeros(256, np.uint8), 1, mt)
+                fh.write_at(k * 64, np.arange(40, dtype=np.uint8))
+            box["file"] = f.stats.sim_time - t0
+            box["sync"] = st.device_sync_seconds - s0
+            fh.close()
+
+        run_spmd(1, worker)
+        assert box["file"] > 0
+        assert box["sync"] == pytest.approx(box["file"], rel=1e-12)

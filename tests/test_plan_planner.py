@@ -8,7 +8,17 @@ from repro import datatypes as dt
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
-from repro.plan.ops import FileWriteOp, LockOp, UnlockOp
+from repro.plan.ops import (
+    MEM,
+    STAGE,
+    FileReadOp,
+    FileWriteOp,
+    GatherOp,
+    LockOp,
+    ScatterOp,
+    UnlockOp,
+)
+from tests.conftest import fill_pattern
 
 ENGINES = ["listless", "list_based"]
 
@@ -348,3 +358,72 @@ class TestHintFingerprint:
         run_spmd(1, worker)
         assert box["mid"]["plan_replays"] >= 2
         assert box["after"]["plan_replays"] == box["mid"]["plan_replays"]
+
+
+class TestSievedPlanShape:
+    """Sieved independent plans copy straight between user memory and
+    the file buffer: no gather/scatter op, no staging buffer."""
+
+    @pytest.mark.parametrize("memkind", ["c", "nc"])
+    @pytest.mark.parametrize("write", [True, False])
+    def test_listless_windows_carry_memory_pieces(self, memkind, write):
+        fs = SimFileSystem()
+        n = FINE["blockcount"]
+
+        def worker(comm):
+            fh = open_one(fs, "listless",
+                          {"ind_rd_buffer_size": "32",
+                           "ind_wr_buffer_size": "32"})(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            if memkind == "c":
+                mem = fh._mem(fill_pattern(n), None, None, dest=not write)
+            else:
+                mt = dt.vector(n, 1, 3, dt.BYTE)
+                mem = fh._mem(fill_pattern(mt.extent), 1, mt,
+                              dest=not write)
+            plan = (fh.engine.plan_write_independent(mem, 0) if write
+                    else fh.engine.plan_read_independent(mem, 0))
+            nwin = plan.planned_windows
+            assert nwin == -(-(2 * n - 1) // 32)
+            assert not any(isinstance(op, (GatherOp, ScatterOp))
+                           for op in plan.ops)
+            if write:
+                assert len(plan.ops) == 3 * nwin
+                shape = [LockOp, FileWriteOp, UnlockOp] * nwin
+            else:
+                assert len(plan.ops) == nwin
+                shape = [FileReadOp] * nwin
+            assert [type(op) for op in plan.ops] == shape
+            for op in plan.ops:
+                if isinstance(op, (FileReadOp, FileWriteOp)):
+                    assert [p.slot for p in op.pieces] == [MEM]
+            before = fh.engine.stats.snapshot()["ff_kernel_calls"]
+            phases = fh.engine.stats.phases
+            phases.reset()
+            fh.engine.run_plan(plan, mem)
+            snap = fh.engine.stats.snapshot()
+            assert snap["peak_staging_bytes"] == 0
+            # The copy is billed to pack (write) or unpack (read).
+            assert (phases.pack if write else phases.unpack) > 0
+            assert (phases.unpack if write else phases.pack) == 0
+            # One memory-side kernel call per window for strided memory.
+            calls = snap["ff_kernel_calls"] - before
+            assert calls == (nwin if memkind == "nc" else 0)
+            fh.close()
+
+        run_spmd(1, worker)
+
+    def test_list_based_sieved_plan_keeps_staging(self):
+        fs = SimFileSystem()
+
+        def worker(comm):
+            fh = open_one(fs, "list_based")(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            mem = fh._mem(fill_pattern(FINE["blockcount"]), None, None)
+            plan = fh.engine.plan_write_independent(mem, 0)
+            assert isinstance(plan.ops[0], GatherOp)
+            assert all(p.slot == STAGE for op in plan.ops
+                       if isinstance(op, FileWriteOp) for p in op.pieces)
+            fh.close()
+
+        run_spmd(1, worker)
