@@ -9,8 +9,10 @@ when each block needs its own seek+read/write pair, and by tests as a
 second, independent access path to the same bytes.
 
 :class:`OsFile` is a *real* file behind the :class:`SimFile` interface:
-``pread``/``pwrite`` become ``os.pread``/``os.pwrite`` on a file
-descriptor, ``lock_range`` becomes a real ``fcntl`` byte-range lock
+``pread``/``pwrite`` become ``os.preadv``/``os.pwrite`` on a file
+descriptor, the vectored extent calls one kernel copy against a shared
+``mmap`` of the file (the file *is* the buffer, :class:`FileBuffer`),
+``lock_range`` a real ``fcntl`` byte-range lock
 (:class:`~repro.fs.locks.FcntlRangeLockManager`).  It is what the
 multi-process runtime opens — every rank holds its own descriptor on
 the same path, so their accesses contend through the kernel exactly as
@@ -21,13 +23,15 @@ hands each rank its own descriptor.
 
 from __future__ import annotations
 
+import mmap
 import os
+import threading
 
 import numpy as np
 
 from repro.errors import FileSystemError
 from repro.fs.locks import FcntlRangeLockManager
-from repro.fs.simfile import SimFile, as_extents
+from repro.fs.simfile import FileBuffer, SimFile
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
 from repro.obs import trace
@@ -39,7 +43,7 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 
-class OsFile:
+class OsFile(FileBuffer):
     """A real on-disk file with the :class:`SimFile` access surface.
 
     ``name`` is the virtual path (what the namespace calls the file);
@@ -67,6 +71,9 @@ class OsFile:
         self.stats = FileStats()
         self._fd = os.open(ospath, os.O_RDWR | os.O_CREAT, 0o644)
         self.locks = FcntlRangeLockManager(self._fd)
+        #: ``(view, mmap)`` of the file's shared mapping, or None.
+        self._map = None
+        self._mu = threading.Lock()
         self._closed = False
 
     # -- pickling: re-open by path in the receiving process ------------
@@ -87,13 +94,8 @@ class OsFile:
             raise FileSystemError(
                 f"invalid read [{offset}, {offset + nbytes})"
             )
-        data = os.pread(self._fd, nbytes, offset)
-        out = np.frombuffer(bytearray(data), dtype=np.uint8)
-        streams = self.striping.streams_for(offset, out.size)
-        self.stats.record_read(
-            out.size, self.device.read_time(out.size, streams)
-        )
-        return out
+        out = np.empty(nbytes, dtype=np.uint8)
+        return out[:self.pread_into(offset, out)]
 
     def pread_into(self, offset: int, out: np.ndarray) -> int:
         """Read into a caller buffer; returns bytes read."""
@@ -120,63 +122,44 @@ class OsFile:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)
         return n
 
-    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
-                      pos: int = 0):
-        """Vectored read (contract: :meth:`SimFile.preadv_blocks`).
+    # The file buffer (see FileBuffer), used under _mu: one fstat per
+    # vectored call sizes it to the file.
+    def _eof(self) -> int:
+        return os.fstat(self._fd).st_size
 
-        Still one ``preadv`` syscall per extent: ``preadv`` scatters
-        into many buffers but from *one* file offset, and the standard
-        library has no call that takes many file offsets.  What the list
-        saves is the Python around each syscall.
-        """
-        offs, lens, total = as_extents(offsets, lengths, "read",
-                                       out.size - pos)
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        fd, preadv, mv = self._fd, os.preadv, memoryview(out)
-        got = lens
-        short = None
-        p = pos
-        for i, (o, ln) in enumerate(zip(offs, lens)):
-            n = preadv(fd, [mv[p:p + ln]], o)
-            if n < ln:
-                out[p + n:p + ln] = 0
-                if short is None:
-                    short = (i, n)
-                    got = lens.copy()
-                total -= ln - n
-                got[i] = n
-            p += ln
-        secs = self.device.extents_time(offs, got, self.striping, False)
-        self.stats.record_read(total, secs, len(offs))
-        if trace.TRACE_ON:
-            trace.TRACER.add("fs.preadv", t0, extents=len(offs))
-        return short, secs
+    def _buffer(self, size: int) -> np.ndarray:
+        """A shared mapping covering the file's first ``size`` bytes:
+        the current one, or — the file grew past it — a new one.  An
+        old mapping is dropped by reference — the last one unmaps it;
+        ``close()`` would raise ``BufferError`` while a view is alive.
+        ``MADV_RANDOM`` turns off the kernel's fault-around, which would
+        map (and charge to RSS) the pages around each touched block."""
+        m = self._map
+        if m is not None and m[0].size >= size:
+            return m[0]
+        if not size:  # a zero-byte mapping is an error
+            return np.empty(0, dtype=np.uint8)
+        mm = mmap.mmap(self._fd, size)
+        mm.madvise(mmap.MADV_RANDOM)
+        self._map = (np.frombuffer(mm, dtype=np.uint8), mm)
+        return self._map[0]
 
-    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
-                       pos: int = 0):
-        """Vectored write (contract: :meth:`SimFile.pwritev_blocks`);
-        one ``pwrite`` syscall per extent, as for reads."""
-        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        offs, lens, _total = as_extents(offsets, lengths, "write",
-                                        buf.size - pos)
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        fd, pwrite, mv = self._fd, os.pwrite, memoryview(buf)
-        total = 0
-        p = pos
-        for o, ln in zip(offs, lens):
-            total += pwrite(fd, mv[p:p + ln], o)
-            p += ln
-        secs = self.device.extents_time(offs, lens, self.striping, True)
-        self.stats.record_write(total, secs, len(offs))
-        if trace.TRACE_ON:
-            trace.TRACER.add("fs.pwritev", t0, extents=len(offs))
-        return total, secs
+    def _grow(self, end: int, offs, lens, buf, pos) -> None:
+        """Grow the file to ``end`` with a ``pwrite`` of the byte the
+        write's copy puts there anyway; unlike ``ftruncate``, it cannot
+        shrink the file when another rank grows it at the same time."""
+        p = pos + int(lens[:int(np.argmax(offs + lens)) + 1].sum())
+        os.pwrite(self._fd, buf[p - 1:p], end - 1)
 
     def truncate(self, length: int) -> None:
-        """Set the file size (extend with zeros or cut)."""
+        """Set the file size (extend with zeros or cut); a cut drops
+        the mapping, whose pages past the new end would fault."""
         if length < 0:
             raise FileSystemError(f"negative truncate length {length}")
-        os.ftruncate(self._fd, length)
+        with self._mu:
+            os.ftruncate(self._fd, length)
+            if self._map is not None and self._map[0].size > length:
+                self._map = None
 
     def lock_range(self, lo: int, hi: int) -> None:
         """Acquire the real ``fcntl`` advisory lock for a
@@ -195,11 +178,16 @@ class OsFile:
         return self.pread(0, self.size)
 
     def fsync(self) -> None:
+        """Flush the mapping's dirty pages and the file to the device."""
+        m = self._map
+        if m is not None:
+            m[1].flush()
         os.fsync(self._fd)
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            self._map = None
             os.close(self._fd)
 
     def __del__(self):  # pragma: no cover - GC timing
@@ -277,15 +265,13 @@ class PosixFile:
 
     def preadv_blocks(self, offsets, lengths, out: np.ndarray,
                       pos: int = 0):
-        """Vectored positional read (contract:
-        :meth:`SimFile.preadv_blocks`)."""
+        """Vectored read (contract: :meth:`SimFile.preadv_blocks`)."""
         self._check_open()
         return self._file.preadv_blocks(offsets, lengths, out, pos)
 
     def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
                        pos: int = 0):
-        """Vectored positional write (contract:
-        :meth:`SimFile.pwritev_blocks`)."""
+        """Vectored write (contract: :meth:`SimFile.pwritev_blocks`)."""
         self._check_open()
         return self._file.pwritev_blocks(offsets, lengths, data, pos)
 

@@ -16,7 +16,9 @@ offers the vectored pair ``preadv_blocks``/``pwritev_blocks``: a whole
 offset/length list per call, with the semantics of one per-extent call
 each (same bytes, same :class:`FileStats` counts, same device seconds)
 but one validation, one device-time expression and one stats update per
-list.  :func:`as_extents` is their shared argument check.
+list.  :func:`as_extents` is their shared argument check;
+:class:`FileBuffer` is the one implementation of the pair for the
+backends whose bytes sit in memory.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import threading
 
 import numpy as np
 
+from repro.core.gather import classify, scatter_blocks
 from repro.errors import FileSystemError
 from repro.fs.locks import RangeLockManager
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
 from repro.obs import trace
 
-__all__ = ["SimFile", "as_extents"]
+__all__ = ["FileBuffer", "SimFile", "as_extents"]
 
 
 def as_extents(offsets, lengths, kind: str, room: int):
@@ -39,25 +42,23 @@ def as_extents(offsets, lengths, kind: str, room: int):
     (``"read"``/``"write"``) call on a buffer of ``room`` bytes.
 
     ``offsets``/``lengths`` are int sequences (lists or int64 arrays);
-    the returned ones are Python lists, what the per-extent loop
-    iterates.  A negative offset raises the same
+    the returned ones are int64 arrays, what the copy kernels take.  A
+    negative offset raises the same
     :class:`~repro.errors.FileSystemError` as the one-extent call.
     """
-    offs = offsets.tolist() if isinstance(offsets, np.ndarray) \
-        else list(offsets)
-    lens = lengths.tolist() if isinstance(lengths, np.ndarray) \
-        else list(lengths)
-    if len(offs) != len(lens):
+    offs = np.asarray(offsets, dtype=np.int64).reshape(-1)
+    lens = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    if offs.size != lens.size:
         raise FileSystemError(
-            f"{kind}: {len(offs)} offsets but {len(lens)} lengths"
+            f"{kind}: {offs.size} offsets but {lens.size} lengths"
         )
-    if offs and min(offs) < 0:
-        bad = next(o for o in offs if o < 0)
+    if offs.size and offs.min() < 0:
+        bad = int(offs[np.argmax(offs < 0)])
         raise FileSystemError(f"invalid {kind} offset {bad}")
-    if lens and min(lens) < 0:
-        bad = next(ln for ln in lens if ln < 0)
+    if lens.size and lens.min() < 0:
+        bad = int(lens[np.argmax(lens < 0)])
         raise FileSystemError(f"negative {kind} length {bad}")
-    total = sum(lens)
+    total = int(lens.sum())
     if total > room:
         raise FileSystemError(
             f"{kind} of {total} bytes overruns a {room}-byte buffer"
@@ -65,7 +66,88 @@ def as_extents(offsets, lengths, kind: str, room: int):
     return offs, lens, total
 
 
-class SimFile:
+class FileBuffer:
+    """The vectored extent calls of a file held in one byte buffer — a
+    :class:`SimFile`'s array, an :class:`~repro.fs.posix.OsFile`'s
+    mapping: one :mod:`repro.core.gather` kernel call per list, under
+    the backend's ``_mu``.  A backend provides ``_eof()`` (the file
+    size), ``_buffer(size)`` (a byte array whose first ``size`` bytes
+    are the file) and ``_grow(end, offs, lens, buf, pos)`` (make the
+    file ``end`` bytes, holes zero, before that write lands).
+    """
+
+    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
+                      pos: int = 0):
+        """Read extent ``i`` into ``out[pos + sum(lengths[:i]):]`` for
+        every ``i``, zero-filling what lies past end-of-file.  ``out``
+        is a byte (uint8) buffer, as for :meth:`pread_into`.
+
+        Returns ``(short, seconds)``: ``short`` is ``None`` when every
+        extent was read in full, else ``(i, got)`` of the first short
+        extent; ``seconds`` is the simulated device time charged (one
+        read per extent, as the same ``pread_into`` calls would be).
+        """
+        offs, lens, total = as_extents(offsets, lengths, "read",
+                                       out.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        got, short = lens, None
+        with self._mu:
+            size = self._eof()
+            mem = self._buffer(size)
+            if int((offs + lens).max(initial=0)) <= size:
+                if total:
+                    classify(offs, lens).gather(mem, 0, out, pos)
+            else:
+                # Copy what the file holds and zero the rest; bytes past
+                # end-of-file are never touched (mapped, they would
+                # fault).
+                got = np.minimum(np.maximum(size - offs, 0), lens)
+                out[pos:pos + total] = 0
+                keep = got > 0
+                dst = np.cumsum(lens) - lens
+                classify(offs[keep], got[keep],
+                         other=dst[keep]).gather(mem, 0, out, pos)
+                i = int(np.argmax(got < lens))
+                if got[i] < lens[i]:
+                    short = (i, int(got[i]))
+                total = int(got.sum())
+        secs = self.device.extents_time(offs, got, self.striping, False)
+        self.stats.record_read(total, secs, offs.size)
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.preadv", t0, extents=offs.size)
+        return short, secs
+
+    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
+                       pos: int = 0):
+        """Write ``data[pos + sum(lengths[:i]):]`` to extent ``i`` for
+        every ``i``, in list order (a later extent wins an overlap).
+
+        Returns ``(nbytes, seconds)``: bytes written and the simulated
+        device time charged (one write per extent).
+        """
+        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        offs, lens, total = as_extents(offsets, lengths, "write",
+                                       buf.size - pos)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        wo, wl = offs, lens
+        if not lens.all():
+            # A zero-length extent writes nothing: it does not grow the
+            # file, nor reach the kernel's span check.
+            wo, wl = offs[lens > 0], lens[lens > 0]
+        with self._mu:
+            size = self._eof()
+            end = int((wo + wl).max(initial=size))
+            if end > size:
+                self._grow(end, wo, wl, buf, pos)
+            scatter_blocks(self._buffer(end), wo, wl, buf, pos)
+        secs = self.device.extents_time(offs, lens, self.striping, True)
+        self.stats.record_write(total, secs, offs.size)
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.pwritev", t0, extents=offs.size)
+        return total, secs
+
+
+class SimFile(FileBuffer):
     """One file: bytes, size, locks and statistics."""
 
     def __init__(
@@ -99,16 +181,6 @@ class SimFile:
         with self._mu:
             return self._size
 
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self._data.size:
-            return
-        cap = self._data.size
-        while cap < needed:
-            cap *= 2
-        grown = np.zeros(cap, dtype=np.uint8)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-
     # ------------------------------------------------------------------
     def pread(self, offset: int, nbytes: int) -> np.ndarray:
         """Read up to ``nbytes`` at absolute ``offset``; returns a copy
@@ -118,11 +190,7 @@ class SimFile:
                 f"invalid read [{offset}, {offset + nbytes})"
             )
         with self._mu:
-            end = min(offset + nbytes, self._size)
-            if end <= offset:
-                out = np.empty(0, dtype=np.uint8)
-            else:
-                out = self._data[offset:end].copy()
+            out = self._data[offset:min(offset + nbytes, self._size)].copy()
         streams = self.striping.streams_for(offset, out.size)
         self.stats.record_read(out.size, self.device.read_time(out.size, streams))
         return out
@@ -133,10 +201,8 @@ class SimFile:
             raise FileSystemError(f"invalid read offset {offset}")
         t0 = trace.now() if trace.TRACE_ON else 0.0
         with self._mu:
-            end = min(offset + out.size, self._size)
-            n = max(end - offset, 0)
-            if n:
-                out[:n] = self._data[offset:end]
+            n = max(min(offset + out.size, self._size) - offset, 0)
+            out[:n] = self._data[offset:offset + n]
         streams = self.striping.streams_for(offset, n)
         self.stats.record_read(n, self.device.read_time(n, streams))
         if trace.TRACE_ON:
@@ -145,103 +211,51 @@ class SimFile:
 
     def pwrite(self, offset: int, data: np.ndarray) -> int:
         """Write ``data`` at absolute ``offset``, extending the file as
-        needed; returns bytes written."""
+        needed (a zero-byte write, as in POSIX, does not); returns bytes
+        written."""
         if offset < 0:
             raise FileSystemError(f"invalid write offset {offset}")
         buf = data.view(np.uint8).reshape(-1)
         n = buf.size
         t0 = trace.now() if trace.TRACE_ON else 0.0
         with self._mu:
-            self._ensure_capacity(offset + n)
-            if offset > self._size:
-                # POSIX hole: zero-fill (capacity array is already zeroed
-                # only on first growth, so clear explicitly).
-                self._data[self._size : offset] = 0
+            if n and offset + n > self._size:
+                self._grow(offset + n)
             self._data[offset : offset + n] = buf
-            self._size = max(self._size, offset + n)
         streams = self.striping.streams_for(offset, n)
         self.stats.record_write(n, self.device.write_time(n, streams))
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)
         return n
 
-    def preadv_blocks(self, offsets, lengths, out: np.ndarray,
-                      pos: int = 0):
-        """Read extent ``i`` into ``out[pos + sum(lengths[:i]):]`` for
-        every ``i``, zero-filling what lies past end-of-file.  ``out``
-        is a byte (uint8) buffer, as for :meth:`pread_into`.
+    # The file buffer (see FileBuffer), used under _mu.
+    def _eof(self) -> int:
+        return self._size
 
-        Returns ``(short, seconds)``: ``short`` is ``None`` when every
-        extent was read in full, else ``(i, got)`` of the first short
-        extent; ``seconds`` is the simulated device time charged (one
-        read per extent, as the same ``pread_into`` calls would be).
-        """
-        offs, lens, total = as_extents(offsets, lengths, "read",
-                                       out.size - pos)
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        got = lens
-        short = None
-        with self._mu:
-            data, size = self._data, self._size
-            p = pos
-            for i, (o, ln) in enumerate(zip(offs, lens)):
-                n = max(min(o + ln, size) - o, 0)
-                if n == ln:
-                    out[p:p + ln] = data[o:o + ln]
-                else:
-                    out[p:p + n] = data[o:o + n]
-                    out[p + n:p + ln] = 0
-                    if short is None:
-                        short = (i, n)
-                        got = lens.copy()
-                    total -= ln - n
-                    got[i] = n
-                p += ln
-        secs = self.device.extents_time(offs, got, self.striping, False)
-        self.stats.record_read(total, secs, len(offs))
-        if trace.TRACE_ON:
-            trace.TRACER.add("fs.preadv", t0, extents=len(offs))
-        return short, secs
+    def _buffer(self, size: int) -> np.ndarray:
+        return self._data
 
-    def pwritev_blocks(self, offsets, lengths, data: np.ndarray,
-                       pos: int = 0):
-        """Write ``data[pos + sum(lengths[:i]):]`` to extent ``i`` for
-        every ``i``, in list order (a later extent wins an overlap).
-
-        Returns ``(nbytes, seconds)``: bytes written and the simulated
-        device time charged (one write per extent).
-        """
-        buf = data.view(np.uint8).reshape(-1)
-        offs, lens, total = as_extents(offsets, lengths, "write",
-                                       buf.size - pos)
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        with self._mu:
-            if offs:
-                self._ensure_capacity(max(map(int.__add__, offs, lens)))
-            dst, size = self._data, self._size
-            p = pos
-            for o, ln in zip(offs, lens):
-                if o > size:
-                    dst[size:o] = 0  # POSIX hole (see pwrite)
-                dst[o:o + ln] = buf[p:p + ln]
-                if o + ln > size:
-                    size = o + ln
-                p += ln
-            self._size = size
-        secs = self.device.extents_time(offs, lens, self.striping, True)
-        self.stats.record_write(total, secs, len(offs))
-        if trace.TRACE_ON:
-            trace.TRACER.add("fs.pwritev", t0, extents=len(offs))
-        return total, secs
+    def _grow(self, end: int, *_write) -> None:
+        """Extend the file to ``end`` with zeros (a cut may have left
+        old bytes past ``_size``); the array doubles when full."""
+        cap = self._data.size
+        if end > cap:
+            while cap < end:
+                cap *= 2
+            grown = np.zeros(cap, dtype=np.uint8)
+            grown[: self._size] = self._data[: self._size]
+            self._data = grown
+        else:
+            self._data[self._size : end] = 0
+        self._size = end
 
     def truncate(self, length: int) -> None:
         """Set the file size (extend with zeros or cut)."""
         if length < 0:
             raise FileSystemError(f"negative truncate length {length}")
         with self._mu:
-            self._ensure_capacity(length)
             if length > self._size:
-                self._data[self._size : length] = 0
+                self._grow(length)
             self._size = length
 
     # ------------------------------------------------------------------

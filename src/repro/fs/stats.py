@@ -48,13 +48,15 @@ class DeviceModel:
         nbytes[i])``, each with its own stream count.
 
         Unstriped (one disk) the sum is closed-form; striped, it is one
-        NumPy expression over the offset/length arrays.
+        NumPy expression over the offset/length arrays.  Either way the
+        byte count is summed by NumPy, not in a Python loop over an
+        array.
         """
         bw = self.write_bandwidth if write else self.read_bandwidth
-        if striping.ndisks == 1:
-            return len(offsets) * self.latency + sum(nbytes) / bw
-        offs = np.asarray(offsets, dtype=np.int64)
         nb = np.asarray(nbytes, dtype=np.int64)
+        if striping.ndisks == 1:
+            return len(offsets) * self.latency + int(nb.sum()) / bw
+        offs = np.asarray(offsets, dtype=np.int64)
         ss = striping.stripe_size
         streams = np.minimum(
             (offs + np.maximum(nb, 1) - 1) // ss - offs // ss + 1,

@@ -417,8 +417,13 @@ class File:
         self.comm.barrier()
 
     def sync(self) -> None:
-        """Flush (a no-op for the in-memory store, kept for API parity)."""
+        """Flush this rank's writes to the device: the backend's
+        ``fsync`` where it has one (a real file), else a no-op (the
+        in-memory store)."""
         self._check_open()
+        fsync = getattr(self.simfile, "fsync", None)
+        if fsync is not None:
+            fsync()
 
     # ------------------------------------------------------------------
     # Atomicity

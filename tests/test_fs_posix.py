@@ -1,13 +1,19 @@
-"""The POSIX-style cursor interface, and per-extent call counts of
-sparse direct access on a real file."""
+"""The POSIX-style cursor interface, per-extent call counts of sparse
+direct access on a real file, and the real file's mapping."""
+
+import gc
+import multiprocessing as mp
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro import datatypes as dt
+from repro.datatypes.packing import typemap_blocks
 from repro.errors import FileSystemError
 from repro.fs import OsFileSystem, PosixFile, SimFileSystem
-from repro.fs.posix import SEEK_CUR, SEEK_END, SEEK_SET
+from repro.fs.posix import SEEK_CUR, SEEK_END, SEEK_SET, OsFile
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
 from tests.conftest import fill_pattern
@@ -144,3 +150,153 @@ class TestSparseDirectCounts:
                                 k * span + j * stride + bl]
                             for j in range(nb)])
             assert np.array_equal(got.reshape(-1), pat)
+
+
+class TestMappedFile:
+    """OsFile's vectored calls copy against a shared mapping of the
+    file: growth never shrinks it, a cut never faults, and no mapping
+    or descriptor outlives the handle."""
+
+    @pytest.mark.parametrize("runtime, nprocs", [("proc", 2), ("sim", 4)])
+    def test_concurrent_growth_never_shrinks(self, tmp_path, runtime,
+                                             nprocs):
+        # Ranks write disjoint interleaved blocks, every access past
+        # end-of-file, at the same time: rank processes each with their
+        # own mapping, or more rank threads than cores sharing one
+        # cached OsFile (remapping under it) with a short switch
+        # interval.
+        from repro.mpi.proc import run_spmd_proc
+
+        bl, nb, stride, k = 1024, 4, 64 * 1024, 256
+        span = nb * stride
+        vec = dt.vector(nb, bl, stride, dt.BYTE)
+        ft = dt.struct([1, 1, 1], [0, 0, span], [dt.LB, vec, dt.UB])
+        fs = OsFileSystem(str(tmp_path))
+        pats = [[fill_pattern(nb * bl, 1000 * r + i) for i in range(k)]
+                for r in range(nprocs)]
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/grow", MODE_CREATE | MODE_RDWR)
+            fh.set_view(comm.rank * bl, dt.BYTE, ft)
+            comm.barrier()
+            for i, pat in enumerate(pats[comm.rank]):
+                fh.write_at(i * nb * bl, pat)
+            mapped = fh.simfile._map is not None
+            fh.close()
+            return mapped
+
+        if runtime == "proc":
+            res = run_spmd_proc(nprocs, worker, timeout=60.0)
+        else:
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                res = run_spmd(nprocs, worker)
+            finally:
+                sys.setswitchinterval(old)
+            fs.close()
+        assert res == [True] * nprocs
+        runs = typemap_blocks(ft, k)
+        fidx = np.concatenate([np.arange(o, o + ln) for o, ln in runs])
+        want = np.zeros((k - 1) * span + (nb - 1) * stride + nprocs * bl,
+                        dtype=np.uint8)
+        for r in range(nprocs):
+            want[r * bl + fidx] = np.concatenate(pats[r])
+        got = np.fromfile(tmp_path / "grow", dtype=np.uint8)
+        assert got.size == want.size
+        assert np.array_equal(got, want)
+
+    def test_shrink_then_access(self, tmp_path):
+        path = str(tmp_path / "s")
+        data = np.arange(16 * 1024, dtype=np.uint32).view(np.uint8)
+        offs, lens = [0, 40_000, 200_000], [4096, 4096, 4096]
+
+        def access(f, cut):
+            f.pwritev_blocks(offs, lens, data)
+            assert f.size == 204_096
+            if cut == 5000:
+                f.truncate(cut)  # through this handle
+            else:
+                os.truncate(path, cut)  # another one: the map is stale
+            out = np.full(12_288, 7, np.uint8)
+            short, _ = f.preadv_blocks(offs, lens, out)
+            assert short == ((0, cut) if cut < 4096 else (1, 0))
+            want = np.zeros(12_288, np.uint8)
+            want[:min(cut, 4096)] = data[:min(cut, 4096)]
+            assert np.array_equal(out, want)
+            # A write past the new end regrows the file.
+            f.pwritev_blocks(offs[1:], lens[1:], data, 4096)
+            assert f.size == 204_096
+            raw = np.fromfile(path, dtype=np.uint8)
+            assert np.array_equal(raw[40_000:44_096], data[4096:8192])
+            assert np.array_equal(raw[200_000:], data[8192:12_288])
+            assert not raw[max(cut, 4096):40_000].any()
+
+        def child():
+            f = OsFile(path)
+            access(f, 5000)
+            access(f, 1000)
+            f.close()
+
+        # In a child process: a SIGBUS there fails this test instead of
+        # killing the test run.
+        p = mp.get_context("fork").Process(target=child)
+        p.start()
+        p.join(60)
+        assert not p.is_alive()
+        assert p.exitcode == 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc")
+    def test_no_leaked_mappings(self, tmp_path):
+        def maps(path):
+            with open("/proc/self/maps") as fd:
+                return sum(path in line for line in fd)
+
+        def fds(path):  # an unlinked path reads "<path> (deleted)"
+            n = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    n += os.readlink(f"/proc/self/fd/{fd}").startswith(path)
+                except OSError:  # the listing's own descriptor
+                    pass
+            return n
+
+        fs = OsFileSystem(str(tmp_path))
+        paths = [str(tmp_path / n) for n in ("u", "c")]
+        handles = []  # alive: closing them must release the mappings
+        gc.disable()
+        try:
+            for name in ("/u", "/c"):
+                f = fs.create(name)
+                handles.append(f)
+                f.pwritev_blocks([0, 8192], [16, 16], fill_pattern(32))
+                out = np.empty(32, np.uint8)
+                f.preadv_blocks([0, 8192], [16, 16], out)
+                assert maps(f.path) == 1
+                # Growing past the mapping remaps; the old one is gone.
+                f.pwritev_blocks([1 << 20], [16], fill_pattern(16))
+                assert maps(f.path) == 1
+            fs.unlink("/u")
+            fs.close()
+            for path in paths:
+                assert maps(path) == 0
+                assert fds(path) == 0
+        finally:
+            gc.enable()
+
+    def test_sync_fsyncs_the_file(self, tmp_path, monkeypatch):
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (calls.append(fd), real(fd))[1])
+        for fs in (OsFileSystem(str(tmp_path)), SimFileSystem()):
+            def worker(comm):
+                fh = File.open(comm, fs, "/y", MODE_CREATE | MODE_RDWR)
+                fh.write_at(0, fill_pattern(64))
+                fh.sync()
+                fh.sync()
+                fh.close()
+
+            run_spmd(1, worker)
+        assert len(calls) == 2

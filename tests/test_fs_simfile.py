@@ -77,6 +77,12 @@ class TestReadWrite:
         with pytest.raises(FileSystemError):
             f.pread(-1, 4)
 
+    def test_zero_byte_write_past_eof_does_not_extend(self, f):
+        f.pwrite(0, fill_pattern(10))
+        assert f.pwrite(50, np.empty(0, np.uint8)) == 0
+        assert f.pwritev_blocks([60, 4], [0, 2], fill_pattern(2))[0] == 2
+        assert f.size == 10
+
     def test_non_byte_arrays_accepted(self, f):
         data = np.arange(8, dtype=np.float64)
         f.pwrite(0, data)
@@ -142,6 +148,29 @@ class TestStats:
         f.pwrite(0, fill_pattern(10))
         f.stats.reset()
         assert f.stats.snapshot()["n_writes"] == 0
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_extents_time_lists_arrays_striped(self, write):
+        dm = DeviceModel(read_bandwidth=3e6, write_bandwidth=2e6,
+                         latency=1e-5)
+        rng = np.random.default_rng(4)
+        offs = rng.integers(0, 10_000, 256).tolist()
+        lens = rng.integers(0, 1500, 256).tolist()
+        arr = (np.array(offs, np.int64), np.array(lens, np.int64))
+        one = dm.write_time if write else dm.read_time
+        bw = dm.write_bandwidth if write else dm.read_bandwidth
+        flat = StripingConfig()
+        # Unstriped: the closed form, to the last bit, for both inputs.
+        want = len(offs) * dm.latency + sum(lens) / bw
+        assert dm.extents_time(offs, lens, flat, write) == want
+        assert dm.extents_time(*arr, flat, write) == want
+        # Striped: one op per extent, each with its own stream count.
+        st4 = StripingConfig(ndisks=4, stripe_size=512)
+        per = sum(one(ln, st4.streams_for(o, ln))
+                  for o, ln in zip(offs, lens))
+        got = dm.extents_time(offs, lens, st4, write)
+        assert got == dm.extents_time(*arr, st4, write)
+        assert got == pytest.approx(per, rel=1e-12)
 
 
 class TestFileSystem:
@@ -265,8 +294,10 @@ def seeded_twins(make, kind, size):
     return ha, fa, hb, fb
 
 
+# Up to 40 extents: lists longer than 16 reach the index kernels, where
+# overlapping extents become repeated indices (the later must win).
 extent_lists = st.lists(
-    st.tuples(st.integers(0, 400), st.integers(0, 70)), max_size=10,
+    st.tuples(st.integers(0, 400), st.integers(0, 70)), max_size=40,
 )
 
 
