@@ -5,16 +5,19 @@ through a tiled view, the two-phase exchange repeating the same window
 shape per round — re-issue the *same* ``blocks_range`` query shifted by
 whole periods.  The block-program layer (``repro.core.blockprog``)
 compiles the query once and replays it with a scalar translation; this
-bench measures what that saves at steady state against the cold path
-(re-traversing the dataloop and rebuilding index machinery per call).
+bench measures what that saves at steady state against a cold baseline
+that re-traverses and rebuilds per call.
 
-Three cases, each A/B-toggled via ``blockprog.set_enabled``:
+Three cases, each an A/B of a cold arm against the program path:
 
 * **pack** / **unpack** — raw ``ff_pack``/``ff_unpack`` of a recurring
-  window over a ragged periodic type (the kernel in isolation);
+  window over a ragged periodic type (the kernel in isolation), against
+  a cold arm calling ``loop.blocks_range`` plus the one-shot
+  ``gather_blocks``/``scatter_blocks`` kernel per window;
 * **engine** — windowed ``read_at``/``write_at`` through the listless
   engine with a non-contiguous memtype, showing the layer composes with
-  plan caching end to end.
+  plan caching end to end, against the list-based engine on the same
+  access.
 
 Standalone run writes the machine-readable record::
 
@@ -35,7 +38,8 @@ import pytest
 from repro import datatypes as dt
 from repro.core import blockprog
 from repro.core.blockprog import BLOCKPROG_STATS
-from repro.core.ff_pack import ff_pack, ff_unpack
+from repro.core.ff_pack import ff_pack, ff_unpack, top_dataloop
+from repro.core.gather import gather_blocks, scatter_blocks
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
@@ -66,42 +70,53 @@ def _ragged_type():
 # Case 1/2: raw ff_pack / ff_unpack windowed loops
 # ----------------------------------------------------------------------
 def run_pack_windowed(iters: int, unpack: bool = False,
-                      win_periods: int = _WIN_PERIODS) -> float:
+                      win_periods: int = _WIN_PERIODS,
+                      cold: bool = False) -> float:
     """Seconds for ``iters`` windowed ff_pack (or ff_unpack) calls.
 
     ``win_periods`` widens the window (more packed bytes per call) —
     the trace-overhead gate uses a wider, collective-buffer-sized
     window so the per-call span cost is weighed against representative
     kernel work, not the deliberately tiny program-compilation window.
+    ``cold`` times the baseline instead: ``loop.blocks_range`` plus a
+    one-shot ``gather_blocks``/``scatter_blocks`` call per window.
     """
     t = _ragged_type()
+    loop = top_dataloop(t, _COUNT)
     src = np.zeros(_COUNT * _PERIOD + 64, dtype=np.uint8)
     win = win_periods * t.size
     buf = np.empty(win, dtype=np.uint8)
     nwin = _COUNT - win_periods
-    # Warm both the dataloop cache and (when enabled) the program cache
-    # so steady state is measured, not compilation.
-    for w in range(2):
-        if unpack:
-            ff_unpack(buf, win, src, _COUNT, t, w * t.size)
-        else:
-            ff_pack(src, _COUNT, t, w * t.size, buf, win)
-    t0 = time.perf_counter()
-    for w in range(iters):
-        skip = (w % nwin) * t.size
-        if unpack:
+
+    def one(skip: int) -> None:
+        if cold:
+            offs, lens = loop.blocks_range(skip, skip + win)
+            if unpack:
+                scatter_blocks(src, offs, lens, buf, 0)
+            else:
+                gather_blocks(src, offs, lens, buf, 0)
+        elif unpack:
             ff_unpack(buf, win, src, _COUNT, t, skip)
         else:
             ff_pack(src, _COUNT, t, skip, buf, win)
+
+    # Warm the dataloop and program caches so steady state is measured,
+    # not compilation.
+    for w in range(2):
+        one(w * t.size)
+    t0 = time.perf_counter()
+    for w in range(iters):
+        one((w % nwin) * t.size)
     return time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
-# Case 3: windowed access through the listless engine
+# Case 3: windowed access through an engine
 # ----------------------------------------------------------------------
-def run_engine_windowed(windows: int, detail: dict = None) -> float:
-    """Seconds of engine time for ``windows`` read+write pairs over a
-    periodic fileview with a non-contiguous memtype.
+def run_engine_windowed(windows: int, detail: dict = None,
+                        engine: str = "listless") -> float:
+    """Seconds of ``engine`` time for ``windows`` read+write pairs over
+    a periodic fileview with a non-contiguous memtype.
 
     ``detail`` (optional dict) receives the per-layer decomposition of
     the timed loop: the PR-3 phase buckets split into *kernel* time
@@ -117,7 +132,7 @@ def run_engine_windowed(windows: int, detail: dict = None) -> float:
 
     def worker(comm):
         fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
-                       engine="listless")
+                       engine=engine)
         fh.set_view(0, dt.BYTE, ft)
         buf = np.zeros(2 * mt.extent, dtype=np.uint8)
         win = ft.size  # one period of data bytes per access
@@ -154,38 +169,39 @@ def run_engine_windowed(windows: int, detail: dict = None) -> float:
 # ----------------------------------------------------------------------
 # A/B harness
 # ----------------------------------------------------------------------
-def _ab(fn, *args) -> dict:
-    """Run ``fn`` with programs disabled then enabled; median seconds."""
+#: Arm labels per case: the cold baseline first, then the program path.
+PACK_ARMS = ("cold", "programs")
+ENGINE_ARMS = ("list_based", "listless")
+
+
+def _ab_pack(iters: int, unpack: bool) -> dict:
+    """Cold arm then program arm of the pack (or unpack) case; median
+    seconds."""
     out = {}
-    for label, flag in (("disabled", False), ("enabled", True)):
-        prev = blockprog.set_enabled(flag)
-        try:
-            blockprog.clear()
-            vals = [fn(*args) for _ in range(REPEATS)]
-        finally:
-            blockprog.set_enabled(prev)
-        out[label] = statistics.median(vals)
-    out["speedup"] = out["disabled"] / out["enabled"]
+    for label in PACK_ARMS:
+        blockprog.clear()
+        out[label] = statistics.median(
+            run_pack_windowed(iters, unpack, cold=label == "cold")
+            for _ in range(REPEATS)
+        )
+    out["speedup"] = out["cold"] / out["programs"]
     return out
 
 
 def _ab_engine(windows: int) -> dict:
-    """A/B the engine case, recording the per-layer decomposition of
-    each arm's final repeat (the steady-state run)."""
+    """List-based arm then listless arm of the engine case, recording
+    the per-layer decomposition of each arm's final repeat (the
+    steady-state run)."""
     out = {"decomposition": {}}
-    for label, flag in (("disabled", False), ("enabled", True)):
-        prev = blockprog.set_enabled(flag)
-        try:
-            blockprog.clear()
-            vals = []
-            for rep in range(REPEATS):
-                detail = {} if rep == REPEATS - 1 else None
-                vals.append(run_engine_windowed(windows, detail))
-            out["decomposition"][label] = detail
-        finally:
-            blockprog.set_enabled(prev)
+    for label in ENGINE_ARMS:
+        blockprog.clear()
+        vals = []
+        for rep in range(REPEATS):
+            detail = {} if rep == REPEATS - 1 else None
+            vals.append(run_engine_windowed(windows, detail, label))
+        out["decomposition"][label] = detail
         out[label] = statistics.median(vals)
-    out["speedup"] = out["disabled"] / out["enabled"]
+    out["speedup"] = out["list_based"] / out["listless"]
     return out
 
 
@@ -203,8 +219,8 @@ def collect(quick: bool) -> dict:
             "window_periods": _WIN_PERIODS,
         },
         "cases": {
-            "pack": _ab(run_pack_windowed, iters, False),
-            "unpack": _ab(run_pack_windowed, iters, True),
+            "pack": _ab_pack(iters, False),
+            "unpack": _ab_pack(iters, True),
             "engine": _ab_engine(windows),
         },
         "stats": blockprog.blockprog_stats(),
@@ -231,72 +247,33 @@ def collect(quick: bool) -> dict:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("unpack", [False, True])
 def test_windowed_pack_program_speedup(unpack):
-    """Steady-state windowed pack must be several times faster with the
-    program cache; assert a conservative floor (the recorded runs show
-    >3x — see results/BENCH_blockprog.json) so scheduler noise on a
-    loaded CI box cannot flake the suite."""
-    res = _ab(run_pack_windowed, 120, unpack)
+    """Steady-state windowed pack must be several times faster through
+    the program cache than the cold ``blocks_range`` + one-shot kernel
+    arm; assert a conservative floor (the recorded runs show >3x — see
+    results/BENCH_blockprog.json) so scheduler noise on a loaded CI box
+    cannot flake the suite."""
+    res = _ab_pack(120, unpack)
     assert res["speedup"] > 1.5, res
 
     # And the cache actually served the loop: one compile per window
     # shape, everything else hits.
     BLOCKPROG_STATS.reset()
-    prev = blockprog.set_enabled(True)
-    try:
-        blockprog.clear()
-        run_pack_windowed(120, unpack)
-    finally:
-        blockprog.set_enabled(prev)
+    blockprog.clear()
+    run_pack_windowed(120, unpack)
     assert BLOCKPROG_STATS.hits > 100
     assert BLOCKPROG_STATS.compiled <= _WIN_PERIODS + 2
 
 
 def test_windowed_engine_runs_both_modes():
-    """End-to-end engine speedup with the program layer on.  Recorded
-    runs show >4x (see results/BENCH_blockprog.json — replay fast path
-    + fused data-plane copies); assert a conservative floor so
+    """End-to-end listless speedup over the list-based engine on the
+    same windowed access (replay fast path + fused data-plane copies
+    against per-access list building); assert a conservative floor so
     scheduler noise on a loaded CI box cannot flake the suite."""
     res = _ab_engine(20)
-    assert res["enabled"] > 0 and res["disabled"] > 0
+    assert res["listless"] > 0 and res["list_based"] > 0
     assert res["speedup"] > 1.5, res
-    d = res["decomposition"]["enabled"]
+    d = res["decomposition"]["listless"]
     assert d["kernel"] > 0 and d["engine_overhead"] >= 0
-
-
-def test_hint_forces_cold_path():
-    """ff_block_programs=false must keep the engine's memtype pack/unpack
-    off the program cache even when the layer is globally enabled (the
-    file/view side is governed by the global toggle, so some program
-    traffic remains — the hint run must show strictly less)."""
-    from repro.io.hints import Hints
-
-    fs = SimFileSystem()
-    fs.create("/f").truncate(_COUNT * _PERIOD)
-    mt = dt.vector(8, 1, 2, dt.contiguous(8, dt.BYTE))
-
-    def run(hint: bool) -> int:
-        def worker(comm):
-            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
-                           engine="listless",
-                           hints=Hints(ff_block_programs=hint))
-            fh.set_view(0, dt.BYTE, _ragged_type())
-            buf = np.zeros(mt.extent, dtype=np.uint8)
-            for w in range(4):
-                fh.write_at(w * _K, buf, count=1, memtype=mt)
-            fh.close()
-
-        prev = blockprog.set_enabled(True)
-        try:
-            blockprog.clear()
-            BLOCKPROG_STATS.reset()
-            run_spmd(1, worker)
-        finally:
-            blockprog.set_enabled(prev)
-        return BLOCKPROG_STATS.hits + BLOCKPROG_STATS.misses
-
-    with_hint = run(True)
-    without = run(False)
-    assert without < with_hint, (without, with_hint)
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +289,9 @@ def main() -> None:
     print("=== Windowed reuse: compiled block programs "
           f"({'quick' if args.quick else 'full'}) ===")
     for name, c in rec["cases"].items():
-        print(f"{name:>8}: disabled {c['disabled']*1e3:8.2f} ms   "
-              f"enabled {c['enabled']*1e3:8.2f} ms   "
+        cold, hot = ENGINE_ARMS if name == "engine" else PACK_ARMS
+        print(f"{name:>8}: {cold} {c[cold]*1e3:8.2f} ms   "
+              f"{hot} {c[hot]*1e3:8.2f} ms   "
               f"speedup {c['speedup']:.2f}x")
     s = rec["stats"]
     print(f"programs: {s['blockprog_compiled']} compiled, "
@@ -323,7 +301,7 @@ def main() -> None:
     for label, d in rec["cases"]["engine"]["decomposition"].items():
         if not d:
             continue
-        print(f"  {label:>8}: kernel {d['kernel']*1e3:7.2f} ms   "
+        print(f"  {label:>10}: kernel {d['kernel']*1e3:7.2f} ms   "
               f"io {d['io']*1e3:7.2f} ms   "
               f"engine {d['engine_overhead']*1e3:7.2f} ms   "
               f"(share {d['engine_share']:.2f}, "

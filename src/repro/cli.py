@@ -219,7 +219,7 @@ def _print_program_shape(plan, loop) -> None:
             if blocks is None:
                 deferred += 1
                 rows.append((tag, "deferred (streamed view walk)"))
-            elif isinstance(blocks, Blocks) and blockprog.enabled():
+            elif isinstance(blocks, Blocks):
                 fused += 1
                 prog = blockprog.program_for_blocks(blocks)
                 rows.append((tag, prog.describe()))

@@ -29,12 +29,11 @@ drops its programs); the cache is additionally cleared whenever a
 fileview is replaced (:meth:`~repro.plan.planner.Planner.invalidate`),
 mirroring the plan LRU's view-epoch rule.
 
-Toggling: the environment variable ``REPRO_BLOCKPROG=0`` (or ``false``/
-``off``) disables the layer process-wide, and :func:`set_enabled` flips
-it at runtime — benchmarks use this for A/B runs.  Per-file, the
-``ff_block_programs`` hint disables program use on the listless
-engine's pack/unpack path.  Counters (compiles, hits, misses,
-translations) and the cache itself are scoped to the active
+There is no switch: programs are the only data plane, and only
+contiguous and empty ranges bypass compilation.  The A/B baseline is
+the list-based engine plus the benchmarks' cold calls of
+``loop.blocks_range`` with one-shot kernels.  Counters (compiles, hits,
+misses, translations) and the cache itself are scoped to the active
 :class:`~repro.session.IOSession` — shared by all simulated ranks of a
 world, isolated between sessions, with process-wide defaults when no
 session is active — and surfaced through the metrics registry and
@@ -43,7 +42,6 @@ session is active — and surfaced through the metrics registry and
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -64,10 +62,8 @@ __all__ = [
     "blockprog_stats",
     "blocks_range_cached",
     "clear",
-    "enabled",
     "program_for",
     "program_for_blocks",
-    "set_enabled",
 ]
 
 #: Payload cap of a cached byte index: it costs 8 B per payload byte
@@ -79,27 +75,6 @@ _IDX_CAP = 1 << 20
 #: Sieving/two-phase loops cycle through a handful of window shapes;
 #: 64 covers them with room for boundary windows.
 _MAX_PROGRAMS_PER_LOOP = 64
-
-
-def _env_enabled() -> bool:
-    v = os.environ.get("REPRO_BLOCKPROG", "1").strip().lower()
-    return v not in ("0", "false", "off", "no", "disable", "disabled")
-
-
-_enabled = _env_enabled()
-
-
-def enabled() -> bool:
-    """Whether the block-program layer is active process-wide."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Enable/disable the layer; returns the previous setting."""
-    global _enabled
-    prev = _enabled
-    _enabled = bool(flag)
-    return prev
 
 
 class _Stats:
@@ -309,11 +284,6 @@ class ProgramCache:
 
 _DEFAULT_CACHE = ProgramCache()
 
-#: Backward-compat view of the default cache's per-loop table (tests
-#: poke it directly).  Safe to alias: ProgramCache mutates the mapping
-#: in place and never rebinds it.
-_cache = _DEFAULT_CACHE._cache
-
 
 def active_cache() -> ProgramCache:
     """The program cache of the active session, or the process default."""
@@ -372,32 +342,24 @@ def _periodicity(loop: Dataloop, s_lo: int, n: int) -> Tuple[int, int]:
 
 
 def program_for(
-    loop: Optional[Dataloop], s_lo: int, s_hi: int,
-    use_programs: Optional[bool] = None,
-    owner=None,
+    loop: Optional[Dataloop], s_lo: int, s_hi: int, owner=None,
 ) -> Optional[Tuple[BlockProgram, int]]:
     """Compiled program and translation base for a range query.
 
     Returns ``(program, base)`` such that ``program.materialize(base)``
-    equals ``loop.blocks_range(s_lo, s_hi)``, or ``None`` when the layer
-    is disabled or the query is not worth compiling (empty range,
-    contiguous loop — plain slice arithmetic beats any cache).
+    equals ``loop.blocks_range(s_lo, s_hi)``, or ``None`` when the query
+    is not worth compiling (empty range, contiguous loop — plain slice
+    arithmetic beats any cache).
     ``owner`` is the file identity the program serves (part of the cache
     key; see :class:`ProgramCache`).
     """
-    if use_programs is None:
-        use_programs = _enabled
     stats = active_stats()
-    if not use_programs or loop is None or s_hi <= s_lo:
-        if use_programs:
-            stats.bypasses += 1
-        return None
-    if isinstance(loop, DLContig) or (
+    if loop is None or s_hi <= s_lo or isinstance(loop, DLContig) or (
         isinstance(loop, DLVector) and isinstance(loop.child, DLContig)
         and loop.stride == loop.child.size
     ):
-        # Contiguous data: blocks_range is a two-array constant — the
-        # cache could only add overhead.
+        # Empty range or contiguous data (blocks_range is a two-array
+        # constant): the cache could only add overhead.
         stats.bypasses += 1
         return None
     n = s_hi - s_lo
@@ -422,9 +384,7 @@ def _compile(loop: Dataloop, residue: int, n: int) -> BlockProgram:
 
 
 def blocks_range_cached(
-    loop: Dataloop, s_lo: int, s_hi: int,
-    use_programs: Optional[bool] = None,
-    owner=None,
+    loop: Dataloop, s_lo: int, s_hi: int, owner=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Drop-in for ``loop.blocks_range`` that reuses compiled programs.
 
@@ -433,7 +393,7 @@ def blocks_range_cached(
     them — except for ``base == 0`` hits, which return the read-only
     canonical arrays themselves; callers that mutate must copy.
     """
-    hit = program_for(loop, s_lo, s_hi, use_programs, owner=owner)
+    hit = program_for(loop, s_lo, s_hi, owner=owner)
     if hit is None:
         return loop.blocks_range(s_lo, s_hi)
     prog, base = hit

@@ -89,7 +89,6 @@ def ff_pack(
     packbuf: np.ndarray,
     packsize: int,
     origin: int = 0,
-    use_programs: bool | None = None,
     owner=None,
 ) -> int:
     """Pack typed data from ``srcbuf`` into contiguous ``packbuf``.
@@ -106,9 +105,6 @@ def ff_pack(
     packbuf, packsize
         destination and its capacity; at most ``packsize`` bytes are
         written, starting at ``packbuf[0]``.
-    use_programs
-        override the process-wide block-program toggle for this call
-        (``None`` — follow :func:`repro.core.blockprog.enabled`).
     owner
         file identity keying compiled programs (the engine passes its
         file's key so two files never alias cached programs; ``None``
@@ -135,7 +131,7 @@ def ff_pack(
     src = _as_bytes(srcbuf, writeable=False)
     dst = _as_bytes(packbuf, writeable=True)
     hit = blockprog.program_for(loop, skipbytes, skipbytes + n,
-                                use_programs, owner=owner)
+                                owner=owner)
     if hit is not None:
         prog, base = hit
         copied = prog.gather(src, base + origin, dst, 0)
@@ -161,7 +157,6 @@ def ff_unpack(
     datatype: Datatype,
     skipbytes: int,
     origin: int = 0,
-    use_programs: bool | None = None,
     owner=None,
 ) -> int:
     """Unpack contiguous ``packbuf`` into typed ``dstbuf``.
@@ -186,7 +181,7 @@ def ff_unpack(
     src = _as_bytes(packbuf, writeable=False)
     dst = _as_bytes(dstbuf, writeable=True)
     hit = blockprog.program_for(loop, skipbytes, skipbytes + n,
-                                use_programs, owner=owner)
+                                owner=owner)
     if hit is not None:
         prog, base = hit
         copied = prog.scatter(dst, base + origin, src, 0)

@@ -12,8 +12,7 @@ Every cost the paper attributes to ol-lists is really paid here:
 * data sieving moves the listed bytes through the shared data plane:
   the per-access lists are lowered to index arrays and batch-copied
   (§2.1's "Copy time" stays proportional to the list, but is paid in
-  one fused copy); with the program layer disabled the historical
-  interpreted per-tuple loop runs instead, preserving the A/B baseline;
+  one fused copy);
 * collective access expands each AP's view over every IOP's file domain
   into per-pair ol-lists that are *sent along with the data* (16 bytes per
   tuple of wire volume, §2.3), and the collective-write contiguity
@@ -37,7 +36,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import blockprog
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.flatten.flattener import flatten_cached, flatten_datatype
 from repro.flatten.list_ops import expand_range, merge_lists
@@ -194,8 +192,7 @@ class ListBasedEngine(IOEngine):
 
     # ------------------------------------------------------------------
     # Memory side: per-access flattening; the listed bytes move in one
-    # fused batched copy (or the interpreted per-tuple loop when the
-    # program layer is disabled — the A/B baseline)
+    # fused batched copy
     # ------------------------------------------------------------------
     def _mem_block_arrays(
         self, mem: MemDescriptor, d_lo: int, d_hi: int
@@ -233,56 +230,21 @@ class ListBasedEngine(IOEngine):
         keep = b > a
         return boffs[keep] + a[keep], (b - a)[keep]
 
-    def _mem_blocks(
-        self, mem: MemDescriptor, d_lo: int, d_hi: int
-    ) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(buffer_offset, length, data_offset)`` per contiguous
-        memory block overlapping data range ``[d_lo, d_hi)``.
-
-        The memtype ol-list is built fresh for the access — exactly as
-        ROMIO does — and traversed linearly from the start.
-        """
-        flat = flatten_datatype(mem.memtype)  # fresh list, per access
-        self.stats.list_tuples_built += len(flat)
-        ext = mem.memtype.extent
-        base = mem.origin
-        dpos = 0
-        for inst in range(mem.count):
-            ioff = base + inst * ext
-            for off, ln in zip(flat.offsets, flat.lengths):
-                if dpos + ln > d_lo and dpos < d_hi:
-                    a = max(d_lo - dpos, 0)
-                    b = min(d_hi - dpos, ln)
-                    yield (ioff + off + a, b - a, dpos + a)
-                dpos += ln
-                if dpos >= d_hi:
-                    return
-
     def pack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                  out: np.ndarray) -> None:
         if mem.is_contiguous:
             out[: d_hi - d_lo] = mem.contiguous_slice(d_lo, d_hi - d_lo)
             return
-        buf = mem.as_bytes
-        if blockprog.enabled():
-            boffs, lens = self._mem_block_arrays(mem, d_lo, d_hi)
-            gather_blocks(buf, boffs, lens, out, 0)
-            return
-        for boff, ln, doff in self._mem_blocks(mem, d_lo, d_hi):
-            out[doff - d_lo : doff - d_lo + ln] = buf[boff : boff + ln]
+        boffs, lens = self._mem_block_arrays(mem, d_lo, d_hi)
+        gather_blocks(mem.as_bytes, boffs, lens, out, 0)
 
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                    data: np.ndarray) -> None:
         if mem.is_contiguous:
             mem.contiguous_slice(d_lo, d_hi - d_lo)[...] = data[: d_hi - d_lo]
             return
-        buf = mem.as_bytes
-        if blockprog.enabled():
-            boffs, lens = self._mem_block_arrays(mem, d_lo, d_hi)
-            scatter_blocks(buf, boffs, lens, data, 0)
-            return
-        for boff, ln, doff in self._mem_blocks(mem, d_lo, d_hi):
-            buf[boff : boff + ln] = data[doff - d_lo : doff - d_lo + ln]
+        boffs, lens = self._mem_block_arrays(mem, d_lo, d_hi)
+        scatter_blocks(mem.as_bytes, boffs, lens, data, 0)
 
     # ------------------------------------------------------------------
     # View-side block walk (linear, with running state as in ROMIO)

@@ -167,12 +167,6 @@ class ListlessEngine(IOEngine):
     # ------------------------------------------------------------------
     # Memory-side pack/unpack — one gather/scatter kernel call
     # ------------------------------------------------------------------
-    def _use_programs(self) -> Optional[bool]:
-        """Per-file A/B toggle: ``ff_block_programs=false`` forces the
-        cold traversal path; the default defers to the process-wide
-        switch (:func:`repro.core.blockprog.enabled`)."""
-        return None if self.fh.hints.ff_block_programs else False
-
     def pack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                  out: np.ndarray) -> None:
         if mem.is_contiguous:
@@ -181,8 +175,7 @@ class ListlessEngine(IOEngine):
         self.stats.ff_kernel_calls += 1
         ff_pack(
             mem.buf, mem.count, mem.memtype, d_lo, out, d_hi - d_lo,
-            origin=mem.origin, use_programs=self._use_programs(),
-            owner=self.fh.shared.file_key,
+            origin=mem.origin, owner=self.fh.shared.file_key,
         )
 
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
@@ -193,19 +186,15 @@ class ListlessEngine(IOEngine):
         self.stats.ff_kernel_calls += 1
         ff_unpack(
             data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
-            origin=mem.origin, use_programs=self._use_programs(),
-            owner=self.fh.shared.file_key,
+            origin=mem.origin, owner=self.fh.shared.file_key,
         )
 
-    def note_mem_copy(self, mem: MemDescriptor) -> bool:
+    def note_mem_copy(self, mem: MemDescriptor) -> None:
         """Executor hook, once per MEM-piece copy (a sieved window moving
         straight between file buffer and user memory): counts the
-        memory-side kernel call as :meth:`pack_mem` would, and lets
-        memoized pair programs serve it unless ``ff_block_programs`` is
-        off."""
+        memory-side kernel call as :meth:`pack_mem` would."""
         if not mem.is_contiguous:
             self.stats.ff_kernel_calls += 1
-        return self.fh.hints.ff_block_programs
 
     # ------------------------------------------------------------------
     # Collective access: one cached round-based plan for both roles

@@ -17,10 +17,6 @@ datatype handling:
     enable data sieving for independent reads/writes; disabling falls
     back to one file access per contiguous block (the "multiple file
     accesses" alternative the paper's outlook discusses).
-``ff_block_programs``
-    use the compiled block-program cache (``repro.core.blockprog``) on
-    the listless engine's pack/unpack path (default on; see
-    ``docs/kernels.md``).
 ``obs_trace``
     turn on span tracing (``repro.obs.trace``) when the file is opened —
     a per-open convenience for the process-wide ``REPRO_TRACE`` /
@@ -80,10 +76,6 @@ class Hints:
     cb_nodes: Optional[int] = None  # None → all ranks
     ds_read: bool = True
     ds_write: bool = True
-    #: Use the compiled block-program cache on the listless engine's
-    #: pack/unpack path (A/B toggle; the process-wide REPRO_BLOCKPROG
-    #: environment switch overrides it globally).
-    ff_block_programs: bool = True
     #: Enable span tracing for the process when this file is opened
     #: (never disables: tracing already on stays on).
     obs_trace: bool = False
@@ -159,7 +151,6 @@ class Hints:
         "striping_unit": int,
         "ds_read": _to_bool,
         "ds_write": _to_bool,
-        "ff_block_programs": _to_bool,
         "obs_trace": _to_bool,
     }
 
@@ -203,9 +194,10 @@ class Hints:
         Included in plan-cache and replay-table keys so a ``set_info``
         hint change — which does *not* bump the planner's view epoch —
         can never replay a plan built under different planning inputs
-        (sieve toggles, buffer sizes, block-program use).  Presentation
-        hints (``obs_trace``) and creation-time hints (striping) are
-        deliberately excluded: they never affect what a plan contains.
+        (sieve toggles, buffer sizes, partitioning, shipping).
+        Presentation hints (``obs_trace``) and creation-time hints
+        (striping) are deliberately excluded: they never affect what a
+        plan contains.
         """
         return (
             self.ind_rd_buffer_size,
@@ -214,7 +206,6 @@ class Hints:
             self.cb_nodes,
             self.ds_read,
             self.ds_write,
-            self.ff_block_programs,
             self.cb_domain_align,
             self.cb_pipeline,
             self.ship_protocol,

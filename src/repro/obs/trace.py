@@ -81,7 +81,7 @@ _OFF_TOKENS = ("", "0", "false", "off", "no", "disable", "disabled")
 _ON_TOKENS = ("1", "true", "on", "yes", "all", "enable", "enabled")
 
 
-def _env_enabled():
+def _env_trace_setting():
     """Parse ``REPRO_TRACE``: a boolean token, or a comma list of
     categories (``exec,fs``) yielding a frozenset filter."""
     v = os.environ.get("REPRO_TRACE", "0").strip().lower()
@@ -100,7 +100,7 @@ def _env_enabled():
 #: before the first ``.`` is in the set).  Any truthy value keeps the
 #: hot-path ``if trace.TRACE_ON`` guards live; the category filter is
 #: applied where the span is recorded.
-TRACE_ON = _env_enabled()
+TRACE_ON = _env_trace_setting()
 
 
 def enabled() -> bool:

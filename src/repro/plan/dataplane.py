@@ -2,26 +2,23 @@
 
 Every place a plan moves bytes between a file/staging buffer and a
 block-described region — sieved gathers, round-staging pack of the
-two-phase exchange, read-modify-write overlays, direct per-block file
-I/O — used to dispatch its own copy code inline in the executor, with
-the conventional engine's :class:`~repro.plan.ops.TupleBlocks` copied
-one Python tuple at a time.  This facade centralizes those copies and
-fuses them into single NumPy batched kernels:
+two-phase exchange, read-modify-write overlays — copies through this
+facade, which fuses each copy into a single NumPy batched kernel:
 
 :class:`~repro.plan.ops.Blocks`
     executed through the compiled :class:`~repro.core.blockprog.
     BlockProgram` of the block list (compiled once, memoized on the
-    ``Blocks`` object, translated per call by a scalar base) — or, with
-    the program layer disabled, through the one-shot vectorized
-    gather/scatter kernels;
+    ``Blocks`` object, translated per call by a scalar base);
 :class:`~repro.plan.ops.TupleBlocks`
     the tuple list is lowered once to ``(offsets, lengths)`` index
     arrays (memoized on the ``TupleBlocks`` object) and executed through
     the same batched kernels.  Building and shipping the tuples — the
     §2 costs the conventional engine models — still happens per access
-    in the engine; only the byte movement is batched.  With the program
-    layer disabled the per-tuple interpreted loop is preserved, so A/B
-    runs compare fused against interpreted copies end to end.
+    in the engine; only the byte movement is batched.
+
+There is no switch selecting an interpreted fallback: the A/B baseline
+is the list-based engine plus the benchmarks' cold calls of
+``loop.blocks_range`` with one-shot kernels.
 
 A :data:`~repro.plan.ops.MEM` piece (a sieved independent window) has
 no staging buffer at all: its bytes move straight between the file
@@ -77,8 +74,8 @@ def block_arrays(blocks) -> Tuple[np.ndarray, np.ndarray]:
     return tuple_arrays(blocks)
 
 
-def pair_program(blocks: Blocks, mem: MemDescriptor, rel: int,
-                 enabled: bool) -> blockprog.BlockProgram:
+def pair_program(blocks: Blocks, mem: MemDescriptor,
+                 rel: int) -> blockprog.BlockProgram:
     """The two-sided program of a :data:`~repro.plan.ops.MEM` piece.
 
     Pairs ``blocks`` (absolute file offsets) with the memory blocks of
@@ -94,13 +91,11 @@ def pair_program(blocks: Blocks, mem: MemDescriptor, rel: int,
     choice again; hits and misses count in the block-program stats
     (runs do not count as translations: the memory side is not
     relocated by periodicity).  A byte index stays within the programs'
-    ``_IDX_CAP``.  ``enabled`` false (the block-program layer or the
-    file's ``ff_block_programs`` hint off) compiles a fresh program per
-    call and keeps nothing.
+    ``_IDX_CAP``.
     """
     key = (mem.memtype, mem.count, rel)
     memo = blocks.pairs
-    if enabled and memo is not None:
+    if memo is not None:
         prog = memo.get(key)
         if prog is not None:
             memo.move_to_end(key)
@@ -116,14 +111,13 @@ def pair_program(blocks: Blocks, mem: MemDescriptor, rel: int,
     foffs, moffs, lens = pair_blocks(blocks.offsets, blocks.lengths,
                                      moffs, mlens)
     prog = blockprog.BlockProgram(foffs, lens, other=moffs)
-    if enabled:
-        blockprog.active_stats().misses += 1
-        if memo is None:
-            memo = OrderedDict()
-            object.__setattr__(blocks, "pairs", memo)
-        memo[key] = prog
-        while len(memo) > _MAX_PAIRS:
-            memo.popitem(last=False)
+    blockprog.active_stats().misses += 1
+    if memo is None:
+        memo = OrderedDict()
+        object.__setattr__(blocks, "pairs", memo)
+    memo[key] = prog
+    while len(memo) > _MAX_PAIRS:
+        memo.popitem(last=False)
     return prog
 
 
@@ -131,62 +125,36 @@ class DataPlane:
     """Batched gather/scatter between window buffers and block specs.
 
     Stateless; offsets inside the block specs are absolute file offsets
-    and ``wlo`` is the window origin they are rebased against.  The
-    ``enabled`` flag (normally :func:`repro.core.blockprog.enabled`)
-    selects the fused paths; disabled, the historical per-call paths
-    run (fresh kernel dispatch for ``Blocks``, interpreted per-tuple
-    loop for ``TupleBlocks``) for A/B comparison.
+    and ``wlo`` is the window origin they are rebased against.
     """
 
     @staticmethod
-    def gather(fb: np.ndarray, wlo: int, blocks, out, pos: int,
-               enabled: bool) -> int:
+    def gather(fb: np.ndarray, wlo: int, blocks, out, pos: int) -> int:
         """Copy ``blocks`` of window buffer ``fb`` into ``out`` at
         ``pos``; returns bytes copied.  ``out`` is a staging array, or
         the access's :class:`~repro.io.fileview.MemDescriptor` — then
         ``pos`` is the blocks' first data byte relative to the access,
         and one pair-program call copies into user memory."""
         if isinstance(out, MemDescriptor):
-            kernel = pair_program(blocks, out, pos, enabled).kernel
+            kernel = pair_program(blocks, out, pos).kernel
             return kernel.gather(fb, -wlo, out.as_bytes, out.origin)
         if isinstance(blocks, Blocks):
-            if enabled:
-                prog = blockprog.program_for_blocks(blocks)
-                return prog.gather(fb, -wlo, out, pos)
-            return gather_blocks(fb, blocks.offsets - wlo,
-                                 blocks.lengths, out, pos)
-        if enabled:
-            offs, lens = tuple_arrays(blocks)
-            return gather_blocks(fb, offs - wlo, lens, out, pos)
-        copied = 0
-        for o, ln in blocks.pairs:
-            out[pos : pos + ln] = fb[o - wlo : o - wlo + ln]
-            pos += ln
-            copied += ln
-        return copied
+            prog = blockprog.program_for_blocks(blocks)
+            return prog.gather(fb, -wlo, out, pos)
+        offs, lens = tuple_arrays(blocks)
+        return gather_blocks(fb, offs - wlo, lens, out, pos)
 
     @staticmethod
-    def scatter(fb: np.ndarray, wlo: int, blocks, src, pos: int,
-                enabled: bool) -> int:
+    def scatter(fb: np.ndarray, wlo: int, blocks, src, pos: int) -> int:
         """Copy contiguous ``src`` bytes from ``pos`` into ``blocks`` of
         window buffer ``fb``; returns bytes copied.  ``src`` may be a
         :class:`~repro.io.fileview.MemDescriptor`, as for
         :meth:`gather`."""
         if isinstance(src, MemDescriptor):
-            kernel = pair_program(blocks, src, pos, enabled).kernel
+            kernel = pair_program(blocks, src, pos).kernel
             return kernel.scatter(fb, -wlo, src.as_bytes, src.origin)
         if isinstance(blocks, Blocks):
-            if enabled:
-                prog = blockprog.program_for_blocks(blocks)
-                return prog.scatter(fb, -wlo, src, pos)
-            return scatter_blocks(fb, blocks.offsets - wlo,
-                                  blocks.lengths, src, pos)
-        if enabled:
-            offs, lens = tuple_arrays(blocks)
-            return scatter_blocks(fb, offs - wlo, lens, src, pos)
-        copied = 0
-        for o, ln in blocks.pairs:
-            fb[o - wlo : o - wlo + ln] = src[pos : pos + ln]
-            pos += ln
-            copied += ln
-        return copied
+            prog = blockprog.program_for_blocks(blocks)
+            return prog.scatter(fb, -wlo, src, pos)
+        offs, lens = tuple_arrays(blocks)
+        return scatter_blocks(fb, offs - wlo, lens, src, pos)

@@ -91,9 +91,8 @@ class MemCodec(Protocol):
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                    data: np.ndarray) -> None: ...
 
-    # Optional: ``note_mem_copy(mem) -> bool`` is called once per
-    # MEM-piece copy; it may count the memory-side kernel call and says
-    # whether memoized pair programs may serve it (default: yes).
+    # Optional: ``note_mem_copy(mem)`` is called once per MEM-piece
+    # copy, to count the memory-side kernel call.
 
 
 class KernelCodec:
@@ -462,14 +461,13 @@ class PlanExecutor:
         return self._worker
 
     @staticmethod
-    def _prepare_blocks(blocks, progs: bool) -> None:
+    def _prepare_blocks(blocks) -> None:
         """Force the block spec's memoized artifacts into existence on
         the main thread, so the worker only ever reads them."""
-        if progs:
-            if isinstance(blocks, Blocks):
-                blockprog.program_for_blocks(blocks)
-            elif isinstance(blocks, TupleBlocks):
-                tuple_arrays(blocks)
+        if isinstance(blocks, Blocks):
+            blockprog.program_for_blocks(blocks)
+        elif isinstance(blocks, TupleBlocks):
+            tuple_arrays(blocks)
 
     def _submit_file_read(self, plan, op: FileReadOp, cur_round,
                           bufs) -> None:
@@ -477,11 +475,10 @@ class PlanExecutor:
         pread = self._pread_into
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
-        progs = blockprog.enabled()
         publishes = []
         targets = []
         for piece in op.pieces:
-            self._prepare_blocks(piece.blocks, progs)
+            self._prepare_blocks(piece.blocks)
             buf = _Buf(piece.d_lo, piece.d_hi,
                        np.empty(piece.d_hi - piece.d_lo, dtype=np.uint8))
             publishes.append((piece.slot, buf))
@@ -505,7 +502,7 @@ class PlanExecutor:
                 return
             for piece, buf in targets:
                 DataPlane.gather(fb, lo, piece.blocks, buf.arr,
-                                 piece.d_lo - buf.d_lo, progs)
+                                 piece.d_lo - buf.d_lo)
 
         rnd = op.round
         if rnd < 0:
@@ -525,10 +522,9 @@ class PlanExecutor:
         pwrite = self._pwrite
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
-        progs = blockprog.enabled()
         views = []
         for piece in op.pieces:
-            self._prepare_blocks(piece.blocks, progs)
+            self._prepare_blocks(piece.blocks)
             arr, base, _zc = self._payload_view(bufs, piece)
             views.append((piece, arr, base))
 
@@ -536,7 +532,7 @@ class PlanExecutor:
             fb = np.empty(hi - lo, dtype=np.uint8)
             for piece, arr, base in views:
                 DataPlane.scatter(fb, lo, piece.blocks, arr,
-                                  piece.d_lo - base, progs)
+                                  piece.d_lo - base)
             pwrite(lo + fdelta, fb)
 
         worker.submit(FileJob(
@@ -729,7 +725,6 @@ class PlanExecutor:
             self._read_piece_direct(plan, op, op.pieces[0], mem, bufs)
             return
         fb = read_window(self, op.lo, op.hi)
-        progs = blockprog.enabled()
         for piece in op.pieces:
             if piece.slot == MEM:
                 self._mem_copy(plan, fb, op.lo, piece, mem, False)
@@ -739,9 +734,7 @@ class PlanExecutor:
             )
             pos = piece.d_lo - buf.d_lo
             if piece.blocks is not None:
-                DataPlane.gather(
-                    fb, op.lo, piece.blocks, buf.arr, pos, progs
-                )
+                DataPlane.gather(fb, op.lo, piece.blocks, buf.arr, pos)
             else:
                 self.codec.stream_gather_window(
                     fb, op.lo, op.hi, buf.arr, buf.d_lo, buf.d_hi
@@ -782,16 +775,16 @@ class PlanExecutor:
             raise IOEngineError("memory piece in a plan run without memory")
         now = time.perf_counter
         t0 = now()
-        note = self._note_mem
-        progs = blockprog.enabled() and (note is None or note(mem))
+        if self._note_mem is not None:
+            self._note_mem(mem)
         rel = piece.d_lo - plan.d0
         phases = self.phases
         if write:
-            n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel, progs)
+            n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel)
             el = now() - t0
             phases.pack += el
         else:
-            n = DataPlane.gather(fb, wlo, piece.blocks, mem, rel, progs)
+            n = DataPlane.gather(fb, wlo, piece.blocks, mem, rel)
             el = now() - t0
             phases.unpack += el
         phases.file_io -= el
@@ -817,7 +810,7 @@ class PlanExecutor:
             pos = piece.d_lo - base
             if piece.blocks is not None:
                 scattered += DataPlane.scatter(
-                    fb, op.lo, piece.blocks, arr, pos, blockprog.enabled()
+                    fb, op.lo, piece.blocks, arr, pos
                 )
             else:
                 scattered += self.codec.stream_scatter_window(

@@ -24,9 +24,7 @@ characteristic copy machinery:
     the vectorized gather/scatter kernels (the listless engine);
 :class:`TupleBlocks`
     explicit Python tuple lists (the conventional list-based engine) —
-    lowered once to index arrays and batch-copied by the data plane, or
-    copied one tuple at a time in an interpreted loop when the program
-    layer is disabled;
+    lowered once to index arrays and batch-copied by the data plane;
 ``blocks=None``
     deferred — the executor streams blocks through the emitting
     engine's own view walk at execution time (list-based independent
@@ -115,9 +113,8 @@ class TupleBlocks:
 
     The data plane lowers the tuples once to ``(offsets, lengths)``
     index arrays — memoized in ``arrs`` — and moves the bytes in one
-    batched copy; with the program layer disabled it falls back to the
-    historical interpreted per-tuple loop.  ``arrs`` is a cache like
-    ``Blocks.prog`` — excluded from comparison.
+    batched copy.  ``arrs`` is a cache like ``Blocks.prog`` — excluded
+    from comparison.
     """
 
     pairs: Tuple[Tuple[int, int], ...]

@@ -188,19 +188,14 @@ class Planner:
         A replay hit skips planner entry entirely (no window clipping,
         no navigation, no rewrite pass) and hands the executor the
         cached pre-bound plan plus the scalar translation to apply at
-        the file boundary.  Gated on the same switches as the compiled
-        kernels (``ff_block_programs`` hint, process-wide layer toggle)
-        so A/B comparisons disable the whole batched data plane at once.
+        the file boundary.
         """
         t0 = time.perf_counter()
         try:
             key = None
             q = 0
-            fh = self.engine.fh
-            view = fh.view
-            if (self.cacheable and nbytes > 0 and view.ft_size > 0
-                    and fh.hints.ff_block_programs
-                    and blockprog.enabled()):
+            view = self.engine.fh.view
+            if self.cacheable and nbytes > 0 and view.ft_size > 0:
                 q, r = divmod(d0, view.ft_size)
                 key = (self.epoch, "rind", write, r, nbytes,
                        self._fingerprint())

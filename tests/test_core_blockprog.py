@@ -32,13 +32,11 @@ from tests.conftest import datatype_trees, fill_pattern
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    """Each test sees an empty cache, zeroed counters, layer enabled."""
-    prev = blockprog.set_enabled(True)
+    """Each test sees an empty cache and zeroed counters."""
     blockprog.clear()
     BLOCKPROG_STATS.reset()
     KERNEL_PATHS.reset()
     yield
-    blockprog.set_enabled(prev)
     blockprog.clear()
 
 
@@ -93,30 +91,9 @@ class TestTranslation:
 
 
 # ----------------------------------------------------------------------
-# Cache behavior: toggles, bypasses, invalidation, LRU bound
+# Cache behavior: bypasses, invalidation, LRU bound
 # ----------------------------------------------------------------------
 class TestCache:
-    def test_disabled_returns_none(self):
-        loop = top_dataloop(periodic_type(), 8)
-        blockprog.set_enabled(False)
-        assert program_for(loop, 0, 10) is None
-        assert BLOCKPROG_STATS.misses == 0 and BLOCKPROG_STATS.hits == 0
-
-    def test_per_call_override_beats_global(self):
-        loop = top_dataloop(periodic_type(), 8)
-        assert program_for(loop, 0, 10, use_programs=False) is None
-        blockprog.set_enabled(False)
-        assert program_for(loop, 0, 10, use_programs=True) is not None
-
-    @pytest.mark.parametrize(
-        "value,expect",
-        [("0", False), ("false", False), ("off", False), ("", True),
-         ("1", True), ("yes", True)],
-    )
-    def test_env_parsing(self, monkeypatch, value, expect):
-        monkeypatch.setenv("REPRO_BLOCKPROG", value)
-        assert blockprog._env_enabled() is expect
-
     def test_contiguous_loop_bypassed(self):
         loop = top_dataloop(dt.contiguous(64, dt.BYTE), 4)
         assert program_for(loop, 8, 40) is None
@@ -135,7 +112,7 @@ class TestCache:
         loop = top_dataloop(t, 512)
         for n in range(1, _MAX_PROGRAMS_PER_LOOP + 20):
             program_for(loop, 0, n)
-        progs = blockprog._cache.get(loop)
+        progs = blockprog.active_cache()._cache.get(loop)
         assert len(progs) == _MAX_PROGRAMS_PER_LOOP
         # Oldest shapes were evicted: re-querying them misses again.
         BLOCKPROG_STATS.reset()
@@ -257,7 +234,7 @@ class TestCache:
     def test_planner_invalidate_clears_programs(self):
         loop = top_dataloop(periodic_type(), 8)
         program_for(loop, 0, 10)
-        assert len(blockprog._cache.get(loop)) == 1
+        assert len(blockprog.active_cache()._cache.get(loop)) == 1
 
         class _Stub:  # minimal planner host
             pass
@@ -267,7 +244,7 @@ class TestCache:
 
         planner = Planner(_Stub(), cacheable=True, stats=PlanStats())
         planner.invalidate()
-        assert blockprog._cache.get(loop) is None
+        assert blockprog.active_cache()._cache.get(loop) is None
 
 
 # ----------------------------------------------------------------------
@@ -342,17 +319,33 @@ class TestFFIntegration:
         t = periodic_type()
         src = fill_pattern(8 * t.extent + 8)
         out = np.zeros(16, dtype=np.uint8)
-        monkeypatch.setattr(ffmod, "gather_blocks", lambda *a, **k: -1)
+        dst = np.zeros(src.size, dtype=np.uint8)
+        short = lambda *a, **k: -1  # noqa: E731
+
+        # Program branch: the periodic type compiles to a program.
+        with monkeypatch.context() as m:
+            m.setattr(BlockProgram, "gather", short)
+            m.setattr(BlockProgram, "scatter", short)
+            with pytest.raises(FFError, match="traversal corruption"):
+                ff_pack(src, 8, t, 0, out, 16)
+            with pytest.raises(FFError, match="traversal corruption"):
+                ff_unpack(out, 16, dst, 8, t, 0)
+        assert BLOCKPROG_STATS.bypasses == 0
+
+        # Contiguous-bypass branch: the one-shot kernels run.
+        c = dt.contiguous(16, dt.BYTE)
+        monkeypatch.setattr(ffmod, "gather_blocks", short)
+        monkeypatch.setattr(ffmod, "scatter_blocks", short)
         with pytest.raises(FFError, match="traversal corruption"):
-            ff_pack(src, 8, t, 0, out, 16, use_programs=False)
-        monkeypatch.setattr(ffmod, "scatter_blocks", lambda *a, **k: -1)
+            ff_pack(src, 8, c, 0, out, 16)
         with pytest.raises(FFError, match="traversal corruption"):
-            ff_unpack(out, 16, np.zeros(src.size, np.uint8), 8, t, 0,
-                      use_programs=False)
+            ff_unpack(out, 16, dst, 8, c, 0)
+        assert BLOCKPROG_STATS.bypasses == 2
 
     # ------------------------------------------------------------------
-    # Satellite 3: property tests — skipbytes mid-block at period
-    # boundaries, hit path vs cold path, byte-identical.
+    # Property tests — skipbytes mid-block at period boundaries, miss
+    # and hit paths vs the cold reference (``blocks_range`` + one-shot
+    # kernel), byte-identical.
     # ------------------------------------------------------------------
     @settings(max_examples=50, deadline=None)
     @given(
@@ -377,16 +370,14 @@ class TestFFIntegration:
         src = fill_pattern(span, seed=7)
         n = min(size, count * tree.size - skip)
 
+        offs, lens = top_dataloop(tree, count).blocks_range(skip, skip + n)
         cold = np.zeros(n, dtype=np.uint8)
-        got = ff_pack(src, count, tree, skip, cold, n,
-                      use_programs=False)
+        assert gather_blocks(src, offs, lens, cold, 0) == n
         blockprog.clear()
         miss = np.zeros(n, dtype=np.uint8)
-        assert ff_pack(src, count, tree, skip, miss, n,
-                       use_programs=True) == got
+        assert ff_pack(src, count, tree, skip, miss, n) == n
         hit = np.zeros(n, dtype=np.uint8)
-        assert ff_pack(src, count, tree, skip, hit, n,
-                       use_programs=True) == got
+        assert ff_pack(src, count, tree, skip, hit, n) == n
         assert (miss == cold).all()
         assert (hit == cold).all()
 
@@ -410,15 +401,13 @@ class TestFFIntegration:
         n = min(size, count * tree.size - skip)
         data = fill_pattern(n, seed=9)
 
+        offs, lens = top_dataloop(tree, count).blocks_range(skip, skip + n)
         cold = np.zeros(span, dtype=np.uint8)
-        got = ff_unpack(data, n, cold, count, tree, skip,
-                        use_programs=False)
+        assert scatter_blocks(cold, offs, lens, data, 0) == n
         blockprog.clear()
         miss = np.zeros(span, dtype=np.uint8)
-        assert ff_unpack(data, n, miss, count, tree, skip,
-                         use_programs=True) == got
+        assert ff_unpack(data, n, miss, count, tree, skip) == n
         hit = np.zeros(span, dtype=np.uint8)
-        assert ff_unpack(data, n, hit, count, tree, skip,
-                         use_programs=True) == got
+        assert ff_unpack(data, n, hit, count, tree, skip) == n
         assert (miss == cold).all()
         assert (hit == cold).all()

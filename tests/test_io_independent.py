@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import datatypes as dt
-from repro.core import blockprog
 from repro.bench.noncontig import (
     build_noncontig_filetype,
     build_noncontig_memtype,
@@ -310,7 +309,7 @@ def test_sieved_windows_against_typemap_oracle(backend, engine, view, mem,
         fh.close()
 
     run_spmd(1, worker)
-    if engine == "listless" and blockprog.enabled():
+    if engine == "listless":
         assert box["plan"]["plan_replays"] >= 2
     fidxs = [_file_index(ft, disp, off, nbytes) for off in offsets]
     end = max(base.size, max(int(f.max()) + 1 for f in fidxs))

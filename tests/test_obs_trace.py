@@ -120,12 +120,12 @@ class TestRecording:
             assert "listless.write_collective" in names
 
     def test_env_parsing(self, monkeypatch):
-        from repro.obs.trace import _env_enabled
+        from repro.obs.trace import _env_trace_setting
 
         for v, want in (("1", True), ("0", False), ("false", False),
                         ("off", False), ("yes", True), ("", False)):
             monkeypatch.setenv("REPRO_TRACE", v)
-            assert _env_enabled() is want, v
+            assert _env_trace_setting() is want, v
 
 
 class TestObsTraceHint:
@@ -231,10 +231,10 @@ class TestCategories:
         assert trace.TRACE_ON == frozenset({"aggregation", "exec"})
 
     def test_env_comma_list(self, monkeypatch):
-        from repro.obs.trace import _env_enabled
+        from repro.obs.trace import _env_trace_setting
 
         monkeypatch.setenv("REPRO_TRACE", "exec, fs")
-        assert _env_enabled() == frozenset({"exec", "fs"})
+        assert _env_trace_setting() == frozenset({"exec", "fs"})
 
     def test_hot_kernel_stays_dark_when_ff_filtered(self):
         """The ff_pack hot guard is tri-state aware: with category

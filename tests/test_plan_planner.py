@@ -337,28 +337,6 @@ class TestHintFingerprint:
         assert before > 0
         assert after == before  # the direct write took no locks
 
-    def test_set_info_blockprog_toggle_stops_replay(self):
-        fs = SimFileSystem()
-        box = {}
-
-        def worker(comm):
-            fh = open_one(fs, "listless")(comm)
-            fh.set_view(0, dt.BYTE, fine_vector())
-            A = FINE["blockcount"]
-            buf = np.zeros(A, dtype=np.uint8)
-            for k in range(3):
-                fh.write_at(k * A, buf)
-            box["mid"] = self.snap(fh)
-            fh.set_info({"ff_block_programs": "false"})
-            for k in range(3):
-                fh.write_at(k * A, buf)
-            box["after"] = self.snap(fh)
-            fh.close()
-
-        run_spmd(1, worker)
-        assert box["mid"]["plan_replays"] >= 2
-        assert box["after"]["plan_replays"] == box["mid"]["plan_replays"]
-
 
 class TestSievedPlanShape:
     """Sieved independent plans copy straight between user memory and

@@ -31,12 +31,10 @@ from repro.session import IOSession, current
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    prev = blockprog.set_enabled(True)
     blockprog.clear()
     BLOCKPROG_STATS.reset()
     KERNEL_PATHS.reset()
     yield
-    blockprog.set_enabled(prev)
     blockprog.clear()
 
 
@@ -96,7 +94,7 @@ class TestCounterIsolation:
         assert b.prog_stats.misses == 1 and b.prog_stats.hits == 0
         # The process-default cache and counters never moved.
         assert BLOCKPROG_STATS.misses == 0
-        assert blockprog._cache.get(loop) is None
+        assert blockprog.active_cache()._cache.get(loop) is None
 
     def test_session_snapshot_global_reads_session(self):
         loop = top_dataloop(_ragged(), 64)
