@@ -12,8 +12,6 @@ the paper) and the datatype-navigation machinery of listless I/O:
   stand-in for the SX vector gather/scatter hardware).
 * :mod:`repro.core.navigation` — ``ff_size`` / ``ff_extent``: size↔extent
   conversion at arbitrary offsets, O(depth · log k) per call.
-* :mod:`repro.core.segments` — bounded-segment iteration used when the
-  pack buffer cannot hold the whole access.
 * :mod:`repro.core.fileview_cache` — the compact fileview representation
   exchanged once per ``set_view`` (paper §3.2.3, "fileview caching").
 * :mod:`repro.core.mergeview` — the merged view of all processes'
@@ -39,7 +37,6 @@ from repro.core.navigation import (
     ext_of_size,
     size_of_ext,
 )
-from repro.core.segments import iter_segments
 from repro.core.fileview_cache import FileviewCache, CompactFileview
 from repro.core.mergeview import build_mergeview, Mergeview
 
@@ -57,7 +54,6 @@ __all__ = [
     "ff_size",
     "ext_of_size",
     "size_of_ext",
-    "iter_segments",
     "FileviewCache",
     "CompactFileview",
     "build_mergeview",

@@ -22,13 +22,7 @@ from repro.flatten.flattener import (
     flatten_count,
     flatten_datatype,
 )
-from repro.flatten.list_ops import (
-    expand_range,
-    merge_lists,
-    coalesce,
-    total_length,
-    is_single_block,
-)
+from repro.flatten.list_ops import expand_range, merge_lists
 
 __all__ = [
     "OLList",
@@ -37,7 +31,4 @@ __all__ = [
     "flatten_count",
     "expand_range",
     "merge_lists",
-    "coalesce",
-    "total_length",
-    "is_single_block",
 ]

@@ -10,48 +10,17 @@ These reproduce the per-access list manipulations of the conventional
 * :func:`merge_lists` — ROMIO's collective-write optimization: merge the
   per-process lists for a file range to detect whether the combined access
   is contiguous.  Cost O(Σ_p Nblock(p)) (paper §2.3, last paragraph).
-* :func:`coalesce`, :func:`total_length`, :func:`is_single_block` —
-  helpers shared with tests.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.flatten.ol_list import OLList
+from repro.intervals import union
 
-__all__ = [
-    "expand_range",
-    "merge_lists",
-    "coalesce",
-    "total_length",
-    "is_single_block",
-]
-
-
-def coalesce(pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Union of offset-sorted, possibly touching/overlapping intervals."""
-    out: List[Tuple[int, int]] = []
-    for off, ln in pairs:
-        if ln <= 0:
-            continue
-        if out and off <= out[-1][0] + out[-1][1]:
-            end = max(out[-1][0] + out[-1][1], off + ln)
-            out[-1] = (out[-1][0], end - out[-1][0])
-        else:
-            out.append((off, ln))
-    return out
-
-
-def total_length(pairs: Iterable[Tuple[int, int]]) -> int:
-    """Sum of lengths of the given blocks."""
-    return sum(ln for _, ln in pairs)
-
-
-def is_single_block(pairs: Sequence[Tuple[int, int]]) -> bool:
-    """True if the (coalesced) blocks form exactly one contiguous run."""
-    return len(pairs) == 1
+__all__ = ["expand_range", "merge_lists"]
 
 
 def expand_range(
@@ -122,4 +91,4 @@ def merge_lists(lists: Sequence[OLList]) -> List[Tuple[int, int]]:
     """
     streams = (iter(lst) for lst in lists)
     merged = heapq.merge(*streams, key=lambda p: p[0])
-    return coalesce(merged)
+    return union(merged)

@@ -34,19 +34,17 @@ Public surface:
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.locks import FcntlRangeLockManager, RangeLockManager
 from repro.fs.simfile import SimFile
-from repro.fs.striping import StripingConfig
-from repro.fs.filesystem import OsFileSystem, SimFileSystem
-from repro.fs.posix import OsFile, PosixFile
-from repro.fs.sharded import (
-    ShardedFile,
-    ShardedFileSystem,
+from repro.fs.striping import (
+    StripingConfig,
     global_size,
     local_size,
     split_blocks,
-    split_extent,
     to_global,
     to_local,
 )
+from repro.fs.filesystem import OsFileSystem, SimFileSystem
+from repro.fs.posix import OsFile, PosixFile
+from repro.fs.sharded import ShardedFile, ShardedFileSystem
 
 __all__ = [
     "DeviceModel",
@@ -64,7 +62,6 @@ __all__ = [
     "global_size",
     "local_size",
     "split_blocks",
-    "split_extent",
     "to_global",
     "to_local",
 ]

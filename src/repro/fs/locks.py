@@ -27,6 +27,7 @@ import threading
 from typing import Dict, List, Tuple
 
 from repro.errors import LockError
+from repro.intervals import overlaps, subtract
 
 __all__ = ["FcntlRangeLockManager", "RangeLockManager"]
 
@@ -39,16 +40,12 @@ class RangeLockManager:
         # owner (thread ident) -> list of held (lo, hi) ranges
         self._held: Dict[int, List[Tuple[int, int]]] = {}
 
-    @staticmethod
-    def _overlaps(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-        return a[0] < b[1] and b[0] < a[1]
-
-    def _conflicts(self, me: int, rng: Tuple[int, int]) -> bool:
+    def _conflicts(self, me: int, lo: int, hi: int) -> bool:
         for owner, ranges in self._held.items():
             if owner == me:
                 continue
-            for r in ranges:
-                if self._overlaps(r, rng):
+            for rlo, rhi in ranges:
+                if overlaps(rlo, rhi, lo, hi):
                     return True
         return False
 
@@ -57,11 +54,10 @@ class RangeLockManager:
         if hi <= lo:
             raise LockError(f"empty lock range [{lo}, {hi})")
         me = threading.get_ident()
-        rng = (lo, hi)
         with self._cond:
-            while self._conflicts(me, rng):
+            while self._conflicts(me, lo, hi):
                 self._cond.wait()
-            self._held.setdefault(me, []).append(rng)
+            self._held.setdefault(me, []).append((lo, hi))
 
     def unlock(self, lo: int, hi: int) -> None:
         """Release a previously acquired lock on exactly ``[lo, hi)``."""
@@ -83,23 +79,6 @@ class RangeLockManager:
         me = threading.get_ident()
         with self._cond:
             return list(self._held.get(me, []))
-
-
-def _subtract_ranges(
-    ranges: List[Tuple[int, int]], cut: Tuple[int, int]
-) -> List[Tuple[int, int]]:
-    """Remove ``cut`` from every range in ``ranges`` (interval algebra)."""
-    clo, chi = cut
-    out: List[Tuple[int, int]] = []
-    for lo, hi in ranges:
-        if chi <= lo or hi <= clo:  # no overlap
-            out.append((lo, hi))
-            continue
-        if lo < clo:
-            out.append((lo, clo))
-        if chi < hi:
-            out.append((chi, hi))
-    return out
 
 
 class FcntlRangeLockManager:
@@ -153,16 +132,15 @@ class FcntlRangeLockManager:
                 raise LockError(
                     f"process does not hold lock [{lo}, {hi})"
                 ) from None
-            residual = [(lo, hi)]
-            for r in self._held:
-                residual = _subtract_ranges(residual, r)
-        for rlo, rhi in residual:
+            residual = [(lo, hi - lo)]
+            for rlo, rhi in self._held:
+                residual = subtract(residual, rlo, rhi)
+        for off, ln in residual:
             try:
-                fcntl.lockf(self._fd, fcntl.LOCK_UN, rhi - rlo, rlo,
-                            os.SEEK_SET)
+                fcntl.lockf(self._fd, fcntl.LOCK_UN, ln, off, os.SEEK_SET)
             except OSError as exc:  # pragma: no cover - closed fd etc.
                 raise LockError(
-                    f"fcntl unlock of [{rlo}, {rhi}) failed: {exc}"
+                    f"fcntl unlock of [{off}, {off + ln}) failed: {exc}"
                 ) from exc
 
     def held_by_me(self) -> List[Tuple[int, int]]:

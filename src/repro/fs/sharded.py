@@ -23,7 +23,7 @@ offers the two noncontiguous *request shipping* protocols of
 * **datatype-I/O** — the client ships the compact fileview descriptor
   once per (shard, view) and then only ``(view id, data range, file
   delta)`` per access; the *server* flattens on the fly with the same
-  :func:`split_blocks` kernel and the shared
+  :func:`~repro.fs.striping.split_blocks` kernel and the shared
   :class:`~repro.core.fileview_cache.CompactFileview` navigation.
 
 Locking is layered per shard: a thread-level
@@ -66,19 +66,19 @@ from repro.fs.filesystem import OsFileSystem, SimFileSystem
 from repro.fs.locks import RangeLockManager
 from repro.fs.simfile import as_extents
 from repro.fs.stats import DeviceModel, FileStats
-from repro.fs.striping import StripingConfig
+from repro.fs.striping import (
+    StripingConfig,
+    global_size,
+    local_size,
+    split_blocks,
+)
+from repro.intervals import union
 from repro.obs import flight
 
 __all__ = [
     "SHIP_SHM_THRESHOLD",
     "ShardedFile",
     "ShardedFileSystem",
-    "global_size",
-    "local_size",
-    "split_blocks",
-    "split_extent",
-    "to_global",
-    "to_local",
 ]
 
 #: Payloads at or above this many bytes travel through a POSIX shm
@@ -95,112 +95,6 @@ WIRE_DT_PARAM_BYTES = 48    # (view id, d_lo, d_hi, file delta)
 
 _BEACON = struct.Struct("<q")
 _SEQ = itertools.count(1)
-
-
-# ----------------------------------------------------------------------
-# Round-robin shard geometry (pure functions; property-tested).
-# ----------------------------------------------------------------------
-
-def to_local(offset: int, stripe_size: int, ndisks: int) -> Tuple[int, int]:
-    """Map a global byte ``offset`` to ``(shard, local_offset)``."""
-    s = offset // stripe_size
-    return s % ndisks, (s // ndisks) * stripe_size + (offset - s * stripe_size)
-
-
-def to_global(shard: int, local: int, stripe_size: int, ndisks: int) -> int:
-    """Inverse of :func:`to_local`."""
-    row = local // stripe_size
-    return (row * ndisks + shard) * stripe_size + (local - row * stripe_size)
-
-
-def local_size(shard: int, gsize: int, stripe_size: int, ndisks: int) -> int:
-    """Bytes shard ``shard`` holds of a file of global size ``gsize``."""
-    if gsize <= 0:
-        return 0
-    full, rem = divmod(gsize, stripe_size)
-    q, r = divmod(full, ndisks)
-    n = (q + (1 if shard < r else 0)) * stripe_size
-    if rem and shard == full % ndisks:
-        n += rem
-    return n
-
-
-def global_size(sizes, stripe_size: int, ndisks: int) -> int:
-    """Global file size implied by per-shard local sizes (the inverse of
-    :func:`local_size` over the shard that holds the last byte)."""
-    g = 0
-    for k, loc in enumerate(sizes):
-        if loc <= 0:
-            continue
-        row, w = divmod(loc - 1, stripe_size)
-        g = max(g, (row * ndisks + k) * stripe_size + w + 1)
-    return g
-
-
-def split_extent(offset: int, nbytes: int, stripe_size: int, ndisks: int):
-    """Split a contiguous ``[offset, offset + nbytes)`` at stripe
-    boundaries: a list of ``(shard, local_off, length, data_off)`` in
-    ascending file order (``data_off`` indexes the access buffer)."""
-    out = []
-    pos, end = offset, offset + nbytes
-    while pos < end:
-        s = pos // stripe_size
-        ln = min(end, (s + 1) * stripe_size) - pos
-        out.append((s % ndisks,
-                    (s // ndisks) * stripe_size + (pos - s * stripe_size),
-                    ln, pos - offset))
-        pos += ln
-    return out
-
-
-def split_blocks(offsets, lengths, stripe_size: int, ndisks: int
-                 ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Split absolute file blocks at stripe boundaries and group by shard.
-
-    Returns ``{shard: (local_offs, local_lens, data_offs)}`` with each
-    shard's sub-extents in ascending file order.  ``data_offs`` index
-    the concatenated data stream of the input blocks, so a payload built
-    (or scattered) per shard in this order is exactly the shard's bytes
-    of the access.  Client and server both flatten through this one
-    kernel, which is what makes the two shipping protocols byte-
-    equivalent regardless of how either side coalesced its block list.
-    """
-    offs = np.asarray(offsets, dtype=np.int64).reshape(-1)
-    lens = np.asarray(lengths, dtype=np.int64).reshape(-1)
-    keep = lens > 0
-    if not keep.all():
-        offs, lens = offs[keep], lens[keep]
-    if offs.size == 0:
-        return {}
-    first = offs // stripe_size
-    counts = (offs + lens - 1) // stripe_size - first + 1
-    total = int(counts.sum())
-    idx = np.repeat(np.arange(offs.size, dtype=np.int64), counts)
-    base = np.repeat(np.cumsum(counts) - counts, counts)
-    stripe = first[idx] + (np.arange(total, dtype=np.int64) - base)
-    ext_lo = np.maximum(offs[idx], stripe * stripe_size)
-    ext_len = (np.minimum(offs[idx] + lens[idx], (stripe + 1) * stripe_size)
-               - ext_lo)
-    dstart = np.repeat(np.cumsum(lens) - lens, counts)
-    d_off = dstart + (ext_lo - offs[idx])
-    shard = stripe % ndisks
-    local = (stripe // ndisks) * stripe_size + (ext_lo - stripe * stripe_size)
-    out = {}
-    for k in np.unique(shard):
-        m = shard == k
-        out[int(k)] = (local[m], ext_len[m], d_off[m])
-    return out
-
-
-def coalesce_ranges(ranges):
-    """Merge adjacent/overlapping ``(lo, hi)`` ranges (assumed sorted)."""
-    out: List[Tuple[int, int]] = []
-    for lo, hi in ranges:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -964,11 +858,11 @@ class ShardedFile:
 
     def _lock_plan(self, lo: int, hi: int):
         """Per-shard coalesced local ranges for a global ``[lo, hi)``."""
-        per: Dict[int, list] = {}
-        for k, llo, ln, _d in split_extent(
-                lo, hi - lo, self.fs.stripe_size, self.fs.nshards):
-            per.setdefault(k, []).append((llo, llo + ln))
-        return {k: coalesce_ranges(rs) for k, rs in per.items()}
+        per = split_blocks([lo], [hi - lo], self.fs.stripe_size,
+                           self.fs.nshards)
+        return {k: [(o, o + n) for o, n in
+                    union(zip(loffs.tolist(), lens.tolist()))]
+                for k, (loffs, lens, _d) in per.items()}
 
     def lock_range(self, lo: int, hi: int) -> None:
         # Sequential, ascending shard order: the global ordering

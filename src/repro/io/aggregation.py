@@ -45,12 +45,12 @@ from __future__ import annotations
 import time
 from typing import Iterator, List, Optional, Protocol, Tuple
 
+from repro.intervals import floor_to, split_even
 from repro.io.two_phase import (
     COLLECTIVE_TAG_BASE,
     AccessRange,
     aggregate_ranges,
     domain_windows,
-    partition_domains,
 )
 from repro.mpi.cost_model import (
     PIPELINE_DEPTH,
@@ -80,18 +80,12 @@ __all__ = [
     "partition_domains_aligned",
     "run_collective",
     "snap_to_blocks",
-    "snap_to_stripe",
 ]
 
 
 # ----------------------------------------------------------------------
 # File-domain partitioning strategies
 # ----------------------------------------------------------------------
-def snap_to_stripe(boundary: int, stripe_size: int) -> int:
-    """Largest stripe boundary at or below ``boundary``."""
-    return (boundary // stripe_size) * stripe_size
-
-
 def snap_to_blocks(
     boundary: int, geoms: List[Tuple[int, int]]
 ) -> Optional[int]:
@@ -102,14 +96,9 @@ def snap_to_blocks(
     at or below the boundary (degenerate extents, boundary before every
     displacement) — the caller falls back to the even split.
     """
-    best: Optional[int] = None
-    for disp, ext in geoms:
-        if ext <= 0 or boundary < disp:
-            continue
-        edge = disp + ((boundary - disp) // ext) * ext
-        if best is None or edge > best:
-            best = edge
-    return best
+    edges = [floor_to(boundary, ext, disp) for disp, ext in geoms
+             if ext > 0 and boundary >= disp]
+    return max(edges, default=None)
 
 
 def partition_domains_aligned(
@@ -130,14 +119,14 @@ def partition_domains_aligned(
     result always covers the aggregate range exactly, with no overlap
     (some domains may be empty — the round schedule skips those IOPs).
     """
-    even = partition_domains(agg_lo, agg_hi, niops)
+    even = split_even(agg_lo, agg_hi, niops)
     if align == "even" or niops <= 1:
         return even
     bounds = [agg_lo]
     for i in range(niops - 1):
         b = even[i][1]
         if align == "stripe" and stripe_size:
-            snapped: Optional[int] = snap_to_stripe(b, stripe_size)
+            snapped: Optional[int] = floor_to(b, stripe_size)
         elif align == "block" and geoms:
             snapped = snap_to_blocks(b, geoms)
         else:

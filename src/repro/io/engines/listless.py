@@ -31,17 +31,13 @@ import numpy as np
 from repro.core.fileview_cache import CompactFileview, FileviewCache
 from repro.core.ff_pack import ff_pack, ff_unpack
 from repro.core.mergeview import build_mergeview
+from repro.intervals import clip, merge_adjacent
 from repro.io.engines.base import IOEngine
 from repro.io.fileview import MemDescriptor
-from repro.io.sieving import coalesce_blocks
 from repro.obs import trace
 from repro.plan.ops import Blocks, Piece, in_slot, out_slot
 
 __all__ = ["ListlessEngine"]
-
-
-def _clip(v: int, lo: int, hi: int) -> int:
-    return min(max(v, lo), hi)
 
 
 class _ListlessMetadata:
@@ -70,8 +66,8 @@ class _ListlessMetadata:
         rng = self.rng
         if rng.empty:
             return None
-        pl = _clip(self.cview.data_of_abs(wlo), rng.data_lo, rng.data_hi)
-        ph = _clip(self.cview.data_of_abs(whi), rng.data_lo, rng.data_hi)
+        pl = clip(self.cview.data_of_abs(wlo), rng.data_lo, rng.data_hi)
+        ph = clip(self.cview.data_of_abs(whi), rng.data_lo, rng.data_hi)
         if ph <= pl:
             return None
         return pl, ph
@@ -83,12 +79,12 @@ class _ListlessMetadata:
             if r.empty:
                 continue
             cv = self.cache.view_of(src)
-            pl = _clip(cv.data_of_abs(wlo), r.data_lo, r.data_hi)
-            ph = _clip(cv.data_of_abs(whi), r.data_lo, r.data_hi)
+            pl = clip(cv.data_of_abs(wlo), r.data_lo, r.data_hi)
+            ph = clip(cv.data_of_abs(whi), r.data_lo, r.data_hi)
             if ph <= pl:
                 continue
             offs, lens = cv.blocks_for_data(pl, ph)
-            offs, lens, merged = coalesce_blocks(offs, lens)
+            offs, lens, merged = merge_adjacent(offs, lens)
             self.coalesced += merged
             self.entries += int(offs.size)
             slot = in_slot(src) if write else out_slot(src)

@@ -14,7 +14,7 @@ datatype I/O (``ship_protocol=dtype``)
     the client ships each rank's *compact fileview* once per (shard,
     view) and afterwards only ``(view id, data range, file delta)`` —
     constant descriptor bytes per access; the server flattens on the
-    fly through the very same :func:`repro.fs.sharded.split_blocks`
+    fly through the very same :func:`repro.fs.striping.split_blocks`
     kernel the client-side list path uses, which is what makes the two
     protocols byte-identical by construction.
 
@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.fileview_cache import CompactFileview
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.errors import FFError, IOEngineError
+from repro.fs.striping import split_blocks, to_global
 from repro.obs import trace
 from repro.plan.dataplane import block_arrays
 from repro.plan.ops import (
@@ -280,8 +281,6 @@ def execute_ship(executor, plan, op: ShipOp, mem, bufs, rnd: int) -> None:
     client connection is served FIFO by one handler thread, so the
     posts pipeline across shards without reordering hazards.
     """
-    from repro.fs.sharded import split_blocks, to_global
-
     fh = executor.simfile
     stats = executor.stats
     fdelta = executor._fdelta

@@ -8,54 +8,19 @@ is written back under a byte-range lock so the untouched gap bytes do not
 clobber concurrent writers.
 
 The engines differ only in how the "copy the useful pieces" step works,
-so this module provides just the window geometry and the file-buffer
-read/write operations with their locking discipline.
+so this module provides just the file-buffer read/write operations with
+their locking discipline; the window geometry is
+:func:`repro.intervals.tile`.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.fs.simfile import SimFile
 from repro.obs import trace
 
-__all__ = ["windows", "read_window", "write_window_locked",
-           "coalesce_blocks"]
-
-
-def windows(lo: int, hi: int, bufsize: int) -> Iterator[Tuple[int, int]]:
-    """Yield file-buffer windows ``(wlo, whi)`` covering ``[lo, hi)``."""
-    pos = lo
-    while pos < hi:
-        end = min(pos + bufsize, hi)
-        yield (pos, end)
-        pos = end
-
-
-def coalesce_blocks(
-    offsets: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Merge adjacent file blocks into single runs.
-
-    Returns ``(offsets, lengths, merged_bytes)`` where ``merged_bytes``
-    counts the bytes of blocks that were absorbed into a predecessor —
-    the planner's ``coalesced_bytes`` statistic.  Blocks must be sorted
-    and non-overlapping (as produced by ``blocks_range`` walks).
-    """
-    if offsets.size <= 1:
-        return offsets, lengths, 0
-    adjacent = offsets[1:] == offsets[:-1] + lengths[:-1]
-    if not adjacent.any():
-        return offsets, lengths, 0
-    starts = np.concatenate(([True], ~adjacent))
-    idx = np.flatnonzero(starts)
-    groups = np.cumsum(starts) - 1
-    new_lens = np.zeros(idx.size, dtype=np.int64)
-    np.add.at(new_lens, groups, lengths)
-    merged = int(lengths[1:][adjacent].sum())
-    return offsets[idx], new_lens, merged
+__all__ = ["read_window", "write_window_locked"]
 
 
 def read_window(simfile: SimFile, wlo: int, whi: int) -> np.ndarray:

@@ -9,8 +9,9 @@ window by window.  What differs between the engines is only the
 AP×IOP pair for every access, listless I/O navigates cached fileviews.
 
 This module holds the engine-independent pieces: range aggregation over
-the communicator, domain partitioning, the access-range record, and the
-AP↔IOP payload exchange itself.
+the communicator, the access-range record, each IOP's window list, and
+the AP↔IOP payload exchange itself; the domain split is
+:func:`repro.intervals.split_even`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.intervals import tile
 from repro.obs import trace
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "aggregate_ranges",
     "exchange",
     "exchange_p2p",
-    "partition_domains",
     "domain_windows",
 ]
 
@@ -134,26 +135,6 @@ def exchange_p2p(comm, outbound, sources, tag: int):
         return inbound
 
 
-def partition_domains(
-    agg_lo: int, agg_hi: int, niops: int
-) -> List[Tuple[int, int]]:
-    """Split ``[agg_lo, agg_hi)`` into ``niops`` contiguous file domains.
-
-    Domain *i* is served by IOP rank *i*.  The split is balanced to the
-    byte (first ``rem`` domains one byte longer), matching ROMIO's
-    even-division aggregation.
-    """
-    total = agg_hi - agg_lo
-    base, rem = divmod(total, niops)
-    out: List[Tuple[int, int]] = []
-    pos = agg_lo
-    for i in range(niops):
-        n = base + (1 if i < rem else 0)
-        out.append((pos, pos + n))
-        pos += n
-    return out
-
-
 def domain_windows(
     domains: List[Tuple[int, int]], rank: int, cb_buffer_size: int
 ) -> List[Tuple[int, int]]:
@@ -166,12 +147,4 @@ def domain_windows(
     if rank >= len(domains):
         return []
     dlo, dhi = domains[rank]
-    if dhi <= dlo:
-        return []
-    out = []
-    pos = dlo
-    while pos < dhi:
-        end = min(pos + cb_buffer_size, dhi)
-        out.append((pos, end))
-        pos = end
-    return out
+    return tile(dlo, dhi, cb_buffer_size)

@@ -50,7 +50,8 @@ be available to benchmarks.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "BUCKETS",
@@ -66,6 +67,10 @@ BUCKETS: Tuple[str, ...] = (
     "plan", "pack", "unpack", "file_io", "pipeline_io", "exchange",
     "lock", "sync", "ship",
 )
+
+#: Rows a :class:`RoundLog` keeps: the most recent rounds, so a
+#: long-lived handle's log stays bounded.
+ROUND_LOG_CAP = 1024
 
 _now = time.perf_counter
 
@@ -142,12 +147,14 @@ class RoundLog:
     executor's background worker, overlapped with later rounds' pack/
     exchange — it is back-filled when the offloaded op completes, so the
     row returned by :meth:`add` stays live until the plan run drains.
+    Only the newest :data:`ROUND_LOG_CAP` rows are kept; each keeps its
+    ``index``, so :meth:`merge_by_index` is unaffected below the cap.
     """
 
     __slots__ = ("rounds",)
 
     def __init__(self) -> None:
-        self.rounds: List[Dict[str, float]] = []
+        self.rounds: Deque[Dict[str, float]] = deque(maxlen=ROUND_LOG_CAP)
 
     def add(self, index: int, total: int, wall: float,
             exchange: float, file_io: float,

@@ -11,7 +11,7 @@ dense fast-path detection
     file access, no staging window (paper §4.3's contiguous case);
 window coalescing
     adjacent file blocks inside a sieving window are merged before the
-    copy kernels see them (:func:`repro.io.sieving.coalesce_blocks`);
+    copy kernels see them (:func:`repro.intervals.merge_adjacent`);
 sieve-vs-direct decision
     the :class:`~repro.mpi.cost_model.StorageModel` compares one access
     per block against windowed read-modify-write (Thakur et al.'s data
@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import blockprog
-from repro.io.sieving import coalesce_blocks, windows
+from repro.intervals import clip, merge_adjacent, tile
 from repro.io.two_phase import AccessRange
 from repro.mpi.cost_model import StorageModel, choose_access_strategy
 from repro.obs import trace
@@ -77,10 +77,6 @@ __all__ = ["Planner"]
 #: Plans holding more materialized block entries than this are built
 #: and run but never cached (memory guard for huge accesses).
 MAX_CACHED_BLOCKS = 1 << 18
-
-
-def _clip(v: int, lo: int, hi: int) -> int:
-    return min(max(v, lo), hi)
 
 
 class Planner:
@@ -312,7 +308,7 @@ class Planner:
         if geom is not None:
             offs, lens = geom.blocks_for_data(d0, d1)
             if coalesce:
-                offs, lens, coalesced = coalesce_blocks(offs, lens)
+                offs, lens, coalesced = merge_adjacent(offs, lens)
             if offs.size > MAX_CACHED_BLOCKS:
                 sig = None
             blocks = Blocks(offs, lens)
@@ -342,13 +338,13 @@ class Planner:
             # copies exactly the data bytes it covers, straight between
             # the file buffer and user memory (a MEM piece — no staging
             # buffer, no gather/scatter op).
-            for wlo, whi in windows(lo, hi, bufsize):
-                dl = _clip(geom.data_of_abs(wlo), d0, d1)
-                dh = _clip(geom.data_of_abs(whi), d0, d1)
+            for wlo, whi in tile(lo, hi, bufsize):
+                dl = clip(geom.data_of_abs(wlo), d0, d1)
+                dh = clip(geom.data_of_abs(whi), d0, d1)
                 if dh <= dl:
                     continue
                 offs, lens = geom.blocks_for_data(dl, dh)
-                offs, lens, merged = coalesce_blocks(offs, lens)
+                offs, lens, merged = merge_adjacent(offs, lens)
                 coalesced += merged
                 entries += int(offs.size)
                 piece = Piece(MEM, dl, dh, Blocks(offs, lens))
@@ -367,13 +363,13 @@ class Planner:
             piece = Piece(STAGE, d0, d1, None)
             if write:
                 ops.append(GatherOp(d0, d1))
-                for wlo, whi in windows(lo, hi, bufsize):
+                for wlo, whi in tile(lo, hi, bufsize):
                     ops += [LockOp(wlo, whi),
                             FileWriteOp(wlo, whi, "rmw", (piece,)),
                             UnlockOp(wlo, whi)]
                     nwin += 1
             else:
-                for wlo, whi in windows(lo, hi, bufsize):
+                for wlo, whi in tile(lo, hi, bufsize):
                     ops.append(FileReadOp(wlo, whi, "window", (piece,)))
                     nwin += 1
                 ops.append(ScatterOp(d0, d1))

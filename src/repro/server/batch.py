@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.intervals import runs
+
 __all__ = ["Batch", "plan_batches"]
 
 #: Default largest read gap (bytes) bridged by a merged read.
@@ -51,43 +53,6 @@ class Batch:
         kind = "write" if self.write else "read"
         return (f"<Batch {kind} {self.path!r} [{self.lo}, {self.hi}) "
                 f"x{len(self.items)}>")
-
-
-def _write_runs(items: List[object]) -> List[List[object]]:
-    """Partition offset-sorted writes into exactly-tiling runs."""
-    runs: List[List[object]] = []
-    run: List[object] = []
-    end = None
-    for it in items:
-        if run and it.offset == end:
-            run.append(it)
-        else:
-            if run:
-                runs.append(run)
-            run = [it]
-        end = it.offset + it.nbytes
-    if run:
-        runs.append(run)
-    return runs
-
-
-def _read_runs(items: List[object], max_gap: int) -> List[List[object]]:
-    """Partition offset-sorted reads into gap-bounded runs."""
-    runs: List[List[object]] = []
-    run: List[object] = []
-    end = None
-    for it in items:
-        if run and it.offset - end <= max_gap:
-            run.append(it)
-            end = max(end, it.offset + it.nbytes)
-        else:
-            if run:
-                runs.append(run)
-            run = [it]
-            end = it.offset + it.nbytes
-    if run:
-        runs.append(run)
-    return runs
 
 
 def plan_batches(items: List[object], merge: bool = True,
@@ -129,11 +94,10 @@ def plan_batches(items: List[object], merge: bool = True,
                     out.append(Batch(path, True, it.offset,
                                      it.offset + it.nbytes, [it]))
                 continue
-            runs = _write_runs(by_off)
-        else:
-            runs = _read_runs(by_off, max_read_gap)
-        for run in runs:
-            lo = run[0].offset
-            hi = max(it.offset + it.nbytes for it in run)
-            out.append(Batch(path, write, lo, hi, run))
+        # With no overlap, a gap-0 run of writes tiles its range exactly.
+        i = 0
+        for lo, n, count in runs([(it.offset, it.nbytes) for it in by_off],
+                                 0 if write else max_read_gap):
+            out.append(Batch(path, write, lo, lo + n, by_off[i:i + count]))
+            i += count
     return out

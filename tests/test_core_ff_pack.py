@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import datatypes as dt
-from repro.core import ff_pack, ff_unpack, iter_segments
+from repro.core import ff_pack, ff_unpack
 from repro.datatypes.packing import pack_typemap, unpack_typemap
 from repro.errors import FFError
+from repro.intervals import tile
 from tests.conftest import datatype_trees, fill_pattern
 
 
@@ -70,7 +71,8 @@ class TestFFPackSegments:
             src = fill_pattern(span, seed=5)
             ref = pack_typemap(src, count, t)
             got = np.zeros(ref.size, dtype=np.uint8)
-            for skip, n in iter_segments(ref.size, seg):
+            for skip, end in tile(0, ref.size, seg):
+                n = end - skip
                 buf = np.zeros(n, dtype=np.uint8)
                 copied = ff_pack(src, count, t, skip, buf, n)
                 assert copied == n
@@ -129,8 +131,8 @@ class TestFFUnpack:
         t = dt.vector(5, 3, 7, dt.INT)
         packed = fill_pattern(t.size, seed=6)
         dst = np.zeros(t.true_ub + 4, dtype=np.uint8)
-        for skip, n in iter_segments(t.size, seg):
-            ff_unpack(packed[skip : skip + n], n, dst, 1, t, skip)
+        for skip, end in tile(0, t.size, seg):
+            ff_unpack(packed[skip:end], end - skip, dst, 1, t, skip)
         ref = np.zeros_like(dst)
         unpack_typemap(packed, ref, 1, t)
         assert (dst == ref).all()
@@ -141,21 +143,6 @@ class TestFFUnpack:
         dst.flags.writeable = False
         with pytest.raises(FFError):
             ff_unpack(fill_pattern(4), 4, dst, 1, t, 0)
-
-
-class TestIterSegments:
-    def test_basic(self):
-        assert list(iter_segments(10, 4)) == [(0, 4), (4, 4), (8, 2)]
-
-    def test_start(self):
-        assert list(iter_segments(10, 4, start=7)) == [(7, 3)]
-
-    def test_zero_total(self):
-        assert list(iter_segments(0, 4)) == []
-
-    def test_bad_segment_size(self):
-        with pytest.raises(ValueError):
-            list(iter_segments(10, 0))
 
 
 class TestBufferLayout:

@@ -7,37 +7,27 @@ from hypothesis import strategies as st
 from repro import datatypes as dt
 from repro.flatten import (
     OLList,
-    coalesce,
     expand_range,
     flatten_datatype,
-    is_single_block,
     merge_lists,
-    total_length,
 )
+from repro.intervals import union
 
 
 class TestCoalesce:
+    """The union ``merge_lists`` coalesces its merged pairs with."""
+
     def test_merges_touching(self):
-        assert coalesce([(0, 4), (4, 4)]) == [(0, 8)]
+        assert union([(0, 4), (4, 4)]) == [(0, 8)]
 
     def test_merges_overlapping(self):
-        assert coalesce([(0, 6), (4, 4)]) == [(0, 8)]
+        assert union([(0, 6), (4, 4)]) == [(0, 8)]
 
     def test_keeps_gaps(self):
-        assert coalesce([(0, 4), (8, 4)]) == [(0, 4), (8, 4)]
+        assert union([(0, 4), (8, 4)]) == [(0, 4), (8, 4)]
 
     def test_drops_empty(self):
-        assert coalesce([(0, 0), (4, 4)]) == [(4, 4)]
-
-
-class TestHelpers:
-    def test_total_length(self):
-        assert total_length([(0, 4), (9, 6)]) == 10
-
-    def test_is_single_block(self):
-        assert is_single_block([(0, 10)])
-        assert not is_single_block([(0, 4), (8, 4)])
-        assert not is_single_block([])
+        assert union([(0, 0), (4, 4)]) == [(4, 4)]
 
 
 def _brute_expand(flat, extent, disp, lo, hi):

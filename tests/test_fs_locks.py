@@ -18,11 +18,8 @@ import time
 import pytest
 
 from repro.errors import LockError
-from repro.fs.locks import (
-    FcntlRangeLockManager,
-    RangeLockManager,
-    _subtract_ranges,
-)
+from repro.fs.locks import FcntlRangeLockManager, RangeLockManager
+from repro.intervals import subtract
 
 
 class TestBasics:
@@ -237,17 +234,18 @@ class TestFcntlManager:
 
 
 class TestSubtractRanges:
+    """The residual computation behind ``FcntlRangeLockManager.unlock``
+    (``(offset, length)`` pairs minus ``[lo, hi)``)."""
+
     def test_middle_cut_splits(self):
-        assert _subtract_ranges([(0, 100)], (20, 30)) == \
-            [(0, 20), (30, 100)]
+        assert subtract([(0, 100)], 20, 30) == [(0, 20), (30, 70)]
 
     def test_no_overlap_is_identity(self):
-        assert _subtract_ranges([(0, 10), (20, 30)], (10, 20)) == \
-            [(0, 10), (20, 30)]
+        assert subtract([(0, 10), (20, 10)], 10, 20) == [(0, 10), (20, 10)]
 
     def test_full_cover_removes(self):
-        assert _subtract_ranges([(5, 8)], (0, 100)) == []
+        assert subtract([(5, 3)], 0, 100) == []
 
     def test_edge_overlaps_trim(self):
-        assert _subtract_ranges([(0, 10)], (5, 15)) == [(0, 5)]
-        assert _subtract_ranges([(10, 20)], (5, 15)) == [(15, 20)]
+        assert subtract([(0, 10)], 5, 15) == [(0, 5)]
+        assert subtract([(10, 10)], 5, 15) == [(15, 5)]

@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 from repro import datatypes as dt
 from repro.fs import SimFileSystem, StripingConfig
+from repro.intervals import floor_to, split_even
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.aggregation import (
     RoundSchedule,
     domain_skew,
     partition_domains_aligned,
     snap_to_blocks,
-    snap_to_stripe,
 )
 from repro.io.hints import DOMAIN_ALIGNMENTS, Hints
-from repro.io.two_phase import partition_domains
 from repro.mpi import run_spmd
 from repro.mpi.cost_model import choose_domain_align
 
@@ -65,7 +64,7 @@ class TestPartitionAligned:
 
     def test_even_matches_two_phase(self):
         assert partition_domains_aligned(0, 100, 3) == \
-            partition_domains(0, 100, 3)
+            split_even(0, 100, 3)
 
     def test_stripe_snaps_boundaries(self):
         domains = partition_domains_aligned(
@@ -85,8 +84,8 @@ class TestPartitionAligned:
         assert domains[-1][1] == 4000
 
     def test_snap_helpers(self):
-        assert snap_to_stripe(4097, 4096) == 4096
-        assert snap_to_stripe(4096, 4096) == 4096
+        assert floor_to(4097, 4096) == 4096
+        assert floor_to(4096, 4096) == 4096
         assert snap_to_blocks(2500, [(8, 1000), (0, 300)]) == 2400
         assert snap_to_blocks(5, [(8, 1000)]) is None
         assert snap_to_blocks(5, [(0, 0)]) is None
@@ -130,7 +129,7 @@ class TestRoundSchedule:
     def test_empty_domains_skipped(self):
         """A 2-byte range over 4 IOPs leaves two empty domains: they
         contribute no windows, no rounds, and never appear active."""
-        domains = partition_domains(0, 2, 4)
+        domains = split_even(0, 2, 4)
         assert [dhi - dlo for dlo, dhi in domains] == [1, 1, 0, 0]
         sched = RoundSchedule(domains, cb_buffer_size=4)
         assert sched.nrounds == 1
@@ -139,7 +138,7 @@ class TestRoundSchedule:
         assert [iop for iop, _w in sched.active(0)] == [0, 1]
 
     def test_rank_beyond_iop_count_has_no_window(self):
-        sched = RoundSchedule(partition_domains(0, 100, 2), 64)
+        sched = RoundSchedule(split_even(0, 100, 2), 64)
         assert sched.window(5, 0) is None
 
     def test_nrounds_is_max_over_iops(self):

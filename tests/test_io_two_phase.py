@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.io.two_phase import (
-    AccessRange,
-    aggregate_ranges,
-    partition_domains,
-)
+from repro.intervals import split_even
+from repro.io.two_phase import AccessRange, aggregate_ranges
 from repro.mpi import run_spmd
 
 
@@ -19,24 +16,24 @@ class TestAccessRange:
 
 class TestPartitionDomains:
     def test_even_split(self):
-        doms = partition_domains(0, 100, 4)
+        doms = split_even(0, 100, 4)
         assert doms == [(0, 25), (25, 50), (50, 75), (75, 100)]
 
     def test_uneven_split_front_loads(self):
-        doms = partition_domains(0, 10, 3)
+        doms = split_even(0, 10, 3)
         assert doms == [(0, 4), (4, 7), (7, 10)]
         assert doms[-1][1] == 10
 
     def test_single_domain(self):
-        assert partition_domains(7, 19, 1) == [(7, 19)]
+        assert split_even(7, 19, 1) == [(7, 19)]
 
     def test_more_domains_than_bytes(self):
-        doms = partition_domains(0, 2, 4)
+        doms = split_even(0, 2, 4)
         assert doms == [(0, 1), (1, 2), (2, 2), (2, 2)]
         assert sum(hi - lo for lo, hi in doms) == 2
 
     def test_contiguous_cover(self):
-        doms = partition_domains(123, 4567, 7)
+        doms = split_even(123, 4567, 7)
         assert doms[0][0] == 123
         assert doms[-1][1] == 4567
         for (a_lo, a_hi), (b_lo, b_hi) in zip(doms, doms[1:]):

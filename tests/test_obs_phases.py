@@ -9,7 +9,13 @@ from repro import datatypes as dt
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
-from repro.obs.phases import BUCKETS, PhaseAccumulator, format_phase_table
+from repro.obs.phases import (
+    BUCKETS,
+    ROUND_LOG_CAP,
+    PhaseAccumulator,
+    RoundLog,
+    format_phase_table,
+)
 
 FT = dt.vector(64, 8, 16, dt.BYTE)
 
@@ -48,6 +54,17 @@ class TestAccumulator:
         assert s.lock == 3.0 and s.sync == 3.0
         a.reset()
         assert a.total == 0.0
+
+
+class TestRoundLog:
+    def test_keeps_newest_rows_up_to_cap(self):
+        log = RoundLog()
+        n = ROUND_LOG_CAP + 5
+        for i in range(n):
+            log.add(i, n, 0.001, 0.0, 0.0)
+        assert len(log) == ROUND_LOG_CAP
+        snap = log.snapshot()
+        assert [r["index"] for r in snap] == list(range(5, n))
 
 
 def run_access(engine, collective, nreps=2, nprocs=2):

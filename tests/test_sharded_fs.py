@@ -29,10 +29,10 @@ from repro.fs import (
     global_size,
     local_size,
     split_blocks,
-    split_extent,
     to_global,
     to_local,
 )
+from repro.intervals import floor_to
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi.runtime import Runtime
@@ -49,6 +49,12 @@ geom = st.tuples(
 )
 
 
+def _extents(per_shard):
+    """``split_blocks`` output as ``(shard, local_off, len, data_off)``."""
+    return [(k, lo, ln, d) for k, arrs in sorted(per_shard.items())
+            for lo, ln, d in zip(*(a.tolist() for a in arrs))]
+
+
 class TestShardMapper:
     @settings(max_examples=200, deadline=None)
     @given(geom)
@@ -60,46 +66,21 @@ class TestShardMapper:
 
     @settings(max_examples=200, deadline=None)
     @given(geom)
-    def test_split_extent_covers_exactly(self, g):
+    def test_split_blocks_one_block_covers_exactly(self, g):
         off, n, ss, nd = g
-        parts = split_extent(off, n, ss, nd)
+        parts = sorted(_extents(split_blocks([off], [n], ss, nd)),
+                       key=lambda p: p[3])
         # data offsets tile [0, n) in order, without gaps or overlap
         pos = 0
-        seen = []
         for k, lo, ln, doff in parts:
             assert 0 <= k < nd and ln > 0
             assert doff == pos
             pos += ln
             # every extent stays inside one stripe of its shard
             assert lo // ss == (lo + ln - 1) // ss
-            seen.append((k, lo, ln, doff))
+            # and maps back to exactly its global bytes
+            assert to_global(k, lo, ss, nd) == off + doff
         assert pos == n
-        # global bytes mapped by each extent are exactly [off, off+n)
-        covered = []
-        for k, lo, ln, doff in seen:
-            g0 = to_global(k, lo, ss, nd)
-            assert g0 == off + doff
-            covered.append((g0, g0 + ln))
-        covered.sort()
-        for (a0, a1), (b0, b1) in zip(covered, covered[1:]):
-            assert a1 == b0, "gap or overlap in global cover"
-
-    @settings(max_examples=200, deadline=None)
-    @given(geom)
-    def test_split_blocks_matches_split_extent(self, g):
-        off, n, ss, nd = g
-        by_shard = split_blocks(
-            np.array([off], dtype=np.int64), np.array([n], dtype=np.int64),
-            ss, nd,
-        )
-        flat = {}
-        for k, lo, ln, doff in split_extent(off, n, ss, nd):
-            flat.setdefault(k, []).append((lo, ln, doff))
-        assert set(by_shard) == set(flat)
-        for k, (loffs, lens, doffs) in by_shard.items():
-            assert [tuple(t) for t in zip(
-                loffs.tolist(), lens.tolist(), doffs.tolist()
-            )] == flat[k]
 
     @settings(max_examples=200, deadline=None)
     @given(geom)
@@ -113,36 +94,36 @@ class TestShardMapper:
     @given(geom)
     def test_local_size_counts_mapped_bytes(self, g):
         gsize, _n, ss, nd = g
-        counts = {k: 0 for k in range(nd)}
-        for k, _lo, ln, _d in split_extent(0, gsize, ss, nd):
-            counts[k] += ln
+        per = split_blocks([0], [gsize], ss, nd)
         for k in range(nd):
-            assert counts[k] == local_size(k, gsize, ss, nd)
+            mapped = int(per[k][1].sum()) if k in per else 0
+            assert mapped == local_size(k, gsize, ss, nd)
 
     @settings(max_examples=100, deadline=None)
     @given(geom)
     def test_matches_striping_config(self, g):
         off, n, ss, nd = g
         cfg = StripingConfig(ndisks=nd, stripe_size=ss)
-        # align_floor names the stripe to_local assigns the offset to
-        stripe = cfg.align_floor(off) // ss
+        # the stripe floor names the stripe to_local assigns the offset to
+        stripe = floor_to(off, ss) // ss
         k, loc = to_local(off, ss, nd)
         assert stripe % nd == k
-        # an extent touches exactly the shards split_extent names,
+        # an extent touches exactly the shards split_blocks names,
         # bounded by the device model's stream count
-        shards = {p[0] for p in split_extent(off, n, ss, nd)}
+        shards = set(split_blocks([off], [n], ss, nd))
         if n:
             assert len(shards) <= cfg.streams_for(off, n)
 
     def test_degenerate_pins(self):
         # zero-length access maps to nothing
-        assert split_extent(123, 0, 64, 4) == []
+        assert split_blocks([123], [0], 64, 4) == {}
         assert split_blocks(np.array([5], dtype=np.int64),
                             np.array([0], dtype=np.int64), 16, 2) == {}
         # access inside one stripe stays one extent on one shard
-        assert split_extent(130, 20, 64, 4) == [(2, 2, 20, 0)]
+        assert _extents(split_blocks([130], [20], 64, 4)) == [(2, 2, 20, 0)]
         # stripe_size=1 interleaves byte by byte
-        parts = split_extent(0, 6, 1, 3)
+        parts = sorted(_extents(split_blocks([0], [6], 1, 3)),
+                       key=lambda p: p[3])
         assert [(k, lo) for k, lo, _ln, _d in parts] == [
             (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)
         ]
