@@ -212,6 +212,20 @@ class PosixFile:
         if self._closed:
             raise FileSystemError("I/O on closed file")
 
+    # The wrapped file's statistics and device/striping model, so the
+    # plan executor runs (and bills) the very same plans on this handle.
+    @property
+    def stats(self) -> FileStats:
+        return self._file.stats
+
+    @property
+    def device(self) -> DeviceModel:
+        return self._file.device
+
+    @property
+    def striping(self) -> StripingConfig:
+        return self._file.striping
+
     def lseek(self, offset: int, whence: int = SEEK_SET) -> int:
         """Move the cursor; returns the new absolute position."""
         self._check_open()

@@ -268,7 +268,7 @@ def build_round_plan(
     metadata proved (the symmetry invariant makes both sides derivable
     without coordination), so idle ranks skip the round barrier
     entirely; file ops are marked ``overlap`` so the executor runs
-    round *N*'s file I/O on its background worker while round *N+1*'s
+    round *N*'s file I/O on its pipeline worker while round *N+1*'s
     pack/exchange proceeds.  Writes stay ordered per IOP: windows are
     submitted in round order to a FIFO worker, read-modify-write
     windows stay synchronous (drain-first), and a final

@@ -9,12 +9,15 @@ the starting data offset through the view.
 Every access is performed in two explicit steps (see ``docs/planning.md``):
 the engine's :class:`~repro.plan.planner.Planner` *plans* it — producing a
 declarative :class:`~repro.plan.plan.IOPlan` of typed ops — and its
-:class:`~repro.plan.executor.SimFileExecutor` *runs* the plan.  The base
-class owns that plumbing plus the collective orchestration order and the
-common geometry.  Subclasses supply navigation, the pack/unpack codec the
-executor copies memory with, the plan geometry (a navigable compact view,
-or nothing), and the collective phases — precisely the representational
-pieces the paper contrasts.
+:class:`~repro.plan.executor.PlanExecutor` *runs* the plan against the
+open file, whatever backend holds its bytes (``SimFile``, ``OsFile`` or
+``ShardedFile``); pipelined collective rounds offload file ops to the
+executor's one deferred worker.  The base class owns that plumbing plus
+the collective orchestration order and the common geometry.  Subclasses
+supply navigation, the pack/unpack codec the executor copies memory
+with, the plan geometry (a navigable compact view, or nothing), and the
+collective phases — precisely the representational pieces the paper
+contrasts.
 """
 
 from __future__ import annotations
@@ -117,14 +120,14 @@ class IOEngine:
         self.stats = EngineStats()
         # Imported lazily: repro.plan pulls in repro.io helpers, and the
         # engines themselves are imported lazily from the file handle.
-        from repro.plan.executor import SimFileExecutor
+        from repro.plan.executor import PlanExecutor
         from repro.plan.planner import Planner
 
         self.planner = Planner(
             self, cacheable=self.cacheable_plans, stats=self.stats.plan,
             phases=self.stats.phases,
         )
-        self.executor = SimFileExecutor(
+        self.executor = PlanExecutor(
             fh.simfile, codec=self, comm=fh.comm, stats=self.stats.plan,
             phases=self.stats.phases, rounds=self.stats.rounds,
         )
@@ -133,8 +136,14 @@ class IOEngine:
         )
 
     def close(self) -> None:
-        """Release engine resources (the executor's pipeline worker)."""
+        """Release engine resources (the executor's pipeline worker).
+
+        The handle, the planner and the executor (whose codec is this
+        engine) each point back at the engine; dropping them here lets
+        refcounting alone free a closed file.  ``stats`` stays readable.
+        """
         self.executor.close()
+        self.fh = self.planner = self.executor = None
 
     # ------------------------------------------------------------------
     # Subclass interface

@@ -772,6 +772,8 @@ class File:
             plan = engine.plan_read_independent(mem, d0)
 
         def pending() -> None:
+            # Closing releases the engine's planner and executor.
+            self._check_open()
             guard = self._atomic_guard(mem, d0)
             try:
                 engine.run_plan(plan, mem)

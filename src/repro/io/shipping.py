@@ -281,7 +281,7 @@ def execute_ship(executor, plan, op: ShipOp, mem, bufs, rnd: int) -> None:
     client connection is served FIFO by one handler thread, so the
     posts pipeline across shards without reordering hazards.
     """
-    fh = executor.simfile
+    fh = executor.file
     stats = executor.stats
     fdelta = executor._fdelta
     ss = fh.fs.stripe_size

@@ -2,8 +2,8 @@
 
 Per-rank phase buckets (:mod:`repro.obs.phases`) answer *how much* time
 each rank spent per cost class, but collective I/O cost is dominated by
-cross-rank structure — p2p-relaxed pipelined rounds, background pipeline
-workers, idle ranks skipping rounds — where one rank's time is another
+cross-rank structure — p2p-relaxed pipelined rounds, deferred pipeline
+jobs, idle ranks skipping rounds — where one rank's time is another
 rank's wait.  This module merges the per-rank span/edge rings of a
 :class:`~repro.obs.trace.Tracer` into a causal graph and computes:
 
@@ -11,8 +11,8 @@ rank's wait.  This module merges the per-rank span/edge rings of a
   never waiting) threading through the run via cross-rank edges; its
   length is the run's lower bound: no amount of extra overlap can beat
   it without making some rank's work faster;
-* **wait attribution** — for every blocking event (recv, collective,
-  pipeline drain), who the blocked rank was waiting *on*, aggregated
+* **wait attribution** — for every blocking event (recv, collective),
+  who the blocked rank was waiting *on*, aggregated
   into who-waited-on-whom matrices, a straggler ranking, and a split of
   each rank's wall time into *self time* vs *induced wait* (the
   cross-rank refinement of the paper's Table-3 decomposition).
@@ -27,8 +27,7 @@ The graph model (a PERT-style DAG over communication events):
   releases the matching recv; a collective is released when its *last*
   participant arrives (that straggler is the cause for everyone else);
   a pipeline ``submit`` enables its ``complete`` with the job's
-  measured seconds; a ``drain`` is released by the completion it
-  waited for.
+  measured seconds.
 
 Every path accumulates disjoint, forward-in-time real intervals, so the
 computed critical path is **≤ the measured wall time** by construction;
@@ -128,7 +127,6 @@ class CausalGraph:
         """Resolve each blocking node's cause via the edge keys."""
         sends: Dict[tuple, _Node] = {}
         submits: Dict[tuple, _Node] = {}
-        completes: Dict[tuple, _Node] = {}
         colls: Dict[tuple, List[_Node]] = {}
         for r in self.ranks:
             for n in self._nodes[r]:
@@ -137,8 +135,6 @@ class CausalGraph:
                     sends[n.edge.key] = n
                 elif k == "submit":
                     submits[n.edge.key] = n
-                elif k == "complete":
-                    completes[n.edge.key] = n
                 elif k == "coll":
                     colls.setdefault(n.edge.key, []).append(n)
         self.unmatched = 0
@@ -157,11 +153,6 @@ class CausalGraph:
                     if s is not None:
                         n.cause = s
                         n.cause_t = s.edge.t1
-                elif e.kind == "drain":
-                    c = completes.get(e.key)
-                    if c is not None:
-                        n.cause = c
-                        n.cause_t = c.edge.t1
         # A collective releases everyone when its last participant
         # arrives; that straggler is the cause for every other member.
         for key, members in colls.items():
@@ -314,8 +305,7 @@ class CausalGraph:
             }
 
         ``by_class`` splits each rank's wait into ``exchange`` (p2p
-        round traffic), ``collective`` (barriers/alltoalls/allgathers),
-        ``pipeline_stall`` (drains of this rank's own pipeline worker)
+        round traffic), ``collective`` (barriers/alltoalls/allgathers)
         and ``p2p`` (everything else).
         """
         wall, per_self = self._wall_and_self()
@@ -324,8 +314,7 @@ class CausalGraph:
         rounds: Dict[int, dict] = {}
         for r in self.ranks:
             by_peer: Dict[int, float] = {}
-            by_class = {"exchange": 0.0, "collective": 0.0,
-                        "pipeline_stall": 0.0, "p2p": 0.0}
+            by_class = {"exchange": 0.0, "collective": 0.0, "p2p": 0.0}
             total = 0.0
             for n in self._nodes[r]:
                 if n.wait <= 0.0:
@@ -333,9 +322,7 @@ class CausalGraph:
                 e = n.edge
                 total += n.wait
                 cls = "p2p"
-                if e.kind == "drain":
-                    cls = "pipeline_stall"
-                elif e.kind == "coll" or (
+                if e.kind == "coll" or (
                         n.cause is not None
                         and n.cause.edge.kind == "coll"):
                     cls = "collective"
@@ -456,11 +443,10 @@ def format_waits(report: dict, limit: int = 8) -> str:
         cls = row["by_class"]
         lines.append(
             "  rank {:<3d} wall {:>8.3f}ms  self {:>8.3f}ms  wait "
-            "{:>8.3f}ms  [exch {:.3f} coll {:.3f} stall {:.3f}]  {}"
+            "{:>8.3f}ms  [exch {:.3f} coll {:.3f}]  {}"
             .format(r, row["wall"] * 1e3, row["self"] * 1e3,
                     row["wait"] * 1e3, cls["exchange"] * 1e3,
-                    cls["collective"] * 1e3,
-                    cls["pipeline_stall"] * 1e3, peers)
+                    cls["collective"] * 1e3, peers)
         )
     stragglers = [kv for kv in report["stragglers"] if kv[1] > 0.0]
     if stragglers:

@@ -50,16 +50,6 @@ __all__ = [
 ]
 
 
-def _global_counters() -> Dict[str, int]:
-    """The process-default counters, reported once per snapshot."""
-    from repro.core.blockprog import BLOCKPROG_STATS
-    from repro.core.gather import KERNEL_PATHS
-
-    out = dict(BLOCKPROG_STATS.snapshot())
-    out.update(KERNEL_PATHS.snapshot())
-    return dict(sorted(out.items()))
-
-
 class MetricsRegistry:
     """Weak registry of stats producers with one snapshot/reset surface.
 

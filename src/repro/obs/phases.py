@@ -34,12 +34,10 @@ Buckets (see ``docs/observability.md`` for the mapping to paper terms):
     payload scatter/gather on the client side (``docs/shipping.md``);
 ``pipeline_io``
     file work executed by the pipeline worker on behalf of this rank
-    (jobs offloaded by pipelined collective rounds).  On the simulated
-    executor the jobs run inline during drains, so their seconds are
-    *moved* here out of ``file_io``; on the POSIX executor they run on
-    a background thread and genuinely overlap the other buckets, so the
-    per-rank sum of buckets can only be bounded by wall time plus the
-    worker's concurrent window (see ``docs/observability.md``).
+    (jobs offloaded by pipelined collective rounds).  The deferred
+    worker applies the jobs on the rank's own thread during drains, so
+    their seconds are *moved* here out of ``file_io`` and the buckets
+    still sum to at most the wall time (see ``docs/observability.md``).
 
 Unlike tracing (:mod:`repro.obs.trace`), phase accounting is never
 switched off — it costs two ``perf_counter`` reads per executed op,
@@ -143,10 +141,11 @@ class RoundLog:
     "file_io", "file_io_async"}``; one log per (rank, open file),
     surfaced next to the phase buckets so Table-3-style reports can show
     how the pipeline interleaves exchange with file access round by
-    round.  ``file_io_async`` is the round's file time spent on the
-    executor's background worker, overlapped with later rounds' pack/
-    exchange — it is back-filled when the offloaded op completes, so the
-    row returned by :meth:`add` stays live until the plan run drains.
+    round.  ``file_io_async`` is the round's file time spent in jobs
+    offloaded to the executor's pipeline worker, issued ahead of later
+    rounds' pack/exchange — it is back-filled when the offloaded op
+    completes, so the row returned by :meth:`add` stays live until the
+    plan run drains.
     Only the newest :data:`ROUND_LOG_CAP` rows are kept; each keeps its
     ``index``, so :meth:`merge_by_index` is unaffected below the cap.
     """

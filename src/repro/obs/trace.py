@@ -186,11 +186,11 @@ class Edge:
     is how :mod:`repro.obs.causal` pairs them up after the per-rank
     rings are merged.
 
-    ``kind`` ∈ {``send``, ``recv``, ``coll``, ``submit``, ``complete``,
-    ``drain``}.  ``peer`` is the other world rank for p2p, else -1.
+    ``kind`` ∈ {``send``, ``recv``, ``coll``, ``submit``, ``complete``}.
+    ``peer`` is the other world rank for p2p, else -1.
     ``sid`` is the id of the span open on this rank when the edge was
     stamped (-1 if none), linking edges back into the span tree.
-    ``t0``/``t1``: for waits (recv/coll/drain), t0 is when the rank
+    ``t0``/``t1``: for waits (recv/coll), t0 is when the rank
     started waiting and t1 when it was released; for sends/submits the
     two coincide at the stamp time.
     """

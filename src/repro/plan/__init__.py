@@ -2,18 +2,11 @@
 
 Every access in the simulation is first *planned* — turned into a
 declarative :class:`~repro.plan.plan.IOPlan` of typed ops — then handed
-to an :class:`~repro.plan.executor.Executor` that runs it against a
-backend.  See ``docs/planning.md``.
+to the :class:`~repro.plan.executor.PlanExecutor`, which runs it against
+any file backend.  See ``docs/planning.md``.
 """
 
-from repro.plan.executor import (
-    Executor,
-    KernelCodec,
-    MemCodec,
-    PlanExecutor,
-    PosixExecutor,
-    SimFileExecutor,
-)
+from repro.plan.executor import KernelCodec, MemCodec, PlanExecutor
 from repro.plan.ops import (
     MEM,
     STAGE,
@@ -40,10 +33,7 @@ __all__ = [
     "IOPlan",
     "Planner",
     "PlanStats",
-    "Executor",
     "PlanExecutor",
-    "SimFileExecutor",
-    "PosixExecutor",
     "MemCodec",
     "KernelCodec",
     "PlanOp",

@@ -1,19 +1,18 @@
-"""Plan executors: run an :class:`~repro.plan.plan.IOPlan` against a file.
+"""The plan executor: run an :class:`~repro.plan.plan.IOPlan` against a file.
 
 The executor is the only place where plan ops touch bytes.  It is
 deliberately dumb — every decision (windows, coalescing, sieving, pre-read
 skipping, exchange schedule) was already taken by the planner and is
 encoded in the ops; the executor just dispatches them.
 
-Two backends are provided:
-
-:class:`SimFileExecutor`
-    runs plans against a :class:`~repro.fs.simfile.SimFile` (the
-    engines' backend);
-:class:`PosixExecutor`
-    runs the same plans against a :class:`~repro.fs.posix.PosixFile`
-    cursor handle — the paper's POSIX baseline — demonstrating that a
-    plan is backend-neutral.
+One executor, :class:`PlanExecutor`, serves every backend.  It calls the
+file's primitives directly — ``pread_into``, ``pwrite``,
+``preadv_blocks``, ``pwritev_blocks``, ``lock_range``, ``unlock_range``
+— and reads its ``stats``, ``device`` and ``striping``.  A
+:class:`~repro.fs.simfile.SimFile`, an :class:`~repro.fs.posix.OsFile`,
+a :class:`~repro.fs.sharded.ShardedFile` and the cursor-based
+:class:`~repro.fs.posix.PosixFile` all provide that surface, so the very
+plan an engine emits runs unchanged on each of them.
 
 The *memory* side of gather/scatter ops is delegated to a ``codec``
 (normally the emitting engine), so each engine keeps its characteristic
@@ -64,17 +63,11 @@ from repro.plan.ops import (
     UnlockOp,
     in_slot,
 )
-from repro.plan.pipeline import DeferredWorker, FileJob, PipelineWorker
+from repro.plan.pipeline import DeferredWorker, FileJob
 from repro.plan.plan import IOPlan
 from repro.plan.stats import PlanStats
 
-__all__ = [
-    "Executor",
-    "MemCodec",
-    "KernelCodec",
-    "SimFileExecutor",
-    "PosixExecutor",
-]
+__all__ = ["MemCodec", "KernelCodec", "PlanExecutor"]
 
 
 class MemCodec(Protocol):
@@ -134,20 +127,18 @@ class _Buf:
         self.zero_copy = zero_copy
 
 
-class Executor(Protocol):
-    """Anything that can run an :class:`IOPlan`."""
-
-    def run(self, plan: IOPlan, mem: Optional[MemDescriptor] = None,
-            buffers: Optional[dict] = None) -> dict: ...
-
-
 class PlanExecutor:
-    """Shared op dispatch; subclasses supply the file primitives."""
+    """Runs plans against ``file``: any backend with the file primitive
+    surface (see the module docstring)."""
 
-    def __init__(self, codec=None, comm=None,
+    def __init__(self, file, codec=None, comm=None,
                  stats: Optional[PlanStats] = None,
                  phases: Optional[PhaseAccumulator] = None,
                  rounds: Optional[RoundLog] = None) -> None:
+        self.file = file
+        # The backend's file stats keep the simulated device seconds of
+        # each thread's last one-extent op: bind the reader once.
+        self._charged = file.stats.last_seconds
         self.codec = codec if codec is not None else KernelCodec()
         self.comm = comm
         self.stats = stats if stats is not None else PlanStats()
@@ -159,10 +150,9 @@ class PlanExecutor:
         #: File-offset translation of the plan currently running (set by
         #: :meth:`run` from its ``file_delta`` argument; 0 outside runs).
         self._fdelta = 0
-        #: Offload worker for ``overlap`` file ops (threaded or
-        #: deferred-apply, per backend — see :meth:`_make_worker`).
-        #: Created lazily on the first ``overlap`` op, reused across
-        #: plan runs, closed with the executor (:meth:`close`).
+        #: Deferred-apply worker for ``overlap`` file ops.  Created
+        #: lazily on the first ``overlap`` op, reused across plan runs,
+        #: closed with the executor (:meth:`close`).
         self._worker = None
         #: Device-overlap model: perf_counter timestamp at which the
         #: simulated device finishes the offloaded ops absorbed so far.
@@ -176,7 +166,7 @@ class PlanExecutor:
         self._unpublished = []
         #: Async file seconds per round index, for rounds not yet closed.
         self._pending_async: Dict[int, float] = {}
-        #: Inline-worker seconds to move out of ``file_io`` into
+        #: Worker seconds to move out of ``file_io`` into
         #: ``pipeline_io`` at the next op-accounting point (the deferred
         #: worker runs jobs on this thread inside a ``file_io``-bucketed
         #: drain, so the raw bucket double-counts them).
@@ -187,42 +177,6 @@ class PlanExecutor:
         self._round_rows: Dict[int, dict] = {}
         #: The codec's optional MEM-copy hook (see :class:`MemCodec`).
         self._note_mem = getattr(self.codec, "note_mem_copy", None)
-
-    # ------------------------------------------------------------------
-    # File primitives (backend-specific)
-    # ------------------------------------------------------------------
-    def _pread_into(self, offset: int, out: np.ndarray) -> int:
-        raise NotImplementedError
-
-    def _pwrite(self, offset: int, data: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _preadv(self, offsets, lengths, out: np.ndarray, pos: int):
-        """Vectored read of a block list (backend ``preadv_blocks``);
-        returns ``(first short block or None, device seconds)``."""
-        raise NotImplementedError
-
-    def _pwritev(self, offsets, lengths, data: np.ndarray, pos: int):
-        """Vectored write of a block list (backend ``pwritev_blocks``);
-        returns ``(bytes written, device seconds)``."""
-        raise NotImplementedError
-
-    def _lock(self, lo: int, hi: int) -> None:
-        raise NotImplementedError
-
-    def _unlock(self, lo: int, hi: int) -> None:
-        raise NotImplementedError
-
-    def _device_cost(self, kind: str, offset: int, nbytes: int) -> float:
-        """Simulated device seconds one offloaded file op will cost (0
-        for backends without a device model — real devices are
-        measured, not modelled)."""
-        return 0.0
-
-    def _charged(self) -> float:
-        """Simulated device seconds the backend charged for this
-        thread's last one-extent op (0 without a device model)."""
-        return 0.0
 
     # ------------------------------------------------------------------
     def run(self, plan: IOPlan, mem: Optional[MemDescriptor] = None,
@@ -300,12 +254,13 @@ class PlanExecutor:
                     self._drain_worker(plan, op.keep, cur_round, bufs)
                     bucket = "file_io"
                 elif isinstance(op, LockOp):
-                    self._lock(op.lo + file_delta, op.hi + file_delta)
+                    self.file.lock_range(op.lo + file_delta, op.hi + file_delta)
                     held.append((op.lo + file_delta, op.hi + file_delta))
                     stats.executed_locks += 1
                     bucket = "lock"
                 elif isinstance(op, UnlockOp):
-                    self._unlock(op.lo + file_delta, op.hi + file_delta)
+                    self.file.unlock_range(op.lo + file_delta,
+                                           op.hi + file_delta)
                     held.remove((op.lo + file_delta, op.hi + file_delta))
                     bucket = "lock"
                 elif isinstance(op, ExchangeOp):
@@ -333,7 +288,7 @@ class PlanExecutor:
                 phases.add(bucket, now() - t0)
                 comp = self._inline_comp
                 if comp:
-                    # Inline jobs ran on this thread inside the op just
+                    # Worker jobs ran on this thread inside the op just
                     # charged to ``file_io``; their seconds were credited
                     # to ``pipeline_io`` at absorb, so take them back out
                     # of ``file_io`` (clamped — never drive it negative).
@@ -352,7 +307,7 @@ class PlanExecutor:
             # (other ranks would deadlock on their next sieved write).
             # ``held`` stores translated ranges, so release them as-is.
             for lo, hi in reversed(held):
-                self._unlock(lo, hi)
+                self.file.unlock_range(lo, hi)
         return bufs
 
     def _close_round(self, plan, state, t_end: float) -> None:
@@ -433,37 +388,41 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     # Pipelined (overlap) file ops.  Offloaded jobs go to one FIFO
-    # worker per executor (``repro.plan.pipeline``) — a background
-    # thread for real-I/O backends, deferred apply for the simulated
-    # one: window reads prefetch into job-local buffers published at
+    # deferred-apply worker per executor (``repro.plan.pipeline``):
+    # window reads prefetch into job-local buffers published at
     # DrainOp; assemble-mode writes capture their payload views at
-    # submit time and assemble + write off the critical path.  Jobs use
-    # the raw ``_pread_into``/``_pwrite`` primitives with the file
-    # delta captured at submit — the counted shims and all shared
-    # counters stay single-writer on the main thread (merged at drain).
+    # submit time and assemble + write at the next drain.  Jobs call
+    # the file's raw ``pread_into``/``pwrite`` with the file delta
+    # captured at submit — the counted shims and all shared counters
+    # are only updated when a drain absorbs the finished jobs.
     # ------------------------------------------------------------------
     @staticmethod
     def _can_offload(op) -> bool:
-        """Deferred (``blocks=None``) pieces stream through engine codec
-        state of unknown thread-safety — keep those synchronous.  Round
-        plans always materialize blocks, so this never fires for them."""
+        """Deferred (``blocks=None``) pieces stream through the engine
+        codec's live view state, which a job applied later, at a drain,
+        may find changed — keep those synchronous.  Round plans always
+        materialize blocks, so this never fires for them."""
         return all(p.blocks is not None for p in op.pieces)
-
-    def _make_worker(self):
-        """The offload mechanism for this backend: a real thread.  The
-        POSIX primitives block in actual I/O (releasing the GIL), so a
-        background thread buys genuine concurrency."""
-        return PipelineWorker()
 
     def _ensure_worker(self):
         if self._worker is None:
-            self._worker = self._make_worker()
+            self._worker = DeferredWorker()
         return self._worker
+
+    def _device_cost(self, kind: str, offset: int, nbytes: int) -> float:
+        """Simulated device seconds one offloaded file op will cost (0
+        on a real file, whose device model charges nothing — real
+        devices are measured, not modelled)."""
+        f = self.file
+        streams = f.striping.streams_for(offset, nbytes)
+        if kind == "read":
+            return f.device.read_time(nbytes, streams)
+        return f.device.write_time(nbytes, streams)
 
     @staticmethod
     def _prepare_blocks(blocks) -> None:
-        """Force the block spec's memoized artifacts into existence on
-        the main thread, so the worker only ever reads them."""
+        """Force the block spec's memoized artifacts into existence at
+        submit, so the job applied at drain only ever reads them."""
         if isinstance(blocks, Blocks):
             blockprog.program_for_blocks(blocks)
         elif isinstance(blocks, TupleBlocks):
@@ -472,7 +431,7 @@ class PlanExecutor:
     def _submit_file_read(self, plan, op: FileReadOp, cur_round,
                           bufs) -> None:
         worker = self._ensure_worker()
-        pread = self._pread_into
+        pread = self.file.pread_into
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
         publishes = []
@@ -519,7 +478,7 @@ class PlanExecutor:
         worker = self._ensure_worker()
         # Double buffer: at most one window in flight behind this one.
         self._drain_worker(plan, 1, cur_round, bufs)
-        pwrite = self._pwrite
+        pwrite = self.file.pwrite
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
         views = []
@@ -570,17 +529,13 @@ class PlanExecutor:
         ``device_stall_seconds``.
         """
         stats = self.stats
-        w = self._worker
-        inline = w is not None and w.inline
         for job in done:
             stats.pipeline_file_seconds += job.seconds
-            # Worker file time gets its own phase bucket.  Threaded
-            # workers genuinely overlap the main thread, so this is new
-            # time; inline (deferred) jobs ran inside a ``file_io``-
-            # bucketed drain and are *moved* via ``_inline_comp``.
+            # Worker file time gets its own phase bucket.  The jobs ran
+            # on this thread inside a ``file_io``-bucketed drain, so
+            # their seconds are *moved* there via ``_inline_comp``.
             self.phases.add("pipeline_io", job.seconds)
-            if inline:
-                self._inline_comp += job.seconds
+            self._inline_comp += job.seconds
             stats.executed_file_reads += job.nreads
             stats.executed_file_writes += job.nwrites
             if job.dev_seconds:
@@ -630,14 +585,14 @@ class PlanExecutor:
         """Settle the worker at run end (from ``run``'s ``finally``).
 
         On the normal path the plan's final ``DrainOp(0)`` already
-        drained everything, so this is a cheap no-op drain — the thread
+        drained everything, so this is a cheap no-op drain — the worker
         is kept for the next plan run (see :meth:`close`).  On the abort
         path (an exception is propagating, or the drain itself surfaces
         a worker error) the worker is closed and discarded so a broken
         pipeline never leaks into the next run; its error is swallowed
         when another exception is already propagating, so it cannot mask
-        the primary failure.  The close cannot hang because jobs only do
-        rank-local file work.
+        the primary failure.  The close drops queued jobs, so no
+        deferred write lands after the failure.
         """
         worker = self._worker
         if sys.exc_info()[0] is not None:
@@ -660,7 +615,7 @@ class PlanExecutor:
         self._inline_comp = 0.0
 
     def close(self) -> None:
-        """Release executor resources (the background worker's thread).
+        """Release the worker, dropping any queued (unapplied) jobs.
 
         Called when the owning file handle closes; safe to call more
         than once or without a worker ever having been created."""
@@ -753,7 +708,7 @@ class PlanExecutor:
         # One vectored backend call for the whole block list; it
         # zero-fills past-EOF bytes and reports the first short block.
         offs, lens = block_arrays(blocks)
-        short, secs = self._preadv(
+        short, secs = self.file.preadv_blocks(
             offs + self._fdelta if self._fdelta else offs, lens, buf.arr,
             piece.d_lo - buf.d_lo,
         )
@@ -828,7 +783,7 @@ class PlanExecutor:
             )
             return
         offs, lens = block_arrays(blocks)
-        _n, secs = self._pwritev(
+        _n, secs = self.file.pwritev_blocks(
             offs + self._fdelta if self._fdelta else offs, lens, arr,
             piece.d_lo - base,
         )
@@ -898,92 +853,14 @@ class PlanExecutor:
     # once per vectored call (``_read_piece_direct``).
     # ------------------------------------------------------------------
     def pread_into(self, offset: int, out: np.ndarray) -> int:
-        n = self._pread_into(offset + self._fdelta, out)
+        n = self.file.pread_into(offset + self._fdelta, out)
         self.stats.executed_file_reads += 1
         self.stats.device_sync_seconds += self._charged()
         return n
 
     def pwrite(self, offset: int, data: np.ndarray):
         self.stats.executed_file_writes += 1
-        n = self._pwrite(offset + self._fdelta, data)
+        n = self.file.pwrite(offset + self._fdelta, data)
         self.stats.device_sync_seconds += self._charged()
         return n
 
-
-class SimFileExecutor(PlanExecutor):
-    """Executor over the simulated parallel file system."""
-
-    def __init__(self, simfile, codec=None, comm=None, stats=None,
-                 phases=None, rounds=None) -> None:
-        super().__init__(codec=codec, comm=comm, stats=stats,
-                         phases=phases, rounds=rounds)
-        self.simfile = simfile
-        # The backend's file stats keep the device seconds of each
-        # thread's last op: bind the reader once (see ``_charged``).
-        self._charged = simfile.stats.last_seconds
-
-    def _pread_into(self, offset, out):
-        return self.simfile.pread_into(offset, out)
-
-    def _pwrite(self, offset, data):
-        return self.simfile.pwrite(offset, data)
-
-    def _preadv(self, offsets, lengths, out, pos):
-        return self.simfile.preadv_blocks(offsets, lengths, out, pos)
-
-    def _pwritev(self, offsets, lengths, data, pos):
-        return self.simfile.pwritev_blocks(offsets, lengths, data, pos)
-
-    def _lock(self, lo, hi):
-        self.simfile.lock_range(lo, hi)
-
-    def _unlock(self, lo, hi):
-        self.simfile.unlock_range(lo, hi)
-
-    def _device_cost(self, kind, offset, nbytes):
-        f = self.simfile
-        streams = f.striping.streams_for(offset, nbytes)
-        if kind == "read":
-            return f.device.read_time(nbytes, streams)
-        return f.device.write_time(nbytes, streams)
-
-    def _make_worker(self):
-        """Deferred apply, not a thread: the simulated backend's file
-        primitives are microsecond memcpys plus *simulated* device
-        seconds, so a thread would add handoff/GIL cost while hiding
-        nothing.  The device-overlap model (``_absorb_jobs``) expresses
-        the concurrency instead, from each job's issue time."""
-        return DeferredWorker()
-
-
-class PosixExecutor(PlanExecutor):
-    """Executor over a :class:`~repro.fs.posix.PosixFile` handle.
-
-    Demonstrates plan portability: the very ops an engine emits against
-    the simulated MPI-IO backend run unchanged against the cursor-based
-    POSIX baseline interface.
-    """
-
-    def __init__(self, posix_file, codec=None, comm=None,
-                 stats=None, phases=None, rounds=None) -> None:
-        super().__init__(codec=codec, comm=comm, stats=stats,
-                         phases=phases, rounds=rounds)
-        self.file = posix_file
-
-    def _pread_into(self, offset, out):
-        return self.file.pread_into(offset, out)
-
-    def _pwrite(self, offset, data):
-        return self.file.pwrite(offset, data)
-
-    def _preadv(self, offsets, lengths, out, pos):
-        return self.file.preadv_blocks(offsets, lengths, out, pos)
-
-    def _pwritev(self, offsets, lengths, data, pos):
-        return self.file.pwritev_blocks(offsets, lengths, data, pos)
-
-    def _lock(self, lo, hi):
-        self.file.lock_range(lo, hi)
-
-    def _unlock(self, lo, hi):
-        self.file.unlock_range(lo, hi)

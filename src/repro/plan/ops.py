@@ -3,7 +3,7 @@
 An :class:`~repro.plan.plan.IOPlan` is an ordered list of these ops — a
 *declarative* record of everything an access will do, produced by the
 :class:`~repro.plan.planner.Planner` before any byte moves and consumed
-by an :class:`~repro.plan.executor.Executor`.  The split mirrors the
+by the :class:`~repro.plan.executor.PlanExecutor`.  The split mirrors the
 paper's core idea: the *description* of a non-contiguous access (which
 windows, which blocks, which exchanges) is separated from the *act* of
 performing it, so the description can be optimized, cached and replayed.
@@ -236,7 +236,7 @@ class FileReadOp(PlanOp):
     zeroed staging buffers of sieved reads.
 
     ``overlap`` marks the op as pipeline-eligible: the executor may
-    offload the file access to its background worker and publish the
+    offload the file access to its pipeline worker and publish the
     filled buffers at the next :class:`DrainOp` instead of completing
     in place (the prefetch stage of a pipelined collective round).
     ``round`` is the round the prefetched window serves (its buffers
@@ -283,8 +283,8 @@ class FileWriteOp(PlanOp):
 
     ``overlap`` marks the op as pipeline-eligible: the executor may
     assemble the window on the spot but offload the actual write to its
-    background worker, so the next round's exchange proceeds while the
-    bytes land (only ``"assemble"`` windows — ``"rmw"`` stays on the
+    pipeline worker, so the next round's exchange proceeds while the
+    device works the bytes off (only ``"assemble"`` windows — ``"rmw"`` stays on the
     ordered synchronous path).
     """
 

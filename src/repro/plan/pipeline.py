@@ -1,54 +1,45 @@
-"""Background file-I/O workers for pipelined collective rounds.
+"""The deferred file-I/O worker for pipelined collective rounds.
 
 The pipelined plan shape (``docs/collective.md``) overlaps round *N*'s
 file access with round *N+1*'s pack/exchange.  The executor offloads
-pipeline-eligible (``overlap``) file ops to a worker with a common
-submit/drain contract; two implementations divide the backends:
+pipeline-eligible (``overlap``) file ops to one :class:`DeferredWorker`
+per executor: the op is *issued* at submit — the simulated device
+starts working it off then (see the executor's device-overlap model) —
+and its byte work is applied on the submitting thread at the next
+drain.  A background thread would add handoff and GIL-contention cost
+for what is a memcpy against the file's buffer (or its mapping), while
+hiding nothing the device-overlap model does not already express.
 
-:class:`PipelineWorker`
-    one FIFO background thread — for backends whose file primitives do
-    real blocking I/O that releases the GIL (the POSIX executor), where
-    a thread buys genuine concurrency;
-:class:`DeferredWorker`
-    deferred apply on the submitting thread — for the simulated file
-    system, whose "I/O" is a microsecond memcpy plus *simulated* device
-    seconds.  Threading that would add handoff and GIL-contention cost
-    while hiding nothing; instead the op is *issued* at submit (the
-    simulated device starts working it off then — see the executor's
-    device-overlap model) and the memcpy is applied at the next drain.
+Design constraints the worker upholds:
 
-Design constraints both workers uphold:
-
-*Ordering.*  A single FIFO thread executes jobs strictly in submission
-order — a rank's windows are submitted in round order, so file ops per
-IOP stay sequenced by round even though they run off the critical path.
+*Ordering.*  Jobs are applied strictly in submission order — a rank's
+windows are submitted in round order, so file ops per IOP stay
+sequenced by round even though they run off the critical path.
 
 *Publication at drain.*  Jobs never touch the executor's shared staging
-table: a read job fills job-local buffers which the *main* thread
-publishes when it drains (:class:`~repro.plan.ops.DrainOp`).  The live
-staging table therefore holds exactly the serial plan's buffers at
-every accounting point, keeping ``peak_staging_bytes`` — the staging
-bound the round-based collective exists to enforce — literally
-unchanged; the extra in-flight window is tracked separately
+table: a read job fills job-local buffers which the executor publishes
+when it drains (:class:`~repro.plan.ops.DrainOp`).  The live staging
+table therefore holds exactly the serial plan's buffers at every
+accounting point, keeping ``peak_staging_bytes`` — the staging bound
+the round-based collective exists to enforce — literally unchanged;
+the extra in-flight window is tracked separately
 (``pipeline_inflight_peak_bytes``).
 
 *Prompt failure.*  Jobs only do rank-local file work (no communication),
-so they always terminate; the first job error is captured, the queue is
-cleared, and the next drain re-raises it on the main thread — a rank
-dying mid-pipeline surfaces through the runtime's usual abort paths
-without the drain ever blocking on a dead peer.
+so they always terminate; the first job error clears the queue and is
+re-raised by that drain and every later one — a rank failing
+mid-pipeline surfaces through the runtime's usual abort paths.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import trace
 
-__all__ = ["FileJob", "PipelineWorker", "DeferredWorker"]
+__all__ = ["FileJob", "DeferredWorker"]
 
 
 def _stamp_submit(job: "FileJob") -> None:
@@ -65,10 +56,9 @@ def _stamp_submit(job: "FileJob") -> None:
 
 
 def _stamp_complete(job: "FileJob") -> None:
-    """Stamp the ``complete`` edge once the job has run.  May execute on
-    the background worker thread: the rank comes from the job (stamped
-    at submit), not the calling thread, and ``sid`` is pinned to -1 —
-    the worker thread has no live span of the owning rank."""
+    """Stamp the ``complete`` edge once the job has run.  The rank comes
+    from the job (stamped at submit), and ``sid`` is pinned to -1 — the
+    job is not part of the span open at the drain that applies it."""
     if job.seq < 0 or not trace.TRACE_ON:
         return
     trace.TRACER.edge("complete", ("pipe", job.rank, job.seq),
@@ -117,148 +107,24 @@ class FileJob:
         self.rank = -1
 
 
-class PipelineWorker:
-    """One FIFO background thread executing :class:`FileJob`\\ s.
-
-    Created lazily by the executor on the first ``overlap`` op and kept
-    across plan runs (spawning a thread per collective would eat the
-    overlap win); the executor closes it with the owning file handle, or
-    discards it after an abort.  All public methods are called from the
-    owning rank's thread only; the worker thread touches nothing but the
-    jobs handed to it.
-    """
-
-    #: jobs run concurrently with the submitting thread — their seconds
-    #: are genuine overlap, not time carved out of the round wall
-    #: (see the executor's ``pipeline_io`` phase attribution)
-    inline = False
-
-    def __init__(self, name: str = "io-pipeline") -> None:
-        self._cond = threading.Condition()
-        self._queue: deque = deque()
-        self._done: deque = deque()
-        self._error: Optional[BaseException] = None
-        self._stop = False
-        #: jobs submitted but not yet completed (queued + running)
-        self.inflight = 0
-        self._inflight_bytes = 0
-        #: high-water mark of in-flight job buffer bytes
-        self.peak_inflight_bytes = 0
-        self._thread = threading.Thread(
-            target=self._loop, name=name, daemon=True
-        )
-        self._thread.start()
-
-    # -- main-thread API -----------------------------------------------
-    def submit(self, job: FileJob) -> None:
-        job.t_issue = time.perf_counter()
-        _stamp_submit(job)
-        with self._cond:
-            if self._error is not None:
-                # The pipeline is already broken; surface it instead of
-                # queueing work that would never matter.
-                raise self._error
-            self._queue.append(job)
-            self.inflight += 1
-            self._inflight_bytes += job.nbytes
-            if self._inflight_bytes > self.peak_inflight_bytes:
-                self.peak_inflight_bytes = self._inflight_bytes
-            self._cond.notify_all()
-
-    def drain(self, keep: int = 0) -> List[FileJob]:
-        """Wait until at most ``keep`` jobs remain in flight; returns
-        every completed job since the last drain (in completion order).
-        Re-raises the first job error on this (the main) thread."""
-        t_wait = time.perf_counter() if trace.TRACE_ON else 0.0
-        with self._cond:
-            while self.inflight > keep and self._error is None:
-                self._cond.wait()
-            if self._error is not None:
-                raise self._error
-            out = list(self._done)
-            self._done.clear()
-        # The drain edge names the last completed job as the cause of
-        # this wait (a pipeline stall, in wait-attribution terms).
-        if trace.TRACE_ON and out and out[-1].seq >= 0:
-            trace.add_edge("drain", ("pipe", out[-1].rank, out[-1].seq),
-                           t0=t_wait)
-        return out
-
-    def close(self, raise_error: bool = True) -> List[FileJob]:
-        """Drain fully, stop the thread and join it.
-
-        ``raise_error=False`` is the abort path (an exception is already
-        propagating on the main thread): completed jobs are still
-        returned for accounting, the worker error — if any — is
-        swallowed so it cannot mask the primary failure.
-        """
-        with self._cond:
-            while self.inflight > 0 and self._error is None:
-                self._cond.wait()
-            self._stop = True
-            self._cond.notify_all()
-            out = list(self._done)
-            self._done.clear()
-            err = self._error
-        self._thread.join()
-        if err is not None and raise_error:
-            raise err
-        return out
-
-    # -- worker thread --------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
-                if not self._queue:
-                    return  # stopped and drained
-                job = self._queue.popleft()
-            t0 = time.perf_counter()
-            exc: Optional[BaseException] = None
-            try:
-                job.run()
-            except BaseException as e:  # noqa: BLE001 - re-raised at drain
-                exc = e
-            t1 = time.perf_counter()
-            job.t0, job.t1 = t0, t1
-            job.seconds = t1 - t0
-            _stamp_complete(job)
-            with self._cond:
-                self.inflight -= 1
-                self._inflight_bytes -= job.nbytes
-                if exc is not None and self._error is None:
-                    # First failure wins; abandon queued work so the
-                    # pipeline aborts promptly instead of grinding on.
-                    self._error = exc
-                    for dropped in self._queue:
-                        self.inflight -= 1
-                        self._inflight_bytes -= dropped.nbytes
-                    self._queue.clear()
-                elif exc is None:
-                    self._done.append(job)
-                self._cond.notify_all()
-
-
 class DeferredWorker:
-    """Deferred-apply twin of :class:`PipelineWorker` (no thread).
+    """FIFO deferred apply of :class:`FileJob`\\ s (no thread).
 
     Jobs are queued at submit — the point at which the *simulated*
     device starts working them off, per ``FileJob.t_issue`` — and their
-    actual byte work (a memcpy against the in-memory file) is applied
-    in FIFO order on the calling thread at the next :meth:`drain`.
-    Everything about the contract matches the threaded worker: FIFO
-    ordering, publication at drain, the first job error clears the
-    queue and re-raises at drain, ``close`` without ``raise_error``
-    discards queued work on the abort path.
+    actual byte work is applied in FIFO order on the calling thread at
+    the next :meth:`drain`.  Their seconds are therefore already inside
+    the round wall, so the executor moves them out of ``file_io`` into
+    ``pipeline_io`` instead of double-counting.  The first job error
+    clears the queue and re-raises at drain; ``close`` without
+    ``raise_error`` discards queued work on the abort path.
+
+    Created lazily by the executor on the first ``overlap`` op and kept
+    across plan runs; the executor closes it with the owning file
+    handle, or discards it after an abort.
     """
 
-    #: jobs run *on the submitting thread* at drain — their seconds are
-    #: already inside the round wall, so the executor moves them out of
-    #: ``file_io`` into ``pipeline_io`` instead of double-counting
-    inline = True
-
-    def __init__(self, name: str = "io-deferred") -> None:
+    def __init__(self) -> None:
         self._queue: deque = deque()
         self._done: List[FileJob] = []
         self._error: Optional[BaseException] = None
@@ -301,7 +167,7 @@ class DeferredWorker:
     def drain(self, keep: int = 0) -> List[FileJob]:
         """Apply queued jobs until at most ``keep`` remain; returns the
         jobs completed since the last drain.  Raises the first job
-        error (queued work is dropped, matching the threaded worker)."""
+        error (queued work is dropped)."""
         if self._error is not None:
             raise self._error
         while self.inflight > keep:

@@ -53,13 +53,13 @@ class PlanStats:
     #: no bytes at all (empty window, nothing sent, nothing received) —
     #: the barrier cost the relaxed p2p path eliminates
     rounds_idle_synced: int = 0
-    #: file ops completed on the pipeline's background worker
+    #: file ops offloaded to the pipeline worker
     pipelined_file_ops: int = 0
-    #: seconds the background worker spent inside offloaded file ops
-    #: (overlapped with exchange/pack time on the main thread)
+    #: seconds the pipeline worker spent inside offloaded file ops
+    #: (applied at drains, issued ahead of exchange/pack time)
     pipeline_file_seconds: float = 0.0
-    #: seconds the main thread blocked waiting on the worker (drain +
-    #: double-buffer capacity waits) — overlap the pipeline did NOT win
+    #: seconds spent in worker drains (``DrainOp``s + double-buffer
+    #: capacity drains), which apply the queued jobs
     pipeline_wait_seconds: float = 0.0
     #: high-water mark of worker-side in-flight buffer bytes (the extra
     #: window the double buffer holds beyond ``peak_staging_bytes``)

@@ -149,9 +149,9 @@ class TestDeviceFaults:
 
 
 class TestPipelinedFaults:
-    """Device faults landing on the pipeline worker thread must surface
-    on the main thread at the next drain — as the injected exception,
-    never as a hang or a corrupted staging table."""
+    """Device faults hit inside deferred pipeline jobs must surface at
+    the drain that applies them — as the injected exception, never as
+    a hang or a corrupted staging table."""
 
     PIPE = Hints(cb_buffer_size=64, cb_pipeline="on")
 

@@ -19,8 +19,8 @@ from repro.fs import (
     SimFileSystem,
     StripingConfig,
 )
-from repro.plan import STAGE, Blocks, FileReadOp, IOPlan, Piece
-from repro.plan.executor import PosixExecutor, SimFileExecutor
+from repro.plan import (STAGE, Blocks, FileReadOp, IOPlan, Piece,
+                        PlanExecutor)
 from tests.conftest import fill_pattern
 
 
@@ -414,26 +414,23 @@ class TestExecutorShortReads:
     path: strict → today's error message (plan offsets, untranslated),
     otherwise the unread tail is zero-filled."""
 
-    def executor(self, h, kind):
-        return PosixExecutor(h) if kind == "posix" else SimFileExecutor(h)
-
     def test_strict_short_read_raises(self, twins, kind):
         ha, _fa, _hb, _fb = seeded_twins(twins, kind, 10)
-        ex = self.executor(ha, kind)
+        ex = PlanExecutor(ha)
         with pytest.raises(IOEngineError,
                            match=r"^short read: 2 of 4 bytes at 8$"):
             ex.run(strict_read_plan(True))
 
     def test_strict_short_read_reports_plan_offsets(self, twins, kind):
         ha, _fa, _hb, _fb = seeded_twins(twins, kind, 110)
-        ex = self.executor(ha, kind)
+        ex = PlanExecutor(ha)
         with pytest.raises(IOEngineError,
                            match=r"^short read: 2 of 4 bytes at 8$"):
             ex.run(strict_read_plan(True), file_delta=100)
 
     def test_non_strict_short_read_zero_fills(self, twins, kind):
         ha, fa, _hb, _fb = seeded_twins(twins, kind, 10)
-        ex = self.executor(ha, kind)
+        ex = PlanExecutor(ha)
         bufs = ex.run(strict_read_plan(False))
         want = fill_pattern(10, 5)
         assert bufs[STAGE].arr.tolist() == (

@@ -1,4 +1,8 @@
-"""The File handle: modes, pointers, views, size management."""
+"""The File handle: modes, pointers, views, size management, and the
+release of closed handles."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -430,5 +434,65 @@ class TestBadUserBuffers:
             keep = np.arange(128) % 16 < 8
             assert (back[keep] == src[keep]).all()
             fh.close()
+
+        spmd(1, worker)
+
+
+class TestCloseFreesHandle:
+    """A closed handle is freed by refcounting alone: no reference cycle
+    (handle ↔ engine, engine ↔ planner, engine ↔ executor codec) waits
+    for the cycle collector.  Runs with ``gc`` disabled."""
+
+    @staticmethod
+    def _live_files():
+        return sum(isinstance(o, File) for o in gc.get_objects())
+
+    def test_closed_file_freed_without_gc(self, engine):
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            fh.set_view(0, dt.BYTE, dt.vector(16, 4, 8, dt.BYTE))
+            fh.write_at(0, fill_pattern(64))
+            fh.close()
+            eng = fh.engine
+            # Post-close reads of the engine's stats keep working.
+            box["ops"] = eng.stats.snapshot()["executed_ops"]
+            box["fh"], box["engine"] = weakref.ref(fh), weakref.ref(eng)
+            del fh, eng
+            box["dead"] = (box["fh"]() is None, box["engine"]() is None)
+            box["baseline"] = self._live_files()
+            for i in range(100):
+                fh = File.open(comm, fs, f"/g{i % 4}",
+                               MODE_CREATE | MODE_RDWR, engine=engine)
+                fh.write_at(0, fill_pattern(16))
+                fh.close()
+                del fh
+            box["after"] = self._live_files()
+
+        gc.collect()
+        gc.disable()
+        try:
+            spmd(1, worker)
+        finally:
+            gc.enable()
+        assert box["ops"] > 0
+        assert box["dead"] == (True, True)
+        assert box["after"] == box["baseline"]
+
+    def test_request_waited_after_close_raises(self, engine):
+        """Closing releases the engine's planner and executor, so a
+        request still outstanding at close fails with a typed error."""
+        fs = SimFileSystem()
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine)
+            req = fh.iread_at(0, np.zeros(8, dtype=np.uint8))
+            fh.close()
+            with pytest.raises(IOEngineError, match="closed file handle"):
+                req.wait()
 
         spmd(1, worker)

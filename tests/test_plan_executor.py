@@ -1,6 +1,6 @@
-"""Executor backends and nonblocking requests: plans running against
-the POSIX baseline handle, deferred execution, error propagation, and
-lock cleanup on failure."""
+"""The plan executor and nonblocking requests: plans running against
+the POSIX baseline handle, the deferred pipeline worker, deferred
+execution, error propagation, and lock cleanup on failure."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from repro.plan import (
     IOPlan,
     KernelCodec,
     Piece,
-    PosixExecutor,
+    PlanExecutor,
     ScatterOp,
 )
 
@@ -81,13 +81,14 @@ def strided_plan(write):
     return IOPlan(kind, 0, 8, ops, slots={STAGE: (0, 8)})
 
 
-class TestPosixExecutor:
+class TestPosixBaseline:
     def test_plans_run_against_the_posix_baseline(self):
         """The very ops engines emit for the simulated MPI-IO backend run
-        unchanged against the cursor-based POSIX handle."""
+        unchanged, on the one executor, against the cursor-based POSIX
+        handle."""
         simfile = SimFile("/p", DeviceModel(), StripingConfig())
         pf = PosixFile(simfile)
-        ex = PosixExecutor(pf, codec=KernelCodec())
+        ex = PlanExecutor(pf, codec=KernelCodec())
 
         w = np.arange(1, 9, dtype=np.uint8)
         ex.run(strided_plan(write=True),
@@ -216,14 +217,14 @@ class TestLockCleanup:
         assert f.locks._held == {}
 
 
-class TestPipelineWorker:
-    """The background file-I/O worker in isolation: FIFO order, drain
+class TestDeferredWorker:
+    """The deferred file-I/O worker in isolation: FIFO order, drain
     semantics, and prompt failure."""
 
     def test_fifo_order_and_drain(self):
-        from repro.plan.pipeline import FileJob, PipelineWorker
+        from repro.plan.pipeline import DeferredWorker, FileJob
 
-        w = PipelineWorker()
+        w = DeferredWorker()
         order = []
         for i in range(8):
             w.submit(FileJob(lambda i=i: order.append(i), "read", i, 16))
@@ -236,10 +237,10 @@ class TestPipelineWorker:
     def test_drain_keep_leaves_work_in_flight(self):
         import threading
 
-        from repro.plan.pipeline import FileJob, PipelineWorker
+        from repro.plan.pipeline import DeferredWorker, FileJob
 
         gate = threading.Event()
-        w = PipelineWorker()
+        w = DeferredWorker()
         w.submit(FileJob(lambda: None, "read", 0, 4))
         w.submit(FileJob(gate.wait, "read", 1, 4))
         done = w.drain(keep=1)  # job 0 done; job 1 may still block
@@ -249,13 +250,13 @@ class TestPipelineWorker:
         w.close()
 
     def test_error_reraised_at_drain_and_queue_dropped(self):
-        from repro.plan.pipeline import FileJob, PipelineWorker
+        from repro.plan.pipeline import DeferredWorker, FileJob
 
         def boom():
             raise OSError("disk on fire")
 
         ran = []
-        w = PipelineWorker()
+        w = DeferredWorker()
         w.submit(FileJob(boom, "write", 0, 4))
         w.submit(FileJob(lambda: ran.append(1), "write", 1, 4))
         with pytest.raises(OSError, match="disk on fire"):
@@ -268,22 +269,22 @@ class TestPipelineWorker:
         w.close(raise_error=False)
 
     def test_close_can_swallow_error(self):
-        from repro.plan.pipeline import FileJob, PipelineWorker
+        from repro.plan.pipeline import DeferredWorker, FileJob
 
         def boom():
             raise OSError("late fault")
 
-        w = PipelineWorker()
+        w = DeferredWorker()
         w.submit(FileJob(boom, "write", 0, 4))
         assert w.close(raise_error=False) == []
 
     def test_inflight_bytes_tracked(self):
         import threading
 
-        from repro.plan.pipeline import FileJob, PipelineWorker
+        from repro.plan.pipeline import DeferredWorker, FileJob
 
         gate = threading.Event()
-        w = PipelineWorker()
+        w = DeferredWorker()
         w.submit(FileJob(gate.wait, "read", 0, 100))
         w.submit(FileJob(lambda: None, "read", 1, 50))
         assert w.peak_inflight_bytes == 150

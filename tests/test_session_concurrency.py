@@ -102,7 +102,13 @@ class TestSimConcurrentWorlds:
 
         def drive(seed):
             try:
-                _res, _img, sess = _run_world_sim(seed, "listless", 2)
+                # The registry holds file stats weakly: a file leaves it
+                # with its file system, so keep ``fs`` alive across the
+                # snapshot.
+                fs = SimFileSystem()
+                sess = IOSession(f"world-{seed}")
+                run_spmd(2, _world_worker, fs, seed, "listless",
+                         session=sess)
                 boxes[seed] = sess.metrics.snapshot()
             except BaseException as exc:  # noqa: BLE001
                 errs.append(exc)
