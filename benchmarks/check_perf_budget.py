@@ -39,6 +39,16 @@ the categories you need keeps hot kernels effectively untraced — and
 fully-on within 10%::
 
     python benchmarks/check_perf_budget.py --trace-overhead
+
+``--calls`` is a deterministic gate on the fixed per-access cost: it
+counts the Python-level calls of ``repro`` functions (``sys.setprofile``
+"call" events, the access's own frame included) in one *replayed*
+access of the repository benchmark's workloads — a ``small_indep``
+write and read, and a ``coll_interleaved`` write on each rank — and
+fails above :data:`CALL_BUDGETS`.  Counts do not depend on the host's
+speed, so the gate cannot flake on a slow runner::
+
+    python benchmarks/check_perf_budget.py --calls
 """
 
 from __future__ import annotations
@@ -51,6 +61,110 @@ import sys
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "results" / (
     "BENCH_blockprog.json"
 )
+
+
+#: Calls of ``repro`` functions one replayed access may make per rank
+#: (``--calls``).  Before plans were compiled to step tuples they were
+#: 66 (write) / 54 (read) on ``small_indep`` and 642 on
+#: ``coll_interleaved``; the collective's budget is its count since.
+CALL_BUDGETS = {
+    "small_indep write": 40,
+    "small_indep read": 30,
+    "coll_interleaved write": 537,
+}
+
+
+def _count_calls(fn, *args) -> int:
+    """Calls of ``repro`` functions ``fn(*args)`` makes on this thread,
+    its own frame included.  Library frames (NumPy's Python wrappers,
+    :mod:`threading`, whose waits loop as often as thread timing
+    dictates) are left out, so the count is a property of the program
+    alone."""
+    import os
+
+    import repro
+
+    home = os.path.dirname(repro.__file__) + os.sep
+    n = 0
+
+    def prof(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            n += 1
+
+    sys.setprofile(prof)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+def measure_calls() -> dict:
+    """``{access: calls per rank}`` of one replayed access of each gated
+    workload, after a warm pass over every slot (so plans, programs and
+    views are cached, as in the benchmark's steady state).  A
+    collective's count is the mean over its ranks: which rank does a
+    shared one-time step first varies run to run, their sum does not.
+    """
+    import numpy as np
+
+    from perfbench.workloads import WORKLOADS
+    from repro import datatypes as dt
+    from repro.fs import SimFileSystem
+    from repro.io import File, MODE_CREATE, MODE_RDWR
+    from repro.io.hints import Hints
+    from repro.mpi import run_spmd
+
+    out = {}
+    for name, dirs in (("small_indep", ("write", "read")),
+                       ("coll_interleaved", ("write",))):
+        spec = WORKLOADS[name]
+        fs = SimFileSystem()
+
+        def rank(comm):
+            count, memtype = spec.memtype()
+            fh = File.open(comm, fs, "/calls", MODE_CREATE | MODE_RDWR,
+                           hints=Hints.from_mapping(spec.hints))
+            fh.set_view(0, dt.BYTE, spec.filetype(comm.rank))
+            fh.preallocate(spec.region_bytes)
+            w = np.arange(spec.buf_bytes, dtype=np.uint8)
+            r = np.zeros(spec.buf_bytes, dtype=np.uint8)
+            write, read = ((fh.write_at_all, fh.read_at_all)
+                           if spec.collective else (fh.write_at, fh.read_at))
+            step = spec.access_bytes
+            for slot in range(spec.slots):
+                write(slot * step, w, count, memtype)
+                read(slot * step, r, count, memtype)
+            calls = {}
+            for d in dirs:
+                call, buf = (write, w) if d == "write" else (read, r)
+                comm.barrier()
+                calls[d] = _count_calls(call, step, buf, count, memtype)
+            comm.barrier()
+            fh.close()
+            return calls
+
+        per_rank = run_spmd(spec.nprocs, rank)
+        for d in dirs:
+            out[f"{name} {d}"] = sum(c[d] for c in per_rank) / spec.nprocs
+    return out
+
+
+def check_calls() -> int:
+    """Call-count gate over :data:`CALL_BUDGETS`."""
+    counts = measure_calls()
+    failed = []
+    for what, budget in CALL_BUDGETS.items():
+        n = counts[what]
+        print(f"  {what:>24}: {n:6g} Python calls (budget {budget})")
+        if n > budget:
+            failed.append(f"{what} makes {n} calls (budget {budget})")
+    if failed:
+        print("FAIL: " + "; ".join(failed), file=sys.stderr)
+        return 1
+    print("PASS: per-access call counts within budget")
+    return 0
 
 
 def _engine_share(record: dict, which: str) -> float:
@@ -182,8 +296,13 @@ def main() -> int:
                     help="allowed overhead of category-filtered tracing")
     ap.add_argument("--trace-on-limit", type=float, default=0.10,
                     help="allowed overhead of full tracing")
+    ap.add_argument("--calls", action="store_true",
+                    help="gate the Python calls of one replayed access "
+                         "instead")
     args = ap.parse_args()
 
+    if args.calls:
+        return check_calls()
     if args.trace_overhead:
         return check_trace_overhead(args.trace_iters, args.trace_repeats,
                                     args.trace_off_limit,
@@ -191,8 +310,8 @@ def main() -> int:
     if args.collective:
         return check_collective(args.collective, args.collective_slack)
     if not args.bench:
-        ap.error("one of --bench, --collective or --trace-overhead is "
-                 "required")
+        ap.error("one of --bench, --collective, --trace-overhead or "
+                 "--calls is required")
 
     with open(args.bench) as f:
         fresh = json.load(f)

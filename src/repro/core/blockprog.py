@@ -181,15 +181,19 @@ class BlockProgram:
                out_pos: int = 0) -> int:
         """Copy the program's blocks (translated by ``base``) of ``src``
         into ``out`` at ``out_pos``; returns bytes copied."""
-        active_stats().translations += 1
-        return self.kernel.gather(src, base, out, out_pos)
+        sess = SESSION.get(None)  # active_stats(), inlined
+        (BLOCKPROG_STATS if sess is None
+         else sess.prog_stats).translations += 1
+        return self.kernel.copy(src, base, out, out_pos, True)
 
     def scatter(self, dst: np.ndarray, base: int, src: np.ndarray,
                 src_pos: int = 0) -> int:
         """Copy contiguous ``src`` bytes from ``src_pos`` into the
         program's blocks of ``dst`` (translated by ``base``)."""
-        active_stats().translations += 1
-        return self.kernel.scatter(dst, base, src, src_pos)
+        sess = SESSION.get(None)  # active_stats(), inlined
+        (BLOCKPROG_STATS if sess is None
+         else sess.prog_stats).translations += 1
+        return self.kernel.copy(dst, base, src, src_pos, False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -303,7 +303,7 @@ class Kernel:
         to side ``b`` of ``other`` (translated by ``pos`` — for a
         one-sided kernel, where the contiguous run starts); returns
         bytes copied."""
-        return self._copy(buf, base, other, pos, True)
+        return self.copy(buf, base, other, pos, True)
 
     def scatter(self, buf: np.ndarray, base: int, other: np.ndarray,
                 pos: int = 0) -> int:
@@ -311,12 +311,13 @@ class Kernel:
         ``a`` of ``buf`` (translated by ``base``); returns bytes copied.
         Overlapping blocks are written in list order, so the last block
         touching a byte wins, as in a per-block loop."""
-        return self._copy(buf, base, other, pos, False)
+        return self.copy(buf, base, other, pos, False)
 
-    def _copy(self, buf: np.ndarray, base: int, other: np.ndarray,
-              pos: int, to_b: bool) -> int:
+    def copy(self, buf: np.ndarray, base: int, other: np.ndarray,
+             pos: int, to_b: bool) -> int:
         """Check both translated spans, count the call, copy ``a`` to
-        ``b`` (``to_b``) or back."""
+        ``b`` (``to_b``: :meth:`gather`) or back (:meth:`scatter`).
+        Hot callers that know the direction call this directly."""
         alo, ahi, astart, ashape, astrides, aidx = self.a
         blo, bhi, bstart, bshape, bstrides, bidx = self.b
         n = self.nbytes
@@ -325,7 +326,10 @@ class Kernel:
                 raise _span_error("block list", self.a, buf, base)
             if blo + pos < 0 or bhi + pos > other.size:
                 raise _span_error("other side", self.b, other, pos)
-        active_kernel_paths().counts[self.kind] += 1
+        # active_kernel_paths(), inlined: one ContextVar read per call.
+        sess = SESSION.get(None)
+        (KERNEL_PATHS if sess is None
+         else sess.kernel_paths).counts[self.kind] += 1
         pairs = self.pairs
         if pairs is not None:
             if to_b:

@@ -44,25 +44,48 @@ __all__ = ["Datatype"]
 class Datatype:
     """Abstract base of all datatype tree nodes.
 
-    Instances are immutable; all derived quantities are computed at
-    construction time, so constructing a datatype is the only O(tree) cost
-    and every later query is O(1).
+    All derived quantities are computed at construction time and stored
+    as plain slot attributes, so constructing a datatype is the only
+    O(tree) cost and every later query is one attribute read (no
+    property call: the memory-layout check of every access reads
+    several).  Treat them as read-only — instances are immutable by
+    contract:
+
+    ``size``, ``lb``, ``ub``, ``extent``, ``true_lb``, ``true_ub``,
+    ``depth``, ``num_blocks``
+        as in the module docstring; ``true_extent`` is
+        ``true_ub - true_lb``;
+    ``explicit_lb`` / ``explicit_ub``
+        the marker-derived bounds, or ``None`` without a marker;
+    ``is_contiguous``
+        one instance is a single run covering ``[lb, ub)``, so it packs
+        and unpacks as a plain memcpy even when tiled;
+    ``is_monotonic``
+        the type map is sorted by offset and non-overlapping (required
+        of etypes and filetypes by the MPI-IO standard — see
+        :func:`repro.datatypes.validation.validate_filetype`);
+    ``seq_first`` / ``seq_last_end``
+        the first data byte and one past the last in *type map order*
+        (may differ from ``true_lb``/``true_ub`` for non-monotonic
+        types); ``None`` when the type holds no data.
     """
 
     __slots__ = (
-        "_size",
-        "_lb",
-        "_ub",
-        "_true_lb",
-        "_true_ub",
-        "_explicit_lb",
-        "_explicit_ub",
-        "_depth",
-        "_num_blocks",
-        "_contiguous",
-        "_monotonic",
-        "_seq_first",
-        "_seq_last_end",
+        "size",
+        "lb",
+        "ub",
+        "extent",
+        "true_lb",
+        "true_ub",
+        "true_extent",
+        "explicit_lb",
+        "explicit_ub",
+        "depth",
+        "num_blocks",
+        "is_contiguous",
+        "is_monotonic",
+        "seq_first",
+        "seq_last_end",
         # Lazily attached caches (set by repro.core / repro.flatten; kept
         # here so immutable datatype objects can own their derived
         # representations without global registries).
@@ -88,113 +111,26 @@ class Datatype:
     ) -> None:
         if size < 0:
             raise DatatypeError(f"negative datatype size {size}")
-        self._size = size
-        self._true_lb = true_lb
-        self._true_ub = true_ub
-        self._explicit_lb = explicit_lb
-        self._explicit_ub = explicit_ub
-        self._lb = true_lb if explicit_lb is None else explicit_lb
-        self._ub = true_ub if explicit_ub is None else explicit_ub
-        self._depth = depth
-        self._num_blocks = num_blocks
-        self._contiguous = contiguous
-        self._monotonic = monotonic
-        # Offsets of the first data byte and one past the last data byte in
-        # *type map order* (may differ from true_lb/true_ub for
-        # non-monotonic types).  None when the type holds no data.
+        self.size = size
+        self.true_lb = true_lb
+        self.true_ub = true_ub
+        self.true_extent = true_ub - true_lb
+        self.explicit_lb = explicit_lb
+        self.explicit_ub = explicit_ub
+        self.lb = true_lb if explicit_lb is None else explicit_lb
+        self.ub = true_ub if explicit_ub is None else explicit_ub
+        self.extent = self.ub - self.lb
+        self.depth = depth
+        self.num_blocks = num_blocks
+        self.is_contiguous = contiguous
+        self.is_monotonic = monotonic
         if size > 0:
-            self._seq_first = true_lb if seq_first is None else seq_first
-            self._seq_last_end = true_ub if seq_last_end is None else seq_last_end
+            self.seq_first = true_lb if seq_first is None else seq_first
+            self.seq_last_end = (true_ub if seq_last_end is None
+                                 else seq_last_end)
         else:
-            self._seq_first = None
-            self._seq_last_end = None
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of actual data bytes in one instance of the type."""
-        return self._size
-
-    @property
-    def lb(self) -> int:
-        """Lower bound (explicit marker/resized bound if present)."""
-        return self._lb
-
-    @property
-    def ub(self) -> int:
-        """Upper bound (explicit marker/resized bound if present)."""
-        return self._ub
-
-    @property
-    def extent(self) -> int:
-        """``ub - lb`` — tiling stride for repetition counts."""
-        return self._ub - self._lb
-
-    @property
-    def true_lb(self) -> int:
-        """Lowest byte offset holding actual data."""
-        return self._true_lb
-
-    @property
-    def true_ub(self) -> int:
-        """One past the highest byte offset holding actual data."""
-        return self._true_ub
-
-    @property
-    def true_extent(self) -> int:
-        """``true_ub - true_lb``."""
-        return self._true_ub - self._true_lb
-
-    @property
-    def explicit_lb(self) -> Optional[int]:
-        """Marker-derived lower bound, or None if no marker is present."""
-        return self._explicit_lb
-
-    @property
-    def explicit_ub(self) -> Optional[int]:
-        """Marker-derived upper bound, or None if no marker is present."""
-        return self._explicit_ub
-
-    @property
-    def depth(self) -> int:
-        """Depth of the constructor tree (basic types: 1)."""
-        return self._depth
-
-    @property
-    def num_blocks(self) -> int:
-        """*Nblock*: maximal contiguous byte runs per instance."""
-        return self._num_blocks
-
-    @property
-    def is_contiguous(self) -> bool:
-        """True if one instance is a single run covering ``[lb, ub)``.
-
-        A contiguous type packs/unpacks as a plain memcpy even when tiled,
-        because its extent equals its size and the data fills it.
-        """
-        return self._contiguous
-
-    @property
-    def seq_first(self) -> Optional[int]:
-        """Offset of the first data byte in type-map order (None if empty)."""
-        return self._seq_first
-
-    @property
-    def seq_last_end(self) -> Optional[int]:
-        """One past the last data byte in type-map order (None if empty)."""
-        return self._seq_last_end
-
-    @property
-    def is_monotonic(self) -> bool:
-        """True if the type map is sorted by offset and non-overlapping.
-
-        Required of etypes and filetypes by the MPI-IO standard (negative
-        displacements are additionally forbidden — see
-        :func:`repro.datatypes.validation.validate_filetype`).
-        """
-        return self._monotonic
+            self.seq_first = None
+            self.seq_last_end = None
 
     # ------------------------------------------------------------------
     # Structural interface implemented by subclasses

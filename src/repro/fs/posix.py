@@ -103,7 +103,8 @@ class OsFile(FileBuffer):
             raise FileSystemError(f"invalid read offset {offset}")
         t0 = trace.now() if trace.TRACE_ON else 0.0
         n = os.preadv(self._fd, [out], offset)
-        streams = self.striping.streams_for(offset, n)
+        st = self.striping
+        streams = 1 if st.ndisks == 1 else st.streams_for(offset, n)
         self.stats.record_read(n, self.device.read_time(n, streams))
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pread", t0, bytes=n)
@@ -116,7 +117,8 @@ class OsFile(FileBuffer):
         buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         t0 = trace.now() if trace.TRACE_ON else 0.0
         n = os.pwrite(self._fd, buf, offset)
-        streams = self.striping.streams_for(offset, n)
+        st = self.striping
+        streams = 1 if st.ndisks == 1 else st.streams_for(offset, n)
         self.stats.record_write(n, self.device.write_time(n, streams))
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)

@@ -203,7 +203,8 @@ class SimFile(FileBuffer):
         with self._mu:
             n = max(min(offset + out.size, self._size) - offset, 0)
             out[:n] = self._data[offset:offset + n]
-        streams = self.striping.streams_for(offset, n)
+        st = self.striping
+        streams = 1 if st.ndisks == 1 else st.streams_for(offset, n)
         self.stats.record_read(n, self.device.read_time(n, streams))
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pread", t0, bytes=n)
@@ -222,7 +223,8 @@ class SimFile(FileBuffer):
             if n and offset + n > self._size:
                 self._grow(offset + n)
             self._data[offset : offset + n] = buf
-        streams = self.striping.streams_for(offset, n)
+        st = self.striping
+        streams = 1 if st.ndisks == 1 else st.streams_for(offset, n)
         self.stats.record_write(n, self.device.write_time(n, streams))
         if trace.TRACE_ON:
             trace.TRACER.add("fs.pwrite", t0, bytes=n)

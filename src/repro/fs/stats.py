@@ -75,9 +75,10 @@ class _LastCharge(threading.local):
 class FileStats:
     """Mutable operation counters (thread-safe).
 
-    Each thread's last charge is kept too (:meth:`last_seconds`): the
-    plan executor bills the device time of its own one-extent ops from
-    it instead of recomputing the backend's figure.
+    Each thread's last charge is kept too (``last.seconds``, 0.0
+    before the thread's first): the plan executor bills the device time
+    of its own one-extent ops from it instead of recomputing the
+    backend's figure.
     """
 
     n_reads: int = 0
@@ -89,7 +90,7 @@ class FileStats:
     _mu: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    _last: _LastCharge = field(
+    last: _LastCharge = field(
         default_factory=_LastCharge, repr=False, compare=False
     )
 
@@ -101,7 +102,7 @@ class FileStats:
             self.n_reads += ops
             self.bytes_read += nbytes
             self.sim_time += sim_time
-        self._last.seconds = sim_time
+        self.last.seconds = sim_time
 
     def record_write(self, nbytes: int, sim_time: float,
                      ops: int = 1) -> None:
@@ -109,12 +110,7 @@ class FileStats:
             self.n_writes += ops
             self.bytes_written += nbytes
             self.sim_time += sim_time
-        self._last.seconds = sim_time
-
-    def last_seconds(self) -> float:
-        """Simulated seconds of the calling thread's last read or write
-        charged here (0.0 before its first)."""
-        return self._last.seconds
+        self.last.seconds = sim_time
 
     def record_lock(self) -> None:
         with self._mu:

@@ -252,25 +252,23 @@ class IOEngine:
             plan = shipping.maybe_rewrite(self, plan)
         return self.executor.run(plan, mem, buffers, file_delta)
 
-    def write_independent(self, mem: MemDescriptor, d0: int) -> None:
-        if mem.nbytes == 0:
+    def run_independent(self, mem: MemDescriptor, d0: int,
+                        write: bool) -> None:
+        """Plan (a replay hit, normally) and run one independent access.
+        The ``<engine>.write_independent``/``read_independent`` span is
+        built only when tracing is on."""
+        n = mem.nbytes
+        if not n:
             return
-        with trace.span(f"{self.name}.write_independent",
-                        bytes=mem.nbytes):
-            plan, delta = self.planner.plan_independent_bound(
-                d0, mem.nbytes, write=True
-            )
-            self.run_plan(plan, mem, file_delta=delta)
-
-    def read_independent(self, mem: MemDescriptor, d0: int) -> None:
-        if mem.nbytes == 0:
+        if trace.TRACE_ON:
+            kind = "write" if write else "read"
+            with trace.span(f"{self.name}.{kind}_independent", bytes=n):
+                plan, delta = self.planner.plan_independent_bound(
+                    d0, n, write)
+                self.run_plan(plan, mem, None, delta)
             return
-        with trace.span(f"{self.name}.read_independent",
-                        bytes=mem.nbytes):
-            plan, delta = self.planner.plan_independent_bound(
-                d0, mem.nbytes, write=False
-            )
-            self.run_plan(plan, mem, file_delta=delta)
+        plan, delta = self.planner.plan_independent_bound(d0, n, write)
+        self.run_plan(plan, mem, None, delta)
 
     # ------------------------------------------------------------------
     # Collective access (round-based driver shared across engines)

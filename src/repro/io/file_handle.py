@@ -22,7 +22,6 @@ import numpy as np
 from repro._ctx import SESSION
 from repro.core.fileview_cache import FileviewCache
 from repro.datatypes.base import Datatype
-from repro.datatypes.basic import BYTE
 from repro.errors import IOEngineError
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.simfile import SimFile
@@ -445,12 +444,6 @@ class File:
         self, buf: np.ndarray, count: Optional[int],
         memtype: Optional[Datatype], dest: bool = False,
     ) -> MemDescriptor:
-        if memtype is None:
-            memtype = BYTE
-            if count is None:
-                count = buf.nbytes
-        elif count is None:
-            count = 1
         return MemDescriptor(buf, count, memtype, dest=dest)
 
     def _advance(self, mem: MemDescriptor, ptr: int) -> int:
@@ -462,6 +455,17 @@ class File:
                 f"(etype size {esize})"
             )
         return ptr + nbytes // esize
+
+    def _independent(self, mem: MemDescriptor, d0: int,
+                     write: bool) -> None:
+        """One blocking independent access; under atomic mode the whole
+        access range stays locked across it."""
+        guard = self._atomic_guard(mem, d0)
+        try:
+            self.engine.run_independent(mem, d0, write)
+        finally:
+            if guard:
+                self.simfile.unlock_range(*guard)
 
     def _atomic_guard(self, mem: MemDescriptor, d0: int):
         """Whole-access range lock under atomic mode."""
@@ -485,14 +489,8 @@ class File:
         """Independent write at etype offset ``offset``."""
         self._check_open()
         self._check_writable()
-        mem = self._mem(buf, count, memtype)
-        d0 = offset * self.view.esize
-        guard = self._atomic_guard(mem, d0)
-        try:
-            self.engine.write_independent(mem, d0)
-        finally:
-            if guard:
-                self.simfile.unlock_range(*guard)
+        self._independent(MemDescriptor(buf, count, memtype),
+                          offset * self.view.esize, True)
 
     def read_at(
         self,
@@ -504,14 +502,9 @@ class File:
         """Independent read at etype offset ``offset``."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype, dest=True)
-        d0 = offset * self.view.esize
-        guard = self._atomic_guard(mem, d0)
-        try:
-            self.engine.read_independent(mem, d0)
-        finally:
-            if guard:
-                self.simfile.unlock_range(*guard)
+        self._independent(
+            MemDescriptor(buf, count, memtype, dest=True),
+            offset * self.view.esize, False)
 
     # ------------------------------------------------------------------
     # Independent access, individual file pointer

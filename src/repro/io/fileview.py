@@ -29,43 +29,40 @@ __all__ = ["FileView", "MemDescriptor", "default_view"]
 
 @dataclass(frozen=True)
 class FileView:
-    """One process' validated fileview."""
+    """One process' validated fileview.
+
+    The quantities both engines need are computed once, here, and read
+    as plain attributes on every access:
+
+    ``esize``
+        bytes of data per etype unit;
+    ``ft_size`` / ``ft_extent``
+        data bytes / file bytes spanned per filetype instance;
+    ``is_contiguous``
+        the view exposes the file contiguously (the c-c / nc-c fast
+        path: plain offset arithmetic, no sieving).
+    """
 
     disp: int
     etype: Datatype
     filetype: Datatype
+    esize: int = field(init=False, repr=False, compare=False)
+    ft_size: int = field(init=False, repr=False, compare=False)
+    ft_extent: int = field(init=False, repr=False, compare=False)
+    is_contiguous: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.disp < 0:
             raise IOEngineError(f"negative view displacement {self.disp}")
         validate_etype(self.etype)
         validate_filetype(self.filetype, self.etype)
-
-    # ------------------------------------------------------------------
-    @property
-    def esize(self) -> int:
-        """Bytes of data per etype unit."""
-        return self.etype.size
-
-    @property
-    def ft_size(self) -> int:
-        """Data bytes per filetype instance."""
-        return self.filetype.size
-
-    @property
-    def ft_extent(self) -> int:
-        """File bytes spanned per filetype instance."""
-        return self.filetype.extent
-
-    @property
-    def is_contiguous(self) -> bool:
-        """True when the view exposes the file contiguously (the c-c /
-        nc-c fast path: plain offset arithmetic, no sieving)."""
-        return (
-            self.filetype.is_contiguous
-            and self.filetype.lb == 0
-            and self.ft_size == self.ft_extent
-        )
+        ft = self.filetype
+        put = object.__setattr__
+        put(self, "esize", self.etype.size)
+        put(self, "ft_size", ft.size)
+        put(self, "ft_extent", ft.extent)
+        put(self, "is_contiguous", ft.is_contiguous and ft.lb == 0
+            and ft.size == ft.extent)
 
     def data_bytes_of_etypes(self, n_etypes: int) -> int:
         """Data bytes corresponding to ``n_etypes`` etype units."""
@@ -77,10 +74,11 @@ def default_view() -> FileView:
     return FileView(0, BYTE, BYTE)
 
 
-@dataclass
 class MemDescriptor:
     """The memory side of an access: ``count`` instances of ``memtype`` in
-    ``buf`` (a NumPy array viewed as bytes).
+    ``buf`` (a NumPy array viewed as bytes).  As in MPI's C binding, no
+    ``memtype`` means the buffer's bytes (``count`` defaults to all of
+    them) and no ``count`` means one instance.
 
     ``origin`` is the byte offset within ``buf`` that corresponds to the
     datatype origin; it defaults to ``-memtype.lb`` for marker-adjusted
@@ -95,42 +93,48 @@ class MemDescriptor:
     moves: every byte the layout touches (``count`` instances tiled at
     the memtype extent from ``origin``) must lie inside it.  The copy
     kernels read and write user memory directly on that contract.
+
+    Derived, read-only: ``as_bytes`` (flat uint8 view of the buffer),
+    ``is_contiguous`` (the data occupies one contiguous run of it) and
+    ``nbytes`` (total data bytes of the access).
     """
 
-    buf: np.ndarray
-    count: int
-    memtype: Datatype
-    origin: Optional[int] = None
-    dest: bool = False
-    _bytes: np.ndarray = field(init=False, repr=False)
-    #: True when the data occupies one contiguous run of the buffer.
-    is_contiguous: bool = field(init=False, repr=False)
-    #: Total data bytes of the access.
-    nbytes: int = field(init=False, repr=False)
+    __slots__ = ("buf", "count", "memtype", "origin", "dest", "as_bytes",
+                 "is_contiguous", "nbytes")
 
-    def __post_init__(self) -> None:
-        count = self.count
+    def __init__(self, buf: np.ndarray, count: Optional[int] = None,
+                 memtype: Optional[Datatype] = None,
+                 origin: Optional[int] = None, dest: bool = False) -> None:
+        if memtype is None:
+            memtype = BYTE
+            if count is None:
+                count = buf.nbytes
+        elif count is None:
+            count = 1
         if count < 0:
             raise IOEngineError(f"negative count {count}")
-        buf = self.buf
+        self.buf = buf
+        self.count = count
+        self.memtype = mt = memtype
+        self.dest = dest
         if not buf.flags.c_contiguous:
-            if self.dest:
+            if dest:
                 raise IOEngineError(
                     f"read destination of shape {buf.shape} with strides "
                     f"{buf.strides} is not C-contiguous"
                 )
             buf = np.ascontiguousarray(buf)
-        b = self._bytes = buf.view(np.uint8).reshape(-1)
-        if self.dest and not b.flags.writeable:
+        self.as_bytes = b = buf.view(np.uint8).reshape(-1)
+        if dest and not b.flags.writeable:
             raise IOEngineError("read destination is read-only")
-        mt = self.memtype
-        if self.origin is None:
-            self.origin = -min(mt.lb, mt.true_lb, 0)
+        if origin is None:
+            origin = -min(mt.lb, mt.true_lb, 0)
+        self.origin = origin
         self.is_contiguous = mt.is_contiguous
-        self.nbytes = count * mt.size
-        if self.nbytes:
-            lo = self.origin + mt.true_lb
-            hi = self.origin + mt.true_ub
+        self.nbytes = n = count * mt.size
+        if n:
+            lo = origin + mt.true_lb
+            hi = origin + mt.true_ub
             step = (count - 1) * mt.extent
             if step < 0:
                 lo += step
@@ -139,17 +143,12 @@ class MemDescriptor:
             if lo < 0 or hi > b.size:
                 raise IOEngineError(
                     f"{count} x memtype (extent {mt.extent}) from origin "
-                    f"{self.origin} touches buffer bytes [{lo}, {hi}), but "
+                    f"{origin} touches buffer bytes [{lo}, {hi}), but "
                     f"the buffer holds {b.size}"
                 )
-
-    @property
-    def as_bytes(self) -> np.ndarray:
-        """Flat uint8 view of the buffer."""
-        return self._bytes
 
     def contiguous_slice(self, start: int, nbytes: int) -> np.ndarray:
         """For contiguous memtypes: the byte slice holding data bytes
         ``[start, start + nbytes)``."""
         base = self.origin + self.memtype.lb
-        return self._bytes[base + start : base + start + nbytes]
+        return self.as_bytes[base + start : base + start + nbytes]

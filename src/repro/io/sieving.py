@@ -8,8 +8,8 @@ is written back under a byte-range lock so the untouched gap bytes do not
 clobber concurrent writers.
 
 The engines differ only in how the "copy the useful pieces" step works,
-so this module provides just the file-buffer read/write operations with
-their locking discipline; the window geometry is
+so this module provides just the window read (the plan executor locks,
+overlays and writes back); the window geometry is
 :func:`repro.intervals.tile`.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from repro.fs.simfile import SimFile
 from repro.obs import trace
 
-__all__ = ["read_window", "write_window_locked"]
+__all__ = ["read_window"]
 
 
 def read_window(simfile: SimFile, wlo: int, whi: int) -> np.ndarray:
@@ -36,22 +36,3 @@ def read_window(simfile: SimFile, wlo: int, whi: int) -> np.ndarray:
     if trace.TRACE_ON:
         trace.add_span("sieve.read_window", t0, bytes=whi - wlo)
     return fb
-
-
-def write_window_locked(
-    simfile: SimFile,
-    wlo: int,
-    fb: np.ndarray,
-    already_locked: bool = False,
-) -> None:
-    """Write a file buffer back (lock already held by caller when
-    ``already_locked``)."""
-    if already_locked:
-        simfile.pwrite(wlo, fb)
-        return
-    whi = wlo + fb.size
-    simfile.lock_range(wlo, whi)
-    try:
-        simfile.pwrite(wlo, fb)
-    finally:
-        simfile.unlock_range(wlo, whi)

@@ -13,12 +13,12 @@ test suite.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.deadline import recv_timeout
 from repro.errors import MPIRuntimeError
 from repro.mpi.cost_model import payload_nbytes
 from repro.mpi.status import Status
@@ -30,17 +30,6 @@ __all__ = ["Comm", "ANY_TAG", "PendingOp", "recv_timeout"]
 ANY_TAG = -1
 
 _POLL_INTERVAL = 0.05  # seconds between failure-flag checks while blocked
-
-
-def recv_timeout() -> float:
-    """Seconds a blocked receive may wait before raising.
-
-    A receive whose sender never sends (mismatched tag, crashed peer
-    the failure detector missed) must surface as an error, not a hang;
-    this deadline bounds every blocking wait in the runtime.  Override
-    with ``REPRO_RECV_TIMEOUT``.
-    """
-    return float(os.environ.get("REPRO_RECV_TIMEOUT", 60.0))
 
 
 class PendingOp:

@@ -53,6 +53,14 @@ def payload_nbytes(obj) -> int:
     """
     if obj is None:
         return 0
+    t = type(obj)
+    if t is np.ndarray:
+        return obj.nbytes
+    if t is tuple and len(obj) == 3 and type(obj[2]) is np.ndarray \
+            and type(obj[0]) is int and type(obj[1]) is int:
+        # The collective data payload ``(d_lo, d_hi, bytes)``, sized
+        # directly: two scalars plus the array.
+        return 16 + obj[2].nbytes
     wire = getattr(obj, "wire_bytes", None)
     if wire is not None:
         return int(wire)

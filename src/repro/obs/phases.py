@@ -40,8 +40,8 @@ Buckets (see ``docs/observability.md`` for the mapping to paper terms):
     still sum to at most the wall time (see ``docs/observability.md``).
 
 Unlike tracing (:mod:`repro.obs.trace`), phase accounting is never
-switched off — it costs two ``perf_counter`` reads per executed op,
-which is noise next to the op itself, and the decomposition must always
+switched off — it costs one ``perf_counter`` read per executed op
+(the executor chains its stamps), which is noise next to the op itself, and the decomposition must always
 be available to benchmarks.
 """
 

@@ -38,6 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro._ctx import SESSION
 from repro.core import blockprog
 from repro.core.ff_pack import top_dataloop
 from repro.core.gather import gather_blocks, pair_blocks, scatter_blocks
@@ -99,7 +100,10 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
         prog = memo.get(key)
         if prog is not None:
             memo.move_to_end(key)
-            blockprog.active_stats().hits += 1
+            # blockprog.active_stats(), inlined on the replay path.
+            sess = SESSION.get(None)
+            (blockprog.BLOCKPROG_STATS if sess is None
+             else sess.prog_stats).hits += 1
             return prog
     n = blocks.nbytes
     if mem.is_contiguous:
@@ -135,9 +139,9 @@ class DataPlane:
         the access's :class:`~repro.io.fileview.MemDescriptor` — then
         ``pos`` is the blocks' first data byte relative to the access,
         and one pair-program call copies into user memory."""
-        if isinstance(out, MemDescriptor):
-            kernel = pair_program(blocks, out, pos).kernel
-            return kernel.gather(fb, -wlo, out.as_bytes, out.origin)
+        if type(out) is MemDescriptor:
+            return pair_program(blocks, out, pos).kernel.copy(
+                fb, -wlo, out.as_bytes, out.origin, True)
         if isinstance(blocks, Blocks):
             prog = blockprog.program_for_blocks(blocks)
             return prog.gather(fb, -wlo, out, pos)
@@ -150,9 +154,9 @@ class DataPlane:
         window buffer ``fb``; returns bytes copied.  ``src`` may be a
         :class:`~repro.io.fileview.MemDescriptor`, as for
         :meth:`gather`."""
-        if isinstance(src, MemDescriptor):
-            kernel = pair_program(blocks, src, pos).kernel
-            return kernel.scatter(fb, -wlo, src.as_bytes, src.origin)
+        if type(src) is MemDescriptor:
+            return pair_program(blocks, src, pos).kernel.copy(
+                fb, -wlo, src.as_bytes, src.origin, False)
         if isinstance(blocks, Blocks):
             prog = blockprog.program_for_blocks(blocks)
             return prog.scatter(fb, -wlo, src, pos)

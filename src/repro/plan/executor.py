@@ -3,41 +3,40 @@
 The executor is the only place where plan ops touch bytes.  It is
 deliberately dumb — every decision (windows, coalescing, sieving, pre-read
 skipping, exchange schedule) was already taken by the planner and is
-encoded in the ops; the executor just dispatches them.
+encoded in the ops.  It compiles: :meth:`PlanExecutor.lower` turns a
+plan, once, into a tuple of steps — each op with its pre-chosen handler,
+phase bucket and span name — memoized on the plan, and :meth:`~
+PlanExecutor.run` is one pass over them, one ``perf_counter`` stamp per
+op boundary.  A replayed plan therefore costs one call per op.
 
-One executor, :class:`PlanExecutor`, serves every backend.  It calls the
-file's primitives directly — ``pread_into``, ``pwrite``,
-``preadv_blocks``, ``pwritev_blocks``, ``lock_range``, ``unlock_range``
-— and reads its ``stats``, ``device`` and ``striping``.  A
-:class:`~repro.fs.simfile.SimFile`, an :class:`~repro.fs.posix.OsFile`,
-a :class:`~repro.fs.sharded.ShardedFile` and the cursor-based
-:class:`~repro.fs.posix.PosixFile` all provide that surface, so the very
-plan an engine emits runs unchanged on each of them.
+One executor serves every backend.  It calls the file's primitives
+directly — ``pread_into``, ``pwrite``, ``preadv_blocks``,
+``pwritev_blocks``, ``lock_range``, ``unlock_range`` — and reads its
+``stats``, ``device`` and ``striping``: :class:`~repro.fs.simfile.
+SimFile`, :class:`~repro.fs.posix.OsFile`, :class:`~repro.fs.sharded.
+ShardedFile` and the cursor-based :class:`~repro.fs.posix.PosixFile`
+all provide that surface.
 
 The *memory* side of gather/scatter ops is delegated to a ``codec``
 (normally the emitting engine), so each engine keeps its characteristic
-representation costs; the *file* side — every block copy between window
-buffers and staging — goes through the shared
-:class:`~repro.plan.dataplane.DataPlane` facade, which batches it.
-:data:`~repro.plan.ops.MEM` pieces (sieved independent windows) skip
-staging: one ``DataPlane`` pair-program call copies between the file
-buffer and user memory, billed to the ``pack``/``unpack`` phase.
-
-Plans from the planner's replay fast path execute with a ``file_delta``:
-every file offset the plan names (windows, direct blocks, lock ranges)
-is translated by that many bytes at dispatch time, so one relocatable
-plan serves every period-translated access of the same shape.
+representation costs; the *file* side goes through the batched
+:class:`~repro.plan.dataplane.DataPlane`.  :data:`~repro.plan.ops.MEM`
+pieces (sieved independent windows) skip staging: one pair-program call
+copies between the file buffer and user memory, billed to ``pack``/
+``unpack``.  A replayed plan runs with a ``file_delta`` that translates
+every file offset it names (windows, blocks, lock ranges).
 """
 
 from __future__ import annotations
 
 import sys
-import time
+from time import perf_counter
 from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.core import blockprog
+from repro.core.ff_pack import ff_pack, ff_unpack
 from repro.errors import IOEngineError
 from repro.io.fileview import MemDescriptor
 from repro.io.sieving import read_window
@@ -95,8 +94,6 @@ class KernelCodec:
         if mem.is_contiguous:
             out[: d_hi - d_lo] = mem.contiguous_slice(d_lo, d_hi - d_lo)
             return
-        from repro.core.ff_pack import ff_pack
-
         ff_pack(mem.buf, mem.count, mem.memtype, d_lo, out, d_hi - d_lo,
                 origin=mem.origin)
 
@@ -104,8 +101,6 @@ class KernelCodec:
         if mem.is_contiguous:
             mem.contiguous_slice(d_lo, d_hi - d_lo)[...] = data[: d_hi - d_lo]
             return
-        from repro.core.ff_pack import ff_unpack
-
         ff_unpack(data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
                   origin=mem.origin)
 
@@ -127,6 +122,18 @@ class _Buf:
         self.zero_copy = zero_copy
 
 
+def _held_bytes(buf) -> int:
+    """Staging bytes a buffer-table entry holds: zero-copy views of the
+    user buffer are free; everything else — gather outputs, inbound
+    exchange payloads, reply buffers — is real staging memory."""
+    if isinstance(buf, _Buf):
+        return 0 if buf.zero_copy else buf.arr.nbytes
+    if isinstance(buf, tuple) and len(buf) == 3 \
+            and isinstance(buf[2], np.ndarray):
+        return buf[2].nbytes
+    return 0
+
+
 class PlanExecutor:
     """Runs plans against ``file``: any backend with the file primitive
     surface (see the module docstring)."""
@@ -136,49 +143,67 @@ class PlanExecutor:
                  phases: Optional[PhaseAccumulator] = None,
                  rounds: Optional[RoundLog] = None) -> None:
         self.file = file
-        # The backend's file stats keep the simulated device seconds of
-        # each thread's last one-extent op: bind the reader once.
-        self._charged = file.stats.last_seconds
+        #: Per-thread device seconds of the file's last one-extent op.
+        self._last = file.stats.last
         self.codec = codec if codec is not None else KernelCodec()
         self.comm = comm
         self.stats = stats if stats is not None else PlanStats()
-        #: Per-phase wall-time buckets this executor accumulates into
-        #: (normally the owning engine's; see ``repro.obs.phases``).
+        #: Per-phase wall-time buckets (normally the owning engine's).
         self.phases = phases if phases is not None else PhaseAccumulator()
         #: Per-round exchange/file_io decomposition of collectives.
         self.rounds = rounds if rounds is not None else RoundLog()
-        #: File-offset translation of the plan currently running (set by
-        #: :meth:`run` from its ``file_delta`` argument; 0 outside runs).
+        #: Per-run state: the file-offset translation, the translated
+        #: lock ranges held (released if an op fails), and the live
+        #: staging bytes, total and per slot (:meth:`_put`).
         self._fdelta = 0
-        #: Deferred-apply worker for ``overlap`` file ops.  Created
-        #: lazily on the first ``overlap`` op, reused across plan runs,
-        #: closed with the executor (:meth:`close`).
+        self._held = []
+        self._live = 0
+        self._sizes: Dict[object, int] = {}
+        #: ``(index, total, t0, exchange0, file_io0)`` of the open round.
+        self._cur_round = None
+        #: Deferred-apply worker for ``overlap`` file ops: created on the
+        #: first one, reused across runs, closed by :meth:`close`.
         self._worker = None
-        #: Device-overlap model: perf_counter timestamp at which the
-        #: simulated device finishes the offloaded ops absorbed so far.
-        #: Device seconds still outstanding when a drain requires
-        #: completion are charged to ``device_stall_seconds``; the rest
-        #: were hidden behind main-thread CPU.
+        #: Device-overlap model: when the simulated device finishes the
+        #: offloaded ops absorbed so far.  Seconds still outstanding when
+        #: a drain needs completion are ``device_stall_seconds``.
         self._dev_free_at = 0.0
-        #: Completed prefetch jobs whose buffers are not yet published
-        #: (their round hasn't drained — publishing early would clobber
-        #: the buffers the current round's exchange is about to send).
+        #: Collective per-run state (set up only for plans that need
+        #: it): prefetch jobs not yet published (their round has not
+        #: drained), async file seconds of rounds not yet closed, live
+        #: RoundLog rows to back-fill, and worker seconds to move out of
+        #: ``file_io`` into ``pipeline_io`` at the next op boundary (the
+        #: deferred worker runs jobs on this thread inside a drain).
         self._unpublished = []
-        #: Async file seconds per round index, for rounds not yet closed.
         self._pending_async: Dict[int, float] = {}
-        #: Worker seconds to move out of ``file_io`` into
-        #: ``pipeline_io`` at the next op-accounting point (the deferred
-        #: worker runs jobs on this thread inside a ``file_io``-bucketed
-        #: drain, so the raw bucket double-counts them).
-        self._inline_comp = 0.0
-        #: Live RoundLog rows of the current run, for back-filling
-        #: ``file_io_async`` when an offloaded op completes after its
-        #: round closed.
         self._round_rows: Dict[int, dict] = {}
+        self._inline_comp = 0.0
         #: The codec's optional MEM-copy hook (see :class:`MemCodec`).
         self._note_mem = getattr(self.codec, "note_mem_copy", None)
 
     # ------------------------------------------------------------------
+    # Lowering: each op becomes one step ``(handler, op, bucket, span)``
+    # ------------------------------------------------------------------
+    @staticmethod
+    def lower(plan: IOPlan) -> Tuple[bool, tuple]:
+        """``(collective, steps)`` of ``plan``, built once and memoized on
+        the plan (as ``Blocks.prog`` is).  A step is ``(handler, op,
+        bucket, span)``: the function called as ``handler(executor,
+        plan, op, mem, bufs)``, the phase bucket billed (``None`` for
+        round markers) and the trace span.  Every choice the op alone
+        decides — file-op mode, dense window, offloading — is taken
+        here.  ``collective`` marks plans with rounds, exchanges or
+        pipelined ops: only their runs set up that bookkeeping.  An
+        uncached plan (no ``signature``) is lowered op by op as it runs.
+        """
+        low = plan.lowered
+        if low is None:
+            steps = tuple(map(_lower_op, plan.ops))
+            coll = any(s[0] in _COLLECTIVE_STEPS for s in steps)
+            low = (coll, steps)
+            object.__setattr__(plan, "lowered", low)
+        return low
+
     def run(self, plan: IOPlan, mem: Optional[MemDescriptor] = None,
             buffers: Optional[dict] = None, file_delta: int = 0) -> dict:
         """Execute ``plan``; returns the final staging-buffer table.
@@ -189,131 +214,103 @@ class PlanExecutor:
         payloads of one plan's exchange to a follow-up plan).
         ``file_delta`` translates every file offset the plan names —
         the replay fast path re-binds a cached relocatable plan to a
-        period-translated access this way.
+        period-translated access this way.  Each step is billed the
+        time since the previous op boundary (chained stamps).
         """
-        bufs: Dict[object, object] = dict(buffers) if buffers else {}
-        held = []
+        if plan.lowered is None and plan.signature is None:
+            # An uncached plan runs once: lower each op as it runs.
+            coll, steps = True, map(_lower_op, plan.ops)
+        else:
+            coll, steps = plan.lowered or self.lower(plan)
+        bufs: Dict[object, object] = {}
+        self._sizes = {}
+        self._live = 0
+        if buffers:
+            for slot, buf in buffers.items():
+                self._put(bufs, slot, buf, _held_bytes(buf))
+        self._fdelta = file_delta
+        if coll:
+            self._unpublished = []
+            self._pending_async = {}
+            self._round_rows = {}
+            self._inline_comp = 0.0
         stats = self.stats
         phases = self.phases
-        now = time.perf_counter
-        cur_round = None
-        self._fdelta = file_delta
-        self._unpublished = []
-        self._pending_async = {}
-        self._round_rows = {}
-        self._inline_comp = 0.0
+        t0 = perf_counter()
         try:
-            for op in plan.ops:
-                t0 = now()
-                if isinstance(op, RoundOp):
-                    # Round marker: close the previous round's record,
-                    # open the next.  The deltas of the exchange/file_io
-                    # buckets over the round's span are its per-phase
-                    # decomposition.
-                    self._close_round(plan, cur_round, t0)
-                    cur_round = (op.index, op.total, t0,
-                                 phases.exchange, phases.file_io)
-                    stats.executed_rounds += 1
-                    stats.executed_ops += 1
-                    continue
-                if isinstance(op, GatherOp):
-                    self._do_gather(plan, op, mem, bufs)
-                    self._note_staging(bufs)
-                    bucket = "pack"
-                elif isinstance(op, ScatterOp):
-                    self._do_scatter(plan, op, mem, bufs)
-                    bucket = "unpack"
-                elif isinstance(op, FileReadOp):
-                    if op.overlap:
-                        # No sync fallback here: an overlap read was
-                        # hoisted ahead of the previous round's exchange,
-                        # so executing it synchronously would publish its
-                        # buffers early and corrupt that exchange.  The
-                        # planner only marks offloadable reads.
-                        if not self._can_offload(op):
-                            raise IOEngineError(
-                                "overlap read op carries deferred "
-                                "pieces — planner contract violation"
-                            )
-                        self._submit_file_read(plan, op, cur_round, bufs)
-                    else:
-                        self._do_file_read(plan, op, mem, bufs)
-                        self._note_staging(bufs)
-                    bucket = "file_io"
-                elif isinstance(op, FileWriteOp):
-                    if op.overlap and self._can_offload(op):
-                        self._submit_file_write(plan, op, cur_round, bufs)
-                    else:
-                        # Ordered path (rmw windows): every offloaded op
-                        # must land before a synchronous file op runs.
-                        if self._worker is not None:
-                            self._drain_worker(plan, 0, cur_round, bufs)
-                        self._do_file_write(plan, op, mem, bufs)
-                    bucket = "file_io"
-                elif isinstance(op, DrainOp):
-                    self._drain_worker(plan, op.keep, cur_round, bufs)
-                    bucket = "file_io"
-                elif isinstance(op, LockOp):
-                    self.file.lock_range(op.lo + file_delta, op.hi + file_delta)
-                    held.append((op.lo + file_delta, op.hi + file_delta))
-                    stats.executed_locks += 1
-                    bucket = "lock"
-                elif isinstance(op, UnlockOp):
-                    self.file.unlock_range(op.lo + file_delta,
-                                           op.hi + file_delta)
-                    held.remove((op.lo + file_delta, op.hi + file_delta))
-                    bucket = "lock"
-                elif isinstance(op, ExchangeOp):
-                    self._do_exchange(plan, op, bufs,
-                                      in_round=cur_round is not None)
-                    self._note_staging(bufs)
-                    stats.executed_exchanges += 1
-                    bucket = "exchange"
-                elif isinstance(op, ShipOp):
-                    from repro.io import shipping
-
-                    if op.write and self._worker is not None:
-                        # Same ordering contract as synchronous writes:
-                        # offloaded ops land before the shipped write.
-                        self._drain_worker(plan, 0, cur_round, bufs)
-                    shipping.execute_ship(
-                        self, plan, op, mem, bufs,
-                        cur_round[0] if cur_round is not None else -1,
-                    )
-                    self._note_staging(bufs)
-                    bucket = "ship"
-                else:
-                    raise IOEngineError(f"unknown plan op {op!r}")
+            for fn, op, bucket, span in steps:
+                fn(self, plan, op, mem, bufs)
                 stats.executed_ops += 1
-                phases.add(bucket, now() - t0)
-                comp = self._inline_comp
-                if comp:
-                    # Worker jobs ran on this thread inside the op just
-                    # charged to ``file_io``; their seconds were credited
-                    # to ``pipeline_io`` at absorb, so take them back out
-                    # of ``file_io`` (clamped — never drive it negative).
-                    self._inline_comp = 0.0
-                    phases.add("file_io", -min(comp, phases.file_io))
-                if trace.TRACE_ON:
-                    trace.TRACER.add(
-                        f"exec.{type(op).__name__}", t0, plan=plan.kind
-                    )
+                t1 = perf_counter()
+                if bucket is not None:
+                    setattr(phases, bucket,
+                            getattr(phases, bucket) + (t1 - t0))
+                    comp = self._inline_comp
+                    if comp:
+                        # Worker seconds credited to ``pipeline_io`` ran
+                        # inside this op: take them out of ``file_io``.
+                        self._inline_comp = 0.0
+                        phases.file_io -= min(comp, phases.file_io)
+                    if trace.TRACE_ON:
+                        trace.TRACER.add(span, t0, t1, plan=plan.kind)
+                t0 = t1
         finally:
             self._fdelta = 0
-            self._close_round(plan, cur_round, now())
+            if self._cur_round is not None:
+                self._close_round(plan, perf_counter())
             if self._worker is not None:
                 self._finish_worker(plan, bufs)
-            # A failing op must never leave byte-range locks behind
-            # (other ranks would deadlock on their next sieved write).
-            # ``held`` stores translated ranges, so release them as-is.
-            for lo, hi in reversed(held):
-                self.file.unlock_range(lo, hi)
+            if self._held:
+                # A failing op must never leave byte-range locks behind
+                # (other ranks would deadlock on their next sieved write).
+                held, self._held = self._held, []
+                for lo, hi in reversed(held):
+                    self.file.unlock_range(lo, hi)
         return bufs
 
-    def _close_round(self, plan, state, t_end: float) -> None:
-        if state is None:
+    # -- collective steps ----------------------------------------------
+    def _round(self, plan, op: RoundOp, mem, bufs) -> None:
+        """Round marker: close the previous round's record, open the
+        next.  The deltas of the exchange/file_io buckets over the
+        round's span are its per-phase decomposition."""
+        t0 = perf_counter()
+        self._close_round(plan, t0)
+        phases = self.phases
+        self._cur_round = (op.index, op.total, t0, phases.exchange,
+                           phases.file_io)
+        self.stats.executed_rounds += 1
+
+    def _drain(self, plan, op: DrainOp, mem, bufs) -> None:
+        self._drain_worker(plan, op.keep, bufs)
+
+    def _ship(self, plan, op: ShipOp, mem, bufs) -> None:
+        from repro.io import shipping
+
+        if op.write and self._worker is not None:
+            # Same ordering contract as synchronous writes: offloaded
+            # ops land before the shipped write.
+            self._drain_worker(plan, 0, bufs)
+        shipping.execute_ship(self, plan, op, mem, bufs,
+                              self._round_index())
+        self._note_staging()
+
+    # -- locks -----------------------------------------------------------
+    def _lock(self, plan, op: LockOp, mem, bufs) -> None:
+        lo, hi = op.lo + self._fdelta, op.hi + self._fdelta
+        self.file.lock_range(lo, hi)
+        self._held.append((lo, hi))
+        self.stats.executed_locks += 1
+
+    def _unlock(self, plan, op: UnlockOp, mem, bufs) -> None:
+        lo, hi = op.lo + self._fdelta, op.hi + self._fdelta
+        self.file.unlock_range(lo, hi)
+        self._held.remove((lo, hi))
+
+    def _close_round(self, plan, t_end: float) -> None:
+        if self._cur_round is None:
             return
-        index, total, t0, ex0, io0 = state
+        index, total, t0, ex0, io0 = self._cur_round
+        self._cur_round = None
         phases = self.phases
         row = self.rounds.add(
             index, total, t_end - t0,
@@ -328,29 +325,25 @@ class PlanExecutor:
             trace.TRACER.add("aggregation.round", t0, index=index,
                              total=total, plan=plan.kind)
 
-    def _note_staging(self, bufs) -> None:
-        """Track the high-water mark of live staging/exchange bytes.
-
-        Zero-copy views of the user buffer are free; everything else —
-        gather outputs, inbound exchange payloads, reply buffers — is
-        real staging memory.  The round-based collective keeps this
-        bounded by O(cb_buffer_size × participating APs).
-        """
-        total = 0
-        for buf in bufs.values():
-            if isinstance(buf, _Buf):
-                if not buf.zero_copy:
-                    total += buf.arr.nbytes
-            elif isinstance(buf, tuple) and len(buf) == 3:
-                arr = buf[2]
-                if isinstance(arr, np.ndarray):
-                    total += arr.nbytes
-        if total > self.stats.peak_staging_bytes:
-            self.stats.peak_staging_bytes = total
+    def _note_staging(self) -> None:
+        """Raise ``peak_staging_bytes`` to the live staging bytes (called
+        after the ops that allocate: gathers, reads, exchanges, shipped
+        ops, published prefetches).  The round-based collective keeps
+        this bounded by O(cb_buffer_size × participating APs)."""
+        if self._live > self.stats.peak_staging_bytes:
+            self.stats.peak_staging_bytes = self._live
 
     # ------------------------------------------------------------------
     # Buffer management
     # ------------------------------------------------------------------
+    def _put(self, bufs, slot, buf, nbytes: int) -> None:
+        """Install ``buf``, holding ``nbytes`` of staging, under
+        ``slot``; the entry it replaces is released."""
+        bufs[slot] = buf
+        sizes = self._sizes
+        self._live += nbytes - sizes.get(slot, 0)
+        sizes[slot] = nbytes
+
     def _ensure_buf(self, plan, slot, d_lo, d_hi, mem, bufs) -> _Buf:
         """Staging buffer covering ``[d_lo, d_hi)``, allocating if needed.
 
@@ -368,9 +361,10 @@ class PlanExecutor:
                 and mem.is_contiguous:
             arr = mem.contiguous_slice(d_lo - plan.d0, n)
             buf = _Buf(d_lo, d_hi, arr, zero_copy=True)
+            n = 0
         else:
             buf = _Buf(d_lo, d_hi, np.empty(n, dtype=np.uint8))
-        bufs[slot] = buf
+        self._put(bufs, slot, buf, n)
         return buf
 
     @staticmethod
@@ -387,37 +381,30 @@ class PlanExecutor:
         )
 
     # ------------------------------------------------------------------
-    # Pipelined (overlap) file ops.  Offloaded jobs go to one FIFO
-    # deferred-apply worker per executor (``repro.plan.pipeline``):
-    # window reads prefetch into job-local buffers published at
-    # DrainOp; assemble-mode writes capture their payload views at
-    # submit time and assemble + write at the next drain.  Jobs call
-    # the file's raw ``pread_into``/``pwrite`` with the file delta
-    # captured at submit — the counted shims and all shared counters
-    # are only updated when a drain absorbs the finished jobs.
+    # Pipelined (overlap) file ops go to the FIFO deferred-apply worker
+    # (``repro.plan.pipeline``): reads prefetch into job buffers
+    # published at a DrainOp; assemble writes capture their payload
+    # views at submit and write at the next drain.  Jobs call the raw
+    # file primitives with the delta captured at submit; counters are
+    # updated when a drain absorbs them.
     # ------------------------------------------------------------------
     @staticmethod
     def _can_offload(op) -> bool:
-        """Deferred (``blocks=None``) pieces stream through the engine
-        codec's live view state, which a job applied later, at a drain,
-        may find changed — keep those synchronous.  Round plans always
-        materialize blocks, so this never fires for them."""
+        """Deferred (``blocks=None``) pieces stream through the codec's
+        live view state, which may change before a drain applies the
+        job — keep those synchronous (round plans never have them)."""
         return all(p.blocks is not None for p in op.pieces)
 
-    def _ensure_worker(self):
-        if self._worker is None:
-            self._worker = DeferredWorker()
-        return self._worker
+    def _round_index(self) -> int:
+        cur = self._cur_round
+        return cur[0] if cur is not None else -1
 
     def _device_cost(self, kind: str, offset: int, nbytes: int) -> float:
         """Simulated device seconds one offloaded file op will cost (0
-        on a real file, whose device model charges nothing — real
-        devices are measured, not modelled)."""
+        on a real file: real devices are measured, not modelled)."""
         f = self.file
-        streams = f.striping.streams_for(offset, nbytes)
-        if kind == "read":
-            return f.device.read_time(nbytes, streams)
-        return f.device.write_time(nbytes, streams)
+        cost = f.device.read_time if kind == "read" else f.device.write_time
+        return cost(nbytes, f.striping.streams_for(offset, nbytes))
 
     @staticmethod
     def _prepare_blocks(blocks) -> None:
@@ -428,56 +415,50 @@ class PlanExecutor:
         elif isinstance(blocks, TupleBlocks):
             tuple_arrays(blocks)
 
-    def _submit_file_read(self, plan, op: FileReadOp, cur_round,
-                          bufs) -> None:
-        worker = self._ensure_worker()
+    def _submit_file_read(self, plan, op: FileReadOp, mem, bufs) -> None:
+        # No sync fallback: an overlap read was hoisted ahead of the
+        # previous round's exchange, whose buffers it would clobber.
+        if not self._can_offload(op):
+            raise IOEngineError(
+                "overlap read op carries deferred pieces — planner "
+                "contract violation"
+            )
+        if self._worker is None:
+            self._worker = DeferredWorker()
         pread = self.file.pread_into
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
-        publishes = []
         targets = []
         for piece in op.pieces:
             self._prepare_blocks(piece.blocks)
-            buf = _Buf(piece.d_lo, piece.d_hi,
-                       np.empty(piece.d_hi - piece.d_lo, dtype=np.uint8))
-            publishes.append((piece.slot, buf))
-            targets.append((piece, buf))
-        dense = (
-            len(op.pieces) == 1
-            and isinstance(op.pieces[0].blocks, Blocks)
-            and op.pieces[0].blocks.count == 1
-            and op.pieces[0].blocks.nbytes == hi - lo
-        )
+            targets.append((piece, _Buf(piece.d_lo, piece.d_hi, np.empty(
+                piece.d_hi - piece.d_lo, dtype=np.uint8))))
+        dense = _dense_window(op)
 
         def job_read():
+            fb = (targets[0][1].arr if dense
+                  else np.empty(hi - lo, dtype=np.uint8))
             # Zero only past the bytes read (EOF), never the whole window.
-            if dense:
-                fb = targets[0][1].arr
-            else:
-                fb = np.empty(hi - lo, dtype=np.uint8)
-            got = pread(lo + fdelta, fb)
-            fb[got:] = 0
-            if dense:
-                return
-            for piece, buf in targets:
-                DataPlane.gather(fb, lo, piece.blocks, buf.arr,
-                                 piece.d_lo - buf.d_lo)
+            fb[pread(lo + fdelta, fb):] = 0
+            if not dense:
+                for piece, buf in targets:
+                    DataPlane.gather(fb, lo, piece.blocks, buf.arr,
+                                     piece.d_lo - buf.d_lo)
 
-        rnd = op.round
-        if rnd < 0:
-            rnd = cur_round[0] if cur_round is not None else -1
-        worker.submit(FileJob(
-            job_read, "read", rnd,
-            hi - lo, publishes=publishes, nreads=1,
+        rnd = op.round if op.round >= 0 else self._round_index()
+        self._worker.submit(FileJob(
+            job_read, "read", rnd, hi - lo, nreads=1,
+            publishes=[(piece.slot, buf) for piece, buf in targets],
             dev_seconds=self._device_cost("read", lo + fdelta, hi - lo),
         ))
         self.stats.pipelined_file_ops += 1
 
-    def _submit_file_write(self, plan, op: FileWriteOp, cur_round,
+    def _submit_file_write(self, plan, op: FileWriteOp, mem,
                            bufs) -> None:
-        worker = self._ensure_worker()
+        if self._worker is None:
+            self._worker = DeferredWorker()
         # Double buffer: at most one window in flight behind this one.
-        self._drain_worker(plan, 1, cur_round, bufs)
+        self._drain_worker(plan, 1, bufs)
         pwrite = self.file.pwrite
         fdelta = self._fdelta
         lo, hi = op.lo, op.hi
@@ -494,39 +475,31 @@ class PlanExecutor:
                                   piece.d_lo - base)
             pwrite(lo + fdelta, fb)
 
-        worker.submit(FileJob(
-            job_write, "write",
-            cur_round[0] if cur_round is not None else -1,
-            hi - lo, nwrites=1,
+        self._worker.submit(FileJob(
+            job_write, "write", self._round_index(), hi - lo, nwrites=1,
             dev_seconds=self._device_cost("write", lo + fdelta, hi - lo),
         ))
         self.stats.pipelined_file_ops += 1
 
-    def _drain_worker(self, plan, keep: int, cur_round, bufs) -> None:
+    def _drain_worker(self, plan, keep: int, bufs) -> None:
         worker = self._worker
         if worker is None:
             return
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         done = worker.drain(keep)
-        self.stats.pipeline_wait_seconds += time.perf_counter() - t0
-        self._absorb_jobs(plan, done,
-                          cur_round[0] if cur_round is not None else None,
+        self.stats.pipeline_wait_seconds += perf_counter() - t0
+        cur = self._cur_round
+        self._absorb_jobs(plan, done, cur[0] if cur is not None else None,
                           bufs, complete=keep == 0)
 
     def _absorb_jobs(self, plan, done, cur_index, bufs,
                      complete: bool = False) -> None:
-        """Merge completed jobs' accounting and publish their buffers.
-
-        Publication is held back for jobs of rounds *after* the current
-        one (a prefetch that finished early): their buffers reuse the
-        per-peer slot keys, so publishing before the current round's
-        exchange has read those slots would clobber its payloads.
-
-        ``complete`` marks a drain whose caller needs the absorbed ops
-        *finished* (published reads, a drain-to-zero before ordered
-        writes, the end-of-plan drain): any simulated device time still
-        outstanding at that point was not hidden and is charged to
-        ``device_stall_seconds``.
+        """Merge completed jobs' accounting and publish their buffers —
+        except for jobs of rounds *after* the current one (an early
+        prefetch), whose buffers reuse per-peer slot keys the current
+        round's exchange still reads.  ``complete`` marks a drain that
+        needs the ops *finished*: device time still outstanding then
+        was not hidden and is charged to ``device_stall_seconds``.
         """
         stats = self.stats
         for job in done:
@@ -534,7 +507,7 @@ class PlanExecutor:
             # Worker file time gets its own phase bucket.  The jobs ran
             # on this thread inside a ``file_io``-bucketed drain, so
             # their seconds are *moved* there via ``_inline_comp``.
-            self.phases.add("pipeline_io", job.seconds)
+            self.phases.pipeline_io += job.seconds
             self._inline_comp += job.seconds
             stats.executed_file_reads += job.nreads
             stats.executed_file_writes += job.nwrites
@@ -542,8 +515,7 @@ class PlanExecutor:
                 # The device starts an offloaded op when it is issued
                 # (no earlier than the previous op finishing) and works
                 # it off concurrently with main-thread CPU.
-                start = job.t_issue if job.t_issue > self._dev_free_at \
-                    else self._dev_free_at
+                start = max(job.t_issue, self._dev_free_at)
                 self._dev_free_at = start + job.dev_seconds
                 stats.device_async_seconds += job.dev_seconds
             row = self._round_rows.get(job.round_index)
@@ -567,12 +539,12 @@ class PlanExecutor:
                 self._unpublished.append(job)
                 continue
             for slot, buf in job.publishes:
-                bufs[slot] = buf
+                self._put(bufs, slot, buf, buf.arr.nbytes)
                 published = True
         if published:
-            self._note_staging(bufs)
+            self._note_staging()
         if complete or published:
-            now_t = time.perf_counter()
+            now_t = perf_counter()
             if self._dev_free_at > now_t:
                 stats.device_stall_seconds += self._dev_free_at - now_t
                 self._dev_free_at = now_t
@@ -584,31 +556,25 @@ class PlanExecutor:
     def _finish_worker(self, plan, bufs) -> None:
         """Settle the worker at run end (from ``run``'s ``finally``).
 
-        On the normal path the plan's final ``DrainOp(0)`` already
-        drained everything, so this is a cheap no-op drain — the worker
-        is kept for the next plan run (see :meth:`close`).  On the abort
-        path (an exception is propagating, or the drain itself surfaces
-        a worker error) the worker is closed and discarded so a broken
-        pipeline never leaks into the next run; its error is swallowed
-        when another exception is already propagating, so it cannot mask
-        the primary failure.  The close drops queued jobs, so no
-        deferred write lands after the failure.
+        Normally the plan's final ``DrainOp(0)`` drained everything and
+        the worker is kept for the next run.  On the abort path (an
+        exception propagating, or the drain surfacing a worker error)
+        it is closed — dropping queued jobs, so no deferred write lands
+        after the failure — and discarded; its own error never masks an
+        exception already propagating.
         """
         worker = self._worker
-        if sys.exc_info()[0] is not None:
+        aborting = sys.exc_info()[0] is not None
+        try:
+            done = (worker.close(raise_error=False) if aborting
+                    else worker.drain(0))
+        except BaseException:
             self._worker = None
-            done = worker.close(raise_error=False)
-        else:
-            try:
-                done = worker.drain(0)
-            except BaseException:
-                self._worker = None
-                worker.close(raise_error=False)
-                raise
+            worker.close(raise_error=False)
+            raise
         self._absorb_jobs(plan, done, None, bufs, complete=True)
-        peak = worker.peak_inflight_bytes
-        if peak > self.stats.pipeline_inflight_peak_bytes:
-            self.stats.pipeline_inflight_peak_bytes = peak
+        if aborting:
+            self._worker = None
         self._unpublished = []
         # Jobs absorbed here ran outside any op's timed window, so there
         # is no double-counted ``file_io`` to compensate — drop it.
@@ -624,62 +590,52 @@ class PlanExecutor:
             worker.close(raise_error=False)
 
     # ------------------------------------------------------------------
-    # Op implementations
+    # Op steps: ``step(self, plan, op, mem, bufs)``
     # ------------------------------------------------------------------
-    def _do_gather(self, plan, op: GatherOp, mem, bufs) -> None:
+    def _gather(self, plan, op: GatherOp, mem, bufs) -> None:
         if mem is None:
             raise IOEngineError("gather op in a plan run without memory")
         n = op.d_hi - op.d_lo
         rel = op.d_lo - plan.d0
         if op.slot == STAGE and mem.is_contiguous:
-            bufs[op.slot] = _Buf(
-                op.d_lo, op.d_hi, mem.contiguous_slice(rel, n),
-                zero_copy=True,
-            )
-            return
-        arr = np.empty(n, dtype=np.uint8)
-        self.codec.pack_mem(mem, rel, rel + n, arr)
-        bufs[op.slot] = _Buf(op.d_lo, op.d_hi, arr)
+            buf = _Buf(op.d_lo, op.d_hi, mem.contiguous_slice(rel, n),
+                       zero_copy=True)
+            n = 0
+        else:
+            buf = _Buf(op.d_lo, op.d_hi, np.empty(n, dtype=np.uint8))
+            self.codec.pack_mem(mem, rel, rel + n, buf.arr)
+        self._put(bufs, op.slot, buf, n)
+        self._note_staging()
 
-    def _do_scatter(self, plan, op: ScatterOp, mem, bufs) -> None:
+    def _scatter(self, plan, op: ScatterOp, mem, bufs) -> None:
         if mem is None:
             raise IOEngineError("scatter op in a plan run without memory")
-        buf = bufs.get(op.slot)
-        if isinstance(buf, _Buf):
-            if buf.zero_copy:
-                return  # data already landed in the user buffer
-            arr, base = buf.arr, buf.d_lo
-        elif isinstance(buf, tuple) and len(buf) == 3:
-            base, _d_hi, arr = buf
-        else:
-            raise IOEngineError(
-                f"scatter from slot {op.slot!r} with no usable buffer"
-            )
+        arr, base, zero_copy = self._payload_view(bufs, op)
+        if zero_copy:
+            return  # data already landed in the user buffer
         rel = op.d_lo - plan.d0
         data = arr[op.d_lo - base : op.d_hi - base]
         self.codec.unpack_mem(mem, rel, rel + (op.d_hi - op.d_lo), data)
 
     # -- file reads ----------------------------------------------------
-    def _do_file_read(self, plan, op: FileReadOp, mem, bufs) -> None:
-        if op.mode == "direct":
-            for piece in op.pieces:
-                self._read_piece_direct(plan, op, piece, mem, bufs)
+    def _read_direct(self, plan, op: FileReadOp, mem, bufs) -> None:
+        """Direct mode, or a window whose one piece is one full-window
+        run: read straight into the staging buffer — or, for a MEM
+        piece, into contiguous user memory (no extra copy)."""
+        if op.pieces[0].slot == MEM and (mem is None
+                                         or not mem.is_contiguous):
+            self._read_window(plan, op, mem, bufs)
             return
-        # Window mode: one file buffer per coalesced window.  A single
-        # piece whose blocks are one full-window run reads straight into
-        # its staging buffer — or, for a MEM piece, into contiguous user
-        # memory (the dense fast path: no extra copy).
-        if (
-            len(op.pieces) == 1
-            and isinstance(op.pieces[0].blocks, Blocks)
-            and op.pieces[0].blocks.count == 1
-            and op.pieces[0].blocks.nbytes == op.hi - op.lo
-            and (op.pieces[0].slot != MEM
-                 or (mem is not None and mem.is_contiguous))
-        ):
-            self._read_piece_direct(plan, op, op.pieces[0], mem, bufs)
-            return
-        fb = read_window(self, op.lo, op.hi)
+        for piece in op.pieces:
+            self._read_piece_direct(plan, op, piece, mem, bufs)
+        self._note_staging()
+
+    def _read_window(self, plan, op: FileReadOp, mem, bufs) -> None:
+        """Window mode: one file buffer per coalesced window."""
+        fb = read_window(self.file, op.lo + self._fdelta,
+                         op.hi + self._fdelta)
+        self.stats.executed_file_reads += 1
+        self.stats.device_sync_seconds += self._last.seconds
         for piece in op.pieces:
             if piece.slot == MEM:
                 self._mem_copy(plan, fb, op.lo, piece, mem, False)
@@ -687,13 +643,14 @@ class PlanExecutor:
             buf = self._ensure_buf(
                 plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
             )
-            pos = piece.d_lo - buf.d_lo
             if piece.blocks is not None:
-                DataPlane.gather(fb, op.lo, piece.blocks, buf.arr, pos)
+                DataPlane.gather(fb, op.lo, piece.blocks, buf.arr,
+                                 piece.d_lo - buf.d_lo)
             else:
                 self.codec.stream_gather_window(
                     fb, op.lo, op.hi, buf.arr, buf.d_lo, buf.d_hi
                 )
+        self._note_staging()
 
     def _read_piece_direct(self, plan, op, piece: Piece, mem, bufs) -> None:
         buf = self._ensure_buf(
@@ -723,38 +680,44 @@ class PlanExecutor:
     def _mem_copy(self, plan, fb: np.ndarray, wlo: int, piece: Piece,
                   mem, write: bool) -> int:
         """Copy a MEM piece between window buffer ``fb`` and user memory
-        in one pair-program call; returns bytes copied.  Billed to the
-        ``pack`` (write) or ``unpack`` (read) phase and taken back out
-        of ``file_io``, the bucket the enclosing file op charges."""
+        in one pair-program call; returns bytes copied.  Billed to
+        ``pack`` (write) or ``unpack`` (read), out of ``file_io``."""
         if mem is None:
             raise IOEngineError("memory piece in a plan run without memory")
-        now = time.perf_counter
-        t0 = now()
+        t0 = perf_counter()
         if self._note_mem is not None:
             self._note_mem(mem)
         rel = piece.d_lo - plan.d0
         phases = self.phases
         if write:
             n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel)
-            el = now() - t0
+            el = perf_counter() - t0
             phases.pack += el
         else:
             n = DataPlane.gather(fb, wlo, piece.blocks, mem, rel)
-            el = now() - t0
+            el = perf_counter() - t0
             phases.unpack += el
         phases.file_io -= el
         return n
 
     # -- file writes ---------------------------------------------------
-    def _do_file_write(self, plan, op: FileWriteOp, mem, bufs) -> None:
+    def _write(self, plan, op: FileWriteOp, mem, bufs) -> None:
+        # Ordered path (rmw windows): every offloaded op must land
+        # before a synchronous file op runs.
+        if self._worker is not None:
+            self._drain_worker(plan, 0, bufs)
         if op.mode == "direct":
             for piece in op.pieces:
                 self._write_piece_direct(op, piece, bufs)
             return
+        stats = self.stats
+        lo = op.lo + self._fdelta
         if op.mode == "assemble":
             fb = np.empty(op.hi - op.lo, dtype=np.uint8)
         else:  # rmw: pre-read the window, overlay, write back
-            fb = read_window(self, op.lo, op.hi)
+            fb = read_window(self.file, lo, op.hi + self._fdelta)
+            stats.executed_file_reads += 1
+            stats.device_sync_seconds += self._last.seconds
         scattered = 0
         for piece in op.pieces:
             if piece.slot == MEM:
@@ -772,7 +735,9 @@ class PlanExecutor:
                     fb, op.lo, op.hi, arr, base, piece.d_hi
                 )
         if scattered or op.mode == "assemble":
-            self.pwrite(op.lo, fb)
+            stats.executed_file_writes += 1
+            self.file.pwrite(lo, fb)
+            stats.device_sync_seconds += self._last.seconds
 
     def _write_piece_direct(self, op, piece: Piece, bufs) -> None:
         arr, base, _zc = self._payload_view(bufs, piece)
@@ -791,76 +756,110 @@ class PlanExecutor:
         self.stats.device_sync_seconds += secs
 
     # -- exchange ------------------------------------------------------
-    def _do_exchange(self, plan, op: ExchangeOp, bufs,
-                     in_round: bool = False) -> None:
-        if op.mode == "p2p":
-            # Relaxed round synchronization: only the (AP, IOP) pairs the
-            # metadata proves move bytes communicate; a round with nothing
-            # to send or receive skips the network entirely.
-            if not op.sends and not op.recvs:
-                return
+    def _exchange(self, plan, op: ExchangeOp, mem, bufs) -> None:
+        p2p = op.mode == "p2p"
+        # Relaxed round synchronization (p2p): only the (AP, IOP) pairs
+        # the metadata proves move bytes communicate; a round with
+        # nothing to send or receive skips the network entirely.
+        if op.sends or op.recvs or not p2p:
             if self.comm is None:
                 raise IOEngineError(
-                    "plan contains an exchange op but the executor has no "
-                    "communicator"
+                    "plan contains an exchange op but the executor has "
+                    "no communicator"
                 )
-            from repro.io.two_phase import exchange_p2p
+            from repro.io.two_phase import exchange, exchange_p2p
 
-            outbound = {}
+            outbound = {} if p2p else [None] * self.comm.size
             for send in op.sends:
                 outbound[send.rank] = self._payload_for(send, bufs)
-            inbound = exchange_p2p(self.comm, outbound, op.recvs, op.tag)
-            for src, item in inbound.items():
+            if p2p:
+                inbound = exchange_p2p(self.comm, outbound, op.recvs,
+                                       op.tag).items()
+            else:
+                inbound = exchange(self.comm, outbound)
+                if (self._cur_round is not None and not op.sends
+                        and all(item is None for item in inbound)):
+                    # This rank synchronized a round it moved no bytes
+                    # in — the cost the relaxed p2p exchange avoids.
+                    self.stats.rounds_idle_synced += 1
+                inbound = enumerate(inbound)
+            for src, item in inbound:
                 if item is not None:
-                    bufs[in_slot(src)] = item
-            return
-        if self.comm is None:
-            raise IOEngineError(
-                "plan contains an exchange op but the executor has no "
-                "communicator"
-            )
-        from repro.io.two_phase import exchange
-
-        outbound = [None] * self.comm.size
-        for send in op.sends:
-            outbound[send.rank] = self._payload_for(send, bufs)
-        inbound = exchange(self.comm, outbound)
-        if (in_round and not op.sends
-                and all(item is None for item in inbound)):
-            # This rank synchronized a round it moved no bytes in — the
-            # cost the relaxed p2p exchange exists to eliminate.
-            self.stats.rounds_idle_synced += 1
-        for src, item in enumerate(inbound):
-            if item is not None:
-                bufs[in_slot(src)] = item
+                    self._put(bufs, in_slot(src), item, _held_bytes(item))
+        self._note_staging()
+        self.stats.executed_exchanges += 1
 
     def _payload_for(self, send: Send, bufs):
-        if send.slot is not None:
-            buf = bufs.get(send.slot)
-            if isinstance(buf, _Buf):
-                return (buf.d_lo, buf.d_hi, buf.arr)
-            return buf
-        return (send.ol, send.d_lo)
+        if send.slot is None:
+            return (send.ol, send.d_lo)
+        buf = bufs.get(send.slot)
+        return (buf.d_lo, buf.d_hi, buf.arr) if isinstance(buf, _Buf) else buf
 
     # ------------------------------------------------------------------
-    # Counted one-extent file access shims.  ``pread_into`` doubles as
-    # the SimFile interface expected by
-    # :func:`repro.io.sieving.read_window`, and deferred-piece codecs
-    # call them to stream blocks (``file.pwrite`` in
+    # Counted one-extent file access shims for deferred-piece codecs,
+    # which stream blocks through them (``file.pwrite`` in
     # ``stream_write_blocks``, for example).  The running plan's
-    # ``file_delta`` applies here, so windows and streamed blocks of a
-    # replayed plan land translated; direct block lists are translated
-    # once per vectored call (``_read_piece_direct``).
+    # ``file_delta`` applies here, so streamed blocks of a replayed plan
+    # land translated.
     # ------------------------------------------------------------------
     def pread_into(self, offset: int, out: np.ndarray) -> int:
         n = self.file.pread_into(offset + self._fdelta, out)
         self.stats.executed_file_reads += 1
-        self.stats.device_sync_seconds += self._charged()
+        self.stats.device_sync_seconds += self._last.seconds
         return n
 
     def pwrite(self, offset: int, data: np.ndarray):
         self.stats.executed_file_writes += 1
         n = self.file.pwrite(offset + self._fdelta, data)
-        self.stats.device_sync_seconds += self._charged()
+        self.stats.device_sync_seconds += self._last.seconds
         return n
 
+
+def _dense_window(op) -> bool:
+    """One piece whose blocks are one run spanning the whole window."""
+    if len(op.pieces) != 1:
+        return False
+    blocks = op.pieces[0].blocks
+    return (isinstance(blocks, Blocks) and blocks.count == 1
+            and blocks.nbytes == op.hi - op.lo)
+
+
+_X = PlanExecutor
+#: Handlers of the steps that need the round/pipeline bookkeeping.
+_COLLECTIVE_STEPS = frozenset((_X._round, _X._drain, _X._exchange,
+                               _X._submit_file_read, _X._submit_file_write))
+
+
+def _lower_op(op) -> tuple:
+    """One op as a step ``(handler, op, bucket, span)`` (see
+    :meth:`PlanExecutor.lower`)."""
+    t = type(op)
+    if t is FileReadOp:
+        if op.overlap:
+            fn = _X._submit_file_read
+        elif op.mode == "direct":
+            fn = _X._read_direct
+        else:
+            fn = _X._read_direct if _dense_window(op) else _X._read_window
+        return fn, op, "file_io", "exec.FileReadOp"
+    if t is FileWriteOp:
+        fn = (_X._submit_file_write
+              if op.overlap and _X._can_offload(op) else _X._write)
+        return fn, op, "file_io", "exec.FileWriteOp"
+    step = _STEPS.get(t)
+    if step is None:
+        raise IOEngineError(f"unknown plan op {op!r}")
+    fn, bucket = step
+    return fn, op, bucket, f"exec.{t.__name__}"
+
+
+_STEPS = {
+    LockOp: (_X._lock, "lock"),
+    UnlockOp: (_X._unlock, "lock"),
+    GatherOp: (_X._gather, "pack"),
+    ScatterOp: (_X._scatter, "unpack"),
+    DrainOp: (_X._drain, "file_io"),
+    ExchangeOp: (_X._exchange, "exchange"),
+    ShipOp: (_X._ship, "ship"),
+    RoundOp: (_X._round, None),
+}

@@ -96,10 +96,16 @@ class Planner:
         self.phases = phases if phases is not None else PhaseAccumulator()
         self.epoch = 0
         self._cache: "OrderedDict[tuple, IOPlan]" = OrderedDict()
-        #: Replay table: offset-residue key -> (whole-access plan, q0).
-        #: A hit returns the cached plan plus the scalar file delta
+        #: Replay table: ``(write, offset residue, nbytes)`` -> (whole-
+        #: access plan, q0), valid for the current epoch and fingerprint
+        #: (``invalidate`` and a fingerprint change clear it).  A hit
+        #: returns the cached plan plus the scalar file delta
         #: ``(q - q0) * ft_extent`` — no planner entry, no rewrite pass.
         self._replay: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: The cached fingerprint and the (hints, storage) it was built
+        #: from (see :meth:`_fingerprint`).
+        self._fp: Optional[tuple] = None
+        self._fp_hints = self._fp_storage = None
 
     # ------------------------------------------------------------------
     def _file_key(self):
@@ -112,10 +118,22 @@ class Planner:
         """File identity + hints + cost-model inputs that shape plans,
         for cache keys.  The file identity makes cached plans impossible
         to alias across two open files with identical fileview geometry
-        (epochs alone only order views within one planner)."""
-        return ((self._file_key(),)
-                + self.engine.fh.hints.fingerprint()
-                + self.storage.fingerprint())
+        (epochs alone only order views within one planner).
+
+        Built once per (hints, storage model) state: both are frozen, and
+        ``set_info`` installs a new hints object, so an identity check
+        tells when to rebuild.  A rebuild that changes the fingerprint
+        also drops the replay table, whose keys omit it.
+        """
+        hints, storage = self.engine.fh.hints, self.storage
+        if hints is not self._fp_hints or storage is not self._fp_storage:
+            fp = ((self._file_key(),) + hints.fingerprint()
+                  + storage.fingerprint())
+            if fp != self._fp:
+                self._replay.clear()
+                self._fp = fp
+            self._fp_hints, self._fp_storage = hints, storage
+        return self._fp
 
     def invalidate(self) -> None:
         """Drop every cached plan (the fileview changed).
@@ -192,15 +210,16 @@ class Planner:
             q = 0
             view = self.engine.fh.view
             if self.cacheable and nbytes > 0 and view.ft_size > 0:
+                self._fingerprint()  # drops the table if hints changed
                 q, r = divmod(d0, view.ft_size)
-                key = (self.epoch, "rind", write, r, nbytes,
-                       self._fingerprint())
+                key = (write, r, nbytes)
                 entry = self._replay.get(key)
                 if entry is not None:
                     plan, q0 = entry
                     self._replay.move_to_end(key)
-                    self.stats.plan_cache_hits += 1
-                    self.stats.plan_replays += 1
+                    st = self.stats
+                    st.plan_cache_hits += 1
+                    st.plan_replays += 1
                     return plan, (q - q0) * view.ft_extent
             plan = self._plan_independent(d0, nbytes, write)
             if key is not None and plan.signature is not None:
@@ -209,7 +228,7 @@ class Planner:
                     self._replay.popitem(last=False)
             return plan, 0
         finally:
-            self.phases.add("plan", time.perf_counter() - t0)
+            self.phases.plan += time.perf_counter() - t0
             if trace.TRACE_ON:
                 trace.TRACER.add("plan.independent", t0, write=write,
                                  nbytes=nbytes)

@@ -16,6 +16,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LockError
 from repro.fs.locks import FcntlRangeLockManager, RangeLockManager
@@ -249,3 +251,97 @@ class TestSubtractRanges:
     def test_edge_overlaps_trim(self):
         assert subtract([(0, 10)], 5, 15) == [(0, 5)]
         assert subtract([(10, 10)], 5, 15) == [(15, 5)]
+
+
+class TestDeadline:
+    """A conflicting lock waits at most the runtime's blocking deadline
+    (``REPRO_RECV_TIMEOUT``), then raises naming the range it waited
+    on — never a hang."""
+
+    def test_conflicting_lock_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "0.2")
+        m = RangeLockManager()
+        m.lock(0, 100)
+        out = {}
+
+        def waiter():
+            t0 = time.monotonic()
+            try:
+                m.lock(50, 60)
+            except LockError as exc:
+                out["error"] = str(exc)
+            out["waited"] = time.monotonic() - t0
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert "[0, 100)" in out["error"]
+        assert 0.15 <= out["waited"] < 5
+        m.unlock(0, 100)
+        assert m._held == {}
+
+    def test_release_before_the_deadline_grants_the_lock(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "5")
+        m = RangeLockManager()
+        m.lock(0, 100)
+        got = threading.Event()
+
+        def waiter():
+            m.lock(50, 60)
+            got.set()
+            m.unlock(50, 60)
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        time.sleep(0.05)
+        assert not got.is_set()
+        m.unlock(0, 100)
+        t.join(timeout=5)
+        assert got.is_set()
+        assert m._held == {}
+
+
+_ranges = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(1, 16)).map(
+        lambda t: (t[0], t[0] + t[1])),
+    min_size=1, max_size=6,
+)
+
+
+class TestConcurrentExclusion:
+    @settings(max_examples=25, deadline=None)
+    @given(plans=st.lists(_ranges, min_size=2, max_size=4))
+    def test_no_two_held_ranges_overlap(self, plans):
+        """Threads lock random ranges, some overlapping and some not;
+        whichever path each acquisition takes — uncontended fast path
+        or waiting slow path — no two threads ever hold overlapping
+        ranges at once, and the table is empty at the end (a lost
+        wake-up would surface as a deadline ``LockError``)."""
+        m = RangeLockManager()
+        mu = threading.Lock()
+        inside = {}  # thread index -> range it holds now
+        bad = []
+
+        def worker(i, ranges):
+            for lo, hi in ranges:
+                m.lock(lo, hi)
+                with mu:
+                    for j, (olo, ohi) in inside.items():
+                        if olo < hi and lo < ohi:
+                            bad.append(((lo, hi), (olo, ohi), i, j))
+                    inside[i] = (lo, hi)
+                time.sleep(0)
+                with mu:
+                    del inside[i]
+                m.unlock(lo, hi)
+
+        threads = [threading.Thread(target=worker, args=(i, r))
+                   for i, r in enumerate(plans)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert m._held == {}

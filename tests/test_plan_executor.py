@@ -216,6 +216,130 @@ class TestLockCleanup:
             run_spmd(1, worker)
         assert f.locks._held == {}
 
+    def test_replayed_plan_releases_locks_when_the_device_faults(self):
+        """The same fault on a *replayed* plan (a period-translated
+        access running the cached steps with a file delta): the
+        translated window lock is released too."""
+        fs = flaky_fs(fail_after_writes=1)
+        f = fs.lookup("/f")
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(64, 1, 2, dt.BYTE))
+            buf = np.ones(64, dtype=np.uint8)
+            fh.write_at(0, buf)  # plans, caches, writes back
+            with pytest.raises(FileSystemError, match="injected"):
+                fh.write_at(64, buf)  # replays, faults at write-back
+            box["held"] = dict(f.locks._held)
+            box["stats"] = fh.engine.stats.snapshot()
+            fh.close()
+
+        run_spmd(1, worker)
+        assert box["held"] == {}
+        assert box["stats"]["plan_replays"] == 1
+        assert box["stats"]["executed_locks"] == 2
+
+
+class TestCompiledPlans:
+    """A plan is lowered once to a step tuple memoized on the plan;
+    every later run — any file delta — runs those very steps."""
+
+    def test_cached_plan_is_lowered_once(self, monkeypatch):
+        from repro.plan import executor
+
+        lowered = []
+        real = executor._lower_op
+        monkeypatch.setattr(executor, "_lower_op",
+                            lambda op: lowered.append(op) or real(op))
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(8, 8, 16, dt.BYTE))
+            bufs = [np.full(64, k + 1, dtype=np.uint8) for k in range(6)]
+            fh.write_at(0, bufs[0])
+            plan, delta = fh.engine.planner.plan_independent_bound(
+                0, 64, write=True)
+            assert delta == 0
+            low = plan.lowered
+            assert low is not None and len(low[1]) == len(plan.ops)
+            n_lowered = len(lowered)
+            assert n_lowered >= len(plan.ops)
+            for k in range(1, 6):  # file deltas of 128 * k bytes
+                fh.write_at(64 * k, bufs[k])
+                assert plan.lowered is low
+            for k in range(6):
+                got = np.zeros(64, dtype=np.uint8)
+                fh.read_at(64 * k, got)
+                assert (got == k + 1).all(), k
+            box["relowered"] = [op for op in lowered[n_lowered:]
+                                if op in plan.ops]
+            box["stats"] = fh.engine.stats.snapshot()
+            fh.close()
+
+        run_spmd(1, worker)
+        assert box["relowered"] == []
+        assert box["stats"]["plan_replays"] >= 10
+
+    def test_sieved_write_buckets_sum_within_wall_time(self):
+        """Chained stamps bill every op of a sieved write: ``lock``,
+        ``file_io`` and the pair copy's ``pack`` are each positive, and
+        the buckets together never exceed the call's wall time."""
+        import time
+
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(8, 8, 16, dt.BYTE))
+            mt = dt.vector(8, 8, 16, dt.BYTE)
+            buf = np.arange(128, dtype=np.uint8)
+            fh.write_at(0, buf, 1, mt)
+            phases = fh.engine.stats.phases
+            phases.reset()
+            t0 = time.perf_counter()
+            fh.write_at(64, buf, 1, mt)  # a replayed sieved write
+            box["wall"] = time.perf_counter() - t0
+            box["phases"] = dict(phases.snapshot())
+            box["locks"] = fh.engine.stats.snapshot()["executed_locks"]
+            fh.close()
+
+        run_spmd(1, worker)
+        ph = box["phases"]
+        assert box["locks"] == 2
+        for bucket in ("lock", "file_io", "pack"):
+            assert ph[f"phase_{bucket}"] > 0, bucket
+        assert sum(ph.values()) <= box["wall"]
+
+    def test_set_info_after_a_replay_rebuilds_the_plan(self):
+        """A hint change after the replay table is warm: the next access
+        plans afresh under the new hints instead of replaying."""
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(64, 1, 2, dt.BYTE))
+            buf = np.ones(64, dtype=np.uint8)
+            fh.write_at(0, buf)
+            fh.write_at(64, buf)
+            before = fh.engine.stats.snapshot()
+            fh.set_info({"ds_write": "false"})
+            fh.write_at(128, buf)
+            after = fh.engine.stats.snapshot()
+            box["s"] = (before, after)
+            fh.close()
+
+        run_spmd(1, worker)
+        before, after = box["s"]
+        assert before["plan_replays"] == 1
+        assert after["plan_replays"] == 1
+        assert after["plans_built"] == before["plans_built"] + 1
+        assert after["executed_locks"] == before["executed_locks"]
+
 
 class TestDeferredWorker:
     """The deferred file-I/O worker in isolation: FIFO order, drain
