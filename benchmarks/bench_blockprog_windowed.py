@@ -37,12 +37,12 @@ import pytest
 
 from repro import datatypes as dt
 from repro.core import blockprog
-from repro.core.blockprog import BLOCKPROG_STATS
 from repro.core.ff_pack import ff_pack, ff_unpack, top_dataloop
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
+from repro.session import current
 
 #: Ragged periodic pattern: 48 blocks of 1..16 B at uneven displacements
 #: inside a 2 KiB period — ugly enough that the cold path must take the
@@ -208,7 +208,7 @@ def _ab_engine(windows: int) -> dict:
 def collect(quick: bool) -> dict:
     iters = 120 if quick else 400
     windows = 60 if quick else 200
-    BLOCKPROG_STATS.reset()
+    current().prog_stats.reset()
     record = {
         "bench": "blockprog_windowed",
         "quick": quick,
@@ -257,11 +257,11 @@ def test_windowed_pack_program_speedup(unpack):
 
     # And the cache actually served the loop: one compile per window
     # shape, everything else hits.
-    BLOCKPROG_STATS.reset()
+    current().prog_stats.reset()
     blockprog.clear()
     run_pack_windowed(120, unpack)
-    assert BLOCKPROG_STATS.hits > 100
-    assert BLOCKPROG_STATS.compiled <= _WIN_PERIODS + 2
+    assert current().prog_stats.hits > 100
+    assert current().prog_stats.compiled <= _WIN_PERIODS + 2
 
 
 def test_windowed_engine_runs_both_modes():

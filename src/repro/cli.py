@@ -249,8 +249,8 @@ def _cmd_plan_dump(args: argparse.Namespace) -> int:
 
     ft = _parse_type(args.filetype)
     out = {}
-    # Scope the process-global counters (block programs, kernel paths)
-    # to this dump, and trace the access so the span summary below shows
+    # Scope the session's counters (block programs, kernel paths) to
+    # this dump, and trace the access so the span summary below shows
     # where the time went.
     metrics.reset()
     trace.TRACER.clear()
@@ -292,8 +292,8 @@ def _cmd_plan_dump(args: argparse.Namespace) -> int:
     print(out["plan"].describe())
     _print_program_shape(out["plan"], loop)
     s = dict(out["stats"])
-    # Block-program and kernel-path counters are process-global and live
-    # in the metrics registry now (the engine snapshot only carries the
+    # Block-program and kernel-path counters are session-wide and live
+    # in the metrics registry (the engine snapshot only carries the
     # per-engine plan-cache counters).
     s.update(metrics.snapshot()["global"])
     shown = sorted(
@@ -356,8 +356,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_flight(args: argparse.Namespace) -> int:
     from repro.obs import flight
+    from repro.session import current
 
-    flight.RECORDER.clear()
+    current().flight.clear()
     r = run_btio(
         args.engine,
         BTIOConfig(cls=args.cls, nprocs=args.nprocs,

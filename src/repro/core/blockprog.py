@@ -35,9 +35,8 @@ the list-based engine plus the benchmarks' cold calls of
 ``loop.blocks_range`` with one-shot kernels.  Counters (compiles, hits,
 misses, translations) and the cache itself are scoped to the active
 :class:`~repro.session.IOSession` — shared by all simulated ranks of a
-world, isolated between sessions, with process-wide defaults when no
-session is active — and surfaced through the metrics registry and
-``repro.cli plan-dump``.
+world, isolated between sessions — and surfaced through the metrics
+registry and ``repro.cli plan-dump``.
 """
 
 from __future__ import annotations
@@ -55,10 +54,7 @@ from repro.core.gather import classify
 
 __all__ = [
     "BlockProgram",
-    "BLOCKPROG_STATS",
     "ProgramCache",
-    "active_cache",
-    "active_stats",
     "blockprog_stats",
     "blocks_range_cached",
     "clear",
@@ -78,8 +74,7 @@ _MAX_PROGRAMS_PER_LOOP = 64
 
 
 class _Stats:
-    """Block-program counters (one instance per session, plus the
-    process-wide default)."""
+    """Block-program counters (one instance per session)."""
 
     __slots__ = ("compiled", "hits", "misses", "translations", "bypasses")
 
@@ -103,19 +98,9 @@ class _Stats:
         }
 
 
-BLOCKPROG_STATS = _Stats()
-
-
-def active_stats() -> _Stats:
-    """The counters of the active :class:`~repro.session.IOSession`, or
-    the process-wide defaults when no session is active."""
-    s = SESSION.get(None)
-    return BLOCKPROG_STATS if s is None else s.prog_stats
-
-
 def blockprog_stats() -> dict:
-    """Snapshot of the active context's block-program counters."""
-    return active_stats().snapshot()
+    """Snapshot of the active session's block-program counters."""
+    return SESSION.get().prog_stats.snapshot()
 
 
 class BlockProgram:
@@ -150,7 +135,7 @@ class BlockProgram:
         self.kernel = classify(offsets, lengths, idx_cap=_IDX_CAP,
                                other=other)
         self.nbytes = self.kernel.nbytes
-        active_stats().compiled += 1
+        SESSION.get().prog_stats.compiled += 1
 
     @property
     def kind_name(self) -> str:
@@ -172,7 +157,7 @@ class BlockProgram:
 
     def materialize(self, base: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(offsets + base, lengths)`` — the relocated descriptor."""
-        active_stats().translations += 1
+        SESSION.get().prog_stats.translations += 1
         if base == 0:
             return self.offsets, self.lengths
         return self.offsets + base, self.lengths
@@ -181,18 +166,14 @@ class BlockProgram:
                out_pos: int = 0) -> int:
         """Copy the program's blocks (translated by ``base``) of ``src``
         into ``out`` at ``out_pos``; returns bytes copied."""
-        sess = SESSION.get(None)  # active_stats(), inlined
-        (BLOCKPROG_STATS if sess is None
-         else sess.prog_stats).translations += 1
+        SESSION.get().prog_stats.translations += 1
         return self.kernel.copy(src, base, out, out_pos, True)
 
     def scatter(self, dst: np.ndarray, base: int, src: np.ndarray,
                 src_pos: int = 0) -> int:
         """Copy contiguous ``src`` bytes from ``src_pos`` into the
         program's blocks of ``dst`` (translated by ``base``)."""
-        sess = SESSION.get(None)  # active_stats(), inlined
-        (BLOCKPROG_STATS if sess is None
-         else sess.prog_stats).translations += 1
+        SESSION.get().prog_stats.translations += 1
         return self.kernel.copy(dst, base, src, src_pos, False)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -218,8 +199,7 @@ class ProgramCache:
     drops every program compiled from it.  Guarded by a lock because
     simulated ranks are threads sharing the cache; :meth:`get` is
     single-flight per key, so ranks that miss the same key together
-    compile it once.  One instance per session, plus the process-wide
-    default.
+    compile it once.  One instance per session.
     """
 
     def __init__(self) -> None:
@@ -286,24 +266,15 @@ class ProgramCache:
         return prog
 
 
-_DEFAULT_CACHE = ProgramCache()
-
-
-def active_cache() -> ProgramCache:
-    """The program cache of the active session, or the process default."""
-    s = SESSION.get(None)
-    return _DEFAULT_CACHE if s is None else s.programs
-
-
 def clear(owner=None) -> None:
-    """Drop compiled programs from the active context's cache.
+    """Drop compiled programs from the active session's cache.
 
     Called on fileview replacement (the same epoch rule the plan LRU
     follows) with the replaced file's identity as ``owner``, so one
     file's ``set_view`` no longer evicts every other open file's
     programs; ``clear()`` with no owner drops everything.
     """
-    active_cache().clear(owner)
+    SESSION.get().programs.clear(owner)
 
 
 def _periodicity(loop: Dataloop, s_lo: int, n: int) -> Tuple[int, int]:
@@ -357,7 +328,8 @@ def program_for(
     ``owner`` is the file identity the program serves (part of the cache
     key; see :class:`ProgramCache`).
     """
-    stats = active_stats()
+    sess = SESSION.get()
+    stats = sess.prog_stats
     if loop is None or s_hi <= s_lo or isinstance(loop, DLContig) or (
         isinstance(loop, DLVector) and isinstance(loop.child, DLContig)
         and loop.stride == loop.child.size
@@ -368,8 +340,8 @@ def program_for(
         return None
     n = s_hi - s_lo
     residue, base = _periodicity(loop, s_lo, n)
-    prog = active_cache().get(loop, (owner, residue, n), stats,
-                              _compile, residue, n)
+    prog = sess.programs.get(loop, (owner, residue, n), stats,
+                             _compile, residue, n)
     return prog, base
 
 

@@ -57,8 +57,6 @@ __all__ = [
     "gather_blocks",
     "scatter_blocks",
     "block_index",
-    "KERNEL_PATHS",
-    "active_kernel_paths",
     "kernel_path_counts",
 ]
 
@@ -97,7 +95,7 @@ class _KernelPaths:
     One counter per kernel kind; every :meth:`Kernel.gather` /
     :meth:`Kernel.scatter` call bumps exactly one, whether it came from
     a one-shot :func:`gather_blocks` or a compiled block program.  One
-    instance per session plus the process-wide default; read through
+    instance per :class:`~repro.session.IOSession`; read through
     :func:`kernel_path_counts` and surfaced in engine stats and
     ``repro.cli plan-dump``.
     """
@@ -115,21 +113,9 @@ class _KernelPaths:
                 for name, c in zip(_PATH_NAMES, self.counts)}
 
 
-KERNEL_PATHS = _KernelPaths()
-
-
-def active_kernel_paths() -> _KernelPaths:
-    """The counters of the active :class:`~repro.session.IOSession`, or
-    the process-wide defaults when no session is active.  Resolved once
-    per kernel call (a single ContextVar read) so sessions cost the hot
-    path essentially nothing."""
-    s = SESSION.get(None)
-    return KERNEL_PATHS if s is None else s.kernel_paths
-
-
 def kernel_path_counts() -> dict:
-    """Snapshot of the active context's kernel path counters."""
-    return active_kernel_paths().snapshot()
+    """Snapshot of the active session's kernel path counters."""
+    return SESSION.get().kernel_paths.snapshot()
 
 
 def _uniform_stride(offsets: np.ndarray) -> int | None:
@@ -326,10 +312,7 @@ class Kernel:
                 raise _span_error("block list", self.a, buf, base)
             if blo + pos < 0 or bhi + pos > other.size:
                 raise _span_error("other side", self.b, other, pos)
-        # active_kernel_paths(), inlined: one ContextVar read per call.
-        sess = SESSION.get(None)
-        (KERNEL_PATHS if sess is None
-         else sess.kernel_paths).counts[self.kind] += 1
+        SESSION.get().kernel_paths.counts[self.kind] += 1
         pairs = self.pairs
         if pairs is not None:
             if to_b:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.io.fileview import MemDescriptor
 from repro.io.two_phase import AccessRange
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.obs.phases import PhaseAccumulator, RoundLog
 from repro.plan.stats import PlanStats
 
@@ -84,7 +84,7 @@ class EngineStats:
     def snapshot(self) -> dict:
         """This engine's counters, sorted for diffable output.
 
-        Strictly per-engine: the process-global block-program and
+        Strictly per-engine: the session-wide block-program and
         kernel-path counters are *not* merged in here (they used to be,
         which double-reported them across open files and made per-engine
         reset a lie) — the :mod:`repro.obs.metrics` registry reports
@@ -131,9 +131,7 @@ class IOEngine:
             fh.simfile, codec=self, comm=fh.comm, stats=self.stats.plan,
             phases=self.stats.phases, rounds=self.stats.rounds,
         )
-        metrics.register_engine(
-            self, session=getattr(fh, "session", None)
-        )
+        fh.session.metrics.register_engine(self)
 
     def close(self) -> None:
         """Release engine resources (the executor's pipeline worker).

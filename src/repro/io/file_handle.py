@@ -164,15 +164,14 @@ class File:
         amode: int,
         engine_name: str,
         hints: Hints,
-        session=None,
     ) -> None:
         self.comm = comm
         self.shared = shared
         self.amode = amode
         self.hints = hints
-        #: The IOSession this handle reports into (explicit, or the one
-        #: active when the handle was built, or None → process default).
-        self.session = session if session is not None else SESSION.get(None)
+        #: The IOSession this handle reports into: the one active when
+        #: the handle was built.
+        self.session = SESSION.get()
         self.view: FileView = default_view()
         self._ind_ptr = 0  # etype units
         self._closed = False
@@ -182,10 +181,9 @@ class File:
 
             trace.set_tracing(True)
         from repro.io.engines import make_engine
-        from repro.obs import metrics
 
-        metrics.register_file(shared.path, shared.simfile.stats,
-                              session=self.session)
+        self.session.metrics.register_file(shared.path,
+                                           shared.simfile.stats)
         self.engine_name = engine_name
         self.engine = make_engine(engine_name, self)
         # Views must be installed collectively even for the default view,
@@ -205,15 +203,14 @@ class File:
         engine: str = "listless",
         info: Optional[dict] = None,
         hints: Optional[Hints] = None,
-        session=None,
     ) -> "File":
         """Collectively open ``path`` on ``fs``.
 
         ``engine`` picks the non-contiguous machinery (``"listless"`` or
         ``"list_based"``); ``info`` takes ``MPI_Info``-style hint strings,
         or pass a ready :class:`~repro.io.hints.Hints` as ``hints``.
-        ``session`` pins the handle's metrics/caches to a specific
-        :class:`~repro.session.IOSession` (default: the active one).
+        The handle reports into the caller's current
+        :class:`~repro.session.IOSession`.
         """
         _validate_amode(amode)
         if hints is None:
@@ -252,7 +249,7 @@ class File:
         make_counter = getattr(comm, "make_shared_counter", None)
         if make_counter is not None:
             state.attach_counter(make_counter())
-        fh = cls(comm, state, amode, engine, hints, session=session)
+        fh = cls(comm, state, amode, engine, hints)
         fh._fs = fs  # for DELETE_ON_CLOSE
         if amode & MODE_APPEND:
             fh.seek(fh._etypes_in_file(), SEEK_SET)

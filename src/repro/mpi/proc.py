@@ -20,8 +20,9 @@ Design:
 * **Point-to-point** messages put only ``(source, tag, segment_name)``
   on the destination's queue; payload bytes stay in shared memory.
   Receives carry a deadline — a dead sender surfaces as
-  :class:`~repro.errors.MPIRuntimeError` within ``REPRO_PROC_TIMEOUT``
-  seconds (default 60), never as a hang.
+  :class:`~repro.errors.MPIRuntimeError` within the blocking-wait
+  deadline (:func:`repro.deadline.recv_timeout`, ``REPRO_RECV_TIMEOUT``,
+  default 60 s), never as a hang.
 * **Failure handling**: a rank that raises aborts the shared barrier
   and sets the world abort flag before reporting, so peers blocked in
   a collective or a receive fail promptly.  The parent additionally
@@ -31,7 +32,9 @@ Design:
   ``perf_counter`` stamps — CLOCK_MONOTONIC, comparable across
   processes on Linux) and its per-file stats back to the parent, which
   merges spans into the parent tracer so ``trace --export`` renders
-  one timeline across backends.
+  one timeline across backends.  Flight breadcrumbs go to the flight
+  recorder of the caller's session (a forked rank inherits it), and
+  the parent merges them into that same recorder.
 """
 
 from __future__ import annotations
@@ -46,18 +49,16 @@ import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.deadline import recv_timeout
 from repro.errors import MPIRuntimeError
 from repro.mpi import shm
 from repro.mpi.communicator import ANY_TAG, Comm, PendingOp
 from repro.mpi.cost_model import NetworkModel, payload_nbytes
 from repro.mpi.status import Status
 from repro.obs import flight, trace
+from repro.session import current
 
 __all__ = ["ProcComm", "ProcWorldReport", "run_spmd_proc"]
-
-#: Seconds a blocked receive / barrier waits before declaring the world
-#: dead.  Override with ``REPRO_PROC_TIMEOUT``.
-DEFAULT_TIMEOUT = 60.0
 
 #: Queue poll granularity while waiting for a message or a result.
 _POLL = 0.05
@@ -95,12 +96,6 @@ _WSEQ = itertools.count()
 #: can hand a child a torn view of it.  Only the launch window is
 #: serialized — the worlds themselves still run concurrently.
 _LAUNCH_LOCK = threading.Lock()
-
-
-def _timeout_from_env(timeout: Optional[float]) -> float:
-    if timeout is not None:
-        return timeout
-    return float(os.environ.get("REPRO_PROC_TIMEOUT", DEFAULT_TIMEOUT))
 
 
 class _ProcShared:
@@ -569,16 +564,18 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
     trace.set_current_rank(rank)
     trace.set_tracing(trace_on)
     trace.TRACER.clear()
-    # Fresh flight rings (fork inherits the parent's), and a beacon
-    # writing this rank's last completed round into shared memory so
-    # the parent can report it even if this process is killed.
-    flight.RECORDER.clear()
+    # Fresh flight rings in the session ``fn`` notes into (fork
+    # inherits the caller's, rings included), and a beacon writing this
+    # rank's last completed round into shared memory so the parent can
+    # report it even if this process is killed.
+    recorder = current().flight
+    recorder.clear()
     slot = shared.rounds[rank]
 
     def _beacon(index: int, _slot=slot) -> None:
         _slot.value = index
 
-    flight.RECORDER.set_beacon(_beacon)
+    recorder.set_beacon(_beacon)
     comm = ProcComm(shared, rank, network=network)
     outcome: Tuple[str, Any]
     try:
@@ -597,7 +594,7 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
         "messages_sent": comm.messages_sent,
         "net_time": comm.net_time,
         "spans": trace.TRACER.export_state() if trace.TRACE_ON else {},
-        "flight": flight.RECORDER.export_state(),
+        "flight": recorder.export_state(),
     }
     # Pre-pickle in the worker thread so an unpicklable result raises
     # *here* (mp.Queue pickles in a feeder thread, where the error
@@ -647,7 +644,10 @@ def run_spmd_proc(
     ``world_out`` with a :class:`ProcWorldReport`.  ``fn``, ``args``
     and every rank's return value must be picklable.  The start method
     defaults to ``fork`` (closures over test fixtures keep working);
-    override with ``start_method=`` or ``REPRO_PROC_START``.
+    override with ``start_method=`` or ``REPRO_PROC_START``.  Blocking
+    waits give up after ``timeout`` seconds (default:
+    :func:`~repro.deadline.recv_timeout`).  The world's flight record
+    lands in the caller's current session.
     """
     import multiprocessing as mp
 
@@ -655,14 +655,15 @@ def run_spmd_proc(
         raise MPIRuntimeError(f"world size must be >= 1, got {size}")
     method = start_method or os.environ.get("REPRO_PROC_START", "fork")
     ctx = mp.get_context(method)
-    tmo = _timeout_from_env(timeout)
+    tmo = timeout if timeout is not None else recv_timeout()
     uid = (f"rp{os.getpid():x}x"
            f"{int(time.monotonic() * 1e6) & 0xFFFFFF:x}"
            f"w{next(_WSEQ):x}")
     # Fresh flight state for this world: sim worlds run in parent
     # threads and leave last-round markers behind; without the clear a
     # stale marker would win the max() against a dead rank's beacon.
-    flight.RECORDER.clear()
+    recorder = current().flight
+    recorder.clear()
     report = ProcWorldReport(size)
     if world_out is not None:
         world_out.append(report)
@@ -701,7 +702,7 @@ def run_spmd_proc(
                 if rep["spans"]:
                     trace.TRACER.ingest_state(rep["spans"])
                 if rep.get("flight"):
-                    flight.RECORDER.ingest_state(rep["flight"])
+                    recorder.ingest_state(rep["flight"])
                 if kind == "ok":
                     results[r] = value
                 else:
@@ -772,6 +773,7 @@ def run_spmd_proc(
                 if shared.rounds[r].value >= 0
             },
             world_size=size,
+            recorder=recorder,
         )
         raise primary
     return results

@@ -135,38 +135,36 @@ def run_spmd(
     (see :class:`Runtime`); ``None`` honours ``REPRO_RUNTIME``.
 
     ``session`` scopes the world to an :class:`~repro.session.IOSession`
-    (sim backend): the session is activated inside every rank thread —
-    rank threads start with an empty context, so the caller's active
-    session would otherwise not carry over — and only *its* flight
-    recorder is cleared at launch, which is what lets several sim worlds
-    run concurrently in one process without wiping each other's
-    records.  Defaults to the session active in the caller.  The proc
-    backend ignores it: rank processes are isolated by construction.
+    (default: the caller's current one).  On the sim backend it is
+    activated inside every rank thread — rank threads start with an
+    empty context, so the caller's active session would otherwise not
+    carry over — and only *its* flight recorder is cleared at launch,
+    which is what lets several sim worlds run concurrently in one
+    process without wiping each other's records.  The proc backend runs
+    with it active, so the world's flight record lands in its recorder.
     """
     from repro._ctx import SESSION
 
     rt = Runtime.resolve(backend)
+    sess = session if session is not None else SESSION.get()
     if rt.backend != "sim":
-        return rt.run(size, fn, *args, network=network,
-                      world_out=world_out)
-    sess = session if session is not None else SESSION.get(None)
+        with sess:
+            return rt.run(size, fn, *args, network=network,
+                          world_out=world_out)
     world = World(size, network=network)
     if world_out is not None:
         world_out.append(world)
     from repro.obs import flight
 
     # One world, one flight record: drop breadcrumbs and round markers
-    # left behind by previous worlds in this session (or, with no
-    # session, in the process default recorder).
-    recorder = flight.RECORDER if sess is None else sess.flight
-    recorder.clear()
+    # left behind by previous worlds in this session.
+    sess.flight.clear()
     results: List[Any] = [None] * size
 
     def runner(rank: int) -> None:
         from repro.obs import trace
 
-        if sess is not None:
-            SESSION.set(sess)
+        SESSION.set(sess)
         try:
             with trace.span("spmd.rank", rank=rank):
                 results[rank] = fn(world.comm(rank), *args)
@@ -186,10 +184,8 @@ def run_spmd(
     for t in threads:
         t.join()
     if world.failure is not None:
-        from repro.obs import flight
-
         flight.dump_on_abort(world.failure, backend="sim",
-                             world_size=size, recorder=recorder)
+                             world_size=size, recorder=sess.flight)
         raise world.failure
     return results
 

@@ -5,9 +5,10 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.trace` — nestable spans in per-rank ring buffers,
   near-zero cost when off (``REPRO_TRACE`` / :func:`set_tracing` / the
   ``obs_trace`` open hint);
-* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` labeling every
-  ``EngineStats`` / ``FileStats`` producer and reporting the
-  process-global block-program / kernel-path counters exactly once;
+* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` (one per
+  session) labeling every ``EngineStats`` / ``FileStats`` producer and
+  reporting the session's block-program / kernel-path counters exactly
+  once;
 * :mod:`repro.obs.phases` — always-on per-phase wall-time buckets
   (plan / pack / unpack / file_io / exchange / lock / sync), the
   Table-3-style decomposition ``repro btio --report phases`` prints.
@@ -24,13 +25,7 @@ Exporters (Chrome-trace JSON for Perfetto, text summary) live in
 from repro.obs import causal, flight, trace
 from repro.obs.causal import build_graph
 from repro.obs.export import chrome_trace, export_chrome_trace, text_summary
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    metric_schema,
-    register_engine,
-    register_file,
-)
+from repro.obs.metrics import MetricsRegistry, metric_schema
 from repro.obs.phases import BUCKETS, PhaseAccumulator, format_phase_table
 from repro.obs.trace import (
     TRACER,
@@ -48,7 +43,6 @@ __all__ = [
     "Edge",
     "MetricsRegistry",
     "PhaseAccumulator",
-    "REGISTRY",
     "Span",
     "TRACER",
     "Tracer",
@@ -61,8 +55,6 @@ __all__ = [
     "flight",
     "format_phase_table",
     "metric_schema",
-    "register_engine",
-    "register_file",
     "set_tracing",
     "span",
     "text_summary",

@@ -30,7 +30,6 @@ import json
 import os
 import threading
 import time
-import weakref
 from collections import deque
 from typing import Callable, Dict, Optional
 
@@ -40,8 +39,6 @@ from repro.obs.trace import _current_rank
 __all__ = [
     "FLIGHT_VERSION",
     "FlightRecorder",
-    "RECORDER",
-    "active_recorder",
     "dump_on_abort",
     "last_record",
     "note",
@@ -63,18 +60,15 @@ _now = time.perf_counter
 class FlightRecorder:
     """Bounded per-rank breadcrumb rings + last-round tracking.
 
-    One instance per :class:`~repro.session.IOSession` plus the process
-    default (:data:`RECORDER`), so concurrent worlds/tenants keep
-    separate records.  A session-bound recorder reports its session's
-    ``global`` counters in :meth:`record`.
+    One instance per :class:`~repro.session.IOSession`, so concurrent
+    worlds/tenants keep separate records.  :meth:`record` reports the
+    ``global`` counters of the session's ``metrics`` registry.
     """
 
-    def __init__(self, maxlen: int = MAX_CRUMBS_PER_RANK,
-                 session=None) -> None:
+    def __init__(self, metrics,
+                 maxlen: int = MAX_CRUMBS_PER_RANK) -> None:
         self.maxlen = maxlen
-        self._session = (
-            weakref.ref(session) if session is not None else None
-        )
+        self._metrics = metrics
         self._rings: Dict[int, deque] = {}
         self._last_round: Dict[int, int] = {}
         self._beacon: Optional[Callable[[int], None]] = None
@@ -174,12 +168,7 @@ class FlightRecorder:
             err = {"type": type(error).__name__, "message": str(error)}
         counters = {}
         try:
-            s = self._session() if self._session is not None else None
-            if s is not None:
-                counters = s.metrics.snapshot().get("global", {})
-            else:
-                from repro.obs.metrics import REGISTRY
-                counters = REGISTRY.snapshot().get("global", {})
+            counters = self._metrics.snapshot().get("global", {})
         except Exception:
             pass
         spans_dropped = {}
@@ -216,32 +205,23 @@ class FlightRecorder:
         }
 
 
-#: The process-default flight recorder (no active session).
-RECORDER = FlightRecorder()
-
 _last_record: Optional[dict] = None
 _mu = threading.Lock()
 
 
-def active_recorder() -> FlightRecorder:
-    """The active session's recorder, or the process default."""
-    s = SESSION.get(None)
-    return RECORDER if s is None else s.flight
-
-
 def note(kind: str, rank: Optional[int] = None, **info) -> None:
     """Module-level convenience for :meth:`FlightRecorder.note`."""
-    active_recorder().note(kind, rank=rank, **info)
+    SESSION.get().flight.note(kind, rank=rank, **info)
 
 
 def note_round(index: int, total: int, rank: Optional[int] = None,
                **info) -> None:
     """Module-level convenience for :meth:`FlightRecorder.note_round`."""
-    active_recorder().note_round(index, total, rank=rank, **info)
+    SESSION.get().flight.note_round(index, total, rank=rank, **info)
 
 
 def set_beacon(fn: Optional[Callable[[int], None]]) -> None:
-    active_recorder().set_beacon(fn)
+    SESSION.get().flight.set_beacon(fn)
 
 
 def last_record() -> Optional[dict]:
@@ -260,7 +240,7 @@ def dump(path: str, reason: str = "on_demand", **kw) -> str:
     """Build the current record and write it to ``path``; returns the
     resolved file path."""
     global _last_record
-    rec = active_recorder().record(reason, **kw)
+    rec = SESSION.get().flight.record(reason, **kw)
     with _mu:
         _last_record = rec
     out = _resolve_path(path)
@@ -280,14 +260,14 @@ def dump_on_abort(error: BaseException, backend: str,
     """Called by the SPMD runtimes when a world dies.  Always builds
     and stashes the record; writes it to disk only when
     ``REPRO_FLIGHT`` names a destination.  ``recorder`` pins the record
-    to a specific world's session recorder (the sim runtime passes the
-    one it cleared at launch); default: the active context's.  Never
+    to a specific world's session recorder (both runtimes pass the one
+    they cleared at launch); default: the active session's.  Never
     raises — this runs on the failure path and must not mask the
     original error."""
     global _last_record
     try:
         rec = (recorder if recorder is not None
-               else active_recorder()).record(
+               else SESSION.get().flight).record(
             "abort", error=error, failed_rank=failed_rank,
             failed_ranks=failed_ranks, last_rounds=last_rounds,
             backend=backend, world_size=world_size)

@@ -4,16 +4,17 @@ The counters quantifying the paper's overheads live in four unrelated
 places — :class:`~repro.io.engines.base.EngineStats` (per engine
 instance), :class:`~repro.plan.stats.PlanStats` (nested inside it),
 :class:`~repro.fs.stats.FileStats` (per simulated file), and the
-process-global block-program / kernel-path counters in
-:mod:`repro.core.blockprog` and :mod:`repro.core.gather`.  The
-:class:`MetricsRegistry` absorbs them all as *labeled* metrics:
+session-wide block-program / kernel-path counters of
+:mod:`repro.core.blockprog` and :mod:`repro.core.gather`.  Each
+:class:`~repro.session.IOSession` owns one :class:`MetricsRegistry`,
+which absorbs them all as *labeled* metrics:
 
 * ``engines`` — one entry per registered engine, labeled
   ``(path, engine, rank)``, carrying the engine's counter snapshot plus
   its ``phase_*`` buckets;
 * ``files`` — one entry per simulated file, labeled by path, carrying
   its :class:`FileStats` snapshot;
-* ``global`` — the process-wide block-program and kernel-path counters,
+* ``global`` — the session's block-program and kernel-path counters,
   reported **once** (they used to be merged into every per-engine
   snapshot, so two open files double-reported and per-engine reset
   could not clear them — that scoping bug is fixed by homing them here).
@@ -39,11 +40,6 @@ from repro._ctx import SESSION
 
 __all__ = [
     "MetricsRegistry",
-    "REGISTRY",
-    "active_registry",
-    "register_engine",
-    "register_file",
-    "register_service",
     "snapshot",
     "reset",
     "metric_schema",
@@ -53,37 +49,24 @@ __all__ = [
 class MetricsRegistry:
     """Weak registry of stats producers with one snapshot/reset surface.
 
-    One instance per :class:`~repro.session.IOSession` plus the process
-    default (:data:`REGISTRY`).  A session-bound registry reports and
-    resets *its session's* block-program and kernel-path counters under
-    the ``global`` key — the key name is kept for snapshot-schema
-    compatibility, but for a session it means "session-wide", so two
-    concurrent tenants' snapshots never absorb each other's counts.
+    One instance per :class:`~repro.session.IOSession`.  It reports
+    and resets *its session's* block-program and kernel-path counters
+    (``prog_stats``, ``kernel_paths``) under the ``global`` key — the
+    key name is kept for snapshot-schema compatibility, but it means
+    "session-wide", so two concurrent tenants' snapshots never absorb
+    each other's counts.
     """
 
-    def __init__(self, session=None) -> None:
+    def __init__(self, prog_stats, kernel_paths) -> None:
         self._mu = threading.Lock()
-        # Weak back-reference: the session owns this registry strongly.
-        self._session = (
-            weakref.ref(session) if session is not None else None
-        )
+        self._prog_stats = prog_stats
+        self._kernel_paths = kernel_paths
         # label -> weakref to the stats-bearing object.  Engine labels are
         # (path, engine_name, rank); file labels are (path,).
         self._engines: Dict[Tuple[str, str, int], weakref.ref] = {}
         self._files: Dict[str, weakref.ref] = {}
         # tenant label -> weakref to a ServiceStats (repro.server).
         self._services: Dict[str, weakref.ref] = {}
-
-    def _scope(self):
-        """``(prog_stats, kernel_paths)`` this registry reports under
-        ``global``: the session's counters, or the process defaults."""
-        s = self._session() if self._session is not None else None
-        if s is not None:
-            return s.prog_stats, s.kernel_paths
-        from repro.core.blockprog import BLOCKPROG_STATS
-        from repro.core.gather import KERNEL_PATHS
-
-        return BLOCKPROG_STATS, KERNEL_PATHS
 
     # ------------------------------------------------------------------
     # Registration (weak; dead entries pruned on snapshot)
@@ -172,9 +155,8 @@ class MetricsRegistry:
                 "tenant": tenant,
                 "counters": dict(sorted(st.snapshot().items())),
             })
-        prog_stats, kernel_paths = self._scope()
-        counters = dict(prog_stats.snapshot())
-        counters.update(kernel_paths.snapshot())
+        counters = dict(self._prog_stats.snapshot())
+        counters.update(self._kernel_paths.snapshot())
         return {
             "engines": eng_out,
             "files": file_out,
@@ -183,10 +165,9 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Zero every live registered stats object *and* this scope's
+        """Zero every live registered stats object *and* the session's
         block-program/kernel-path counters (the reset that the old
         per-engine merge never did)."""
-        prog_stats, kernel_paths = self._scope()
         engines, files, services = self._live()
         for _label, eng in engines:
             st = eng.stats
@@ -204,11 +185,11 @@ class MetricsRegistry:
             st.reset()
         for _tenant, st in services:
             st.reset()
-        prog_stats.reset()
-        kernel_paths.reset()
+        self._prog_stats.reset()
+        self._kernel_paths.reset()
 
     def clear(self) -> None:
-        """Forget all registrations (process-wide counters untouched)."""
+        """Forget all registrations (session counters untouched)."""
         with self._mu:
             self._engines.clear()
             self._files.clear()
@@ -223,7 +204,7 @@ def metric_schema(snap: Optional[dict] = None) -> dict:
     the global key list is taken verbatim.
     """
     if snap is None:
-        snap = active_registry().snapshot()
+        snap = snapshot()
     engines: Dict[str, dict] = {}
     for e in snap["engines"]:
         engines[e["engine"]] = {
@@ -244,34 +225,11 @@ def metric_schema(snap: Optional[dict] = None) -> dict:
     }
 
 
-#: The process-default registry (used whenever no session is active).
-REGISTRY = MetricsRegistry()
+def snapshot() -> dict:
+    """The active session's metrics snapshot."""
+    return SESSION.get().metrics.snapshot()
 
 
-def active_registry(session=None) -> MetricsRegistry:
-    """Resolve a registry: ``session``'s if given, else the active
-    session's, else the process default."""
-    if session is not None:
-        return session.metrics
-    s = SESSION.get(None)
-    return REGISTRY if s is None else s.metrics
-
-
-def register_engine(engine, session=None) -> None:
-    active_registry(session).register_engine(engine)
-
-
-def register_file(path: str, stats, session=None) -> None:
-    active_registry(session).register_file(path, stats)
-
-
-def register_service(tenant: str, stats, session=None) -> None:
-    active_registry(session).register_service(tenant, stats)
-
-
-def snapshot(session=None) -> dict:
-    return active_registry(session).snapshot()
-
-
-def reset(session=None) -> None:
-    active_registry(session).reset()
+def reset() -> None:
+    """Zero the active session's registered and session-wide counters."""
+    SESSION.get().metrics.reset()

@@ -130,14 +130,6 @@ def set_tracing(flag=True, categories=None):
     return prev
 
 
-def _category_off(name: str) -> bool:
-    """Whether the active filter excludes this span name.  Only ever
-    true when :data:`TRACE_ON` is a category set."""
-    state = TRACE_ON
-    return (type(state) is frozenset
-            and name.split(".", 1)[0] not in state)
-
-
 class Span:
     """One recorded span: name, rank, nesting depth, times, fields.
 

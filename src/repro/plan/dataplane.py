@@ -100,10 +100,7 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
         prog = memo.get(key)
         if prog is not None:
             memo.move_to_end(key)
-            # blockprog.active_stats(), inlined on the replay path.
-            sess = SESSION.get(None)
-            (blockprog.BLOCKPROG_STATS if sess is None
-             else sess.prog_stats).hits += 1
+            SESSION.get().prog_stats.hits += 1
             return prog
     n = blocks.nbytes
     if mem.is_contiguous:
@@ -115,7 +112,7 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
     foffs, moffs, lens = pair_blocks(blocks.offsets, blocks.lengths,
                                      moffs, mlens)
     prog = blockprog.BlockProgram(foffs, lens, other=moffs)
-    blockprog.active_stats().misses += 1
+    SESSION.get().prog_stats.misses += 1
     if memo is None:
         memo = OrderedDict()
         object.__setattr__(blocks, "pairs", memo)

@@ -284,9 +284,7 @@ class IOPServer:
                                     byte_budget=byte_budget,
                                     queue_depth=queue_depth)
         t.session = IOSession(f"tenant:{name}")
-        from repro.obs import metrics
-
-        metrics.register_service(name, t.stats, session=self.session)
+        self.session.metrics.register_service(name, t.stats)
         return t
 
     def tenant(self, name: str) -> TenantState:
@@ -437,9 +435,9 @@ class IOPServer:
         with self._handle_mu:
             fh = self._handles.get(path)
             if fh is None:
+                # Opened by a worker thread, inside the server session.
                 fh = File.open(World(1).comm(0), self.fs, path,
-                               MODE_CREATE | MODE_RDWR,
-                               session=self.session)
+                               MODE_CREATE | MODE_RDWR)
                 self._handles[path] = fh
                 self._path_locks[path] = threading.Lock()
             return fh, self._path_locks[path]

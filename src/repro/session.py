@@ -1,46 +1,44 @@
 """Explicit I/O sessions: re-entrant, isolated copies of the core state.
 
-Historically every piece of cross-cutting state in this stack was a
-process-wide singleton: the kernel-path counters
-(:data:`repro.core.gather.KERNEL_PATHS`), the block-program cache and
-its counters (:mod:`repro.core.blockprog`), the metrics registry
-(:data:`repro.obs.metrics.REGISTRY`) and the flight recorder
-(:data:`repro.obs.flight.RECORDER`).  That is fine for one open file
-driven by one SPMD world — and wrong the moment two client worlds or
-two service tenants share a process: their counters absorb each other,
-one world's ``set_view`` clears another's compiled programs, and a new
-world wipes the previous world's flight record.
+An :class:`IOSession` owns every piece of cross-cutting state in this
+stack: the kernel-path counters (:mod:`repro.core.gather`), the
+block-program cache and its counters (:mod:`repro.core.blockprog`), the
+metrics registry (:mod:`repro.obs.metrics`) and the flight recorder
+(:mod:`repro.obs.flight`).  There is always one active: the process
+default, which is the default of the context variable
+:data:`repro._ctx.SESSION`, unless another session is activated (``with
+session:`` or ``with session.activate():``) in the calling context.
+:func:`current` therefore never returns ``None``, and every layer
+resolves its state through that variable with a single ``get`` on the
+hot path.
 
-An :class:`IOSession` is one isolated copy of all of that.  Activating
-a session (``with session:`` or ``with session.activate():``) binds it
-to the calling context via a :class:`contextvars.ContextVar`
-(:data:`repro._ctx.SESSION`); every layer resolves its state through
-that variable with a single ``get`` on the hot path.  No active session
-means the historical module-level singletons — existing code, tests and
-benchmarks behave exactly as before.
-
-Sessions are what make the multi-tenant service (:mod:`repro.server`)
-possible: each tenant gets its own session, so per-tenant metric
-snapshots, program caches and flight breadcrumbs never bleed across
-tenants.  ``run_spmd(..., session=s)`` activates a session inside every
-rank thread of a sim world, so two worlds can run concurrently in one
-process without sharing observability state.
+Separate sessions are what let two client worlds or two service
+tenants share a process: their counters never absorb each other, one
+world's ``set_view`` never clears another's compiled programs, and a
+new world never wipes another world's flight record.  Each tenant of
+the multi-tenant service (:mod:`repro.server`) gets its own session,
+and ``run_spmd(..., session=s)`` runs a world in ``s`` on either
+backend.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
 
-from repro._ctx import SESSION
+# repro._ctx imports this module to build the default session, so the
+# functions below import SESSION where they use it.
 
 __all__ = ["IOSession", "current"]
+
+#: The components of a session, built together on first use.
+_PARTS = frozenset(("kernel_paths", "prog_stats", "programs", "flight",
+                    "metrics"))
 
 
 class IOSession:
     """One isolated copy of the cross-cutting core/obs state.
 
-    Components (all freshly constructed, never shared with the process
-    defaults):
+    Components:
 
     ``metrics``
         a :class:`~repro.obs.metrics.MetricsRegistry` whose ``global``
@@ -56,26 +54,35 @@ class IOSession:
     """
 
     def __init__(self, name: str = "session") -> None:
-        # Imported here, not at module top: repro.session sits below the
-        # core/obs layers in the import graph only because construction
-        # is lazy.
-        from repro.core.blockprog import ProgramCache, _Stats
-        from repro.core.gather import _KernelPaths
-        from repro.obs.flight import FlightRecorder
-        from repro.obs.metrics import MetricsRegistry
-
-        import threading
-
         self.name = str(name)
-        self.kernel_paths = _KernelPaths()
-        self.prog_stats = _Stats()
-        self.programs = ProgramCache()
-        self.flight = FlightRecorder(session=self)
-        self.metrics = MetricsRegistry(session=self)
+        self._build_mu = threading.Lock()
         # Activation tokens are context-bound: keep the stack per
         # thread so several worker threads can hold the same session
         # active at once without popping each other's tokens.
         self._tokens = threading.local()
+
+    def __getattr__(self, attr: str):
+        # Reached only while the components are missing: the first
+        # access builds all of them, after which they are plain
+        # attributes.  Building lazily is what lets repro._ctx create
+        # the process default at import time without importing the
+        # layers that import repro._ctx.
+        if attr not in _PARTS:
+            raise AttributeError(attr)
+        with self._build_mu:
+            if attr not in self.__dict__:
+                from repro.core.blockprog import ProgramCache, _Stats
+                from repro.core.gather import _KernelPaths
+                from repro.obs.flight import FlightRecorder
+                from repro.obs.metrics import MetricsRegistry
+
+                kernel_paths, prog_stats = _KernelPaths(), _Stats()
+                metrics = MetricsRegistry(prog_stats, kernel_paths)
+                self.__dict__.update(
+                    kernel_paths=kernel_paths, prog_stats=prog_stats,
+                    programs=ProgramCache(), metrics=metrics,
+                    flight=FlightRecorder(metrics))
+        return self.__dict__[attr]
 
     # ------------------------------------------------------------------
     def activate(self) -> "IOSession":
@@ -86,6 +93,8 @@ class IOSession:
             with session.activate():
                 ...  # every layer resolves this session's state
         """
+        from repro._ctx import SESSION
+
         stack = getattr(self._tokens, "stack", None)
         if stack is None:
             stack = self._tokens.stack = []
@@ -94,6 +103,8 @@ class IOSession:
 
     def deactivate(self) -> None:
         """Undo the innermost :meth:`activate` of this thread."""
+        from repro._ctx import SESSION
+
         stack = getattr(self._tokens, "stack", None)
         if stack:
             SESSION.reset(stack.pop())
@@ -116,7 +127,9 @@ class IOSession:
         return f"<IOSession {self.name!r}>"
 
 
-def current() -> Optional[IOSession]:
-    """The session active in the calling context, or ``None`` (meaning
-    the process-wide default singletons are in effect)."""
-    return SESSION.get(None)
+def current() -> IOSession:
+    """The session active in the calling context: the one activated
+    innermost, else the process default.  Never ``None``."""
+    from repro._ctx import SESSION
+
+    return SESSION.get()

@@ -21,12 +21,12 @@ from repro.core import blockprog
 from repro.core.blockprog import (
     _MAX_PROGRAMS_PER_LOOP,
     BlockProgram,
-    BLOCKPROG_STATS,
     program_for,
 )
 from repro.core.ff_pack import ff_pack, ff_unpack, top_dataloop
-from repro.core.gather import KERNEL_PATHS, gather_blocks, scatter_blocks
+from repro.core.gather import gather_blocks, scatter_blocks
 from repro.errors import FFError
+from repro.session import current
 from tests.conftest import datatype_trees, fill_pattern
 
 
@@ -34,8 +34,8 @@ from tests.conftest import datatype_trees, fill_pattern
 def _fresh_cache():
     """Each test sees an empty cache and zeroed counters."""
     blockprog.clear()
-    BLOCKPROG_STATS.reset()
-    KERNEL_PATHS.reset()
+    current().prog_stats.reset()
+    current().kernel_paths.reset()
     yield
     blockprog.clear()
 
@@ -77,8 +77,8 @@ class TestTranslation:
             hit = program_for(loop, 4 + period * t.size, 14 + period * t.size)
             progs.add(id(hit[0]))
         assert len(progs) == 1
-        assert BLOCKPROG_STATS.misses == 1
-        assert BLOCKPROG_STATS.hits == 7
+        assert current().prog_stats.misses == 1
+        assert current().prog_stats.hits == 7
 
     def test_distinct_shapes_get_distinct_programs(self):
         t = periodic_type()
@@ -87,7 +87,7 @@ class TestTranslation:
         b, _ = program_for(loop, 1, 11)  # different residue
         c, _ = program_for(loop, 0, 11)  # different length
         assert len({id(a), id(b), id(c)}) == 3
-        assert BLOCKPROG_STATS.misses == 3
+        assert current().prog_stats.misses == 3
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +97,7 @@ class TestCache:
     def test_contiguous_loop_bypassed(self):
         loop = top_dataloop(dt.contiguous(64, dt.BYTE), 4)
         assert program_for(loop, 8, 40) is None
-        assert BLOCKPROG_STATS.bypasses == 1
+        assert current().prog_stats.bypasses == 1
 
     def test_clear_forces_recompile(self):
         loop = top_dataloop(periodic_type(), 8)
@@ -105,19 +105,19 @@ class TestCache:
         blockprog.clear()
         b, _ = program_for(loop, 0, 10)
         assert a is not b
-        assert BLOCKPROG_STATS.misses == 2
+        assert current().prog_stats.misses == 2
 
     def test_lru_bounded_per_loop(self):
         t = periodic_type()
         loop = top_dataloop(t, 512)
         for n in range(1, _MAX_PROGRAMS_PER_LOOP + 20):
             program_for(loop, 0, n)
-        progs = blockprog.active_cache()._cache.get(loop)
+        progs = current().programs._cache.get(loop)
         assert len(progs) == _MAX_PROGRAMS_PER_LOOP
         # Oldest shapes were evicted: re-querying them misses again.
-        BLOCKPROG_STATS.reset()
+        current().prog_stats.reset()
         program_for(loop, 0, 1)
-        assert BLOCKPROG_STATS.misses == 1
+        assert current().prog_stats.misses == 1
 
     def test_concurrent_miss_compiles_once(self, monkeypatch):
         """Two rank threads missing the same key at once: one compiles,
@@ -146,8 +146,8 @@ class TestCache:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
         assert len(compiles) == 1
-        assert BLOCKPROG_STATS.compiled == 1
-        assert BLOCKPROG_STATS.misses == 1 and BLOCKPROG_STATS.hits == 1
+        assert current().prog_stats.compiled == 1
+        assert current().prog_stats.misses == 1 and current().prog_stats.hits == 1
         assert got[0][0] is got[1][0]
 
     def test_failed_compile_wakes_waiter(self, monkeypatch):
@@ -224,8 +224,8 @@ class TestCache:
             sys.setswitchinterval(prev)
         assert not any(t.is_alive() for t in threads)
         assert len(compiles) == shapes
-        assert BLOCKPROG_STATS.misses == shapes
-        assert BLOCKPROG_STATS.hits == nthreads * reps - shapes
+        assert current().prog_stats.misses == shapes
+        assert current().prog_stats.hits == nthreads * reps - shapes
         # Every thread saw the one program of each shape.
         for n in range(1, shapes + 1):
             ids = set().union(*(p.get(n, set()) for p in progs))
@@ -234,7 +234,7 @@ class TestCache:
     def test_planner_invalidate_clears_programs(self):
         loop = top_dataloop(periodic_type(), 8)
         program_for(loop, 0, 10)
-        assert len(blockprog.active_cache()._cache.get(loop)) == 1
+        assert len(current().programs._cache.get(loop)) == 1
 
         class _Stub:  # minimal planner host
             pass
@@ -244,7 +244,7 @@ class TestCache:
 
         planner = Planner(_Stub(), cacheable=True, stats=PlanStats())
         planner.invalidate()
-        assert blockprog.active_cache()._cache.get(loop) is None
+        assert current().programs._cache.get(loop) is None
 
 
 # ----------------------------------------------------------------------
@@ -305,9 +305,9 @@ class TestFFIntegration:
         out = np.zeros(40, dtype=np.uint8)
         for w in range(6):
             ff_pack(src, 64, t, 4 + w * t.size, out, 40)
-        assert BLOCKPROG_STATS.misses == 1
-        assert BLOCKPROG_STATS.hits == 5
-        assert BLOCKPROG_STATS.translations == 6
+        assert current().prog_stats.misses == 1
+        assert current().prog_stats.hits == 5
+        assert current().prog_stats.translations == 6
 
     def test_traversal_corruption_raises_fferror(self, monkeypatch):
         import importlib
@@ -330,7 +330,7 @@ class TestFFIntegration:
                 ff_pack(src, 8, t, 0, out, 16)
             with pytest.raises(FFError, match="traversal corruption"):
                 ff_unpack(out, 16, dst, 8, t, 0)
-        assert BLOCKPROG_STATS.bypasses == 0
+        assert current().prog_stats.bypasses == 0
 
         # Contiguous-bypass branch: the one-shot kernels run.
         c = dt.contiguous(16, dt.BYTE)
@@ -340,7 +340,7 @@ class TestFFIntegration:
             ff_pack(src, 8, c, 0, out, 16)
         with pytest.raises(FFError, match="traversal corruption"):
             ff_unpack(out, 16, dst, 8, c, 0)
-        assert BLOCKPROG_STATS.bypasses == 2
+        assert current().prog_stats.bypasses == 2
 
     # ------------------------------------------------------------------
     # Property tests — skipbytes mid-block at period boundaries, miss

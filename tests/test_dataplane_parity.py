@@ -19,17 +19,18 @@ from hypothesis import strategies as st
 
 from repro import datatypes as dt
 from repro.core import blockprog
-from repro.core.blockprog import BLOCKPROG_STATS, program_for
+from repro.core.blockprog import program_for
 from repro.core.ff_pack import top_dataloop
 from repro.plan.dataplane import DataPlane, block_arrays, tuple_arrays
 from repro.plan.ops import Blocks, TupleBlocks
+from repro.session import current
 from tests.conftest import datatype_trees, fill_pattern
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     blockprog.clear()
-    BLOCKPROG_STATS.reset()
+    current().prog_stats.reset()
     yield
     blockprog.clear()
 
@@ -102,8 +103,8 @@ class TestWholeAccessParity:
             assert hit is not None
             progs.add(id(hit[0]))
         assert len(progs) == 1
-        assert BLOCKPROG_STATS.misses == 1
-        assert BLOCKPROG_STATS.hits == 7
+        assert current().prog_stats.misses == 1
+        assert current().prog_stats.hits == 7
 
     def test_sub_period_translation_inside_nested_vector(self):
         """Ranges confined to one inner-vector child reduce through the

@@ -8,6 +8,7 @@ as a hang."""
 import json
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.io.hints import Hints
 from repro.mpi import run_spmd
 from repro.mpi.proc import run_spmd_proc
 from repro.mpi.runtime import Runtime
+from repro.session import IOSession
 
 ENGINES = ["listless", "list_based"]
 
@@ -234,6 +236,12 @@ def _killed_before_send(comm):
     return True
 
 
+def _silent_peer(comm):
+    if comm.rank == 0:
+        comm.recv(source=1)  # rank 1 never sends: must time out
+    return True
+
+
 def _raises_mid_collective(comm):
     if comm.rank == 1:
         raise ValueError("injected rank failure")
@@ -259,6 +267,15 @@ class TestProcRankDeath:
         with pytest.raises(MPIRuntimeError):
             run_spmd_proc(2, _killed_before_send, timeout=5.0)
 
+    def test_recv_timeout_env_bounds_silent_rank(self, monkeypatch):
+        """With no ``timeout=``, a blocked receive gives up after the
+        one blocking-wait deadline, ``REPRO_RECV_TIMEOUT``."""
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "1")
+        t0 = time.monotonic()
+        with pytest.raises(MPIRuntimeError, match="timed out after 1s"):
+            run_spmd_proc(2, _silent_peer)
+        assert time.monotonic() - t0 < 15
+
     def test_rank_exception_propagates_across_processes(self):
         """A raising rank's exception (not a timeout shadow) wins as the
         reported failure."""
@@ -266,13 +283,13 @@ class TestProcRankDeath:
             run_spmd_proc(3, _raises_mid_collective, timeout=20.0)
 
 
-def _killed_after_rounds(comm):
+def _killed_after_rounds(comm, victim=2):
     from repro.obs import flight
 
     flight.note_round(0, 3)
     comm.barrier()
     flight.note_round(1, 3)
-    if comm.rank == 2:
+    if comm.rank == victim:
         os.kill(os.getpid(), signal.SIGKILL)
     comm.barrier()
     comm.allgather(comm.rank)
@@ -299,6 +316,33 @@ class TestFlightRecorder:
         assert 2 in doc["failed_ranks"]
         # The dead rank's beacon preserved its last completed round.
         assert doc["last_rounds"]["2"] == 1
+
+    @pytest.mark.parametrize("scope", ["with", "session="])
+    def test_sigkill_record_lands_in_callers_session(self, scope,
+                                                     monkeypatch):
+        """A proc world run in a session — activated around the call,
+        or passed to ``run_spmd`` — records the killed rank's last
+        round and the survivor's breadcrumbs in that session."""
+        from repro.obs import flight
+
+        monkeypatch.delenv("REPRO_FLIGHT", raising=False)
+        s = IOSession("killed-rank")
+        with pytest.raises(ReproError, match="rank 1 died"):
+            if scope == "with":
+                with s:
+                    run_spmd_proc(2, _killed_after_rounds, 1,
+                                  timeout=20.0)
+            else:
+                run_spmd(2, _killed_after_rounds, 1, session=s,
+                         backend=Runtime("proc", timeout=20.0))
+        rec = flight.last_record()
+        assert rec["backend"] == "proc" and rec["failed_rank"] == 1
+        assert rec["last_rounds"]["1"] == 1
+        assert rec["last_rounds"]["0"] == 1
+        assert any(c[1] == "round" for c in rec["ranks"]["0"]["breadcrumbs"])
+        # The survivor's rings were merged into the caller's session.
+        crumbs = s.flight.export_state()["crumbs"]
+        assert any(c[1] == "rank_error" for c in crumbs[0])
 
     def test_sim_abort_writes_record_with_error(self, tmp_path,
                                                 monkeypatch):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro import datatypes as dt
-from repro.core.blockprog import BLOCKPROG_STATS
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
 from repro.obs import metrics
-from repro.obs.metrics import MetricsRegistry, metric_schema
+from repro.obs.metrics import metric_schema
+from repro.session import IOSession, current
 
 FT = dt.vector(64, 8, 16, dt.BYTE)
 
@@ -102,9 +102,10 @@ class TestScoping:
 
     def test_reset_clears_global_counters(self):
         fs = SimFileSystem()
-        BLOCKPROG_STATS.reset()
+        stats = current().prog_stats
+        stats.reset()
         open_and_write("listless", fs)
-        assert BLOCKPROG_STATS.translations + BLOCKPROG_STATS.bypasses > 0
+        assert stats.translations + stats.bypasses > 0
         metrics.reset()
         snap = metrics.snapshot()
         assert all(v == 0 for v in snap["global"].values())
@@ -179,7 +180,7 @@ class TestSchema:
 
 class TestIsolatedRegistry:
     def test_clear_forgets_registrations(self):
-        reg = MetricsRegistry()
+        reg = IOSession().metrics
 
         class FakeStats:
             def snapshot(self):
@@ -192,7 +193,7 @@ class TestIsolatedRegistry:
         assert reg.snapshot()["files"] == []
 
     def test_weakref_pruning(self):
-        reg = MetricsRegistry()
+        reg = IOSession().metrics
 
         class FakeStats:
             def snapshot(self):

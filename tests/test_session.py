@@ -1,9 +1,9 @@
 """IOSession scoping: isolation, defaults, and file-identity keying.
 
-The tentpole invariants of the session refactor:
+The invariants of session scoping:
 
-* no active session → every layer uses the historical process-wide
-  singletons (full backward compatibility);
+* a process-default session is always active — in every thread, with
+  nothing activated — so every layer has exactly one place to look;
 * an active session sees *only* its own counters, program cache,
   metrics registry and flight recorder;
 * cache keys carry the open file's identity, so two files with
@@ -18,9 +18,9 @@ import pytest
 
 from repro import datatypes as dt
 from repro.core import blockprog
-from repro.core.blockprog import BLOCKPROG_STATS, program_for
+from repro.core.blockprog import blockprog_stats, program_for
 from repro.core.ff_pack import top_dataloop
-from repro.core.gather import KERNEL_PATHS, active_kernel_paths
+from repro.core.gather import kernel_path_counts
 from repro.fs import SimFileSystem
 from repro.io import MODE_CREATE, MODE_RDWR
 from repro.io.file_handle import File
@@ -29,13 +29,21 @@ from repro.obs import flight, metrics
 from repro.session import IOSession, current
 
 
+#: The process-default session, active wherever no other one is.
+DEFAULT = current()
+
+
+def _reset_default():
+    blockprog.clear()
+    DEFAULT.prog_stats.reset()
+    DEFAULT.kernel_paths.reset()
+
+
 @pytest.fixture(autouse=True)
 def _fresh():
-    blockprog.clear()
-    BLOCKPROG_STATS.reset()
-    KERNEL_PATHS.reset()
+    _reset_default()
     yield
-    blockprog.clear()
+    _reset_default()
 
 
 def _ragged():
@@ -44,21 +52,28 @@ def _ragged():
 
 
 class TestActivation:
-    def test_no_session_by_default(self):
-        assert current() is None
-        assert active_kernel_paths() is KERNEL_PATHS
-        assert blockprog.active_stats() is BLOCKPROG_STATS
-        assert metrics.active_registry() is metrics.REGISTRY
-        assert flight.active_recorder() is flight.RECORDER
+    def test_default_session_by_default(self):
+        assert isinstance(DEFAULT, IOSession)
+        DEFAULT.kernel_paths.counts[0] = 3
+        DEFAULT.prog_stats.misses = 4
+        assert kernel_path_counts()["kernel_path_single"] == 3
+        assert blockprog_stats()["blockprog_misses"] == 4
+        assert metrics.snapshot()["global"]["blockprog_misses"] == 4
+        flight.note("default", rank=0)
+        assert DEFAULT.flight.export_state()["crumbs"][0][-1][1] \
+            == "default"
+        DEFAULT.flight.clear()
 
     def test_with_activates_and_restores(self):
         s = IOSession("t")
         with s:
             assert current() is s
-            assert blockprog.active_stats() is s.prog_stats
-            assert metrics.active_registry() is s.metrics
-            assert flight.active_recorder() is s.flight
-        assert current() is None
+            s.prog_stats.misses = 5
+            assert blockprog_stats()["blockprog_misses"] == 5
+            assert metrics.snapshot()["global"]["blockprog_misses"] == 5
+            flight.note("inner", rank=0)
+            assert s.flight.export_state()["crumbs"][0][0][1] == "inner"
+        assert current() is DEFAULT
 
     def test_reentrant(self):
         a, b = IOSession("a"), IOSession("b")
@@ -66,9 +81,9 @@ class TestActivation:
             with b:
                 assert current() is b
             assert current() is a
-        assert current() is None
+        assert current() is DEFAULT
 
-    def test_new_threads_start_sessionless(self):
+    def test_new_threads_start_in_the_default(self):
         import threading
 
         s = IOSession("t")
@@ -78,7 +93,77 @@ class TestActivation:
                 target=lambda: seen.append(current()))
             th.start()
             th.join()
-        assert seen == [None]
+        assert seen == [DEFAULT]
+
+
+    def test_parts_built_once_under_racing_threads(self):
+        """Threads racing to a new session's first access all get the
+        same parts, and the registry reads the session's counters."""
+        import sys
+        import threading
+
+        names = ("kernel_paths", "prog_stats", "programs", "flight",
+                 "metrics")
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                s = IOSession("race")
+                go = threading.Barrier(8)
+                seen = []
+
+                def touch(i):
+                    go.wait(timeout=10)
+                    name = names[i % len(names)]
+                    seen.append((name, getattr(s, name)))
+
+                ths = [threading.Thread(target=touch, args=(i,))
+                       for i in range(8)]
+                for th in ths:
+                    th.start()
+                for th in ths:
+                    th.join(timeout=10)
+                assert not any(th.is_alive() for th in ths)
+                assert len(seen) == 8
+                for name, part in seen:
+                    assert part is getattr(s, name)
+                s.prog_stats.misses = 9
+                assert s.metrics.snapshot()["global"][
+                    "blockprog_misses"] == 9
+        finally:
+            sys.setswitchinterval(old)
+
+
+_FIRST_IMPORTS = ("repro._ctx", "repro.session", "repro.core.gather",
+                  "repro.core.blockprog", "repro.obs.flight",
+                  "repro.obs.metrics")
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("module", _FIRST_IMPORTS)
+    def test_default_session_whatever_is_imported_first(self, module):
+        """Building the default session imports none of the layers that
+        read it, so any of them can be the first import of a process,
+        and a new thread sees the default with nothing activated."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            f"import {module}, threading\n"
+            "from repro.session import IOSession, current\n"
+            "seen = []\n"
+            "t = threading.Thread(target=lambda: seen.append(current()))\n"
+            "t.start(); t.join()\n"
+            "assert isinstance(seen[0], IOSession), seen\n"
+            "assert seen[0].metrics.snapshot()['global']\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
 
 
 class TestCounterIsolation:
@@ -93,8 +178,8 @@ class TestCounterIsolation:
         assert a.prog_stats.misses == 1 and a.prog_stats.hits == 1
         assert b.prog_stats.misses == 1 and b.prog_stats.hits == 0
         # The process-default cache and counters never moved.
-        assert BLOCKPROG_STATS.misses == 0
-        assert blockprog.active_cache()._cache.get(loop) is None
+        assert DEFAULT.prog_stats.misses == 0
+        assert DEFAULT.programs._cache.get(loop) is None
 
     def test_session_snapshot_global_reads_session(self):
         loop = top_dataloop(_ragged(), 64)
@@ -104,18 +189,17 @@ class TestCounterIsolation:
             snap = metrics.snapshot()
         assert snap["global"]["blockprog_misses"] == 1
         # Process-default snapshot stays untouched.
-        assert metrics.REGISTRY.snapshot()["global"][
-            "blockprog_misses"] == 0
+        assert metrics.snapshot()["global"]["blockprog_misses"] == 0
 
     def test_session_reset_leaves_process_counters(self):
         loop = top_dataloop(_ragged(), 64)
-        BLOCKPROG_STATS.misses = 7
+        DEFAULT.prog_stats.misses = 7
         s = IOSession("t")
         with s:
             program_for(loop, 0, 10)
             metrics.reset()
         assert s.prog_stats.misses == 0
-        assert BLOCKPROG_STATS.misses == 7
+        assert DEFAULT.prog_stats.misses == 7
 
     def test_flight_recorders_are_separate(self):
         s = IOSession("t")
@@ -123,10 +207,10 @@ class TestCounterIsolation:
             flight.note("inner", rank=0)
         flight.note("outer", rank=0)
         inner = s.flight.export_state()["crumbs"]
-        outer = flight.RECORDER.export_state()["crumbs"]
+        outer = DEFAULT.flight.export_state()["crumbs"]
         assert [c[1] for c in inner[0]] == ["inner"]
         assert any(c[1] == "outer" for c in outer[0])
-        flight.RECORDER.clear()
+        DEFAULT.flight.clear()
 
 
 class TestFileIdentityKeying:
@@ -199,11 +283,11 @@ class TestFileIdentityKeying:
         program_for(loop, 0, 10, owner=("f1", 1))
         program_for(loop, 0, 10, owner=("f2", 2))
         blockprog.clear(owner=("f1", 1))
-        BLOCKPROG_STATS.reset()
+        DEFAULT.prog_stats.reset()
         program_for(loop, 0, 10, owner=("f2", 2))
-        assert BLOCKPROG_STATS.hits == 1
+        assert DEFAULT.prog_stats.hits == 1
         program_for(loop, 0, 10, owner=("f1", 1))
-        assert BLOCKPROG_STATS.misses == 1
+        assert DEFAULT.prog_stats.misses == 1
 
 
 class TestSessionedWorlds:
@@ -228,8 +312,7 @@ class TestSessionedWorlds:
         snap = s.metrics.snapshot()
         assert any(f["path"] == "/f" for f in snap["files"])
         assert not any(
-            f["path"] == "/f"
-            for f in metrics.REGISTRY.snapshot()["files"]
+            f["path"] == "/f" for f in metrics.snapshot()["files"]
         )
 
     def test_abort_dumps_session_recorder(self, tmp_path, monkeypatch):
