@@ -468,10 +468,24 @@ def pair_blocks(a_offs: np.ndarray, a_lens: np.ndarray,
         )
     if a_lens.size == b_lens.size and bool((a_lens == b_lens).all()):
         return a_offs, b_offs, a_lens
+    if a_lens.size == 1 or b_lens.size == 1:
+        # One side is one run: the other side's blocks cut it.
+        swap = a_lens.size == 1
+        offs, lens = (b_offs, b_lens) if swap else (a_offs, a_lens)
+        if not lens.all():
+            offs, lens = offs[lens > 0], lens[lens > 0]
+        run = (a_offs if swap else b_offs)[0] + np.cumsum(lens) - lens
+        return (run, offs, lens) if swap else (offs, run, lens)
     ea = np.cumsum(a_lens)
     eb = np.cumsum(b_lens)
-    ends = np.union1d(ea, eb)
-    ends = ends[ends > 0]
+    # The positive ends of either list, sorted and unique: a merge of
+    # the two sorted lists.  Not ``np.union1d``: its ``np.unique``
+    # imports ``numpy.ma`` and its sort faults in NumPy's sort kernels,
+    # ~1 MiB resident between them.
+    ends = np.empty(ea.size + eb.size, dtype=ea.dtype)
+    ends[np.arange(ea.size) + np.searchsorted(eb, ea, side="left")] = ea
+    ends[np.arange(eb.size) + np.searchsorted(ea, eb, side="right")] = eb
+    ends = ends[np.diff(ends, prepend=0) != 0]
     starts = np.concatenate(([0], ends[:-1]))
     # side="right" skips zero-length blocks ending exactly at a start.
     ia = np.searchsorted(ea, starts, side="right")

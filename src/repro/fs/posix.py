@@ -146,12 +146,12 @@ class OsFile(FileBuffer):
         self._map = (np.frombuffer(mm, dtype=np.uint8), mm)
         return self._map[0]
 
-    def _grow(self, end: int, offs, lens, buf, pos) -> None:
-        """Grow the file to ``end`` with a ``pwrite`` of the byte the
-        write's copy puts there anyway; unlike ``ftruncate``, it cannot
-        shrink the file when another rank grows it at the same time."""
-        p = pos + int(lens[:int(np.argmax(offs + lens)) + 1].sum())
-        os.pwrite(self._fd, buf[p - 1:p], end - 1)
+    def _grow(self, end: int, last) -> None:
+        """Grow the file to ``end`` with a ``pwrite`` of ``last``, a
+        byte of the write's own that its copy puts there anyway; unlike
+        ``ftruncate``, it cannot shrink the file when another rank grows
+        it at the same time."""
+        os.pwrite(self._fd, last, end - 1)
 
     def truncate(self, length: int) -> None:
         """Set the file size (extend with zeros or cut); a cut drops

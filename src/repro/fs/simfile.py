@@ -18,7 +18,9 @@ each (same bytes, same :class:`FileStats` counts, same device seconds)
 but one validation, one device-time expression and one stats update per
 list.  :func:`as_extents` is their shared argument check;
 :class:`FileBuffer` is the one implementation of the pair for the
-backends whose bytes sit in memory.
+backends whose bytes sit in memory, and adds the *mapped* access
+(:meth:`FileBuffer.map_access`): a copy straight into or out of the
+file buffer itself, charged as one device op.
 """
 
 from __future__ import annotations
@@ -66,15 +68,67 @@ def as_extents(offsets, lengths, kind: str, room: int):
     return offs, lens, total
 
 
+#: The byte a mapped write puts at its last offset to grow the file;
+#: its copy overwrites it with the data (see :meth:`FileBuffer.map_access`).
+_ZERO = np.zeros(1, dtype=np.uint8)
+
+
 class FileBuffer:
-    """The vectored extent calls of a file held in one byte buffer — a
-    :class:`SimFile`'s array, an :class:`~repro.fs.posix.OsFile`'s
-    mapping: one :mod:`repro.core.gather` kernel call per list, under
-    the backend's ``_mu``.  A backend provides ``_eof()`` (the file
-    size), ``_buffer(size)`` (a byte array whose first ``size`` bytes
-    are the file) and ``_grow(end, offs, lens, buf, pos)`` (make the
-    file ``end`` bytes, holes zero, before that write lands).
+    """The vectored extent calls and the mapped access of a file held
+    in one byte buffer — a :class:`SimFile`'s array, an
+    :class:`~repro.fs.posix.OsFile`'s mapping: one kernel copy per
+    call, under the backend's ``_mu``.  A backend provides ``_eof()``
+    (the file size), ``_buffer(size)`` (a byte array whose first
+    ``size`` bytes are the file) and ``_grow(end, last)`` (make the
+    file ``end`` bytes, holes zero, before a write whose byte at
+    ``end - 1`` is ``last`` — a one-byte array — lands).
     """
+
+    def map_access(self, lo: int, hi: int, nbytes: int, write: bool,
+                   copy, *args) -> float:
+        """One access of ``nbytes`` of the file's bytes in ``[lo, hi)``,
+        copied by ``copy(buf, origin, *args)`` under ``_mu``: ``buf[i]``
+        is file byte ``origin + i``.  Normally ``buf`` is the file
+        buffer itself (``origin`` 0), so a write's copy lands in the
+        file and a read's comes out of it — no window, no pre-read, no
+        write-back.  The access's bytes are its own, so it takes no lock.
+
+        A write ending past end-of-file grows the file to ``hi`` first:
+        :class:`SimFile` zero-extends, :class:`~repro.fs.posix.OsFile`
+        writes the byte at ``hi - 1`` — the access's own, which its copy
+        then overwrites — so the growth can neither shrink the file nor
+        land on another rank's bytes.  A read ending past end-of-file
+        copies out of a zero-padded copy of ``[lo, hi)`` (``origin``
+        ``lo``), what a sieving window reads.
+
+        Charged as one device op moving ``nbytes`` over the stripes
+        ``[lo, hi)`` spans (one read or write in :class:`FileStats`);
+        returns its simulated seconds.
+        """
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        with self._mu:
+            size = self._eof()
+            if hi <= size:
+                copy(self._buffer(size), 0, *args)
+            elif write:
+                self._grow(hi, _ZERO)
+                copy(self._buffer(hi), 0, *args)
+            else:
+                win = np.zeros(hi - lo, dtype=np.uint8)
+                if size > lo:
+                    win[:size - lo] = self._buffer(size)[lo:size]
+                copy(win, lo, *args)
+        st = self.striping
+        streams = 1 if st.ndisks == 1 else st.streams_for(lo, hi - lo)
+        if write:
+            secs = self.device.write_time(nbytes, streams)
+            self.stats.record_write(nbytes, secs)
+        else:
+            secs = self.device.read_time(nbytes, streams)
+            self.stats.record_read(nbytes, secs)
+        if trace.TRACE_ON:
+            trace.TRACER.add("fs.map", t0, bytes=nbytes, write=write)
+        return secs
 
     def preadv_blocks(self, offsets, lengths, out: np.ndarray,
                       pos: int = 0):
@@ -138,7 +192,9 @@ class FileBuffer:
             size = self._eof()
             end = int((wo + wl).max(initial=size))
             if end > size:
-                self._grow(end, wo, wl, buf, pos)
+                # The last byte of the extent that ends the file.
+                p = pos + int(wl[:int(np.argmax(wo + wl)) + 1].sum())
+                self._grow(end, buf[p - 1:p])
             scatter_blocks(self._buffer(end), wo, wl, buf, pos)
         secs = self.device.extents_time(offs, lens, self.striping, True)
         self.stats.record_write(total, secs, offs.size)
@@ -237,7 +293,7 @@ class SimFile(FileBuffer):
     def _buffer(self, size: int) -> np.ndarray:
         return self._data
 
-    def _grow(self, end: int, *_write) -> None:
+    def _grow(self, end: int, last=None) -> None:
         """Extend the file to ``end`` with zeros (a cut may have left
         old bytes past ``_size``); the array doubles when full."""
         cap = self._data.size

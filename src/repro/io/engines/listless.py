@@ -186,9 +186,10 @@ class ListlessEngine(IOEngine):
         )
 
     def note_mem_copy(self, mem: MemDescriptor) -> None:
-        """Executor hook, once per MEM-piece copy (a sieved window moving
-        straight between file buffer and user memory): counts the
-        memory-side kernel call as :meth:`pack_mem` would."""
+        """Executor hook, once per MEM-piece copy (a mapped access or a
+        sieved window moving straight between file buffer and user
+        memory): counts the memory-side kernel call as :meth:`pack_mem`
+        would."""
         if not mem.is_contiguous:
             self.stats.ff_kernel_calls += 1
 

@@ -457,7 +457,8 @@ class File:
                      write: bool) -> None:
         """One blocking independent access; under atomic mode the whole
         access range stays locked across it."""
-        guard = self._atomic_guard(mem, d0)
+        guard = self._atomic_guard(mem, d0) if self.shared.atomicity \
+            else None
         try:
             self.engine.run_independent(mem, d0, write)
         finally:

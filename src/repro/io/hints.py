@@ -16,7 +16,10 @@ datatype handling:
 ``ds_read`` / ``ds_write``
     enable data sieving for independent reads/writes; disabling falls
     back to one file access per contiguous block (the "multiple file
-    accesses" alternative the paper's outlook discusses).
+    accesses" alternative the paper's outlook discusses).  These and
+    the ``ind_*_buffer_size`` hints shape only backends that are not a
+    file buffer: on ``SimFile``/``OsFile`` every independent access is
+    mapped, which is neither (``docs/planning.md`` §2).
 ``obs_trace``
     turn on span tracing (``repro.obs.trace``) when the file is opened —
     a per-open convenience for the process-wide ``REPRO_TRACE`` /

@@ -20,11 +20,11 @@ There is no switch selecting an interpreted fallback: the A/B baseline
 is the list-based engine plus the benchmarks' cold calls of
 ``loop.blocks_range`` with one-shot kernels.
 
-A :data:`~repro.plan.ops.MEM` piece (a sieved independent window) has
-no staging buffer at all: its bytes move straight between the file
-buffer and the user buffer in one two-sided kernel call, through a
-*pair program* (:func:`pair_program`) that pairs the piece's file
-blocks with the memory blocks of the same data bytes.
+A :data:`~repro.plan.ops.MEM` piece (a mapped independent access, a
+sieved window) has no staging buffer at all: its bytes move straight
+between the file buffer and the user buffer in one two-sided kernel
+call, through a *pair program* (:func:`pair_program`) that pairs the
+piece's file blocks with the memory blocks of the same data bytes.
 
 Per-block *file* accesses (direct mode) are real I/O, not copy
 overhead: the executor hands the whole block list (:func:`block_arrays`)

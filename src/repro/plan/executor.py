@@ -21,10 +21,12 @@ The *memory* side of gather/scatter ops is delegated to a ``codec``
 (normally the emitting engine), so each engine keeps its characteristic
 representation costs; the *file* side goes through the batched
 :class:`~repro.plan.dataplane.DataPlane`.  :data:`~repro.plan.ops.MEM`
-pieces (sieved independent windows) skip staging: one pair-program call
-copies between the file buffer and user memory, billed to ``pack``/
-``unpack``.  A replayed plan runs with a ``file_delta`` that translates
-every file offset it names (windows, blocks, lock ranges).
+pieces (mapped accesses, sieved windows) skip staging: one pair-program
+call copies between the file buffer and user memory, billed to
+``pack``/``unpack``.  A ``"mapped"`` file op runs that copy against the
+file buffer itself (:meth:`~repro.fs.simfile.FileBuffer.map_access`).
+A replayed plan runs with a ``file_delta`` that translates every file
+offset it names (windows, blocks, lock ranges).
 """
 
 from __future__ import annotations
@@ -638,7 +640,8 @@ class PlanExecutor:
         self.stats.device_sync_seconds += self._last.seconds
         for piece in op.pieces:
             if piece.slot == MEM:
-                self._mem_copy(plan, fb, op.lo, piece, mem, False)
+                self._mem_copy(fb, op.lo + self._fdelta, plan, piece,
+                               mem, False)
                 continue
             buf = self._ensure_buf(
                 plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
@@ -677,17 +680,20 @@ class PlanExecutor:
                 f"short read: {got} of {lens[i]} bytes at {offs[i]}"
             )
 
-    def _mem_copy(self, plan, fb: np.ndarray, wlo: int, piece: Piece,
+    def _mem_copy(self, fb: np.ndarray, origin: int, plan, piece: Piece,
                   mem, write: bool) -> int:
-        """Copy a MEM piece between window buffer ``fb`` and user memory
-        in one pair-program call; returns bytes copied.  Billed to
-        ``pack`` (write) or ``unpack`` (read), out of ``file_io``."""
+        """Copy a MEM piece between ``fb`` — a window buffer, or the file
+        buffer itself — and user memory in one pair-program call;
+        ``fb[i]`` is file byte ``origin + i`` (translated by the run's
+        ``file_delta``).  Returns bytes copied.  Billed to ``pack``
+        (write) or ``unpack`` (read), out of ``file_io``."""
         if mem is None:
             raise IOEngineError("memory piece in a plan run without memory")
         t0 = perf_counter()
         if self._note_mem is not None:
             self._note_mem(mem)
         rel = piece.d_lo - plan.d0
+        wlo = origin - self._fdelta
         phases = self.phases
         if write:
             n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel)
@@ -699,6 +705,65 @@ class PlanExecutor:
             phases.unpack += el
         phases.file_io -= el
         return n
+
+    # -- mapped access (reads and writes) ------------------------------
+    def _mapped(self, plan, op, mem, bufs) -> None:
+        """Mapped mode: the op's one piece copies straight into or out
+        of the file buffer, in one :meth:`~repro.fs.simfile.FileBuffer.
+        map_access` call (one device op, no lock).  A :data:`MEM` piece
+        is one pair-kernel call (:meth:`_mem_copy`); a staged one goes
+        through :meth:`_map_stage`."""
+        write = type(op) is FileWriteOp
+        d = self._fdelta
+        lo, hi = op.lo + d, op.hi + d
+        if not write and op.strict:
+            size = self.file.size
+            if hi > size:
+                raise IOEngineError(
+                    f"short read: {max(size - lo, 0)} of {plan.nbytes} "
+                    f"bytes at {op.lo}"
+                )
+        piece = op.pieces[0]
+        copy = ((self._mem_copy, plan, piece, mem, write)
+                if piece.slot == MEM else
+                (self._map_stage, plan, op, piece, mem, bufs, write))
+        stats = self.stats
+        stats.device_sync_seconds += self.file.map_access(
+            lo, hi, plan.nbytes, write, *copy)
+        if write:
+            stats.executed_file_writes += 1
+        else:
+            stats.executed_file_reads += 1
+
+    def _map_stage(self, buf, origin, plan, op, piece, mem, bufs,
+                   write) -> None:
+        """``map_access``'s copy for a staged piece: between the file
+        buffer ``buf`` (``buf[i]`` is file byte ``origin + i``) and the
+        piece's staging slot — by its blocks, or, deferred, through the
+        engine's view walk over the access's span."""
+        wlo = origin - self._fdelta
+        if write:
+            arr, base, _zc = self._payload_view(bufs, piece)
+        else:
+            sb = self._ensure_buf(plan, piece.slot, piece.d_lo, piece.d_hi,
+                                  mem, bufs)
+            arr, base = sb.arr, sb.d_lo
+            self._note_staging()
+        if piece.blocks is not None:
+            if write:
+                DataPlane.scatter(buf, wlo, piece.blocks, arr,
+                                  piece.d_lo - base)
+            else:
+                DataPlane.gather(buf, wlo, piece.blocks, arr,
+                                 piece.d_lo - base)
+            return
+        win = buf[op.lo - wlo:op.hi - wlo]
+        if write:
+            self.codec.stream_scatter_window(win, op.lo, op.hi, arr, base,
+                                             piece.d_hi)
+        else:
+            self.codec.stream_gather_window(win, op.lo, op.hi, arr, base,
+                                            sb.d_hi)
 
     # -- file writes ---------------------------------------------------
     def _write(self, plan, op: FileWriteOp, mem, bufs) -> None:
@@ -721,7 +786,7 @@ class PlanExecutor:
         scattered = 0
         for piece in op.pieces:
             if piece.slot == MEM:
-                scattered += self._mem_copy(plan, fb, op.lo, piece, mem,
+                scattered += self._mem_copy(fb, lo, plan, piece, mem,
                                             True)
                 continue
             arr, base, _zc = self._payload_view(bufs, piece)
@@ -834,6 +899,8 @@ def _lower_op(op) -> tuple:
     """One op as a step ``(handler, op, bucket, span)`` (see
     :meth:`PlanExecutor.lower`)."""
     t = type(op)
+    if (t is FileReadOp or t is FileWriteOp) and op.mode == "mapped":
+        return _X._mapped, op, "file_io", f"exec.{t.__name__}"
     if t is FileReadOp:
         if op.overlap:
             fn = _X._submit_file_read

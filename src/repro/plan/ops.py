@@ -62,8 +62,9 @@ __all__ = [
 STAGE = "stage"
 
 #: Pseudo-slot of a piece that copies straight between the file buffer
-#: and the access's user buffer, through its memory layout (sieved
-#: independent windows: no staging buffer, no gather/scatter op).
+#: and the access's user buffer, through its memory layout (mapped
+#: accesses and sieved windows: no staging buffer, no gather/scatter
+#: op).
 MEM = "mem"
 
 #: Slot key of the outbound exchange payload for a peer rank.
@@ -223,6 +224,10 @@ class FileReadOp(PlanOp):
 
     ``mode``:
 
+    ``"mapped"``
+        copy the one piece straight out of the file buffer itself
+        (:meth:`~repro.fs.simfile.FileBuffer.map_access`: one device
+        op, no window buffer);
     ``"window"``
         read the whole window into a file buffer once, then gather each
         piece's blocks out of it — into its slot, or for a :data:`MEM`
@@ -268,6 +273,10 @@ class FileWriteOp(PlanOp):
 
     ``mode``:
 
+    ``"mapped"``
+        copy the one piece straight into the file buffer itself (no
+        pre-read, no write-back, no lock: it writes only its own
+        bytes);
     ``"rmw"``
         read-modify-write: pre-read the window, scatter every piece's
         blocks into it — from its slot, or for a :data:`MEM` piece

@@ -6,6 +6,13 @@ aggregated ranges and file domains for collective I/O — into an ordered
 op list, applying the optimizations the paper and its related work
 describe *as plan rewrites* rather than inline control flow:
 
+mapped access
+    on a backend whose bytes are one buffer (a :class:`~repro.fs.
+    simfile.FileBuffer`: ``SimFile``, ``OsFile``) every independent
+    access is one ``"mapped"`` file op: a copy straight between user
+    memory and the file buffer, with no window, no pre-read, no
+    write-back and no lock — the access writes only its own bytes, and
+    the holes are what data sieving locks for;
 dense fast-path detection
     an access whose file range contains no holes becomes one direct
     file access, no staging window (paper §4.3's contiguous case);
@@ -13,9 +20,10 @@ window coalescing
     adjacent file blocks inside a sieving window are merged before the
     copy kernels see them (:func:`repro.intervals.merge_adjacent`);
 sieve-vs-direct decision
-    the :class:`~repro.mpi.cost_model.StorageModel` compares one access
-    per block against windowed read-modify-write (Thakur et al.'s data
-    sieving trade-off) — sieving hints still veto sieving outright;
+    on the other backends, the :class:`~repro.mpi.cost_model.
+    StorageModel` compares one access per block against windowed
+    read-modify-write (Thakur et al.'s data sieving trade-off) —
+    sieving hints still veto sieving outright;
 plan caching
     an LRU keyed on (planner epoch, hint fingerprint, access
     signature).  The epoch is bumped whenever ``set_view`` replaces the
@@ -52,6 +60,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import blockprog
+from repro.fs.simfile import FileBuffer
 from repro.intervals import clip, merge_adjacent, tile
 from repro.io.two_phase import AccessRange
 from repro.mpi.cost_model import StorageModel, choose_access_strategy
@@ -210,7 +219,9 @@ class Planner:
             q = 0
             view = self.engine.fh.view
             if self.cacheable and nbytes > 0 and view.ft_size > 0:
-                self._fingerprint()  # drops the table if hints changed
+                if (self.engine.fh.hints is not self._fp_hints
+                        or self.storage is not self._fp_storage):
+                    self._fingerprint()  # drops the table if hints changed
                 q, r = divmod(d0, view.ft_size)
                 key = (write, r, nbytes)
                 entry = self._replay.get(key)
@@ -255,6 +266,9 @@ class Planner:
 
         if nbytes <= 0:
             return self._finish(IOPlan(kind, d0, 0, (), signature=sig))
+
+        if isinstance(fh.simfile, FileBuffer):
+            return self._plan_mapped(kind, d0, d1, write, sig)
 
         # Contiguous view: plain offset arithmetic, no navigation, one
         # strict file access (the c-c / nc-c fast path).
@@ -310,6 +324,53 @@ class Planner:
                                  bufsize, sig)
 
     # ------------------------------------------------------------------
+    def _plan_mapped(self, kind, d0, d1, write, sig) -> IOPlan:
+        """One mapped file op for the whole access (see
+        :meth:`~repro.fs.simfile.FileBuffer.map_access`).
+
+        With plan geometry (or a contiguous view) the op carries one
+        :data:`MEM` piece: one pair-kernel call between user memory and
+        the file.  Without it (list-based independent access) the piece
+        is staged — a gather/scatter op through the engine's codec —
+        and streamed through the engine's view walk, so both engines
+        make the same file access.  A contiguous view's read is
+        ``strict``, as on its direct path.
+        """
+        engine = self.engine
+        view = engine.fh.view
+        geom = engine.plan_geometry()
+        nbytes = d1 - d0
+        coalesced = 0
+        blocks = None
+        if view.is_contiguous:
+            lo = view.disp + d0
+            hi = lo + nbytes
+            blocks = Blocks(np.array([lo], dtype=np.int64),
+                            np.array([nbytes], dtype=np.int64))
+        else:
+            lo = engine.abs_of_data(d0)
+            hi = engine.abs_of_data(d1, end=True)
+            if geom is not None:
+                offs, lens = geom.blocks_for_data(d0, d1)
+                offs, lens, coalesced = merge_adjacent(offs, lens)
+                if offs.size > MAX_CACHED_BLOCKS:
+                    sig = None
+                blocks = Blocks(offs, lens)
+        staged = geom is None
+        piece = Piece(STAGE if staged else MEM, d0, d1, blocks)
+        fop = (FileWriteOp(lo, hi, "mapped", (piece,)) if write else
+               FileReadOp(lo, hi, "mapped", (piece,),
+                          strict=view.is_contiguous))
+        if not staged:
+            ops, slots = (fop,), {}
+        else:
+            ops = ((GatherOp(d0, d1), fop) if write
+                   else (fop, ScatterOp(d0, d1)))
+            slots = {STAGE: (d0, d1)}
+        return self._finish(IOPlan(kind, d0, nbytes, ops, slots=slots,
+                                   signature=sig,
+                                   coalesced_bytes=coalesced))
+
     def _est_blocks(self, view, nbytes: int) -> int:
         """Block-count estimate for the cost model: filetype instances
         needed for ``nbytes`` times blocks per instance."""

@@ -34,6 +34,7 @@ from repro.mpi import run_spmd
 from repro.mpi.proc import run_spmd_proc
 from repro.mpi.runtime import Runtime
 from repro.session import IOSession
+from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 
@@ -72,6 +73,17 @@ class FlakyFile(SimFile):
         if left is not None:
             self._writes_left -= len(offsets)
         return super().pwritev_blocks(offsets, lengths, data, pos)
+
+    # A mapped access is one write (or read): one fault check.
+    def map_access(self, lo, hi, nbytes, write, copy, *args):
+        attr = "_writes_left" if write else "_reads_left"
+        left = getattr(self, attr)
+        if left is not None:
+            if left == 0:
+                raise FileSystemError(
+                    f"injected {'write' if write else 'read'} fault")
+            setattr(self, attr, left - 1)
+        return super().map_access(lo, hi, nbytes, write, copy, *args)
 
     def preadv_blocks(self, offsets, lengths, out, pos=0):
         left = self._reads_left
@@ -126,7 +138,7 @@ class TestDeviceFaults:
     def test_locks_released_after_write_fault(self, engine):
         """The sieving write path holds a range lock when the device
         faults; the lock must be released so later I/O proceeds."""
-        fs = flaky_fs(fail_after_writes=0)
+        fs = unmapped(flaky_fs(fail_after_writes=0))
         f = fs.lookup("/f")
 
         def broken(comm):
@@ -147,6 +159,29 @@ class TestDeviceFaults:
             fh.close()
 
         run_spmd(1, healthy)
+        assert (f.contents()[::2] == 5).all()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mapped_write_fault_propagates_and_heals(self, engine):
+        """Twin on the mapped path: the one mapped write faults, holds
+        no lock, and the healed device takes the next write."""
+        fs = flaky_fs(fail_after_writes=0)
+        f = fs.lookup("/f")
+
+        def write(value):
+            def worker(comm):
+                fh = File.open(comm, fs, "/f", MODE_RDWR, engine=engine)
+                fh.set_view(0, dt.BYTE, dt.vector(8, 1, 2, dt.BYTE))
+                fh.write_at(0, np.full(8, value, dtype=np.uint8))
+                fh.close()
+            return worker
+
+        with pytest.raises(FileSystemError, match="injected write fault"):
+            run_spmd(1, write(3))
+        assert f.locks._held == {}
+        assert f.size == 0
+        f._writes_left = None
+        run_spmd(1, write(5))
         assert (f.contents()[::2] == 5).all()
 
 

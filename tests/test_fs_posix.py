@@ -16,7 +16,7 @@ from repro.fs import OsFileSystem, PosixFile, SimFileSystem
 from repro.fs.posix import SEEK_CUR, SEEK_END, SEEK_SET, OsFile
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
-from tests.conftest import fill_pattern
+from tests.conftest import fill_pattern, unmapped
 
 
 @pytest.fixture
@@ -102,12 +102,15 @@ class TestCursor:
 class TestSparseDirectCounts:
     """256 x 1 KiB blocks at a 64 KiB stride through ``File`` on a real
     file: one file call per block, whichever way the executor issues
-    them, and a replayed plan lands at the translated offsets."""
+    them, and a replayed plan lands at the translated offsets.  Direct
+    access is planned on a file that is not a file buffer (an
+    :func:`~tests.conftest.unmapped` ``OsFile``); on the ``OsFile``
+    itself the access is mapped (:class:`TestSparseMappedCounts`)."""
 
     NB, BL, STRIDE = 256, 1024, 64 * 1024
 
     def test_one_call_per_block_and_replay_translates(self, tmp_path):
-        fs = OsFileSystem(str(tmp_path))
+        fs = unmapped(OsFileSystem(str(tmp_path)))
         nb, bl, stride = self.NB, self.BL, self.STRIDE
         span = nb * stride
         vec = dt.vector(nb, bl, stride, dt.BYTE)
@@ -141,6 +144,57 @@ class TestSparseDirectCounts:
         assert seen["plan"]["executed_file_reads"] == 2 * nb
         # The second access replays the first one's plan, translated by
         # one filetype extent.
+        assert seen["plan"]["plan_replays"] >= 2
+        with open(tmp_path / "sparse", "rb") as fd:
+            raw = np.frombuffer(fd.read(), dtype=np.uint8)
+        assert raw.size == span + (nb - 1) * stride + bl
+        for k, pat in enumerate(pats):
+            got = np.stack([raw[k * span + j * stride:
+                                k * span + j * stride + bl]
+                            for j in range(nb)])
+            assert np.array_equal(got.reshape(-1), pat)
+
+
+class TestSparseMappedCounts:
+    """The same sparse accesses on the ``OsFile`` itself: each is one
+    mapped copy — one file op of the access's own bytes — and a
+    replayed plan lands at the translated offsets."""
+
+    def test_one_op_per_access_and_replay_translates(self, tmp_path):
+        fs = OsFileSystem(str(tmp_path))
+        nb, bl, stride = (TestSparseDirectCounts.NB,
+                          TestSparseDirectCounts.BL,
+                          TestSparseDirectCounts.STRIDE)
+        span = nb * stride
+        vec = dt.vector(nb, bl, stride, dt.BYTE)
+        ft = dt.struct([1, 1, 1], [0, 0, span], [dt.LB, vec, dt.UB])
+        pats = [fill_pattern(nb * bl, k) for k in (1, 2)]
+        seen = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/sparse", MODE_CREATE | MODE_RDWR)
+            fh.set_view(0, dt.BYTE, ft)
+            stats = fh.simfile.stats
+            for k, pat in enumerate(pats):
+                before = stats.snapshot()
+                fh.write_at(k * nb * bl, pat)
+                out = np.zeros(nb * bl, np.uint8)
+                fh.read_at(k * nb * bl, out)
+                after = stats.snapshot()
+                assert np.array_equal(out, pat)
+                seen[k] = {key: after[key] - before[key]
+                           for key in ("n_writes", "n_reads", "n_locks",
+                                       "bytes_written", "bytes_read")}
+            seen["plan"] = fh.engine.stats.snapshot()
+            fh.close()
+
+        run_spmd(1, worker)
+        for k in (0, 1):
+            assert seen[k] == {"n_writes": 1, "n_reads": 1, "n_locks": 0,
+                               "bytes_written": nb * bl,
+                               "bytes_read": nb * bl}
+        assert seen["plan"]["executed_file_writes"] == 2
+        assert seen["plan"]["executed_file_reads"] == 2
         assert seen["plan"]["plan_replays"] >= 2
         with open(tmp_path / "sparse", "rb") as fd:
             raw = np.frombuffer(fd.read(), dtype=np.uint8)

@@ -1,5 +1,7 @@
-"""Concurrency and consistency: locking under interleaved sieved writes,
-atomic mode, and cross-engine interoperability on one file."""
+"""Concurrency and consistency: locking under interleaved sieved writes
+(on an :func:`~tests.conftest.unmapped` file system — ``SimFile`` maps
+independent accesses, see ``test_io_mapped.py``), atomic mode, and
+cross-engine interoperability on one file."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
+from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 
@@ -22,7 +25,7 @@ def test_concurrent_sieved_writers_dont_clobber(engine):
     P, blocklen, blockcount = 4, 4, 64
     A = blocklen * blockcount
     for attempt in range(3):
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         hints = Hints(ind_wr_buffer_size=256)  # many overlapping windows
 
         def worker(comm):

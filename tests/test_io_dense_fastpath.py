@@ -10,6 +10,7 @@ from repro import datatypes as dt
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.mpi import run_spmd
+from tests.conftest import unmapped
 
 N = 16
 
@@ -46,7 +47,8 @@ class TestDenseWrite:
         assert (grid[:3] == 0).all() and (grid[4:] == 0).all()
 
     def test_iplane_write_still_sieves(self):
-        fs = SimFileSystem()
+        # Sieving is planned only where the file is not a file buffer.
+        fs = unmapped(SimFileSystem())
         fs.create("/g").truncate(N ** 3 * 8)
         f = fs.lookup("/g")
         f.stats.reset()
@@ -61,6 +63,28 @@ class TestDenseWrite:
         s = f.stats.snapshot()
         assert s["n_reads"] >= 1  # read-modify-write
         assert s["n_locks"] >= 1
+        grid = f.contents().view(np.float64).reshape(N, N, N)
+        assert (grid[:, :, 3] == 7.0).all()
+        assert (grid[:, :, 4] == 0).all()
+
+    def test_iplane_write_is_mapped(self):
+        """Twin on ``SimFile``: the strided i-plane is one mapped write,
+        no pre-read, no lock, and the same bytes land."""
+        fs = SimFileSystem()
+        fs.create("/g").truncate(N ** 3 * 8)
+        f = fs.lookup("/g")
+        f.stats.reset()
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/g", MODE_RDWR, engine="listless")
+            fh.set_view(0, dt.DOUBLE, plane_type(2, 3))
+            fh.write_at(0, np.full(N * N, 7.0), N * N, dt.DOUBLE)
+            fh.close()
+
+        run_spmd(1, worker)
+        s = f.stats.snapshot()
+        assert (s["n_writes"], s["n_reads"], s["n_locks"]) == (1, 0, 0)
+        assert s["bytes_written"] == N * N * 8
         grid = f.contents().view(np.float64).reshape(N, N, N)
         assert (grid[:, :, 3] == 7.0).all()
         assert (grid[:, :, 4] == 0).all()

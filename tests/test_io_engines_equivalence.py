@@ -19,12 +19,14 @@ from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
+from tests.conftest import unmapped
 
 
 def run_scenario(engine, P, blocklen, blockcount, disp, off_et,
-                 collective, mem_noncontig, bufsize, nreps):
-    """Run one write+read scenario; returns (file bytes, read bytes)."""
-    fs = SimFileSystem()
+                 collective, mem_noncontig, bufsize, nreps, fs=None):
+    """Run one write+read scenario on ``fs`` (a fresh ``SimFileSystem``
+    by default); returns (file bytes, read bytes)."""
+    fs = SimFileSystem() if fs is None else fs
     A = blocklen * blockcount
     hints = Hints(
         ind_rd_buffer_size=bufsize,
@@ -91,6 +93,28 @@ def test_engines_produce_identical_results(params):
     assert (file_a == file_b).all()
     for ra, rb in zip(reads_a, reads_b):
         assert (ra == rb).all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(SCENARIOS)
+def test_mapped_and_sieved_paths_identical(params):
+    """Independent access: both engines on ``SimFile`` (mapped) and on a
+    file that is not a file buffer (sieve or direct, by the cost model)
+    move the same bytes."""
+    (P, blocklen, blockcount, disp, off_et, _collective,
+     mem_noncontig, bufsize, nreps) = params
+    results = [
+        run_scenario(engine, P, blocklen, blockcount, disp, off_et, False,
+                     mem_noncontig, bufsize, nreps, fs=make())
+        for engine in ("listless", "list_based")
+        for make in (SimFileSystem, lambda: unmapped(SimFileSystem()))
+    ]
+    file_a, reads_a = results[0]
+    for file_b, reads_b in results[1:]:
+        assert file_a.size == file_b.size
+        assert (file_a == file_b).all()
+        for ra, rb in zip(reads_a, reads_b):
+            assert (ra == rb).all()
 
 
 @pytest.mark.parametrize("collective", [False, True])

@@ -3,7 +3,9 @@
 Each case writes through interleaving per-rank views and reads back,
 then the file contents are checked against an analytically computed
 expectation — for both engines, several window sizes (forcing the
-multi-window sieving paths), displacements and mid-view offsets.
+multi-window sieving paths), displacements and mid-view offsets.  On
+``SimFile`` an access is mapped, whatever the window size; the sieving
+paths run on an :func:`~tests.conftest.unmapped` file system.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.fs import OsFileSystem, SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
+from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 
@@ -54,32 +57,34 @@ def expected_file(P, blocklen, blockcount, disp, off_bytes, payloads):
 def test_cnc_write_read_roundtrip(engine, bufsize, disp, off):
     P, blocklen, blockcount = 3, 5, 8
     A = blocklen * blockcount
-    fs = SimFileSystem()
     hints = Hints(ind_rd_buffer_size=bufsize, ind_wr_buffer_size=bufsize)
     payloads = [
         np.random.default_rng(r).integers(0, 256, A, dtype=np.uint8)
         for r in range(P)
     ]
 
-    def worker(comm):
-        r = comm.rank
-        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
-                       engine=engine, hints=hints)
-        ft = build_noncontig_filetype(P, r, blocklen, blockcount)
-        fh.set_view(disp, dt.BYTE, ft)
-        fh.write_at(off, payloads[r])
-        out = np.zeros(A, dtype=np.uint8)
-        fh.read_at(off, out)
-        assert (out == payloads[r]).all()
-        fh.close()
+    # Sieved windows of ``bufsize`` bytes, then the mapped path.
+    for fs in (unmapped(SimFileSystem()), SimFileSystem()):
+        def worker(comm):
+            r = comm.rank
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           engine=engine, hints=hints)
+            ft = build_noncontig_filetype(P, r, blocklen, blockcount)
+            fh.set_view(disp, dt.BYTE, ft)
+            fh.write_at(off, payloads[r])
+            out = np.zeros(A, dtype=np.uint8)
+            fh.read_at(off, out)
+            assert (out == payloads[r]).all()
+            fh.close()
 
-    run_spmd(P, worker)
-    img = expected_file(P, blocklen, blockcount, disp, off, payloads)
-    got = fs.lookup("/f").contents()
-    # The file may be shorter than the analytic image if trailing
-    # interleave slots were never written; compare the written prefix.
-    assert (got == img[: got.size]).all()
-    assert (img[got.size:] == 0).all()
+        run_spmd(P, worker)
+        img = expected_file(P, blocklen, blockcount, disp, off, payloads)
+        got = fs.lookup("/f").contents()
+        # The file may be shorter than the analytic image if trailing
+        # interleave slots were never written; compare the written
+        # prefix.
+        assert (got == img[: got.size]).all()
+        assert (img[got.size:] == 0).all()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -161,8 +166,9 @@ def test_etype_granularity_offsets(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_ds_disabled_blockwise_access(engine):
-    """With data sieving off, each block becomes its own file access."""
-    fs = SimFileSystem()
+    """With data sieving off, each block becomes its own file access
+    (on a file that is not a file buffer: ``SimFile`` maps it)."""
+    fs = unmapped(SimFileSystem())
     hints = Hints(ds_read=False, ds_write=False)
     blockcount = 8
 
@@ -188,7 +194,7 @@ def test_ds_disabled_blockwise_access(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_sieving_reduces_file_ops(engine):
     """With sieving on, windowed access coalesces file operations."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     blockcount = 256
 
     def worker(comm):
@@ -206,6 +212,35 @@ def test_sieving_reduces_file_ops(engine):
     assert stats["n_writes"] <= 2
     assert stats["n_reads"] <= 2
     assert stats["n_locks"] >= 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("ds", [True, False])
+def test_mapped_access_is_one_file_op(engine, ds):
+    """Twin of the two above on ``SimFile``: with sieving on or off, a
+    strided write and read are one mapped op each — no pre-read, no
+    lock, only the access's own bytes."""
+    fs = SimFileSystem()
+    hints = Hints(ds_read=ds, ds_write=ds)
+    blockcount = 256
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                       engine=engine, hints=hints)
+        ft = dt.vector(blockcount, 1, 2, dt.DOUBLE)
+        fh.set_view(0, dt.DOUBLE, ft)
+        buf = np.arange(blockcount, dtype=np.float64)
+        fh.write_at(0, buf, blockcount, dt.DOUBLE)
+        out = np.zeros(blockcount)
+        fh.read_at(0, out, blockcount, dt.DOUBLE)
+        assert (out == buf).all()
+        fh.close()
+
+    run_spmd(1, worker)
+    stats = fs.lookup("/f").stats.snapshot()
+    assert (stats["n_writes"], stats["n_reads"], stats["n_locks"]) == \
+        (1, 1, 0)
+    assert stats["bytes_written"] == stats["bytes_read"] == blockcount * 8
 
 
 @pytest.mark.parametrize("engine", ENGINES)

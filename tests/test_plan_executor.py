@@ -26,6 +26,7 @@ from repro.plan import (
     PlanExecutor,
     ScatterOp,
 )
+from tests.conftest import unmapped
 
 
 class FlakyFile(SimFile):
@@ -60,6 +61,17 @@ class FlakyFile(SimFile):
         res = super().pwritev_blocks(offsets, lengths, data, pos)
         self.writes_done += n
         return res
+
+    def map_access(self, lo, hi, nbytes, write, copy, *args):
+        # A mapped write is one write: one fault check, one count.
+        if write and self._writes_left is not None:
+            if self._writes_left == 0:
+                raise FileSystemError("injected write fault")
+            self._writes_left -= 1
+        secs = super().map_access(lo, hi, nbytes, write, copy, *args)
+        if write:
+            self.writes_done += 1
+        return secs
 
 
 def flaky_fs(path="/f", **kw):
@@ -203,7 +215,7 @@ class TestLockCleanup:
     def test_executor_releases_locks_when_the_device_faults(self):
         """A sieved write faults at writeback while holding its window
         lock; the executor's cleanup must leave the lock table empty."""
-        fs = flaky_fs(fail_after_writes=0)
+        fs = unmapped(flaky_fs(fail_after_writes=0))
         f = fs.lookup("/f")
 
         def worker(comm):
@@ -220,7 +232,7 @@ class TestLockCleanup:
         """The same fault on a *replayed* plan (a period-translated
         access running the cached steps with a file delta): the
         translated window lock is released too."""
-        fs = flaky_fs(fail_after_writes=1)
+        fs = unmapped(flaky_fs(fail_after_writes=1))
         f = fs.lookup("/f")
         box = {}
 
@@ -239,6 +251,29 @@ class TestLockCleanup:
         assert box["held"] == {}
         assert box["stats"]["plan_replays"] == 1
         assert box["stats"]["executed_locks"] == 2
+
+    def test_faulting_mapped_write_holds_no_lock(self):
+        """Twin on the mapped path: the fault propagates from the one
+        mapped write, and there was never a lock to release."""
+        fs = flaky_fs(fail_after_writes=1)
+        f = fs.lookup("/f")
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(64, 1, 2, dt.BYTE))
+            buf = np.ones(64, dtype=np.uint8)
+            fh.write_at(0, buf)
+            with pytest.raises(FileSystemError, match="injected"):
+                fh.write_at(64, buf)  # replays, faults
+            box["stats"] = fh.engine.stats.snapshot()
+            fh.close()
+
+        run_spmd(1, worker)
+        assert f.locks._held == {}
+        assert f.writes_done == 1
+        assert box["stats"]["plan_replays"] == 1
+        assert box["stats"]["executed_locks"] == 0
 
 
 class TestCompiledPlans:
@@ -289,7 +324,7 @@ class TestCompiledPlans:
         the buckets together never exceed the call's wall time."""
         import time
 
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         box = {}
 
         def worker(comm):
@@ -311,6 +346,38 @@ class TestCompiledPlans:
         ph = box["phases"]
         assert box["locks"] == 2
         for bucket in ("lock", "file_io", "pack"):
+            assert ph[f"phase_{bucket}"] > 0, bucket
+        assert sum(ph.values()) <= box["wall"]
+
+    def test_mapped_write_buckets_sum_within_wall_time(self):
+        """Twin on the mapped path: the one mapped op bills ``file_io``
+        and its pair copy ``pack``; no ``lock`` time, and the buckets
+        together never exceed the call's wall time."""
+        import time
+
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR)
+            fh.set_view(0, dt.BYTE, dt.vector(8, 8, 16, dt.BYTE))
+            mt = dt.vector(8, 8, 16, dt.BYTE)
+            buf = np.arange(128, dtype=np.uint8)
+            fh.write_at(0, buf, 1, mt)
+            phases = fh.engine.stats.phases
+            phases.reset()
+            t0 = time.perf_counter()
+            fh.write_at(64, buf, 1, mt)  # a replayed mapped write
+            box["wall"] = time.perf_counter() - t0
+            box["phases"] = dict(phases.snapshot())
+            box["locks"] = fh.engine.stats.snapshot()["executed_locks"]
+            fh.close()
+
+        run_spmd(1, worker)
+        ph = box["phases"]
+        assert box["locks"] == 0
+        assert ph["phase_lock"] == 0
+        for bucket in ("file_io", "pack"):
             assert ph[f"phase_{bucket}"] > 0, bucket
         assert sum(ph.values()) <= box["wall"]
 

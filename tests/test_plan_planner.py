@@ -1,5 +1,10 @@
 """Planner edge cases: degenerate types, optimization decisions, lock
-placement, and plan-cache behaviour across view changes."""
+placement, and plan-cache behaviour across view changes.
+
+Sieving (windows, locks, the ``ds_*`` hints) is planned only on a
+backend that is not a file buffer; those cases run on
+:func:`~tests.conftest.unmapped` file systems, and each has a twin on
+``SimFile``'s mapped path."""
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from repro.plan.ops import (
     ScatterOp,
     UnlockOp,
 )
-from tests.conftest import fill_pattern
+from tests.conftest import fill_pattern, unmapped
 
 ENGINES = ["listless", "list_based"]
 
@@ -79,33 +84,34 @@ class TestDegenerateAccesses:
     def test_skipbytes_mid_struct_with_tiny_windows(self, engine):
         """A data-free gap inside a struct, accessed with sieving buffers
         small enough that windows start and end inside the gap."""
-        fs = SimFileSystem()
         ft = dt.resized(
             dt.struct([8, 8], [0, 48], [dt.BYTE, dt.BYTE]), 0, 64
         )
         info = {"ind_wr_buffer_size": "16", "ind_rd_buffer_size": "16"}
 
-        def worker(comm):
-            fh = open_one(fs, engine, info)(comm)
-            fh.set_view(0, dt.BYTE, ft)
-            w = (np.arange(2 * ft.size) % 251 + 1).astype(np.uint8)
-            fh.write_at(0, w)
-            r = np.zeros_like(w)
-            fh.read_at(0, r)
-            assert (r == w).all()
-            fh.close()
+        # Sieved (tiny windows) and mapped (no windows): same bytes.
+        for fs in (unmapped(SimFileSystem()), SimFileSystem()):
+            def worker(comm):
+                fh = open_one(fs, engine, info)(comm)
+                fh.set_view(0, dt.BYTE, ft)
+                w = (np.arange(2 * ft.size) % 251 + 1).astype(np.uint8)
+                fh.write_at(0, w)
+                r = np.zeros_like(w)
+                fh.read_at(0, r)
+                assert (r == w).all()
+                fh.close()
 
-        run_spmd(1, worker)
-        # The skip bytes [8, 48) of each struct instance stay zero.
-        data = fs.lookup("/f").contents()
-        assert (data[8:48] == 0).all()
-        assert (data[72:112] == 0).all()
+            run_spmd(1, worker)
+            # The skip bytes [8, 48) of each struct instance stay zero.
+            data = fs.lookup("/f").contents()
+            assert (data[8:48] == 0).all()
+            assert (data[72:112] == 0).all()
 
 
 class TestLockPlacement:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sieved_write_locks_every_rmw_window(self, engine):
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
 
         def worker(comm):
             fh = open_one(fs, engine)(comm)
@@ -135,7 +141,7 @@ class TestLockPlacement:
         """Two ranks sieve-write interleaved blocks of the same region;
         the rmw windows overlap byte-for-byte, so only the planned locks
         keep the concurrent read-modify-writes from clobbering."""
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         P, n = 2, 64
 
         def worker(comm):
@@ -308,7 +314,7 @@ class TestHintFingerprint:
         return fh.engine.stats.snapshot()
 
     def test_set_info_sieve_toggle_is_not_served_stale(self):
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         box = {}
 
         def worker(comm):
@@ -337,6 +343,36 @@ class TestHintFingerprint:
         assert before > 0
         assert after == before  # the direct write took no locks
 
+    def test_sieve_toggle_leaves_mapped_plans_alone(self):
+        """Twin on the mapped path: ``ds_write`` no longer changes what
+        a ``SimFile`` write does — mapped is not sieving — but the hint
+        change still re-plans instead of replaying a stale plan."""
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = open_one(fs, "listless")(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            buf = np.zeros(FINE["blockcount"], dtype=np.uint8)
+            mem = fh._mem(buf, None, None)
+            first = fh.engine.plan_write_independent(mem, 0)
+            fh.write_at(0, buf)
+            built = self.snap(fh)["plans_built"]
+            fh.set_info({"ds_write": "false"})
+            second = fh.engine.plan_write_independent(mem, 0)
+            box["plans"] = (first, second)
+            box["built"] = (built, self.snap(fh)["plans_built"])
+            box["locks"] = self.snap(fh)["executed_locks"]
+            fh.close()
+
+        run_spmd(1, worker)
+        for plan in box["plans"]:
+            assert [(type(op), op.mode) for op in plan.ops] == \
+                [(FileWriteOp, "mapped")]
+        before, after = box["built"]
+        assert after > before
+        assert box["locks"] == 0
+
 
 class TestSievedPlanShape:
     """Sieved independent plans copy straight between user memory and
@@ -345,7 +381,7 @@ class TestSievedPlanShape:
     @pytest.mark.parametrize("memkind", ["c", "nc"])
     @pytest.mark.parametrize("write", [True, False])
     def test_listless_windows_carry_memory_pieces(self, memkind, write):
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         n = FINE["blockcount"]
 
         def worker(comm):
@@ -392,7 +428,7 @@ class TestSievedPlanShape:
         run_spmd(1, worker)
 
     def test_list_based_sieved_plan_keeps_staging(self):
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
 
         def worker(comm):
             fh = open_one(fs, "list_based")(comm)
@@ -405,3 +441,95 @@ class TestSievedPlanShape:
             fh.close()
 
         run_spmd(1, worker)
+
+
+class TestMappedPlanShape:
+    """On a file buffer (``SimFile``) an independent access is one
+    ``"mapped"`` file op — no window, no lock, no ``bufsize`` tiling —
+    whatever the sieving hints say."""
+
+    @pytest.mark.parametrize("memkind", ["c", "nc"])
+    @pytest.mark.parametrize("write", [True, False])
+    def test_listless_access_is_one_memory_piece(self, memkind, write):
+        fs = SimFileSystem()
+        n = FINE["blockcount"]
+
+        def worker(comm):
+            fh = open_one(fs, "listless",
+                          {"ind_rd_buffer_size": "32",
+                           "ind_wr_buffer_size": "32"})(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            if memkind == "c":
+                mem = fh._mem(fill_pattern(n), None, None, dest=not write)
+            else:
+                mt = dt.vector(n, 1, 3, dt.BYTE)
+                mem = fh._mem(fill_pattern(mt.extent), 1, mt,
+                              dest=not write)
+            plan = (fh.engine.plan_write_independent(mem, 0) if write
+                    else fh.engine.plan_read_independent(mem, 0))
+            assert plan.planned_windows == 0
+            (op,) = plan.ops
+            assert type(op) is (FileWriteOp if write else FileReadOp)
+            assert op.mode == "mapped"
+            assert (op.lo, op.hi) == (0, 2 * n - 1)
+            (piece,) = op.pieces
+            assert piece.slot == MEM and piece.blocks.count == n
+            before = fh.engine.stats.snapshot()["ff_kernel_calls"]
+            phases = fh.engine.stats.phases
+            phases.reset()
+            fh.engine.run_plan(plan, mem)
+            snap = fh.engine.stats.snapshot()
+            assert snap["peak_staging_bytes"] == 0
+            assert snap["executed_locks"] == 0
+            # The copy is billed to pack (write) or unpack (read).
+            assert (phases.pack if write else phases.unpack) > 0
+            assert (phases.unpack if write else phases.pack) == 0
+            # One memory-side kernel call for strided memory.
+            calls = snap["ff_kernel_calls"] - before
+            assert calls == (1 if memkind == "nc" else 0)
+            fh.close()
+
+        run_spmd(1, worker)
+
+    @pytest.mark.parametrize("write", [True, False])
+    def test_list_based_stages_and_streams(self, write):
+        """The list-based engine has no plan geometry: its one mapped op
+        carries a deferred staged piece, packed/unpacked by the engine's
+        codec and streamed through its view walk."""
+        fs = SimFileSystem()
+
+        def worker(comm):
+            fh = open_one(fs, "list_based")(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            mem = fh._mem(fill_pattern(FINE["blockcount"]), None, None,
+                          dest=not write)
+            plan = (fh.engine.plan_write_independent(mem, 0) if write
+                    else fh.engine.plan_read_independent(mem, 0))
+            shape = ([GatherOp, FileWriteOp] if write
+                     else [FileReadOp, ScatterOp])
+            assert [type(op) for op in plan.ops] == shape
+            fop = plan.ops[1] if write else plan.ops[0]
+            assert fop.mode == "mapped"
+            assert [(p.slot, p.blocks) for p in fop.pieces] == \
+                [(STAGE, None)]
+            fh.close()
+
+        run_spmd(1, worker)
+
+    def test_one_op_however_small_the_buffer_hints(self):
+        fs = SimFileSystem()
+        box = {}
+
+        def worker(comm):
+            fh = open_one(fs, "listless", {"ind_wr_buffer_size": "16",
+                                            "ds_write": "false"})(comm)
+            fh.set_view(0, dt.BYTE, fine_vector())
+            fh.write_at(0, fill_pattern(FINE["blockcount"]))
+            box["s"] = fh.engine.stats.snapshot()
+            fh.close()
+
+        run_spmd(1, worker)
+        st = fs.lookup("/f").stats.snapshot()
+        assert (st["n_writes"], st["n_reads"], st["n_locks"]) == (1, 0, 0)
+        assert st["bytes_written"] == FINE["blockcount"]
+        assert box["s"]["executed_file_writes"] == 1

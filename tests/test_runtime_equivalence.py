@@ -22,7 +22,7 @@ from repro.fs import OsFileSystem, ShardedFileSystem, SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi.runtime import Runtime
-from tests.conftest import datatype_trees
+from tests.conftest import datatype_trees, unmapped
 
 ENGINES = ["listless", "list_based"]
 SIZES = [1, 2, 4]
@@ -305,6 +305,29 @@ def test_replay_fast_path_backends_agree(tmp_path):
         # reps 2-4 replay both the write and the read plan.
         assert ra >= 6, (r, ra)
     proc_fs.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind", ["write_at", "read_at"])
+def test_sieved_backends_agree(kind, engine, tmp_path):
+    """Independent access on files that are not file buffers — sieved
+    read-modify-write under ``RangeLockManager`` on sim, under real
+    ``fcntl`` locks on proc — stays byte-identical across runtimes, as
+    the mapped path does (``SimFile``/``OsFile`` map it)."""
+
+    def worker(comm, fs):
+        return _worker(comm, "interleaved", engine, kind, 7)(fs)
+
+    sim_fs = unmapped(SimFileSystem())
+    sim_reads = Runtime("sim").run(2, worker, sim_fs)
+    proc_fs = unmapped(OsFileSystem(str(tmp_path / "sieved")))
+    proc_reads = Runtime("proc").run(2, worker, proc_fs)
+    sim = (bytes(sim_fs.lookup("/eq.out").contents()), sim_reads)
+    proc = (bytes(proc_fs.lookup("/eq.out").contents()), proc_reads)
+    proc_fs.close()
+    assert_identical(sim, proc)
+    if kind == "write_at":
+        assert sim_fs.lookup("/eq.out").stats.n_locks > 0
 
 
 def test_btio_class_s_byte_identical(tmp_path):
