@@ -16,10 +16,11 @@ mostly gaps.
 
 The planner sieves (or not) only on a backend that is not one byte
 buffer — a ``SimFile`` maps every independent access instead.  So the
-two arms run on the same ``SimFile`` seen through :class:`Unmapped`, a
-handle that is not a ``FileBuffer`` (as a remote backend is not), and a
-third row reports the **mapped** access on the ``SimFile`` itself: one
-op, exactly the payload bytes.  Regenerate the table::
+two arms run on the same ``SimFile`` seen through
+:func:`repro.fs.unmapped.unmapped`, a handle that is not a
+``FileBuffer`` (as a remote backend is not), and a third row reports
+the **mapped** access on the ``SimFile`` itself: one op, exactly the
+payload bytes.  Regenerate the table::
 
     python benchmarks/bench_ablation_sieving.py
 """
@@ -32,6 +33,7 @@ import pytest
 from repro import datatypes as dt
 from repro.bench.reporting import format_table
 from repro.fs import DeviceModel, SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
@@ -40,34 +42,12 @@ NBLOCK = 512
 SBLOCK = 64
 
 
-class Unmapped:
-    """A ``SimFile`` behind a handle that is not a ``FileBuffer``: every
-    attribute is the file's, but the planner plans sieve or per-block
-    access on it, never a mapped one."""
-
-    def __init__(self, file) -> None:
-        self._file = file
-
-    def __getattr__(self, name):
-        return getattr(self._file, name)
-
-
-class UnmappedFileSystem(SimFileSystem):
-    """A ``SimFileSystem`` whose files open as :class:`Unmapped`."""
-
-    def create(self, path, exist_ok=True, striping=None):
-        return Unmapped(super().create(path, exist_ok, striping))
-
-    def lookup(self, path):
-        return Unmapped(super().lookup(path))
-
-
 def run_read(duty_denominator: int, ds_read: bool, mapped: bool = False):
     """One rank reads NBLOCK blocks whose stride is
     ``duty_denominator * SBLOCK``; returns the file stats snapshot.
     ``mapped`` reads the ``SimFile`` itself (``ds_read`` is moot);
     otherwise the read sieves or goes per block as ``ds_read`` says."""
-    fs = SimFileSystem() if mapped else UnmappedFileSystem()
+    fs = SimFileSystem() if mapped else unmapped(SimFileSystem())
     stride = duty_denominator * SBLOCK
     span = NBLOCK * stride
     fs.create("/f").truncate(span)

@@ -35,7 +35,22 @@ round's wall (and exchange) seconds, worst round and mean, from the
 per-rank round logs.  Skew is the per-round face of what ``repro trace
 --waits`` attributes causally: a rank whose rounds persistently run
 long shows up both here and as the straggler the others wait on.
-Standalone run writes the machine-readable record::
+The cells run on an :func:`~repro.fs.unmapped.unmapped` ``SimFile``:
+on the ``SimFile`` itself a collective is mapped (one barrier, one copy
+per rank) and has no rounds to measure.  Every cell is measured
+``RUNS`` times, interleaved (run *k* of every cell before run *k + 1* of
+any), and each cell reports the median run's ratios next to every
+run's ``pipelined_vs_one_shot``: ``check_perf_budget.py --collective``
+gates that median, because one run per cell is within noise of its
+limit.
+
+The record's ``probe`` row is the small-collective probe: 8 sim ranks,
+each with a 128 B Fig. 4 view (Sblock 8, Nblock 16), milliseconds of
+wall time per replayed ``write_at_all`` and per ``write_at``, on the
+mapped path (the ``SimFile``) and on the two-phase path (the unmapped
+``SimFile``) — "collective ≤ independent" as a number for each path.
+It is reported, not gated.  Standalone run writes the machine-readable
+record::
 
     python benchmarks/bench_collective_rounds.py --quick \
         --out results/BENCH_collective.json
@@ -52,7 +67,9 @@ import numpy as np
 import pytest
 
 from repro import datatypes as dt
+from repro.bench.noncontig import build_noncontig_filetype
 from repro.fs import DeviceModel, SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import DOMAIN_ALIGNMENTS, Hints
 from repro.mpi import run_spmd
@@ -80,6 +97,13 @@ DEVICE = dict(read_bandwidth=6e6, write_bandwidth=6e6, latency=1e-5)
 #: noise far better than a median.
 NREPS = 2
 REPEATS = 6
+#: Interleaved runs of every cell; the gate compares their median.
+RUNS = 3
+
+#: The small-collective probe: ranks, Sblock, Nblock of each rank's
+#: Fig. 4 view, and the warm and timed accesses per call.
+PROBE_RANKS, PROBE_SBLOCK, PROBE_NBLOCK = 8, 8, 16
+PROBE_WARM, PROBE_ACCESSES = 20, 200
 
 
 def _run_once(engine: str, cb: int, align, nbytes: int,
@@ -91,7 +115,7 @@ def _run_once(engine: str, cb: int, align, nbytes: int,
     staging and round counters and the rank-summed device-time
     decomposition.
     """
-    fs = SimFileSystem(device=DeviceModel(**DEVICE))
+    fs = unmapped(SimFileSystem(device=DeviceModel(**DEVICE)))
     nblocks = nbytes // BLOCK
     fs.create("/coll").truncate(NPROCS * nbytes)
 
@@ -203,6 +227,48 @@ def _cell(engine: str, cb: int, align, nbytes: int,
     return out
 
 
+def _probe_ms(fs, call: str) -> float:
+    """Milliseconds of wall time per replayed ``call`` (``write_at_all``
+    or ``write_at``) of the probe's ranks on ``fs``."""
+    out = {}
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/probe", MODE_CREATE | MODE_RDWR)
+        fh.set_view(0, dt.BYTE, build_noncontig_filetype(
+            PROBE_RANKS, comm.rank, PROBE_SBLOCK, PROBE_NBLOCK))
+        buf = np.full(PROBE_SBLOCK * PROBE_NBLOCK, comm.rank + 1,
+                      dtype=np.uint8)
+        access = getattr(fh, call)
+        for _ in range(PROBE_WARM):
+            access(0, buf)
+        comm.barrier()
+        t0 = time.perf_counter()
+        for _ in range(PROBE_ACCESSES):
+            access(0, buf)
+        comm.barrier()
+        if comm.rank == 0:
+            out["ms"] = (time.perf_counter() - t0) / PROBE_ACCESSES * 1e3
+        fh.close()
+
+    run_spmd(PROBE_RANKS, worker)
+    return out["ms"]
+
+
+def probe() -> dict:
+    """The small-collective probe row: ms per access of each call on
+    the mapped and on the two-phase path."""
+    row: dict = {"config": {
+        "nprocs": PROBE_RANKS, "sblock": PROBE_SBLOCK,
+        "nblock": PROBE_NBLOCK, "warm": PROBE_WARM,
+        "accesses": PROBE_ACCESSES,
+    }}
+    for path, make in (("mapped", SimFileSystem),
+                       ("two_phase", lambda: unmapped(SimFileSystem()))):
+        row[path] = {f"{call}_ms": _probe_ms(make(), call)
+                     for call in ("write_at_all", "write_at")}
+    return row
+
+
 def collect(quick: bool) -> dict:
     nbytes = BYTES_PER_RANK // (4 if quick else 1)
     one_shot_cb = 4 * NPROCS * nbytes  # any window >= the aggregate range
@@ -212,24 +278,34 @@ def collect(quick: bool) -> dict:
     swi = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
-        cells: dict = {}
-        for engine in ("list_based", "listless"):
-            for align in DOMAIN_ALIGNMENTS:
-                one = _cell(engine, one_shot_cb, align, nbytes)
-                ser = _cell(engine, ROUND_CB, align, nbytes, "off")
-                pipe = _cell(engine, ROUND_CB, align, nbytes, "on")
-                cells[f"{engine}/{align}"] = {
-                    "one_shot": one,
-                    "serial": ser,
-                    "pipelined": pipe,
-                    "staging_ratio": one["peak_staging"]
-                    / max(1, pipe["peak_staging"]),
-                    "overlap_efficiency": pipe["overlap_efficiency"],
-                    "pipelined_vs_one_shot": pipe["time"] / one["time"],
-                    "pipelined_vs_serial": pipe["time"] / ser["time"],
-                }
+        samples: dict = {}
+        for _ in range(RUNS):
+            for engine in ("list_based", "listless"):
+                for align in DOMAIN_ALIGNMENTS:
+                    one = _cell(engine, one_shot_cb, align, nbytes)
+                    ser = _cell(engine, ROUND_CB, align, nbytes, "off")
+                    pipe = _cell(engine, ROUND_CB, align, nbytes, "on")
+                    samples.setdefault(f"{engine}/{align}", []).append(
+                        (pipe["time"] / one["time"], one, ser, pipe))
     finally:
         sys.setswitchinterval(swi)
+    cells: dict = {}
+    for name, got in samples.items():
+        # The median run supplies every column; all runs' ratios ride
+        # along for the gate.
+        ratio, one, ser, pipe = sorted(got, key=lambda g: g[0])[
+            len(got) // 2]
+        cells[name] = {
+            "one_shot": one,
+            "serial": ser,
+            "pipelined": pipe,
+            "staging_ratio": one["peak_staging"]
+            / max(1, pipe["peak_staging"]),
+            "overlap_efficiency": pipe["overlap_efficiency"],
+            "pipelined_vs_one_shot": ratio,
+            "pipelined_vs_one_shot_runs": [g[0] for g in got],
+            "pipelined_vs_serial": pipe["time"] / ser["time"],
+        }
     bound = NPROCS * ROUND_CB
     worst = max(
         max(c["serial"]["peak_staging"], c["pipelined"]["peak_staging"])
@@ -248,8 +324,10 @@ def collect(quick: bool) -> dict:
             "one_shot_cb": one_shot_cb,
             "device": DEVICE,
             "nreps": NREPS,
+            "runs": RUNS,
         },
         "cells": cells,
+        "probe": probe(),
         "acceptance": {
             "bound_bytes": bound,
             "worst_round_peak": worst,
@@ -342,10 +420,13 @@ def main() -> None:
             print(f"{name:>18} {mode:>10} {m['time']*1e3:>10.2f} "
                   f"{m['peak_staging']:>17} {m['rounds']:>7} {eff} "
                   f"{m['round_skew']*1e3:>10.3f}")
+        runs = ", ".join(f"{r:.3f}"
+                         for r in c["pipelined_vs_one_shot_runs"])
         print(f"{'':>18} staging ratio one-shot/pipelined: "
               f"{c['staging_ratio']:.1f}x   "
               f"pipelined/one-shot: {c['pipelined_vs_one_shot']:.2f} "
-              f"  pipelined/serial: {c['pipelined_vs_serial']:.2f}")
+              f"(runs {runs})  "
+              f"pipelined/serial: {c['pipelined_vs_serial']:.2f}")
     acc = rec["acceptance"]
     print(f"acceptance (round peak <= P x cb = {acc['bound_bytes']} B, "
           f"pipelined <= 1.05 x one-shot, overlap > 0): "
@@ -353,6 +434,13 @@ def main() -> None:
           f"(worst peak {acc['worst_round_peak']} B, worst ratio "
           f"{acc['worst_pipelined_vs_one_shot']:.2f}, min overlap "
           f"{acc['min_overlap_efficiency']:.2f})")
+    p = rec["probe"]
+    pc = p["config"]
+    print(f"probe ({pc['nprocs']} ranks x {pc['sblock'] * pc['nblock']} B, "
+          f"ms per access over {pc['accesses']}):")
+    for path in ("mapped", "two_phase"):
+        print(f"  {path:>9}: write_at_all {p[path]['write_at_all_ms']:.3f}"
+              f"  write_at {p[path]['write_at_ms']:.3f}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(rec, f, indent=2)

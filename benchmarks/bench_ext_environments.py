@@ -32,6 +32,7 @@ import pytest
 from repro.bench import NoncontigConfig, mb_per_s, run_noncontig
 from repro.bench.reporting import format_table
 from repro.fs import DeviceModel, SimFileSystem, StripingConfig
+from repro.fs.unmapped import unmapped
 from repro.mpi import NetworkModel
 
 CFG = NoncontigConfig(
@@ -100,7 +101,8 @@ def test_ext_topology_inflates_list_exchange_cost():
                        inter_bandwidth=100e6)
     times = {}
     for engine in ("listless", "list_based"):
-        fs = SimFileSystem()
+        # Two-phase: a SimFile collective is mapped and ships nothing.
+        fs = unmapped(SimFileSystem())
         worlds = []
 
         def worker(comm):
@@ -163,7 +165,7 @@ def main() -> None:
             from repro.mpi import run_spmd
             import numpy as np
 
-            fs = SimFileSystem()
+            fs = unmapped(SimFileSystem())
             worlds = []
 
             def worker(comm):

@@ -18,9 +18,10 @@ speed of the CI box; the default slack (0.15 absolute) absorbs
 scheduler noise on loaded runners.
 
 ``--collective`` gates the round-overlap record of
-``bench_collective_rounds`` instead: every (engine, alignment) cell's
-pipelined effective time must stay within ``1 + collective-slack`` of
-its one-shot cell, every pipelined cell must hide *some* device time
+``bench_collective_rounds`` instead: in every (engine, alignment) cell
+the median, over at least :data:`MIN_COLLECTIVE_RUNS` interleaved runs,
+of the pipelined/one-shot effective-time ratio must stay within
+``1 + collective-slack``, every pipelined cell must hide *some* device time
 (overlap efficiency > 0), and the round modes' peak staging must
 respect the O(cb_buffer_size x APs) bound the aggregation layer
 exists to enforce::
@@ -44,9 +45,9 @@ fully-on within 10%::
 counts the Python-level calls of ``repro`` functions (``sys.setprofile``
 "call" events, the access's own frame included) in one *replayed*
 access of the repository benchmark's workloads — a ``small_indep``
-write and read, and a ``coll_interleaved`` write on each rank — and
-fails above :data:`CALL_BUDGETS`.  Counts do not depend on the host's
-speed, so the gate cannot flake on a slow runner::
+write and read, and a ``coll_interleaved`` write on each rank, mapped
+and two-phase — and fails above :data:`CALL_BUDGETS`.  Counts do not
+depend on the host's speed, so the gate cannot flake on a slow runner::
 
     python benchmarks/check_perf_budget.py --calls
 """
@@ -56,6 +57,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "results" / (
@@ -66,13 +68,22 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent / "results" / (
 #: Calls of ``repro`` functions one replayed access may make per rank
 #: (``--calls``).  Before plans were compiled to step tuples they were
 #: 66 (write) / 54 (read) on ``small_indep`` and 642 on
-#: ``coll_interleaved``; the collective's budget is its count since.
-#: Mapped independent access took ``small_indep`` from 31 / 22 to
-#: 20 / 20; its budgets are those counts plus 2.
+#: ``coll_interleaved``.  Mapped independent access took
+#: ``small_indep`` from 31 / 22 to 20 / 20, and the mapped collective
+#: took the ``coll_interleaved`` write from 516 to 31; those budgets are
+#: the counts plus 2.  The two-phase entry runs the same collective on
+#: an :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and keeps the
+#: budget the compiled two-phase collective had.
+#: Interleaved runs per cell the ``--collective`` gate takes the median
+#: of: one quick run of the noisiest cell read 1.056–1.091 against the
+#: 1.05 limit on an unchanged tree.
+MIN_COLLECTIVE_RUNS = 3
+
 CALL_BUDGETS = {
     "small_indep write": 22,
     "small_indep read": 22,
-    "coll_interleaved write": 537,
+    "coll_interleaved write": 33,
+    "coll_interleaved write (two-phase)": 537,
 }
 
 
@@ -114,15 +125,18 @@ def measure_calls() -> dict:
     from perfbench.workloads import WORKLOADS
     from repro import datatypes as dt
     from repro.fs import SimFileSystem
+    from repro.fs.unmapped import unmapped
     from repro.io import File, MODE_CREATE, MODE_RDWR
     from repro.io.hints import Hints
     from repro.mpi import run_spmd
 
     out = {}
-    for name, dirs in (("small_indep", ("write", "read")),
-                       ("coll_interleaved", ("write",))):
+    for name, dirs, path, fs in (
+            ("small_indep", ("write", "read"), "", SimFileSystem()),
+            ("coll_interleaved", ("write",), "", SimFileSystem()),
+            ("coll_interleaved", ("write",), " (two-phase)",
+             unmapped(SimFileSystem()))):
         spec = WORKLOADS[name]
-        fs = SimFileSystem()
 
         def rank(comm):
             count, memtype = spec.memtype()
@@ -149,7 +163,8 @@ def measure_calls() -> dict:
 
         per_rank = run_spmd(spec.nprocs, rank)
         for d in dirs:
-            out[f"{name} {d}"] = sum(c[d] for c in per_rank) / spec.nprocs
+            out[f"{name} {d}{path}"] = (sum(c[d] for c in per_rank)
+                                        / spec.nprocs)
     return out
 
 
@@ -159,7 +174,7 @@ def check_calls() -> int:
     failed = []
     for what, budget in CALL_BUDGETS.items():
         n = counts[what]
-        print(f"  {what:>24}: {n:6g} Python calls (budget {budget})")
+        print(f"  {what:>34}: {n:6g} Python calls (budget {budget})")
         if n > budget:
             failed.append(f"{what} makes {n} calls (budget {budget})")
     if failed:
@@ -188,13 +203,20 @@ def check_collective(path: str, slack: float) -> int:
     limit = 1.0 + slack
     failed = []
     for name, cell in rec["cells"].items():
-        ratio = cell["pipelined_vs_one_shot"]
+        runs = cell.get("pipelined_vs_one_shot_runs", [])
+        if len(runs) < MIN_COLLECTIVE_RUNS:
+            print(f"  {name:>18}: {len(runs)} run(s), the gate needs "
+                  f"{MIN_COLLECTIVE_RUNS}  <-- FAIL")
+            failed.append(name)
+            continue
+        ratio = statistics.median(runs)
         overlap = cell["overlap_efficiency"]
         peak = max(cell["serial"]["peak_staging"],
                    cell["pipelined"]["peak_staging"])
         ok = ratio <= limit and overlap > 0.0 and peak <= bound
         print(f"  {name:>18}: pipelined/one-shot {ratio:.3f} "
-              f"(limit {limit:.2f})  overlap {overlap:.2f}  "
+              f"(median of {len(runs)}, limit {limit:.2f})  "
+              f"overlap {overlap:.2f}  "
               f"round peak {peak} B (bound {bound} B)"
               f"{'' if ok else '  <-- FAIL'}")
         if not ok:

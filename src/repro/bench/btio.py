@@ -36,6 +36,7 @@ from repro import datatypes as dt
 from repro.bench.timing import PhaseClock, PhaseTime
 from repro.datatypes.base import Datatype
 from repro.fs.filesystem import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi.runtime import Runtime
@@ -312,6 +313,11 @@ def run_btio(
     directory — each rank process accesses the output file through its
     own descriptor, so the measured wall time includes real device and
     lock contention and the simulated components are zero.
+
+    Tables 1–3 measure the paper's two-phase collective, so the run
+    goes through ``unmapped(fs)`` (:mod:`repro.fs.unmapped`): on a
+    ``SimFile``/``OsFile`` a collective is otherwise one barrier and one
+    mapped copy per rank.
     """
     rt = Runtime.resolve(runtime)
     cleanup_dir = None
@@ -326,7 +332,7 @@ def run_btio(
             cleanup_dir = tempfile.mkdtemp(prefix="btio-")
             fs = OsFileSystem(cleanup_dir)
     try:
-        return _run_btio(engine, config, fs, rt)
+        return _run_btio(engine, config, unmapped(fs), rt)
     finally:
         if cleanup_dir is not None:
             import shutil

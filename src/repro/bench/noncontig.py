@@ -21,6 +21,12 @@ layout combinations:
 
 Bandwidth per process is reported over the combined measured + simulated
 elapsed time (see :mod:`repro.bench.timing`).
+
+The collective configurations (Figs. 6 and 8) measure two-phase I/O, so
+they run on :func:`~repro.fs.unmapped.unmapped` file systems: on a
+``SimFile`` a collective access is otherwise one barrier and one mapped
+copy, with no exchange to compare.  Independent configurations access
+the file system as given.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro import datatypes as dt
 from repro.bench.timing import PhaseClock, PhaseTime
 from repro.datatypes.base import Datatype
 from repro.fs.filesystem import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi.runtime import run_spmd
@@ -137,10 +144,13 @@ def run_noncontig(
     Write phase then read phase, each barrier-bracketed; file view and
     handles are established outside the timed regions (as the benchmark
     intends — ``set_view`` cost is a separate, one-time quantity the
-    ablation bench measures).
+    ablation bench measures).  A collective ``config`` runs on
+    ``unmapped(fs)``, the two-phase path.
     """
     fs = fs or SimFileSystem()
     cfg = config
+    if cfg.collective:
+        fs = unmapped(fs)
     P = cfg.nprocs
     worlds: list = []
     clock_box: dict = {}

@@ -369,10 +369,16 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     rec = flight.last_record()
     last = max((int(v) for v in rec["last_rounds"].values()),
                default=-1)
+    # Which path (mapped / two_phase) the recorded collectives took.
+    paths = sorted({info.get("path", "?")
+                    for rank in rec["ranks"].values()
+                    for _t, kind, info in rank["breadcrumbs"]
+                    if kind == "collective"})
     print(f"ran BTIO class {args.cls}, P={args.nprocs}, "
           f"engine={args.engine} (io {r.io_time.total:.3f} s)")
     print(f"wrote flight record to {out} "
-          f"({len(rec['ranks'])} ranks, last completed round {last})")
+          f"({len(rec['ranks'])} ranks, last completed round {last}, "
+          f"collective path {'/'.join(paths) or 'none'})")
     return 0
 
 

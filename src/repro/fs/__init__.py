@@ -29,6 +29,9 @@ Public surface:
 * :class:`ShardedFileSystem`, :class:`ShardedFile` — one logical file
   striped round-robin across N shard server processes, the request-
   shipping backend of ``docs/shipping.md``.
+* :func:`repro.fs.unmapped.unmapped` — a namespace seen through files
+  that are not file buffers, so its accesses sieve and its collectives
+  run two-phase (what the paper's figures measure).
 """
 
 from repro.fs.stats import DeviceModel, FileStats

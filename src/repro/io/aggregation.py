@@ -37,7 +37,10 @@ covers ``[agg_lo, agg_hi)`` exactly with no overlap (snapped boundaries
 that would cross fall back to the even split), so file contents are
 byte-identical across strategies, engines and runtimes.
 
-See ``docs/collective.md`` for the full pipeline.
+Only backends that are not a :class:`~repro.fs.simfile.FileBuffer` run
+this driver: on ``SimFile``/``OsFile`` a collective is one barrier and
+each rank's own mapped access (:meth:`repro.io.engines.base.IOEngine.
+collective`).  See ``docs/collective.md`` for the full pipeline.
 """
 
 from __future__ import annotations
@@ -527,7 +530,8 @@ def run_collective(engine, mem, d0: int, write: bool) -> None:
     # Flight-recorder breadcrumb: if this collective dies mid-flight,
     # the record names what was being attempted and how far it got
     # (per-round progress lands via the executor's ``note_round``).
-    flight.note("collective", write=write, rounds=schedule.nrounds,
-                pipeline=schedule.pipeline, align=align)
+    flight.note("collective", path="two_phase", write=write,
+                rounds=schedule.nrounds, pipeline=schedule.pipeline,
+                align=align)
     plan = engine.collective_plan(write, rng, ranges, domains, schedule)
     engine.run_plan(plan, mem)

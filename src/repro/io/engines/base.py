@@ -13,7 +13,8 @@ declarative :class:`~repro.plan.plan.IOPlan` of typed ops — and its
 open file, whatever backend holds its bytes (``SimFile``, ``OsFile`` or
 ``ShardedFile``); pipelined collective rounds offload file ops to the
 executor's one deferred worker.  The base class owns that plumbing plus
-the collective orchestration order and the common geometry.  Subclasses
+the collective orchestration — mapped on a ``SimFile``/``OsFile``,
+two-phase rounds elsewhere — and the common geometry.  Subclasses
 supply navigation, the pack/unpack codec the executor copies memory
 with, the plan geometry (a navigable compact view, or nothing), and the
 collective phases — precisely the representational pieces the paper
@@ -22,14 +23,16 @@ contrasts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
+from repro.fs.simfile import FileBuffer
 from repro.io.fileview import MemDescriptor
 from repro.io.two_phase import AccessRange
-from repro.obs import trace
+from repro.obs import flight, trace
 from repro.obs.phases import PhaseAccumulator, RoundLog
 from repro.plan.stats import PlanStats
 
@@ -131,6 +134,11 @@ class IOEngine:
             fh.simfile, codec=self, comm=fh.comm, stats=self.stats.plan,
             phases=self.stats.phases, rounds=self.stats.rounds,
         )
+        #: Whether this file's bytes are one shared buffer
+        #: (:class:`~repro.fs.simfile.FileBuffer`): then every access
+        #: is mapped — the planner's mapped independent plan, and
+        #: :meth:`collective`'s barrier-plus-mapped-access, not two-phase.
+        self.mapped = isinstance(fh.simfile, FileBuffer)
         fh.session.metrics.register_engine(self)
 
     def close(self) -> None:
@@ -269,20 +277,44 @@ class IOEngine:
         self.run_plan(plan, mem, None, delta)
 
     # ------------------------------------------------------------------
-    # Collective access (round-based driver shared across engines)
+    # Collective access: mapped on a file buffer, else two-phase rounds
     # ------------------------------------------------------------------
+    def collective(self, mem: MemDescriptor, d0: int, write: bool) -> None:
+        """One collective access.  With tracing on it runs inside an
+        ``<engine>.write_collective``/``read_collective`` span whose
+        ``path`` attribute names the path taken (``"mapped"`` or
+        ``"two_phase"``)."""
+        if trace.TRACE_ON:
+            kind = "write" if write else "read"
+            with trace.span(f"{self.name}.{kind}_collective",
+                            bytes=mem.nbytes,
+                            path="mapped" if self.mapped else "two_phase"):
+                self._collective(mem, d0, write)
+            return
+        self._collective(mem, d0, write)
+
     def _collective(self, mem: MemDescriptor, d0: int, write: bool) -> None:
-        # Imported lazily like the rest of the plan machinery.
-        from repro.io.aggregation import run_collective
+        """On a :class:`~repro.fs.simfile.FileBuffer` (``SimFile``,
+        ``OsFile``) every rank already shares the file's bytes, so the
+        access is *mapped*: one barrier, then the rank's own access
+        through :meth:`File._independent` (one mapped file op; the
+        whole-access range lock in atomic mode).  The barrier orders
+        every rank's previous collective before any rank touches the
+        file — the ordering the two-phase range allgather gives — so a
+        collective read followed by a peer's collective write of the
+        same bytes still returns the old bytes.  Every other backend
+        runs the round-based two-phase driver
+        (:func:`repro.io.aggregation.run_collective`).
+        """
+        if not self.mapped:
+            # Imported lazily like the rest of the plan machinery.
+            from repro.io.aggregation import run_collective
 
-        run_collective(self, mem, d0, write)
-
-    def write_collective(self, mem: MemDescriptor, d0: int) -> None:
-        with trace.span(f"{self.name}.write_collective",
-                        bytes=mem.nbytes):
-            self._collective(mem, d0, write=True)
-
-    def read_collective(self, mem: MemDescriptor, d0: int) -> None:
-        with trace.span(f"{self.name}.read_collective",
-                        bytes=mem.nbytes):
-            self._collective(mem, d0, write=False)
+            run_collective(self, mem, d0, write)
+            return
+        fh = self.fh
+        t0 = time.perf_counter()
+        fh.comm.barrier()
+        self.stats.phases.sync += time.perf_counter() - t0
+        flight.note("collective", path="mapped", write=write)
+        fh._independent(mem, d0, write)

@@ -593,8 +593,8 @@ class File:
         """Collective write at etype offset ``offset``."""
         self._check_open()
         self._check_writable()
-        mem = self._mem(buf, count, memtype)
-        self.engine.write_collective(mem, offset * self.view.esize)
+        self.engine.collective(MemDescriptor(buf, count, memtype),
+                               offset * self.view.esize, True)
 
     def read_at_all(
         self,
@@ -606,8 +606,9 @@ class File:
         """Collective read at etype offset ``offset``."""
         self._check_open()
         self._check_readable()
-        mem = self._mem(buf, count, memtype, dest=True)
-        self.engine.read_collective(mem, offset * self.view.esize)
+        self.engine.collective(
+            MemDescriptor(buf, count, memtype, dest=True),
+            offset * self.view.esize, False)
 
     def write_all(
         self,
@@ -669,7 +670,7 @@ class File:
         self._check_writable()
         mem = self._mem(buf, count, memtype)
         my_off = self._ordered_offsets(mem)
-        self.engine.write_collective(mem, my_off * self.view.esize)
+        self.engine.collective(mem, my_off * self.view.esize, True)
 
     def read_ordered(
         self,
@@ -683,7 +684,7 @@ class File:
         self._check_readable()
         mem = self._mem(buf, count, memtype, dest=True)
         my_off = self._ordered_offsets(mem)
-        self.engine.read_collective(mem, my_off * self.view.esize)
+        self.engine.collective(mem, my_off * self.view.esize, False)
 
     # ------------------------------------------------------------------
     # Split collectives (MPI_File_write_at_all_begin / _end)

@@ -43,6 +43,13 @@ datatype handling:
     "Noncontiguous I/O through PVFS".  Unset (the default) keeps every
     access on the plain per-primitive wire path; ignored on
     non-sharded backends.
+
+The ``cb_*`` hints (``cb_buffer_size``, ``cb_nodes``,
+``cb_domain_align``, ``cb_pipeline``) shape two-phase collectives, which
+only backends that are not a file buffer run: on ``SimFile``/``OsFile``
+a collective is mapped — one barrier and each rank's own mapped copy —
+and none of them changes it (``docs/collective.md``, "Mapped vs
+two-phase").  Whether they stay is left to the knob audit.
 """
 
 from __future__ import annotations

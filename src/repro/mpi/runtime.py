@@ -26,7 +26,7 @@ import threading
 from typing import Any, Callable, List, Optional
 
 from repro.errors import MPIRuntimeError
-from repro.mpi.communicator import Comm, _Mailbox
+from repro.mpi.communicator import Comm, _Barrier, _Mailbox
 from repro.mpi.cost_model import NetworkModel
 
 __all__ = ["Runtime", "World", "run_spmd"]
@@ -44,11 +44,11 @@ class World:
         self.size = size
         self.network = network or NetworkModel()
         self._mailboxes = [_Mailbox() for _ in range(size)]
-        self._barrier = threading.Barrier(size)
+        self._barrier = _Barrier(size)
         self.board: List[Any] = [None] * size
         self._failure: Optional[BaseException] = None
         self._failure_mu = threading.Lock()
-        self._extra_barriers: List[threading.Barrier] = []
+        self._extra_barriers: List[_Barrier] = []
         # Per-rank accounting (no locks needed: each rank owns its slot).
         self.bytes_sent = [0] * size
         self.messages_sent = [0] * size
@@ -76,7 +76,7 @@ class World:
             ) from None
 
     # ------------------------------------------------------------------
-    def register_barrier(self, barrier: threading.Barrier) -> None:
+    def register_barrier(self, barrier: _Barrier) -> None:
         """Track a sub-communicator barrier so failures break it too."""
         with self._failure_mu:
             self._extra_barriers.append(barrier)

@@ -60,7 +60,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import blockprog
-from repro.fs.simfile import FileBuffer
 from repro.intervals import clip, merge_adjacent, tile
 from repro.io.two_phase import AccessRange
 from repro.mpi.cost_model import StorageModel, choose_access_strategy
@@ -267,7 +266,7 @@ class Planner:
         if nbytes <= 0:
             return self._finish(IOPlan(kind, d0, 0, (), signature=sig))
 
-        if isinstance(fh.simfile, FileBuffer):
+        if engine.mapped:
             return self._plan_mapped(kind, d0, d1, write, sig)
 
         # Contiguous view: plain offset arithmetic, no navigation, one

@@ -9,8 +9,6 @@ hand-written tests would never contain.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -114,63 +112,3 @@ def fill_pattern(nbytes: int, seed: int = 0) -> np.ndarray:
     """Deterministic non-trivial byte pattern."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-
-
-# ----------------------------------------------------------------------
-# A backend that still sieves
-# ----------------------------------------------------------------------
-class UnmappedFile:
-    """A file that is not a :class:`~repro.fs.simfile.FileBuffer`:
-    every attribute is the wrapped file's (a ``SimFile``, an
-    ``OsFile``), the way :class:`~repro.fs.posix.PosixFile` wraps one.
-    The planner maps independent accesses only on a ``FileBuffer``, so
-    on this file it plans sieve or direct — the path remote backends
-    take.  Attributes set on it are set on the wrapped file; it pickles
-    by pickling the wrapped file."""
-
-    def __init__(self, file) -> None:
-        self.__dict__["_file"] = file
-
-    def __getattr__(self, name):
-        return getattr(self.__dict__["_file"], name)
-
-    def __setattr__(self, name, value) -> None:
-        setattr(self._file, name, value)
-
-    def __reduce__(self):
-        return (UnmappedFile, (self._file,))
-
-
-class UnmappedFileSystem:
-    """A namespace (``SimFileSystem``, ``OsFileSystem``) whose files
-    come wrapped in :class:`UnmappedFile` — one wrapper per file."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._mu = threading.Lock()
-        self._wrapped = {}
-
-    def __getattr__(self, name):
-        return getattr(self.__dict__["_inner"], name)
-
-    def __reduce__(self):
-        return (UnmappedFileSystem, (self._inner,))
-
-    def _wrap(self, f) -> UnmappedFile:
-        with self._mu:
-            w = self._wrapped.get(id(f))
-            if w is None:
-                w = self._wrapped[id(f)] = UnmappedFile(f)
-            return w
-
-    def create(self, path, *args, **kwargs) -> UnmappedFile:
-        return self._wrap(self._inner.create(path, *args, **kwargs))
-
-    def lookup(self, path) -> UnmappedFile:
-        return self._wrap(self._inner.lookup(path))
-
-
-def unmapped(fs) -> UnmappedFileSystem:
-    """``fs`` seen through :class:`UnmappedFileSystem`: its independent
-    accesses sieve (or go direct) instead of being mapped."""
-    return UnmappedFileSystem(fs)

@@ -28,13 +28,13 @@ from repro.fs import (
     StripingConfig,
 )
 from repro.fs.simfile import SimFile
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
 from repro.mpi.proc import run_spmd_proc
 from repro.mpi.runtime import Runtime
 from repro.session import IOSession
-from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 

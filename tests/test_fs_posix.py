@@ -14,9 +14,10 @@ from repro.datatypes.packing import typemap_blocks
 from repro.errors import FileSystemError
 from repro.fs import OsFileSystem, PosixFile, SimFileSystem
 from repro.fs.posix import SEEK_CUR, SEEK_END, SEEK_SET, OsFile
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
-from tests.conftest import fill_pattern, unmapped
+from tests.conftest import fill_pattern
 
 
 @pytest.fixture
@@ -104,7 +105,7 @@ class TestSparseDirectCounts:
     file: one file call per block, whichever way the executor issues
     them, and a replayed plan lands at the translated offsets.  Direct
     access is planned on a file that is not a file buffer (an
-    :func:`~tests.conftest.unmapped` ``OsFile``); on the ``OsFile``
+    :func:`~repro.fs.unmapped.unmapped` ``OsFile``); on the ``OsFile``
     itself the access is mapped (:class:`TestSparseMappedCounts`)."""
 
     NB, BL, STRIDE = 256, 1024, 64 * 1024

@@ -5,7 +5,9 @@ pluggable file-domain partitioners, empty-domain handling in the round
 schedule) plus end-to-end guarantees of the driver: byte-identity of
 round-based against one-shot staging for every alignment strategy and
 engine, and the O(cb_buffer_size x APs) bound on IOP staging memory
-that the rounds exist to enforce.
+that the rounds exist to enforce.  The end-to-end runs use
+:func:`~repro.fs.unmapped.unmapped` file systems: on a ``SimFile`` a
+collective is mapped (one barrier, one copy) and runs no rounds.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import datatypes as dt
 from repro.fs import SimFileSystem, StripingConfig
+from repro.fs.unmapped import unmapped
 from repro.intervals import floor_to, split_even
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.aggregation import (
@@ -170,7 +173,7 @@ def _collective_run(engine, hints, *, preset=None):
     When ``preset`` is given the file starts with those bytes and the
     write phase is skipped (pure-read identity).
     """
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     f = fs.create(
         "/f", striping=StripingConfig(ndisks=2, stripe_size=2048)
     )
@@ -334,7 +337,7 @@ class TestPipelinedRounds:
         preset = rng.integers(0, 256, TOTAL, dtype=np.uint8)
         images = []
         for hints in (SERIAL, PIPED):
-            fs = SimFileSystem()
+            fs = unmapped(SimFileSystem())
             f = fs.create("/f")
             f.truncate(TOTAL)
             f.pwrite(0, preset)
@@ -366,7 +369,7 @@ class TestPipelinedRounds:
         bytes (the plan's final drain closes the worker per run)."""
         images = []
         for hints in (SERIAL, PIPED):
-            fs = SimFileSystem()
+            fs = unmapped(SimFileSystem())
             f = fs.create("/f")
             f.truncate(TOTAL)
 
@@ -392,7 +395,7 @@ class TestPipelinedRounds:
         remaining round, the relaxed p2p exchange lets them leave."""
         outs = {}
         for mode in ("off", "on"):
-            fs = SimFileSystem()
+            fs = unmapped(SimFileSystem())
             fs.create("/f").truncate(8192)
             hints = Hints(cb_buffer_size=1024, cb_nodes=1,
                           cb_pipeline=mode)

@@ -1,4 +1,11 @@
-"""Two-phase collective I/O: correctness, optimization behaviour, costs."""
+"""Collective I/O: correctness, optimization behaviour, costs.
+
+On a ``SimFile`` a collective access is mapped: one barrier, then each
+rank's own mapped copy.  The tests of two-phase mechanics (pre-reads,
+IOP restriction, windows, list exchange) run on
+:func:`~repro.fs.unmapped.unmapped` file systems, the path every
+non-mappable backend takes.
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ from repro.bench.noncontig import (
     build_noncontig_memtype,
 )
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
@@ -107,7 +115,7 @@ def test_all_empty_collective(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_cb_nodes_restricts_iops(engine):
     """With cb_nodes=1 only rank 0 touches the file."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     hints = Hints(cb_nodes=1)
     P, blocklen, blockcount = 4, 4, 8
     A = blocklen * blockcount
@@ -133,7 +141,7 @@ def test_cb_nodes_restricts_iops(engine):
 def test_full_coverage_write_skips_preread(engine):
     """A collective write that tiles its range completely must not read
     the file first (ROMIO's merge optimization / the mergeview check)."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     P, blocklen, blockcount = 2, 8, 32
     A = blocklen * blockcount
 
@@ -156,7 +164,7 @@ def test_full_coverage_write_skips_preread(engine):
 def test_partial_coverage_write_does_preread(engine):
     """If only half the interleave slots are written, the gaps force a
     read-modify-write, and pre-existing data must survive."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     P, blocklen, blockcount = 2, 8, 8
     A = blocklen * blockcount
     # Pre-fill the file region with a sentinel.
@@ -186,6 +194,42 @@ def test_partial_coverage_write_does_preread(engine):
         assert (data[s + blocklen : s + 2 * blocklen] == 0xEE).all()
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_partial_coverage_mapped_write_keeps_gaps(engine):
+    """The mapped twin of the test above: on a ``SimFile`` the same
+    half-covering collective write copies only its own bytes — no
+    pre-read, no lock, one write op — and the gap bytes keep the
+    sentinel."""
+    fs = SimFileSystem()
+    P, blocklen, blockcount = 2, 8, 8
+    A = blocklen * blockcount
+    fs.create("/f").pwrite(0, np.full(2 * P * A, 0xEE, dtype=np.uint8))
+    fs.lookup("/f").stats.reset()
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                       engine=engine)
+        ft = build_noncontig_filetype(P, 0, blocklen, blockcount)
+        fh.set_view(0, dt.BYTE, ft)
+        if comm.rank == 0:
+            fh.write_at_all(0, np.full(A, 0x11, dtype=np.uint8))
+        else:
+            fh.write_at_all(0, np.zeros(0, dtype=np.uint8))
+        fh.close()
+
+    run_spmd(P, worker)
+    data = fs.lookup("/f").contents()
+    stats = fs.lookup("/f").stats.snapshot()
+    assert stats["n_reads"] == 0
+    assert stats["n_locks"] == 0
+    assert stats["n_writes"] == 1
+    assert stats["bytes_written"] == A
+    for b in range(blockcount):
+        s = b * P * blocklen
+        assert (data[s : s + blocklen] == 0x11).all()
+        assert (data[s + blocklen : s + 2 * blocklen] == 0xEE).all()
+
+
 def test_listless_exchanges_no_lists():
     """Fileview caching: after set_view, collective accesses move only
     file data (+ small headers) — never per-access ol-lists."""
@@ -193,7 +237,7 @@ def test_listless_exchanges_no_lists():
     A = blocklen * blockcount
     results = {}
     for engine in ENGINES:
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         worlds = []
 
         def worker(comm):
@@ -247,7 +291,7 @@ def test_repeated_collective_appends(engine):
 def test_more_iops_than_bytes(engine):
     """Degenerate aggregation: more IOPs than file bytes leaves some
     IOPs with empty domains; the access must still complete exactly."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
 
     def worker(comm):
         fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
@@ -270,7 +314,7 @@ def test_more_iops_than_bytes(engine):
 def test_single_byte_windows(engine):
     """cb_buffer_size=1: the two-phase window loop runs per byte and
     must still assemble everything correctly."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem())
     P, blocklen, blockcount = 2, 3, 4
     A = blocklen * blockcount
     hints = Hints(cb_buffer_size=1)

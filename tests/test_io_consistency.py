@@ -1,5 +1,5 @@
 """Concurrency and consistency: locking under interleaved sieved writes
-(on an :func:`~tests.conftest.unmapped` file system — ``SimFile`` maps
+(on an :func:`~repro.fs.unmapped.unmapped` file system — ``SimFile`` maps
 independent accesses, see ``test_io_mapped.py``), atomic mode, and
 cross-engine interoperability on one file."""
 
@@ -9,10 +9,10 @@ import pytest
 from repro import datatypes as dt
 from repro.bench.noncontig import build_noncontig_filetype
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
-from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 

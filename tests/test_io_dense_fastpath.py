@@ -8,9 +8,9 @@ import pytest
 
 from repro import datatypes as dt
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.mpi import run_spmd
-from tests.conftest import unmapped
 
 N = 16
 

@@ -1,4 +1,9 @@
-"""Engine statistics: the §2.4 overheads made countable."""
+"""Engine statistics: the §2.4 overheads made countable.
+
+Collective runs use an :func:`~repro.fs.unmapped.unmapped` file system:
+the per-access list expansion and exchange these counters measure are
+two-phase mechanics, and a ``SimFile`` collective is mapped instead.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from repro import datatypes as dt
 from repro.bench.noncontig import build_noncontig_filetype
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
 
@@ -17,7 +23,7 @@ def run_and_collect(engine, collective, nreps=2, stagger=False):
     """``stagger`` offsets each access by a distinct residue of the
     filetype period, defeating the planner's replay fast path so every
     access is planned from scratch."""
-    fs = SimFileSystem()
+    fs = unmapped(SimFileSystem()) if collective else SimFileSystem()
     stats = [None] * P
 
     def worker(comm):

@@ -16,10 +16,10 @@ from repro.bench.noncontig import (
     build_noncontig_memtype,
 )
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
-from tests.conftest import unmapped
 
 
 def run_scenario(engine, P, blocklen, blockcount, disp, off_et,

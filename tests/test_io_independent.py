@@ -5,7 +5,7 @@ then the file contents are checked against an analytically computed
 expectation — for both engines, several window sizes (forcing the
 multi-window sieving paths), displacements and mid-view offsets.  On
 ``SimFile`` an access is mapped, whatever the window size; the sieving
-paths run on an :func:`~tests.conftest.unmapped` file system.
+paths run on an :func:`~repro.fs.unmapped.unmapped` file system.
 """
 
 import numpy as np
@@ -22,10 +22,10 @@ from repro.datatypes.packing import (
     unpack_typemap,
 )
 from repro.fs import OsFileSystem, SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi import run_spmd
-from tests.conftest import unmapped
 
 ENGINES = ["listless", "list_based"]
 

@@ -208,6 +208,23 @@ class TestCollectives:
         posts = [i for i, h in enumerate(hits) if h[0] == "post"]
         assert max(pres) < min(posts)
 
+    def test_barrier_generations_never_overlap(self):
+        """Back to back, no rank leaves a barrier before every rank has
+        entered that same barrier, over many reuses."""
+        import threading
+
+        arrived = [0] * 200
+        mu = threading.Lock()
+
+        def worker(comm):
+            for k in range(len(arrived)):
+                with mu:
+                    arrived[k] += 1
+                comm.barrier()
+                assert arrived[k] == comm.size, k
+
+        run_spmd(4, worker)
+
     def test_consecutive_collectives(self):
         def worker(comm):
             a = comm.allgather(comm.rank)

@@ -7,6 +7,7 @@ import pytest
 
 from repro import datatypes as dt
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
 from repro.obs.phases import (
@@ -67,13 +68,16 @@ class TestRoundLog:
         assert [r["index"] for r in snap] == list(range(5, n))
 
 
-def run_access(engine, collective, nreps=2, nprocs=2):
+def run_access(engine, collective, nreps=2, nprocs=2, fs=None):
     """Per-rank (phase snapshot, access wall seconds) for write accesses.
 
     Phases are reset after set_view so only the accesses themselves are
-    decomposed (view setup is traced, not bucketed).
+    decomposed (view setup is traced, not bucketed).  Collectives run
+    two-phase, on an :func:`~repro.fs.unmapped.unmapped` file system,
+    unless ``fs`` is given.
     """
-    fs = SimFileSystem()
+    if fs is None:
+        fs = unmapped(SimFileSystem()) if collective else SimFileSystem()
     out = [None] * nprocs
 
     def worker(comm):
@@ -117,6 +121,31 @@ class TestEngineDecomposition:
             assert snap["phase_file_io"] > 0.0
 
     @pytest.mark.parametrize("engine", ["list_based", "listless"])
+    def test_mapped_collective_buckets(self, engine):
+        """A mapped collective (on a ``SimFile``) is a barrier and a
+        copy: its barrier bills ``sync``, its copy ``pack`` (write) or
+        ``unpack`` (read), and it exchanges nothing."""
+        fs = SimFileSystem()
+        for snap, _wall in run_access(engine, collective=True, fs=fs):
+            assert snap["phase_sync"] > 0.0
+            assert snap["phase_pack"] > 0.0
+            assert snap["phase_exchange"] == 0.0
+
+        def reader(comm):
+            fh = File.open(comm, fs, "/f", MODE_RDWR, engine=engine)
+            fh.set_view(comm.rank * 8, dt.BYTE, FT)
+            fh.engine.stats.phases.reset()
+            fh.read_at_all(0, np.zeros(FT.size, dtype=np.uint8))
+            snap = fh.engine.stats.phases.snapshot()
+            fh.close()
+            return snap
+
+        for snap in run_spmd(2, reader):
+            assert snap["phase_sync"] > 0.0
+            assert snap["phase_unpack"] > 0.0
+            assert snap["phase_exchange"] == 0.0
+
+    @pytest.mark.parametrize("engine", ["list_based", "listless"])
     def test_independent_write_has_no_exchange(self, engine):
         for snap, _wall in run_access(engine, collective=False):
             assert snap["phase_exchange"] == 0.0
@@ -148,7 +177,7 @@ class TestPipelinedAttribution:
         from repro.io.hints import Hints
         from repro.mpi import run_spmd as _run_spmd
 
-        fs = SimFileSystem()
+        fs = unmapped(SimFileSystem())
         out = [None, None]
         hints = Hints(cb_buffer_size=64, cb_pipeline="on")
 

@@ -10,6 +10,7 @@ from repro.errors import FileSystemError, IOEngineError
 from repro.fs import DeviceModel, SimFileSystem, StripingConfig
 from repro.fs.posix import PosixFile
 from repro.fs.simfile import SimFile
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.fileview import MemDescriptor
 from repro.io.request import Request
@@ -26,7 +27,6 @@ from repro.plan import (
     PlanExecutor,
     ScatterOp,
 )
-from tests.conftest import unmapped
 
 
 class FlakyFile(SimFile):

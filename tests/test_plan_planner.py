@@ -3,7 +3,7 @@ placement, and plan-cache behaviour across view changes.
 
 Sieving (windows, locks, the ``ds_*`` hints) is planned only on a
 backend that is not a file buffer; those cases run on
-:func:`~tests.conftest.unmapped` file systems, and each has a twin on
+:func:`~repro.fs.unmapped.unmapped` file systems, and each has a twin on
 ``SimFile``'s mapped path."""
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from repro import datatypes as dt
 from repro.fs import SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
 from repro.plan.ops import (
@@ -23,7 +24,7 @@ from repro.plan.ops import (
     ScatterOp,
     UnlockOp,
 )
-from tests.conftest import fill_pattern, unmapped
+from tests.conftest import fill_pattern
 
 ENGINES = ["listless", "list_based"]
 

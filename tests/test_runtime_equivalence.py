@@ -19,10 +19,11 @@ from repro.bench.btio import BTIOConfig, run_btio
 from repro.datatypes.validation import validate_filetype
 from repro.errors import DatatypeError
 from repro.fs import OsFileSystem, ShardedFileSystem, SimFileSystem
+from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
 from repro.mpi.runtime import Runtime
-from tests.conftest import datatype_trees, unmapped
+from tests.conftest import datatype_trees
 
 ENGINES = ["listless", "list_based"]
 SIZES = [1, 2, 4]
