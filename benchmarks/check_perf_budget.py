@@ -45,8 +45,9 @@ fully-on within 10%::
 counts the Python-level calls of ``repro`` functions (``sys.setprofile``
 "call" events, the access's own frame included) in one *replayed*
 access of the repository benchmark's workloads — a ``small_indep``
-write and read, and a ``coll_interleaved`` write on each rank, mapped
-and two-phase — and fails above :data:`CALL_BUDGETS`.  Counts do not
+write and read, a ``sparse_os`` write on a real file, and a
+``coll_interleaved`` write on each rank, mapped and two-phase — and
+fails above :data:`CALL_BUDGETS`.  Counts do not
 depend on the host's speed, so the gate cannot flake on a slow runner::
 
     python benchmarks/check_perf_budget.py --calls
@@ -65,24 +66,28 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent / "results" / (
 )
 
 
-#: Calls of ``repro`` functions one replayed access may make per rank
-#: (``--calls``).  Before plans were compiled to step tuples they were
-#: 66 (write) / 54 (read) on ``small_indep`` and 642 on
-#: ``coll_interleaved``.  Mapped independent access took
-#: ``small_indep`` from 31 / 22 to 20 / 20, and the mapped collective
-#: took the ``coll_interleaved`` write from 516 to 31; those budgets are
-#: the counts plus 2.  The two-phase entry runs the same collective on
-#: an :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and keeps the
-#: budget the compiled two-phase collective had.
 #: Interleaved runs per cell the ``--collective`` gate takes the median
 #: of: one quick run of the noisiest cell read 1.056–1.091 against the
 #: 1.05 limit on an unchanged tree.
 MIN_COLLECTIVE_RUNS = 3
 
+#: Calls of ``repro`` functions one replayed access may make per rank
+#: (``--calls``).  Before plans were compiled to step tuples they were
+#: 66 (write) / 54 (read) on ``small_indep`` and 642 on
+#: ``coll_interleaved``.  Mapped independent access took
+#: ``small_indep`` from 31 / 22 to 20 / 20, and the mapped collective
+#: took the ``coll_interleaved`` write from 516 to 31.  Binding a
+#: replayed mapped access into one step took ``small_indep`` to 12 / 12,
+#: the ``OsFile`` write of ``sparse_os`` (one call more: its mapping)
+#: from 20 to 13 and the mapped ``coll_interleaved`` write to 26.  Those
+#: budgets are the counts plus 2.  The two-phase entry runs the same
+#: collective on an :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and
+#: keeps the budget the compiled two-phase collective had.
 CALL_BUDGETS = {
-    "small_indep write": 22,
-    "small_indep read": 22,
-    "coll_interleaved write": 33,
+    "small_indep write": 14,
+    "small_indep read": 14,
+    "sparse_os write": 15,
+    "coll_interleaved write": 28,
     "coll_interleaved write (two-phase)": 537,
 }
 
@@ -120,19 +125,24 @@ def measure_calls() -> dict:
     collective's count is the mean over its ranks: which rank does a
     shared one-time step first varies run to run, their sum does not.
     """
+    import tempfile
+
     import numpy as np
 
     from perfbench.workloads import WORKLOADS
     from repro import datatypes as dt
-    from repro.fs import SimFileSystem
+    from repro.fs import OsFileSystem, SimFileSystem
     from repro.fs.unmapped import unmapped
     from repro.io import File, MODE_CREATE, MODE_RDWR
     from repro.io.hints import Hints
     from repro.mpi import run_spmd
 
     out = {}
+    tmp = tempfile.TemporaryDirectory()
+    osfs = OsFileSystem(tmp.name)
     for name, dirs, path, fs in (
             ("small_indep", ("write", "read"), "", SimFileSystem()),
+            ("sparse_os", ("write",), "", osfs),
             ("coll_interleaved", ("write",), "", SimFileSystem()),
             ("coll_interleaved", ("write",), " (two-phase)",
              unmapped(SimFileSystem()))):
@@ -165,6 +175,8 @@ def measure_calls() -> dict:
         for d in dirs:
             out[f"{name} {d}{path}"] = (sum(c[d] for c in per_rank)
                                         / spec.nprocs)
+    osfs.close()
+    tmp.cleanup()
     return out
 
 
@@ -233,10 +245,16 @@ def check_collective(path: str, slack: float) -> int:
 def check_trace_overhead(iters: int, repeats: int, off_limit: float,
                          on_limit: float) -> int:
     """Tracing-cost gate on the windowed pack microbench (see module
-    docstring).  The three configs are timed *interleaved* — one repeat
-    of each per round, min-of-repeats compared — so slow drift in box
-    load (frequency scaling, a neighbour job) hits every config alike
-    instead of landing on whichever block ran during the bad stretch."""
+    docstring).  The three configs are timed *interleaved*: ``repeats``
+    rounds of one short run each, in an order that rotates per round,
+    and each round yields its own filtered/off and on/off ratios; the
+    gate holds the median ratio over the rounds.  A ratio within one
+    round compares runs milliseconds apart, so a host that switches
+    between fast and slow states hits both sides of it alike, and the
+    median drops the rounds a switch landed in.  Comparing each
+    config's best run over all rounds instead — as this gate did
+    before — compares runs from different host states; it failed about
+    half the time on an unchanged tree."""
     try:
         from benchmarks.bench_blockprog_windowed import run_pack_windowed
     except ImportError:  # run as a script: benchmarks/ is sys.path[0]
@@ -258,8 +276,8 @@ def check_trace_overhead(iters: int, repeats: int, off_limit: float,
     ]
     vals: dict = {name: [] for name, _ in configs}
     run_pack_windowed(4, win_periods=win_periods)  # warm caches untimed
-    for _ in range(repeats):
-        for name, config in configs:
+    for r in range(repeats):
+        for name, config in configs[r % 3:] + configs[:r % 3]:
             prev = trace.set_tracing(config)
             try:
                 trace.TRACER.clear()
@@ -267,20 +285,18 @@ def check_trace_overhead(iters: int, repeats: int, off_limit: float,
                     iters, win_periods=win_periods))
             finally:
                 trace.set_tracing(prev)
-    base = min(vals["off"])
-    filtered = min(vals["filtered"])
-    full = min(vals["on"])
-    ov_filtered = filtered / base - 1.0
-    ov_full = full / base - 1.0
-    print(f"trace overhead on windowed pack ({iters} windows, best of "
-          f"{repeats}):")
+    base = statistics.median(vals["off"])
+    ov_filtered = statistics.median(
+        f / o for f, o in zip(vals["filtered"], vals["off"])) - 1.0
+    ov_full = statistics.median(
+        f / o for f, o in zip(vals["on"], vals["off"])) - 1.0
+    print(f"trace overhead on windowed pack ({iters} windows, median of "
+          f"{repeats} interleaved rounds):")
     print(f"  off      {base * 1e3:8.2f} ms  (baseline)")
-    print(f"  filtered {filtered * 1e3:8.2f} ms  "
-          f"(+{max(ov_filtered, 0.0) * 100:.2f}%, limit "
-          f"{off_limit * 100:.0f}%)")
-    print(f"  on       {full * 1e3:8.2f} ms  "
-          f"(+{max(ov_full, 0.0) * 100:.2f}%, limit "
-          f"{on_limit * 100:.0f}%)")
+    print(f"  filtered {max(ov_filtered, 0.0) * 100:+8.2f}%  "
+          f"(limit {off_limit * 100:.0f}%)")
+    print(f"  on       {max(ov_full, 0.0) * 100:+8.2f}%  "
+          f"(limit {on_limit * 100:.0f}%)")
     failed = []
     if ov_filtered >= off_limit:
         failed.append("category-filtered tracing exceeds the "
@@ -312,10 +328,11 @@ def main() -> int:
                     dest="trace_overhead",
                     help="gate tracing cost on the windowed pack "
                          "microbench instead")
-    ap.add_argument("--trace-iters", type=int, default=400,
+    ap.add_argument("--trace-iters", type=int, default=50,
                     help="windows per timed run of the trace gate")
-    ap.add_argument("--trace-repeats", type=int, default=9,
-                    help="repeats per config (min is compared)")
+    ap.add_argument("--trace-repeats", type=int, default=201,
+                    help="interleaved rounds of the trace gate (the "
+                    "median of the per-round ratios is gated)")
     ap.add_argument("--trace-off-limit", type=float, default=0.02,
                     help="allowed overhead of category-filtered tracing")
     ap.add_argument("--trace-on-limit", type=float, default=0.10,

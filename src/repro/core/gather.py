@@ -181,7 +181,10 @@ _INT = {2: np.dtype(np.uint16), 4: np.dtype(np.uint32),
 # element view starts at byte ``start``: ``shape is None`` marks one
 # contiguous run (a plain slice), otherwise ``shape``/``strides`` give
 # the view and ``idx`` indexes it — ``...`` for a strided view, an
-# element or byte index over an overlapping ``strides=(1,)`` view.
+# element or byte index over an overlapping ``strides=(1,)`` view.  An
+# int ``strides`` with ``shape is None`` takes every ``strides``-th
+# element of the run ``[lo, hi)``: two slicings cost less than a
+# strided-view constructor.
 _LO, _HI, _START, _SHAPE, _STRIDES, _IDX = range(6)
 
 
@@ -195,6 +198,8 @@ def _strided_side(start: int, step: int, size: int, n: int) -> tuple:
     if step == size:
         return _run_side(start, n * size)
     last = start + (n - 1) * step
+    if step > 0 and step % size == 0:
+        return (start, last + size, start, None, step // size, ...)
     return (min(start, last), max(start, last) + size, start, (n,),
             (step,), ...)
 
@@ -267,9 +272,9 @@ class Kernel:
         self.stage = False
         it = _INT.get(size)
         if it is not None and pairs is None and count > _SMALL_N:
-            views = [s for s in (a, b) if s[_SHAPE] is not None]
+            views = [s[_STRIDES] for s in (a, b) if s[_STRIDES] is not None]
             self.stage = len(views) == 2
-            if all(s[_STRIDES][0] % size == 0 for s in views):
+            if all(type(st) is int or st[0] % size == 0 for st in views):
                 self.dtype, self.vdtype = it, self.dtype
 
     @property
@@ -328,13 +333,17 @@ class Kernel:
             return n
         dt = self.dtype
         s = astart + base
-        va = (buf[s : s + n].view(dt) if ashape is None else
+        va = (buf[s : s + ahi - alo].view(dt) if ashape is None else
               np.ndarray(ashape, dt, buffer=buf, offset=s,
                          strides=astrides))
+        if type(astrides) is int:
+            va = va[::astrides]
         s = bstart + pos
-        vb = (other[s : s + n].view(dt) if bshape is None else
+        vb = (other[s : s + bhi - blo].view(dt) if bshape is None else
               np.ndarray(bshape, dt, buffer=other, offset=s,
                          strides=bstrides))
+        if type(bstrides) is int:
+            vb = vb[::bstrides]
         staged = self.stage
         vdt = self.vdtype
         if vdt is not None:

@@ -125,9 +125,10 @@ class OsFile(FileBuffer):
         return n
 
     # The file buffer (see FileBuffer), used under _mu: one fstat per
-    # vectored call sizes it to the file.
-    def _eof(self) -> int:
-        return os.fstat(self._fd).st_size
+    # call sizes it to the file, which another process may have grown.
+    def _mapping(self):
+        size = os.fstat(self._fd).st_size
+        return size, self._buffer(size)
 
     def _buffer(self, size: int) -> np.ndarray:
         """A shared mapping covering the file's first ``size`` bytes:

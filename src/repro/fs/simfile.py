@@ -77,15 +77,17 @@ class FileBuffer:
     """The vectored extent calls and the mapped access of a file held
     in one byte buffer — a :class:`SimFile`'s array, an
     :class:`~repro.fs.posix.OsFile`'s mapping: one kernel copy per
-    call, under the backend's ``_mu``.  A backend provides ``_eof()``
-    (the file size), ``_buffer(size)`` (a byte array whose first
-    ``size`` bytes are the file) and ``_grow(end, last)`` (make the
-    file ``end`` bytes, holes zero, before a write whose byte at
-    ``end - 1`` is ``last`` — a one-byte array — lands).
+    call, under the backend's ``_mu``.  A backend provides
+    ``_mapping()`` (the file size and a byte array whose first ``size``
+    bytes are the file), ``_buffer(size)`` (such an array for ``size``
+    bytes) and ``_grow(end, last)`` (make the file ``end`` bytes, holes
+    zero, before a write whose byte at ``end - 1`` is ``last`` — a
+    one-byte array — lands).  The buffer is fetched anew on every call:
+    ``SimFile`` reallocates its array to grow, ``OsFile`` remaps.
     """
 
     def map_access(self, lo: int, hi: int, nbytes: int, write: bool,
-                   copy, *args) -> float:
+                   secs, copy, *args) -> float:
         """One access of ``nbytes`` of the file's bytes in ``[lo, hi)``,
         copied by ``copy(buf, origin, *args)`` under ``_mu``: ``buf[i]``
         is file byte ``origin + i``.  Normally ``buf`` is the file
@@ -102,31 +104,37 @@ class FileBuffer:
         ``lo``), what a sieving window reads.
 
         Charged as one device op moving ``nbytes`` over the stripes
-        ``[lo, hi)`` spans (one read or write in :class:`FileStats`);
-        returns its simulated seconds.
+        ``[lo, hi)`` spans (one read or write in :class:`FileStats`):
+        ``secs`` simulated seconds if the caller has them, else the
+        device model's.  Returns the seconds charged.
         """
         t0 = trace.now() if trace.TRACE_ON else 0.0
-        with self._mu:
-            size = self._eof()
+        mu = self._mu
+        mu.acquire()  # not ``with``: a context manager costs more
+        try:
+            size, buf = self._mapping()
             if hi <= size:
-                copy(self._buffer(size), 0, *args)
+                copy(buf, 0, *args)
             elif write:
                 self._grow(hi, _ZERO)
                 copy(self._buffer(hi), 0, *args)
             else:
                 win = np.zeros(hi - lo, dtype=np.uint8)
                 if size > lo:
-                    win[:size - lo] = self._buffer(size)[lo:size]
+                    win[:size - lo] = buf[lo:size]
                 copy(win, lo, *args)
-        st = self.striping
-        streams = 1 if st.ndisks == 1 else st.streams_for(lo, hi - lo)
+        finally:
+            mu.release()
+        if secs is None:
+            st = self.striping
+            streams = 1 if st.ndisks == 1 else st.streams_for(lo, hi - lo)
+            secs = (self.device.write_time if write
+                    else self.device.read_time)(nbytes, streams)
         if write:
-            secs = self.device.write_time(nbytes, streams)
             self.stats.record_write(nbytes, secs)
         else:
-            secs = self.device.read_time(nbytes, streams)
             self.stats.record_read(nbytes, secs)
-        if trace.TRACE_ON:
+        if t0:
             trace.TRACER.add("fs.map", t0, bytes=nbytes, write=write)
         return secs
 
@@ -146,8 +154,7 @@ class FileBuffer:
         t0 = trace.now() if trace.TRACE_ON else 0.0
         got, short = lens, None
         with self._mu:
-            size = self._eof()
-            mem = self._buffer(size)
+            size, mem = self._mapping()
             if int((offs + lens).max(initial=0)) <= size:
                 if total:
                     classify(offs, lens).gather(mem, 0, out, pos)
@@ -189,7 +196,7 @@ class FileBuffer:
             # file, nor reach the kernel's span check.
             wo, wl = offs[lens > 0], lens[lens > 0]
         with self._mu:
-            size = self._eof()
+            size, _ = self._mapping()
             end = int((wo + wl).max(initial=size))
             if end > size:
                 # The last byte of the extent that ends the file.
@@ -287,8 +294,8 @@ class SimFile(FileBuffer):
         return n
 
     # The file buffer (see FileBuffer), used under _mu.
-    def _eof(self) -> int:
-        return self._size
+    def _mapping(self):
+        return self._size, self._data
 
     def _buffer(self, size: int) -> np.ndarray:
         return self._data

@@ -98,18 +98,26 @@ class FileStats:
                     ops: int = 1) -> None:
         """Charge ``ops`` reads moving ``nbytes`` in total (a vectored
         call counts one read per extent)."""
-        with self._mu:
+        mu = self._mu
+        mu.acquire()  # every file op passes here: not ``with``
+        try:
             self.n_reads += ops
             self.bytes_read += nbytes
             self.sim_time += sim_time
+        finally:
+            mu.release()
         self.last.seconds = sim_time
 
     def record_write(self, nbytes: int, sim_time: float,
                      ops: int = 1) -> None:
-        with self._mu:
+        mu = self._mu
+        mu.acquire()
+        try:
             self.n_writes += ops
             self.bytes_written += nbytes
             self.sim_time += sim_time
+        finally:
+            mu.release()
         self.last.seconds = sim_time
 
     def record_lock(self) -> None:

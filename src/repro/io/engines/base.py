@@ -23,6 +23,7 @@ contrasts.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -260,21 +261,33 @@ class IOEngine:
 
     def run_independent(self, mem: MemDescriptor, d0: int,
                         write: bool) -> None:
-        """Plan (a replay hit, normally) and run one independent access.
-        The ``<engine>.write_independent``/``read_independent`` span is
-        built only when tracing is on."""
+        """Plan (a replay hit, normally) and run one independent access:
+        on a file buffer straight on the executor (nothing ships).
+        Under atomic mode the whole access range stays locked across it
+        (:meth:`File._atomic_guard`); the ``<engine>.write_independent``
+        /``read_independent`` span is built only when tracing is on."""
         n = mem.nbytes
         if not n:
             return
-        if trace.TRACE_ON:
-            kind = "write" if write else "read"
-            with trace.span(f"{self.name}.{kind}_independent", bytes=n):
+        fh = self.fh
+        if not (fh.shared.atomicity or trace.TRACE_ON):
+            plan, delta = self.planner.plan_independent_bound(d0, n, write)
+            if self.mapped:
+                self.executor.run(plan, mem, None, delta)
+            else:
+                self.run_plan(plan, mem, None, delta)
+            return
+        guard = fh._atomic_guard(mem, d0)
+        kind = "write" if write else "read"
+        try:
+            with (trace.span(f"{self.name}.{kind}_independent", bytes=n)
+                  if trace.TRACE_ON else contextlib.nullcontext()):
                 plan, delta = self.planner.plan_independent_bound(
                     d0, n, write)
                 self.run_plan(plan, mem, None, delta)
-            return
-        plan, delta = self.planner.plan_independent_bound(d0, n, write)
-        self.run_plan(plan, mem, None, delta)
+        finally:
+            if guard:
+                fh.simfile.unlock_range(*guard)
 
     # ------------------------------------------------------------------
     # Collective access: mapped on a file buffer, else two-phase rounds
@@ -297,7 +310,7 @@ class IOEngine:
         """On a :class:`~repro.fs.simfile.FileBuffer` (``SimFile``,
         ``OsFile``) every rank already shares the file's bytes, so the
         access is *mapped*: one barrier, then the rank's own access
-        through :meth:`File._independent` (one mapped file op; the
+        through :meth:`run_independent` (one mapped file op; the
         whole-access range lock in atomic mode).  The barrier orders
         every rank's previous collective before any rank touches the
         file — the ordering the two-phase range allgather gives — so a
@@ -312,9 +325,8 @@ class IOEngine:
 
             run_collective(self, mem, d0, write)
             return
-        fh = self.fh
         t0 = time.perf_counter()
-        fh.comm.barrier()
+        self.fh.comm.barrier()
         self.stats.phases.sync += time.perf_counter() - t0
         flight.note("collective", path="mapped", write=write)
-        fh._independent(mem, d0, write)
+        self.run_independent(mem, d0, write)

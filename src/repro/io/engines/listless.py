@@ -100,6 +100,9 @@ class ListlessEngine(IOEngine):
 
     name = "listless"
     cacheable_plans = True
+    #: MEM-piece copies are memory-side kernel calls too (see
+    #: :class:`~repro.plan.executor.MemCodec`).
+    counts_mem_copies = True
 
     def __init__(self, fh) -> None:
         super().__init__(fh)
@@ -184,14 +187,6 @@ class ListlessEngine(IOEngine):
             data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
             origin=mem.origin, owner=self.fh.shared.file_key,
         )
-
-    def note_mem_copy(self, mem: MemDescriptor) -> None:
-        """Executor hook, once per MEM-piece copy (a mapped access or a
-        sieved window moving straight between file buffer and user
-        memory): counts the memory-side kernel call as :meth:`pack_mem`
-        would."""
-        if not mem.is_contiguous:
-            self.stats.ff_kernel_calls += 1
 
     # ------------------------------------------------------------------
     # Collective access: one cached round-based plan for both roles

@@ -453,18 +453,6 @@ class File:
             )
         return ptr + nbytes // esize
 
-    def _independent(self, mem: MemDescriptor, d0: int,
-                     write: bool) -> None:
-        """One blocking independent access; under atomic mode the whole
-        access range stays locked across it."""
-        guard = self._atomic_guard(mem, d0) if self.shared.atomicity \
-            else None
-        try:
-            self.engine.run_independent(mem, d0, write)
-        finally:
-            if guard:
-                self.simfile.unlock_range(*guard)
-
     def _atomic_guard(self, mem: MemDescriptor, d0: int):
         """Whole-access range lock under atomic mode."""
         if not self.shared.atomicity or mem.nbytes == 0:
@@ -485,10 +473,11 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Independent write at etype offset ``offset``."""
-        self._check_open()
-        self._check_writable()
-        self._independent(MemDescriptor(buf, count, memtype),
-                          offset * self.view.esize, True)
+        if self._closed or not self.amode & (MODE_WRONLY | MODE_RDWR):
+            self._check_open()
+            self._check_writable()
+        self.engine.run_independent(MemDescriptor(buf, count, memtype),
+                                    offset * self.view.esize, True)
 
     def read_at(
         self,
@@ -498,9 +487,10 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Independent read at etype offset ``offset``."""
-        self._check_open()
-        self._check_readable()
-        self._independent(
+        if self._closed or not self.amode & (MODE_RDONLY | MODE_RDWR):
+            self._check_open()
+            self._check_readable()
+        self.engine.run_independent(
             MemDescriptor(buf, count, memtype, dest=True),
             offset * self.view.esize, False)
 

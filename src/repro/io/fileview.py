@@ -26,6 +26,8 @@ from repro.errors import IOEngineError
 
 __all__ = ["FileView", "MemDescriptor", "default_view"]
 
+_U8 = np.dtype(np.uint8)
+
 
 @dataclass(frozen=True)
 class FileView:
@@ -117,15 +119,18 @@ class MemDescriptor:
         self.count = count
         self.memtype = mt = memtype
         self.dest = dest
-        if not buf.flags.c_contiguous:
+        flags = buf.flags
+        if not flags.c_contiguous:
             if dest:
                 raise IOEngineError(
                     f"read destination of shape {buf.shape} with strides "
                     f"{buf.strides} is not C-contiguous"
                 )
             buf = np.ascontiguousarray(buf)
-        self.as_bytes = b = buf.view(np.uint8).reshape(-1)
-        if dest and not b.flags.writeable:
+        # A 1-D byte buffer is its own flat byte view.
+        self.as_bytes = b = (buf if buf.dtype is _U8 and buf.ndim == 1
+                             else buf.view(np.uint8).reshape(-1))
+        if dest and not flags.writeable:
             raise IOEngineError("read destination is read-only")
         if origin is None:
             origin = -min(mt.lb, mt.true_lb, 0)

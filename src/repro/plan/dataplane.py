@@ -99,7 +99,8 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
     if memo is not None:
         prog = memo.get(key)
         if prog is not None:
-            memo.move_to_end(key)
+            if len(memo) > 1:
+                memo.move_to_end(key)
             SESSION.get().prog_stats.hits += 1
             return prog
     n = blocks.nbytes

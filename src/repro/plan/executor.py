@@ -85,8 +85,8 @@ class MemCodec(Protocol):
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                    data: np.ndarray) -> None: ...
 
-    # Optional: ``note_mem_copy(mem)`` is called once per MEM-piece
-    # copy, to count the memory-side kernel call.
+    # Optional: ``counts_mem_copies = True`` counts each MEM-piece copy
+    # of strided memory in ``codec.stats.ff_kernel_calls``.
 
 
 class KernelCodec:
@@ -180,29 +180,47 @@ class PlanExecutor:
         self._pending_async: Dict[int, float] = {}
         self._round_rows: Dict[int, dict] = {}
         self._inline_comp = 0.0
-        #: The codec's optional MEM-copy hook (see :class:`MemCodec`).
-        self._note_mem = getattr(self.codec, "note_mem_copy", None)
+        #: Where MEM-piece copies count (see :class:`MemCodec`), or None.
+        self._ff = (self.codec.stats if getattr(
+            self.codec, "counts_mem_copies", False) else None)
 
     # ------------------------------------------------------------------
     # Lowering: each op becomes one step ``(handler, op, bucket, span)``
     # ------------------------------------------------------------------
-    @staticmethod
-    def lower(plan: IOPlan) -> Tuple[bool, tuple]:
-        """``(collective, steps)`` of ``plan``, built once and memoized on
-        the plan (as ``Blocks.prog`` is).  A step is ``(handler, op,
-        bucket, span)``: the function called as ``handler(executor,
-        plan, op, mem, bufs)``, the phase bucket billed (``None`` for
-        round markers) and the trace span.  Every choice the op alone
-        decides — file-op mode, dense window, offloading — is taken
-        here.  ``collective`` marks plans with rounds, exchanges or
-        pipelined ops: only their runs set up that bookkeeping.  An
-        uncached plan (no ``signature``) is lowered op by op as it runs.
+    def lower(self, plan: IOPlan) -> Tuple[bool, tuple, object]:
+        """``(collective, steps, bound)`` of ``plan``, built once and
+        memoized on the plan (as ``Blocks.prog`` is).  A step is
+        ``(handler, op, bucket, span)``: the function called as
+        ``handler(executor, plan, op, mem, bufs)``, the phase bucket
+        billed (``None`` for round markers) and the trace span.  Every
+        choice the op alone decides — file-op mode, dense window,
+        offloading — is taken here.  ``collective`` marks plans with
+        rounds, exchanges or pipelined ops: only their runs set up that
+        bookkeeping.  A plan of one mapped :data:`MEM` op — every
+        listless independent access on a ``SimFile``/``OsFile`` — is
+        also ``bound``, for :meth:`run`: ``(lo, hi, nbytes, write,
+        strict, blocks, rel, span, file, secs)``, ``rel`` the piece's
+        first data byte in the access and ``secs`` the op's device
+        seconds on ``file``, precomputed on one disk.  The file buffer
+        is not bound: ``SimFile`` reallocates its array to grow and
+        ``OsFile`` remaps, so ``map_access`` fetches it per call.
         """
         low = plan.lowered
         if low is None:
-            steps = tuple(map(_lower_op, plan.ops))
-            coll = any(s[0] in _COLLECTIVE_STEPS for s in steps)
-            low = (coll, steps)
+            ops, bound = plan.ops, None
+            op = ops[0] if ops else None
+            if (len(ops) == 1 and type(op) in (FileReadOp, FileWriteOp)
+                    and op.mode == "mapped" and op.pieces[0].slot == MEM):
+                file, write = self.file, type(op) is FileWriteOp
+                dev, n = file.device, plan.nbytes
+                secs = ((dev.write_time if write else dev.read_time)(n)
+                        if file.striping.ndisks == 1 else None)
+                bound = (op.lo, op.hi, n, write, not write and op.strict,
+                         op.pieces[0].blocks, op.pieces[0].d_lo - plan.d0,
+                         f"exec.{type(op).__name__}", file, secs)
+            steps = tuple(map(_lower_op, ops))
+            low = (any(s[0] in _COLLECTIVE_STEPS for s in steps), steps,
+                   bound)
             object.__setattr__(plan, "lowered", low)
         return low
 
@@ -218,12 +236,34 @@ class PlanExecutor:
         the replay fast path re-binds a cached relocatable plan to a
         period-translated access this way.  Each step is billed the
         time since the previous op boundary (chained stamps).
+        A bound plan runs with no step loop and no staging table: one
+        ``map_access`` call, billed ``pack``/``unpack`` up to the copy's
+        end (:meth:`_mem_copy`) and ``file_io`` after it.
         """
-        if plan.lowered is None and plan.signature is None:
-            # An uncached plan runs once: lower each op as it runs.
-            coll, steps = True, map(_lower_op, plan.ops)
-        else:
-            coll, steps = plan.lowered or self.lower(plan)
+        coll, steps, bound = plan.lowered or self.lower(plan)
+        if bound is not None:
+            lo, hi, nbytes, write, strict, blocks, rel, span, file, secs = \
+                bound
+            if file is not self.file:  # a plan bound on another file
+                file, secs = self.file, None
+            if strict:
+                self._check_strict(lo, lo + file_delta, hi + file_delta,
+                                   nbytes)
+            t0 = perf_counter()
+            stats = self.stats
+            stats.device_sync_seconds += file.map_access(
+                lo + file_delta, hi + file_delta, nbytes, write, secs,
+                self._mem_copy, file_delta, blocks, mem, rel, write, t0)
+            stats.executed_ops += 1
+            if write:
+                stats.executed_file_writes += 1
+            else:
+                stats.executed_file_reads += 1
+            t1 = perf_counter()
+            self.phases.file_io += t1 - t0
+            if trace.TRACE_ON:
+                trace.TRACER.add(span, t0, t1, plan=plan.kind)
+            return {}
         bufs: Dict[object, object] = {}
         self._sizes = {}
         self._live = 0
@@ -640,8 +680,9 @@ class PlanExecutor:
         self.stats.device_sync_seconds += self._last.seconds
         for piece in op.pieces:
             if piece.slot == MEM:
-                self._mem_copy(fb, op.lo + self._fdelta, plan, piece,
-                               mem, False)
+                self._mem_copy(fb, op.lo + self._fdelta, self._fdelta,
+                               piece.blocks, mem, piece.d_lo - plan.d0,
+                               False, perf_counter())
                 continue
             buf = self._ensure_buf(
                 plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
@@ -680,56 +721,53 @@ class PlanExecutor:
                 f"short read: {got} of {lens[i]} bytes at {offs[i]}"
             )
 
-    def _mem_copy(self, fb: np.ndarray, origin: int, plan, piece: Piece,
-                  mem, write: bool) -> int:
-        """Copy a MEM piece between ``fb`` — a window buffer, or the file
-        buffer itself — and user memory in one pair-program call;
-        ``fb[i]`` is file byte ``origin + i`` (translated by the run's
-        ``file_delta``).  Returns bytes copied.  Billed to ``pack``
-        (write) or ``unpack`` (read), out of ``file_io``."""
+    def _mem_copy(self, fb: np.ndarray, origin: int, delta: int, blocks,
+                  mem, rel: int, write: bool, t0: float) -> int:
+        """Copy a MEM piece (``blocks``, data bytes from ``rel`` of the
+        access) between ``fb`` — a window buffer, or the file buffer
+        itself — and user memory in one pair-program call; ``fb[i]`` is
+        file byte ``origin + i`` and plan offsets are translated by
+        ``delta``.  Returns bytes copied.  Billed to ``pack`` (write) or
+        ``unpack`` (read) from ``t0``, out of ``file_io``."""
         if mem is None:
             raise IOEngineError("memory piece in a plan run without memory")
-        t0 = perf_counter()
-        if self._note_mem is not None:
-            self._note_mem(mem)
-        rel = piece.d_lo - plan.d0
-        wlo = origin - self._fdelta
+        ff = self._ff
+        if ff is not None and not mem.is_contiguous:
+            ff.ff_kernel_calls += 1
         phases = self.phases
         if write:
-            n = DataPlane.scatter(fb, wlo, piece.blocks, mem, rel)
+            n = DataPlane.scatter(fb, origin - delta, blocks, mem, rel)
             el = perf_counter() - t0
             phases.pack += el
         else:
-            n = DataPlane.gather(fb, wlo, piece.blocks, mem, rel)
+            n = DataPlane.gather(fb, origin - delta, blocks, mem, rel)
             el = perf_counter() - t0
             phases.unpack += el
         phases.file_io -= el
         return n
 
+    def _check_strict(self, op_lo: int, lo: int, hi: int, nbytes: int):
+        """A strict read of file bytes ``[lo, hi)`` fails short of EOF."""
+        size = self.file.size
+        if hi > size:
+            raise IOEngineError(f"short read: {max(size - lo, 0)} of "
+                                f"{nbytes} bytes at {op_lo}")
+
     # -- mapped access (reads and writes) ------------------------------
     def _mapped(self, plan, op, mem, bufs) -> None:
-        """Mapped mode: the op's one piece copies straight into or out
-        of the file buffer, in one :meth:`~repro.fs.simfile.FileBuffer.
-        map_access` call (one device op, no lock).  A :data:`MEM` piece
-        is one pair-kernel call (:meth:`_mem_copy`); a staged one goes
-        through :meth:`_map_stage`."""
+        """Mapped mode (a :data:`MEM` piece's plan runs bound, see
+        :meth:`run`): the staged piece copies straight into or out of
+        the file buffer, in one :meth:`~repro.fs.simfile.FileBuffer.
+        map_access` call (one device op, no lock), by :meth:`_map_stage`."""
         write = type(op) is FileWriteOp
         d = self._fdelta
         lo, hi = op.lo + d, op.hi + d
         if not write and op.strict:
-            size = self.file.size
-            if hi > size:
-                raise IOEngineError(
-                    f"short read: {max(size - lo, 0)} of {plan.nbytes} "
-                    f"bytes at {op.lo}"
-                )
-        piece = op.pieces[0]
-        copy = ((self._mem_copy, plan, piece, mem, write)
-                if piece.slot == MEM else
-                (self._map_stage, plan, op, piece, mem, bufs, write))
+            self._check_strict(op.lo, lo, hi, plan.nbytes)
         stats = self.stats
         stats.device_sync_seconds += self.file.map_access(
-            lo, hi, plan.nbytes, write, *copy)
+            lo, hi, plan.nbytes, write, None, self._map_stage, plan, op,
+            op.pieces[0], mem, bufs, write)
         if write:
             stats.executed_file_writes += 1
         else:
@@ -786,8 +824,9 @@ class PlanExecutor:
         scattered = 0
         for piece in op.pieces:
             if piece.slot == MEM:
-                scattered += self._mem_copy(fb, lo, plan, piece, mem,
-                                            True)
+                scattered += self._mem_copy(
+                    fb, lo, self._fdelta, piece.blocks, mem,
+                    piece.d_lo - plan.d0, True, perf_counter())
                 continue
             arr, base, _zc = self._payload_view(bufs, piece)
             pos = piece.d_lo - base

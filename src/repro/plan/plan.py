@@ -12,17 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.plan.ops import (
-    DrainOp,
-    ExchangeOp,
-    FileReadOp,
-    FileWriteOp,
-    GatherOp,
-    LockOp,
-    PlanOp,
-    RoundOp,
-    ScatterOp,
-)
+from repro.plan.ops import PlanOp
 
 __all__ = ["IOPlan"]
 
@@ -55,45 +45,13 @@ class IOPlan:
     signature: Optional[tuple] = None
     planned_windows: int = 0
     coalesced_bytes: int = 0
-    #: The executor's lowered form, ``(collective, steps)`` — built on
-    #: first run and memoized here (see ``PlanExecutor.lower``); a
-    #: cache, not part of the plan.
+    #: The executor's lowered form, ``(collective, steps, bound)`` —
+    #: built on first run and memoized here (see
+    #: ``PlanExecutor.lower``); a cache, not part of the plan.
     lowered: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def is_write(self) -> bool:
-        return "write" in self.kind
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    # ------------------------------------------------------------------
-    def counts(self) -> Dict[str, int]:
-        """Op counts by category (for stats and tests)."""
-        out = {
-            "gather": 0, "scatter": 0, "file_read": 0, "file_write": 0,
-            "lock": 0, "exchange": 0, "round": 0, "drain": 0, "other": 0,
-        }
-        for op in self.ops:
-            if isinstance(op, GatherOp):
-                out["gather"] += 1
-            elif isinstance(op, ScatterOp):
-                out["scatter"] += 1
-            elif isinstance(op, FileReadOp):
-                out["file_read"] += 1
-            elif isinstance(op, FileWriteOp):
-                out["file_write"] += 1
-            elif isinstance(op, LockOp):
-                out["lock"] += 1
-            elif isinstance(op, ExchangeOp):
-                out["exchange"] += 1
-            elif isinstance(op, RoundOp):
-                out["round"] += 1
-            elif isinstance(op, DrainOp):
-                out["drain"] += 1
-            else:
-                out["other"] += 1
-        return out
 
     def describe(self) -> str:
         """Multi-line rendering of the plan (``repro.cli plan-dump``)."""

@@ -53,8 +53,8 @@ the engine's own view walk.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
+from time import perf_counter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,6 +85,14 @@ __all__ = ["Planner"]
 #: Plans holding more materialized block entries than this are built
 #: and run but never cached (memory guard for huge accesses).
 MAX_CACHED_BLOCKS = 1 << 18
+
+
+def _direct_write(lo: int, hi: int, piece: Piece) -> tuple:
+    """A direct write of ``piece`` over ``[lo, hi)``, under the lock of
+    its span: landing inside another rank's sieving window between its
+    pre-read and write-back, it would be written over with stale bytes."""
+    return (LockOp(lo, hi), FileWriteOp(lo, hi, "direct", (piece,)),
+            UnlockOp(lo, hi))
 
 
 class Planner:
@@ -189,11 +197,11 @@ class Planner:
         """Plan one independent access (cache-served or freshly built);
         the whole call — lookup, navigation, windowing — bills to the
         ``plan`` phase bucket."""
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         try:
             return self._plan_independent(d0, nbytes, write)
         finally:
-            self.phases.add("plan", time.perf_counter() - t0)
+            self.phases.add("plan", perf_counter() - t0)
             if trace.TRACE_ON:
                 trace.TRACER.add("plan.independent", t0, write=write,
                                  nbytes=nbytes)
@@ -212,13 +220,14 @@ class Planner:
         cached pre-bound plan plus the scalar translation to apply at
         the file boundary.
         """
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         try:
             key = None
             q = 0
-            view = self.engine.fh.view
+            fh = self.engine.fh
+            view = fh.view
             if self.cacheable and nbytes > 0 and view.ft_size > 0:
-                if (self.engine.fh.hints is not self._fp_hints
+                if (fh.hints is not self._fp_hints
                         or self.storage is not self._fp_storage):
                     self._fingerprint()  # drops the table if hints changed
                 q, r = divmod(d0, view.ft_size)
@@ -226,7 +235,8 @@ class Planner:
                 entry = self._replay.get(key)
                 if entry is not None:
                     plan, q0 = entry
-                    self._replay.move_to_end(key)
+                    if len(self._replay) > 1:
+                        self._replay.move_to_end(key)
                     st = self.stats
                     st.plan_cache_hits += 1
                     st.plan_replays += 1
@@ -238,7 +248,7 @@ class Planner:
                     self._replay.popitem(last=False)
             return plan, 0
         finally:
-            self.phases.plan += time.perf_counter() - t0
+            self.phases.plan += perf_counter() - t0
             if trace.TRACE_ON:
                 trace.TRACER.add("plan.independent", t0, write=write,
                                  nbytes=nbytes)
@@ -278,7 +288,7 @@ class Planner:
             piece = Piece(STAGE, d0, d1, blocks)
             if write:
                 ops = (GatherOp(d0, d1),
-                       FileWriteOp(lo, lo + nbytes, "direct", (piece,)))
+                       *_direct_write(lo, lo + nbytes, piece))
             else:
                 ops = (FileReadOp(lo, lo + nbytes, "direct", (piece,),
                                   strict=True),
@@ -299,8 +309,7 @@ class Planner:
                             np.array([nbytes], dtype=np.int64))
             piece = Piece(STAGE, d0, d1, blocks)
             if write:
-                ops = (GatherOp(d0, d1),
-                       FileWriteOp(lo, hi, "direct", (piece,)))
+                ops = (GatherOp(d0, d1), *_direct_write(lo, hi, piece))
             else:
                 ops = (FileReadOp(lo, hi, "direct", (piece,)),
                        ScatterOp(d0, d1))
@@ -395,8 +404,7 @@ class Planner:
             blocks = None  # executor streams the engine's view walk
         piece = Piece(STAGE, d0, d1, blocks)
         if write:
-            ops = (GatherOp(d0, d1),
-                   FileWriteOp(lo, hi, "direct", (piece,)))
+            ops = (GatherOp(d0, d1), *_direct_write(lo, hi, piece))
         else:
             ops = (FileReadOp(lo, hi, "direct", (piece,)),
                    ScatterOp(d0, d1))
@@ -469,12 +477,12 @@ class Planner:
                         schedule) -> IOPlan:
         """Plan one collective access; billed to the ``plan`` bucket
         like :meth:`plan_independent`."""
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         try:
             return self._plan_collective(write, rng, ranges, domains,
                                          schedule)
         finally:
-            self.phases.add("plan", time.perf_counter() - t0)
+            self.phases.add("plan", perf_counter() - t0)
             if trace.TRACE_ON:
                 trace.TRACER.add("plan.collective", t0, write=write)
 

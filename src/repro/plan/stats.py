@@ -13,7 +13,7 @@ from dataclasses import dataclass
 __all__ = ["PlanStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanStats:
     """Plan-layer counters for one (rank, open file)."""
 

@@ -151,3 +151,71 @@ def test_mixed_independent_and_collective(engine):
         fh.close()
 
     run_spmd(P, worker)
+
+
+class PausedPreread:
+    """Hooks for a ``SimFile``: its first ``pread_into`` (a sieving
+    write's window pre-read) signals ``preread`` and then waits up to
+    ``PAUSE`` seconds for a write (``pwritev_blocks`` or ``pwrite``) to
+    land before it returns."""
+
+    PAUSE = 0.3
+
+    def __init__(self, f) -> None:
+        import threading
+
+        self.preread = threading.Event()
+        self.direct = threading.Event()
+        pread = f.pread_into
+
+        def pread_into(offset, out):
+            n = pread(offset, out)
+            if not self.preread.is_set():
+                self.preread.set()
+                self.direct.wait(self.PAUSE)
+            return n
+
+        def signalling(write):
+            def call(*args, **kwargs):
+                res = write(*args, **kwargs)
+                self.direct.set()
+                return res
+            return call
+
+        f.pread_into = pread_into
+        f.pwritev_blocks = signalling(f.pwritev_blocks)
+        f.pwrite = signalling(f.pwrite)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_direct_write_inside_a_sieved_window_survives(engine):
+    """Rank 0 sieves its Fig. 4 view (read-modify-write of a window that
+    also covers rank 1's blocks); rank 1 writes its interleaved blocks
+    direct (``ds_write=false``) while rank 0 sits between its pre-read
+    and its write-back.  The direct write takes the lock of its span,
+    so it waits for the window's write-back instead of being written
+    over by the window's stale bytes."""
+    P, bl, nb = 2, 8, 16
+    A = bl * nb
+    inner = SimFileSystem()
+    f = inner.create("/f")
+    f.truncate(P * A)
+    hooks = PausedPreread(f)
+    fs = unmapped(inner)
+
+    def worker(comm):
+        r = comm.rank
+        hints = Hints(ds_write=r == 0)
+        fh = File.open(comm, fs, "/f", MODE_RDWR, engine=engine,
+                       hints=hints)
+        fh.set_view(0, dt.BYTE, build_noncontig_filetype(P, r, bl, nb))
+        if r == 1:
+            assert hooks.preread.wait(5)
+        fh.write_at(0, np.full(A, r + 1, dtype=np.uint8))
+        fh.close()
+
+    run_spmd(P, worker)
+    assert hooks.preread.is_set()
+    data = f.contents().reshape(nb, P, bl)
+    assert (data[:, 0] == 1).all()
+    assert (data[:, 1] == 2).all()

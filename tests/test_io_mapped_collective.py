@@ -219,11 +219,11 @@ class PausedFile(SimFile):
         self.wait_on_write = wait_on_write
         self.landed = threading.Event()
 
-    def map_access(self, lo, hi, nbytes, write, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
         if write == self.wait_on_write:
             self.landed.wait(self.PAUSE)
-            return super().map_access(lo, hi, nbytes, write, copy, *args)
-        sec = super().map_access(lo, hi, nbytes, write, copy, *args)
+            return super().map_access(lo, hi, nbytes, write, secs, copy, *args)
+        sec = super().map_access(lo, hi, nbytes, write, secs, copy, *args)
         self.landed.set()
         return sec
 
@@ -288,9 +288,9 @@ class TornFile(SimFile):
     separate processes into one shared mapping interleave.  Only the
     atomic-mode range lock keeps overlapping writes whole."""
 
-    def map_access(self, lo, hi, nbytes, write, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
         if not write:
-            return super().map_access(lo, hi, nbytes, write, copy, *args)
+            return super().map_access(lo, hi, nbytes, write, secs, copy, *args)
         stage = np.zeros(hi - lo, dtype=np.uint8)
         copy(stage, lo, *args)
         mid = (hi - lo) // 2

@@ -62,13 +62,13 @@ class FlakyFile(SimFile):
         self.writes_done += n
         return res
 
-    def map_access(self, lo, hi, nbytes, write, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
         # A mapped write is one write: one fault check, one count.
         if write and self._writes_left is not None:
             if self._writes_left == 0:
                 raise FileSystemError("injected write fault")
             self._writes_left -= 1
-        secs = super().map_access(lo, hi, nbytes, write, copy, *args)
+        secs = super().map_access(lo, hi, nbytes, write, secs, copy, *args)
         if write:
             self.writes_done += 1
         return secs

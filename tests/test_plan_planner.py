@@ -37,6 +37,11 @@ def fine_vector():
                      dt.BYTE)
 
 
+def write_modes(plan):
+    """The modes of a plan's file writes."""
+    return {op.mode for op in plan.ops if isinstance(op, FileWriteOp)}
+
+
 def open_one(fs, engine, info=None):
     return lambda comm: File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
                                   engine=engine, info=info)
@@ -325,24 +330,23 @@ class TestHintFingerprint:
             buf = np.zeros(A, dtype=np.uint8)
             mem = fh._mem(buf, None, None)
             sieved = fh.engine.plan_write_independent(mem, 0)
-            assert any(isinstance(op, LockOp) for op in sieved.ops)
+            assert "rmw" in write_modes(sieved)
             fh.write_at(0, buf)
-            locks_before = self.snap(fh)["executed_locks"]
+            reads_before = fh.simfile.stats.n_reads
             # Disabling write sieving changes what a correct plan
             # contains; with epoch-only keys the stale sieved plan
             # would be replayed here.
             fh.set_info({"ds_write": "false"})
             direct = fh.engine.plan_write_independent(mem, 0)
-            assert not any(isinstance(op, LockOp) for op in direct.ops)
+            assert write_modes(direct) == {"direct"}
             fh.write_at(0, buf)
-            box["locks"] = (locks_before,
-                            self.snap(fh)["executed_locks"])
+            box["reads"] = (reads_before, fh.simfile.stats.n_reads)
             fh.close()
 
         run_spmd(1, worker)
-        before, after = box["locks"]
+        before, after = box["reads"]
         assert before > 0
-        assert after == before  # the direct write took no locks
+        assert after == before  # the direct write pre-read nothing
 
     def test_sieve_toggle_leaves_mapped_plans_alone(self):
         """Twin on the mapped path: ``ds_write`` no longer changes what
