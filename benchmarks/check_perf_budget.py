@@ -79,15 +79,21 @@ MIN_COLLECTIVE_RUNS = 3
 #: took the ``coll_interleaved`` write from 516 to 31.  Binding a
 #: replayed mapped access into one step took ``small_indep`` to 12 / 12,
 #: the ``OsFile`` write of ``sparse_os`` (one call more: its mapping)
-#: from 20 to 13 and the mapped ``coll_interleaved`` write to 26.  Those
-#: budgets are the counts plus 2.  The two-phase entry runs the same
-#: collective on an :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and
-#: keeps the budget the compiled two-phase collective had.
+#: from 20 to 13 and the mapped ``coll_interleaved`` write to 26.  One
+#: bound call from the file handle to the copy kernel took them to 6 / 6,
+#: 7 and 21.  Those budgets are the counts plus 2.  The traced entry is
+#: the same ``small_indep`` write with tracing on: tracing adds its spans
+#: to the bound call and never sends a replay back through the planner
+#: and the executor (29 calls; 35 before the bound call, 38 unbound).
+#: The two-phase entry runs the same collective on an
+#: :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and keeps the budget
+#: the compiled two-phase collective had.
 CALL_BUDGETS = {
-    "small_indep write": 14,
-    "small_indep read": 14,
-    "sparse_os write": 15,
-    "coll_interleaved write": 28,
+    "small_indep write": 8,
+    "small_indep read": 8,
+    "small_indep write (traced)": 31,
+    "sparse_os write": 9,
+    "coll_interleaved write": 23,
     "coll_interleaved write (two-phase)": 537,
 }
 
@@ -136,12 +142,14 @@ def measure_calls() -> dict:
     from repro.io import File, MODE_CREATE, MODE_RDWR
     from repro.io.hints import Hints
     from repro.mpi import run_spmd
+    from repro.obs import trace
 
     out = {}
     tmp = tempfile.TemporaryDirectory()
     osfs = OsFileSystem(tmp.name)
     for name, dirs, path, fs in (
-            ("small_indep", ("write", "read"), "", SimFileSystem()),
+            ("small_indep", ("write", "read", "write (traced)"), "",
+             SimFileSystem()),
             ("sparse_os", ("write",), "", osfs),
             ("coll_interleaved", ("write",), "", SimFileSystem()),
             ("coll_interleaved", ("write",), " (two-phase)",
@@ -164,9 +172,17 @@ def measure_calls() -> dict:
                 read(slot * step, r, count, memtype)
             calls = {}
             for d in dirs:
-                call, buf = (write, w) if d == "write" else (read, r)
+                call, buf = (write, w) if d != "read" else (read, r)
                 comm.barrier()
-                calls[d] = _count_calls(call, step, buf, count, memtype)
+                traced = d.endswith("(traced)")
+                prev = trace.set_tracing(traced)
+                try:
+                    if traced:  # the tracer's first span sets up its ring
+                        call(step, buf, count, memtype)
+                    calls[d] = _count_calls(call, step, buf, count, memtype)
+                finally:
+                    trace.set_tracing(prev)
+                    trace.TRACER.clear()
             comm.barrier()
             fh.close()
             return calls

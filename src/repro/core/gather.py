@@ -181,10 +181,9 @@ _INT = {2: np.dtype(np.uint16), 4: np.dtype(np.uint32),
 # element view starts at byte ``start``: ``shape is None`` marks one
 # contiguous run (a plain slice), otherwise ``shape``/``strides`` give
 # the view and ``idx`` indexes it — ``...`` for a strided view, an
-# element or byte index over an overlapping ``strides=(1,)`` view.  An
-# int ``strides`` with ``shape is None`` takes every ``strides``-th
-# element of the run ``[lo, hi)``: two slicings cost less than a
-# strided-view constructor.
+# element or byte index over an overlapping ``strides=(1,)`` view.  A
+# run indexed by a slice ``[::k]`` takes every ``k``-th element of
+# ``[lo, hi)``: slicing costs less than a strided-view constructor.
 _LO, _HI, _START, _SHAPE, _STRIDES, _IDX = range(6)
 
 
@@ -199,7 +198,8 @@ def _strided_side(start: int, step: int, size: int, n: int) -> tuple:
         return _run_side(start, n * size)
     last = start + (n - 1) * step
     if step > 0 and step % size == 0:
-        return (start, last + size, start, None, step // size, ...)
+        return (start, last + size, start, None, None,
+                slice(None, None, step // size))
     return (min(start, last), max(start, last) + size, start, (n,),
             (step,), ...)
 
@@ -272,9 +272,11 @@ class Kernel:
         self.stage = False
         it = _INT.get(size)
         if it is not None and pairs is None and count > _SMALL_N:
-            views = [s[_STRIDES] for s in (a, b) if s[_STRIDES] is not None]
+            views = [s for s in (a, b)
+                     if s[_SHAPE] is not None or s[_IDX] is not ...]
             self.stage = len(views) == 2
-            if all(type(st) is int or st[0] % size == 0 for st in views):
+            if all(s[_SHAPE] is None or s[_STRIDES][0] % size == 0
+                   for s in views):
                 self.dtype, self.vdtype = it, self.dtype
 
     @property
@@ -336,14 +338,10 @@ class Kernel:
         va = (buf[s : s + ahi - alo].view(dt) if ashape is None else
               np.ndarray(ashape, dt, buffer=buf, offset=s,
                          strides=astrides))
-        if type(astrides) is int:
-            va = va[::astrides]
         s = bstart + pos
         vb = (other[s : s + bhi - blo].view(dt) if bshape is None else
               np.ndarray(bshape, dt, buffer=other, offset=s,
                          strides=bstrides))
-        if type(bstrides) is int:
-            vb = vb[::bstrides]
         staged = self.stage
         vdt = self.vdtype
         if vdt is not None:
@@ -366,7 +364,7 @@ class Kernel:
 def _staged_copy(src, sidx, dst, didx) -> None:
     """``dst[didx] = src[sidx]`` through a contiguous temporary."""
     tmp = src[sidx]
-    dst[didx] = tmp.copy() if sidx is ... else tmp
+    dst[didx] = tmp if isinstance(sidx, np.ndarray) else tmp.copy()
 
 
 def _loop(kind: int, offs: list, boffs: list, lens: list) -> Kernel:
@@ -440,8 +438,8 @@ def classify(offsets: np.ndarray, lengths: np.ndarray,
         sb = (_run_side(0, nbytes) if other is None
               else _elem_side(other, lengths, first, n))
         if sa is not None and sb is not None:
-            kind = (STRIDED if sa[_IDX] is ... and sb[_IDX] is ...
-                    else INDEX)
+            kind = (INDEX if isinstance(sa[_IDX], np.ndarray)
+                    or isinstance(sb[_IDX], np.ndarray) else STRIDED)
             return Kernel(kind, n, nbytes, sa, sb, size=first)
     # Byte level: each side is one run or a byte index.
     ra = _is_run(offsets, lengths)

@@ -87,26 +87,28 @@ class FileBuffer:
     """
 
     def map_access(self, lo: int, hi: int, nbytes: int, write: bool,
-                   secs, copy, *args) -> float:
+                   secs, shift: int, copy, *args) -> tuple:
         """One access of ``nbytes`` of the file's bytes in ``[lo, hi)``,
-        copied by ``copy(buf, origin, *args)`` under ``_mu``: ``buf[i]``
-        is file byte ``origin + i``.  Normally ``buf`` is the file
-        buffer itself (``origin`` 0), so a write's copy lands in the
-        file and a read's comes out of it — no window, no pre-read, no
-        write-back.  The access's bytes are its own, so it takes no lock.
+        copied by ``copy(buf, base, *args)`` under ``_mu`` — a pair
+        kernel's ``copy``, say: file byte ``f + shift`` is ``buf[base +
+        f]``.  Normally ``buf`` is the file buffer itself, so a write's
+        copy lands in the file and a read's comes out of it — no window,
+        no pre-read, no write-back.  The access's bytes are its own, so
+        it takes no lock.
 
         A write ending past end-of-file grows the file to ``hi`` first:
         :class:`SimFile` zero-extends, :class:`~repro.fs.posix.OsFile`
         writes the byte at ``hi - 1`` — the access's own, which its copy
         then overwrites — so the growth can neither shrink the file nor
         land on another rank's bytes.  A read ending past end-of-file
-        copies out of a zero-padded copy of ``[lo, hi)`` (``origin``
-        ``lo``), what a sieving window reads.
+        copies out of a zero-padded copy of ``[lo, hi)`` (``base``
+        ``shift - lo``), what a sieving window reads.
 
         Charged as one device op moving ``nbytes`` over the stripes
         ``[lo, hi)`` spans (one read or write in :class:`FileStats`):
         ``secs`` simulated seconds if the caller has them, else the
-        device model's.  Returns the seconds charged.
+        device model's.  Returns the seconds charged and the
+        ``perf_counter()`` at the copy's end.
         """
         t0 = trace.now() if trace.TRACE_ON else 0.0
         mu = self._mu
@@ -114,15 +116,16 @@ class FileBuffer:
         try:
             size, buf = self._mapping()
             if hi <= size:
-                copy(buf, 0, *args)
+                copy(buf, shift, *args)
             elif write:
                 self._grow(hi, _ZERO)
-                copy(self._buffer(hi), 0, *args)
+                copy(self._buffer(hi), shift, *args)
             else:
                 win = np.zeros(hi - lo, dtype=np.uint8)
                 if size > lo:
                     win[:size - lo] = buf[lo:size]
-                copy(win, lo, *args)
+                copy(win, shift - lo, *args)
+            copied = trace.now()
         finally:
             mu.release()
         if secs is None:
@@ -136,7 +139,7 @@ class FileBuffer:
             self.stats.record_read(nbytes, secs)
         if t0:
             trace.TRACER.add("fs.map", t0, bytes=nbytes, write=write)
-        return secs
+        return secs, copied
 
     def preadv_blocks(self, offsets, lengths, out: np.ndarray,
                       pos: int = 0):

@@ -476,7 +476,7 @@ class File:
         if self._closed or not self.amode & (MODE_WRONLY | MODE_RDWR):
             self._check_open()
             self._check_writable()
-        self.engine.run_independent(MemDescriptor(buf, count, memtype),
+        self.engine.run_independent(buf, count, memtype,
                                     offset * self.view.esize, True)
 
     def read_at(
@@ -490,9 +490,8 @@ class File:
         if self._closed or not self.amode & (MODE_RDONLY | MODE_RDWR):
             self._check_open()
             self._check_readable()
-        self.engine.run_independent(
-            MemDescriptor(buf, count, memtype, dest=True),
-            offset * self.view.esize, False)
+        self.engine.run_independent(buf, count, memtype,
+                                    offset * self.view.esize, False)
 
     # ------------------------------------------------------------------
     # Independent access, individual file pointer
@@ -505,7 +504,7 @@ class File:
     ) -> None:
         """Independent write at the individual file pointer."""
         mem = self._mem(buf, count, memtype)
-        self.write_at(self._ind_ptr, buf, mem.count, mem.memtype)
+        self.write_at(self._ind_ptr, mem)
         self._ind_ptr = self._advance(mem, self._ind_ptr)
 
     def read(
@@ -516,7 +515,7 @@ class File:
     ) -> None:
         """Independent read at the individual file pointer."""
         mem = self._mem(buf, count, memtype, dest=True)
-        self.read_at(self._ind_ptr, buf, mem.count, mem.memtype)
+        self.read_at(self._ind_ptr, mem)
         self._ind_ptr = self._advance(mem, self._ind_ptr)
 
     # ------------------------------------------------------------------
@@ -537,7 +536,7 @@ class File:
         self._check_writable()
         mem = self._mem(buf, count, memtype)
         pos = self._bump_shared(mem)
-        self.write_at(pos, buf, mem.count, mem.memtype)
+        self.write_at(pos, mem)
 
     def read_shared(
         self,
@@ -550,7 +549,7 @@ class File:
         self._check_readable()
         mem = self._mem(buf, count, memtype, dest=True)
         pos = self._bump_shared(mem)
-        self.read_at(pos, buf, mem.count, mem.memtype)
+        self.read_at(pos, mem)
 
     def seek_shared(self, offset: int, whence: int = SEEK_SET) -> None:
         """Collectively move the shared file pointer."""

@@ -97,12 +97,13 @@ class MemDescriptor:
     kernels read and write user memory directly on that contract.
 
     Derived, read-only: ``as_bytes`` (flat uint8 view of the buffer),
-    ``is_contiguous`` (the data occupies one contiguous run of it) and
-    ``nbytes`` (total data bytes of the access).
+    ``is_contiguous`` (the data occupies one contiguous run of it),
+    ``nbytes`` (total data bytes of the access) and ``end`` (the end
+    of the bytes the layout touches, 0 when it moves none).
     """
 
-    __slots__ = ("buf", "count", "memtype", "origin", "dest", "as_bytes",
-                 "is_contiguous", "nbytes")
+    __slots__ = ("buf", "count", "memtype", "origin", "as_bytes",
+                 "is_contiguous", "nbytes", "end")
 
     def __init__(self, buf: np.ndarray, count: Optional[int] = None,
                  memtype: Optional[Datatype] = None,
@@ -118,7 +119,6 @@ class MemDescriptor:
         self.buf = buf
         self.count = count
         self.memtype = mt = memtype
-        self.dest = dest
         flags = buf.flags
         if not flags.c_contiguous:
             if dest:
@@ -137,6 +137,7 @@ class MemDescriptor:
         self.origin = origin
         self.is_contiguous = mt.is_contiguous
         self.nbytes = n = count * mt.size
+        self.end = 0
         if n:
             lo = origin + mt.true_lb
             hi = origin + mt.true_ub
@@ -151,6 +152,7 @@ class MemDescriptor:
                     f"{origin} touches buffer bytes [{lo}, {hi}), but "
                     f"the buffer holds {b.size}"
                 )
+            self.end = hi
 
     def contiguous_slice(self, start: int, nbytes: int) -> np.ndarray:
         """For contiguous memtypes: the byte slice holding data bytes

@@ -45,7 +45,7 @@ class IOPlan:
     signature: Optional[tuple] = None
     planned_windows: int = 0
     coalesced_bytes: int = 0
-    #: The executor's lowered form, ``(collective, steps, bound)`` —
+    #: The executor's lowered form, ``(collective, steps)`` —
     #: built on first run and memoized here (see
     #: ``PlanExecutor.lower``); a cache, not part of the plan.
     lowered: object = field(default=None, compare=False, repr=False)

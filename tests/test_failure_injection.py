@@ -75,7 +75,7 @@ class FlakyFile(SimFile):
         return super().pwritev_blocks(offsets, lengths, data, pos)
 
     # A mapped access is one write (or read): one fault check.
-    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, shift, copy, *args):
         attr = "_writes_left" if write else "_reads_left"
         left = getattr(self, attr)
         if left is not None:
@@ -83,7 +83,8 @@ class FlakyFile(SimFile):
                 raise FileSystemError(
                     f"injected {'write' if write else 'read'} fault")
             setattr(self, attr, left - 1)
-        return super().map_access(lo, hi, nbytes, write, secs, copy, *args)
+        return super().map_access(lo, hi, nbytes, write, secs, shift, copy,
+                                  *args)
 
     def preadv_blocks(self, offsets, lengths, out, pos=0):
         left = self._reads_left

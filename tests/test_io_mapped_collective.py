@@ -219,13 +219,15 @@ class PausedFile(SimFile):
         self.wait_on_write = wait_on_write
         self.landed = threading.Event()
 
-    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, shift, copy, *args):
         if write == self.wait_on_write:
             self.landed.wait(self.PAUSE)
-            return super().map_access(lo, hi, nbytes, write, secs, copy, *args)
-        sec = super().map_access(lo, hi, nbytes, write, secs, copy, *args)
+            return super().map_access(lo, hi, nbytes, write, secs, shift,
+                                      copy, *args)
+        out = super().map_access(lo, hi, nbytes, write, secs, shift, copy,
+                                 *args)
         self.landed.set()
-        return sec
+        return out
 
 
 def _paused_fs(wait_on_write: bool) -> SimFileSystem:
@@ -288,16 +290,18 @@ class TornFile(SimFile):
     separate processes into one shared mapping interleave.  Only the
     atomic-mode range lock keeps overlapping writes whole."""
 
-    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, shift, copy, *args):
         if not write:
-            return super().map_access(lo, hi, nbytes, write, secs, copy, *args)
+            return super().map_access(lo, hi, nbytes, write, secs, shift,
+                                      copy, *args)
         stage = np.zeros(hi - lo, dtype=np.uint8)
-        copy(stage, lo, *args)
+        copy(stage, shift - lo, *args)
+        copied = time.perf_counter()
         mid = (hi - lo) // 2
         self.pwrite(lo, stage[:mid])
         time.sleep(0.02)
         self.pwrite(lo + mid, stage[mid:])
-        return 0.0
+        return 0.0, copied
 
 
 @pytest.mark.parametrize("engine", ENGINES)

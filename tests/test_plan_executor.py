@@ -62,16 +62,17 @@ class FlakyFile(SimFile):
         self.writes_done += n
         return res
 
-    def map_access(self, lo, hi, nbytes, write, secs, copy, *args):
+    def map_access(self, lo, hi, nbytes, write, secs, shift, copy, *args):
         # A mapped write is one write: one fault check, one count.
         if write and self._writes_left is not None:
             if self._writes_left == 0:
                 raise FileSystemError("injected write fault")
             self._writes_left -= 1
-        secs = super().map_access(lo, hi, nbytes, write, secs, copy, *args)
+        out = super().map_access(lo, hi, nbytes, write, secs, shift, copy,
+                                 *args)
         if write:
             self.writes_done += 1
-        return secs
+        return out
 
 
 def flaky_fs(path="/f", **kw):

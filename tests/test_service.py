@@ -253,17 +253,23 @@ class TestServer:
     def test_batching_reduces_file_accesses(self):
         """The acceptance counter: concurrently posted tiling writes
         execute in fewer file accesses than requests."""
-        with IOPServer(workers=1, worker_delay=0.05) as srv:
-            srv.register_tenant("a")
-            cl = ServiceClient(srv, "a")
+        with IOPServer(workers=1) as srv:
             nb = 512
-            # A plug request occupies the single worker, so the
-            # following posts pile up in one scheduling window.
-            plug = cl.iwrite("/plug", 0, np.zeros(8, np.uint8))
-            reqs = [
-                cl.iwrite("/f", i * nb, np.full(nb, i + 1, np.uint8))
-                for i in range(8)
-            ]
+            srv.register_tenant("a", byte_budget=8 * nb)
+            cl = ServiceClient(srv, "a")
+            # A plug request holds the tenant's whole in-flight byte
+            # budget, and the test holds the plug's path lock, so the
+            # plug cannot finish before every following post is queued:
+            # they stall on the budget and dispatch together once the
+            # plug completes.
+            with srv.session:
+                _fh, plug_lock = srv._handle("/plug")
+            with plug_lock:
+                plug = cl.iwrite("/plug", 0, np.zeros(8 * nb, np.uint8))
+                reqs = [
+                    cl.iwrite("/f", i * nb, np.full(nb, i + 1, np.uint8))
+                    for i in range(8)
+                ]
             plug.wait(30.0)
             for r in reqs:
                 r.wait(30.0)
