@@ -45,7 +45,8 @@ fully-on within 10%::
 counts the Python-level calls of ``repro`` functions (``sys.setprofile``
 "call" events, the access's own frame included) in one *replayed*
 access of the repository benchmark's workloads — a ``small_indep``
-write and read, a ``sparse_os`` write on a real file, and a
+write and read (and the write from a ``float64`` buffer), a
+``sparse_os`` write on a real file, and a
 ``coll_interleaved`` write on each rank, mapped and two-phase — and
 fails above :data:`CALL_BUDGETS`.  Counts do not
 depend on the host's speed, so the gate cannot flake on a slow runner::
@@ -81,20 +82,28 @@ MIN_COLLECTIVE_RUNS = 3
 #: the ``OsFile`` write of ``sparse_os`` (one call more: its mapping)
 #: from 20 to 13 and the mapped ``coll_interleaved`` write to 26.  One
 #: bound call from the file handle to the copy kernel took them to 6 / 6,
-#: 7 and 21.  Those budgets are the counts plus 2.  The traced entry is
+#: 7 and 21.  Compiling the bound call's copy kept 6 / 6 and 7; the
+#: mapped collective passing its raw buffer to the bound call, and a
+#: barrier that builds no span with tracing off, took
+#: ``coll_interleaved`` to 14.  Each checked kernel copy now calls its
+#: copy core, one call more per copy: the two-phase write went from 527
+#: to 540.  Those budgets are the counts plus 2.  The traced entry is
 #: the same ``small_indep`` write with tracing on: tracing adds its spans
 #: to the bound call and never sends a replay back through the planner
 #: and the executor (29 calls; 35 before the bound call, 38 unbound).
-#: The two-phase entry runs the same collective on an
-#: :func:`~repro.fs.unmapped.unmapped` ``SimFile`` and keeps the budget
-#: the compiled two-phase collective had.
+#: The ``float64`` entry is the ``small_indep`` write from a ``float64``
+#: view of the same bytes: any C-contiguous buffer takes the bound call
+#: unvalidated (6 calls; 8 when a ``MemDescriptor`` validated it
+#: first).  The two-phase entry runs the same collective on
+#: an :func:`~repro.fs.unmapped.unmapped` ``SimFile``.
 CALL_BUDGETS = {
     "small_indep write": 8,
     "small_indep read": 8,
     "small_indep write (traced)": 31,
+    "small_indep write (float64)": 8,
     "sparse_os write": 9,
-    "coll_interleaved write": 23,
-    "coll_interleaved write (two-phase)": 537,
+    "coll_interleaved write": 16,
+    "coll_interleaved write (two-phase)": 542,
 }
 
 
@@ -148,8 +157,8 @@ def measure_calls() -> dict:
     tmp = tempfile.TemporaryDirectory()
     osfs = OsFileSystem(tmp.name)
     for name, dirs, path, fs in (
-            ("small_indep", ("write", "read", "write (traced)"), "",
-             SimFileSystem()),
+            ("small_indep", ("write", "read", "write (traced)",
+                             "write (float64)"), "", SimFileSystem()),
             ("sparse_os", ("write",), "", osfs),
             ("coll_interleaved", ("write",), "", SimFileSystem()),
             ("coll_interleaved", ("write",), " (two-phase)",
@@ -173,6 +182,8 @@ def measure_calls() -> dict:
             calls = {}
             for d in dirs:
                 call, buf = (write, w) if d != "read" else (read, r)
+                if d.endswith("(float64)"):
+                    buf = w.view(np.float64)
                 comm.barrier()
                 traced = d.endswith("(traced)")
                 prev = trace.set_tracing(traced)

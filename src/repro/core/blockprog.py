@@ -108,16 +108,18 @@ class BlockProgram:
 
     ``offsets``/``lengths`` are the canonical descriptor (read-only
     arrays).  :meth:`gather`/:meth:`scatter` run the
-    :class:`~repro.core.gather.Kernel` classified once at compile time
-    against a buffer with all offsets translated by a scalar ``base`` —
-    the relocation that makes one program serve every period of a
-    periodic access.  With ``other`` (block ``i`` paired with
-    ``other[i]`` in a second buffer, see :func:`~repro.core.gather.
-    pair_blocks`) the kernel is a two-sided pair kernel; its second
-    buffer is translated by the ``pos`` argument.
+    :class:`~repro.core.gather.Kernel` classified once against a buffer
+    with all offsets translated by a scalar ``base`` — the relocation
+    that makes one program serve every period of a periodic access.
+    With ``other`` (block ``i`` paired with ``other[i]`` in a second
+    buffer, see :func:`~repro.core.gather.pair_blocks`) the kernel is a
+    two-sided pair kernel, classified at compile time; its second
+    buffer is translated by the ``pos`` argument.  A one-sided program
+    classifies on its first run (:attr:`kernel`): a mapped access uses
+    only its blocks, and copies through a pair kernel instead.
     """
 
-    __slots__ = ("offsets", "lengths", "nbytes", "count", "kernel")
+    __slots__ = ("offsets", "lengths", "nbytes", "count", "_kernel")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray,
                  other: Optional[np.ndarray] = None) -> None:
@@ -130,12 +132,22 @@ class BlockProgram:
         self.offsets = offsets
         self.lengths = lengths
         self.count = int(offsets.size)
+        self.nbytes = int(lengths.sum())
+        self._kernel = None
         if other is not None:
-            other = np.asarray(other, dtype=np.int64)
-        self.kernel = classify(offsets, lengths, idx_cap=_IDX_CAP,
-                               other=other)
-        self.nbytes = self.kernel.nbytes
+            self._kernel = classify(offsets, lengths, idx_cap=_IDX_CAP,
+                                    other=np.asarray(other,
+                                                     dtype=np.int64))
         SESSION.get().prog_stats.compiled += 1
+
+    @property
+    def kernel(self):
+        """The classified :class:`~repro.core.gather.Kernel`."""
+        k = self._kernel
+        if k is None:
+            k = self._kernel = classify(self.offsets, self.lengths,
+                                        idx_cap=_IDX_CAP)
+        return k
 
     @property
     def kind_name(self) -> str:
@@ -167,14 +179,16 @@ class BlockProgram:
         """Copy the program's blocks (translated by ``base``) of ``src``
         into ``out`` at ``out_pos``; returns bytes copied."""
         SESSION.get().prog_stats.translations += 1
-        return self.kernel.copy(src, base, out, out_pos, True)
+        return (self._kernel or self.kernel).copy(src, base, out, out_pos,
+                                                  True)
 
     def scatter(self, dst: np.ndarray, base: int, src: np.ndarray,
                 src_pos: int = 0) -> int:
         """Copy contiguous ``src`` bytes from ``src_pos`` into the
         program's blocks of ``dst`` (translated by ``base``)."""
         SESSION.get().prog_stats.translations += 1
-        return self.kernel.copy(dst, base, src, src_pos, False)
+        return (self._kernel or self.kernel).copy(dst, base, src, src_pos,
+                                                  False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -26,6 +26,7 @@ file buffer itself, charged as one device op.
 from __future__ import annotations
 
 import threading
+from time import perf_counter
 
 import numpy as np
 
@@ -87,14 +88,15 @@ class FileBuffer:
     """
 
     def map_access(self, lo: int, hi: int, nbytes: int, write: bool,
-                   secs, shift: int, copy, *args) -> tuple:
+                   secs, shift: int, copy, other, pos, to_b) -> tuple:
         """One access of ``nbytes`` of the file's bytes in ``[lo, hi)``,
-        copied by ``copy(buf, base, *args)`` under ``_mu`` — a pair
-        kernel's ``copy``, say: file byte ``f + shift`` is ``buf[base +
-        f]``.  Normally ``buf`` is the file buffer itself, so a write's
-        copy lands in the file and a read's comes out of it — no window,
-        no pre-read, no write-back.  The access's bytes are its own, so
-        it takes no lock.
+        copied by ``copy(buf, base, other, pos, to_b)`` under ``_mu`` —
+        a pair kernel's copy core, say: file byte ``f + shift`` is
+        ``buf[base + f]`` — a fixed arity, since forwarding ``*args``
+        cost 0.16 µs a call.  Normally ``buf`` is the file buffer
+        itself, so a write's copy lands in the file and a read's comes
+        out of it — no window, no pre-read, no write-back.  The
+        access's bytes are its own, so it takes no range lock.
 
         A write ending past end-of-file grows the file to ``hi`` first:
         :class:`SimFile` zero-extends, :class:`~repro.fs.posix.OsFile`
@@ -102,7 +104,8 @@ class FileBuffer:
         then overwrites — so the growth can neither shrink the file nor
         land on another rank's bytes.  A read ending past end-of-file
         copies out of a zero-padded copy of ``[lo, hi)`` (``base``
-        ``shift - lo``), what a sieving window reads.
+        ``shift - lo``), what a sieving window reads.  Either way
+        ``copy`` only touches ``[lo, hi)`` of a buffer that holds it.
 
         Charged as one device op moving ``nbytes`` over the stripes
         ``[lo, hi)`` spans (one read or write in :class:`FileStats`):
@@ -110,33 +113,46 @@ class FileBuffer:
         device model's.  Returns the seconds charged and the
         ``perf_counter()`` at the copy's end.
         """
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        mu = self._mu
-        mu.acquire()  # not ``with``: a context manager costs more
-        try:
-            size, buf = self._mapping()
-            if hi <= size:
-                copy(buf, shift, *args)
-            elif write:
-                self._grow(hi, _ZERO)
-                copy(self._buffer(hi), shift, *args)
-            else:
-                win = np.zeros(hi - lo, dtype=np.uint8)
-                if size > lo:
-                    win[:size - lo] = buf[lo:size]
-                copy(win, shift - lo, *args)
-            copied = trace.now()
-        finally:
-            mu.release()
         if secs is None:
             st = self.striping
             streams = 1 if st.ndisks == 1 else st.streams_for(lo, hi - lo)
             secs = (self.device.write_time if write
                     else self.device.read_time)(nbytes, streams)
-        if write:
-            self.stats.record_write(nbytes, secs)
-        else:
-            self.stats.record_read(nbytes, secs)
+        t0 = trace.now() if trace.TRACE_ON else 0.0
+        stats = self.stats
+        mu = self._mu
+        mu.acquire()  # not ``with``: a context manager costs more
+        try:
+            size, buf = self._mapping()
+            if hi <= size:
+                copy(buf, shift, other, pos, to_b)
+            elif write:
+                self._grow(hi, _ZERO)
+                copy(self._buffer(hi), shift, other, pos, to_b)
+            else:
+                win = np.zeros(hi - lo, dtype=np.uint8)
+                if size > lo:
+                    win[:size - lo] = buf[lo:size]
+                copy(win, shift - lo, other, pos, to_b)
+            copied = perf_counter()
+        finally:
+            mu.release()
+        # FileStats.record_read/record_write inlined (the call costs
+        # more than the billing).  The stats keep their own lock: other
+        # ranks bill their vectored and one-extent calls after their
+        # copies, and must not queue behind this one.
+        mu = stats._mu
+        mu.acquire()
+        try:
+            if write:
+                stats.n_writes += 1
+                stats.bytes_written += nbytes
+            else:
+                stats.n_reads += 1
+                stats.bytes_read += nbytes
+            stats.sim_time += secs
+        finally:
+            mu.release()
         if t0:
             trace.TRACER.add("fs.map", t0, bytes=nbytes, write=write)
         return secs, copied
@@ -226,11 +242,11 @@ class SimFile(FileBuffer):
         self.name = name
         self.device = device
         self.striping = striping
-        self.stats = FileStats()
         self.locks = RangeLockManager()
         self._data = np.zeros(max(initial_capacity, 16), dtype=np.uint8)
         self._size = 0
         self._mu = threading.Lock()
+        self.stats = FileStats()
 
     def __reduce__(self):
         # A SimFile is shared by reference between rank threads; copying

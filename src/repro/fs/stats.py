@@ -75,10 +75,11 @@ class _LastCharge(threading.local):
 class FileStats:
     """Mutable operation counters (thread-safe).
 
-    Each thread's last charge is kept too (``last.seconds``, 0.0
-    before the thread's first): the plan executor bills the device time
-    of its own one-extent ops from it instead of recomputing the
-    backend's figure.
+    Each thread's last :meth:`record_read`/:meth:`record_write` charge
+    is kept too (``last.seconds``, 0.0 before the thread's first): the
+    plan executor bills the device time of its own one-extent ops from
+    it instead of recomputing the backend's figure.  A mapped access
+    returns its seconds instead.
     """
 
     n_reads: int = 0

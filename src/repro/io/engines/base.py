@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro._ctx import SESSION
 from repro.datatypes.basic import BYTE
 from repro.fs.simfile import FileBuffer
 from repro.io.fileview import MemDescriptor
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["IOEngine", "EngineStats"]
 
-_U8 = np.dtype(np.uint8)
 #: A replay-table miss: ``(plan, q0, bound)``.
 _MISS = (None, 0, None)
 
@@ -255,27 +253,28 @@ class IOEngine:
     def run_plan(self, plan: "IOPlan",
                  mem: Optional[MemDescriptor] = None,
                  buffers: Optional[dict] = None,
-                 file_delta: int = 0) -> dict:
-        if self.fh.hints.ship_protocol is not None:
+                 file_delta: int = 0, bound=None) -> dict:
+        if bound is None and self.fh.hints.ship_protocol is not None:
             # Sharded-backend request shipping: rewrite eligible file
             # ops into ShipOps (no-op on non-sharded backends).
             from repro.io import shipping
 
             plan = shipping.maybe_rewrite(self, plan)
-        return self.executor.run(plan, mem, buffers, file_delta)
+        return self.executor.run(plan, mem, buffers, file_delta, bound)
 
     def run_independent(self, buf, count, memtype, d0: int, write: bool,
                         traced: bool = False) -> int:
         """Access ``count`` x ``memtype`` in ``buf`` (or a validated
         :class:`MemDescriptor`) at view data offset ``d0``; returns the
-        bytes moved.  A replay on a file buffer is its plan's *bound
-        call* (:meth:`PlanExecutor.bind`, kept in the replay entry): one
-        ``map_access`` whose copy is the pair kernel, after O(1) checks
-        of a 1-D ``uint8`` buffer, or after a :class:`MemDescriptor`
-        validates any other (in atomic mode under the range lock of
-        :meth:`File._atomic_guard`).  Anything else plans, runs and
-        binds; with tracing on, inside an ``<engine>.<kind>_independent``
-        span (``traced``)."""
+        bytes moved.  A replay on a file buffer is its plan's
+        :class:`~repro.plan.executor.BoundCall`, kept in the replay
+        entry: one call, given any C-contiguous ``ndarray`` as it is;
+        any other buffer is validated by a :class:`MemDescriptor` first
+        (in atomic mode under the range lock of
+        :meth:`File._atomic_guard`).  Anything else plans, binds and
+        runs — a cold mapped access through the call it just bound;
+        with tracing on, inside an ``<engine>.<kind>_independent`` span
+        (``traced``)."""
         t0 = perf_counter()
         mem = buf if type(buf) is MemDescriptor else None
         if mem is not None:
@@ -289,116 +288,94 @@ class IOEngine:
         q, r = divmod(d0, view.ft_size)
         key = (write, r, count * memtype.size)
         _, q0, bound = planner.replay.get(key, _MISS)
-        replay = bound is not None and fh.hints is planner.fp_hints
-        if replay:
-            (bmt, bcount, copy, lo, hi, n, origin, end, strict, counted,
-             secs, kind, span) = bound
-            replay = bmt is memtype and bcount == count
-        guard = None
-        try:
-            if not (replay and not fh.shared.atomicity
-                    and (traced or not trace.TRACE_ON)
-                    and type(buf) is np.ndarray and buf.dtype is _U8
-                    and buf.ndim == 1 and buf.size >= end
-                    and (fl := buf.flags).c_contiguous
-                    and (write or fl.writeable)):
-                mem = mem or MemDescriptor(buf, count, memtype,
-                                           dest=not write)
-                buf, n = mem.as_bytes, mem.nbytes
-                if not n:
-                    return 0
-                if trace.TRACE_ON and not traced:
-                    kind = "write" if write else "read"
-                    with trace.span(f"{self.name}.{kind}_independent",
-                                    bytes=n):
-                        return self.run_independent(mem, None, None, d0,
-                                                    write, True)
-                guard = fh._atomic_guard(mem, d0)
-                if not replay:
-                    plan, delta = planner.plan_independent_bound(d0, n,
-                                                                 write)
-                    self.run_plan(plan, mem, None, delta)
-                    cached, q0, _ = planner.replay.get(key, _MISS)
-                    bound = (self.mapped and cached is plan
-                             and self.executor.bind(plan, mem))
-                    if bound:
-                        planner.remember(key, (plan, q0, bound))
-                    return n
-            # The bound call bills what the planner's replay hit, the
-            # pair program lookup and the executor's mapped op would.
-            planner.replay.move_to_end(key)
+        if (bound is not None and bound.memtype is memtype
+                and bound.count == count and fh.hints is planner.fp_hints):
             delta = (q - q0) * view.ft_extent
-            ex, st = self.executor, self.stats
-            pst, phases = st.plan, st.phases
-            pst.plan_cache_hits += 1
-            pst.plan_replays += 1
-            if strict:
-                ex._check_strict(lo, lo + delta, hi + delta, n)
-            SESSION.get().prog_stats.hits += 1
-            if counted:
-                st.ff_kernel_calls += 1
-            t1 = perf_counter()
-            phases.plan += t1 - t0
-            secs, t2 = ex.file.map_access(lo + delta, hi + delta, n, write,
-                                          secs, delta, copy, buf, origin,
-                                          not write)
+            if (not fh.shared.atomicity
+                    and (traced or not trace.TRACE_ON)):
+                n = bound.run(buf, delta, t0)
+                if n is not None:
+                    planner.replay.move_to_end(key)
+                    return n
+        else:
+            bound = None
+        mem = mem or MemDescriptor(buf, count, memtype, dest=not write)
+        n = mem.nbytes
+        if not n:
+            return 0
+        if trace.TRACE_ON and not traced:
+            kind = "write" if write else "read"
+            with trace.span(f"{self.name}.{kind}_independent", bytes=n):
+                return self.run_independent(mem, None, None, d0, write, True)
+        guard = fh._atomic_guard(mem, d0)
+        try:
+            if bound is not None:
+                planner.replay.move_to_end(key)
+                return bound.run(mem.as_bytes, delta, t0)
+            plan, delta = planner.plan_independent_bound(d0, n, write)
+            cached, q0, _ = planner.replay.get(key, _MISS)
+            bound = (self.mapped and cached is plan
+                     and self.executor.bind(plan, mem)) or None
+            self.run_plan(plan, mem, None, delta, bound)
+            if bound is not None:
+                planner.remember(key, (plan, q0, bound))
+            return n
         finally:
             if guard:
                 fh.simfile.unlock_range(*guard)
-        pst.device_sync_seconds += secs
-        pst.executed_ops += 1
-        if write:
-            pst.executed_file_writes += 1
-            phases.pack += t2 - t1
-        else:
-            pst.executed_file_reads += 1
-            phases.unpack += t2 - t1
-        t3 = perf_counter()
-        phases.file_io += t3 - t2
-        if trace.TRACE_ON:
-            trace.TRACER.add("plan.independent", t0, t1, write=write,
-                             nbytes=n)
-            trace.TRACER.add(span, t1, t3, plan=kind)
-        return n
 
     # ------------------------------------------------------------------
     # Collective access: mapped on a file buffer, else two-phase rounds
     # ------------------------------------------------------------------
-    def collective(self, mem: MemDescriptor, d0: int, write: bool) -> None:
-        """One collective access.  With tracing on it runs inside an
-        ``<engine>.write_collective``/``read_collective`` span whose
+    def collective(self, buf, count, memtype, d0: int, write: bool,
+                   traced: bool = False) -> int:
+        """One collective access of ``count`` x ``memtype`` in ``buf``
+        (or a validated :class:`MemDescriptor`) at view data offset
+        ``d0``; returns the bytes moved.  With tracing on it runs inside
+        an ``<engine>.write_collective``/``read_collective`` span whose
         ``path`` attribute names the path taken (``"mapped"`` or
-        ``"two_phase"``)."""
-        if trace.TRACE_ON:
-            kind = "write" if write else "read"
-            with trace.span(f"{self.name}.{kind}_collective",
-                            bytes=mem.nbytes,
-                            path="mapped" if self.mapped else "two_phase"):
-                self._collective(mem, d0, write)
-            return
-        self._collective(mem, d0, write)
+        ``"two_phase"``).
 
-    def _collective(self, mem: MemDescriptor, d0: int, write: bool) -> None:
-        """On a :class:`~repro.fs.simfile.FileBuffer` (``SimFile``,
+        On a :class:`~repro.fs.simfile.FileBuffer` (``SimFile``,
         ``OsFile``) every rank already shares the file's bytes, so the
         access is *mapped*: one barrier, then the rank's own access
-        through :meth:`run_independent` (its bound call on a replay; the
-        whole-access range lock in atomic mode).  The barrier orders
-        every rank's previous collective before any rank touches the
-        file — the ordering the two-phase range allgather gives — so a
+        through :meth:`run_independent` — its bound call on a replay,
+        the whole-access range lock in atomic mode — which validates
+        the buffer, once, after the barrier.  The barrier orders every
+        rank's previous collective before any rank touches the file —
+        the ordering the two-phase range allgather gives — so a
         collective read followed by a peer's collective write of the
         same bytes still returns the old bytes.  Every other backend
-        runs the round-based two-phase driver
+        validates the buffer and runs the round-based two-phase driver
         (:func:`repro.io.aggregation.run_collective`).
         """
+        if trace.TRACE_ON and not traced:
+            kind = "write" if write else "read"
+            with trace.span(f"{self.name}.{kind}_collective",
+                            bytes=_nbytes(buf, count, memtype),
+                            path="mapped" if self.mapped else "two_phase"):
+                return self.collective(buf, count, memtype, d0, write,
+                                       True)
         if not self.mapped:
             # Imported lazily like the rest of the plan machinery.
             from repro.io.aggregation import run_collective
 
+            mem = (buf if type(buf) is MemDescriptor else
+                   MemDescriptor(buf, count, memtype, dest=not write))
             run_collective(self, mem, d0, write)
-            return
+            return mem.nbytes
         t0 = perf_counter()
         self.fh.comm.barrier()
         self.stats.phases.sync += perf_counter() - t0
         flight.note("collective", path="mapped", write=write)
-        self.run_independent(mem, None, None, d0, write)
+        return self.run_independent(buf, count, memtype, d0, write)
+
+
+def _nbytes(buf, count, memtype) -> int:
+    """The data bytes an access of ``count`` x ``memtype`` in ``buf``
+    names, unvalidated (a span attribute)."""
+    if type(buf) is MemDescriptor:
+        return buf.nbytes
+    if memtype is None:
+        return buf.nbytes if count is None else count
+    return (1 if count is None else count) * memtype.size

@@ -443,8 +443,7 @@ class File:
     ) -> MemDescriptor:
         return MemDescriptor(buf, count, memtype, dest=dest)
 
-    def _advance(self, mem: MemDescriptor, ptr: int) -> int:
-        nbytes = mem.nbytes
+    def _advance(self, nbytes: int, ptr: int) -> int:
         esize = self.view.esize
         if nbytes % esize:
             raise IOEngineError(
@@ -505,7 +504,7 @@ class File:
         """Independent write at the individual file pointer."""
         mem = self._mem(buf, count, memtype)
         self.write_at(self._ind_ptr, mem)
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        self._ind_ptr = self._advance(mem.nbytes, self._ind_ptr)
 
     def read(
         self,
@@ -516,13 +515,13 @@ class File:
         """Independent read at the individual file pointer."""
         mem = self._mem(buf, count, memtype, dest=True)
         self.read_at(self._ind_ptr, mem)
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        self._ind_ptr = self._advance(mem.nbytes, self._ind_ptr)
 
     # ------------------------------------------------------------------
     # Independent access, shared file pointer
     # ------------------------------------------------------------------
     def _bump_shared(self, mem: MemDescriptor) -> int:
-        delta = self._advance(mem, 0)
+        delta = self._advance(mem.nbytes, 0)
         return self.shared.bump_shared_ptr(delta)
 
     def write_shared(
@@ -580,9 +579,10 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Collective write at etype offset ``offset``."""
-        self._check_open()
-        self._check_writable()
-        self.engine.collective(MemDescriptor(buf, count, memtype),
+        if self._closed or not self.amode & (MODE_WRONLY | MODE_RDWR):
+            self._check_open()
+            self._check_writable()
+        self.engine.collective(buf, count, memtype,
                                offset * self.view.esize, True)
 
     def read_at_all(
@@ -593,11 +593,11 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Collective read at etype offset ``offset``."""
-        self._check_open()
-        self._check_readable()
-        self.engine.collective(
-            MemDescriptor(buf, count, memtype, dest=True),
-            offset * self.view.esize, False)
+        if self._closed or not self.amode & (MODE_RDONLY | MODE_RDWR):
+            self._check_open()
+            self._check_readable()
+        self.engine.collective(buf, count, memtype,
+                               offset * self.view.esize, False)
 
     def write_all(
         self,
@@ -606,9 +606,12 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Collective write at the individual file pointer."""
-        mem = self._mem(buf, count, memtype)
-        self.write_at_all(self._ind_ptr, buf, mem.count, mem.memtype)
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        if self._closed or not self.amode & (MODE_WRONLY | MODE_RDWR):
+            self._check_open()
+            self._check_writable()
+        n = self.engine.collective(buf, count, memtype,
+                                   self._ind_ptr * self.view.esize, True)
+        self._ind_ptr = self._advance(n, self._ind_ptr)
 
     def read_all(
         self,
@@ -617,9 +620,12 @@ class File:
         memtype: Optional[Datatype] = None,
     ) -> None:
         """Collective read at the individual file pointer."""
-        mem = self._mem(buf, count, memtype, dest=True)
-        self.read_at_all(self._ind_ptr, buf, mem.count, mem.memtype)
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        if self._closed or not self.amode & (MODE_RDONLY | MODE_RDWR):
+            self._check_open()
+            self._check_readable()
+        n = self.engine.collective(buf, count, memtype,
+                                   self._ind_ptr * self.view.esize, False)
+        self._ind_ptr = self._advance(n, self._ind_ptr)
 
     # ------------------------------------------------------------------
     # Ordered-mode collectives (shared file pointer, rank order)
@@ -659,7 +665,8 @@ class File:
         self._check_writable()
         mem = self._mem(buf, count, memtype)
         my_off = self._ordered_offsets(mem)
-        self.engine.collective(mem, my_off * self.view.esize, True)
+        self.engine.collective(mem, None, None, my_off * self.view.esize,
+                               True)
 
     def read_ordered(
         self,
@@ -673,7 +680,8 @@ class File:
         self._check_readable()
         mem = self._mem(buf, count, memtype, dest=True)
         my_off = self._ordered_offsets(mem)
-        self.engine.collective(mem, my_off * self.view.esize, False)
+        self.engine.collective(mem, None, None, my_off * self.view.esize,
+                               False)
 
     # ------------------------------------------------------------------
     # Split collectives (MPI_File_write_at_all_begin / _end)
@@ -784,7 +792,7 @@ class File:
         self._check_writable()
         mem = self._mem(buf, count, memtype)
         d0 = self._ind_ptr * self.view.esize
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        self._ind_ptr = self._advance(mem.nbytes, self._ind_ptr)
         return self._defer(mem, d0, write=True)
 
     def iread(self, buf, count=None, memtype=None) -> Request:
@@ -793,7 +801,7 @@ class File:
         self._check_readable()
         mem = self._mem(buf, count, memtype, dest=True)
         d0 = self._ind_ptr * self.view.esize
-        self._ind_ptr = self._advance(mem, self._ind_ptr)
+        self._ind_ptr = self._advance(mem.nbytes, self._ind_ptr)
         return self._defer(mem, d0, write=False)
 
     def __repr__(self) -> str:  # pragma: no cover

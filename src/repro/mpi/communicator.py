@@ -411,12 +411,14 @@ class Comm:
     # Collectives
     # ------------------------------------------------------------------
     def barrier(self) -> None:
-        """Synchronize all ranks."""
-        t0 = trace.now() if trace.TRACE_ON else 0.0
+        """Synchronize all ranks (a span only with tracing on)."""
+        if not trace.TRACE_ON:
+            self._world.barrier_wait()
+            return
+        t0 = trace.now()
         with trace.span("mpi.barrier"):
             self._world.barrier_wait()
-        if trace.TRACE_ON:
-            self._stamp_coll("bar", t0)
+        self._stamp_coll("bar", t0)
 
     def _board_exchange(self, item: Any) -> List[Any]:
         """Deposit ``item``, wait, and return every rank's deposit."""

@@ -186,11 +186,13 @@ class ProcComm(Comm):
 
     # -- barrier and board exchange ------------------------------------
     def barrier(self) -> None:
-        t0 = trace.now() if trace.TRACE_ON else 0.0
+        if not trace.TRACE_ON:
+            self._barrier_wait()
+            return
+        t0 = trace.now()
         with trace.span("mpi.barrier"):
             self._barrier_wait()
-        if trace.TRACE_ON:
-            self._stamp_coll("bar", t0)
+        self._stamp_coll("bar", t0)
 
     def _barrier_wait(self) -> None:
         self._check_abort()
@@ -516,6 +518,9 @@ class ProcGroupComm(ProcComm):
         return out
 
     def barrier(self) -> None:
+        if not trace.TRACE_ON:
+            self._board_exchange(None)
+            return
         with trace.span("mpi.barrier"):
             self._board_exchange(None)
 

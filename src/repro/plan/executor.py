@@ -24,7 +24,9 @@ representation costs; the *file* side goes through the batched
 pieces (mapped accesses, sieved windows) skip staging: one pair-program
 call copies between the file buffer and user memory, billed to
 ``pack``/``unpack``.  A ``"mapped"`` file op runs that copy against the
-file buffer itself (:meth:`~repro.fs.simfile.FileBuffer.map_access`).
+file buffer itself (:meth:`~repro.fs.simfile.FileBuffer.map_access`);
+a plan of one such op binds, per memory layout, into a
+:class:`BoundCall` that runs the whole access as one call.
 A replayed plan runs with a ``file_delta`` that translates every file
 offset it names (windows, blocks, lock ranges).
 """
@@ -37,6 +39,7 @@ from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
+from repro._ctx import SESSION
 from repro.core import blockprog
 from repro.core.ff_pack import ff_pack, ff_unpack
 from repro.errors import IOEngineError
@@ -69,7 +72,10 @@ from repro.plan.pipeline import DeferredWorker, FileJob
 from repro.plan.plan import IOPlan
 from repro.plan.stats import PlanStats
 
-__all__ = ["MemCodec", "KernelCodec", "PlanExecutor"]
+__all__ = ["MemCodec", "KernelCodec", "PlanExecutor", "BoundCall"]
+
+_U8 = np.dtype(np.uint8)
+_ND = np.ndarray
 
 
 class MemCodec(Protocol):
@@ -206,33 +212,24 @@ class PlanExecutor:
         return low
 
     def bind(self, plan: IOPlan, mem: MemDescriptor):
-        """The *bound call* of a plan of one mapped :data:`MEM` op on
-        layout ``mem`` (else ``None``), which :meth:`IOEngine.
-        run_independent` runs: ``(memtype, count, copy, lo, hi, nbytes,
-        origin, end, strict, counted, secs, kind, span)`` — the layout;
-        the pair kernel's ``copy(file buffer, base, user bytes, origin,
-        to_user)``; the op's file span and bytes; the layout's origin
-        and the end of the bytes it touches (what ``mem`` checked); a
-        strict read; a copy counted in ``ff_kernel_calls``; the device
-        seconds on one disk (else ``None``); the plan kind and span.
-        The file buffer is not bound: ``SimFile`` reallocates to grow
-        and ``OsFile`` remaps, so ``map_access`` fetches it per call."""
-        op = plan.ops[0]
-        if (len(plan.ops) > 1 or type(op) not in (FileReadOp, FileWriteOp)
+        """The :class:`BoundCall` of a plan of one mapped :data:`MEM`
+        op on layout ``mem``, else ``None``.  Looks the piece's pair
+        program up once; everything a replay of the plan on this layout
+        needs is resolved here."""
+        ops = plan.ops
+        if len(ops) != 1:
+            return None
+        op = ops[0]
+        if (type(op) not in (FileReadOp, FileWriteOp)
                 or op.mode != "mapped" or op.pieces[0].slot != MEM):
             return None
-        piece, write = op.pieces[0], type(op) is FileWriteOp
-        file, dev, n = self.file, self.file.device, plan.nbytes
-        secs = ((dev.write_time if write else dev.read_time)(n)
-                if file.striping.ndisks == 1 else None)
+        piece = op.pieces[0]
         kernel = pair_program(piece.blocks, mem, piece.d_lo - plan.d0).kernel
-        return (mem.memtype, mem.count, kernel.copy, op.lo, op.hi, n,
-                mem.origin, mem.end, not write and op.strict,
-                self._ff is not None and not mem.is_contiguous, secs,
-                plan.kind, f"exec.{type(op).__name__}")
+        return BoundCall(self, plan, op, mem, kernel)
 
     def run(self, plan: IOPlan, mem: Optional[MemDescriptor] = None,
-            buffers: Optional[dict] = None, file_delta: int = 0) -> dict:
+            buffers: Optional[dict] = None, file_delta: int = 0,
+            bound: Optional["BoundCall"] = None) -> dict:
         """Execute ``plan``; returns the final staging-buffer table.
 
         ``mem`` is required when the plan contains gather/scatter ops
@@ -243,8 +240,14 @@ class PlanExecutor:
         the replay fast path re-binds a cached relocatable plan to a
         period-translated access this way.  Each step is billed the
         time since the previous op boundary (chained stamps).
+        ``bound`` — ``plan``'s :class:`BoundCall` on ``mem`` — runs the
+        plan as that call, billed as a cold access (the planner billed
+        the plan, :meth:`bind` the pair-program lookup).
         """
         coll, steps = plan.lowered or self.lower(plan)
+        if bound is not None:
+            bound.run(mem.as_bytes, file_delta)
+            return {}
         bufs: Dict[object, object] = {}
         self._sizes = {}
         self._live = 0
@@ -745,19 +748,21 @@ class PlanExecutor:
             self._check_strict(op.lo, lo, hi, plan.nbytes)
         stats = self.stats
         stats.device_sync_seconds += self.file.map_access(
-            lo, hi, plan.nbytes, write, None, d, self._map_stage, plan, op,
-            op.pieces[0], mem, bufs, write)[0]
+            lo, hi, plan.nbytes, write, None, d, self._map_stage,
+            (plan, op, mem, bufs), None, write)[0]
         if write:
             stats.executed_file_writes += 1
         else:
             stats.executed_file_reads += 1
 
-    def _map_stage(self, buf, fbase, plan, op, piece, mem, bufs,
-                   write) -> None:
+    def _map_stage(self, buf, fbase, ctx, _pos, write) -> None:
         """``map_access``'s copy: between the file buffer ``buf`` (plan
         file offset ``f`` is ``buf[fbase + f]``) and user memory for a
         :data:`MEM` piece, else the piece's staging slot — by its
-        blocks, or, deferred, through the engine's view walk."""
+        blocks, or, deferred, through the engine's view walk.  ``ctx``
+        is ``(plan, op, mem, bufs)``."""
+        plan, op, mem, bufs = ctx
+        piece = op.pieces[0]
         if piece.slot == MEM:
             self._mem_copy(buf, fbase, piece.blocks, mem,
                            piece.d_lo - plan.d0, write, perf_counter())
@@ -899,6 +904,114 @@ class PlanExecutor:
         self.stats.executed_file_writes += 1
         n = self.file.pwrite(offset + self._fdelta, data)
         self.stats.device_sync_seconds += self._last.seconds
+        return n
+
+
+class BoundCall:
+    """A plan of one mapped :data:`MEM` op bound to one memory layout
+    (``memtype`` x ``count``): the whole access as one call, which
+    :meth:`IOEngine.run_independent <repro.io.engines.base.IOEngine.
+    run_independent>` makes on every replay and :meth:`PlanExecutor.
+    run` on the cold access that bound it.
+
+    Built by :meth:`PlanExecutor.bind` and kept in the plan's replay
+    entry.  It holds the layout, the op's file span and bytes, the
+    device seconds on one disk (else ``None``: ``map_access`` prices
+    the stripes), and the pair kernel's unchecked copy core
+    (:attr:`Kernel.core <repro.core.gather.Kernel>`), which it runs
+    under :meth:`~repro.fs.simfile.FileBuffer.map_access` with no span
+    check: both spans are proved here.  The user side: the layout's
+    bytes end at ``end`` (what a :class:`MemDescriptor` of it checks),
+    so a buffer of at least ``end`` bytes holds them.  The file side:
+    ``map_access`` copies within ``[lo, hi)`` of a buffer it has
+    grown, or zero-padded, to ``hi``.  The file buffer itself is not
+    bound: ``SimFile`` reallocates to grow and ``OsFile`` remaps.
+    """
+
+    __slots__ = ("memtype", "count", "end", "origin", "write", "to_b",
+                 "lo", "hi", "nbytes", "strict", "secs", "core", "kind",
+                 "map", "executor", "stats", "phases", "ff", "plan_kind",
+                 "span")
+
+    def __init__(self, executor: PlanExecutor, plan: IOPlan, op,
+                 mem: MemDescriptor, kernel) -> None:
+        write = type(op) is FileWriteOp
+        file, n = executor.file, plan.nbytes
+        dev = file.device
+        self.memtype, self.count = mem.memtype, mem.count
+        self.end, self.origin = mem.end, mem.origin
+        self.write, self.to_b = write, not write
+        self.lo, self.hi, self.nbytes = op.lo, op.hi, n
+        self.strict = not write and op.strict
+        self.secs = ((dev.write_time if write else dev.read_time)(n)
+                     if file.striping.ndisks == 1 else None)
+        self.core, self.kind = kernel.core, kernel.kind
+        self.map, self.executor = file.map_access, executor
+        self.stats, self.phases = executor.stats, executor.phases
+        #: Where the copy counts as a memory-side kernel call, or None.
+        self.ff = None if mem.is_contiguous else executor._ff
+        self.plan_kind, self.span = plan.kind, f"exec.{type(op).__name__}"
+
+    def run(self, buf, delta: int, t0: Optional[float] = None):
+        """Run the access translated ``delta`` bytes into the file, with
+        ``buf`` as the user buffer; returns the bytes moved — or
+        ``None``, moving nothing, when ``buf`` is not a C-contiguous
+        ``ndarray`` of at least ``end`` bytes, writeable for a read:
+        the caller then validates it (:class:`MemDescriptor`) and calls
+        again with its byte view.  Any such buffer is used through its
+        flat byte view, an O(1) reshape.
+
+        ``t0``, the ``perf_counter()`` at the access's start, bills a
+        replay: a planner hit and replay, a pair-program hit and the
+        ``plan`` phase since ``t0``.  ``None`` bills a cold access,
+        whose plan and lookup are billed already.  Either way the call
+        bills what the executor's mapped op would: the copy (kernel
+        path, ``ff_kernel_calls``, ``pack``/``unpack``), the device
+        seconds, one executed op and its ``file_io``.
+        """
+        if type(buf) is not _ND:
+            return None
+        write = self.write
+        fl = buf.flags
+        if (not fl.c_contiguous or buf.nbytes < self.end
+                or not (write or fl.writeable)):
+            return None
+        if buf.dtype is not _U8 or buf.ndim != 1:
+            buf = (buf if buf.ndim == 1 else buf.reshape(-1)).view(_U8)
+        pst, n = self.stats, self.nbytes
+        lo, hi = self.lo + delta, self.hi + delta
+        if t0 is not None:
+            pst.plan_cache_hits += 1
+            pst.plan_replays += 1
+        if self.strict:
+            self.executor._check_strict(self.lo, lo, hi, n)
+        sess = SESSION.get()
+        if t0 is not None:
+            sess.prog_stats.hits += 1
+        sess.kernel_paths.counts[self.kind] += 1
+        if self.ff is not None:
+            self.ff.ff_kernel_calls += 1
+        phases = self.phases
+        t1 = perf_counter()
+        if t0 is not None:
+            phases.plan += t1 - t0
+        secs, t2 = self.map(lo, hi, n, write, self.secs, delta, self.core,
+                            buf, self.origin, self.to_b)
+        pst.device_sync_seconds += secs
+        pst.executed_ops += 1
+        if write:
+            pst.executed_file_writes += 1
+            phases.pack += t2 - t1
+        else:
+            pst.executed_file_reads += 1
+            phases.unpack += t2 - t1
+        t3 = perf_counter()
+        phases.file_io += t3 - t2
+        if trace.TRACE_ON:
+            if t0 is not None:
+                trace.TRACER.add("plan.independent", t0, t1, write=write,
+                                 nbytes=n)
+            trace.TRACER.add(self.span, t1, t3, plan=self.plan_kind)
         return n
 
 
