@@ -530,8 +530,8 @@ def run_collective(engine, mem, d0: int, write: bool) -> None:
     # Flight-recorder breadcrumb: if this collective dies mid-flight,
     # the record names what was being attempted and how far it got
     # (per-round progress lands via the executor's ``note_round``).
-    flight.note("collective", path="two_phase", write=write,
-                rounds=schedule.nrounds, pipeline=schedule.pipeline,
-                align=align)
+    flight.note("collective", comm.world_rank, path="two_phase",
+                write=write, rounds=schedule.nrounds,
+                pipeline=schedule.pipeline, align=align)
     plan = engine.collective_plan(write, rng, ranges, domains, schedule)
     engine.run_plan(plan, mem)

@@ -364,10 +364,12 @@ class IOEngine:
                    MemDescriptor(buf, count, memtype, dest=not write))
             run_collective(self, mem, d0, write)
             return mem.nbytes
+        comm = self.fh.comm
         t0 = perf_counter()
-        self.fh.comm.barrier()
+        comm.barrier()
         self.stats.phases.sync += perf_counter() - t0
-        flight.note("collective", path="mapped", write=write)
+        flight.note("collective", comm.world_rank, path="mapped",
+                    write=write)
         return self.run_independent(buf, count, memtype, d0, write)
 
 

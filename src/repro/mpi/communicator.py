@@ -1,14 +1,20 @@
 """The communicator: point-to-point and collective operations.
 
-Point-to-point messages are matched by ``(source, tag)`` in FIFO order per
-pair, as MPI requires.  Collectives use a shared exchange board guarded by
-a generation barrier — semantically equivalent to the tree algorithms of a
-real MPI but without their Python-level overhead, so the *accounted* cost
-(payload bytes × network model) remains the meaningful quantity.
+One :class:`Comm` serves the world and every sub-communicator on both
+runtimes: it carries its group (the member world ranks, a barrier and an
+exchange board), and the world communicator is simply the group of all
+ranks.  Point-to-point is written once, on two pieces: :func:`_match`,
+the one ``(source, tag)`` matcher (FIFO per pair, as MPI requires), and
+a per-runtime mailbox that supplies posting and the one blocking wait.
+Collectives use the group's exchange board guarded by its barrier —
+semantically equivalent to the tree algorithms of a real MPI but without
+their Python-level overhead, so the *accounted* cost (payload bytes ×
+network model) remains the meaningful quantity.
 
-Every operation aborts promptly when another rank has failed (the runtime
-sets a world-wide failure flag), so a crashing rank cannot deadlock the
-test suite.
+Every blocking operation aborts promptly when another rank has failed
+(the runtime sets a world-wide failure flag) and gives up after the one
+blocking-wait deadline (:func:`repro.deadline.recv_timeout`), so neither
+a crashing nor a silent rank can deadlock the test suite.
 """
 
 from __future__ import annotations
@@ -24,12 +30,42 @@ from repro.mpi.cost_model import payload_nbytes
 from repro.mpi.status import Status
 from repro.obs import trace
 
-__all__ = ["Comm", "ANY_TAG", "PendingOp", "recv_timeout"]
+__all__ = ["Comm", "GroupComm", "ANY_TAG", "PendingOp", "recv_timeout"]
 
-#: Wildcard tag for :meth:`Comm.recv`.
+#: Wildcard tag for :meth:`Comm.recv` and every other receive or probe.
 ANY_TAG = -1
 
 _POLL_INTERVAL = 0.05  # seconds between failure-flag checks while blocked
+
+#: A matched message: ``(source world rank, tag, payload)``.
+Hit = Tuple[int, int, Any]
+
+
+def _match(queues: Dict[Tuple[int, int], deque], srcs, tag: int,
+           take: bool) -> Optional[Hit]:
+    """The first message in ``queues`` (``(source, tag) -> FIFO``) from
+    one of the world ranks ``srcs`` with ``tag`` — any tag for
+    :data:`ANY_TAG` — as ``(source, tag, payload)``; taken off its
+    queue when ``take``, only peeked at otherwise.  None when nothing
+    matches.  Every receive, probe and ``recv_any`` on both runtimes
+    matches here."""
+    if tag != ANY_TAG:
+        for s in srcs:
+            q = queues.get((s, tag))
+            if q:
+                return s, tag, (q.popleft() if take else q[0])
+        return None
+    for (s, t), q in queues.items():
+        if q and s in srcs:
+            return s, t, (q.popleft() if take else q[0])
+    return None
+
+
+def _timed_out(srcs, tag: int, seconds: float) -> MPIRuntimeError:
+    return MPIRuntimeError(
+        f"recv from rank(s) {sorted(srcs)} (tag {tag}) timed out after "
+        f"{seconds:g}s (sender never sent, or died?)"
+    )
 
 
 class PendingOp:
@@ -46,20 +82,17 @@ class PendingOp:
 
     def test(self) -> bool:
         """Try to complete; True when done (payload via :meth:`wait`)."""
-        if self._done:
-            return True
-        ok, payload = self._poll(block=False)
-        if ok:
-            self._result = payload
-            self._done = True
+        if not self._done:
+            hit = self._poll(False)
+            if hit is not None:
+                self._result = hit[2]
+                self._done = True
         return self._done
 
     def wait(self):
         """Block until completion; returns the payload."""
         if not self._done:
-            ok, payload = self._poll(block=True)
-            assert ok
-            self._result = payload
+            self._result = self._poll(True)[2]
             self._done = True
         return self._result
 
@@ -71,13 +104,15 @@ class _Barrier:
     which the last arrival releases: one C-level acquire per waiter
     instead of :class:`threading.Barrier`'s condition-variable round
     trip in Python.  On 8 sim ranks that halves a barrier (≈0.07 →
-    ≈0.04 ms), the synchronization of every collective.  ``abort``
-    breaks it for good: waiters and later arrivals raise
-    :class:`threading.BrokenBarrierError`.
+    ≈0.04 ms), the synchronization of every collective.  A waiter gives
+    up after ``timeout`` seconds and breaks the barrier; ``abort``
+    breaks it for good.  Either way waiters and later arrivals raise
+    :class:`~repro.errors.MPIRuntimeError`.
     """
 
-    def __init__(self, parties: int) -> None:
+    def __init__(self, parties: int, timeout: float) -> None:
         self.parties = parties
+        self.timeout = timeout
         self._mu = threading.Lock()
         self._waiting: List[threading.Lock] = []
         self._broken = False
@@ -90,19 +125,38 @@ class _Barrier:
             gate.acquire()
         with self._mu:
             if self._broken:
-                raise threading.BrokenBarrierError
+                raise MPIRuntimeError("barrier broken (another rank failed)")
             if len(self._waiting) + 1 < self.parties:
                 self._waiting.append(gate)
                 last = None
             else:
                 last, self._waiting = self._waiting, []
         if last is None:
-            gate.acquire()  # released by the last arrival, or by abort
+            # Released by the last arrival or by abort.
+            if not gate.acquire(timeout=self.timeout):
+                self._expire(gate)
             if self._broken:
-                raise threading.BrokenBarrierError
+                raise MPIRuntimeError("barrier broken (another rank failed)")
             return
         for g in last:
             g.release()
+
+    def _expire(self, gate: threading.Lock) -> None:
+        """The deadline passed: break the barrier for every waiter —
+        unless the last arrival (or an abort) took this waiter off the
+        list meanwhile, whose release is then on its way."""
+        with self._mu:
+            expired = gate in self._waiting
+            if expired:
+                self._waiting.remove(gate)
+        if not expired:
+            gate.acquire()
+            return
+        self.abort()
+        raise MPIRuntimeError(
+            f"barrier timed out after {self.timeout:g}s (a rank never "
+            "entered it?)"
+        )
 
     def abort(self) -> None:
         with self._mu:
@@ -113,76 +167,91 @@ class _Barrier:
 
 
 class _Mailbox:
-    """Per-rank incoming message store with (source, tag) matching."""
+    """A sim rank's incoming messages, queued by ``(source, tag)``.
 
-    def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.queues: Dict[Tuple[int, int], deque] = {}
-
-    def put(self, source: int, tag: int, payload: Any) -> None:
-        with self.cond:
-            self.queues.setdefault((source, tag), deque()).append(payload)
-            self.cond.notify_all()
-
-    def get(
-        self, source: int, tag: int, failed: Callable[[], bool]
-    ) -> Tuple[Any, int]:
-        """Blocking matched receive; returns (payload, matched_tag).
-
-        Waits are bounded by :func:`recv_timeout`: a message that never
-        arrives raises :class:`MPIRuntimeError` instead of hanging the
-        rank (and with it, the whole run) forever.
-        """
-        deadline = time.monotonic() + recv_timeout()
-        with self.cond:
-            while True:
-                if tag == ANY_TAG:
-                    for (src, t), q in self.queues.items():
-                        if src == source and q:
-                            return q.popleft(), t
-                else:
-                    q = self.queues.get((source, tag))
-                    if q:
-                        return q.popleft(), tag
-                if failed():
-                    raise MPIRuntimeError(
-                        "world failed while waiting for a message"
-                    )
-                if time.monotonic() >= deadline:
-                    raise MPIRuntimeError(
-                        f"recv from rank {source} (tag {tag}) timed "
-                        "out (sender never sent?)"
-                    )
-                self.cond.wait(timeout=_POLL_INTERVAL)
-
-
-class Comm:
-    """Rank-local facade over the shared :class:`~repro.mpi.runtime.World`."""
+    Posting appends to the destination's queue under its condition; the
+    one blocking wait holds the condition across the match and the
+    wait, so no post between the two is missed.
+    """
 
     def __init__(self, world, rank: int) -> None:
         self._world = world
-        self.rank = rank
+        self._rank = rank
+        self.cond = threading.Condition()
+        self.queues: Dict[Tuple[int, int], deque] = {}
 
-    @property
-    def world_rank(self) -> int:
-        """This rank's identity in the world (== rank for the world
-        communicator; overridden by sub-communicators)."""
-        return self.rank
+    def post(self, wdest: int, tag: int, payload: Any) -> None:
+        dst = self._world.mailboxes[wdest]
+        with dst.cond:
+            dst.queues.setdefault((self._rank, tag), deque()).append(payload)
+            dst.cond.notify_all()
+
+    def wait(self, srcs, tag: int, take: bool,
+             block: bool) -> Optional[Hit]:
+        """Match, and with ``block`` wait until a message matches —
+        bounded by the world's deadline and failure flag."""
+        w = self._world
+        deadline = None
+        with self.cond:
+            while True:
+                hit = _match(self.queues, srcs, tag, take)
+                if hit is not None or not block:
+                    return hit
+                if w.failure is not None:
+                    raise MPIRuntimeError(
+                        "world failed while waiting for a message"
+                    )
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + w.timeout
+                elif now >= deadline:
+                    raise _timed_out(srcs, tag, w.timeout)
+                self.cond.wait(timeout=_POLL_INTERVAL)
+
+
+class _Group:
+    """What the ranks of one communicator share: the member world ranks
+    (in communicator-rank order), the barrier, the exchange board and
+    the id naming its collectives in trace edges."""
+
+    def __init__(self, members, barrier, cid: Optional[str] = None) -> None:
+        self.members = list(members)
+        self.barrier = barrier
+        self.board: List[Any] = [None] * len(self.members)
+        self.cid = cid or "g" + ",".join(str(m) for m in self.members)
+
+
+class Comm:
+    """A rank's communicator over a group of world ranks.
+
+    ``rank``/``size`` are group-local; messages and accounting use world
+    ranks.  Tags share the world's matching space, so code that mixes
+    world-level and group-level point-to-point traffic between the same
+    pair of ranks should use distinct tags (as it must in MPI when
+    sharing a communicator).  ``world`` accounts traffic, ``box`` is
+    this rank's mailbox.
+    """
+
+    def __init__(self, world, group: _Group, world_rank: int, box) -> None:
+        self._world = world
+        self._group = group
+        self._box = box
+        self.world_rank = world_rank
+        self.rank = group.members.index(world_rank)
+        self.size = len(group.members)
 
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of ranks in the world."""
-        return self._world.size
-
-    def _check(self, peer: int) -> None:
+    def _peer(self, peer: int) -> int:
+        """World rank of communicator rank ``peer`` (validated)."""
         if not 0 <= peer < self.size:
             raise MPIRuntimeError(
-                f"rank {peer} outside world of size {self.size}"
+                f"rank {peer} outside communicator of size {self.size}"
             )
+        return self._group.members[peer]
 
-    def _charge(self, nbytes: int, dst: Optional[int] = None) -> None:
-        self._world.account(self.rank, nbytes, dst)
+    def _charge(self, nbytes: int, dst: int) -> None:
+        self._world.account(self.world_rank, nbytes,
+                            self._group.members[dst])
 
     # ------------------------------------------------------------------
     # Causal edge stamps (recorded only while tracing).  Both sides of
@@ -193,9 +262,6 @@ class Comm:
     # communicator, so a per-rank call counter + the communicator id
     # names the instance.  repro.obs.causal joins them after the merge.
     # ------------------------------------------------------------------
-    def _edge_cid(self) -> str:
-        return "w"
-
     def _stamp_send(self, wsrc: int, wdst: int, tag: int) -> None:
         tr = trace.TRACER
         n = tr.seq(("s", wsrc, wdst, tag))
@@ -209,7 +275,7 @@ class Comm:
 
     def _stamp_coll(self, what: str, t0: float) -> None:
         tr = trace.TRACER
-        cid = self._edge_cid()
+        cid = self._group.cid
         n = tr.seq(("c", self.world_rank, what, cid))
         tr.edge("coll", (what, cid, n), t0=t0)
 
@@ -219,23 +285,27 @@ class Comm:
     def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Send ``payload`` to ``dest`` with ``tag`` (buffered, non-
         blocking in the eager sense)."""
-        self._check(dest)
-        self._charge(payload_nbytes(payload), dest)
+        wdest = self._peer(dest)
+        self._world.account(self.world_rank, payload_nbytes(payload), wdest)
         if trace.TRACE_ON:
-            self._stamp_send(self.rank, dest, tag)
-        self._world.mailbox(dest).put(self.rank, tag, payload)
+            self._stamp_send(self.world_rank, wdest, tag)
+        self._box.post(wdest, tag, payload)
+
+    def _take(self, srcs, tag: int, block: bool = True) -> Optional[Hit]:
+        """Take the first message matching ``(srcs, tag)`` off this
+        rank's mailbox (waiting for one with ``block``); stamps the
+        receive edge while tracing."""
+        t_wait = trace.now() if trace.TRACE_ON else 0.0
+        hit = self._box.wait(srcs, tag, True, block)
+        if hit is not None and trace.TRACE_ON:
+            self._stamp_recv(hit[0], self.world_rank, hit[1], t_wait)
+        return hit
 
     def recv(
         self, source: int, tag: int = 0, status: Optional[Status] = None
     ) -> Any:
         """Blocking matched receive from ``source``."""
-        self._check(source)
-        t_wait = trace.now() if trace.TRACE_ON else 0.0
-        payload, mtag = self._world.mailbox(self.rank).get(
-            source, tag, self._world.has_failed
-        )
-        if trace.TRACE_ON:
-            self._stamp_recv(source, self.rank, mtag, t_wait)
+        _w, mtag, payload = self._take((self._peer(source),), tag)
         if status is not None:
             status.source = source
             status.tag = mtag
@@ -254,15 +324,6 @@ class Comm:
         self.send(dest, payload, sendtag)
         return self.recv(source, recvtag)
 
-    def _recv_source_key(self, source: int) -> int:
-        """Mailbox queue key of communicator rank ``source`` (identity
-        here; group communicators translate to world ranks)."""
-        self._check(source)
-        return source
-
-    def _own_mailbox(self) -> "_Mailbox":
-        return self._world.mailbox(self.rank)
-
     def recv_any(self, sources: Sequence[int], tag: int = 0) -> Tuple[int, Any]:
         """Blocking receive from whichever of ``sources`` has a matching
         message first; returns ``(source, payload)``.
@@ -271,39 +332,15 @@ class Comm:
         peers and consumes them as their messages land, without imposing
         an order — the receive side of relaxed-synchronization rounds,
         where only the (AP, IOP) pairs that actually move bytes talk.
-        Bounded by :func:`recv_timeout` and the world failure flag like
-        every other blocking wait.
+        Bounded by the blocking-wait deadline and the world failure flag
+        like every other blocking wait.
         """
-        srcs = [(s, self._recv_source_key(s)) for s in sources]
+        srcs = {self._peer(s): s for s in sources}
         if not srcs:
             raise MPIRuntimeError("recv_any needs at least one source")
-        mb = self._own_mailbox()
-        t_wait = trace.now() if trace.TRACE_ON else 0.0
-        deadline = time.monotonic() + recv_timeout()
-        with mb.cond:
-            while True:
-                for s, key in srcs:
-                    q = mb.queues.get((key, tag))
-                    if q:
-                        payload = q.popleft()
-                        if trace.TRACE_ON:
-                            self._stamp_recv(key, self.world_rank,
-                                             tag, t_wait)
-                        return s, payload
-                if self._world.has_failed():
-                    raise MPIRuntimeError(
-                        "world failed while waiting for a message"
-                    )
-                if time.monotonic() >= deadline:
-                    raise MPIRuntimeError(
-                        f"recv_any from ranks {sorted(s for s, _ in srcs)} "
-                        f"(tag {tag}) timed out (sender never sent?)"
-                    )
-                mb.cond.wait(timeout=_POLL_INTERVAL)
+        wsrc, _t, payload = self._take(srcs, tag)
+        return srcs[wsrc], payload
 
-    # ------------------------------------------------------------------
-    # Nonblocking point-to-point
-    # ------------------------------------------------------------------
     def isend(self, dest: int, payload: Any, tag: int = 0) -> "PendingOp":
         """Nonblocking send.  Sends here buffer eagerly, so the request
         completes immediately; returned for MPI-style code shape."""
@@ -313,60 +350,23 @@ class Comm:
     def irecv(self, source: int, tag: int = 0) -> "PendingOp":
         """Nonblocking receive: returns a request whose ``wait()`` (or a
         successful ``test()``) yields the payload."""
-        self._check(source)
-        return PendingOp(
-            poll=lambda block: self._try_recv(source, tag, block)
-        )
-
-    def _try_recv(self, source: int, tag: int, block: bool):
-        mb = self._world.mailbox(self.rank)
-        if block:
-            payload, _tag = mb.get(source, tag, self._world.has_failed)
-            return True, payload
-        with mb.cond:
-            if tag == ANY_TAG:
-                for (src, t), q in mb.queues.items():
-                    if src == source and q:
-                        return True, q.popleft()
-                return False, None
-            q = mb.queues.get((source, tag))
-            if q:
-                return True, q.popleft()
-            return False, None
+        srcs = (self._peer(source),)
+        return PendingOp(poll=lambda block: self._take(srcs, tag, block))
 
     def probe(self, source: int, tag: int = 0,
               status: Optional[Status] = None) -> None:
         """Block until a matching message is available (not consumed)."""
-        self._check(source)
-        mb = self._world.mailbox(self.rank)
-        deadline = time.monotonic() + recv_timeout()
-        with mb.cond:
-            while True:
-                q = mb.queues.get((source, tag))
-                if q:
-                    if status is not None:
-                        status.source = source
-                        status.tag = tag
-                        status.nbytes = payload_nbytes(q[0])
-                    return
-                if self._world.has_failed():
-                    raise MPIRuntimeError(
-                        "world failed while probing for a message"
-                    )
-                if time.monotonic() >= deadline:
-                    raise MPIRuntimeError(
-                        f"probe of rank {source} (tag {tag}) timed "
-                        "out (sender never sent?)"
-                    )
-                mb.cond.wait(timeout=_POLL_INTERVAL)
+        _w, mtag, payload = self._box.wait((self._peer(source),), tag,
+                                           False, True)
+        if status is not None:
+            status.source = source
+            status.tag = mtag
+            status.nbytes = payload_nbytes(payload)
 
     def iprobe(self, source: int, tag: int = 0) -> bool:
         """True if a matching message is waiting (not consumed)."""
-        self._check(source)
-        mb = self._world.mailbox(self.rank)
-        with mb.cond:
-            q = mb.queues.get((source, tag))
-            return bool(q)
+        return self._box.wait((self._peer(source),), tag,
+                              False, False) is not None
 
     # ------------------------------------------------------------------
     # Communicator management
@@ -379,33 +379,32 @@ class Comm:
         """
         return self.split(color=0, key=self.rank)
 
-    def split(self, color, key: int = 0) -> "GroupComm | None":
+    def split(self, color, key: int = 0) -> "Comm | None":
         """Partition ranks by ``color`` into sub-communicators
         (``MPI_Comm_split``); ``key`` orders ranks within each group.
         Collective; returns None for ``color=None`` (MPI_UNDEFINED).
         """
-        # Members are identified by WORLD rank so nested splits work.
-        info = self.allgather((color, key, self.world_rank))
-        if color is None:
-            # Still participate in the group-object distribution below.
-            self.allgather(None)
-            return None
-        members = [
-            r for _c, _k, r in sorted(
-                (e for e in info if e[0] == color),
-                key=lambda e: (e[1], e[2]),
-            )
-        ]
-        leader = members[0]
-        group = _Group(self._world, members) \
-            if self.world_rank == leader else None
+        members = self._split_members(color, key)
+        # The leader builds the group; a second allgather (color=None
+        # ranks take part too) hands it to the members.
+        group = self._world.new_group(members) \
+            if members and self.world_rank == members[0] else None
         groups = self.allgather(group)
-        # groups is indexed by *this communicator's* ranks; find the
-        # deposit of whichever local rank is the leader.
+        if members is None:
+            return None
         gobj = next(g for g in groups if g is not None
                     and g.members == members)
-        return GroupComm(self._world, self.world_rank, gobj)
+        return Comm(self._world, gobj, self.world_rank, self._box)
 
+    def _split_members(self, color, key: int) -> Optional[List[int]]:
+        """World ranks of this rank's part of a split, ordered by
+        ``(key, world rank)`` — world ranks, so nested splits work —
+        or None for ``color=None``.  Collective: one allgather."""
+        info = self.allgather((color, key, self.world_rank))
+        if color is None:
+            return None
+        return [r for _c, _k, r in sorted(
+            (e for e in info if e[0] == color), key=lambda e: (e[1], e[2]))]
 
     # ------------------------------------------------------------------
     # Collectives
@@ -413,28 +412,28 @@ class Comm:
     def barrier(self) -> None:
         """Synchronize all ranks (a span only with tracing on)."""
         if not trace.TRACE_ON:
-            self._world.barrier_wait()
+            self._group.barrier.wait()
             return
         t0 = trace.now()
         with trace.span("mpi.barrier"):
-            self._world.barrier_wait()
+            self._group.barrier.wait()
         self._stamp_coll("bar", t0)
 
     def _board_exchange(self, item: Any) -> List[Any]:
         """Deposit ``item``, wait, and return every rank's deposit."""
         t0 = trace.now() if trace.TRACE_ON else 0.0
-        w = self._world
-        w.board[self.rank] = item
-        w.barrier_wait()
-        out = list(w.board)
-        w.barrier_wait()
+        g = self._group
+        g.board[self.rank] = item
+        g.barrier.wait()
+        out = list(g.board)
+        g.barrier.wait()
         if trace.TRACE_ON:
             self._stamp_coll("coll", t0)
         return out
 
     def bcast(self, payload: Any, root: int = 0) -> Any:
         """Broadcast from ``root``; every rank returns the root's value."""
-        self._check(root)
+        self._peer(root)
         items = self._board_exchange(payload if self.rank == root else None)
         value = items[root]
         if self.rank == root:
@@ -446,7 +445,7 @@ class Comm:
 
     def gather(self, payload: Any, root: int = 0) -> Optional[List[Any]]:
         """Gather to ``root``; non-roots return None."""
-        self._check(root)
+        self._peer(root)
         if self.rank != root:
             self._charge(payload_nbytes(payload), root)
         items = self._board_exchange(payload)
@@ -496,7 +495,7 @@ class Comm:
 
     def scatter(self, payloads: Optional[Sequence[Any]], root: int = 0) -> Any:
         """Scatter ``payloads`` (significant at root) to all ranks."""
-        self._check(root)
+        self._peer(root)
         if self.rank == root:
             if payloads is None or len(payloads) != self.size:
                 raise MPIRuntimeError(
@@ -511,147 +510,10 @@ class Comm:
         return items[root][self.rank]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Comm rank={self.rank}/{self.size}>"
+        return (f"<{type(self).__name__} rank={self.rank}/{self.size} "
+                f"world={self.world_rank}>")
 
 
-class _Group:
-    """Shared synchronization state of one sub-communicator."""
-
-    def __init__(self, world, members) -> None:
-        self.members = list(members)
-        self.barrier = _Barrier(len(members))
-        self.board: List[Any] = [None] * len(members)
-        # Failures anywhere in the world must break group barriers too.
-        world.register_barrier(self.barrier)
-
-
-class GroupComm(Comm):
-    """A communicator over a subset of world ranks.
-
-    ``rank``/``size`` are group-local; messages and accounting translate
-    to world ranks.  Tags share the world's matching space, so code that
-    mixes world-level and group-level point-to-point traffic between the
-    same pair of ranks should use distinct tags (as it must in MPI when
-    sharing a communicator).
-    """
-
-    def __init__(self, world, world_rank: int, group: _Group) -> None:
-        self._world = world
-        self._group = group
-        self._wrank = world_rank
-        self.rank = group.members.index(world_rank)
-
-    @property
-    def world_rank(self) -> int:
-        return self._wrank
-
-    @property
-    def size(self) -> int:
-        return len(self._group.members)
-
-    def _to_world(self, peer: int) -> int:
-        self._check(peer)
-        return self._group.members[peer]
-
-    def _edge_cid(self) -> str:
-        return "g" + ",".join(str(m) for m in self._group.members)
-
-    # -- point-to-point: translate ranks -------------------------------
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
-        wdest = self._to_world(dest)
-        self._world.account(self._wrank, payload_nbytes(payload),
-                            wdest)
-        if trace.TRACE_ON:
-            self._stamp_send(self._wrank, wdest, tag)
-        self._world.mailbox(wdest).put(self._wrank, tag, payload)
-
-    def recv(self, source: int, tag: int = 0,
-             status: Optional[Status] = None) -> Any:
-        wsrc = self._to_world(source)
-        t_wait = trace.now() if trace.TRACE_ON else 0.0
-        payload, mtag = self._world.mailbox(self._wrank).get(
-            wsrc, tag, self._world.has_failed
-        )
-        if trace.TRACE_ON:
-            self._stamp_recv(wsrc, self._wrank, mtag, t_wait)
-        if status is not None:
-            status.source = source
-            status.tag = mtag
-            status.nbytes = payload_nbytes(payload)
-        return payload
-
-    def _charge(self, nbytes: int, dst: Optional[int] = None) -> None:
-        wdst = None if dst is None else self._group.members[dst]
-        self._world.account(self._wrank, nbytes, wdst)
-
-    def _recv_source_key(self, source: int) -> int:
-        return self._to_world(source)
-
-    def _own_mailbox(self):
-        return self._world.mailbox(self._wrank)
-
-    def _try_recv(self, source: int, tag: int, block: bool):
-        wsrc = self._to_world(source)
-        mb = self._world.mailbox(self._wrank)
-        if block:
-            payload, _t = mb.get(wsrc, tag, self._world.has_failed)
-            return True, payload
-        with mb.cond:
-            q = mb.queues.get((wsrc, tag))
-            if q:
-                return True, q.popleft()
-            return False, None
-
-    def probe(self, source: int, tag: int = 0,
-              status: Optional[Status] = None) -> None:
-        wsrc = self._to_world(source)
-        mb = self._world.mailbox(self._wrank)
-        deadline = time.monotonic() + recv_timeout()
-        with mb.cond:
-            while True:
-                q = mb.queues.get((wsrc, tag))
-                if q:
-                    if status is not None:
-                        status.source = source
-                        status.tag = tag
-                        status.nbytes = payload_nbytes(q[0])
-                    return
-                if self._world.has_failed():
-                    raise MPIRuntimeError(
-                        "world failed while probing for a message"
-                    )
-                if time.monotonic() >= deadline:
-                    raise MPIRuntimeError(
-                        f"probe of rank {source} (tag {tag}) timed "
-                        "out (sender never sent?)"
-                    )
-                mb.cond.wait(timeout=_POLL_INTERVAL)
-
-    def iprobe(self, source: int, tag: int = 0) -> bool:
-        wsrc = self._to_world(source)
-        mb = self._world.mailbox(self._wrank)
-        with mb.cond:
-            return bool(mb.queues.get((wsrc, tag)))
-
-    # -- collectives: group-local barrier and board ---------------------
-    def barrier(self) -> None:
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        try:
-            self._group.barrier.wait()
-        except threading.BrokenBarrierError:
-            raise MPIRuntimeError(
-                "group barrier broken (another rank failed)"
-            ) from None
-        if trace.TRACE_ON:
-            self._stamp_coll("bar", t0)
-
-    def _board_exchange(self, item: Any) -> List[Any]:
-        t0 = trace.now() if trace.TRACE_ON else 0.0
-        g = self._group
-        g.board[self.rank] = item
-        self.barrier()
-        out = list(g.board)
-        self.barrier()
-        if trace.TRACE_ON:
-            self._stamp_coll("coll", t0)
-        return out
+#: A communicator over a subset of world ranks is a :class:`Comm` over
+#: that group; the name stays for code written against sub-communicators.
+GroupComm = Comm

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "NetworkModel",
     "StorageModel",
+    "Traffic",
     "PIPELINE_DEPTH",
     "PIPELINE_MIN_ROUNDS",
     "choose_access_strategy",
@@ -116,6 +117,35 @@ class NetworkModel:
         if self.is_inter_node(src, dst):
             return self.inter_latency + nbytes / self.inter_bandwidth
         return self.latency + nbytes / self.bandwidth
+
+
+class Traffic:
+    """Per-rank message accounting of one world: the bytes, messages
+    and modelled wire time each rank sent.  Each rank writes only its
+    own slot, so no lock is needed."""
+
+    def __init__(self, size: int, network: NetworkModel | None = None):
+        self.size = size
+        self.network = network or NetworkModel()
+        self.bytes_sent = [0] * size
+        self.messages_sent = [0] * size
+        self.net_time = [0.0] * size
+
+    def account(self, rank: int, nbytes: int, dst: int | None = None) -> None:
+        """Charge rank for one message of ``nbytes`` (to ``dst`` when the
+        topology matters)."""
+        self.bytes_sent[rank] += nbytes
+        self.messages_sent[rank] += 1
+        self.net_time[rank] += self.network.transfer_time(
+            nbytes, rank, rank if dst is None else dst
+        )
+
+    def max_net_time(self) -> float:
+        """Wire time of the busiest rank (ranks communicate in parallel)."""
+        return max(self.net_time)
+
+    def total_bytes_sent(self) -> int:
+        return sum(self.bytes_sent)
 
 
 @dataclass(frozen=True)

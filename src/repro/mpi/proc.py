@@ -9,17 +9,19 @@ in-process reference passing.
 
 Design:
 
-* **Collectives** reuse the board-exchange algorithm of the simulated
+* **Collectives** reuse the board-exchange algorithm of the one
   :class:`~repro.mpi.communicator.Comm` — :class:`ProcComm` overrides
   only ``_board_exchange`` (each rank writes one segment, a barrier
   publishes them, every rank attaches its peers' segments, a second
-  barrier gates unlink) and ``barrier`` (a ``multiprocessing.Barrier``
-  with a timeout).  Everything from ``bcast`` to ``alltoall`` is the
-  exact code path the simulated backend runs, which is what makes the
-  differential conformance suite meaningful.
-* **Point-to-point** messages put only ``(source, tag, segment_name)``
-  on the destination's queue; payload bytes stay in shared memory.
-  Receives carry a deadline — a dead sender surfaces as
+  barrier gates unlink); its world barrier is a
+  ``multiprocessing.Barrier`` with a timeout.  Everything from
+  ``bcast`` to ``alltoall`` is the exact code path the simulated
+  backend runs, which is what makes the differential conformance suite
+  meaningful.
+* **Point-to-point** is :class:`Comm`'s too; only the mailbox differs.
+  Messages put only ``(source, tag, segment_name)`` on the
+  destination's queue; payload bytes stay in shared memory.  Receives
+  carry a deadline — a dead sender surfaces as
   :class:`~repro.errors.MPIRuntimeError` within the blocking-wait
   deadline (:func:`repro.deadline.recv_timeout`, ``REPRO_RECV_TIMEOUT``,
   default 60 s), never as a hang.
@@ -47,14 +49,14 @@ import tempfile
 import threading
 import time
 import zlib
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.deadline import recv_timeout
 from repro.errors import MPIRuntimeError
 from repro.mpi import shm
-from repro.mpi.communicator import ANY_TAG, Comm, PendingOp
-from repro.mpi.cost_model import NetworkModel, payload_nbytes
-from repro.mpi.status import Status
+from repro.mpi.communicator import Comm, _Group, _match, _timed_out
+from repro.mpi.cost_model import NetworkModel, Traffic
 from repro.obs import flight, trace
 from repro.session import current
 
@@ -119,8 +121,13 @@ class _ProcShared:
         self.rounds = [ctx.Value("q", -1, lock=False)
                        for _ in range(size)]
 
+    def check(self) -> None:
+        """Raise if the world was aborted (another rank failed)."""
+        if self.abort.is_set():
+            raise MPIRuntimeError("world failed (another rank aborted)")
 
-class ProcWorldReport:
+
+class ProcWorldReport(Traffic):
     """Post-run accounting mirror of :class:`~repro.mpi.runtime.World`.
 
     Filled by the parent from each rank's report so code written
@@ -128,81 +135,102 @@ class ProcWorldReport:
     works unchanged on the proc backend.
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.bytes_sent = [0] * size
-        self.messages_sent = [0] * size
-        self.net_time = [0.0] * size
 
-    def total_bytes_sent(self) -> int:
-        return sum(self.bytes_sent)
+class _ProcBarrier:
+    """The world barrier of the rank processes: the shared
+    ``multiprocessing`` barrier, bounded by the world's deadline and
+    failed by its abort flag."""
 
-    def max_net_time(self) -> float:
-        return max(self.net_time)
-
-
-class ProcComm(Comm):
-    """Rank-local communicator of the multi-process backend.
-
-    Subclasses the simulated :class:`Comm` and overrides only the
-    transport: the collective algorithms (bcast/gather/allgather/
-    alltoall/allreduce/scatter and their accounting) are inherited
-    verbatim.
-    """
-
-    # Comm.__init__ is replaced wholesale: there is no World object.
-    def __init__(self, shared: _ProcShared, rank: int,
-                 network: Optional[NetworkModel] = None) -> None:
+    def __init__(self, shared: _ProcShared) -> None:
         self._shared = shared
-        self.rank = rank
-        self._network = network or NetworkModel()
-        self._gen = 0          # collective generation (segment names)
-        self._split_seq = 0    # split collectives issued (tag namespace)
-        self._ns = "w"         # communicator namespace (tag derivation)
-        self._next_counter = 0
-        # Messages drained off the queue but not yet matched.
-        self._pending: Dict[Tuple[int, int], List[Any]] = {}
-        # Local accounting (shipped to the parent after the run).
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.net_time = 0.0
 
-    # -- world plumbing ------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self._shared.size
-
-    def _charge(self, nbytes: int, dst: Optional[int] = None) -> None:
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-        self.net_time += self._network.transfer_time(
-            nbytes, self.world_rank,
-            self.world_rank if dst is None else dst,
-        )
-
-    def _check_abort(self) -> None:
-        if self._shared.abort.is_set():
-            raise MPIRuntimeError("world failed (another rank aborted)")
-
-    # -- barrier and board exchange ------------------------------------
-    def barrier(self) -> None:
-        if not trace.TRACE_ON:
-            self._barrier_wait()
-            return
-        t0 = trace.now()
-        with trace.span("mpi.barrier"):
-            self._barrier_wait()
-        self._stamp_coll("bar", t0)
-
-    def _barrier_wait(self) -> None:
-        self._check_abort()
+    def wait(self) -> None:
+        s = self._shared
+        s.check()
         try:
-            self._shared.barrier.wait(timeout=self._shared.timeout)
+            s.barrier.wait(timeout=s.timeout)
         except threading.BrokenBarrierError:
             raise MPIRuntimeError(
                 "barrier broken or timed out (another rank failed?)"
             ) from None
 
+
+class _ProcMailbox:
+    """A rank process's mailbox.  Posting writes the payload to a
+    shared-memory segment and queues only ``(source, tag, segment)`` on
+    the destination's queue; the one blocking wait drains this rank's
+    queue into the pending store until a message matches."""
+
+    def __init__(self, shared: _ProcShared, rank: int) -> None:
+        self._shared = shared
+        self._rank = rank
+        # Messages drained off the queue but not yet matched.
+        self.pending: Dict[Tuple[int, int], deque] = {}
+
+    def post(self, wdest: int, tag: int, payload: Any) -> None:
+        s = self._shared
+        s.check()
+        name = f"{s.uid}p{self._rank}s{next(_PSEQ)}"
+        shm.write_segment(name, payload)
+        s.queues[wdest].put((self._rank, tag, name))
+
+    def _drain(self, wait: float) -> bool:
+        """Pull at most one queued message into the pending store."""
+        try:
+            src, tag, name = self._shared.queues[self._rank].get(
+                timeout=wait
+            )
+        except queue_mod.Empty:
+            return False
+        payload = shm.read_segment(name)
+        shm.unlink_segment(name)
+        self.pending.setdefault((src, tag), deque()).append(payload)
+        return True
+
+    def wait(self, srcs, tag: int, take: bool, block: bool):
+        """Match, draining the queue until a message matches (without
+        ``block``: until the queue is empty) — bounded by the world's
+        deadline and abort flag."""
+        s = self._shared
+        deadline = None
+        while True:
+            hit = _match(self.pending, srcs, tag, take)
+            if hit is not None:
+                return hit
+            s.check()
+            if not block:
+                if not self._drain(0.0):
+                    return None
+                continue
+            now = time.monotonic()
+            if deadline is None:
+                deadline = now + s.timeout
+            elif now >= deadline:
+                raise _timed_out(srcs, tag, s.timeout)
+            self._drain(min(_POLL, deadline - now))
+
+
+class ProcComm(Comm):
+    """Rank-local communicator of the multi-process backend.
+
+    Point-to-point, the collective algorithms (bcast/gather/allgather/
+    alltoall/allreduce/scatter and their accounting) and the world
+    barrier are :class:`Comm`'s; this class adds only the transport of
+    the board exchange, the split into leader-relayed groups and the
+    shared counters.
+    """
+
+    def __init__(self, shared: _ProcShared, world: Traffic, group: _Group,
+                 world_rank: int, box: _ProcMailbox, ns: str = "w",
+                 next_counter: int = 0) -> None:
+        super().__init__(world, group, world_rank, box)
+        self._shared = shared
+        self._gen = 0          # collective generation (segment names)
+        self._split_seq = 0    # split collectives issued (tag namespace)
+        self._ns = ns          # communicator namespace (tag derivation)
+        self._next_counter = next_counter
+
+    # -- board exchange ------------------------------------------------
     def _segment(self, gen: int, rank: int) -> str:
         return f"{self._shared.uid}g{gen}r{rank}"
 
@@ -213,169 +241,21 @@ class ProcComm(Comm):
         own = self._segment(gen, self.world_rank)
         shm.write_segment(own, item)
         try:
-            self._barrier_wait()
+            self._group.barrier.wait()
             out: List[Any] = []
             for src in range(self.size):
                 if src == self.rank:
                     out.append(item)
                 else:
                     out.append(shm.read_segment(
-                        self._segment(gen, self._peer_world_rank(src))
+                        self._segment(gen, self._group.members[src])
                     ))
-            self._barrier_wait()
+            self._group.barrier.wait()
         finally:
             shm.unlink_segment(own)
         if trace.TRACE_ON:
             self._stamp_coll("coll", t0)
         return out
-
-    def _peer_world_rank(self, peer: int) -> int:
-        """World rank of communicator rank ``peer`` (identity here;
-        group communicators translate)."""
-        return peer
-
-    # -- point-to-point ------------------------------------------------
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
-        self._check(dest)
-        self._check_abort()
-        self._charge(payload_nbytes(payload), dest)
-        if trace.TRACE_ON:
-            self._stamp_send(self.world_rank,
-                             self._peer_world_rank(dest), tag)
-        name = f"{self._shared.uid}p{self.world_rank}s{next(_PSEQ)}"
-        shm.write_segment(name, payload)
-        self._shared.queues[self._peer_world_rank(dest)].put(
-            (self.world_rank, tag, name)
-        )
-
-    def _drain(self, wait: float) -> bool:
-        """Pull at most one queued message into the pending store."""
-        try:
-            src, tag, name = self._shared.queues[self.world_rank].get(
-                timeout=wait
-            )
-        except queue_mod.Empty:
-            return False
-        payload = shm.read_segment(name)
-        shm.unlink_segment(name)
-        self._pending.setdefault((src, tag), []).append(payload)
-        return True
-
-    def _match(self, wsrc: int, tag: int, consume: bool):
-        """Find (and optionally pop) a pending message from world rank
-        ``wsrc`` with ``tag``; returns ``(found, payload, tag)``."""
-        if tag == ANY_TAG:
-            for (s, t), q in self._pending.items():
-                if s == wsrc and q:
-                    return True, (q.pop(0) if consume else q[0]), t
-            return False, None, tag
-        q = self._pending.get((wsrc, tag))
-        if q:
-            return True, (q.pop(0) if consume else q[0]), tag
-        return False, None, tag
-
-    def _recv_match(self, wsrc: int, tag: int, block: bool,
-                    consume: bool = True):
-        deadline = time.monotonic() + self._shared.timeout
-        while True:
-            found, payload, mtag = self._match(wsrc, tag, consume)
-            if found:
-                return True, payload, mtag
-            self._check_abort()
-            if not block:
-                if not self._drain(0.0):
-                    return False, None, tag
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise MPIRuntimeError(
-                    f"recv from rank {wsrc} (tag {tag}) timed out after "
-                    f"{self._shared.timeout:.0f}s (sender dead?)"
-                )
-            self._drain(min(_POLL, remaining))
-
-    def recv(self, source: int, tag: int = 0,
-             status: Optional[Status] = None) -> Any:
-        self._check(source)
-        t_wait = trace.now() if trace.TRACE_ON else 0.0
-        _ok, payload, mtag = self._recv_match(
-            self._peer_world_rank(source), tag, block=True
-        )
-        if trace.TRACE_ON:
-            self._stamp_recv(self._peer_world_rank(source),
-                             self.world_rank, mtag, t_wait)
-        if status is not None:
-            status.source = source
-            status.tag = mtag
-            status.nbytes = payload_nbytes(payload)
-        return payload
-
-    def _try_recv(self, source: int, tag: int, block: bool):
-        ok, payload, _t = self._recv_match(
-            self._peer_world_rank(source), tag, block=block
-        )
-        return ok, payload
-
-    def probe(self, source: int, tag: int = 0,
-              status: Optional[Status] = None) -> None:
-        self._check(source)
-        _ok, payload, mtag = self._recv_match(
-            self._peer_world_rank(source), tag, block=True, consume=False
-        )
-        if status is not None:
-            status.source = source
-            status.tag = mtag
-            status.nbytes = payload_nbytes(payload)
-
-    def iprobe(self, source: int, tag: int = 0) -> bool:
-        self._check(source)
-        ok, _p, _t = self._recv_match(
-            self._peer_world_rank(source), tag, block=False, consume=False
-        )
-        return ok
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> PendingOp:
-        self.send(dest, payload, tag)
-        return PendingOp(result=None, done=True)
-
-    def irecv(self, source: int, tag: int = 0) -> PendingOp:
-        self._check(source)
-        return PendingOp(
-            poll=lambda block: self._try_recv(source, tag, block)
-        )
-
-    def recv_any(self, sources, tag: int = 0):
-        """Blocking receive from whichever of ``sources`` delivers first.
-
-        The multi-process transport drains its queue one message at a
-        time, so completion really is arrival-ordered: whatever the OS
-        queue yields next (from any expected peer) completes next.
-        Deadline-bounded and abort-aware like every blocking receive.
-        """
-        srcs = [(s, self._peer_world_rank(s)) for s in sources]
-        if not srcs:
-            raise MPIRuntimeError("recv_any needs at least one source")
-        for s, _w in srcs:
-            self._check(s)
-        t_wait = trace.now() if trace.TRACE_ON else 0.0
-        deadline = time.monotonic() + self._shared.timeout
-        while True:
-            for s, wsrc in srcs:
-                found, payload, _t = self._match(wsrc, tag, consume=True)
-                if found:
-                    if trace.TRACE_ON:
-                        self._stamp_recv(wsrc, self.world_rank, tag,
-                                         t_wait)
-                    return s, payload
-            self._check_abort()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise MPIRuntimeError(
-                    f"recv_any from ranks "
-                    f"{sorted(s for s, _ in srcs)} (tag {tag}) timed out "
-                    f"after {self._shared.timeout:.0f}s (sender dead?)"
-                )
-            self._drain(min(_POLL, remaining))
 
     # -- communicator management ---------------------------------------
     def split(self, color, key: int = 0) -> "ProcGroupComm | None":
@@ -384,15 +264,9 @@ class ProcComm(Comm):
         leader-relayed over reserved point-to-point tags."""
         seq = self._split_seq
         self._split_seq += 1
-        info = self.allgather((color, key, self.world_rank))
-        if color is None:
+        members = self._split_members(color, key)
+        if members is None:
             return None
-        members = [
-            r for _c, _k, r in sorted(
-                (e for e in info if e[0] == color),
-                key=lambda e: (e[1], e[2]),
-            )
-        ]
         return ProcGroupComm(self, members, f"{self._ns}/{seq}")
 
     def make_shared_counter(self) -> shm.ShmCounter:
@@ -409,11 +283,8 @@ class ProcComm(Comm):
         counter = shm.ShmCounter(self._shared.counters[idx])
         if self.rank == 0:
             counter.set(0)
-        self._barrier_wait()
+        self._group.barrier.wait()
         return counter
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ProcComm rank={self.rank}/{self.size}>"
 
 
 #: Tag space reserved for group-communicator internals: far above any
@@ -436,83 +307,34 @@ class ProcGroupComm(ProcComm):
 
     def __init__(self, parent: ProcComm, members: List[int],
                  ns: str) -> None:
-        self._shared = parent._shared
-        self._network = parent._network
-        self._parent = parent
-        self._members = list(members)
-        self._wrank = parent.world_rank
-        self.rank = members.index(parent.world_rank)
-        self._gen = 0
-        self._split_seq = 0
-        self._ns = ns
-        self._next_counter = parent._next_counter
-        self._pending = parent._pending  # one mailbox per process
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.net_time = 0.0
+        # Sibling groups of one split share the namespace string; the
+        # leader's world rank (memberships are disjoint) disambiguates.
+        group = _Group(members, None, f"g{ns}L{members[0]}")
+        super().__init__(parent._shared, parent._world, group,
+                         parent.world_rank, parent._box, ns,
+                         parent._next_counter)
         self._tag_base = (
             _GROUP_TAG_BASE
             + zlib.crc32(ns.encode("ascii")) * (1 << 20)
         )
 
-    @property
-    def world_rank(self) -> int:
-        return self._wrank
-
-    @property
-    def size(self) -> int:
-        return len(self._members)
-
-    def _peer_world_rank(self, peer: int) -> int:
-        self._check(peer)
-        return self._members[peer]
-
-    def _edge_cid(self) -> str:
-        # Sibling groups of one split share the namespace string; the
-        # leader's world rank (memberships are disjoint) disambiguates.
-        return f"g{self._ns}L{self._members[0]}"
-
-    def _charge(self, nbytes: int, dst: Optional[int] = None) -> None:
-        # Account on the parent: the per-rank totals shipped to the
-        # parent process are the world comm's counters.
-        self._parent._charge(
-            nbytes, None if dst is None else self._members[dst]
-        )
-
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
-        self._check(dest)
-        self._check_abort()
-        self._charge(payload_nbytes(payload), dest)
-        if trace.TRACE_ON:
-            self._stamp_send(self.world_rank, self._members[dest], tag)
-        name = f"{self._shared.uid}p{self.world_rank}s{next(_PSEQ)}"
-        shm.write_segment(name, payload)
-        self._shared.queues[self._members[dest]].put(
-            (self.world_rank, tag, name)
-        )
-
-    def _collective_tags(self) -> Tuple[int, int]:
-        gen = self._gen
-        self._gen += 1
-        base = self._tag_base + (gen % (1 << 19)) * 2
-        return base, base + 1
-
     def _board_exchange(self, item: Any) -> List[Any]:
         t0 = trace.now() if trace.TRACE_ON else 0.0
-        up, down = self._collective_tags()
-        leader = 0
-        if self.rank == leader:
+        gen = self._gen
+        self._gen += 1
+        up = self._tag_base + (gen % (1 << 19)) * 2
+        down = up + 1
+        members = self._group.members
+        if self.rank == 0:  # the leader
             out = [item] + [
-                self._recv_match(self._members[src], up,
-                                 block=True)[1]
+                self._box.wait((members[src],), up, True, True)[2]
                 for src in range(1, self.size)
             ]
             for dst in range(1, self.size):
                 self.send(dst, out, tag=down)
         else:
-            self.send(leader, item, tag=up)
-            out = self._recv_match(self._members[leader], down,
-                                   block=True)[1]
+            self.send(0, item, tag=up)
+            out = self._box.wait((members[0],), down, True, True)[2]
         if trace.TRACE_ON:
             self._stamp_coll("coll", t0)
         return out
@@ -523,9 +345,6 @@ class ProcGroupComm(ProcComm):
             return
         with trace.span("mpi.barrier"):
             self._board_exchange(None)
-
-    def _barrier_wait(self) -> None:
-        self._board_exchange(None)
 
     def make_shared_counter(self) -> shm.FileCounter:
         """Claim a cross-process shared counter (collective over the
@@ -541,17 +360,13 @@ class ProcGroupComm(ProcComm):
         path = os.path.join(
             tempfile.gettempdir(),
             f"{self._shared.uid}c{zlib.crc32(self._ns.encode()):08x}"
-            f"L{self._members[0]}n{seq}",
+            f"L{self._group.members[0]}n{seq}",
         )
         counter = shm.FileCounter(path)
         if self.rank == 0:
             counter.set(0)
-        self._barrier_wait()
+        self._board_exchange(None)
         return counter
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<ProcGroupComm rank={self.rank}/{self.size} "
-                f"world={self._wrank}>")
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +396,9 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
         _slot.value = index
 
     recorder.set_beacon(_beacon)
-    comm = ProcComm(shared, rank, network=network)
+    comm = ProcComm(shared, Traffic(shared.size, network),
+                    _Group(range(shared.size), _ProcBarrier(shared), "w"),
+                    rank, _ProcMailbox(shared, rank))
     outcome: Tuple[str, Any]
     try:
         with trace.span("spmd.rank", rank=rank):
@@ -595,9 +412,9 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
         outcome = ("err", exc)
     report = {
         "rank": rank,
-        "bytes_sent": comm.bytes_sent,
-        "messages_sent": comm.messages_sent,
-        "net_time": comm.net_time,
+        "bytes_sent": comm._world.bytes_sent[rank],
+        "messages_sent": comm._world.messages_sent[rank],
+        "net_time": comm._world.net_time[rank],
         "spans": trace.TRACER.export_state() if trace.TRACE_ON else {},
         "flight": recorder.export_state(),
     }

@@ -25,9 +25,10 @@ import os
 import threading
 from typing import Any, Callable, List, Optional
 
+from repro.deadline import recv_timeout
 from repro.errors import MPIRuntimeError
-from repro.mpi.communicator import Comm, _Barrier, _Mailbox
-from repro.mpi.cost_model import NetworkModel
+from repro.mpi.communicator import Comm, _Barrier, _Group, _Mailbox
+from repro.mpi.cost_model import NetworkModel, Traffic
 
 __all__ = ["Runtime", "World", "run_spmd"]
 
@@ -35,85 +36,48 @@ __all__ = ["Runtime", "World", "run_spmd"]
 BACKENDS = ("sim", "proc")
 
 
-class World:
-    """Shared state of one SPMD execution."""
+class World(Traffic):
+    """Shared state of one SPMD execution: the ranks' mailboxes, the
+    world group, the failure flag and the traffic accounts."""
 
     def __init__(self, size: int, network: NetworkModel | None = None):
         if size < 1:
             raise MPIRuntimeError(f"world size must be >= 1, got {size}")
-        self.size = size
-        self.network = network or NetworkModel()
-        self._mailboxes = [_Mailbox() for _ in range(size)]
-        self._barrier = _Barrier(size)
-        self.board: List[Any] = [None] * size
-        self._failure: Optional[BaseException] = None
+        super().__init__(size, network)
+        # The one blocking-wait deadline, read once per world.
+        self.timeout = recv_timeout()
+        self.mailboxes = [_Mailbox(self, r) for r in range(size)]
+        self.failure: Optional[BaseException] = None
         self._failure_mu = threading.Lock()
-        self._extra_barriers: List[_Barrier] = []
-        # Per-rank accounting (no locks needed: each rank owns its slot).
-        self.bytes_sent = [0] * size
-        self.messages_sent = [0] * size
-        self.net_time = [0.0] * size
+        self._barriers: List[_Barrier] = []
+        self.group = self.new_group(range(size), cid="w")
 
-    # ------------------------------------------------------------------
-    def mailbox(self, rank: int) -> _Mailbox:
-        return self._mailboxes[rank]
-
-    def account(self, rank: int, nbytes: int, dst: int | None = None) -> None:
-        """Charge rank for one message of ``nbytes`` (to ``dst`` when the
-        topology matters)."""
-        self.bytes_sent[rank] += nbytes
-        self.messages_sent[rank] += 1
-        self.net_time[rank] += self.network.transfer_time(
-            nbytes, rank, rank if dst is None else dst
-        )
-
-    def barrier_wait(self) -> None:
-        try:
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise MPIRuntimeError(
-                "barrier broken (another rank failed)"
-            ) from None
-
-    # ------------------------------------------------------------------
-    def register_barrier(self, barrier: _Barrier) -> None:
-        """Track a sub-communicator barrier so failures break it too."""
+    def new_group(self, members, cid: Optional[str] = None) -> _Group:
+        """The shared state of a communicator over world ranks
+        ``members``; a failure anywhere in the world breaks its
+        barrier."""
+        group = _Group(members, _Barrier(len(members), self.timeout), cid)
         with self._failure_mu:
-            self._extra_barriers.append(barrier)
-            failed = self._failure is not None
+            self._barriers.append(group.barrier)
+            failed = self.failure is not None
         if failed:
-            barrier.abort()
+            group.barrier.abort()
+        return group
 
     def fail(self, exc: BaseException) -> None:
         """Record the first failure and unblock everyone."""
         with self._failure_mu:
-            if self._failure is None:
-                self._failure = exc
-            extras = list(self._extra_barriers)
-        self._barrier.abort()
-        for b in extras:
+            if self.failure is None:
+                self.failure = exc
+            barriers = list(self._barriers)
+        for b in barriers:
             b.abort()
-        for mb in self._mailboxes:
+        for mb in self.mailboxes:
             with mb.cond:
                 mb.cond.notify_all()
 
-    def has_failed(self) -> bool:
-        return self._failure is not None
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._failure
-
-    # ------------------------------------------------------------------
     def comm(self, rank: int) -> Comm:
-        return Comm(self, rank)
-
-    def max_net_time(self) -> float:
-        """Wire time of the busiest rank (ranks communicate in parallel)."""
-        return max(self.net_time)
-
-    def total_bytes_sent(self) -> int:
-        return sum(self.bytes_sent)
+        return Comm(self, self.group, rank, self.mailboxes[rank])
 
 
 def run_spmd(

@@ -91,7 +91,10 @@ class FlightRecorder:
         when the record is built.
         """
         r = _current_rank() if rank is None else rank
-        self._ring(r).append((_now(), kind, info or None))
+        ring = self._rings.get(r)
+        if ring is None:
+            ring = self._ring(r)
+        ring.append((_now(), kind, info or None))
 
     def note_round(self, index: int, total: int,
                    rank: Optional[int] = None, **info) -> None:
@@ -105,8 +108,11 @@ class FlightRecorder:
                 b(index)
             except Exception:
                 pass
-        self._ring(r).append(
-            (_now(), "round", {"index": index, "total": total, **info}))
+        ring = self._rings.get(r)
+        if ring is None:
+            ring = self._ring(r)
+        ring.append((_now(), "round", {"index": index, "total": total,
+                                       **info}))
 
     def set_beacon(self, fn: Optional[Callable[[int], None]]) -> None:
         """Install a per-process callback invoked with each completed

@@ -1,5 +1,8 @@
 """SPMD runtime: point-to-point, collectives, failure handling, costs."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,36 @@ class TestFailureHandling:
 
         with pytest.raises(RuntimeError, match="dead sender"):
             run_spmd(2, worker)
+
+    def test_barrier_without_peer_times_out(self, monkeypatch):
+        """A barrier a peer never enters raises within the one
+        blocking-wait deadline, ``REPRO_RECV_TIMEOUT``.  The world runs
+        in a guard thread: if the barrier hangs, the test fails the
+        world itself (which breaks the barrier) instead of hanging."""
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "0.5")
+        worlds, out = [], {}
+
+        def worker(comm):
+            if comm.rank == 0:
+                comm.barrier()
+
+        def drive():
+            try:
+                run_spmd(2, worker, world_out=worlds)
+            except BaseException as exc:  # noqa: BLE001 - inspected below
+                out["exc"] = exc
+
+        t0 = time.monotonic()
+        guard = threading.Thread(target=drive, daemon=True)
+        guard.start()
+        guard.join(10.0)
+        if guard.is_alive():
+            worlds[0].fail(MPIRuntimeError("barrier hung"))
+            guard.join(5.0)
+            pytest.fail("a barrier without its peer hung past the deadline")
+        assert isinstance(out.get("exc"), MPIRuntimeError), out
+        assert "timed out" in str(out["exc"])
+        assert time.monotonic() - t0 < 5.0
 
     def test_world_size_validation(self):
         with pytest.raises(MPIRuntimeError):

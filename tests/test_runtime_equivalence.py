@@ -9,6 +9,8 @@ world sizes, over a family of fileview generators, and diffs sim
 (SimFileSystem) against proc (OsFileSystem over a temp directory).
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from repro.fs import OsFileSystem, ShardedFileSystem, SimFileSystem
 from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
+from repro.mpi import ANY_TAG, Status
 from repro.mpi.runtime import Runtime
 from tests.conftest import datatype_trees
 
@@ -346,6 +349,85 @@ def test_btio_class_s_byte_identical(tmp_path):
         proc_bytes = bytes(proc_fs.lookup("/btio.out").contents())
         proc_fs.close()
         assert sim_bytes == proc_bytes, f"{engine}: BTIO output diverges"
+
+
+# -- point-to-point: one matching contract on both runtimes -------------
+
+P2P_OPS = ["recv", "irecv_wait", "irecv_test", "probe", "iprobe",
+           "recv_any"]
+
+
+def _poll(ready, seconds=5.0):
+    """Poll ``ready()`` until true or ``seconds`` pass; its last value.
+    A proc message may land after the barrier (``mp.Queue`` delivers
+    through a feeder thread), so a nonblocking check polls."""
+    deadline = time.monotonic() + seconds
+    ok = ready()
+    while not ok and time.monotonic() < deadline:
+        time.sleep(0.005)
+        ok = ready()
+    return ok
+
+
+def _p2p_worker(comm, op, scope, tag):
+    """World rank 0 sends one tag-7 message to world rank 1 on the world
+    communicator or on a split group that reverses the rank order;
+    rank 1 takes it with ``op`` asking for ``tag``."""
+    c = comm if scope == "world" else comm.split(0, key=-comm.rank)
+    peer = 1 - c.rank
+    if comm.rank == 0:
+        c.send(peer, np.arange(6, dtype=np.uint8), tag=7)
+    comm.barrier()
+    if comm.rank == 0:
+        return None
+    if op == "recv":
+        st = Status()
+        got = c.recv(peer, tag=tag, status=st)
+        return got.tolist(), (st.source, st.tag, st.nbytes)
+    if op == "irecv_wait":
+        return c.irecv(peer, tag=tag).wait().tolist()
+    if op == "irecv_test":
+        req = c.irecv(peer, tag=tag)
+        ok = _poll(req.test)
+        return ok, req.wait().tolist() if ok else None
+    if op == "probe":
+        st = Status()
+        c.probe(peer, tag=tag, status=st)
+        return (st.source, st.tag, st.nbytes), c.recv(peer, tag).tolist()
+    if op == "iprobe":
+        ok = _poll(lambda: c.iprobe(peer, tag=tag))
+        return ok, c.recv(peer, tag).tolist() if ok else None
+    src, got = c.recv_any([peer], tag=tag)
+    return src, got.tolist()
+
+
+@pytest.mark.parametrize("tag", [7, ANY_TAG], ids=["tag7", "any_tag"])
+@pytest.mark.parametrize("scope", ["world", "group"])
+@pytest.mark.parametrize("op", P2P_OPS)
+def test_p2p_matching_backends_agree(op, scope, tag, monkeypatch):
+    """Every receive, probe and ``recv_any`` — on the world and on a
+    split group, for a named tag and ``ANY_TAG`` — finds the waiting
+    message on both runtimes, with the same payload and status."""
+    monkeypatch.setenv("REPRO_RECV_TIMEOUT", "3")
+    sim = Runtime("sim").run(2, _p2p_worker, op, scope, tag)
+    proc = Runtime("proc").run(2, _p2p_worker, op, scope, tag)
+    assert sim == proc
+    payload = list(range(6))
+    expect = {
+        "recv": (payload, (0, 7, 6)),
+        "irecv_wait": payload,
+        "irecv_test": (True, payload),
+        "probe": ((0, 7, 6), payload),
+        "iprobe": (True, payload),
+        "recv_any": (0, payload),
+    }[op]
+    if scope == "group":  # the group reverses the ranks: sender is 1
+        expect = {
+            "recv": (payload, (1, 7, 6)),
+            "probe": ((1, 7, 6), payload),
+            "recv_any": (1, payload),
+        }.get(op, expect)
+    assert sim[1] == expect
 
 
 @pytest.mark.soak
