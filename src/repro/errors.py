@@ -59,3 +59,9 @@ class ServiceQueueFull(ServiceError):
 
 class ServiceWorkerError(ServiceError):
     """An IOP worker died (or failed) while executing a request."""
+
+
+class PeerError(ReproError):
+    """A process the transport started (:mod:`repro.transport`) died,
+    or stayed silent past the blocking-wait deadline; the message names
+    it."""

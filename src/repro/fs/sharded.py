@@ -5,10 +5,10 @@ A :class:`ShardedFileSystem` stripes every logical file round-robin over
 stripe ``s`` of a file lives on shard ``s % nshards`` at local offset
 ``(s // nshards) * stripe_size + (off % stripe_size)``.  Each server
 wraps an ordinary :class:`~repro.fs.filesystem.OsFileSystem` (or
-``SimFileSystem``) holding its shard of the bytes, and speaks a small
-pickled message protocol over a unix-domain socket; payloads at or above
-:data:`SHIP_SHM_THRESHOLD` travel out of band through the POSIX
-shared-memory data plane of :mod:`repro.mpi.shm`.
+``SimFileSystem``) holding its shard of the bytes.  The servers run on
+:mod:`repro.transport`: a small pickled message protocol over a
+unix-domain socket, payloads at or above :data:`SHIP_SHM_THRESHOLD`
+out of band through shared memory, one deadline on every reply.
 
 A :class:`ShardedFile` exposes the same surface as
 :class:`~repro.fs.simfile.SimFile` / :class:`~repro.fs.posix.OsFile`
@@ -49,18 +49,16 @@ the normal first-failure machinery.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import struct
 import tempfile
 import threading
-import time
-from multiprocessing import get_context
-from multiprocessing.connection import Client, Listener
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro import transport
+from repro.deadline import recv_timeout
 from repro.errors import FileSystemError
 from repro.fs.filesystem import OsFileSystem, SimFileSystem
 from repro.fs.locks import RangeLockManager
@@ -74,16 +72,13 @@ from repro.fs.striping import (
 )
 from repro.intervals import union
 from repro.obs import flight
+from repro.transport import SHIP_SHM_THRESHOLD
 
 __all__ = [
     "SHIP_SHM_THRESHOLD",
     "ShardedFile",
     "ShardedFileSystem",
 ]
-
-#: Payloads at or above this many bytes travel through a POSIX shm
-#: segment; smaller ones ride inline in the pickled control message.
-SHIP_SHM_THRESHOLD = 1 << 16
 
 # Modeled wire costs (bytes) — what a compact binary encoding of the
 # control messages would occupy.  Used for the descriptor-vs-payload
@@ -94,35 +89,6 @@ WIRE_EXTENT_BYTES = 16      # (offset, length) int64 pair
 WIRE_DT_PARAM_BYTES = 48    # (view id, d_lo, d_hi, file delta)
 
 _BEACON = struct.Struct("<q")
-_SEQ = itertools.count(1)
-
-
-# ----------------------------------------------------------------------
-# Payload transport: inline for small payloads, shm segment otherwise.
-# ----------------------------------------------------------------------
-
-def _pack_payload(arr: np.ndarray):
-    arr = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
-    if arr.nbytes >= SHIP_SHM_THRESHOLD:
-        from repro.mpi import shm
-
-        name = f"shipd{os.getpid():x}x{next(_SEQ):x}"
-        shm.write_segment(name, arr)
-        return ("shm", name, arr.nbytes)
-    return ("inline", arr, arr.nbytes)
-
-
-def _unpack_payload(ref) -> np.ndarray:
-    if ref[0] == "shm":
-        from repro.mpi import shm
-
-        data = shm.read_segment(ref[1])
-        shm.unlink_segment(ref[1])
-    else:
-        data = ref[1]
-    if isinstance(data, np.ndarray):
-        return data.view(np.uint8).reshape(-1)
-    return np.frombuffer(data, dtype=np.uint8)
 
 
 def _ctrl_dir(root: str) -> str:
@@ -137,18 +103,25 @@ def _ctrl_dir(root: str) -> str:
 # Server process.
 # ----------------------------------------------------------------------
 
-class _ServerState:
-    def __init__(self, fs, shard, nshards, stripe_size, beacon_fd):
-        self.fs = fs
+class _ServerState(transport.Handler):
+    """One shard server: its backing store, beacon, installed views,
+    lock managers and counters."""
+
+    def __init__(self, root, ctrl, shard, nshards, stripe_size, flavor):
+        if flavor == "os":
+            self.fs = OsFileSystem(os.path.join(root, f"shard{shard}"))
+        else:
+            self.fs = SimFileSystem()
+        self.beacon_fd = os.open(os.path.join(ctrl, f"beacon.{shard}"),
+                                 os.O_RDWR | os.O_CREAT, 0o644)
+        os.pwrite(self.beacon_fd, _BEACON.pack(-1), 0)
+        with open(os.path.join(ctrl, f"pid.{shard}"), "w") as fh:
+            fh.write(str(os.getpid()))
         self.shard = shard
         self.nshards = nshards
         self.ss = stripe_size
-        self.beacon_fd = beacon_fd
         self.last_round = -1
         self.bmu = threading.Lock()
-        self.stop = threading.Event()
-        self.listener = None
-        self.sock = None
         self.views: Dict[tuple, object] = {}
         self.vmu = threading.Lock()
         # Thread-level lock managers arbitrating client connections
@@ -178,6 +151,23 @@ class _ServerState:
                 self.last_round = rnd
                 os.pwrite(self.beacon_fd, _BEACON.pack(rnd), 0)
 
+    def dispatch(self, msg, held):
+        return _dispatch(self, msg, held)
+
+    def dropped(self, held):
+        # A dropped connection must not strand locks on this shard:
+        # release everything it still holds, in reverse acquire order.
+        for path, lo, hi in reversed(held):
+            try:
+                _unlock_one(self, path, lo, hi)
+            except Exception:
+                pass
+
+    def close(self):
+        if hasattr(self.fs, "close"):
+            self.fs.close()
+        os.close(self.beacon_fd)
+
 
 def _read_extents(st: _ServerState, path, loffs, lens, rnd):
     """Read the extents into one payload with the backing file's
@@ -198,12 +188,12 @@ def _read_extents(st: _ServerState, path, loffs, lens, rnd):
         short = (int(lens[:i].sum()), int(loffs[i]), int(lens[i]), got)
     st.beacon(rnd)
     st.bump(reads=1, bytes_read=total)
-    return _pack_payload(buf), short
+    return buf, short
 
 
-def _write_extents(st: _ServerState, path, loffs, lens, payload_ref, rnd):
+def _write_extents(st: _ServerState, path, loffs, lens, payload, rnd):
     f = st.fs.create(path, exist_ok=True)
-    n, _secs = f.pwritev_blocks(loffs, lens, _unpack_payload(payload_ref))
+    n, _secs = f.pwritev_blocks(loffs, lens, payload)
     st.beacon(rnd)
     st.bump(writes=1, bytes_written=n)
     return n
@@ -336,101 +326,6 @@ def _dispatch(st: _ServerState, msg, held):
     raise FileSystemError(f"shard {st.shard}: unknown wire op {op!r}")
 
 
-def _handle_conn(st: _ServerState, conn):
-    held: List[Tuple[str, int, int]] = []
-    try:
-        while not st.stop.is_set():
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg[0] == "shutdown":
-                try:
-                    conn.send(("ok", None))
-                except (BrokenPipeError, OSError):
-                    pass
-                st.stop.set()
-                # Closing the listener does not interrupt a blocked
-                # accept() on Linux; dial it once so the accept loop
-                # wakes up, re-checks the stop flag and exits.
-                try:
-                    Client(st.sock, family="AF_UNIX").close()
-                except OSError:
-                    pass
-                break
-            try:
-                reply = ("ok", _dispatch(st, msg, held))
-            except Exception as exc:
-                reply = ("err", exc)
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        # A dropped connection must not strand locks on this shard:
-        # release everything it still holds, in reverse acquire order.
-        for path, lo, hi in reversed(held):
-            try:
-                _unlock_one(st, path, lo, hi)
-            except Exception:
-                pass
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _serve_shard(root, ctrl, shard, nshards, stripe_size, flavor,
-                 ready_path):
-    """Server main: one process per shard, one thread per connection."""
-    if flavor == "os":
-        backing = OsFileSystem(os.path.join(root, f"shard{shard}"))
-    else:
-        backing = SimFileSystem()
-    beacon_fd = os.open(os.path.join(ctrl, f"beacon.{shard}"),
-                        os.O_RDWR | os.O_CREAT, 0o644)
-    os.pwrite(beacon_fd, _BEACON.pack(-1), 0)
-    with open(os.path.join(ctrl, f"pid.{shard}"), "w") as fh:
-        fh.write(str(os.getpid()))
-    st = _ServerState(backing, shard, nshards, stripe_size, beacon_fd)
-    sock = os.path.join(ctrl, f"{shard}.sock")
-    try:
-        os.unlink(sock)
-    except FileNotFoundError:
-        pass
-    st.listener = Listener(sock, family="AF_UNIX")
-    st.sock = sock
-    # Publish readiness only after the listener is accepting.
-    with open(ready_path, "w") as fh:
-        fh.write("ok")
-    threads = []
-    while not st.stop.is_set():
-        try:
-            conn = st.listener.accept()
-        except OSError:
-            break
-        if st.stop.is_set():  # the shutdown handler's wake-up dial
-            conn.close()
-            break
-        t = threading.Thread(target=_handle_conn, args=(st, conn),
-                             daemon=True, name=f"shipd-{shard}")
-        t.start()
-        threads.append(t)
-    try:
-        st.listener.close()
-    except OSError:
-        pass
-    for t in threads:
-        t.join(timeout=1.0)
-    if hasattr(backing, "close"):
-        backing.close()
-    os.close(beacon_fd)
-    try:
-        os.unlink(sock)
-    except FileNotFoundError:
-        pass
-
-
 # ----------------------------------------------------------------------
 # Client side.
 # ----------------------------------------------------------------------
@@ -455,7 +350,6 @@ class ShardedFileSystem:
         flavor: str = "os",
         device: DeviceModel | None = None,
         requires_ol_lists: bool = False,
-        request_timeout: float = 30.0,
         spawn: bool = True,
     ) -> None:
         if flavor not in ("os", "sim"):
@@ -468,143 +362,49 @@ class ShardedFileSystem:
         self.striping = StripingConfig(ndisks=self.nshards,
                                        stripe_size=self.stripe_size)
         self.requires_ol_lists = requires_ol_lists
-        self.request_timeout = float(request_timeout)
         self.ctrl = _ctrl_dir(self.root)
-        self._owner_pid: Optional[int] = None
-        self._procs: list = []
         self._files: Dict[str, "ShardedFile"] = {}
-        self._conns: Dict[tuple, object] = {}
         self._mu = threading.Lock()
+        socks = [os.path.join(self.ctrl, f"{k}.sock")
+                 for k in range(self.nshards)]
+        names = [f"shard {k} server" for k in range(self.nshards)]
+        #: This process' channels to the servers (:mod:`repro.transport`).
+        self.wire = transport.Peers(socks, names, lost=self._shard_dead)
+        self._servers: List[transport.Server] = []
         if spawn:
-            self._spawn_servers()
+            os.makedirs(self.root, exist_ok=True)
+            os.makedirs(self.ctrl, exist_ok=True)
+            for k in range(self.nshards):
+                self._servers.append(transport.Server(
+                    socks[k], names[k], FileSystemError, _ServerState,
+                    self.root, self.ctrl, k, self.nshards,
+                    self.stripe_size, self.flavor))
 
     # -- pickling: configuration only; copies are non-owning clients ---
     def __getstate__(self):
         return (self.root, self.nshards, self.stripe_size, self.flavor,
-                self.device, self.requires_ol_lists, self.request_timeout)
+                self.device, self.requires_ol_lists)
 
     def __setstate__(self, state):
-        (root, nshards, stripe_size, flavor, device, req_ol, timeout) = state
+        (root, nshards, stripe_size, flavor, device, req_ol) = state
         self.__init__(root, nshards=nshards, stripe_size=stripe_size,
                       flavor=flavor, device=device,
-                      requires_ol_lists=req_ol, request_timeout=timeout,
-                      spawn=False)
-
-    # -- server lifecycle ----------------------------------------------
-    def _spawn_servers(self) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        os.makedirs(self.ctrl, exist_ok=True)
-        ctx = get_context("fork")
-        self._owner_pid = os.getpid()
-        for k in range(self.nshards):
-            ready = os.path.join(self.ctrl, f"ready.{k}")
-            try:
-                os.unlink(ready)
-            except FileNotFoundError:
-                pass
-            p = ctx.Process(
-                target=_serve_shard,
-                args=(self.root, self.ctrl, k, self.nshards,
-                      self.stripe_size, self.flavor, ready),
-                daemon=True, name=f"shipd-{k}")
-            p.start()
-            self._procs.append(p)
-        deadline = time.monotonic() + 15.0
-        for k in range(self.nshards):
-            ready = os.path.join(self.ctrl, f"ready.{k}")
-            while not os.path.exists(ready):
-                if time.monotonic() > deadline:
-                    raise FileSystemError(
-                        f"shard {k} server failed to start"
-                    )
-                time.sleep(0.01)
+                      requires_ol_lists=req_ol, spawn=False)
 
     def close(self) -> None:
         """Shut servers down (owner) and drop this process' connections."""
-        owner = self._owner_pid == os.getpid()
-        if owner:
-            for k in range(self.nshards):
-                try:
-                    self._request(k, ("shutdown",))
-                except FileSystemError:
-                    pass
-        # Drop connections before joining the servers: their handler
-        # threads block in recv() until the peer closes, and a lingering
-        # handler delays the server's exit by its join timeout.
-        with self._mu:
-            conns, self._conns = self._conns, {}
-        for c in conns.values():
-            try:
-                c.close()
-            except OSError:
-                pass
-        if owner:
-            for p in self._procs:
-                p.join(timeout=5.0)
-            self._procs = []
-
-    # -- wire plumbing -------------------------------------------------
-    def _sock(self, k: int) -> str:
-        return os.path.join(self.ctrl, f"{k}.sock")
-
-    def _conn(self, k: int):
-        key = (os.getpid(), threading.get_ident(), k)
-        c = self._conns.get(key)
-        if c is None:
-            try:
-                c = Client(self._sock(k), family="AF_UNIX")
-            except OSError as exc:
-                self._shard_dead(k, exc)
-            with self._mu:
-                self._conns[key] = c
-        return c
-
-    def _drop_conn(self, k: int) -> None:
-        key = (os.getpid(), threading.get_ident(), k)
-        with self._mu:
-            c = self._conns.pop(key, None)
-        if c is not None:
-            try:
-                c.close()
-            except OSError:
-                pass
+        self.wire.close()
+        for srv in self._servers:
+            srv.stop()
 
     def _shard_dead(self, k: int, exc) -> None:
         """A shard stopped answering: breadcrumb its beacon and abort."""
         last = self.shard_last_round(k)
         flight.note("ship_dead_shard", shard=k, last_round=last)
-        self._drop_conn(k)
         raise FileSystemError(
             f"shard {k} server dead or unreachable "
             f"(last completed round {last}): {exc!r}"
         ) from exc
-
-    def _post(self, k: int, msg) -> None:
-        c = self._conn(k)
-        try:
-            c.send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            self._shard_dead(k, exc)
-
-    def _collect(self, k: int):
-        c = self._conn(k)
-        deadline = time.monotonic() + self.request_timeout
-        try:
-            while not c.poll(0.05):
-                if time.monotonic() > deadline:
-                    self._shard_dead(
-                        k, TimeoutError(
-                            f"no reply in {self.request_timeout:.1f}s"))
-            tag, val = c.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            self._shard_dead(k, exc)
-        if tag == "err":
-            raise val
-        return val
-
-    def _request(self, k: int, msg):
-        self._post(k, msg)
-        return self._collect(k)
 
     # -- introspection (tests, benchmarks, fault injection) ------------
     def server_pid(self, k: int) -> int:
@@ -627,10 +427,10 @@ class ShardedFileSystem:
         return [self.shard_last_round(k) for k in range(self.nshards)]
 
     def shard_counters(self, k: int) -> dict:
-        return self._request(k, ("counters",))
+        return self.wire.request(k, ("counters",))
 
     def shard_locks_held(self, k: int, path: str) -> dict:
-        return self._request(k, ("locks_held", path))
+        return self.wire.request(k, ("locks_held", path))
 
     # -- namespace surface ---------------------------------------------
     def create(self, path: str, exist_ok: bool = True,
@@ -645,12 +445,12 @@ class ShardedFileSystem:
             if not exist_ok:
                 raise FileSystemError(f"file exists: {path!r}")
             return f
-        if not exist_ok and self._request(0, ("exists", path)):
+        if not exist_ok and self.wire.request(0, ("exists", path)):
             raise FileSystemError(f"file exists: {path!r}")
         for k in range(self.nshards):
-            self._post(k, ("create", path))
+            self.wire.post(k, ("create", path))
         for k in range(self.nshards):
-            self._collect(k)
+            self.wire.collect(k)
         with self._mu:
             f = self._files.setdefault(path, ShardedFile(self, path))
         return f
@@ -660,21 +460,21 @@ class ShardedFileSystem:
             f = self._files.get(path)
         if f is not None:
             return f
-        if not self._request(0, ("exists", path)):
+        if not self.wire.request(0, ("exists", path)):
             raise FileSystemError(f"no such file: {path!r}")
         return self.create(path)
 
     def exists(self, path: str) -> bool:
-        return bool(self._request(0, ("exists", path)))
+        return bool(self.wire.request(0, ("exists", path)))
 
     def unlink(self, path: str) -> None:
         with self._mu:
             self._files.pop(path, None)
         for k in range(self.nshards):
-            self._request(k, ("unlink", path))
+            self.wire.request(k, ("unlink", path))
 
     def listdir(self) -> list:
-        return self._request(0, ("listdir",))
+        return self.wire.request(0, ("listdir",))
 
     def total_sim_time(self) -> float:
         with self._mu:
@@ -685,7 +485,7 @@ class ShardedFileSystem:
             for f in self._files.values():
                 f.stats.reset()
         for k in range(self.nshards):
-            self._request(k, ("reset_counters",))
+            self.wire.request(k, ("reset_counters",))
 
 
 def _reopen_sharded(state, path):
@@ -749,9 +549,9 @@ class ShardedFile:
     def size(self) -> int:
         ks = range(self.fs.nshards)
         for k in ks:
-            self.fs._post(k, ("size", self.name))
+            self.fs.wire.post(k, ("size", self.name))
             self._count(k, requests=1, request_bytes=WIRE_HEADER_BYTES)
-        sizes = [self.fs._collect(k) for k in ks]
+        sizes = [self.fs.wire.collect(k) for k in ks]
         return global_size(sizes, self.fs.stripe_size, self.fs.nshards)
 
     def pread(self, offset: int, nbytes: int) -> np.ndarray:
@@ -789,14 +589,13 @@ class ShardedFile:
         shards = sorted(per)
         for k in shards:
             loffs, llens, _d = per[k]
-            self.fs._post(k, ("read", self.name, loffs, llens, -1))
+            self.fs.wire.post(k, ("read", self.name, loffs, llens, -1))
             self._count(k, requests=1,
                         request_bytes=WIRE_HEADER_BYTES
                         + WIRE_EXTENT_BYTES * loffs.size)
         first = None  # data-stream position of the earliest short byte
         for k in shards:
-            ref, short = self.fs._collect(k)
-            payload = _unpack_payload(ref)
+            payload, short = self.fs.wire.collect(k)
             self._count(k, payload_bytes=payload.nbytes)
             _lo, llens, doffs = per[k]
             q = 0
@@ -833,14 +632,14 @@ class ShardedFile:
             for ln, doff in zip(llens.tolist(), doffs.tolist()):
                 payload[q:q + ln] = buf[pos + doff:pos + doff + ln]
                 q += ln
-            self.fs._post(k, ("write", self.name, loffs, llens,
-                              _pack_payload(payload), -1))
+            self.fs.wire.post(k, ("write", self.name, loffs, llens,
+                                  payload, -1))
             self._count(k, requests=1,
                         request_bytes=WIRE_HEADER_BYTES
                         + WIRE_EXTENT_BYTES * loffs.size,
                         payload_bytes=payload.nbytes)
         for k in shards:
-            self.fs._collect(k)
+            self.fs.wire.collect(k)
         secs = self.device.extents_time(offs, lens, self.striping, True)
         self.stats.record_write(total, secs, len(offs))
         return total, secs
@@ -850,11 +649,11 @@ class ShardedFile:
             raise FileSystemError(f"negative truncate length {length}")
         ks = range(self.fs.nshards)
         for k in ks:
-            self.fs._post(k, ("truncate", self.name, local_size(
+            self.fs.wire.post(k, ("truncate", self.name, local_size(
                 k, length, self.fs.stripe_size, self.fs.nshards)))
             self._count(k, requests=1, request_bytes=WIRE_HEADER_BYTES)
         for k in ks:
-            self.fs._collect(k)
+            self.fs.wire.collect(k)
 
     def _lock_plan(self, lo: int, hi: int):
         """Per-shard coalesced local ranges for a global ``[lo, hi)``."""
@@ -870,7 +669,7 @@ class ShardedFile:
         done = []
         try:
             for k, ranges in sorted(self._lock_plan(lo, hi).items()):
-                self.fs._request(k, ("lock", self.name, ranges))
+                self.fs.wire.request(k, ("lock", self.name, ranges))
                 done.append((k, ranges))
                 self._count(k, requests=1,
                             request_bytes=WIRE_HEADER_BYTES
@@ -881,7 +680,7 @@ class ShardedFile:
             # did acquire here, or other ranks deadlock on them.
             for k, ranges in reversed(done):
                 try:
-                    self.fs._request(k, ("unlock", self.name, ranges))
+                    self.fs.wire.request(k, ("unlock", self.name, ranges))
                 except FileSystemError:
                     pass
             raise
@@ -891,7 +690,7 @@ class ShardedFile:
         for k, ranges in sorted(self._lock_plan(lo, hi).items(),
                                 reverse=True):
             try:
-                self.fs._request(k, ("unlock", self.name, ranges))
+                self.fs.wire.request(k, ("unlock", self.name, ranges))
             except FileSystemError:
                 # A dead shard's locks died with its server (the OS
                 # drops fcntl locks on process exit); keep releasing
@@ -929,12 +728,12 @@ class ShardedFile:
                     ev = threading.Event()
                     self._views_sent[(k, vid)] = ev
                     break
-            if not ent.wait(self.fs.request_timeout):
+            if not ent.wait(recv_timeout()):
                 raise FileSystemError(
                     f"timed out waiting for fileview install on shard {k}"
                 )
         try:
-            self.fs._request(k, ("view", vid, cview))
+            self.fs.wire.request(k, ("view", vid, cview))
         except BaseException:
             with self._vmu:
                 self._views_sent.pop((k, vid), None)
@@ -948,46 +747,45 @@ class ShardedFile:
         return nbytes
 
     def ship_post_read(self, k, loffs, lens, rnd) -> int:
-        self.fs._post(k, ("read", self.name,
-                          np.asarray(loffs, dtype=np.int64),
-                          np.asarray(lens, dtype=np.int64), rnd))
+        self.fs.wire.post(k, ("read", self.name,
+                              np.asarray(loffs, dtype=np.int64),
+                              np.asarray(lens, dtype=np.int64), rnd))
         req = WIRE_HEADER_BYTES + WIRE_EXTENT_BYTES * len(loffs)
         self._count(k, requests=1, request_bytes=req)
         return req
 
     def ship_post_write(self, k, loffs, lens, payload, rnd) -> int:
-        self.fs._post(k, ("write", self.name,
-                          np.asarray(loffs, dtype=np.int64),
-                          np.asarray(lens, dtype=np.int64),
-                          _pack_payload(payload), rnd))
+        self.fs.wire.post(k, ("write", self.name,
+                              np.asarray(loffs, dtype=np.int64),
+                              np.asarray(lens, dtype=np.int64),
+                              payload, rnd))
         req = WIRE_HEADER_BYTES + WIRE_EXTENT_BYTES * len(loffs)
         self._count(k, requests=1, request_bytes=req,
                     payload_bytes=int(np.asarray(lens).sum()))
         return req
 
     def ship_post_dt_read(self, k, vid, d_lo, d_hi, fdelta, rnd) -> int:
-        self.fs._post(k, ("dt_read", self.name, vid, d_lo, d_hi,
-                          fdelta, rnd))
+        self.fs.wire.post(k, ("dt_read", self.name, vid, d_lo, d_hi,
+                              fdelta, rnd))
         self._count(k, requests=1, request_bytes=WIRE_DT_PARAM_BYTES)
         return WIRE_DT_PARAM_BYTES
 
     def ship_post_dt_write(self, k, vid, d_lo, d_hi, fdelta, payload,
                            rnd) -> int:
-        self.fs._post(k, ("dt_write", self.name, vid, d_lo, d_hi,
-                          fdelta, _pack_payload(payload), rnd))
+        self.fs.wire.post(k, ("dt_write", self.name, vid, d_lo, d_hi,
+                              fdelta, payload, rnd))
         self._count(k, requests=1, request_bytes=WIRE_DT_PARAM_BYTES,
                     payload_bytes=payload.nbytes)
         return WIRE_DT_PARAM_BYTES
 
     def ship_collect_read(self, k):
         """Collect one read reply: ``(payload, short)``."""
-        ref, short = self.fs._collect(k)
-        payload = _unpack_payload(ref)
+        payload, short = self.fs.wire.collect(k)
         self._count(k, payload_bytes=payload.nbytes)
         return payload, short
 
     def ship_collect_write(self, k) -> int:
-        return self.fs._collect(k)
+        return self.fs.wire.collect(k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ShardedFile {self.name!r} shards={self.fs.nshards} "

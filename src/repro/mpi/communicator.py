@@ -19,6 +19,7 @@ a crashing nor a silent rank can deadlock the test suite.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -43,22 +44,29 @@ Hit = Tuple[int, int, Any]
 
 def _match(queues: Dict[Tuple[int, int], deque], srcs, tag: int,
            take: bool) -> Optional[Hit]:
-    """The first message in ``queues`` (``(source, tag) -> FIFO``) from
-    one of the world ranks ``srcs`` with ``tag`` — any tag for
-    :data:`ANY_TAG` — as ``(source, tag, payload)``; taken off its
-    queue when ``take``, only peeked at otherwise.  None when nothing
-    matches.  Every receive, probe and ``recv_any`` on both runtimes
-    matches here."""
+    """The oldest message in ``queues`` (``(source, tag) -> FIFO`` of
+    ``(arrival stamp, payload)``) from one of the world ranks ``srcs``
+    with ``tag`` — any tag for :data:`ANY_TAG` — as ``(source, tag,
+    payload)``; taken off its queue when ``take``, only peeked at
+    otherwise.  None when nothing matches.  Oldest by arrival stamp, so
+    a wildcard receive never lets a later message overtake an earlier
+    one (MPI's non-overtaking rule).  Every receive, probe and
+    ``recv_any`` on both runtimes matches here."""
+    best = None
     if tag != ANY_TAG:
         for s in srcs:
             q = queues.get((s, tag))
-            if q:
-                return s, tag, (q.popleft() if take else q[0])
+            if q and (best is None or q[0][0] < best[2][0][0]):
+                best = (s, tag, q)
+    else:
+        for (s, t), q in queues.items():
+            if q and s in srcs and (best is None
+                                    or q[0][0] < best[2][0][0]):
+                best = (s, t, q)
+    if best is None:
         return None
-    for (s, t), q in queues.items():
-        if q and s in srcs:
-            return s, t, (q.popleft() if take else q[0])
-    return None
+    s, t, q = best
+    return s, t, (q.popleft() if take else q[0])[1]
 
 
 def _timed_out(srcs, tag: int, seconds: float) -> MPIRuntimeError:
@@ -169,9 +177,10 @@ class _Barrier:
 class _Mailbox:
     """A sim rank's incoming messages, queued by ``(source, tag)``.
 
-    Posting appends to the destination's queue under its condition; the
-    one blocking wait holds the condition across the match and the
-    wait, so no post between the two is missed.
+    Posting stamps the message with its arrival order and appends it to
+    the destination's queue under its condition; the one blocking wait
+    holds the condition across the match and the wait, so no post
+    between the two is missed.
     """
 
     def __init__(self, world, rank: int) -> None:
@@ -179,11 +188,13 @@ class _Mailbox:
         self._rank = rank
         self.cond = threading.Condition()
         self.queues: Dict[Tuple[int, int], deque] = {}
+        self.arrivals = itertools.count()
 
     def post(self, wdest: int, tag: int, payload: Any) -> None:
         dst = self._world.mailboxes[wdest]
         with dst.cond:
-            dst.queues.setdefault((self._rank, tag), deque()).append(payload)
+            dst.queues.setdefault((self._rank, tag), deque()).append(
+                (next(dst.arrivals), payload))
             dst.cond.notify_all()
 
     def wait(self, srcs, tag: int, take: bool,

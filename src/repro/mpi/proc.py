@@ -1,7 +1,7 @@
 """The multi-process SPMD backend: ranks as real OS processes.
 
 :func:`run_spmd_proc` mirrors :func:`repro.mpi.runtime.run_spmd` but
-launches every rank as a ``multiprocessing`` process, so "parallel"
+forks every rank as a process of :mod:`repro.transport`, so "parallel"
 means parallel: ranks contend for the file system through real file
 descriptors and real ``fcntl`` locks, and collectives move bytes
 through POSIX shared memory (:mod:`repro.mpi.shm`) instead of
@@ -52,6 +52,7 @@ import zlib
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import transport
 from repro.deadline import recv_timeout
 from repro.errors import MPIRuntimeError
 from repro.mpi import shm
@@ -62,16 +63,8 @@ from repro.session import current
 
 __all__ = ["ProcComm", "ProcWorldReport", "run_spmd_proc"]
 
-#: Queue poll granularity while waiting for a message or a result.
+#: Queue poll granularity while waiting for a message.
 _POLL = 0.05
-
-#: Seconds a rank that exited *cleanly* (exit code 0) may stay
-#: unreported before it is declared a no-show.  A rank exits as soon as
-#: its own result is queued, so the parent can observe it dead while the
-#: result blob is still in flight through the queue's pipe — more so
-#: under CPU contention from concurrent worlds.  Ranks killed hard
-#: (signal / non-zero exit) get no grace: prompt failure propagation.
-_DEATH_GRACE = 1.0
 
 #: Shared counters pre-allocated per world (they must exist before the
 #: ranks fork; each collective ``make_shared_counter`` call claims one).
@@ -91,28 +84,20 @@ _PSEQ = itertools.count()
 #: live segments.
 _WSEQ = itertools.count()
 
-#: Serializes world *launch* (primitive creation + forks) across
-#: concurrent ``run_spmd_proc`` callers.  Creating Queues/Barriers and
-#: forking both mutate process-global multiprocessing state (resource
-#: tracker, SemLocks, fd table); two driver threads doing so at once
-#: can hand a child a torn view of it.  Only the launch window is
-#: serialized — the worlds themselves still run concurrently.
-_LAUNCH_LOCK = threading.Lock()
-
 
 class _ProcShared:
-    """World state inherited by every rank process (fork) or shipped to
-    it (spawn): synchronization primitives, mailbox queues, the shared
-    counter pool, and the segment namespace."""
+    """World state every rank process inherits: synchronization
+    primitives, mailbox queues, the shared counter pool, and the segment
+    namespace."""
 
-    def __init__(self, ctx, size: int, timeout: float, uid: str) -> None:
+    def __init__(self, size: int, timeout: float, uid: str) -> None:
+        ctx = transport.CTX
         self.size = size
         self.timeout = timeout
         self.uid = uid
         self.barrier = ctx.Barrier(size)
         self.abort = ctx.Event()
         self.queues = [ctx.Queue() for _ in range(size)]
-        self.results = ctx.Queue()
         self.counters = [ctx.Value("q", 0) for _ in range(_COUNTER_POOL)]
         # Flight-recorder beacons: each rank writes its last completed
         # aggregation round here as a side effect of note_round, so the
@@ -164,8 +149,10 @@ class _ProcMailbox:
     def __init__(self, shared: _ProcShared, rank: int) -> None:
         self._shared = shared
         self._rank = rank
-        # Messages drained off the queue but not yet matched.
+        # Messages drained off the queue but not yet matched, stamped
+        # in arrival order.
         self.pending: Dict[Tuple[int, int], deque] = {}
+        self._arrivals = itertools.count()
 
     def post(self, wdest: int, tag: int, payload: Any) -> None:
         s = self._shared
@@ -184,7 +171,8 @@ class _ProcMailbox:
             return False
         payload = shm.read_segment(name)
         shm.unlink_segment(name)
-        self.pending.setdefault((src, tag), deque()).append(payload)
+        self.pending.setdefault((src, tag), deque()).append(
+            (next(self._arrivals), payload))
         return True
 
     def wait(self, srcs, tag: int, take: bool, block: bool):
@@ -373,7 +361,7 @@ class ProcGroupComm(ProcComm):
 # Worker harness
 # ----------------------------------------------------------------------
 def _worker_main(shared: _ProcShared, rank: int, fn, args,
-                 trace_on: bool, network: Optional[NetworkModel]) -> None:
+                 trace_on: bool, network: Optional[NetworkModel]) -> bytes:
     # Rank attribution for the tracer and phase accounting: the same
     # thread-name convention the thread backend uses.  The explicit pin
     # matters: if the parent's main thread ever resolved its own rank
@@ -411,16 +399,14 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
                     type=type(exc).__name__, message=str(exc))
         outcome = ("err", exc)
     report = {
-        "rank": rank,
         "bytes_sent": comm._world.bytes_sent[rank],
         "messages_sent": comm._world.messages_sent[rank],
         "net_time": comm._world.net_time[rank],
         "spans": trace.TRACER.export_state() if trace.TRACE_ON else {},
         "flight": recorder.export_state(),
     }
-    # Pre-pickle in the worker thread so an unpicklable result raises
-    # *here* (mp.Queue pickles in a feeder thread, where the error
-    # would be swallowed and the parent would see a silent no-show).
+    # Pickle here, so an unpicklable result or exception becomes this
+    # rank's reported error rather than a rank dying without a report.
     try:
         blob = pickle.dumps((outcome[0], outcome[1], report), protocol=5)
     except Exception as exc:  # noqa: BLE001
@@ -431,7 +417,7 @@ def _worker_main(shared: _ProcShared, rank: int, fn, args,
              report),
             protocol=5,
         )
-    shared.results.put(blob)
+    return blob
 
 
 def _sweep_segments(uid: str) -> None:
@@ -457,26 +443,20 @@ def run_spmd_proc(
     network: Optional[NetworkModel] = None,
     world_out: Optional[list] = None,
     timeout: Optional[float] = None,
-    start_method: Optional[str] = None,
 ) -> List[Any]:
     """Run ``fn(comm, *args)`` on ``size`` rank *processes*.
 
     Same contract as :func:`repro.mpi.runtime.run_spmd`: returns
     per-rank results, re-raises the first rank failure, and fills
-    ``world_out`` with a :class:`ProcWorldReport`.  ``fn``, ``args``
-    and every rank's return value must be picklable.  The start method
-    defaults to ``fork`` (closures over test fixtures keep working);
-    override with ``start_method=`` or ``REPRO_PROC_START``.  Blocking
-    waits give up after ``timeout`` seconds (default:
+    ``world_out`` with a :class:`ProcWorldReport`.  Every rank's return
+    value must be picklable; ``fn`` and ``args`` reach the ranks by
+    fork.  Blocking waits
+    give up after ``timeout`` seconds (default:
     :func:`~repro.deadline.recv_timeout`).  The world's flight record
     lands in the caller's current session.
     """
-    import multiprocessing as mp
-
     if size < 1:
         raise MPIRuntimeError(f"world size must be >= 1, got {size}")
-    method = start_method or os.environ.get("REPRO_PROC_START", "fork")
-    ctx = mp.get_context(method)
     tmo = timeout if timeout is not None else recv_timeout()
     uid = (f"rp{os.getpid():x}x"
            f"{int(time.monotonic() * 1e6) & 0xFFFFFF:x}"
@@ -490,87 +470,49 @@ def run_spmd_proc(
     if world_out is not None:
         world_out.append(report)
 
-    with _LAUNCH_LOCK:
-        shared = _ProcShared(ctx, size, tmo, uid)
-        procs = [
-            ctx.Process(target=_worker_main,
-                        args=(shared, r, fn, args, trace.TRACE_ON,
-                              network),
-                        name=f"rank-{r}")
+    # Only the launch is serialized: concurrent worlds still run at once.
+    with transport.LAUNCH:
+        shared = _ProcShared(size, tmo, uid)
+        ranks = [
+            transport.spawn_reporting(
+                _worker_main,
+                (shared, r, fn, args, trace.TRACE_ON, network), f"rank-{r}")
             for r in range(size)
         ]
-        for p in procs:
-            p.start()
 
     results: List[Any] = [None] * size
     failures: List[Tuple[int, BaseException]] = []
     died: List[int] = []
-    reported: set = set()
-    dead_since: Dict[int, float] = {}
-    deadline = time.monotonic() + tmo + 10.0
     try:
-        while len(reported) < size:
-            try:
-                blob = shared.results.get(timeout=_POLL)
-            except queue_mod.Empty:
-                blob = None
-            if blob is not None:
-                kind, value, rep = pickle.loads(blob)
-                r = rep["rank"]
-                reported.add(r)
-                report.bytes_sent[r] = rep["bytes_sent"]
-                report.messages_sent[r] = rep["messages_sent"]
-                report.net_time[r] = rep["net_time"]
-                if rep["spans"]:
-                    trace.TRACER.ingest_state(rep["spans"])
-                if rep.get("flight"):
-                    recorder.ingest_state(rep["flight"])
-                if kind == "ok":
-                    results[r] = value
-                else:
-                    failures.append((r, value))
-                continue
-            # No result: check for ranks that died without reporting.
-            # A clean exit (code 0) races its own result delivery —
-            # give it _DEATH_GRACE to drain before declaring a no-show,
-            # so a slow queue never aborts a healthy world.
-            now = time.monotonic()
-            dead = []
-            for r, p in enumerate(procs):
-                if r in reported or p.is_alive():
-                    continue
-                first = dead_since.setdefault(r, now)
-                if p.exitcode == 0 and now - first < _DEATH_GRACE:
-                    continue
-                dead.append(r)
-            if dead and not shared.abort.is_set():
+        for r, blob in transport.reports(ranks, tmo + 10.0):
+            if blob is None:
+                # Dead without reporting (SIGKILL, OOM), or silent past
+                # the world deadline: fail the world on its behalf.
                 shared.abort.set()
                 shared.barrier.abort()
-            for r in dead:
-                reported.add(r)
-                died.append(r)
+                code = ranks[r][0].exitcode
+                if code is not None:
+                    died.append(r)
                 failures.append((r, MPIRuntimeError(
-                    f"rank {r} died without reporting "
-                    f"(exit code {procs[r].exitcode})"
-                )))
-            if time.monotonic() > deadline:
-                shared.abort.set()
-                shared.barrier.abort()
-                for r in range(size):
-                    if r not in reported:
-                        reported.add(r)
-                        failures.append((r, MPIRuntimeError(
-                            f"rank {r} unresponsive past the "
-                            f"{tmo:.0f}s world timeout"
-                        )))
-                break
+                    f"rank {r} died without reporting (exit code {code})"
+                    if code is not None else
+                    f"rank {r} unresponsive past the {tmo:.0f}s world "
+                    "timeout")))
+                continue
+            kind, value, rep = pickle.loads(blob)
+            report.bytes_sent[r] = rep["bytes_sent"]
+            report.messages_sent[r] = rep["messages_sent"]
+            report.net_time[r] = rep["net_time"]
+            if rep["spans"]:
+                trace.TRACER.ingest_state(rep["spans"])
+            if rep.get("flight"):
+                recorder.ingest_state(rep["flight"])
+            if kind == "ok":
+                results[r] = value
+            else:
+                failures.append((r, value))
     finally:
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - stuck rank
-                p.terminate()
-                p.join(timeout=5.0)
+        transport.reap([p for p, _reader in ranks])
         _sweep_segments(uid)
 
     if failures:

@@ -163,8 +163,7 @@ class Runtime:
     """
 
     def __init__(self, backend: Optional[str] = None, *,
-                 timeout: Optional[float] = None,
-                 start_method: Optional[str] = None) -> None:
+                 timeout: Optional[float] = None) -> None:
         name = backend or os.environ.get("REPRO_RUNTIME", "sim")
         name = name.strip().lower()
         if name not in BACKENDS:
@@ -174,7 +173,6 @@ class Runtime:
             )
         self.backend = name
         self.timeout = timeout
-        self.start_method = start_method
 
     @classmethod
     def resolve(cls, backend: "str | Runtime | None") -> "Runtime":
@@ -197,7 +195,7 @@ class Runtime:
 
             return run_spmd_proc(
                 size, fn, *args, network=network, world_out=world_out,
-                timeout=self.timeout, start_method=self.start_method,
+                timeout=self.timeout,
             )
         return run_spmd(size, fn, *args, network=network,
                         world_out=world_out, backend="sim")

@@ -45,7 +45,6 @@ __all__ = [
     "FileCounter",
     "ShmCounter",
     "read_segment",
-    "segment_size",
     "serialize",
     "unlink_segment",
     "write_segment",
@@ -93,11 +92,6 @@ def serialize(obj: Any) -> Tuple[bytes, List[memoryview], int]:
         _BUFLEN.size + r.nbytes for r in raws
     )
     return meta, raws, total
-
-
-def segment_size(obj: Any) -> int:
-    """Bytes the segment for ``obj`` would occupy (metadata included)."""
-    return serialize(obj)[2]
 
 
 def write_segment(name: str, obj: Any) -> int:

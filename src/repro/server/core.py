@@ -26,23 +26,29 @@ Worker modes:
     and benchmark configuration;
 ``proc``
     workers are real OS processes executing against an
-    :class:`~repro.fs.OsFileSystem` rooted at ``root``, fed over
-    ``multiprocessing`` pipes.  A worker that dies mid-request (e.g.
-    SIGKILL) fails exactly the requests it was executing with
-    :class:`~repro.errors.ServiceWorkerError`, drops a flight
-    breadcrumb, and is respawned — subsequent requests succeed.
+    :class:`~repro.fs.OsFileSystem` rooted at ``root``, each one a
+    server process of :mod:`repro.transport` fed by its worker thread.
+    A worker that dies mid-request (e.g. SIGKILL), or stays silent past
+    the blocking-wait deadline, fails exactly the requests it was
+    executing with :class:`~repro.errors.ServiceWorkerError`, drops a
+    flight breadcrumb, and is respawned — subsequent requests succeed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import queue
+import shutil
+import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ServiceError, ServiceWorkerError
+from repro import transport
+from repro.errors import PeerError, ServiceError, ServiceWorkerError
 from repro.server.admission import (
     DEFAULT_BYTE_BUDGET,
     DEFAULT_QUANTUM,
@@ -116,95 +122,56 @@ class ServerCounters:
             }
 
 
-class _ProcWorker:
-    """Handle on one IOP worker process + its feeder bookkeeping."""
-
-    def __init__(self, ctx, index: int, root: str, delay: float) -> None:
-        self.index = index
-        self.root = root
-        self.delay = delay
-        self.ctx = ctx
-        self.conn = None
-        self.process = None
-        self.spawn()
-
-    def spawn(self) -> None:
-        parent, child = self.ctx.Pipe(duplex=True)
-        self.process = self.ctx.Process(
-            target=_proc_worker_main, args=(child, self.root, self.delay),
-            daemon=True, name=f"iop-worker-{self.index}",
-        )
-        self.process.start()
-        child.close()
-        self.conn = parent
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(("stop",))
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.terminate()
-            self.process.join(timeout=5.0)
-        self.conn.close()
-
-
-def _proc_worker_main(conn, root: str, delay: float) -> None:
-    """IOP worker process: execute shipped batches against the shared
-    on-disk store.  One 1-rank sim world per open path, handles cached
-    for the worker's lifetime."""
-    from repro.fs import OsFileSystem
+def _open(fs, path: str):
+    """A server-side handle on ``path``, opened on a 1-rank sim world."""
     from repro.io import MODE_CREATE, MODE_RDWR
     from repro.io.file_handle import File
     from repro.mpi.runtime import World
 
-    fs = OsFileSystem(root)
-    handles: Dict[str, File] = {}
+    return File.open(World(1).comm(0), fs, path, MODE_CREATE | MODE_RDWR)
 
-    def handle(path: str) -> File:
-        fh = handles.get(path)
-        if fh is None:
-            fh = File.open(World(1).comm(0), fs, path,
-                           MODE_CREATE | MODE_RDWR)
-            handles[path] = fh
-        return fh
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "stop":
-            break
-        _kind, path, write, lo, payload = msg
+def _access(fh, write: bool, lo: int, arg):
+    """One batch's access on ``fh``: write the bytes ``arg`` at ``lo``,
+    or read ``arg`` bytes from ``lo``.  A merged read may run past EOF
+    in its gap tail; it is clipped like a POSIX short read."""
+    if write:
+        fh.write_at(lo, arg)
+        return None
+    buf = np.zeros(arg, np.uint8)
+    hi = min(lo + arg, max(lo, fh.get_size()))
+    if hi > lo:
+        fh.read_at(lo, buf[:hi - lo])
+    return buf
+
+
+class _IOPWorker(transport.Handler):
+    """An IOP worker process: runs shipped batches against the shared
+    on-disk store, one handle per path for the worker's lifetime.  Its
+    one client is its worker thread in the server, one batch at a
+    time."""
+
+    def __init__(self, root: str) -> None:
+        from repro.fs import OsFileSystem
+
+        self.fs = OsFileSystem(root)
+        self.handles: Dict[str, object] = {}
+
+    def dispatch(self, msg, held):
+        op, path, lo, arg, delay = msg
+        if op not in ("read", "write"):
+            raise ServiceError(f"unknown IOP worker op {op!r}")
         if delay:
             time.sleep(delay)
-        try:
-            fh = handle(path)
-            if write:
-                buf = np.frombuffer(payload, dtype=np.uint8)
-                fh.write_at(lo, buf)
-                reply = ("ok", None)
-            else:
-                buf = np.zeros(payload, dtype=np.uint8)
-                size = fh.get_size()
-                hi = min(lo + payload, max(lo, size))
-                if hi > lo:
-                    view = buf[: hi - lo]
-                    fh.read_at(lo, view)
-                reply = ("ok", buf.tobytes())
-        except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            reply = ("err", type(exc).__name__, str(exc))
-        try:
-            conn.send(reply)
-        except (OSError, BrokenPipeError):  # pragma: no cover
-            break
-    for fh in handles.values():
-        try:
-            fh.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        fh = self.handles.get(path)
+        if fh is None:
+            fh = self.handles[path] = _open(self.fs, path)
+        return _access(fh, op == "write", lo, arg)
+
+    def close(self) -> None:
+        for fh in self.handles.values():
+            with contextlib.suppress(Exception):
+                fh.close()
 
 
 class IOPServer:
@@ -267,7 +234,7 @@ class IOPServer:
         self._dispatch: "queue.Queue" = queue.Queue()
         self._wake = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._proc_workers: List[_ProcWorker] = []
+        self._proc_workers: List[transport.Server] = []
         self._running = False
 
     # ------------------------------------------------------------------
@@ -298,24 +265,20 @@ class IOPServer:
             raise ServiceError("server already running")
         self._running = True
         if self.worker_mode == "proc":
-            import multiprocessing as mp
-
-            ctx = mp.get_context()
+            self._ctrl = tempfile.mkdtemp(prefix="iop-")
+            socks = [os.path.join(self._ctrl, f"{i}.sock")
+                     for i in range(self.nworkers)]
+            names = [f"IOP worker {i}" for i in range(self.nworkers)]
             self._proc_workers = [
-                _ProcWorker(ctx, i, self.root, self.worker_delay)
-                for i in range(self.nworkers)
+                transport.Server(sock, name, ServiceError, _IOPWorker,
+                                 self.root)
+                for sock, name in zip(socks, names)
             ]
-            for w in self._proc_workers:
-                th = threading.Thread(target=self._feeder, args=(w,),
-                                      name=f"iop-feeder-{w.index}",
-                                      daemon=True)
-                self._threads.append(th)
-        else:
-            for i in range(self.nworkers):
-                th = threading.Thread(target=self._thread_worker,
-                                      name=f"iop-worker-{i}",
-                                      daemon=True)
-                self._threads.append(th)
+            self._wire = transport.Peers(socks, names)
+        for i in range(self.nworkers):
+            self._threads.append(threading.Thread(
+                target=self._worker, args=(i,), name=f"iop-worker-{i}",
+                daemon=True))
         sched = threading.Thread(target=self._scheduler,
                                  name="iop-scheduler", daemon=True)
         self._threads.append(sched)
@@ -342,9 +305,12 @@ class IOPServer:
         for th in self._threads:
             th.join(timeout=10.0)
         self._threads = []
-        for w in self._proc_workers:
-            w.stop()
-        self._proc_workers = []
+        if self._proc_workers:
+            self._wire.close()
+            for w in self._proc_workers:
+                w.stop()
+            self._proc_workers = []
+            shutil.rmtree(self._ctrl, ignore_errors=True)
         # Fail anything that never dispatched.
         for t in self.admission.tenants():
             while t.queue:
@@ -414,112 +380,74 @@ class IOPServer:
                 self._dispatch.put(b)
 
     # ------------------------------------------------------------------
-    # Execution — thread mode
+    # Execution
     # ------------------------------------------------------------------
-    def _thread_worker(self) -> None:
+    def _worker(self, i: int) -> None:
         with self.session:
             while True:
                 b = self._dispatch.get()
                 if b is None:
                     return
                 try:
-                    self._execute_local(b)
+                    self._execute(i, b)
                 except BaseException as exc:  # noqa: BLE001
                     self._fail_batch(b, exc)
 
-    def _handle(self, path: str):
-        from repro.io import MODE_CREATE, MODE_RDWR
-        from repro.io.file_handle import File
-        from repro.mpi.runtime import World
+    def _execute(self, i: int, b: Batch) -> None:
+        """Run batch ``b`` in place (thread mode) or on worker process
+        ``i``, one batch per path at a time."""
+        if b.write:
+            arg = np.empty(b.nbytes, np.uint8)
+            for it in b.items:
+                off = it.offset - b.lo
+                arg[off:off + it.nbytes] = it.data
+        else:
+            arg = b.nbytes
+        if self._proc_workers:
+            with self._path_lock(b.path):
+                try:
+                    out = self._wire.request(i, (
+                        "write" if b.write else "read", b.path, b.lo, arg,
+                        self.worker_delay))
+                except PeerError as exc:
+                    self._worker_died(i, b, exc)
+                    return
+        else:
+            if self.worker_delay:
+                # Test/bench hook: simulated device latency per access,
+                # so scheduling windows (and batching opportunities) are
+                # deterministic instead of racing the worker pool.
+                time.sleep(self.worker_delay)
+            fh, lock = self._handle(b.path)
+            with lock:
+                out = _access(fh, b.write, b.lo, arg)
+        if not b.write:
+            for it in b.items:
+                off = it.offset - b.lo
+                it.result = out[off:off + it.nbytes].copy()
+        self._complete_batch(b)
 
+    def _handle(self, path: str):
         with self._handle_mu:
             fh = self._handles.get(path)
             if fh is None:
                 # Opened by a worker thread, inside the server session.
-                fh = File.open(World(1).comm(0), self.fs, path,
-                               MODE_CREATE | MODE_RDWR)
-                self._handles[path] = fh
-                self._path_locks[path] = threading.Lock()
-            return fh, self._path_locks[path]
+                fh = self._handles[path] = _open(self.fs, path)
+        return fh, self._path_lock(path)
 
-    def _execute_local(self, b: Batch) -> None:
-        if self.worker_delay:
-            # Test/bench hook: simulated device latency per access, so
-            # scheduling windows (and batching opportunities) are
-            # deterministic instead of racing the worker pool.
-            time.sleep(self.worker_delay)
-        fh, lock = self._handle(b.path)
-        with lock:
-            if b.write:
-                buf = np.empty(b.nbytes, np.uint8)
-                for it in b.items:
-                    off = it.offset - b.lo
-                    buf[off:off + it.nbytes] = it.data
-                fh.write_at(b.lo, buf)
-            else:
-                buf = np.zeros(b.nbytes, np.uint8)
-                # A merged read may run past EOF in its gap tail; clip
-                # to the current size like a POSIX short read.
-                size = fh.get_size()
-                hi = min(b.hi, max(b.lo, size))
-                if hi > b.lo:
-                    view = buf[: hi - b.lo]
-                    fh.read_at(b.lo, view)
-                for it in b.items:
-                    off = it.offset - b.lo
-                    it.result = buf[off:off + it.nbytes].copy()
-        self._complete_batch(b)
-
-    # ------------------------------------------------------------------
-    # Execution — proc mode
-    # ------------------------------------------------------------------
-    def _feeder(self, w: _ProcWorker) -> None:
-        while True:
-            b = self._dispatch.get()
-            if b is None:
-                return
-            if b.write:
-                buf = np.empty(b.nbytes, np.uint8)
-                for it in b.items:
-                    off = it.offset - b.lo
-                    buf[off:off + it.nbytes] = it.data
-                msg = ("exec", b.path, True, b.lo, buf.tobytes())
-            else:
-                msg = ("exec", b.path, False, b.lo, b.nbytes)
-            try:
-                # One path, one worker at a time (same invariant the
-                # per-path locks keep in thread mode).
-                lock = self._proc_path_lock(b.path)
-                with lock:
-                    w.conn.send(msg)
-                    reply = w.conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self._worker_died(w, b, exc)
-                continue
-            if reply[0] == "ok":
-                if not b.write:
-                    data = np.frombuffer(reply[1], dtype=np.uint8)
-                    for it in b.items:
-                        off = it.offset - b.lo
-                        it.result = data[off:off + it.nbytes].copy()
-                self._complete_batch(b)
-            else:
-                self._fail_batch(
-                    b, ServiceError(f"{reply[1]}: {reply[2]}"))
-
-    def _proc_path_lock(self, path: str) -> threading.Lock:
+    def _path_lock(self, path: str) -> threading.Lock:
         with self._handle_mu:
             lock = self._path_locks.get(path)
             if lock is None:
                 lock = self._path_locks[path] = threading.Lock()
             return lock
 
-    def _worker_died(self, w: _ProcWorker, b: Batch,
-                     exc: BaseException) -> None:
-        """A worker process died mid-request: breadcrumb it, fail
-        exactly the requests it was executing, respawn."""
+    def _worker_died(self, i: int, b: Batch, exc: PeerError) -> None:
+        """Worker process ``i`` died or went silent mid-request:
+        breadcrumb it, fail exactly the requests it was executing,
+        respawn it."""
         self.session.flight.note(
-            "service.worker_dead", rank=w.index,
+            "service.worker_dead", rank=i,
             path=b.path, write=b.write,
             tenants=sorted({it.tenant for it in b.items}),
             requests=len(b.items),
@@ -527,16 +455,13 @@ class IOPServer:
         with self.counters._mu:
             self.counters.worker_respawns += 1
         self._fail_batch(b, ServiceWorkerError(
-            f"IOP worker {w.index} died executing "
-            f"{'write' if b.write else 'read'} on {b.path!r} ({exc!r})"
+            f"IOP worker {i} died executing "
+            f"{'write' if b.write else 'read'} on {b.path!r} ({exc})"
         ))
         if self._running:
-            try:
-                w.conn.close()
-            except Exception:
-                pass
-            w.process.join(timeout=5.0)
-            w.spawn()
+            # A failed respawn surfaces on the next request to it.
+            with contextlib.suppress(PeerError):
+                self._proc_workers[i].respawn()
 
     # ------------------------------------------------------------------
     # Completion

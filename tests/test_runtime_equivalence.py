@@ -354,7 +354,7 @@ def test_btio_class_s_byte_identical(tmp_path):
 # -- point-to-point: one matching contract on both runtimes -------------
 
 P2P_OPS = ["recv", "irecv_wait", "irecv_test", "probe", "iprobe",
-           "recv_any"]
+           "recv_any", "order"]
 
 
 def _poll(ready, seconds=5.0):
@@ -372,14 +372,23 @@ def _poll(ready, seconds=5.0):
 def _p2p_worker(comm, op, scope, tag):
     """World rank 0 sends one tag-7 message to world rank 1 on the world
     communicator or on a split group that reverses the rank order;
-    rank 1 takes it with ``op`` asking for ``tag``."""
+    rank 1 takes it with ``op`` asking for ``tag``.  ``order`` sends
+    "a" (tag 7), "b" (tag 8), "c" (tag 7) and takes three messages,
+    asking for ``ANY_TAG`` each time, or for tags 7, 7 and 8."""
     c = comm if scope == "world" else comm.split(0, key=-comm.rank)
     peer = 1 - c.rank
     if comm.rank == 0:
-        c.send(peer, np.arange(6, dtype=np.uint8), tag=7)
+        if op == "order":
+            for payload, t in (("a", 7), ("b", 8), ("c", 7)):
+                c.send(peer, payload, tag=t)
+        else:
+            c.send(peer, np.arange(6, dtype=np.uint8), tag=7)
     comm.barrier()
     if comm.rank == 0:
         return None
+    if op == "order":
+        tags = (tag,) * 3 if tag == ANY_TAG else (7, 7, 8)
+        return [c.recv(peer, tag=t) for t in tags]
     if op == "recv":
         st = Status()
         got = c.recv(peer, tag=tag, status=st)
@@ -407,7 +416,9 @@ def _p2p_worker(comm, op, scope, tag):
 def test_p2p_matching_backends_agree(op, scope, tag, monkeypatch):
     """Every receive, probe and ``recv_any`` — on the world and on a
     split group, for a named tag and ``ANY_TAG`` — finds the waiting
-    message on both runtimes, with the same payload and status."""
+    message on both runtimes, with the same payload and status; and
+    ``ANY_TAG`` takes messages from one source in arrival order, so a
+    later one never overtakes an earlier one."""
     monkeypatch.setenv("REPRO_RECV_TIMEOUT", "3")
     sim = Runtime("sim").run(2, _p2p_worker, op, scope, tag)
     proc = Runtime("proc").run(2, _p2p_worker, op, scope, tag)
@@ -420,6 +431,7 @@ def test_p2p_matching_backends_agree(op, scope, tag, monkeypatch):
         "probe": ((0, 7, 6), payload),
         "iprobe": (True, payload),
         "recv_any": (0, payload),
+        "order": ["a", "b", "c"] if tag == ANY_TAG else ["a", "c", "b"],
     }[op]
     if scope == "group":  # the group reverses the ranks: sender is 1
         expect = {
