@@ -89,6 +89,9 @@ def _run_cell(protocol: str, nshards: int, nblock: int) -> dict:
             fh.read_at(0, rbuf)
             comm.barrier()
             base = dict(fh.simfile.wire_totals())
+            # No rank starts its timed pairs before rank 0's ``base``
+            # (the one read) is taken.
+            comm.barrier()
             t0 = time.perf_counter()
             for _ in range(NREPS):
                 fh.write_at(0, wbuf)
@@ -207,6 +210,16 @@ def test_dtype_request_bytes_undercut_list():
     assert dty["dtype_fallbacks"] == 0, dty
     assert (dty["request_bytes"] + dty["view_bytes"]
             <= lst["request_bytes"]), (dty, lst)
+
+
+@pytest.mark.parametrize("protocol", SHIP_PROTOCOLS)
+def test_quick_cell_counts_repeat(protocol):
+    """Two runs of one ``--quick`` cell count the same wire traffic:
+    every rank's timed pairs start after rank 0's ``base`` snapshot, and
+    the ranks sharing a file install its views under one epoch."""
+    keys = ("requests", "request_bytes", "payload_bytes", "view_bytes")
+    a, b = (_run_cell(protocol, 2, NBLOCK // 8) for _ in range(2))
+    assert {k: a[k] for k in keys} == {k: b[k] for k in keys}
 
 
 # ----------------------------------------------------------------------

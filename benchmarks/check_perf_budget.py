@@ -48,8 +48,11 @@ access of the repository benchmark's workloads — a ``small_indep``
 write and read (and the write from a ``float64`` buffer), a
 ``sparse_os`` write on a real file, and a
 ``coll_interleaved`` write on each rank, mapped and two-phase — and
-fails above :data:`CALL_BUDGETS`.  Counts do not
-depend on the host's speed, so the gate cannot flake on a slow runner::
+fails above :data:`CALL_BUDGETS`.  It also counts, through a counting
+proxy on the file's ``_mu`` and its ``FileStats._mu``, the locks one
+replayed mapped access takes, and fails above :data:`LOCK_BUDGETS`.
+Counts do not depend on the host's speed, so the gate cannot flake on
+a slow runner::
 
     python benchmarks/check_perf_budget.py --calls
 """
@@ -92,7 +95,11 @@ MIN_COLLECTIVE_RUNS = 3
 #: the collective's flight breadcrumb takes the world rank from its
 #: caller and its ring in one lookup (2 calls, 4 before): the mapped
 #: ``coll_interleaved`` write went from 14 to 11, the two-phase one from
-#: 540 to 510.  Those budgets are the counts plus 2.  The traced entry is
+#: 540 to 510.  Billing a replay on its bound call's tally
+#: (:mod:`repro.tally`) instead of 13 shared counters kept every count —
+#: that billing was statements, not calls — and took the replay's file
+#: locks from 2 to 1 (:data:`LOCK_BUDGETS`).  Those budgets are the
+#: counts plus 2.  The traced entry is
 #: the same ``small_indep`` write with tracing on: tracing adds its spans
 #: to the bound call and never sends a replay back through the planner
 #: and the executor (29 calls; 35 before the bound call, 38 unbound).
@@ -110,6 +117,67 @@ CALL_BUDGETS = {
     "coll_interleaved write": 13,
     "coll_interleaved write (two-phase)": 512,
 }
+
+
+#: Acquisitions of the file's ``_mu`` and of its ``FileStats._mu`` one
+#: replayed mapped access may make per rank (``--calls``; a barrier's
+#: own lock is not counted).  The copy holds ``_mu``; the access bills
+#: the file's stats on its bound call's tally, which takes no lock, so
+#: the count is 1.  Billing them under ``FileStats._mu`` made it 2: a
+#: shared-counter lock back on the replay path fails this gate.
+LOCK_BUDGETS = {
+    "small_indep write": 1,
+    "small_indep read": 1,
+    "sparse_os write": 1,
+    "coll_interleaved write": 1,
+}
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions per thread, wrapping (and
+    locking) the real one."""
+
+    def __init__(self, lock, counts: dict) -> None:
+        self.lock, self.counts = lock, counts
+
+    def acquire(self, *args, **kwargs):
+        import threading
+
+        ident = threading.get_ident()
+        self.counts[ident] = self.counts.get(ident, 0) + 1
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self.lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+def _count_locks(comm, f, fn, *args) -> int:
+    """Acquisitions of ``f._mu`` and ``f.stats._mu`` that ``fn(*args)``
+    makes on this thread.  Collective over ``comm``: rank 0 wraps the
+    file's locks while every rank waits, so no rank holds one, and
+    unwraps them after every rank's call."""
+    import threading
+
+    comm.barrier()
+    if comm.rank == 0:
+        counts: dict = {}
+        real = f._mu, f.stats._mu
+        f._mu = _CountingLock(real[0], counts)
+        f.stats._mu = _CountingLock(real[1], counts)
+    comm.barrier()
+    fn(*args)
+    n = f._mu.counts.get(threading.get_ident(), 0)
+    comm.barrier()
+    if comm.rank == 0:
+        f._mu, f.stats._mu = real
+    comm.barrier()
+    return n
 
 
 def _count_calls(fn, *args) -> int:
@@ -138,12 +206,14 @@ def _count_calls(fn, *args) -> int:
     return n
 
 
-def measure_calls() -> dict:
-    """``{access: calls per rank}`` of one replayed access of each gated
-    workload, after a warm pass over every slot (so plans, programs and
-    views are cached, as in the benchmark's steady state).  A
-    collective's count is the mean over its ranks: which rank does a
-    shared one-time step first varies run to run, their sum does not.
+def measure_calls() -> tuple:
+    """``({access: calls per rank}, {access: locks per rank})`` of one
+    replayed access of each gated workload, after a warm pass over
+    every slot (so plans, programs and views are cached, as in the
+    benchmark's steady state).  A collective's count is the mean over
+    its ranks: which rank does a shared one-time step first varies run
+    to run, their sum does not.  Locks are counted for the accesses of
+    :data:`LOCK_BUDGETS`, in an access of their own.
     """
     import tempfile
 
@@ -158,7 +228,7 @@ def measure_calls() -> dict:
     from repro.mpi import run_spmd
     from repro.obs import trace
 
-    out = {}
+    out, locks = {}, {}
     tmp = tempfile.TemporaryDirectory()
     osfs = OsFileSystem(tmp.name)
     for name, dirs, path, fs in (
@@ -184,7 +254,7 @@ def measure_calls() -> dict:
             for slot in range(spec.slots):
                 write(slot * step, w, count, memtype)
                 read(slot * step, r, count, memtype)
-            calls = {}
+            calls, held = {}, {}
             for d in dirs:
                 call, buf = (write, w) if d != "read" else (read, r)
                 if d.endswith("(float64)"):
@@ -199,32 +269,44 @@ def measure_calls() -> dict:
                 finally:
                     trace.set_tracing(prev)
                     trace.TRACER.clear()
+                if f"{name} {d}{path}" in LOCK_BUDGETS:
+                    held[d] = _count_locks(comm, fh.simfile, call, step,
+                                           buf, count, memtype)
             comm.barrier()
             fh.close()
-            return calls
+            return calls, held
 
         per_rank = run_spmd(spec.nprocs, rank)
         for d in dirs:
-            out[f"{name} {d}{path}"] = (sum(c[d] for c in per_rank)
-                                        / spec.nprocs)
+            what = f"{name} {d}{path}"
+            out[what] = sum(c[d] for c, _ in per_rank) / spec.nprocs
+            if what in LOCK_BUDGETS:
+                locks[what] = (sum(h[d] for _, h in per_rank)
+                               / spec.nprocs)
     osfs.close()
     tmp.cleanup()
-    return out
+    return out, locks
 
 
 def check_calls() -> int:
-    """Call-count gate over :data:`CALL_BUDGETS`."""
-    counts = measure_calls()
+    """Call-count gate over :data:`CALL_BUDGETS` and lock-count gate
+    over :data:`LOCK_BUDGETS`."""
+    counts, locks = measure_calls()
     failed = []
     for what, budget in CALL_BUDGETS.items():
         n = counts[what]
         print(f"  {what:>34}: {n:6g} Python calls (budget {budget})")
         if n > budget:
             failed.append(f"{what} makes {n} calls (budget {budget})")
+    for what, budget in LOCK_BUDGETS.items():
+        n = locks[what]
+        print(f"  {what:>34}: {n:6g} file locks (budget {budget})")
+        if n > budget:
+            failed.append(f"{what} takes {n} file locks (budget {budget})")
     if failed:
         print("FAIL: " + "; ".join(failed), file=sys.stderr)
         return 1
-    print("PASS: per-access call counts within budget")
+    print("PASS: per-access call and lock counts within budget")
     return 0
 
 

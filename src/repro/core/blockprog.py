@@ -48,6 +48,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import tally
 from repro._ctx import SESSION
 from repro.core.dataloop import DLContig, DLSeq, DLVector, Dataloop
 from repro.core.gather import classify
@@ -73,20 +74,28 @@ _IDX_CAP = 1 << 20
 _MAX_PROGRAMS_PER_LOOP = 64
 
 
-class _Stats:
-    """Block-program counters (one instance per session)."""
+@tally.tallied
+class _Stats(tally.Tallied):
+    """Block-program counters (one instance per session).  ``hits``
+    reads its base plus the live bound calls' replays, each a pair-
+    program hit (:mod:`repro.tally`)."""
 
-    __slots__ = ("compiled", "hits", "misses", "translations", "bypasses")
+    __slots__ = ("compiled", "_hits", "misses", "translations", "bypasses",
+                 "_tallies")
+    TERMS = {"hits": tally.replays}
 
     def __init__(self) -> None:
+        self._tallies = ()
         self.reset()
 
     def reset(self) -> None:
-        self.compiled = 0
-        self.hits = 0
-        self.misses = 0
-        self.translations = 0
-        self.bypasses = 0
+        with self._mu:
+            self.compiled = 0
+            self._hits = 0
+            self.misses = 0
+            self.translations = 0
+            self.bypasses = 0
+            self._remark()
 
     def snapshot(self) -> dict:
         return {
@@ -259,7 +268,7 @@ class ProgramCache:
                 prog = progs.get(key) if progs is not None else None
                 if prog is not None:
                     progs.move_to_end(key)
-                    stats.hits += 1
+                    stats._hits += 1
                     return prog
                 ident = (loop, key)
                 ev = self._inflight.get(ident)

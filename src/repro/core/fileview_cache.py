@@ -16,6 +16,7 @@ few dozen bytes).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -170,6 +171,11 @@ class CompactFileview:
         return self.data_of_abs(hi) - self.data_of_abs(lo)
 
 
+#: Serializes :meth:`FileviewCache.install` (a cache crosses process
+#: boundaries with the file's shared state, so it holds no lock).
+_INSTALL_MU = threading.Lock()
+
+
 class FileviewCache:
     """Per-file store of every process' compact fileview.
 
@@ -186,12 +192,27 @@ class FileviewCache:
         #: bumped on every install; plan caches key on it so plans built
         #: against a replaced view can never be replayed.
         self.epoch = 0
+        #: The ``set_view`` whose views are installed (see :meth:`install`).
+        self._generation: Optional[int] = None
 
-    def install(self, views: Dict[int, CompactFileview]) -> None:
-        """Install the allgathered views (replacing any previous epoch)."""
-        self._views = dict(views)
-        self.exchange_bytes = sum(v.wire_bytes for v in views.values())
-        self.epoch += 1
+    def install(self, views: Dict[int, CompactFileview],
+                generation: Optional[int] = None) -> None:
+        """Install the allgathered views (replacing any previous epoch).
+
+        ``generation`` numbers the file's collective ``set_view`` calls
+        (``None``: a new one): a generation is installed once.  Sim
+        ranks share one cache, and each installs the same views; the
+        first to arrive installs them and bumps ``epoch``, so a rank
+        that starts accessing while the others still install sees the
+        epoch they will see (a view shipped to the shard servers under
+        an epoch the others never see is shipped again)."""
+        with _INSTALL_MU:
+            if generation is not None and generation == self._generation:
+                return
+            self._generation = generation
+            self._views = dict(views)
+            self.exchange_bytes = sum(v.wire_bytes for v in views.values())
+            self.epoch += 1
 
     def view_of(self, rank: int) -> CompactFileview:
         try:

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro._ctx import SESSION
 from repro.errors import FFError
+from repro.tally import Tallied, delta, runs
 
 __all__ = [
     "Kernel",
@@ -91,7 +92,7 @@ _PATH_NAMES = ("single", "small_loop", "strided_view", "big_block",
                "fancy_index", "ragged_index")
 
 
-class _KernelPaths:
+class _KernelPaths(Tallied):
     """Counters: which gather/scatter kernel path fired.
 
     One counter per kernel kind; every :meth:`Kernel.gather` /
@@ -99,20 +100,32 @@ class _KernelPaths:
     a one-shot :func:`gather_blocks` or a compiled block program.  One
     instance per :class:`~repro.session.IOSession`; read through
     :func:`kernel_path_counts` and surfaced in engine stats and
-    ``repro.cli plan-dump``.
+    ``repro.cli plan-dump``.  ``counts`` is the eagerly billed base; a
+    bound call's copies are its tally's runs, added to the count of
+    its kernel's kind by :meth:`snapshot` (:mod:`repro.tally`).
     """
 
-    __slots__ = ("counts",)
+    __slots__ = ("counts", "_tallies")
 
     def __init__(self) -> None:
+        self._tallies = ()
         self.reset()
 
     def reset(self) -> None:
-        self.counts = [0] * len(_PATH_NAMES)
+        with self._mu:
+            self.counts = [0] * len(_PATH_NAMES)
+            self._remark()
+
+    def _fold(self, t, m) -> None:
+        self.counts[t.kind] += delta(runs, t, m)
 
     def snapshot(self) -> dict:
+        with self._mu:
+            counts = list(self.counts)
+            for t, m in self._tallies:
+                counts[t.kind] += delta(runs, t, m)
         return {f"kernel_path_{name}": c
-                for name, c in zip(_PATH_NAMES, self.counts)}
+                for name, c in zip(_PATH_NAMES, counts)}
 
 
 def kernel_path_counts() -> dict:

@@ -107,11 +107,14 @@ class FileBuffer:
         ``shift - lo``), what a sieving window reads.  Either way
         ``copy`` only touches ``[lo, hi)`` of a buffer that holds it.
 
-        Charged as one device op moving ``nbytes`` over the stripes
-        ``[lo, hi)`` spans (one read or write in :class:`FileStats`):
-        ``secs`` simulated seconds if the caller has them, else the
-        device model's.  Returns the seconds charged and the
-        ``perf_counter()`` at the copy's end.
+        Priced as one device op moving ``nbytes`` over the stripes
+        ``[lo, hi)`` spans: ``secs`` simulated seconds if the caller has
+        them, else the device model's.  Returns the seconds and the
+        ``perf_counter()`` at the copy's end.  The caller bills them, as
+        one read or write in :class:`FileStats`: the executor's mapped
+        op through ``record_read``/``record_write``, a bound call on its
+        tally (:mod:`repro.tally`) — so the one lock a mapped access
+        takes is ``_mu``, for the copy.
         """
         if secs is None:
             st = self.striping
@@ -119,7 +122,6 @@ class FileBuffer:
             secs = (self.device.write_time if write
                     else self.device.read_time)(nbytes, streams)
         t0 = trace.now() if trace.TRACE_ON else 0.0
-        stats = self.stats
         mu = self._mu
         mu.acquire()  # not ``with``: a context manager costs more
         try:
@@ -135,22 +137,6 @@ class FileBuffer:
                     win[:size - lo] = buf[lo:size]
                 copy(win, shift - lo, other, pos, to_b)
             copied = perf_counter()
-        finally:
-            mu.release()
-        # FileStats.record_read/record_write inlined (the call costs
-        # more than the billing).  The stats keep their own lock: other
-        # ranks bill their vectored and one-extent calls after their
-        # copies, and must not queue behind this one.
-        mu = stats._mu
-        mu.acquire()
-        try:
-            if write:
-                stats.n_writes += 1
-                stats.bytes_written += nbytes
-            else:
-                stats.n_reads += 1
-                stats.bytes_read += nbytes
-            stats.sim_time += secs
         finally:
             mu.release()
         if t0:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import tally
+
 __all__ = ["DeviceModel", "FileStats"]
 
 
@@ -71,8 +73,9 @@ class _LastCharge(threading.local):
     seconds = 0.0
 
 
+@tally.tallied
 @dataclass
-class FileStats:
+class FileStats(tally.Tallied):
     """Mutable operation counters (thread-safe).
 
     Each thread's last :meth:`record_read`/:meth:`record_write` charge
@@ -80,13 +83,25 @@ class FileStats:
     plan executor bills the device time of its own one-extent ops from
     it instead of recomputing the backend's figure.  A mapped access
     returns its seconds instead.
+
+    The counters a replayed access bills (:data:`TERMS`) read as their
+    base, ``_<name>``, which the ``record_*`` calls bill, plus the live
+    bound calls' tallies (:mod:`repro.tally`), all under ``_mu``.
     """
 
-    n_reads: int = 0
-    n_writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    sim_time: float = 0.0
+    TERMS = {
+        "n_reads": tally.reads,
+        "n_writes": tally.writes,
+        "bytes_read": tally.bytes_read,
+        "bytes_written": tally.bytes_written,
+        "sim_time": tally.seconds,
+    }
+
+    _n_reads: int = 0
+    _n_writes: int = 0
+    _bytes_read: int = 0
+    _bytes_written: int = 0
+    _sim_time: float = 0.0
     n_locks: int = 0
     _mu: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -94,6 +109,8 @@ class FileStats:
     last: _LastCharge = field(
         default_factory=_LastCharge, repr=False, compare=False
     )
+    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    _tallies: tuple = field(default=(), repr=False, compare=False)
 
     def record_read(self, nbytes: int, sim_time: float,
                     ops: int = 1) -> None:
@@ -102,9 +119,9 @@ class FileStats:
         mu = self._mu
         mu.acquire()  # every file op passes here: not ``with``
         try:
-            self.n_reads += ops
-            self.bytes_read += nbytes
-            self.sim_time += sim_time
+            self._n_reads += ops
+            self._bytes_read += nbytes
+            self._sim_time += sim_time
         finally:
             mu.release()
         self.last.seconds = sim_time
@@ -114,9 +131,9 @@ class FileStats:
         mu = self._mu
         mu.acquire()
         try:
-            self.n_writes += ops
-            self.bytes_written += nbytes
-            self.sim_time += sim_time
+            self._n_writes += ops
+            self._bytes_written += nbytes
+            self._sim_time += sim_time
         finally:
             mu.release()
         self.last.seconds = sim_time
@@ -128,20 +145,22 @@ class FileStats:
     def snapshot(self) -> dict:
         """A plain-dict copy for reporting."""
         with self._mu:
+            total = self._total
             return {
-                "n_reads": self.n_reads,
-                "n_writes": self.n_writes,
-                "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written,
-                "sim_time": self.sim_time,
+                "n_reads": total("n_reads"),
+                "n_writes": total("n_writes"),
+                "bytes_read": total("bytes_read"),
+                "bytes_written": total("bytes_written"),
+                "sim_time": total("sim_time"),
                 "n_locks": self.n_locks,
             }
 
     def reset(self) -> None:
         with self._mu:
-            self.n_reads = 0
-            self.n_writes = 0
-            self.bytes_read = 0
-            self.bytes_written = 0
-            self.sim_time = 0.0
+            self._n_reads = 0
+            self._n_writes = 0
+            self._bytes_read = 0
+            self._bytes_written = 0
+            self._sim_time = 0.0
             self.n_locks = 0
+            self._remark()

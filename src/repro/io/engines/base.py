@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
+from repro import tally
 from repro.datatypes.basic import BYTE
 from repro.fs.simfile import FileBuffer
 from repro.io.fileview import MemDescriptor
@@ -47,8 +48,9 @@ __all__ = ["IOEngine", "EngineStats"]
 _MISS = (None, 0, None)
 
 
+@tally.tallied
 @dataclass
-class EngineStats:
+class EngineStats(tally.Tallied):
     """Counters quantifying the paper's §2.4 overheads per rank.
 
     The list-based engine increments the ``list_*`` family; the listless
@@ -57,7 +59,11 @@ class EngineStats:
     how many tuples a collective access shipped.  The nested ``plan``
     counters describe the plan layer (windows planned, bytes coalesced,
     cache hits, ops executed) and are flattened into :meth:`snapshot`.
+    ``ff_kernel_calls`` reads its base plus the copies of the live bound
+    calls that count there (:mod:`repro.tally`).
     """
+
+    TERMS = {"ff_kernel_calls": tally.runs}
 
     #: ol-list tuples materialized (flattening + per-access expansions)
     list_tuples_built: int = 0
@@ -70,7 +76,7 @@ class EngineStats:
     #: O(depth) dataloop navigations performed
     ff_navigations: int = 0
     #: ff_pack/ff_unpack invocations on the memory side of accesses
-    ff_kernel_calls: int = 0
+    _ff_kernel_calls: int = 0
     #: compact fileview bytes exchanged (one-time, at set_view)
     ff_view_bytes_exchanged: int = 0
     #: aggregation rounds scheduled across this rank's collectives
@@ -87,6 +93,8 @@ class EngineStats:
     #: per-round exchange/file_io decomposition of collective accesses,
     #: appended by the executor at every RoundOp span
     rounds: RoundLog = field(default_factory=RoundLog)
+    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    _tallies: tuple = field(default=(), repr=False, compare=False)
 
     def snapshot(self) -> dict:
         """This engine's counters, sorted for diffable output.
@@ -146,12 +154,14 @@ class IOEngine:
         fh.session.metrics.register_engine(self)
 
     def close(self) -> None:
-        """Release engine resources (the executor's pipeline worker).
+        """Release engine resources (the executor's pipeline worker)
+        and fold the bound calls' tallies into the counters.
 
         The handle, the planner and the executor (whose codec is this
         engine) each point back at the engine; dropping them here lets
         refcounting alone free a closed file.  ``stats`` stays readable.
         """
+        self.planner.drop_replays()
         self.executor.close()
         self.fh = self.planner = self.executor = None
 
@@ -316,7 +326,12 @@ class IOEngine:
             cached, q0, _ = planner.replay.get(key, _MISS)
             bound = (self.mapped and cached is plan
                      and self.executor.bind(plan, mem)) or None
-            self.run_plan(plan, mem, None, delta, bound)
+            try:
+                self.run_plan(plan, mem, None, delta, bound)
+            except BaseException:
+                if bound is not None:
+                    bound.fold()
+                raise
             if bound is not None:
                 planner.remember(key, (plan, q0, bound))
             return n

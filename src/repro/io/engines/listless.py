@@ -109,6 +109,8 @@ class ListlessEngine(IOEngine):
         self.cview: Optional[CompactFileview] = None
         self.cache: Optional[FileviewCache] = None
         self.mergeview = None
+        #: Collective ``set_view`` calls so far (the same on every rank).
+        self._set_views = 0
 
     # ------------------------------------------------------------------
     def setup_view(self) -> None:
@@ -138,7 +140,9 @@ class ListlessEngine(IOEngine):
         for cv in gathered:
             cv.owner = self.fh.shared.file_key
         cache = self.fh.shared.fileview_cache
-        cache.install({rank: cv for rank, cv in enumerate(gathered)})
+        self._set_views += 1
+        cache.install({rank: cv for rank, cv in enumerate(gathered)},
+                      self._set_views)
         self.cache = cache
         self.mergeview = build_mergeview(gathered)
         self.stats.ff_view_bytes_exchanged += cache.exchange_bytes
@@ -171,7 +175,7 @@ class ListlessEngine(IOEngine):
         if mem.is_contiguous:
             out[: d_hi - d_lo] = mem.contiguous_slice(d_lo, d_hi - d_lo)
             return
-        self.stats.ff_kernel_calls += 1
+        self.stats._ff_kernel_calls += 1
         ff_pack(
             mem.buf, mem.count, mem.memtype, d_lo, out, d_hi - d_lo,
             origin=mem.origin, owner=self.fh.shared.file_key,
@@ -182,7 +186,7 @@ class ListlessEngine(IOEngine):
         if mem.is_contiguous:
             mem.contiguous_slice(d_lo, d_hi - d_lo)[...] = data[: d_hi - d_lo]
             return
-        self.stats.ff_kernel_calls += 1
+        self.stats._ff_kernel_calls += 1
         ff_unpack(
             data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
             origin=mem.origin, owner=self.fh.shared.file_key,

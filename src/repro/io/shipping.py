@@ -345,9 +345,9 @@ def execute_ship(executor, plan, op: ShipOp, mem, bufs, rnd: int) -> None:
             stats.ship_requests += 1
             stats.ship_wire_request_bytes += req
             if op.write:
-                stats.executed_file_writes += 1
+                stats._executed_file_writes += 1
             else:
-                stats.executed_file_reads += 1
+                stats._executed_file_reads += 1
             seq = fh.wire[k]["requests"]
             posted.append((i, k, parts[k], seq))
             if trace.TRACE_ON:

@@ -178,7 +178,7 @@ class MetricsRegistry:
                 "coll_rounds", "coll_domain_skew",
             ):
                 setattr(st, f, 0)
-            st.plan.__init__()
+            st.plan.reset()
             st.phases.reset()
             st.rounds.reset()
         for _path, st in files:

@@ -101,7 +101,7 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
         if prog is not None:
             if len(memo) > 1:
                 memo.move_to_end(key)
-            SESSION.get().prog_stats.hits += 1
+            SESSION.get().prog_stats._hits += 1
             return prog
     n = blocks.nbytes
     if mem.is_contiguous:

@@ -71,6 +71,7 @@ from repro.plan.ops import (
 from repro.plan.pipeline import DeferredWorker, FileJob
 from repro.plan.plan import IOPlan
 from repro.plan.stats import PlanStats
+from repro.tally import Tally
 
 __all__ = ["MemCodec", "KernelCodec", "PlanExecutor", "BoundCall"]
 
@@ -266,7 +267,7 @@ class PlanExecutor:
         try:
             for fn, op, bucket, span in steps:
                 fn(self, plan, op, mem, bufs)
-                stats.executed_ops += 1
+                stats._executed_ops += 1
                 t1 = perf_counter()
                 if bucket is not None:
                     setattr(phases, bucket,
@@ -535,8 +536,8 @@ class PlanExecutor:
             # their seconds are *moved* there via ``_inline_comp``.
             self.phases.pipeline_io += job.seconds
             self._inline_comp += job.seconds
-            stats.executed_file_reads += job.nreads
-            stats.executed_file_writes += job.nwrites
+            stats._executed_file_reads += job.nreads
+            stats._executed_file_writes += job.nwrites
             if job.dev_seconds:
                 # The device starts an offloaded op when it is issued
                 # (no earlier than the previous op finishing) and works
@@ -660,8 +661,8 @@ class PlanExecutor:
         """Window mode: one file buffer per coalesced window."""
         fb = read_window(self.file, op.lo + self._fdelta,
                          op.hi + self._fdelta)
-        self.stats.executed_file_reads += 1
-        self.stats.device_sync_seconds += self._last.seconds
+        self.stats._executed_file_reads += 1
+        self.stats._device_sync_seconds += self._last.seconds
         for piece in op.pieces:
             if piece.slot == MEM:
                 self._mem_copy(fb, -op.lo, piece.blocks, mem,
@@ -696,8 +697,8 @@ class PlanExecutor:
             offs + self._fdelta if self._fdelta else offs, lens, buf.arr,
             piece.d_lo - buf.d_lo,
         )
-        self.stats.executed_file_reads += offs.size
-        self.stats.device_sync_seconds += secs
+        self.stats._executed_file_reads += offs.size
+        self.stats._device_sync_seconds += secs
         if short is not None and op.strict:
             i, got = short
             raise IOEngineError(
@@ -716,7 +717,7 @@ class PlanExecutor:
             raise IOEngineError("memory piece in a plan run without memory")
         ff = self._ff
         if ff is not None and not mem.is_contiguous:
-            ff.ff_kernel_calls += 1
+            ff._ff_kernel_calls += 1
         phases = self.phases
         if write:
             n = DataPlane.scatter(fb, -base, blocks, mem, rel)
@@ -746,14 +747,16 @@ class PlanExecutor:
         lo, hi = op.lo + d, op.hi + d
         if not write and op.strict:
             self._check_strict(op.lo, lo, hi, plan.nbytes)
-        stats = self.stats
-        stats.device_sync_seconds += self.file.map_access(
-            lo, hi, plan.nbytes, write, None, d, self._map_stage,
-            (plan, op, mem, bufs), None, write)[0]
+        f, stats, n = self.file, self.stats, plan.nbytes
+        secs = f.map_access(lo, hi, n, write, None, d, self._map_stage,
+                            (plan, op, mem, bufs), None, write)[0]
+        stats._device_sync_seconds += secs
         if write:
-            stats.executed_file_writes += 1
+            stats._executed_file_writes += 1
+            f.stats.record_write(n, secs)
         else:
-            stats.executed_file_reads += 1
+            stats._executed_file_reads += 1
+            f.stats.record_read(n, secs)
 
     def _map_stage(self, buf, fbase, ctx, _pos, write) -> None:
         """``map_access``'s copy: between the file buffer ``buf`` (plan
@@ -807,8 +810,8 @@ class PlanExecutor:
             fb = np.empty(op.hi - op.lo, dtype=np.uint8)
         else:  # rmw: pre-read the window, overlay, write back
             fb = read_window(self.file, lo, op.hi + self._fdelta)
-            stats.executed_file_reads += 1
-            stats.device_sync_seconds += self._last.seconds
+            stats._executed_file_reads += 1
+            stats._device_sync_seconds += self._last.seconds
         scattered = 0
         for piece in op.pieces:
             if piece.slot == MEM:
@@ -827,9 +830,9 @@ class PlanExecutor:
                     fb, op.lo, op.hi, arr, base, piece.d_hi
                 )
         if scattered or op.mode == "assemble":
-            stats.executed_file_writes += 1
+            stats._executed_file_writes += 1
             self.file.pwrite(lo, fb)
-            stats.device_sync_seconds += self._last.seconds
+            stats._device_sync_seconds += self._last.seconds
 
     def _write_piece_direct(self, op, piece: Piece, bufs) -> None:
         arr, base, _zc = self._payload_view(bufs, piece)
@@ -844,8 +847,8 @@ class PlanExecutor:
             offs + self._fdelta if self._fdelta else offs, lens, arr,
             piece.d_lo - base,
         )
-        self.stats.executed_file_writes += offs.size
-        self.stats.device_sync_seconds += secs
+        self.stats._executed_file_writes += offs.size
+        self.stats._device_sync_seconds += secs
 
     # -- exchange ------------------------------------------------------
     def _exchange(self, plan, op: ExchangeOp, mem, bufs) -> None:
@@ -896,14 +899,14 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     def pread_into(self, offset: int, out: np.ndarray) -> int:
         n = self.file.pread_into(offset + self._fdelta, out)
-        self.stats.executed_file_reads += 1
-        self.stats.device_sync_seconds += self._last.seconds
+        self.stats._executed_file_reads += 1
+        self.stats._device_sync_seconds += self._last.seconds
         return n
 
     def pwrite(self, offset: int, data: np.ndarray):
-        self.stats.executed_file_writes += 1
+        self.stats._executed_file_writes += 1
         n = self.file.pwrite(offset + self._fdelta, data)
-        self.stats.device_sync_seconds += self._last.seconds
+        self.stats._device_sync_seconds += self._last.seconds
         return n
 
 
@@ -926,12 +929,20 @@ class BoundCall:
     ``map_access`` copies within ``[lo, hi)`` of a buffer it has
     grown, or zero-padded, to ``hi``.  The file buffer itself is not
     bound: ``SimFile`` reallocates to grow and ``OsFile`` remaps.
+
+    It bills its counters on its :class:`~repro.tally.Tally`, which it
+    registers with their owners when built — the executor's
+    ``PlanStats``, the file's ``FileStats``, the binding session's
+    block-program and kernel-path counters, and the engine's
+    ``EngineStats`` when the copy counts in ``ff_kernel_calls`` — and
+    which :meth:`fold` moves into their bases when the call leaves its
+    replay entry.
     """
 
     __slots__ = ("memtype", "count", "end", "origin", "write", "to_b",
                  "lo", "hi", "nbytes", "strict", "secs", "core", "kind",
-                 "map", "executor", "stats", "phases", "ff", "plan_kind",
-                 "span")
+                 "map", "executor", "phases", "plan_kind", "span", "tally",
+                 "owners")
 
     def __init__(self, executor: PlanExecutor, plan: IOPlan, op,
                  mem: MemDescriptor, kernel) -> None:
@@ -947,10 +958,24 @@ class BoundCall:
                      if file.striping.ndisks == 1 else None)
         self.core, self.kind = kernel.core, kernel.kind
         self.map, self.executor = file.map_access, executor
-        self.stats, self.phases = executor.stats, executor.phases
-        #: Where the copy counts as a memory-side kernel call, or None.
-        self.ff = None if mem.is_contiguous else executor._ff
+        self.phases = executor.phases
         self.plan_kind, self.span = plan.kind, f"exec.{type(op).__name__}"
+        self.tally = tally = Tally(write, n, self.secs, self.kind)
+        sess = SESSION.get()
+        owners = (executor.stats, file.stats, sess.prog_stats,
+                  sess.kernel_paths)
+        if not mem.is_contiguous and executor._ff is not None:
+            owners += (executor._ff,)
+        self.owners = owners
+        for owner in owners:
+            owner.add_tally(tally)
+
+    def fold(self) -> None:
+        """Move the tally into its owners' bases: the call left its
+        replay entry, and is not run again."""
+        for owner in self.owners:
+            owner.fold(self.tally)
+        self.owners = ()
 
     def run(self, buf, delta: int, t0: Optional[float] = None):
         """Run the access translated ``delta`` bytes into the file, with
@@ -961,13 +986,15 @@ class BoundCall:
         again with its byte view.  Any such buffer is used through its
         flat byte view, an O(1) reshape.
 
-        ``t0``, the ``perf_counter()`` at the access's start, bills a
-        replay: a planner hit and replay, a pair-program hit and the
-        ``plan`` phase since ``t0``.  ``None`` bills a cold access,
-        whose plan and lookup are billed already.  Either way the call
-        bills what the executor's mapped op would: the copy (kernel
-        path, ``ff_kernel_calls``, ``pack``/``unpack``), the device
-        seconds, one executed op and its ``file_io``.
+        ``t0``, the ``perf_counter()`` at the access's start, marks a
+        replay: one replay on the tally (a planner hit and a
+        pair-program hit) and the ``plan`` phase since ``t0``.  ``None``
+        is a cold access, whose plan and lookup are billed already.
+        Either way, once the copy returned, the call bills what the
+        executor's mapped op would — the copy (kernel path,
+        ``ff_kernel_calls``), the device seconds, one executed op and
+        one file read or write — as one run on its tally, and the
+        ``pack``/``unpack`` and ``file_io`` phases.
         """
         if type(buf) is not _ND:
             return None
@@ -978,32 +1005,24 @@ class BoundCall:
             return None
         if buf.dtype is not _U8 or buf.ndim != 1:
             buf = (buf if buf.ndim == 1 else buf.reshape(-1)).view(_U8)
-        pst, n = self.stats, self.nbytes
+        n, secs, tally = self.nbytes, self.secs, self.tally
         lo, hi = self.lo + delta, self.hi + delta
         if t0 is not None:
-            pst.plan_cache_hits += 1
-            pst.plan_replays += 1
+            tally.replays += 1
         if self.strict:
             self.executor._check_strict(self.lo, lo, hi, n)
-        sess = SESSION.get()
-        if t0 is not None:
-            sess.prog_stats.hits += 1
-        sess.kernel_paths.counts[self.kind] += 1
-        if self.ff is not None:
-            self.ff.ff_kernel_calls += 1
         phases = self.phases
         t1 = perf_counter()
         if t0 is not None:
             phases.plan += t1 - t0
-        secs, t2 = self.map(lo, hi, n, write, self.secs, delta, self.core,
-                            buf, self.origin, self.to_b)
-        pst.device_sync_seconds += secs
-        pst.executed_ops += 1
+        sec, t2 = self.map(lo, hi, n, write, secs, delta, self.core, buf,
+                           self.origin, self.to_b)
+        tally.runs += 1
+        if secs is None:
+            tally.secsum += sec
         if write:
-            pst.executed_file_writes += 1
             phases.pack += t2 - t1
         else:
-            pst.executed_file_reads += 1
             phases.unpack += t2 - t1
         t3 = perf_counter()
         phases.file_io += t3 - t2

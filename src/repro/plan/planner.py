@@ -118,7 +118,9 @@ class Planner:
         #: it).  A hit returns the cached plan plus the scalar file delta
         #: ``(q - q0) * ft_extent`` — no planner entry, no rewrite pass.
         #: ``bound`` is the plan's bound call for the last memory layout
-        #: the engine bound it to (``PlanExecutor.bind``), else ``None``.
+        #: the engine bound it to (``PlanExecutor.bind``), else ``None``;
+        #: entries change through :meth:`remember` and
+        #: :meth:`drop_replays`, which fold a leaving call's tally.
         self.replay: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: The cached fingerprint and the (hints, storage) it was built
         #: from (see :meth:`_fingerprint`).
@@ -148,7 +150,7 @@ class Planner:
             fp = ((self._file_key(),) + hints.fingerprint()
                   + storage.fingerprint())
             if fp != self._fp:
-                self.replay.clear()
+                self.drop_replays()
                 self._fp = fp
             self.fp_hints, self.fp_storage = hints, storage
         return self._fp
@@ -165,7 +167,7 @@ class Planner:
         """
         self.epoch += 1
         self._cache.clear()
-        self.replay.clear()
+        self.drop_replays()
         blockprog.clear(owner=self._file_key())
 
     def _lookup(self, sig: Optional[tuple]) -> Optional[IOPlan]:
@@ -174,7 +176,7 @@ class Planner:
         plan = self._cache.get(sig)
         if plan is not None:
             self._cache.move_to_end(sig)
-            self.stats.plan_cache_hits += 1
+            self.stats._plan_cache_hits += 1
             return plan
         self.stats.plan_cache_misses += 1
         return None
@@ -240,8 +242,8 @@ class Planner:
                     if len(self.replay) > 1:
                         self.replay.move_to_end(key)
                     st = self.stats
-                    st.plan_cache_hits += 1
-                    st.plan_replays += 1
+                    st._plan_cache_hits += 1
+                    st._plan_replays += 1
                     return plan, (q - q0) * view.ft_extent
             plan = self._plan_independent(d0, nbytes, write)
             if key is not None and plan.signature is not None:
@@ -255,10 +257,25 @@ class Planner:
 
     def remember(self, key: tuple, entry: tuple) -> None:
         """Set replay entry ``key``; a new one evicts the least recently
-        used past ``maxsize``."""
-        self.replay[key] = entry
-        while len(self.replay) > self.maxsize:
-            self.replay.popitem(last=False)
+        used past ``maxsize``.  A bound call leaving the table — its
+        entry replaced or evicted — folds its tally into the counters
+        (:meth:`~repro.plan.executor.BoundCall.fold`)."""
+        replay = self.replay
+        old = replay.get(key)
+        replay[key] = entry
+        if old is not None and old[2] is not None:
+            old[2].fold()
+        while len(replay) > self.maxsize:
+            bound = replay.popitem(last=False)[1][2]
+            if bound is not None:
+                bound.fold()
+
+    def drop_replays(self) -> None:
+        """Empty the replay table, folding every bound call's tally."""
+        for _plan, _q0, bound in self.replay.values():
+            if bound is not None:
+                bound.fold()
+        self.replay.clear()
 
     def _plan_independent(self, d0: int, nbytes: int,
                           write: bool) -> IOPlan:

@@ -8,25 +8,42 @@ the engine's own §2.4 overhead counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro import tally
 
 __all__ = ["PlanStats"]
 
 
+@tally.tallied
 @dataclass(slots=True)
-class PlanStats:
-    """Plan-layer counters for one (rank, open file)."""
+class PlanStats(tally.Tallied):
+    """Plan-layer counters for one (rank, open file).
+
+    The counters a replayed access bills (:data:`TERMS`) read as their
+    base, ``_<name>``, which the planner and executor bill eagerly, plus
+    the live bound calls' tallies (:mod:`repro.tally`).
+    """
+
+    TERMS = {
+        "plan_cache_hits": tally.replays,
+        "plan_replays": tally.replays,
+        "executed_ops": tally.runs,
+        "executed_file_reads": tally.reads,
+        "executed_file_writes": tally.writes,
+        "device_sync_seconds": tally.seconds,
+    }
 
     #: plans built from scratch (planner cache misses + uncacheable)
     plans_built: int = 0
     #: plans served from the LRU cache
-    plan_cache_hits: int = 0
+    _plan_cache_hits: int = 0
     #: cacheable plan lookups that missed
     plan_cache_misses: int = 0
     #: accesses served by the replay fast path (a relocatable whole-
     #: access plan re-bound by a scalar file translation — planner entry
     #: skipped entirely; also counted in ``plan_cache_hits``)
-    plan_replays: int = 0
+    _plan_replays: int = 0
     #: coalesced file windows planned (window-mode file ops)
     planned_windows: int = 0
     #: total ops across built plans
@@ -34,11 +51,11 @@ class PlanStats:
     #: bytes whose file accesses were merged by block coalescing
     coalesced_bytes: int = 0
     #: ops executed (every run, cached plans included)
-    executed_ops: int = 0
+    _executed_ops: int = 0
     #: file read accesses issued by the executor
-    executed_file_reads: int = 0
+    _executed_file_reads: int = 0
     #: file write accesses issued by the executor
-    executed_file_writes: int = 0
+    _executed_file_writes: int = 0
     #: byte-range locks taken by the executor
     executed_locks: int = 0
     #: alltoall exchanges performed by the executor
@@ -66,7 +83,7 @@ class PlanStats:
     pipeline_inflight_peak_bytes: int = 0
     #: simulated device seconds charged on the critical path (file ops
     #: issued synchronously: the caller waits out the full device time)
-    device_sync_seconds: float = 0.0
+    _device_sync_seconds: float = 0.0
     #: simulated device seconds of offloaded (pipelined) file ops —
     #: the device works these off concurrently with exchange/pack CPU
     device_async_seconds: float = 0.0
@@ -90,6 +107,16 @@ class PlanStats:
     #: dtype-protocol pieces that fell back to list shipping (no
     #: compact view available, or the data-coordinate check failed)
     ship_dtype_fallbacks: int = 0
+    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    _tallies: tuple = field(default=(), repr=False, compare=False)
+
+    def reset(self) -> None:
+        """Zero every counter; live tallies count on from now."""
+        with self._mu:
+            tallies = self._tallies
+            self.__init__()
+            self._tallies = tallies
+            self._remark()
 
     def snapshot(self) -> dict:
         return {
