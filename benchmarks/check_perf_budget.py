@@ -75,6 +75,9 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent / "results" / (
 #: 1.05 limit on an unchanged tree.
 MIN_COLLECTIVE_RUNS = 3
 
+#: The strict read of :data:`LOCK_BUDGETS`.
+STRICT_READ = "64 B read_at, BYTE view (strict)"
+
 #: Calls of ``repro`` functions one replayed access may make per rank
 #: (``--calls``).  Before plans were compiled to step tuples they were
 #: 66 (write) / 54 (read) on ``small_indep`` and 642 on
@@ -98,8 +101,11 @@ MIN_COLLECTIVE_RUNS = 3
 #: 540 to 510.  Billing a replay on its bound call's tally
 #: (:mod:`repro.tally`) instead of 13 shared counters kept every count —
 #: that billing was statements, not calls — and took the replay's file
-#: locks from 2 to 1 (:data:`LOCK_BUDGETS`).  Those budgets are the
-#: counts plus 2.  The traced entry is
+#: locks from 2 to 1 (:data:`LOCK_BUDGETS`).  Moving the two-phase round
+#: driver out of the executor, with the deferred worker's causal-edge
+#: stamps inlined and the offload check made once when a plan is
+#: lowered, took the two-phase write from 510 to 501.  Those budgets are
+#: the counts plus 2.  The traced entry is
 #: the same ``small_indep`` write with tracing on: tracing adds its spans
 #: to the bound call and never sends a replay back through the planner
 #: and the executor (29 calls; 35 before the bound call, 38 unbound).
@@ -115,7 +121,7 @@ CALL_BUDGETS = {
     "small_indep write (float64)": 8,
     "sparse_os write": 9,
     "coll_interleaved write": 13,
-    "coll_interleaved write (two-phase)": 512,
+    "coll_interleaved write (two-phase)": 503,
 }
 
 
@@ -124,12 +130,17 @@ CALL_BUDGETS = {
 #: own lock is not counted).  The copy holds ``_mu``; the access bills
 #: the file's stats on its bound call's tally, which takes no lock, so
 #: the count is 1.  Billing them under ``FileStats._mu`` made it 2: a
-#: shared-counter lock back on the replay path fails this gate.
+#: shared-counter lock back on the replay path fails this gate.  The
+#: strict entry is a replayed 64 B ``read_at`` through a ``dt.BYTE``
+#: view, a read that fails short of end-of-file: its size check is made
+#: under the copy's ``_mu`` (2 when the size was read under a lock of
+#: its own first).
 LOCK_BUDGETS = {
     "small_indep write": 1,
     "small_indep read": 1,
     "sparse_os write": 1,
     "coll_interleaved write": 1,
+    STRICT_READ: 1,
 }
 
 
@@ -285,6 +296,19 @@ def measure_calls() -> tuple:
                                / spec.nprocs)
     osfs.close()
     tmp.cleanup()
+
+    def strict(comm):
+        fh = File.open(comm, SimFileSystem(), "/strict",
+                       MODE_CREATE | MODE_RDWR)
+        fh.set_view(0, dt.BYTE, dt.BYTE)
+        fh.write_at(0, np.arange(128, dtype=np.uint8))
+        r = np.zeros(64, dtype=np.uint8)
+        fh.read_at(0, r)  # binds the read's replay entry
+        n = _count_locks(comm, fh.simfile, fh.read_at, 64, r)
+        fh.close()
+        return n
+
+    (locks[STRICT_READ],) = run_spmd(1, strict)
     return out, locks
 
 

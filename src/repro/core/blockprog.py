@@ -95,7 +95,7 @@ class _Stats(tally.Tallied):
             self.misses = 0
             self.translations = 0
             self.bypasses = 0
-            self._remark()
+            self._rebase()
 
     def snapshot(self) -> dict:
         return {

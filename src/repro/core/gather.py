@@ -51,7 +51,7 @@ import numpy as np
 
 from repro._ctx import SESSION
 from repro.errors import FFError
-from repro.tally import Tallied, delta, runs
+from repro.tally import Tallied
 
 __all__ = [
     "Kernel",
@@ -114,16 +114,16 @@ class _KernelPaths(Tallied):
     def reset(self) -> None:
         with self._mu:
             self.counts = [0] * len(_PATH_NAMES)
-            self._remark()
+            self._rebase()
 
-    def _fold(self, t, m) -> None:
-        self.counts[t.kind] += delta(runs, t, m)
+    def _fold(self, t, sign: int) -> None:
+        self.counts[t.kind] += sign * t.runs
 
     def snapshot(self) -> dict:
         with self._mu:
             counts = list(self.counts)
-            for t, m in self._tallies:
-                counts[t.kind] += delta(runs, t, m)
+            for t in self._tallies:
+                counts[t.kind] += t.runs
         return {f"kernel_path_{name}": c
                 for name, c in zip(_PATH_NAMES, counts)}
 

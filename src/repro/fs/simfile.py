@@ -31,7 +31,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.gather import classify, scatter_blocks
-from repro.errors import FileSystemError
+from repro.errors import FileSystemError, IOEngineError
 from repro.fs.locks import RangeLockManager
 from repro.fs.stats import DeviceModel, FileStats
 from repro.fs.striping import StripingConfig
@@ -88,14 +88,14 @@ class FileBuffer:
     """
 
     def map_access(self, lo: int, hi: int, nbytes: int, write: bool,
-                   secs, shift: int, copy, other, pos, to_b) -> tuple:
+                   secs, shift: int, copy, other, pos, strict) -> tuple:
         """One access of ``nbytes`` of the file's bytes in ``[lo, hi)``,
-        copied by ``copy(buf, base, other, pos, to_b)`` under ``_mu`` —
-        a pair kernel's copy core, say: file byte ``f + shift`` is
-        ``buf[base + f]`` — a fixed arity, since forwarding ``*args``
-        cost 0.16 µs a call.  Normally ``buf`` is the file buffer
-        itself, so a write's copy lands in the file and a read's comes
-        out of it — no window, no pre-read, no write-back.  The
+        copied by ``copy(buf, base, other, pos, not write)`` under
+        ``_mu`` — a pair kernel's copy core, say: file byte ``f +
+        shift`` is ``buf[base + f]`` — a fixed arity, since forwarding
+        ``*args`` cost 0.16 µs a call.  Normally ``buf`` is the file
+        buffer itself, so a write's copy lands in the file and a read's
+        comes out of it — no window, no pre-read, no write-back.  The
         access's bytes are its own, so it takes no range lock.
 
         A write ending past end-of-file grows the file to ``hi`` first:
@@ -104,8 +104,11 @@ class FileBuffer:
         then overwrites — so the growth can neither shrink the file nor
         land on another rank's bytes.  A read ending past end-of-file
         copies out of a zero-padded copy of ``[lo, hi)`` (``base``
-        ``shift - lo``), what a sieving window reads.  Either way
-        ``copy`` only touches ``[lo, hi)`` of a buffer that holds it.
+        ``shift - lo``), what a sieving window reads — unless it is
+        ``strict`` (a contiguous view's read), which then fails as a
+        short read, with the size it saw under the same ``_mu`` as the
+        copy it would have made.  Either way ``copy`` only touches
+        ``[lo, hi)`` of a buffer that holds it.
 
         Priced as one device op moving ``nbytes`` over the stripes
         ``[lo, hi)`` spans: ``secs`` simulated seconds if the caller has
@@ -127,15 +130,18 @@ class FileBuffer:
         try:
             size, buf = self._mapping()
             if hi <= size:
-                copy(buf, shift, other, pos, to_b)
+                copy(buf, shift, other, pos, not write)
             elif write:
                 self._grow(hi, _ZERO)
-                copy(self._buffer(hi), shift, other, pos, to_b)
+                copy(self._buffer(hi), shift, other, pos, False)
+            elif strict:
+                raise IOEngineError(f"short read: {max(size - lo, 0)} of "
+                                    f"{nbytes} bytes at {lo - shift}")
             else:
                 win = np.zeros(hi - lo, dtype=np.uint8)
                 if size > lo:
                     win[:size - lo] = buf[lo:size]
-                copy(win, shift - lo, other, pos, to_b)
+                copy(win, shift - lo, other, pos, True)
             copied = perf_counter()
         finally:
             mu.release()

@@ -109,7 +109,7 @@ class FileStats(tally.Tallied):
     last: _LastCharge = field(
         default_factory=_LastCharge, repr=False, compare=False
     )
-    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    #: live tallies (see :class:`~repro.tally.Tallied`)
     _tallies: tuple = field(default=(), repr=False, compare=False)
 
     def record_read(self, nbytes: int, sim_time: float,
@@ -163,4 +163,4 @@ class FileStats(tally.Tallied):
             self._bytes_written = 0
             self._sim_time = 0.0
             self.n_locks = 0
-            self._remark()
+            self._rebase()

@@ -44,10 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["IOEngine", "EngineStats"]
 
-#: A replay-table miss: ``(plan, q0, bound)``.
-_MISS = (None, 0, None)
-
-
 @tally.tallied
 @dataclass
 class EngineStats(tally.Tallied):
@@ -93,7 +89,7 @@ class EngineStats(tally.Tallied):
     #: per-round exchange/file_io decomposition of collective accesses,
     #: appended by the executor at every RoundOp span
     rounds: RoundLog = field(default_factory=RoundLog)
-    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    #: live tallies (see :class:`~repro.tally.Tallied`)
     _tallies: tuple = field(default=(), repr=False, compare=False)
 
     def snapshot(self) -> dict:
@@ -262,7 +258,6 @@ class IOEngine:
 
     def run_plan(self, plan: "IOPlan",
                  mem: Optional[MemDescriptor] = None,
-                 buffers: Optional[dict] = None,
                  file_delta: int = 0, bound=None) -> dict:
         if bound is None and self.fh.hints.ship_protocol is not None:
             # Sharded-backend request shipping: rewrite eligible file
@@ -270,7 +265,7 @@ class IOEngine:
             from repro.io import shipping
 
             plan = shipping.maybe_rewrite(self, plan)
-        return self.executor.run(plan, mem, buffers, file_delta, bound)
+        return self.executor.run(plan, mem, file_delta, bound)
 
     def run_independent(self, buf, count, memtype, d0: int, write: bool,
                         traced: bool = False) -> int:
@@ -281,10 +276,10 @@ class IOEngine:
         entry: one call, given any C-contiguous ``ndarray`` as it is;
         any other buffer is validated by a :class:`MemDescriptor` first
         (in atomic mode under the range lock of
-        :meth:`File._atomic_guard`).  Anything else plans, binds and
-        runs — a cold mapped access through the call it just bound;
-        with tracing on, inside an ``<engine>.<kind>_independent`` span
-        (``traced``)."""
+        :meth:`File._atomic_guard`).  Anything else plans from the one
+        replay entry looked up, binds the plan if the table keeps it,
+        and runs it — with tracing on, inside an
+        ``<engine>.<kind>_independent`` span (``traced``)."""
         t0 = perf_counter()
         mem = buf if type(buf) is MemDescriptor else None
         if mem is not None:
@@ -294,13 +289,16 @@ class IOEngine:
         elif count is None:
             count = 1
         fh, planner = self.fh, self.planner
+        if fh.hints is not planner.fp_hints:
+            planner._fingerprint()  # new hints: drops a stale table
         view = fh.view
         q, r = divmod(d0, view.ft_size)
         key = (write, r, count * memtype.size)
-        _, q0, bound = planner.replay.get(key, _MISS)
+        entry = planner.replay.get(key)
+        bound = entry and entry[2]
         if (bound is not None and bound.memtype is memtype
-                and bound.count == count and fh.hints is planner.fp_hints):
-            delta = (q - q0) * view.ft_extent
+                and bound.count == count):
+            delta = (q - entry[1]) * view.ft_extent
             if (not fh.shared.atomicity
                     and (traced or not trace.TRACE_ON)):
                 n = bound.run(buf, delta, t0)
@@ -322,18 +320,21 @@ class IOEngine:
             if bound is not None:
                 planner.replay.move_to_end(key)
                 return bound.run(mem.as_bytes, delta, t0)
-            plan, delta = planner.plan_independent_bound(d0, n, write)
-            cached, q0, _ = planner.replay.get(key, _MISS)
-            bound = (self.mapped and cached is plan
+            plan, delta = planner.plan_independent_bound(d0, n, write,
+                                                         entry)
+            # A plan the table keeps runs as the call its entry keeps;
+            # any other runs as a call bound and folded by the executor.
+            bound = (self.mapped and plan.signature is not None
                      and self.executor.bind(plan, mem)) or None
             try:
-                self.run_plan(plan, mem, None, delta, bound)
+                self.run_plan(plan, mem, delta, bound)
             except BaseException:
                 if bound is not None:
                     bound.fold()
                 raise
             if bound is not None:
-                planner.remember(key, (plan, q0, bound))
+                planner.remember(key, (plan, q if entry is None
+                                       else entry[1], bound))
             return n
         finally:
             if guard:

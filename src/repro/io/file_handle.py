@@ -748,24 +748,24 @@ class File:
     def _defer(self, mem: MemDescriptor, d0: int, write: bool) -> Request:
         """Plan the access now, defer its execution into a Request.
 
-        Planning at post time pins the access to the current view (a
-        later ``set_view`` cannot retarget it) and pays navigation up
-        front; the file I/O itself runs on ``wait()``/``test()``.
+        Planning at post time, through the replay table, pins the
+        access to the current view (a later ``set_view`` cannot retarget
+        it) and pays navigation up front; the file I/O runs on
+        ``wait()``/``test()`` — a mapped copy as a call bound then: a
+        ``set_view`` in between folds the table's calls.
         """
         if mem.nbytes == 0:
             return Request.completed()
         engine = self.engine
-        if write:
-            plan = engine.plan_write_independent(mem, d0)
-        else:
-            plan = engine.plan_read_independent(mem, d0)
+        plan, delta = engine.planner.plan_independent_bound(
+            d0, mem.nbytes, write)
 
         def pending() -> None:
             # Closing releases the engine's planner and executor.
             self._check_open()
             guard = self._atomic_guard(mem, d0)
             try:
-                engine.run_plan(plan, mem)
+                engine.run_plan(plan, mem, delta)
             finally:
                 if guard:
                     self.simfile.unlock_range(*guard)

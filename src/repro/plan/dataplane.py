@@ -45,11 +45,36 @@ from repro.core.gather import gather_blocks, pair_blocks, scatter_blocks
 from repro.io.fileview import MemDescriptor
 from repro.plan.ops import Blocks, TupleBlocks
 
-__all__ = ["DataPlane", "block_arrays", "pair_program", "tuple_arrays"]
+__all__ = ["DataPlane", "StageBuf", "block_arrays", "dense_window",
+           "pair_program", "tuple_arrays"]
 
 #: Memory layouts whose pair programs one ``Blocks`` object keeps (an
 #: LRU): a cached plan normally serves one layout, a few at most.
 _MAX_PAIRS = 4
+
+
+class StageBuf:
+    """A plan run's staging buffer: ``arr`` holds data bytes ``[d_lo,
+    d_hi)``; ``zero_copy`` marks it a view of the user buffer itself,
+    where scatter ops are no-ops (the data is already in place)."""
+
+    __slots__ = ("d_lo", "d_hi", "arr", "zero_copy")
+
+    def __init__(self, d_lo: int, d_hi: int, arr: np.ndarray,
+                 zero_copy: bool = False) -> None:
+        self.d_lo = d_lo
+        self.d_hi = d_hi
+        self.arr = arr
+        self.zero_copy = zero_copy
+
+
+def dense_window(op) -> bool:
+    """One piece whose blocks are one run spanning the whole window."""
+    if len(op.pieces) != 1:
+        return False
+    blocks = op.pieces[0].blocks
+    return (isinstance(blocks, Blocks) and blocks.count == 1
+            and blocks.nbytes == op.hi - op.lo)
 
 
 def tuple_arrays(blocks: TupleBlocks) -> Tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,9 @@ class IOPlan:
         the executor may need to allocate before any op fills them
         (collective-read reply buffers, for example).
     ``signature``
-        the planner cache key this plan was stored under, or ``None``
-        for uncacheable plans.
+        the planner cache key of a cacheable plan (an independent one
+        is kept in the replay table when planned through it), or
+        ``None`` for uncacheable plans.
     """
 
     kind: str
@@ -45,9 +46,9 @@ class IOPlan:
     signature: Optional[tuple] = None
     planned_windows: int = 0
     coalesced_bytes: int = 0
-    #: The executor's lowered form, ``(collective, steps)`` —
-    #: built on first run and memoized here (see
-    #: ``PlanExecutor.lower``); a cache, not part of the plan.
+    #: The executor's lowered form, its step tuple — built on first
+    #: run and memoized here (see ``PlanExecutor.lower``); a cache, not
+    #: part of the plan.
     lowered: object = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:

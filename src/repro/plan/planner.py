@@ -25,24 +25,21 @@ sieve-vs-direct decision
     read-modify-write (Thakur et al.'s data sieving trade-off) —
     sieving hints still veto sieving outright;
 plan caching
-    an LRU keyed on (planner epoch, hint fingerprint, access
-    signature).  The epoch is bumped whenever ``set_view`` replaces the
-    fileview, so cached plans can never survive a view change, and the
-    fingerprint covers the hints and cost-model parameters that feed
-    planning, so a ``set_info`` hint change (which bumps no epoch) can
-    never replay a stale plan.  Only the listless engine caches: its
-    plans derive from the *cached* compact fileview, which is exactly
-    the paper's point — the conventional engine re-expands ol-lists per
-    access, so its planner re-plans per access.
-replay fast path
     every fileview tiles the file with period ``ft_size`` data bytes
     per ``ft_extent`` file bytes, so the whole independent-planning
     pipeline is *translation-covariant*: two accesses whose offsets
     differ by whole periods produce identical plans up to one scalar
-    file translation.  :meth:`Planner.plan_independent_bound` exploits
-    this with a second table keyed on the offset residue — a hit skips
-    planner entry entirely and re-binds the cached whole-access plan
-    with a ``file_delta`` the executor applies at the file boundary.
+    file translation.  So the one cache of independent plans is the
+    replay table of :meth:`Planner.plan_independent_bound`, keyed on
+    the offset residue: a hit skips planner entry and re-binds the
+    whole-access plan with a ``file_delta``.  Collective plans sit in
+    an LRU keyed on (planner epoch, hint fingerprint, access
+    signature).  ``set_view`` bumps the epoch and empties both, and the
+    fingerprint covers the hints and cost-model inputs of planning, so
+    a ``set_info`` (no epoch bump) never replays a stale plan.  Only
+    the listless engine caches: its plans derive from the *cached*
+    compact fileview, the paper's point — the conventional engine
+    re-expands ol-lists, and re-plans, per access.
 
 Geometry comes from the engine: engines that can navigate a compact
 fileview expose it via ``plan_geometry()`` and get materialized
@@ -86,6 +83,25 @@ __all__ = ["Planner"]
 #: and run but never cached (memory guard for huge accesses).
 MAX_CACHED_BLOCKS = 1 << 18
 
+#: ``plan_independent_bound``'s default: look the replay entry up.
+_LOOKUP = object()
+
+
+def _run(lo: int, n: int) -> Blocks:
+    """One block of ``n`` bytes at file offset ``lo``."""
+    return Blocks(np.array([lo], dtype=np.int64),
+                  np.array([n], dtype=np.int64))
+
+
+def _view_blocks(geom, d0: int, d1: int, coalesce: bool) -> tuple:
+    """``(Blocks, coalesced bytes)`` of data bytes ``[d0, d1)`` of a
+    navigable view, adjacent blocks merged if ``coalesce``."""
+    offs, lens = geom.blocks_for_data(d0, d1)
+    coalesced = 0
+    if coalesce:
+        offs, lens, coalesced = merge_adjacent(offs, lens)
+    return Blocks(offs, lens), coalesced
+
 
 def _direct_write(lo: int, hi: int, piece: Piece) -> tuple:
     """A direct write of ``piece`` over ``[lo, hi)``, under the lock of
@@ -111,12 +127,14 @@ class Planner:
         #: Per-phase buckets plan-build time accumulates into (``plan``).
         self.phases = phases if phases is not None else PhaseAccumulator()
         self.epoch = 0
+        #: Collective plans, by signature (an LRU).
         self._cache: "OrderedDict[tuple, IOPlan]" = OrderedDict()
-        #: Replay table: ``(write, offset residue, nbytes)`` -> (whole-
-        #: access plan, q0, bound), valid for the current epoch and
-        #: fingerprint (``invalidate`` and a fingerprint change clear
-        #: it).  A hit returns the cached plan plus the scalar file delta
-        #: ``(q - q0) * ft_extent`` — no planner entry, no rewrite pass.
+        #: Replay table, the one cache of independent plans: ``(write,
+        #: offset residue, nbytes)`` -> (whole-access plan, q0, bound),
+        #: valid for the current epoch and fingerprint (``invalidate``
+        #: and a fingerprint change clear it).  A hit returns the cached
+        #: plan plus the scalar file delta ``(q - q0) * ft_extent`` — no
+        #: planner entry, no rewrite pass.
         #: ``bound`` is the plan's bound call for the last memory layout
         #: the engine bound it to (``PlanExecutor.bind``), else ``None``;
         #: entries change through :meth:`remember` and
@@ -170,27 +188,12 @@ class Planner:
         self.drop_replays()
         blockprog.clear(owner=self._file_key())
 
-    def _lookup(self, sig: Optional[tuple]) -> Optional[IOPlan]:
-        if not self.cacheable or sig is None:
-            return None
-        plan = self._cache.get(sig)
-        if plan is not None:
-            self._cache.move_to_end(sig)
-            self.stats._plan_cache_hits += 1
-            return plan
-        self.stats.plan_cache_misses += 1
-        return None
-
     def _finish(self, plan: IOPlan) -> IOPlan:
         st = self.stats
         st.plans_built += 1
         st.planned_ops += len(plan.ops)
         st.planned_windows += plan.planned_windows
         st.coalesced_bytes += plan.coalesced_bytes
-        if self.cacheable and plan.signature is not None:
-            self._cache[plan.signature] = plan
-            while len(self._cache) > self.maxsize:
-                self._cache.popitem(last=False)
         return plan
 
     # ------------------------------------------------------------------
@@ -198,9 +201,8 @@ class Planner:
     # ------------------------------------------------------------------
     def plan_independent(self, d0: int, nbytes: int,
                          write: bool) -> IOPlan:
-        """Plan one independent access (cache-served or freshly built);
-        the whole call — lookup, navigation, windowing — bills to the
-        ``plan`` phase bucket."""
+        """Build one independent access's plan, uncached (``repro.cli
+        plan-dump``); the build bills to the ``plan`` phase bucket."""
         t0 = perf_counter()
         try:
             return self._plan_independent(d0, nbytes, write)
@@ -210,8 +212,8 @@ class Planner:
                 trace.TRACER.add("plan.independent", t0, write=write,
                                  nbytes=nbytes)
 
-    def plan_independent_bound(self, d0: int, nbytes: int,
-                               write: bool) -> Tuple[IOPlan, int]:
+    def plan_independent_bound(self, d0: int, nbytes: int, write: bool,
+                               entry=_LOOKUP) -> Tuple[IOPlan, int]:
         """Plan one independent access; returns ``(plan, file_delta)``.
 
         The replay fast path: because every fileview tiles the file —
@@ -222,29 +224,30 @@ class Planner:
         A replay hit skips planner entry entirely (no window clipping,
         no navigation, no rewrite pass) and hands the executor the
         cached pre-bound plan plus the scalar translation to apply at
-        the file boundary.
+        the file boundary.  A miss builds the plan and keeps it if it
+        is cacheable.  ``entry``: the replay entry (``None``, a miss)
+        the caller looked up already, after the fingerprint check.
         """
         t0 = perf_counter()
         try:
             key = None
             q = 0
-            fh = self.engine.fh
-            view = fh.view
+            view = self.engine.fh.view
             if self.cacheable and nbytes > 0 and view.ft_size > 0:
-                if (fh.hints is not self.fp_hints
-                        or self.storage is not self.fp_storage):
-                    self._fingerprint()  # drops the table if hints changed
                 q, r = divmod(d0, view.ft_size)
                 key = (write, r, nbytes)
-                entry = self.replay.get(key)
+                if entry is _LOOKUP:
+                    self._fingerprint()  # drops the table if hints changed
+                    entry = self.replay.get(key)
+                st = self.stats
                 if entry is not None:
                     plan, q0, _ = entry
                     if len(self.replay) > 1:
                         self.replay.move_to_end(key)
-                    st = self.stats
                     st._plan_cache_hits += 1
                     st._plan_replays += 1
                     return plan, (q - q0) * view.ft_extent
+                st.plan_cache_misses += 1
             plan = self._plan_independent(d0, nbytes, write)
             if key is not None and plan.signature is not None:
                 self.remember(key, (plan, q, None))
@@ -289,13 +292,11 @@ class Planner:
         bufsize = (hints.ind_wr_buffer_size if write
                    else hints.ind_rd_buffer_size)
 
+        # The signature marks a plan the replay table may keep.
         sig = None
         if self.cacheable:
             sig = (self.epoch, "ind", write, d0, nbytes,
                    self._fingerprint())
-            hit = self._lookup(sig)
-            if hit is not None:
-                return hit
 
         if nbytes <= 0:
             return self._finish(IOPlan(kind, d0, 0, (), signature=sig))
@@ -307,19 +308,9 @@ class Planner:
         # strict file access (the c-c / nc-c fast path).
         if view.is_contiguous:
             lo = view.disp + d0
-            blocks = Blocks(np.array([lo], dtype=np.int64),
-                            np.array([nbytes], dtype=np.int64))
-            piece = Piece(STAGE, d0, d1, blocks)
-            if write:
-                ops = (GatherOp(d0, d1),
-                       *_direct_write(lo, lo + nbytes, piece))
-            else:
-                ops = (FileReadOp(lo, lo + nbytes, "direct", (piece,),
-                                  strict=True),
-                       ScatterOp(d0, d1))
-            return self._finish(IOPlan(kind, d0, nbytes, ops,
-                                       slots={STAGE: (d0, d1)},
-                                       signature=sig))
+            return self._plan_direct(kind, d0, d1, lo, lo + nbytes,
+                                     _run(lo, nbytes), write, sig,
+                                     strict=True)
 
         lo = engine.abs_of_data(d0)
         hi = engine.abs_of_data(d1, end=True)
@@ -329,17 +320,8 @@ class Planner:
         # are no holes and the access is one contiguous file run
         # regardless of the view's type tree.
         if ds and geom is not None and hi - lo == nbytes:
-            blocks = Blocks(np.array([lo], dtype=np.int64),
-                            np.array([nbytes], dtype=np.int64))
-            piece = Piece(STAGE, d0, d1, blocks)
-            if write:
-                ops = (GatherOp(d0, d1), *_direct_write(lo, hi, piece))
-            else:
-                ops = (FileReadOp(lo, hi, "direct", (piece,)),
-                       ScatterOp(d0, d1))
-            return self._finish(IOPlan(kind, d0, nbytes, ops,
-                                       slots={STAGE: (d0, d1)},
-                                       signature=sig))
+            return self._plan_direct(kind, d0, d1, lo, hi, _run(lo, nbytes),
+                                     write, sig)
 
         strategy = "direct"
         if ds:
@@ -349,11 +331,18 @@ class Planner:
                 bufsize=bufsize,
             )
 
-        if strategy == "direct":
-            return self._plan_direct(kind, d0, d1, lo, hi, geom, write,
-                                     sig, coalesce=ds)
-        return self._plan_sieved(kind, d0, d1, lo, hi, geom, write,
-                                 bufsize, sig)
+        if strategy == "sieve":
+            return self._plan_sieved(kind, d0, d1, lo, hi, geom, write,
+                                     bufsize, sig)
+        # One file access per block (sieving off or not worth it); with
+        # no geometry the executor streams the engine's view walk.
+        blocks, coalesced = None, 0
+        if geom is not None:
+            blocks, coalesced = _view_blocks(geom, d0, d1, ds)
+            if blocks.count > MAX_CACHED_BLOCKS:
+                sig = None
+        return self._plan_direct(kind, d0, d1, lo, hi, blocks, write, sig,
+                                 coalesced=coalesced)
 
     # ------------------------------------------------------------------
     def _plan_mapped(self, kind, d0, d1, write, sig) -> IOPlan:
@@ -377,17 +366,14 @@ class Planner:
         if view.is_contiguous:
             lo = view.disp + d0
             hi = lo + nbytes
-            blocks = Blocks(np.array([lo], dtype=np.int64),
-                            np.array([nbytes], dtype=np.int64))
+            blocks = _run(lo, nbytes)
         else:
             lo = engine.abs_of_data(d0)
             hi = engine.abs_of_data(d1, end=True)
             if geom is not None:
-                offs, lens = geom.blocks_for_data(d0, d1)
-                offs, lens, coalesced = merge_adjacent(offs, lens)
-                if offs.size > MAX_CACHED_BLOCKS:
+                blocks, coalesced = _view_blocks(geom, d0, d1, True)
+                if blocks.count > MAX_CACHED_BLOCKS:
                     sig = None
-                blocks = Blocks(offs, lens)
         staged = geom is None
         piece = Piece(STAGE if staged else MEM, d0, d1, blocks)
         fop = (FileWriteOp(lo, hi, "mapped", (piece,)) if write else
@@ -413,24 +399,16 @@ class Planner:
         insts = -(-nbytes // per)
         return max(1, insts * nb)
 
-    def _plan_direct(self, kind, d0, d1, lo, hi, geom, write, sig,
-                     coalesce: bool) -> IOPlan:
-        """One file access per block (sieving off or not worth it)."""
-        coalesced = 0
-        if geom is not None:
-            offs, lens = geom.blocks_for_data(d0, d1)
-            if coalesce:
-                offs, lens, coalesced = merge_adjacent(offs, lens)
-            if offs.size > MAX_CACHED_BLOCKS:
-                sig = None
-            blocks = Blocks(offs, lens)
-        else:
-            blocks = None  # executor streams the engine's view walk
+    def _plan_direct(self, kind, d0, d1, lo, hi, blocks, write, sig,
+                     strict: bool = False, coalesced: int = 0) -> IOPlan:
+        """One direct file access per block of ``blocks`` (one run for a
+        contiguous view or a dense access), staged; a ``strict`` read
+        fails short of end-of-file."""
         piece = Piece(STAGE, d0, d1, blocks)
         if write:
             ops = (GatherOp(d0, d1), *_direct_write(lo, hi, piece))
         else:
-            ops = (FileReadOp(lo, hi, "direct", (piece,)),
+            ops = (FileReadOp(lo, hi, "direct", (piece,), strict=strict),
                    ScatterOp(d0, d1))
         return self._finish(IOPlan(kind, d0, d1 - d0, ops,
                                    slots={STAGE: (d0, d1)}, signature=sig,
@@ -541,9 +519,12 @@ class Planner:
                    tuple((r.abs_lo, r.abs_hi, r.data_lo, r.data_hi)
                          for r in ranges),
                    tuple(domains), cb, self._fingerprint())
-            hit = self._lookup(sig)
+            hit = self._cache.get(sig)
             if hit is not None:
+                self._cache.move_to_end(sig)
+                self.stats._plan_cache_hits += 1
                 return hit
+            self.stats.plan_cache_misses += 1
 
         md = engine.collective_metadata(write, rng, ranges)
         ops, nwin = build_round_plan(md, schedule, write, rng, rank)
@@ -554,7 +535,12 @@ class Planner:
         # No slot table on purpose: per-round staging buffers must stay
         # window-sized, never inflated to whole-access ranges — that is
         # the round pipeline's memory bound.
-        return self._finish(IOPlan(kind, d0, nbytes, tuple(ops),
+        plan = self._finish(IOPlan(kind, d0, nbytes, tuple(ops),
                                    signature=sig,
                                    planned_windows=nwin,
                                    coalesced_bytes=md.coalesced))
+        if sig is not None:
+            self._cache[sig] = plan
+            while len(self._cache) > self.maxsize:
+                self._cache.popitem(last=False)
+        return plan

@@ -107,7 +107,7 @@ class PlanStats(tally.Tallied):
     #: dtype-protocol pieces that fell back to list shipping (no
     #: compact view available, or the data-coordinate check failed)
     ship_dtype_fallbacks: int = 0
-    #: live ``(tally, mark)`` pairs (see :class:`~repro.tally.Tallied`)
+    #: live tallies (see :class:`~repro.tally.Tallied`)
     _tallies: tuple = field(default=(), repr=False, compare=False)
 
     def reset(self) -> None:
@@ -116,7 +116,7 @@ class PlanStats(tally.Tallied):
             tallies = self._tallies
             self.__init__()
             self._tallies = tallies
-            self._remark()
+            self._rebase()
 
     def snapshot(self) -> dict:
         return {

@@ -23,9 +23,11 @@ sum to rounding (``runs * secs`` instead of ``runs`` additions).
 A tally is registered with its owners when the call is bound
 (:meth:`Tallied.add_tally`) and folded into their bases when the call
 leaves its replay entry (:meth:`Tallied.fold`: eviction, a new view or
-hints, close) — by the thread that owns the call.  No reader writes a
-counter.  A reset re-marks the live tallies: an owner counts each from
-its mark (the tally's state at the reset) on.  Registration, folds,
+hints, close), or once it ran if no entry keeps it — by the thread that
+owns the call.  No reader writes a
+counter.  A reset sets each base to minus its live tallies' terms, so
+the counters read 0 and count each tally on from its state then; a
+fold adds a tally's whole term to the base.  Registration, folds,
 resets and reads of an owner take its ``_mu``: the file's stats lock
 for ``FileStats``, else the one lock of this module, which no access
 takes — only binds, folds and readers do.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["Tally", "Tallied", "tallied", "delta", "runs", "replays",
+__all__ = ["Tally", "Tallied", "tallied", "runs", "replays",
            "reads", "writes", "bytes_read", "bytes_written", "seconds"]
 
 #: Guards the tallies of the owners that have no lock of their own.
@@ -58,12 +60,6 @@ class Tally:
         #: Device seconds of one run on one disk, else None.
         self.secs = secs
         self.nbytes, self.write, self.kind = nbytes, write, kind
-
-    def mark(self) -> "Tally":
-        """A frozen copy: the tally as it stands now."""
-        m = Tally(self.write, self.nbytes, self.secs, self.kind)
-        m.runs, m.replays, m.secsum = self.runs, self.replays, self.secsum
-        return m
 
 
 # Terms: what one tally adds to a counter.
@@ -95,18 +91,13 @@ def seconds(t: Tally) -> float:
     return t.secsum if t.secs is None else t.runs * t.secs
 
 
-def delta(term, t: Tally, m) -> float:
-    """``term`` of ``t`` counted from mark ``m`` (None: from zero)."""
-    return term(t) if m is None else term(t) - term(m)
-
-
 class Tallied:
     """An owner of tallied counters.
 
     A subclass lists them in ``TERMS`` (``{name: term}``), keeps each
     one's eagerly billed base in attribute ``_<name>`` and the live
-    tallies in ``_tallies``, a tuple of ``(tally, mark)`` pairs replaced
-    whole (so a reader iterates a snapshot), and passes itself to
+    tallies in ``_tallies``, a tuple replaced whole (so a reader
+    iterates a snapshot), and passes itself to
     :func:`tallied`, which makes each name a property: the base plus the
     live tallies' terms.  Assigning one sets what it reads.
     """
@@ -118,35 +109,34 @@ class Tallied:
     def add_tally(self, t: Tally) -> None:
         """Count ``t`` in this owner's counters from now on."""
         with self._mu:
-            self._tallies += ((t, None),)
+            self._tallies += (t,)
 
     def fold(self, t: Tally) -> None:
         """Move ``t``'s terms into the bases and forget it."""
         with self._mu:
-            keep = []
-            for pair in self._tallies:
-                if pair[0] is t:
-                    self._fold(t, pair[1])
-                else:
-                    keep.append(pair)
-            self._tallies = tuple(keep)
+            tallies = self._tallies
+            if t in tallies:
+                self._fold(t, 1)
+                self._tallies = tuple(x for x in tallies if x is not t)
 
-    def _fold(self, t: Tally, m) -> None:
+    def _fold(self, t: Tally, sign: int) -> None:
+        """Add ``sign`` times ``t``'s terms to the bases."""
         for name, term in self.TERMS.items():
             base = "_" + name
-            setattr(self, base, getattr(self, base) + delta(term, t, m))
+            setattr(self, base, getattr(self, base) + sign * term(t))
 
-    def _remark(self) -> None:
-        """Count every live tally from its state now (a reset; under
-        ``_mu``)."""
-        self._tallies = tuple((t, t.mark()) for t, _m in self._tallies)
+    def _rebase(self) -> None:
+        """Count every live tally from its state now (a reset, after
+        the bases were zeroed; under ``_mu``)."""
+        for t in self._tallies:
+            self._fold(t, -1)
 
     def _total(self, name: str):
         """Counter ``name``: its base plus the live tallies' terms."""
         term = self.TERMS[name]
         v = getattr(self, "_" + name)
-        for t, m in self._tallies:
-            v += delta(term, t, m)
+        for t in self._tallies:
+            v += term(t)
         return v
 
 

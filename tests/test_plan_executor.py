@@ -300,7 +300,7 @@ class TestCompiledPlans:
                 0, 64, write=True)
             assert delta == 0
             low = plan.lowered
-            assert low is not None and len(low[1]) == len(plan.ops)
+            assert low is not None and len(low) == len(plan.ops)
             n_lowered = len(lowered)
             assert n_lowered >= len(plan.ops)
             for k in range(1, 6):  # file deltas of 128 * k bytes
