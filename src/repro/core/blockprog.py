@@ -23,17 +23,14 @@ A :class:`BlockProgram` is the compiled form of one range query:
 
 Steady-state pack/unpack of a recurring window shape is then O(1)
 Python-level setup — translate the cached program by a scalar base —
-plus one bulk gather/scatter.  Programs are cached per loop object in a
-bounded LRU (the loop itself is held weakly, so dropping a datatype
-drops its programs); the cache is additionally cleared whenever a
-fileview is replaced (:meth:`~repro.plan.planner.Planner.invalidate`),
-mirroring the plan LRU's view-epoch rule.
+plus one bulk gather/scatter.  Programs live in one store per session,
+keyed by layout (:class:`ProgramStore`).
 
 There is no switch: programs are the only data plane, and only
 contiguous and empty ranges bypass compilation.  The A/B baseline is
 the list-based engine plus the benchmarks' cold calls of
 ``loop.blocks_range`` with one-shot kernels.  Counters (compiles, hits,
-misses, translations) and the cache itself are scoped to the active
+misses, translations) and the store itself are scoped to the active
 :class:`~repro.session.IOSession` — shared by all simulated ranks of a
 world, isolated between sessions — and surfaced through the metrics
 registry and ``repro.cli plan-dump``.
@@ -42,9 +39,8 @@ registry and ``repro.cli plan-dump``.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +51,7 @@ from repro.core.gather import classify
 
 __all__ = [
     "BlockProgram",
-    "ProgramCache",
+    "ProgramStore",
     "blockprog_stats",
     "blocks_range_cached",
     "clear",
@@ -68,17 +64,19 @@ __all__ = [
 #: runs instead (element indexes, 8 B per block, are not capped).
 _IDX_CAP = 1 << 20
 
-#: Per-loop LRU bound: distinct (residue, length) shapes kept per loop.
-#: Sieving/two-phase loops cycle through a handful of window shapes;
-#: 64 covers them with room for boundary windows.
-_MAX_PROGRAMS_PER_LOOP = 64
+#: Bound of a session's program store (:class:`ProgramStore`).  The
+#: most entries one store held, measured: 10 in a BT-IO class S run (4
+#: sim ranks), at most 2 in each perfbench workload, 1 in
+#: ``bench_service.py --quick`` and 9 in the Fig. 5-7 ``--quick`` runs.
+MAX_PROGRAMS = 256
 
 
 @tally.tallied
 class _Stats(tally.Tallied):
     """Block-program counters (one instance per session).  ``hits``
     reads its base plus the live bound calls' replays, each a pair-
-    program hit (:mod:`repro.tally`)."""
+    program hit (:mod:`repro.tally`).  Hits and misses are bumped under
+    ``_mu``, so concurrent ranks count exactly."""
 
     __slots__ = ("compiled", "_hits", "misses", "translations", "bypasses",
                  "_tallies")
@@ -207,97 +205,65 @@ class BlockProgram:
 
 
 # ----------------------------------------------------------------------
-# The cache
+# The store
 # ----------------------------------------------------------------------
-class ProgramCache:
-    """Store of compiled programs: loop → LRU of keyed programs.
+class ProgramStore:
+    """A session's compiled programs: one LRU keyed by layout.
 
-    Entries are keyed ``(owner, residue, nbytes)`` — ``owner`` is the
-    file identity (:attr:`repro.io.file_handle.SharedFileState.
-    file_key`) the program was compiled for, or ``None`` for
-    file-independent callers — so two open files can never alias each
-    other's programs, and a fileview replacement on one file clears only
-    that file's programs (:meth:`clear` with an owner).  The loop key is
-    held weakly: dropping a datatype (and with it the cached dataloop)
-    drops every program compiled from it.  Guarded by a lock because
-    simulated ranks are threads sharing the cache; :meth:`get` is
-    single-flight per key, so ranks that miss the same key together
-    compile it once.  One instance per session.
+    The key of a program is ``(loop.key, residue, nbytes)``: the value
+    key of the loop it was compiled from (:attr:`~repro.core.dataloop.
+    Dataloop.key`, built from a node's fields and its children's keys,
+    with a 128-bit digest standing in for a descriptor), and the
+    canonical range it covers.  A program is a pure function of that
+    key, so equal layouts share it whatever datatype object, file or
+    view they came from, and ``set_view`` clears nothing: the bound,
+    :data:`MAX_PROGRAMS` entries, least recently used first out, is
+    what keeps memory in check.
+
+    A miss compiles under the store's one lock: simulated ranks are
+    threads sharing the store, and ranks that miss the same key together
+    compile it once.  A compile that raises releases the lock with
+    nothing stored.  One instance per session.
     """
+
+    __slots__ = ("_progs", "_lock")
 
     def __init__(self) -> None:
-        self._cache: "weakref.WeakKeyDictionary[Dataloop, OrderedDict]" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._progs: "OrderedDict[tuple, BlockProgram]" = OrderedDict()
         self._lock = threading.Lock()
-        #: ``(loop, key) -> Event`` of compiles in flight.
-        self._inflight: Dict[tuple, threading.Event] = {}
 
-    def clear(self, owner=None) -> None:
-        """Drop compiled programs: all of them (``owner=None``), or only
-        those compiled for one file identity."""
+    def __len__(self) -> int:
+        return len(self._progs)
+
+    def clear(self) -> None:
+        """Drop every compiled program."""
         with self._lock:
-            if owner is None:
-                self._cache.clear()
-                return
-            for progs in self._cache.values():
-                for key in [k for k in progs if k[0] == owner]:
-                    del progs[key]
+            self._progs.clear()
 
-    def _store(self, loop, key, prog) -> None:
-        progs = self._cache.get(loop)
-        if progs is None:
-            progs = OrderedDict()
-            self._cache[loop] = progs
-        progs[key] = prog
-        while len(progs) > _MAX_PROGRAMS_PER_LOOP:
-            progs.popitem(last=False)
-
-    def get(self, loop: Dataloop, key: tuple, stats, compile_fn, *args):
-        """The program for ``key``, compiling it with ``compile_fn(loop,
-        *args)`` on a miss; counts one hit or one miss in ``stats``.
-
-        Single-flight: the first thread to miss a key compiles it
-        outside the lock; threads missing the same key meanwhile wait
-        for that compile and count a hit.  A failed compile wakes the
-        waiters, and the next of them compiles in its place.
-        """
-        while True:
-            with self._lock:
-                progs = self._cache.get(loop)
-                prog = progs.get(key) if progs is not None else None
-                if prog is not None:
-                    progs.move_to_end(key)
+    def get(self, loop: Dataloop, residue: int, n: int,
+            stats) -> BlockProgram:
+        """The program of ``n`` data bytes at ``residue`` of ``loop``,
+        compiled on a miss; counts one hit or one miss in ``stats``."""
+        key = (loop.key, residue, n)
+        progs = self._progs
+        with self._lock:
+            prog = progs.get(key)
+            if prog is not None:
+                progs.move_to_end(key)
+                with stats._mu:
                     stats._hits += 1
-                    return prog
-                ident = (loop, key)
-                ev = self._inflight.get(ident)
-                if ev is None:
-                    ev = self._inflight[ident] = threading.Event()
-                    stats.misses += 1
-                    break
-            ev.wait()
-        prog = None
-        try:
-            prog = compile_fn(loop, *args)
-        finally:
-            with self._lock:
-                if prog is not None:
-                    self._store(loop, key, prog)
-                del self._inflight[ident]
-            ev.set()
-        return prog
+                return prog
+            with stats._mu:
+                stats.misses += 1
+            prog = progs[key] = _compile(loop, residue, n)
+            if len(progs) > MAX_PROGRAMS:
+                progs.popitem(last=False)
+            return prog
 
 
-def clear(owner=None) -> None:
-    """Drop compiled programs from the active session's cache.
-
-    Called on fileview replacement (the same epoch rule the plan LRU
-    follows) with the replaced file's identity as ``owner``, so one
-    file's ``set_view`` no longer evicts every other open file's
-    programs; ``clear()`` with no owner drops everything.
-    """
-    SESSION.get().programs.clear(owner)
+def clear() -> None:
+    """Drop every compiled program of the active session's store."""
+    SESSION.get().programs.clear()
 
 
 def _periodicity(loop: Dataloop, s_lo: int, n: int) -> Tuple[int, int]:
@@ -340,7 +306,7 @@ def _periodicity(loop: Dataloop, s_lo: int, n: int) -> Tuple[int, int]:
 
 
 def program_for(
-    loop: Optional[Dataloop], s_lo: int, s_hi: int, owner=None,
+    loop: Optional[Dataloop], s_lo: int, s_hi: int,
 ) -> Optional[Tuple[BlockProgram, int]]:
     """Compiled program and translation base for a range query.
 
@@ -348,30 +314,23 @@ def program_for(
     equals ``loop.blocks_range(s_lo, s_hi)``, or ``None`` when the query
     is not worth compiling (empty range, contiguous loop — plain slice
     arithmetic beats any cache).
-    ``owner`` is the file identity the program serves (part of the cache
-    key; see :class:`ProgramCache`).
     """
     sess = SESSION.get()
     stats = sess.prog_stats
-    if loop is None or s_hi <= s_lo or isinstance(loop, DLContig) or (
-        isinstance(loop, DLVector) and isinstance(loop.child, DLContig)
-        and loop.stride == loop.child.size
-    ):
+    if loop is None or s_hi <= s_lo or isinstance(loop, DLContig):
         # Empty range or contiguous data (blocks_range is a two-array
-        # constant): the cache could only add overhead.
+        # constant; compilation collapses every contiguous vector into
+        # a DLContig): the store could only add overhead.
         stats.bypasses += 1
         return None
     n = s_hi - s_lo
     residue, base = _periodicity(loop, s_lo, n)
-    prog = sess.programs.get(loop, (owner, residue, n), stats,
-                             _compile, residue, n)
-    return prog, base
+    return sess.programs.get(loop, residue, n, stats), base
 
 
 def _compile(loop: Dataloop, residue: int, n: int) -> BlockProgram:
-    """Compile the program of ``n`` data bytes at ``residue`` (runs
-    outside the cache lock: ``blocks_range`` is the expensive part and
-    touches only the immutable loop)."""
+    """Compile the program of ``n`` data bytes at ``residue`` (under
+    the store's lock)."""
     from repro.obs import trace
 
     t0 = trace.now() if trace.TRACE_ON else 0.0
@@ -383,7 +342,7 @@ def _compile(loop: Dataloop, residue: int, n: int) -> BlockProgram:
 
 
 def blocks_range_cached(
-    loop: Dataloop, s_lo: int, s_hi: int, owner=None,
+    loop: Dataloop, s_lo: int, s_hi: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Drop-in for ``loop.blocks_range`` that reuses compiled programs.
 
@@ -392,7 +351,7 @@ def blocks_range_cached(
     them — except for ``base == 0`` hits, which return the read-only
     canonical arrays themselves; callers that mutate must copy.
     """
-    hit = program_for(loop, s_lo, s_hi, owner=owner)
+    hit = program_for(loop, s_lo, s_hi)
     if hit is None:
         return loop.blocks_range(s_lo, s_hi)
     prog, base = hit

@@ -31,6 +31,7 @@ gather/scatter kernels, and O(depth·log k) size↔extent navigation used by
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -59,17 +60,25 @@ __all__ = [
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
+def _digest(data: bytes) -> bytes:
+    """128-bit digest standing in for a descriptor in a :attr:`Dataloop.
+    key`, so a key stays O(tree) whatever the descriptor's length."""
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
 class Dataloop:
     """Abstract dataloop node.
 
     ``size`` is the data bytes of one instance; ``data_start`` /
     ``data_end`` are the extent offsets of the first data byte and one
     past the last data byte; ``depth`` is the program nesting depth.
+    ``key`` is a value key, computed once from the node's own fields and
+    its children's keys: two loops with equal keys describe the same
+    layout, which is what :mod:`repro.core.blockprog` stores compiled
+    programs under.
     """
 
-    # __weakref__ lets repro.core.blockprog key its compiled-program
-    # cache on loop identity without pinning loops in memory.
-    __slots__ = ("size", "data_start", "data_end", "depth", "__weakref__")
+    __slots__ = ("size", "data_start", "data_end", "depth", "key")
 
     # ------------------------------------------------------------------
     def blocks_range(
@@ -115,6 +124,7 @@ class DLContig(Dataloop):
         self.data_start = 0
         self.data_end = nbytes
         self.depth = 1
+        self.key = ("contig", int(nbytes))
 
     def blocks_range(self, s_lo, s_hi):
         if s_hi <= s_lo:
@@ -154,6 +164,7 @@ class DLVector(Dataloop):
             self.data_start = 0
             self.data_end = 0
         self.depth = child.depth + 1
+        self.key = ("vector", int(count), int(stride), child.key)
 
     def blocks_range(self, s_lo, s_hi):
         if s_hi <= s_lo:
@@ -265,6 +276,8 @@ class DLBlocks(Dataloop):
         self.data_start = int(offsets.min())
         self.data_end = int((offsets + lengths).max())
         self.depth = 1
+        # Equal-length arrays: the split of the bytes is unambiguous.
+        self.key = ("blocks", _digest(offsets.tobytes() + lengths.tobytes()))
 
     def blocks_range(self, s_lo, s_hi):
         if s_hi <= s_lo:
@@ -329,6 +342,8 @@ class DLSeq(Dataloop):
         # Per-child first-data positions; sorted for monotonic types,
         # which are the only ones size_of_ext is defined on.
         self._data_starts = np.array(starts, dtype=np.int64)
+        self.key = ("seq", _digest(repr(
+            (self.offsets, [c.key for c in self.children])).encode()))
 
     def blocks_range(self, s_lo, s_hi):
         if s_hi <= s_lo:

@@ -39,9 +39,10 @@ def top_dataloop(dt: Datatype, count: int) -> Dataloop | None:
 
     The count dimension is one more vector level; for ``count == 1`` the
     instance loop is returned directly.  O(1) beyond the cached instance
-    compilation.  Memoized per ``(datatype, count)``: the compiled
-    block-program cache keys on loop *identity*, so repeated calls must
-    return the same loop object, not a structurally equal rebuild.
+    compilation.  Memoized per ``(datatype, count)``: the block-program
+    store keys on the loop's value, so a rebuild would be correct, but
+    the memo saves the rebuild's calls on every pack of a two-phase
+    round.
     """
     loop = compile_dataloop(dt)
     if loop is None or count == 0:
@@ -89,7 +90,6 @@ def ff_pack(
     packbuf: np.ndarray,
     packsize: int,
     origin: int = 0,
-    owner=None,
 ) -> int:
     """Pack typed data from ``srcbuf`` into contiguous ``packbuf``.
 
@@ -105,10 +105,6 @@ def ff_pack(
     packbuf, packsize
         destination and its capacity; at most ``packsize`` bytes are
         written, starting at ``packbuf[0]``.
-    owner
-        file identity keying compiled programs (the engine passes its
-        file's key so two files never alias cached programs; ``None``
-        for file-independent callers).
 
     Returns the number of bytes actually copied (0 at end of data).
     """
@@ -130,8 +126,7 @@ def ff_pack(
     t0 = trace.now() if on else 0.0
     src = _as_bytes(srcbuf, writeable=False)
     dst = _as_bytes(packbuf, writeable=True)
-    hit = blockprog.program_for(loop, skipbytes, skipbytes + n,
-                                owner=owner)
+    hit = blockprog.program_for(loop, skipbytes, skipbytes + n)
     if hit is not None:
         prog, base = hit
         copied = prog.gather(src, base + origin, dst, 0)
@@ -157,7 +152,6 @@ def ff_unpack(
     datatype: Datatype,
     skipbytes: int,
     origin: int = 0,
-    owner=None,
 ) -> int:
     """Unpack contiguous ``packbuf`` into typed ``dstbuf``.
 
@@ -180,8 +174,7 @@ def ff_unpack(
     t0 = trace.now() if on else 0.0
     src = _as_bytes(packbuf, writeable=False)
     dst = _as_bytes(dstbuf, writeable=True)
-    hit = blockprog.program_for(loop, skipbytes, skipbytes + n,
-                                owner=owner)
+    hit = blockprog.program_for(loop, skipbytes, skipbytes + n)
     if hit is not None:
         prog, base = hit
         copied = prog.scatter(dst, base + origin, src, 0)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
-from typing import Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,11 +55,6 @@ class CompactFileview:
     _ft_size: int = 0
     _ft_extent: int = 0
     _ft_loop: Optional[Dataloop] = None
-    #: File identity (``SharedFileState.file_key``) this view belongs
-    #: to, set by the engine at ``setup_view``; keys compiled block
-    #: programs so identical geometries on different files never alias.
-    #: Travels with the view when it is pickled to shard servers.
-    owner: Any = None
 
     def _resolve(self) -> None:
         ft = self.filetype
@@ -126,14 +119,13 @@ class CompactFileview:
         """Absolute-file-offset blocks holding view data bytes
         ``[d_lo, d_hi)`` — one vectorized enumeration, no stored list.
 
-        Routed through the compiled block-program cache: the tiled view
+        Routed through the compiled block-program store: the tiled view
         loop is periodic in the filetype, so a window shape that recurs
         at a different period (a sieving or two-phase loop) reuses its
         canonical descriptor, translated by a scalar base.
         """
-        offs, lens = blockprog.blocks_range_cached(
-            self.view_loop, d_lo, d_hi, owner=self.owner
-        )
+        offs, lens = blockprog.blocks_range_cached(self.view_loop, d_lo,
+                                                   d_hi)
         return offs + self.disp, lens
 
     # ------------------------------------------------------------------

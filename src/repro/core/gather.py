@@ -100,9 +100,10 @@ class _KernelPaths(Tallied):
     a one-shot :func:`gather_blocks` or a compiled block program.  One
     instance per :class:`~repro.session.IOSession`; read through
     :func:`kernel_path_counts` and surfaced in engine stats and
-    ``repro.cli plan-dump``.  ``counts`` is the eagerly billed base; a
-    bound call's copies are its tally's runs, added to the count of
-    its kernel's kind by :meth:`snapshot` (:mod:`repro.tally`).
+    ``repro.cli plan-dump``.  ``counts`` is the eagerly billed base,
+    bumped under ``_mu`` so concurrent ranks count exactly; a bound
+    call's copies are its tally's runs, added to the count of its
+    kernel's kind by :meth:`snapshot` (:mod:`repro.tally`).
     """
 
     __slots__ = ("counts", "_tallies")
@@ -339,7 +340,9 @@ class Kernel:
                 raise _span_error("block list", a, buf, base)
             if b[_LO] + pos < 0 or b[_HI] + pos > other.size:
                 raise _span_error("other side", b, other, pos)
-        SESSION.get().kernel_paths.counts[self.kind] += 1
+        paths = SESSION.get().kernel_paths
+        with paths._mu:
+            paths.counts[self.kind] += 1
         self.core(buf, base, other, pos, to_b)
         return self.nbytes
 

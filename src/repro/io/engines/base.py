@@ -276,7 +276,7 @@ class IOEngine:
         entry: one call, given any C-contiguous ``ndarray`` as it is;
         any other buffer is validated by a :class:`MemDescriptor` first
         (in atomic mode under the range lock of
-        :meth:`File._atomic_guard`).  Anything else plans from the one
+        :meth:`File._atomic_range`).  Anything else plans from the one
         replay entry looked up, binds the plan if the table keeps it,
         and runs it — with tracing on, inside an
         ``<engine>.<kind>_independent`` span (``traced``)."""
@@ -315,7 +315,9 @@ class IOEngine:
             kind = "write" if write else "read"
             with trace.span(f"{self.name}.{kind}_independent", bytes=n):
                 return self.run_independent(mem, None, None, d0, write, True)
-        guard = fh._atomic_guard(mem, d0)
+        guard = fh._atomic_range(mem, d0)
+        if guard:
+            fh.simfile.lock_range(*guard)
         try:
             if bound is not None:
                 planner.replay.move_to_end(key)

@@ -131,14 +131,7 @@ class ListlessEngine(IOEngine):
         self.cview = CompactFileview.from_view(
             view.disp, view.etype, view.filetype
         )
-        self.cview.owner = self.fh.shared.file_key
-        comm = self.fh.comm
-        gathered = comm.allgather(self.cview)
-        # Every installed view carries the file identity: compiled block
-        # programs key on it, so identical geometries on other open
-        # files can never serve (or be evicted by) this file's queries.
-        for cv in gathered:
-            cv.owner = self.fh.shared.file_key
+        gathered = self.fh.comm.allgather(self.cview)
         cache = self.fh.shared.fileview_cache
         self._set_views += 1
         cache.install({rank: cv for rank, cv in enumerate(gathered)},
@@ -176,10 +169,8 @@ class ListlessEngine(IOEngine):
             out[: d_hi - d_lo] = mem.contiguous_slice(d_lo, d_hi - d_lo)
             return
         self.stats._ff_kernel_calls += 1
-        ff_pack(
-            mem.buf, mem.count, mem.memtype, d_lo, out, d_hi - d_lo,
-            origin=mem.origin, owner=self.fh.shared.file_key,
-        )
+        ff_pack(mem.buf, mem.count, mem.memtype, d_lo, out, d_hi - d_lo,
+                origin=mem.origin)
 
     def unpack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
                    data: np.ndarray) -> None:
@@ -187,10 +178,8 @@ class ListlessEngine(IOEngine):
             mem.contiguous_slice(d_lo, d_hi - d_lo)[...] = data[: d_hi - d_lo]
             return
         self.stats._ff_kernel_calls += 1
-        ff_unpack(
-            data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
-            origin=mem.origin, owner=self.fh.shared.file_key,
-        )
+        ff_unpack(data, d_hi - d_lo, mem.buf, mem.count, mem.memtype, d_lo,
+                  origin=mem.origin)
 
     # ------------------------------------------------------------------
     # Collective access: one cached round-based plan for both roles

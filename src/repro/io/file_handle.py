@@ -13,7 +13,6 @@ byte movement is delegated to the configured engine (``"listless"`` or
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Optional
 
@@ -101,20 +100,10 @@ class SharedFileState:
     descriptor in the kernel.
     """
 
-    #: Monotonic open sequence feeding ``file_key`` (never reused, so a
-    #: close/reopen of the same path is a distinct identity).
-    _open_seq = itertools.count(1)
-
     def __init__(self, simfile: SimFile, path: str,
                  requires_ol_lists: bool = False) -> None:
         self.simfile = simfile
         self.path = path
-        #: Identity of this open file, stable across the rank threads /
-        #: processes sharing the state (it is assigned once on rank 0
-        #: and travels with the open broadcast).  Keys the planner's
-        #: caches and compiled block programs so two open files with
-        #: identical fileview geometry can never alias each other.
-        self.file_key = (str(path), next(self._open_seq))
         self._ptr = LocalCounter()  # etype units
         self.fileview_cache = FileviewCache()
         self.atomicity = False
@@ -452,14 +441,13 @@ class File:
             )
         return ptr + nbytes // esize
 
-    def _atomic_guard(self, mem: MemDescriptor, d0: int):
-        """Whole-access range lock under atomic mode."""
+    def _atomic_range(self, mem: MemDescriptor, d0: int):
+        """``(lo, hi)`` of the whole-access range lock an access takes
+        in atomic mode through the current view, else ``None``."""
         if not self.shared.atomicity or mem.nbytes == 0:
             return None
-        lo = self.engine.abs_of_data(d0)
-        hi = self.engine.abs_of_data(d0 + mem.nbytes, end=True)
-        self.simfile.lock_range(lo, hi)
-        return (lo, hi)
+        return (self.engine.abs_of_data(d0),
+                self.engine.abs_of_data(d0 + mem.nbytes, end=True))
 
     # ------------------------------------------------------------------
     # Independent access, explicit offsets
@@ -752,18 +740,22 @@ class File:
         access to the current view (a later ``set_view`` cannot retarget
         it) and pays navigation up front; the file I/O runs on
         ``wait()``/``test()`` — a mapped copy as a call bound then: a
-        ``set_view`` in between folds the table's calls.
+        ``set_view`` in between folds the table's calls.  The atomic-mode
+        range lock is fixed at post too: the wait locks the range
+        planned, whatever view is current then.
         """
         if mem.nbytes == 0:
             return Request.completed()
         engine = self.engine
         plan, delta = engine.planner.plan_independent_bound(
             d0, mem.nbytes, write)
+        guard = self._atomic_range(mem, d0)
 
         def pending() -> None:
             # Closing releases the engine's planner and executor.
             self._check_open()
-            guard = self._atomic_guard(mem, d0)
+            if guard:
+                self.simfile.lock_range(*guard)
             try:
                 engine.run_plan(plan, mem, delta)
             finally:

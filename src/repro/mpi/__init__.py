@@ -27,7 +27,7 @@ Entry point::
 from repro.mpi.cost_model import NetworkModel, payload_nbytes
 from repro.mpi.status import Status
 from repro.mpi.reduce_ops import MAX, MIN, SUM, PROD, LAND, LOR
-from repro.mpi.communicator import ANY_TAG, Comm, GroupComm, PendingOp
+from repro.mpi.communicator import ANY_TAG, Comm, PendingOp
 from repro.mpi.runtime import Runtime, World, run_spmd
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "payload_nbytes",
     "Status",
     "Comm",
-    "GroupComm",
     "PendingOp",
     "Runtime",
     "World",

@@ -31,7 +31,7 @@ from repro.mpi.cost_model import payload_nbytes
 from repro.mpi.status import Status
 from repro.obs import trace
 
-__all__ = ["Comm", "GroupComm", "ANY_TAG", "PendingOp", "recv_timeout"]
+__all__ = ["Comm", "ANY_TAG", "PendingOp", "recv_timeout"]
 
 #: Wildcard tag for :meth:`Comm.recv` and every other receive or probe.
 ANY_TAG = -1
@@ -524,7 +524,3 @@ class Comm:
         return (f"<{type(self).__name__} rank={self.rank}/{self.size} "
                 f"world={self.world_rank}>")
 
-
-#: A communicator over a subset of world ranks is a :class:`Comm` over
-#: that group; the name stays for code written against sub-communicators.
-GroupComm = Comm

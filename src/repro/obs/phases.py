@@ -56,7 +56,6 @@ __all__ = [
     "PhaseAccumulator",
     "RoundLog",
     "format_phase_table",
-    "merge_snapshots",
 ]
 
 #: Bucket names in report order (the order Table-3-style output uses;
@@ -114,16 +113,6 @@ class PhaseAccumulator:
         out = cls()
         for acc in accs:
             out.merge(acc)
-        return out
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, float]) -> "PhaseAccumulator":
-        """Rebuild an accumulator from a ``snapshot()`` dict (accepts
-        ``phase_<bucket>`` or bare bucket keys) — how phase buckets
-        collected in child rank processes rejoin the parent."""
-        out = cls()
-        for b in BUCKETS:
-            out.add(b, snap.get(f"phase_{b}", snap.get(b, 0.0)))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -196,13 +185,6 @@ class RoundLog:
                 for k in ("wall", "exchange", "file_io", "file_io_async"):
                     row[k] += float(r.get(k, 0.0))
         return [by_index[i] for i in sorted(by_index)]
-
-
-def merge_snapshots(snaps: Iterable[Dict[str, float]]) -> Dict[str, float]:
-    """Sum ``snapshot()`` dicts bucket-wise (per-rank rows → run total)."""
-    return PhaseAccumulator.sum(
-        PhaseAccumulator.from_snapshot(s) for s in snaps
-    ).snapshot()
 
 
 class _PhaseTimer:

@@ -126,7 +126,9 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
         if prog is not None:
             if len(memo) > 1:
                 memo.move_to_end(key)
-            SESSION.get().prog_stats._hits += 1
+            stats = SESSION.get().prog_stats
+            with stats._mu:
+                stats._hits += 1
             return prog
     n = blocks.nbytes
     if mem.is_contiguous:
@@ -138,7 +140,9 @@ def pair_program(blocks: Blocks, mem: MemDescriptor,
     foffs, moffs, lens = pair_blocks(blocks.offsets, blocks.lengths,
                                      moffs, mlens)
     prog = blockprog.BlockProgram(foffs, lens, other=moffs)
-    SESSION.get().prog_stats.misses += 1
+    stats = SESSION.get().prog_stats
+    with stats._mu:
+        stats.misses += 1
     if memo is None:
         memo = OrderedDict()
         object.__setattr__(blocks, "pairs", memo)

@@ -230,7 +230,8 @@ class PlanExecutor:
                 t0 = t1
         finally:
             self._fdelta = 0
-            if self.round_state is not None:
+            state = self.round_state
+            if state is not None and state.cur is not None:
                 pipeline.finish(self, plan, bufs)
             if self._held:
                 # A failing op must never leave byte-range locks behind
@@ -491,7 +492,8 @@ class PlanExecutor:
         # Ordered path (rmw windows): every offloaded op must land
         # before a synchronous file op runs.
         state = self.round_state
-        if state is not None and state.worker is not None:
+        if (state is not None and state.cur is not None
+                and state.worker is not None):
             pipeline.drain(self, plan, 0, bufs)
         if op.mode == "direct":
             for piece in op.pieces:

@@ -191,7 +191,9 @@ class DeferredWorker:
 
 class RoundState:
     """An executor's ``round_state``: ``cur``, ``(index, total, t0,
-    exchange0, file_io0)`` of the open round; the deferred ``worker``;
+    exchange0, file_io0)`` of the open round — None between runs, so
+    only a run that opened a round has anything to settle at its end
+    (every overlap op sits inside a round); the deferred ``worker``;
     ``dev_free_at``, when the simulated device finishes the offloaded
     ops absorbed so far.  Per run (:func:`finish` clears them): jobs
     not yet published (their round has not drained), async seconds of
@@ -434,9 +436,9 @@ def _absorb(ex, state, plan, done, cur_index, bufs,
 
 
 def finish(ex, plan, bufs) -> None:
-    """Settle the round state at run end (from the executor's
-    ``finally``): close the open round, settle the worker, and clear
-    the per-run fields.
+    """Settle the round state at the end of a run that opened a round
+    (from the executor's ``finally``): close the open round, settle the
+    worker, and clear the per-run fields.
 
     Normally the plan's final ``DrainOp(0)`` drained everything and the
     worker is kept for the next run.  On the abort path (an exception
@@ -447,8 +449,7 @@ def finish(ex, plan, bufs) -> None:
     """
     state = ex.round_state
     try:
-        if state.cur is not None:
-            _close_round(ex, state, plan, perf_counter())
+        _close_round(ex, state, plan, perf_counter())
         worker = state.worker
         if worker is None:
             return

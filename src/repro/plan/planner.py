@@ -56,7 +56,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import blockprog
 from repro.intervals import clip, merge_adjacent, tile
 from repro.io.two_phase import AccessRange
 from repro.mpi.cost_model import StorageModel, choose_access_strategy
@@ -146,17 +145,9 @@ class Planner:
         self.fp_hints = self.fp_storage = None
 
     # ------------------------------------------------------------------
-    def _file_key(self):
-        """Identity of the open file this planner serves (or ``None``
-        for engines without one — unit-test fakes)."""
-        shared = getattr(getattr(self.engine, "fh", None), "shared", None)
-        return getattr(shared, "file_key", None)
-
     def _fingerprint(self) -> tuple:
-        """File identity + hints + cost-model inputs that shape plans,
-        for cache keys.  The file identity makes cached plans impossible
-        to alias across two open files with identical fileview geometry
-        (epochs alone only order views within one planner).
+        """Hints + cost-model inputs that shape plans, for cache keys (a
+        planner serves one engine of one file, so no file identity).
 
         Built once per (hints, storage model) state: both are frozen, and
         ``set_info`` installs a new hints object, so an identity check
@@ -165,8 +156,7 @@ class Planner:
         """
         hints, storage = self.engine.fh.hints, self.storage
         if hints is not self.fp_hints or storage is not self.fp_storage:
-            fp = ((self._file_key(),) + hints.fingerprint()
-                  + storage.fingerprint())
+            fp = hints.fingerprint() + storage.fingerprint()
             if fp != self._fp:
                 self.drop_replays()
                 self._fp = fp
@@ -174,19 +164,11 @@ class Planner:
         return self._fp
 
     def invalidate(self) -> None:
-        """Drop every cached plan (the fileview changed).
-
-        Compiled block programs follow the same epoch rule: a replaced
-        view may retire the loops its programs were compiled from, so
-        this file's programs are cleared alongside the plan LRU
-        (programs for still-live loops recompile on first miss).  The
-        clear is owner-scoped — other open files keep their compiled
-        programs.
-        """
+        """Drop every cached plan (the fileview changed).  Compiled block
+        programs stay: they are keyed by layout, not by view."""
         self.epoch += 1
         self._cache.clear()
         self.drop_replays()
-        blockprog.clear(owner=self._file_key())
 
     def _finish(self, plan: IOPlan) -> IOPlan:
         st = self.stats

@@ -2,7 +2,7 @@
 
 An :class:`IOSession` owns every piece of cross-cutting state in this
 stack: the kernel-path counters (:mod:`repro.core.gather`), the
-block-program cache and its counters (:mod:`repro.core.blockprog`), the
+block-program store and its counters (:mod:`repro.core.blockprog`), the
 metrics registry (:mod:`repro.obs.metrics`) and the flight recorder
 (:mod:`repro.obs.flight`).  There is always one active: the process
 default, which is the default of the context variable
@@ -13,8 +13,7 @@ resolves its state through that variable with a single ``get`` on the
 hot path.
 
 Separate sessions are what let two client worlds or two service
-tenants share a process: their counters never absorb each other, one
-world's ``set_view`` never clears another's compiled programs, and a
+tenants share a process: their counters never absorb each other, and a
 new world never wipes another world's flight record.  Each tenant of
 the multi-tenant service (:mod:`repro.server`) gets its own session,
 and ``run_spmd(..., session=s)`` runs a world in ``s`` on either
@@ -45,8 +44,8 @@ class IOSession:
         section reads *this session's* block-program and kernel-path
         counters;
     ``programs``
-        a :class:`~repro.core.blockprog.ProgramCache` of compiled block
-        programs;
+        a :class:`~repro.core.blockprog.ProgramStore` of compiled block
+        programs, keyed by layout;
     ``prog_stats`` / ``kernel_paths``
         the block-program and gather/scatter-kernel counters;
     ``flight``
@@ -71,7 +70,7 @@ class IOSession:
             raise AttributeError(attr)
         with self._build_mu:
             if attr not in self.__dict__:
-                from repro.core.blockprog import ProgramCache, _Stats
+                from repro.core.blockprog import ProgramStore, _Stats
                 from repro.core.gather import _KernelPaths
                 from repro.obs.flight import FlightRecorder
                 from repro.obs.metrics import MetricsRegistry
@@ -80,7 +79,7 @@ class IOSession:
                 metrics = MetricsRegistry(prog_stats, kernel_paths)
                 self.__dict__.update(
                     kernel_paths=kernel_paths, prog_stats=prog_stats,
-                    programs=ProgramCache(), metrics=metrics,
+                    programs=ProgramStore(), metrics=metrics,
                     flight=FlightRecorder(metrics))
         return self.__dict__[attr]
 

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 from repro import datatypes as dt
 from repro.core import blockprog
 from repro.core.blockprog import (
-    _MAX_PROGRAMS_PER_LOOP,
+    MAX_PROGRAMS,
     BlockProgram,
     program_for,
 )
+from repro.core.dataloop import compile_dataloop
 from repro.core.ff_pack import ff_pack, ff_unpack, top_dataloop
+from repro.datatypes import decode
 from repro.core.gather import gather_blocks, scatter_blocks
 from repro.errors import FFError
 from repro.session import current
@@ -107,15 +109,17 @@ class TestCache:
         assert a is not b
         assert current().prog_stats.misses == 2
 
-    def test_lru_bounded_per_loop(self):
+    def test_store_bounded(self):
         t = periodic_type()
         loop = top_dataloop(t, 512)
-        for n in range(1, _MAX_PROGRAMS_PER_LOOP + 20):
+        for n in range(1, MAX_PROGRAMS + 20):
             program_for(loop, 0, n)
-        progs = current().programs._cache.get(loop)
-        assert len(progs) == _MAX_PROGRAMS_PER_LOOP
-        # Oldest shapes were evicted: re-querying them misses again.
+        assert len(current().programs) == MAX_PROGRAMS
+        # Oldest shapes were evicted: re-querying them misses again,
+        # while the newest still hits.
         current().prog_stats.reset()
+        program_for(loop, 0, MAX_PROGRAMS + 19)
+        assert current().prog_stats.hits == 1
         program_for(loop, 0, 1)
         assert current().prog_stats.misses == 1
 
@@ -231,10 +235,10 @@ class TestCache:
             ids = set().union(*(p.get(n, set()) for p in progs))
             assert len(ids) == 1
 
-    def test_planner_invalidate_clears_programs(self):
+    def test_planner_invalidate_keeps_programs(self):
         loop = top_dataloop(periodic_type(), 8)
-        program_for(loop, 0, 10)
-        assert len(current().programs._cache.get(loop)) == 1
+        a, _ = program_for(loop, 0, 10)
+        assert len(current().programs) == 1
 
         class _Stub:  # minimal planner host
             pass
@@ -244,7 +248,60 @@ class TestCache:
 
         planner = Planner(_Stub(), cacheable=True, stats=PlanStats())
         planner.invalidate()
-        assert current().programs._cache.get(loop) is None
+        current().prog_stats.reset()
+        b, _ = program_for(loop, 0, 10)
+        assert b is a
+        assert current().prog_stats.hits == 1
+        assert current().prog_stats.misses == 0
+
+
+# ----------------------------------------------------------------------
+# Keys: equal layouts share one program
+# ----------------------------------------------------------------------
+class TestLayoutKey:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=datatype_trees(), count=st.integers(1, 4), data=st.data())
+    def test_round_trip_shares_programs(self, tree, count, data):
+        """A datatype rebuilt from its serialized tree compiles to a loop
+        with an equal key, whose program is the first one's: the second
+        lookup hits, and both materialize their own blocks_range."""
+        twin = decode.from_tree(decode.to_tree(tree))
+        assert compile_dataloop(twin).key == compile_dataloop(tree).key
+        la, lb = top_dataloop(tree, count), top_dataloop(twin, count)
+        assert la.key == lb.key
+        lo = data.draw(st.integers(0, la.size - 1))
+        hi = data.draw(st.integers(lo + 1, la.size))
+        blockprog.clear()
+        current().prog_stats.reset()
+        hit_a = program_for(la, lo, hi)
+        hit_b = program_for(lb, lo, hi)
+        if hit_a is None:  # contiguous: never compiled
+            assert hit_b is None
+            return
+        assert hit_b[0] is hit_a[0]
+        assert current().prog_stats.misses == 1
+        assert current().prog_stats.hits == 1
+        for loop, (prog, base) in ((la, hit_a), (lb, hit_b)):
+            offs, lens = prog.materialize(base)
+            ref_offs, ref_lens = loop.blocks_range(lo, hi)
+            assert offs.tolist() == ref_offs.tolist()
+            assert lens.tolist() == ref_lens.tolist()
+
+    def test_distinct_descriptors_distinct_keys(self):
+        a = compile_dataloop(dt.indexed([3, 1, 7], [0, 5, 9], dt.BYTE))
+        b = compile_dataloop(dt.indexed([3, 1, 7], [0, 5, 10], dt.BYTE))
+        c = compile_dataloop(dt.indexed([3, 2, 6], [0, 5, 9], dt.BYTE))
+        assert len({a.key, b.key, c.key}) == 3
+
+    def test_equal_layouts_from_other_constructors_share(self):
+        """``vector`` and the equal ``hvector`` compile to loops with one
+        key, so the second compiles nothing."""
+        a = top_dataloop(dt.vector(16, 2, 5, dt.INT), 3)
+        b = top_dataloop(dt.hvector(16, 2, 20, dt.INT), 3)
+        assert a is not b and a.key == b.key
+        pa, _ = program_for(a, 4, 100)
+        pb, _ = program_for(b, 4, 100)
+        assert pa is pb
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro import datatypes as dt
 from repro.fs import SimFileSystem
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
-from repro.mpi.communicator import GroupComm
+from repro.mpi.communicator import Comm
 
 
 class TestNonblocking:
@@ -74,7 +74,7 @@ class TestSplit:
     def test_split_two_groups(self):
         def worker(comm):
             sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            assert isinstance(sub, GroupComm)
+            assert isinstance(sub, Comm)
             assert sub.size == 2
             # Group collectives see only group members.
             vals = sub.allgather(comm.rank)

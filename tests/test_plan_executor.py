@@ -485,6 +485,71 @@ class TestDeferredWorker:
         w.close()
 
 
+def _count_calls(fn, *args) -> int:
+    """Calls of ``repro`` functions ``fn(*args)`` makes on this thread
+    (as ``benchmarks/check_perf_budget.py --calls`` counts them)."""
+    import os
+    import sys
+
+    import repro
+
+    home = os.path.dirname(repro.__file__) + os.sep
+    n = 0
+
+    def prof(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            n += 1
+
+    sys.setprofile(prof)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+class TestIdleSettle:
+    def test_replay_after_pipelined_collective_costs_the_same(self):
+        """A handle's pipelined collective leaves nothing for its later
+        independent runs to settle: a replayed sieved ``write_at``
+        makes as many calls after it as before it."""
+        from repro.io.hints import Hints
+
+        fs = unmapped(SimFileSystem())
+        hints = Hints(cb_pipeline="on", cb_buffer_size=1024)
+
+        def worker(comm):
+            fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                           hints=hints)
+            fh.set_view(comm.rank * 8, dt.BYTE,
+                        dt.vector(512, 8, 8 * comm.size, dt.BYTE))
+            small = np.full(64, comm.rank + 1, dtype=np.uint8)
+            counts = []
+
+            def measure():
+                # One rank at a time: a sieved write's range lock must
+                # never wait on the other rank's.
+                for r in range(comm.size):
+                    if r == comm.rank:
+                        fh.write_at(0, small)  # warm: plan, then replay
+                        counts.append(_count_calls(fh.write_at, 0, small))
+                    comm.barrier()
+
+            measure()
+            before = fh.engine.stats.snapshot()["pipelined_file_ops"]
+            fh.write_at_all(0, np.full(4096, comm.rank + 1,
+                                       dtype=np.uint8))
+            assert (fh.engine.stats.snapshot()["pipelined_file_ops"]
+                    > before)
+            measure()
+            fh.close()
+            return counts
+
+        for before, after in run_spmd(2, worker):
+            assert before == after
+
+
 class TestDeviceAccounting:
     """The executor bills the device seconds the backend charged for
     each of its file ops: over any run of independent accesses,

@@ -1,14 +1,14 @@
-"""IOSession scoping: isolation, defaults, and file-identity keying.
+"""IOSession scoping: isolation, defaults, and programs keyed by layout.
 
 The invariants of session scoping:
 
 * a process-default session is always active — in every thread, with
   nothing activated — so every layer has exactly one place to look;
-* an active session sees *only* its own counters, program cache,
+* an active session sees *only* its own counters, program store,
   metrics registry and flight recorder;
-* cache keys carry the open file's identity, so two files with
-  identical view geometry never serve each other's compiled programs,
-  and one file's invalidation leaves the other's programs cached.
+* compiled programs are keyed by layout, so two files with identical
+  view geometry share them, and one file's ``set_view`` leaves the
+  other's programs cached.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ class TestCounterIsolation:
             program_for(loop, 0, 10)
         assert a.prog_stats.misses == 1 and a.prog_stats.hits == 1
         assert b.prog_stats.misses == 1 and b.prog_stats.hits == 0
-        # The process-default cache and counters never moved.
+        # The process-default store and counters never moved.
         assert DEFAULT.prog_stats.misses == 0
-        assert DEFAULT.programs._cache.get(loop) is None
+        assert len(DEFAULT.programs) == 0
 
     def test_session_snapshot_global_reads_session(self):
         loop = top_dataloop(_ragged(), 64)
@@ -213,7 +213,7 @@ class TestCounterIsolation:
         DEFAULT.flight.clear()
 
 
-class TestFileIdentityKeying:
+class TestLayoutKeying:
     def _open_two(self, comm, fs):
         fa = File.open(comm, fs, "/a", MODE_CREATE | MODE_RDWR)
         fb = File.open(comm, fs, "/b", MODE_CREATE | MODE_RDWR)
@@ -222,23 +222,10 @@ class TestFileIdentityKeying:
         fb.set_view(0, dt.BYTE, ft)
         return fa, fb
 
-    def test_file_keys_are_distinct_and_stable(self):
-        fs = SimFileSystem()
-
-        def worker(comm):
-            fa, fb = self._open_two(comm, fs)
-            ka, kb = fa.shared.file_key, fb.shared.file_key
-            fa.close(), fb.close()
-            return ka, kb
-
-        (ka, kb), = run_spmd(1, worker)
-        assert ka != kb
-        assert ka[0] == "/a" and kb[0] == "/b"
-
-    def test_same_geometry_two_files_two_cache_entries(self):
-        """Identical fileviews on two open files compile their block
-        programs under distinct owners: invalidating one file's view
-        drops only that file's programs."""
+    def test_same_geometry_two_files_share_programs(self):
+        """Identical fileviews on two open files share their compiled
+        block programs, and one file's ``set_view`` leaves the other
+        hitting."""
         fs = SimFileSystem()
         out = {}
 
@@ -248,46 +235,44 @@ class TestFileIdentityKeying:
                 fa, fb = self._open_two(comm, fs)
                 buf = np.arange(16, dtype=np.uint8)
                 fa.write_at(0, buf)
+                compiled = len(s.programs)
                 fb.write_at(0, buf)
-                misses_after_both = s.prog_stats.misses
-                # Same geometry, second file: must NOT have hit the
-                # first file's programs.
-                assert misses_after_both >= 2
-                # Invalidate /a only: /b's programs survive.
+                # Same geometry, second file: served by /a's programs.
+                out["b_compiles"] = len(s.programs) - compiled
                 s.prog_stats.reset()
                 fa.set_view(0, dt.BYTE, dt.vector(8, 2, 4, dt.BYTE))
                 fb.write_at(0, buf)
-                out["b_misses_after_a_invalidate"] = \
-                    s.prog_stats.misses
+                out["b_misses_after_a_set_view"] = s.prog_stats.misses
                 fa.close(), fb.close()
 
         run_spmd(1, worker)
-        assert out["b_misses_after_a_invalidate"] == 0
+        assert out["b_compiles"] == 0
+        assert out["b_misses_after_a_set_view"] == 0
 
-    def test_planner_fingerprint_includes_file_key(self):
+    def test_fresh_equal_views_compile_nothing(self):
+        """A second and a third file, each with a freshly built equal
+        view, compile no store program on their first accesses."""
         fs = SimFileSystem()
+        compiles = []
 
         def worker(comm):
-            fa, fb = self._open_two(comm, fs)
-            fpa = fa.engine.planner._fingerprint()
-            fpb = fb.engine.planner._fingerprint()
-            fa.close(), fb.close()
-            return fpa, fpb
+            s = IOSession("t")
+            with s:
+                for path in ("/a", "/b", "/c"):
+                    n0 = len(s.programs)
+                    fh = File.open(comm, fs, path, MODE_CREATE | MODE_RDWR)
+                    fh.set_view(0, dt.BYTE, dt.vector(8, 8, 16, dt.BYTE))
+                    buf = np.arange(64, dtype=np.uint8)
+                    fh.write_at(0, buf)
+                    got = np.zeros(64, dtype=np.uint8)
+                    fh.read_at(0, got)
+                    assert (got == buf).all()
+                    fh.write_at(8, buf)
+                    fh.close()
+                    compiles.append(len(s.programs) - n0)
 
-        (fpa, fpb), = run_spmd(1, worker)
-        assert fpa != fpb
-        assert fpa[0] != fpb[0]
-
-    def test_owner_scoped_clear(self):
-        loop = top_dataloop(_ragged(), 64)
-        program_for(loop, 0, 10, owner=("f1", 1))
-        program_for(loop, 0, 10, owner=("f2", 2))
-        blockprog.clear(owner=("f1", 1))
-        DEFAULT.prog_stats.reset()
-        program_for(loop, 0, 10, owner=("f2", 2))
-        assert DEFAULT.prog_stats.hits == 1
-        program_for(loop, 0, 10, owner=("f1", 1))
-        assert DEFAULT.prog_stats.misses == 1
+        run_spmd(1, worker)
+        assert compiles == [2, 0, 0]
 
 
 class TestSessionedWorlds:

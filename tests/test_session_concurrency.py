@@ -196,3 +196,47 @@ class TestProcConcurrentWorlds:
             for path in serial[seed]:
                 assert np.array_equal(out[seed][path],
                                       serial[seed][path])
+
+
+# ----------------------------------------------------------------------
+# Cold-path counters: exact under concurrent ranks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("nprocs", [2, 4])
+def test_cold_path_counters_exact_under_concurrent_ranks(nprocs):
+    """Sim ranks share their session's counters: pair-program hits and
+    misses and kernel-path counts of unbound copies, made by every rank
+    at once with a tiny switch interval, add up exactly."""
+    import sys
+
+    from repro.core.gather import gather_blocks
+    from repro.io.fileview import MemDescriptor
+    from repro.plan.dataplane import DataPlane
+    from repro.plan.ops import Blocks
+
+    iters = 300
+    offs = np.arange(0, 256, 16, dtype=np.int64)
+    lens = np.full(offs.size, 8, dtype=np.int64)
+    s = IOSession("counters")
+
+    def worker(comm):
+        blocks = Blocks(offs.copy(), lens.copy())
+        fb = np.arange(256, dtype=np.uint8)
+        mem = MemDescriptor(np.zeros(128, dtype=np.uint8), 128, dt.BYTE,
+                            dest=True)
+        out = np.zeros(128, dtype=np.uint8)
+        comm.barrier()
+        for _ in range(iters):
+            DataPlane.gather(fb, 0, blocks, mem, 0)
+            gather_blocks(fb, offs, lens, out, 0)
+
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_spmd(nprocs, worker, session=s)
+    finally:
+        sys.setswitchinterval(prev)
+    st = s.prog_stats
+    assert st.misses == nprocs
+    assert st.hits == nprocs * (iters - 1)
+    assert sum(s.kernel_paths.snapshot().values()) == 2 * nprocs * iters
+
