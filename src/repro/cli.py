@@ -204,35 +204,30 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _print_program_shape(plan, loop) -> None:
-    """The compiled shape of a plan's data movement: per materialized
-    piece, the block-program kernel it compiled to and its index-array
-    size; plus the dataloop nesting depth and fused-copy count."""
+    """The compiled shape of a plan's data movement: per piece, the
+    block-program kernel it compiled to and its index-array size, its
+    tuple list, or its view walk (one copy per tuple); plus the dataloop
+    nesting depth and fused-copy count."""
     from repro.core import blockprog
-    from repro.plan.ops import Blocks
+    from repro.plan.ops import Blocks, ViewWalk
 
     rows = []
-    fused = deferred = 0
+    fused = 0
     for i, op in enumerate(plan.ops):
         for j, piece in enumerate(getattr(op, "pieces", ())):
             tag = f"op{i}[{type(op).__name__}].piece{j}"
             blocks = piece.blocks
-            if blocks is None:
-                deferred += 1
-                rows.append((tag, "deferred (streamed view walk)"))
-            elif isinstance(blocks, Blocks):
-                fused += 1
-                prog = blockprog.program_for_blocks(blocks)
-                rows.append((tag, prog.describe()))
+            fused += not isinstance(blocks, ViewWalk)
+            if isinstance(blocks, Blocks):
+                desc = blockprog.program_for_blocks(blocks).describe()
+            elif isinstance(blocks, ViewWalk):
+                desc = f"{blocks!r}, one copy per tuple"
             else:
-                fused += 1
-                rows.append(
-                    (tag, f"tuples(k={blocks.count}, "
-                          f"nbytes={blocks.nbytes})")
-                )
+                desc = f"tuples(k={blocks.count}, nbytes={blocks.nbytes})"
+            rows.append((tag, desc))
     print("\ncompiled program shape:")
     print(f"  dataloop nesting depth: {loop.depth if loop else '-'}")
-    print(f"  fused batched copies: {fused}  "
-          f"(deferred/streamed pieces: {deferred})")
+    print(f"  fused batched copies: {fused}")
     if rows:
         print(format_table(["piece", "program"], rows))
 

@@ -334,13 +334,6 @@ def build_round_plan(
     return ops, nwin
 
 
-def _offloadable(pieces) -> bool:
-    """May these pieces' file op run on the pipeline worker?  Deferred
-    (``blocks=None``) pieces stream through engine codec state of
-    unknown thread-safety, so they pin their op to the main thread."""
-    return all(p.blocks is not None for p in pieces)
-
-
 def _build_pipelined(
     md: CollectiveMetadata,
     schedule: RoundSchedule,
@@ -374,15 +367,11 @@ def _build_pipelined(
                 pieces, covered = md.iop_pieces(wlo, whi, write=True)
                 if pieces:
                     # Only fully-covered windows may run behind the next
-                    # round (rmw pre-reads must stay ordered), and only
-                    # with materialized blocks (deferred pieces stream
-                    # through engine codec state the worker can't touch).
+                    # round (rmw pre-reads must stay ordered).
                     mode = ("assemble" if covered >= whi - wlo
                             else "rmw")
-                    overlap = (mode == "assemble"
-                               and _offloadable(pieces))
                     wop = FileWriteOp(wlo, whi, mode, tuple(pieces),
-                                      overlap=overlap)
+                                      overlap=mode == "assemble")
                     recvs = tuple(p.slot[1] for p in pieces)
                     nwin += 1
             ops.append(ExchangeOp(tuple(sends), mode="p2p", recvs=recvs,
@@ -399,10 +388,8 @@ def _build_pipelined(
     # publishes it; deeper windows carry their target round on the op,
     # so an early completion is held back — the per-peer staging slots
     # are reused from round to round and must not be overwritten before
-    # the round's exchange has shipped them.  A window that cannot go
-    # to the worker (deferred pieces) is NOT hoisted: it executes
-    # synchronously at the top of its own round, where its immediate
-    # publication is safe, and blocks prefetching past it.
+    # the round's exchange has shipped them.  Round 0's window executes
+    # synchronously at the top of its round.
     # ``iop_pieces`` windows are still queried in ascending order — the
     # memoized ``spec`` never re-queries — as the metadata query-family
     # protocol requires.
@@ -431,7 +418,7 @@ def _build_pipelined(
             ops.append(DrainOp(len(pending)))
             nwin += 1
         elif cur is not None:
-            # Round 0, or a window the worker can't run: synchronous.
+            # Round 0 (no round before it to prefetch behind).
             wlo, whi, pieces = cur
             ops.append(FileReadOp(wlo, whi, "window", pieces))
             nwin += 1
@@ -442,8 +429,6 @@ def _build_pipelined(
             if nxt is None:
                 q += 1
                 continue
-            if not _offloadable(nxt[2]):
-                break
             wlo, whi, pieces = nxt
             ops.append(FileReadOp(wlo, whi, "window", pieces,
                                   overlap=True, round=q))

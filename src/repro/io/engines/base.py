@@ -182,8 +182,9 @@ class IOEngine:
 
         Engines returning a :class:`~repro.core.fileview_cache.
         CompactFileview` get materialized block lists and per-window
-        clipping in their plans; engines returning ``None`` get deferred
-        pieces streamed through their own view walk at execution time.
+        clipping in their plans; engines returning ``None`` must hold
+        their flattened filetype in ``flat``, and get a
+        :class:`~repro.plan.ops.ViewWalk` of it, pinned at plan time.
         """
         return None
 

@@ -9,10 +9,9 @@ Every cost the paper attributes to ol-lists is really paid here:
   afterwards (paper §2.1, last paragraph);
 * positioning the file pointer walks the list linearly — O(Nblock/2) list
   elements per navigation on average (§2.2);
-* data sieving moves the listed bytes through the shared data plane:
-  the per-access lists are lowered to index arrays and batch-copied
-  (§2.1's "Copy time" stays proportional to the list, but is paid in
-  one fused copy);
+* independent access walks the flattened list tuple by tuple: each
+  tuple is one slice copy of a sieved window (§2.1's "Copy time"), or
+  one file call of a direct access — ROMIO's strided loops;
 * collective access expands each AP's view over every IOP's file domain
   into per-pair ol-lists that are *sent along with the data* (16 bytes per
   tuple of wire volume, §2.3), and the collective-write contiguity
@@ -21,18 +20,18 @@ Every cost the paper attributes to ol-lists is really paid here:
 
 Accesses are planned like the listless engine's, but the plans preserve
 the conventional cost profile: the engine offers no plan geometry, so
-independent plans carry *deferred* pieces that the executor streams
-through :meth:`_view_blocks` (the linear tuple walk) at execution time;
-collective plans carry :class:`~repro.plan.ops.TupleBlocks` the data
-plane batch-copies; and no plan is ever cached — the conventional
-scheme re-derives its lists on every access, which is precisely the
-overhead the paper measures.
+independent plans carry a :class:`~repro.plan.ops.ViewWalk` — the
+flattened list and the view pinned at plan time, walked linearly by the
+data plane; collective plans carry :class:`~repro.plan.ops.TupleBlocks`
+the data plane batch-copies; and no plan is ever cached — the
+conventional scheme re-derives its lists on every access, which is
+precisely the overhead the paper measures.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -245,103 +244,6 @@ class ListBasedEngine(IOEngine):
             return
         boffs, lens = self._mem_block_arrays(mem, d_lo, d_hi)
         scatter_blocks(mem.as_bytes, boffs, lens, data, 0)
-
-    # ------------------------------------------------------------------
-    # View-side block walk (linear, with running state as in ROMIO)
-    # ------------------------------------------------------------------
-    def _view_blocks(
-        self, lo: int, hi: int
-    ) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(abs_offset, length, data_offset)`` per view block
-        clipped to absolute range ``[lo, hi)``, walking the flattened list
-        one tuple at a time."""
-        assert self.flat is not None
-        view = self.fh.view
-        flat = self.flat
-        if len(flat) == 0:
-            return
-        ext = view.ft_extent
-        fsize = view.ft_size
-        rel = lo - view.disp
-        inst = max(rel - flat.end_offset(), 0) // ext if ext else 0
-        while True:
-            base = view.disp + inst * ext
-            if base + flat.offsets[0] >= hi:
-                return
-            dbase = inst * fsize
-            dpos = 0
-            for off, ln in zip(flat.offsets, flat.lengths):
-                a = base + off
-                b = a + ln
-                if b > lo and a < hi:
-                    s = max(lo - a, 0)
-                    e = min(hi - a, ln)
-                    yield (a + s, e - s, dbase + dpos + s)
-                dpos += ln
-                if a >= hi:
-                    break
-            inst += 1
-
-    # ------------------------------------------------------------------
-    # Deferred-piece codec: the executor streams blocks through the
-    # engine's linear walk at execution time (independent access never
-    # materializes a per-access list — it re-walks instead).
-    # ------------------------------------------------------------------
-    def stream_gather_window(self, fb: np.ndarray, wlo: int, whi: int,
-                             arr: np.ndarray, base_d: int,
-                             d_hi: int) -> int:
-        copied = 0
-        for a, ln, doff in self._view_blocks(wlo, whi):
-            if doff >= d_hi:
-                break
-            ln = min(ln, d_hi - doff)
-            arr[doff - base_d : doff - base_d + ln] = (
-                fb[a - wlo : a - wlo + ln]
-            )
-            copied += ln
-        return copied
-
-    def stream_scatter_window(self, fb: np.ndarray, wlo: int, whi: int,
-                              arr: np.ndarray, base_d: int,
-                              d_hi: int) -> int:
-        copied = 0
-        for a, ln, doff in self._view_blocks(wlo, whi):
-            if doff >= d_hi:
-                break
-            ln = min(ln, d_hi - doff)
-            fb[a - wlo : a - wlo + ln] = (
-                arr[doff - base_d : doff - base_d + ln]
-            )
-            copied += ln
-        return copied
-
-    # One file call per ol-list tuple, on purpose: this engine is the
-    # paper's conventional list-based baseline, whose per-tuple access
-    # cost is what the listless engine is measured against.  Handing
-    # the tuples to the vectored ``preadv_blocks``/``pwritev_blocks``
-    # (as the executor does for listless direct pieces) would erase
-    # that cost from the comparison.
-    def stream_read_blocks(self, file, lo: int, hi: int, arr: np.ndarray,
-                           base_d: int, d_hi: int) -> None:
-        for a, ln, doff in self._view_blocks(lo, hi):
-            if doff >= d_hi:
-                break
-            ln = min(ln, d_hi - doff)
-            pos = doff - base_d
-            got = file.pread_into(a, arr[pos : pos + ln])
-            if got < ln:
-                arr[pos + got : pos + ln] = 0
-        return None
-
-    def stream_write_blocks(self, file, lo: int, hi: int, arr: np.ndarray,
-                            base_d: int, d_hi: int) -> None:
-        for a, ln, doff in self._view_blocks(lo, hi):
-            if doff >= d_hi:
-                break
-            ln = min(ln, d_hi - doff)
-            pos = doff - base_d
-            file.pwrite(a, arr[pos : pos + ln])
-        return None
 
     # ------------------------------------------------------------------
     # Collective access: per-access ol-list exchange + list merging.

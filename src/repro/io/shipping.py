@@ -62,6 +62,7 @@ from repro.plan.ops import (
     in_slot,
     out_slot,
     STAGE,
+    ViewWalk,
 )
 
 __all__ = ["maybe_rewrite", "execute_ship"]
@@ -151,10 +152,10 @@ def _ship_op(engine, plan, op, protocol) -> Optional[ShipOp]:
     pieces = []
     views = []
     for piece in op.pieces:
-        if piece.blocks is None:
-            blocks = _materialize(engine, op, piece)
-            if blocks is None:
-                return None
+        if type(piece.blocks) is ViewWalk:
+            # The list-based engine's walk, listed once for the wire.
+            blocks = Blocks(*block_arrays(piece.blocks))
+            engine.stats.list_tuples_built += blocks.count
             piece = Piece(piece.slot, piece.d_lo, piece.d_hi, blocks)
         pieces.append(piece)
         views.append(
@@ -164,35 +165,6 @@ def _ship_op(engine, plan, op, protocol) -> Optional[ShipOp]:
         op.lo, op.hi, write, protocol, tuple(pieces), tuple(views),
         strict=bool(getattr(op, "strict", False)),
     )
-
-
-def _materialize(engine, op, piece) -> Optional[Blocks]:
-    """Blocks of a deferred piece, via the engine's linear view walk
-    (the list-based engine's independent direct ops carry these).
-
-    Only the single-piece shape the planner actually emits is handled;
-    the walked blocks must enumerate the piece's data bytes exactly and
-    in order, else the op stays local.
-    """
-    walk = getattr(engine, "_view_blocks", None)
-    if walk is None or len(op.pieces) != 1:
-        return None
-    offs, lens = [], []
-    total = 0
-    for a, ln, doff in walk(op.lo, op.hi):
-        if doff >= piece.d_hi:
-            break
-        if doff != piece.d_lo + total:
-            return None  # non-sequential data order: keep local
-        ln = min(ln, piece.d_hi - doff)
-        offs.append(a)
-        lens.append(ln)
-        total += ln
-    if total != piece.d_hi - piece.d_lo:
-        return None
-    engine.stats.list_tuples_built += len(offs)
-    return Blocks(np.asarray(offs, dtype=np.int64),
-                  np.asarray(lens, dtype=np.int64))
 
 
 def _piece_view(engine, piece) -> Optional[tuple]:

@@ -22,6 +22,7 @@ from repro.plan.ops import (
     Send,
     TupleBlocks,
     UnlockOp,
+    ViewWalk,
     in_slot,
     out_slot,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "Piece",
     "Blocks",
     "TupleBlocks",
+    "ViewWalk",
     "MEM",
     "STAGE",
     "in_slot",

@@ -14,11 +14,10 @@ facade, which fuses each copy into a single NumPy batched kernel:
     arrays (memoized on the ``TupleBlocks`` object) and executed through
     the same batched kernels.  Building and shipping the tuples — the
     §2 costs the conventional engine models — still happens per access
-    in the engine; only the byte movement is batched.
-
-There is no switch selecting an interpreted fallback: the A/B baseline
-is the list-based engine plus the benchmarks' cold calls of
-``loop.blocks_range`` with one-shot kernels.
+    in the engine; only the byte movement is batched;
+:class:`~repro.plan.ops.ViewWalk`
+    the conventional engine's independent access keeps its loop: one
+    slice copy per tuple of the walk, as ROMIO's strided path copies.
 
 A :data:`~repro.plan.ops.MEM` piece (a mapped independent access, a
 sieved window) has no staging buffer at all: its bytes move straight
@@ -27,8 +26,12 @@ call, through a *pair program* (:func:`pair_program`) that pairs the
 piece's file blocks with the memory blocks of the same data bytes.
 
 Per-block *file* accesses (direct mode) are real I/O, not copy
-overhead: the executor hands the whole block list (:func:`block_arrays`)
-to the backend's vectored ``preadv_blocks``/``pwritev_blocks`` call.
+overhead, and :meth:`DataPlane.direct` is the one place that decides
+how they are made: a walk makes one ``pread_into``/``pwrite`` per
+tuple — the list-based baseline's per-tuple access cost, which the
+vectored call would erase from the comparison — and any other block
+spec hands its whole block list (:func:`block_arrays`) to one vectored
+``preadv_blocks``/``pwritev_blocks`` call.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.core import blockprog
 from repro.core.ff_pack import top_dataloop
 from repro.core.gather import gather_blocks, pair_blocks, scatter_blocks
 from repro.io.fileview import MemDescriptor
-from repro.plan.ops import Blocks, TupleBlocks
+from repro.plan.ops import Blocks, TupleBlocks, ViewWalk
 
 __all__ = ["DataPlane", "StageBuf", "block_arrays", "dense_window",
            "pair_program", "tuple_arrays"]
@@ -94,9 +97,14 @@ def tuple_arrays(blocks: TupleBlocks) -> Tuple[np.ndarray, np.ndarray]:
 
 def block_arrays(blocks) -> Tuple[np.ndarray, np.ndarray]:
     """int64 ``(offsets, lengths)`` arrays of a block spec, the form
-    the vectored file calls take (memoized for tuple lists)."""
+    the vectored file calls take (memoized for tuple lists; a walk is
+    walked and listed)."""
     if isinstance(blocks, Blocks):
         return blocks.offsets, blocks.lengths
+    if type(blocks) is ViewWalk:
+        tups = np.array(list(blocks), dtype=np.int64).reshape(-1, 3)
+        return np.ascontiguousarray(tups[:, 0]), np.ascontiguousarray(
+            tups[:, 1])
     return tuple_arrays(blocks)
 
 
@@ -172,6 +180,12 @@ class DataPlane:
         if isinstance(blocks, Blocks):
             prog = blockprog.program_for_blocks(blocks)
             return prog.gather(fb, -wlo, out, pos)
+        if type(blocks) is ViewWalk:
+            base, n = blocks.d0 - pos, 0
+            for a, ln, doff in blocks.tuples(wlo, wlo + fb.size):
+                out[doff - base:doff - base + ln] = fb[a - wlo:a - wlo + ln]
+                n += ln
+            return n
         offs, lens = tuple_arrays(blocks)
         return gather_blocks(fb, offs - wlo, lens, out, pos)
 
@@ -187,5 +201,43 @@ class DataPlane:
         if isinstance(blocks, Blocks):
             prog = blockprog.program_for_blocks(blocks)
             return prog.scatter(fb, -wlo, src, pos)
+        if type(blocks) is ViewWalk:
+            base, n = blocks.d0 - pos, 0
+            for a, ln, doff in blocks.tuples(wlo, wlo + fb.size):
+                fb[a - wlo:a - wlo + ln] = src[doff - base:doff - base + ln]
+                n += ln
+            return n
         offs, lens = tuple_arrays(blocks)
         return scatter_blocks(fb, offs - wlo, lens, src, pos)
+
+    @staticmethod
+    def direct(file, blocks, arr: np.ndarray, pos: int, delta: int,
+               write: bool):
+        """One file access per block of ``blocks``, translated ``delta``
+        bytes into ``file``, between it and staging array ``arr`` from
+        ``pos`` (a read zero-fills past end-of-file); returns ``(short,
+        seconds, calls)``, ``short`` the ``(i, got)`` of a vectored
+        read's first short block, else ``None``.  A walk makes one
+        ``pwrite``/``pread_into`` per tuple."""
+        if type(blocks) is ViewWalk:
+            last, base = file.stats.last, blocks.d0 - pos
+            secs, calls = 0.0, 0
+            for a, ln, doff in blocks:
+                p = doff - base
+                if write:
+                    file.pwrite(a + delta, arr[p:p + ln])
+                else:
+                    got = file.pread_into(a + delta, arr[p:p + ln])
+                    if got < ln:
+                        arr[p + got:p + ln] = 0
+                secs += last.seconds
+                calls += 1
+            return None, secs, calls
+        offs, lens = block_arrays(blocks)
+        if delta:
+            offs = offs + delta
+        if write:
+            return None, file.pwritev_blocks(offs, lens, arr, pos)[1], \
+                offs.size
+        short, secs = file.preadv_blocks(offs, lens, arr, pos)
+        return short, secs, offs.size

@@ -82,8 +82,8 @@ class MemCodec(Protocol):
     """Memory-side pack/unpack used by gather/scatter ops.
 
     Offsets are relative to the start of the access (the plan's ``d0``).
-    The four ``stream_*`` hooks back deferred (``blocks=None``) pieces;
-    only engines that emit such pieces need to provide them.
+    The file side of every piece is its own block spec, copied by the
+    :class:`~repro.plan.dataplane.DataPlane`: a codec never sees a view.
     """
 
     def pack_mem(self, mem: MemDescriptor, d_lo: int, d_hi: int,
@@ -367,8 +367,20 @@ class PlanExecutor:
                                          or not mem.is_contiguous):
             self._read_window(plan, op, mem, bufs)
             return
+        stats = self.stats
         for piece in op.pieces:
-            self._read_piece_direct(plan, op, piece, mem, bufs)
+            buf = self._ensure_buf(plan, piece.slot, piece.d_lo,
+                                   piece.d_hi, mem, bufs)
+            short, secs, calls = DataPlane.direct(
+                self.file, piece.blocks, buf.arr, piece.d_lo - buf.d_lo,
+                self._fdelta, False)
+            stats._executed_file_reads += calls
+            stats._device_sync_seconds += secs
+            if short is not None and op.strict:
+                i, got = short
+                offs, lens = block_arrays(piece.blocks)
+                raise IOEngineError(
+                    f"short read: {got} of {lens[i]} bytes at {offs[i]}")
         self._note_staging()
 
     def _read_window(self, plan, op: FileReadOp, mem, bufs) -> None:
@@ -384,39 +396,9 @@ class PlanExecutor:
             buf = self._ensure_buf(
                 plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
             )
-            if piece.blocks is not None:
-                DataPlane.gather(fb, op.lo, piece.blocks, buf.arr,
-                                 piece.d_lo - buf.d_lo)
-            else:
-                self.codec.stream_gather_window(
-                    fb, op.lo, op.hi, buf.arr, buf.d_lo, buf.d_hi
-                )
+            DataPlane.gather(fb, op.lo, piece.blocks, buf.arr,
+                             piece.d_lo - buf.d_lo)
         self._note_staging()
-
-    def _read_piece_direct(self, plan, op, piece: Piece, mem, bufs) -> None:
-        buf = self._ensure_buf(
-            plan, piece.slot, piece.d_lo, piece.d_hi, mem, bufs
-        )
-        blocks = piece.blocks
-        if blocks is None:
-            self.codec.stream_read_blocks(
-                self, op.lo, op.hi, buf.arr, buf.d_lo, buf.d_hi
-            )
-            return
-        # One vectored backend call for the whole block list; it
-        # zero-fills past-EOF bytes and reports the first short block.
-        offs, lens = block_arrays(blocks)
-        short, secs = self.file.preadv_blocks(
-            offs + self._fdelta if self._fdelta else offs, lens, buf.arr,
-            piece.d_lo - buf.d_lo,
-        )
-        self.stats._executed_file_reads += offs.size
-        self.stats._device_sync_seconds += secs
-        if short is not None and op.strict:
-            i, got = short
-            raise IOEngineError(
-                f"short read: {got} of {lens[i]} bytes at {offs[i]}"
-            )
 
     def _mem_copy(self, fb: np.ndarray, wlo: int, piece, mem, plan,
                   write: bool) -> int:
@@ -462,12 +444,11 @@ class PlanExecutor:
 
     def _map_stage(self, buf, fbase, ctx, _pos, to_b) -> None:
         """``map_access``'s copy: between the file buffer ``buf`` (plan
-        file offset ``f`` is ``buf[fbase + f]``) and the piece's
-        staging slot — by its blocks, or, deferred, through the
-        engine's view walk.  ``ctx`` is ``(plan, op, mem, bufs)``."""
+        file offset ``f`` is ``buf[fbase + f]``), as the window of the
+        op's span, and the piece's staging slot, by its blocks.
+        ``ctx`` is ``(plan, op, mem, bufs)``."""
         plan, op, mem, bufs = ctx
         piece = op.pieces[0]
-        wlo = -fbase
         if to_b:
             sb = self._ensure_buf(plan, piece.slot, piece.d_lo, piece.d_hi,
                                   mem, bufs)
@@ -475,17 +456,9 @@ class PlanExecutor:
             self._note_staging()
         else:
             arr, base, _zc = self._payload_view(bufs, piece)
-        if piece.blocks is not None:
-            copy = DataPlane.gather if to_b else DataPlane.scatter
-            copy(buf, wlo, piece.blocks, arr, piece.d_lo - base)
-            return
-        win = buf[op.lo - wlo:op.hi - wlo]
-        if to_b:
-            self.codec.stream_gather_window(win, op.lo, op.hi, arr, base,
-                                            sb.d_hi)
-        else:
-            self.codec.stream_scatter_window(win, op.lo, op.hi, arr, base,
-                                             piece.d_hi)
+        copy = DataPlane.gather if to_b else DataPlane.scatter
+        copy(buf[fbase + op.lo:fbase + op.hi], op.lo, piece.blocks, arr,
+             piece.d_lo - base)
 
     # -- file writes ---------------------------------------------------
     def _write(self, plan, op: FileWriteOp, mem, bufs) -> None:
@@ -495,11 +468,16 @@ class PlanExecutor:
         if (state is not None and state.cur is not None
                 and state.worker is not None):
             pipeline.drain(self, plan, 0, bufs)
+        stats = self.stats
         if op.mode == "direct":
             for piece in op.pieces:
-                self._write_piece_direct(op, piece, bufs)
+                arr, base, _zc = self._payload_view(bufs, piece)
+                _s, secs, calls = DataPlane.direct(
+                    self.file, piece.blocks, arr, piece.d_lo - base,
+                    self._fdelta, True)
+                stats._executed_file_writes += calls
+                stats._device_sync_seconds += secs
             return
-        stats = self.stats
         lo = op.lo + self._fdelta
         if op.mode == "assemble":
             fb = np.empty(op.hi - op.lo, dtype=np.uint8)
@@ -514,35 +492,12 @@ class PlanExecutor:
                                             True)
                 continue
             arr, base, _zc = self._payload_view(bufs, piece)
-            pos = piece.d_lo - base
-            if piece.blocks is not None:
-                scattered += DataPlane.scatter(
-                    fb, op.lo, piece.blocks, arr, pos
-                )
-            else:
-                scattered += self.codec.stream_scatter_window(
-                    fb, op.lo, op.hi, arr, base, piece.d_hi
-                )
+            scattered += DataPlane.scatter(fb, op.lo, piece.blocks, arr,
+                                           piece.d_lo - base)
         if scattered or op.mode == "assemble":
             stats._executed_file_writes += 1
             self.file.pwrite(lo, fb)
             stats._device_sync_seconds += self._last.seconds
-
-    def _write_piece_direct(self, op, piece: Piece, bufs) -> None:
-        arr, base, _zc = self._payload_view(bufs, piece)
-        blocks = piece.blocks
-        if blocks is None:
-            self.codec.stream_write_blocks(
-                self, op.lo, op.hi, arr, base, piece.d_hi
-            )
-            return
-        offs, lens = block_arrays(blocks)
-        _n, secs = self.file.pwritev_blocks(
-            offs + self._fdelta if self._fdelta else offs, lens, arr,
-            piece.d_lo - base,
-        )
-        self.stats._executed_file_writes += offs.size
-        self.stats._device_sync_seconds += secs
 
     # -- exchange ------------------------------------------------------
     def _exchange(self, plan, op: ExchangeOp, mem, bufs) -> None:
@@ -585,25 +540,6 @@ class PlanExecutor:
         if isinstance(buf, StageBuf):
             return (buf.d_lo, buf.d_hi, buf.arr)
         return buf
-
-    # ------------------------------------------------------------------
-    # Counted one-extent file access shims for deferred-piece codecs,
-    # which stream blocks through them (``file.pwrite`` in
-    # ``stream_write_blocks``, for example).  The running plan's
-    # ``file_delta`` applies here, so streamed blocks of a replayed plan
-    # land translated.
-    # ------------------------------------------------------------------
-    def pread_into(self, offset: int, out: np.ndarray) -> int:
-        n = self.file.pread_into(offset + self._fdelta, out)
-        self.stats._executed_file_reads += 1
-        self.stats._device_sync_seconds += self._last.seconds
-        return n
-
-    def pwrite(self, offset: int, data: np.ndarray):
-        self.stats._executed_file_writes += 1
-        n = self.file.pwrite(offset + self._fdelta, data)
-        self.stats._device_sync_seconds += self._last.seconds
-        return n
 
 
 class BoundCall:
@@ -760,18 +696,8 @@ def _lower_op(op) -> tuple:
             return _call, op, None, span
         return _X._mapped, op, "file_io", span
     if op.overlap:
-        # Deferred (``blocks=None``) pieces stream through the codec's
-        # view state, which may change before a drain: such a write
-        # stays synchronous; such a read, hoisted ahead of the previous
-        # round's exchange, has no synchronous fallback.
-        if all(p.blocks is not None for p in op.pieces):
-            fn = pipeline.submit_read if read else pipeline.submit_write
-            return fn, op, "file_io", span
-        if read:
-            raise IOEngineError(
-                "overlap read op carries deferred pieces — planner "
-                "contract violation"
-            )
+        fn = pipeline.submit_read if read else pipeline.submit_write
+        return fn, op, "file_io", span
     if not read:
         fn = _X._write
     elif op.mode == "direct" or dense_window(op):

@@ -16,25 +16,26 @@ executor applies them to whatever :class:`~repro.io.fileview.
 MemDescriptor` the access supplies, so one cached plan serves any memory
 layout of the same size.
 
-Block descriptions come in three flavors, preserving each engine's
-characteristic copy machinery:
+Every piece carries its blocks, in one of three flavors preserving each
+engine's characteristic copy machinery:
 
 :class:`Blocks`
     materialized ``(offsets, lengths)`` NumPy arrays, executed through
     the vectorized gather/scatter kernels (the listless engine);
 :class:`TupleBlocks`
-    explicit Python tuple lists (the conventional list-based engine) —
-    lowered once to index arrays and batch-copied by the data plane;
-``blocks=None``
-    deferred — the executor streams blocks through the emitting
-    engine's own view walk at execution time (list-based independent
-    access, which never materializes per-access lists).
+    explicit Python tuple lists (the conventional engine's collective
+    pieces) — lowered once to index arrays and batch-copied by the data
+    plane;
+:class:`ViewWalk`
+    the conventional engine's independent access: the flattened
+    filetype and view geometry pinned at plan time, walked one tuple at
+    a time — one slice copy, or one file call, per tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "Piece",
     "Blocks",
     "TupleBlocks",
+    "ViewWalk",
     "Send",
     "STAGE",
     "MEM",
@@ -133,7 +135,68 @@ class TupleBlocks:
         return f"TupleBlocks(k={self.count}, nbytes={self.nbytes})"
 
 
-BlockSpec = Union[Blocks, TupleBlocks, None]
+@dataclass(frozen=True)
+class ViewWalk:
+    """A view's blocks over one access, walked one tuple at a time.
+
+    Pins what the conventional (ROMIO) engine walks: the flattened
+    filetype ``flat`` (an :class:`~repro.flatten.ol_list.OLList`), the
+    (frozen) :class:`~repro.io.fileview.FileView` ``view`` whose
+    ``disp``, ``ft_extent`` and ``ft_size`` tile it, the access's file
+    span ``[lo, hi)`` and its data bytes ``[d0, d1)`` — so the plan
+    lands where it was planned whatever view is current when it runs.
+    Iterating yields ``(abs_offset, length, data_offset)`` per block of
+    the access; :meth:`tuples` clips the walk to a window.
+    """
+
+    flat: object
+    view: object
+    lo: int
+    hi: int
+    d0: int
+    d1: int
+
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        return self.tuples(self.lo, self.hi)
+
+    def tuples(self, lo: int, hi: int) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(abs_offset, length, data_offset)`` per view block
+        clipped to absolute range ``[lo, hi)`` and to the access's data
+        bytes, walking the flattened list one tuple at a time."""
+        flat, view, d1 = self.flat, self.view, self.d1
+        if len(flat) == 0:
+            return
+        disp = view.disp
+        ext = view.ft_extent
+        fsize = view.ft_size
+        inst = max(lo - disp - flat.end_offset(), 0) // ext if ext else 0
+        while True:
+            base = disp + inst * ext
+            if base + flat.offsets[0] >= hi:
+                return
+            dbase = inst * fsize
+            dpos = 0
+            for off, ln in zip(flat.offsets, flat.lengths):
+                a = base + off
+                b = a + ln
+                if b > lo and a < hi:
+                    s = max(lo - a, 0)
+                    doff = dbase + dpos + s
+                    if doff >= d1:
+                        return
+                    e = min(hi - a, ln)
+                    yield (a + s, min(e - s, d1 - doff), doff)
+                dpos += ln
+                if a >= hi:
+                    break
+            inst += 1
+
+    def __repr__(self) -> str:
+        return (f"ViewWalk(data=[{self.d0}, {self.d1}), "
+                f"tuples/instance={len(self.flat)})")
+
+
+BlockSpec = Union[Blocks, TupleBlocks, ViewWalk]
 
 
 @dataclass(frozen=True)
@@ -143,14 +206,13 @@ class Piece:
     ``slot`` names the staging/exchange buffer holding (or receiving)
     the data bytes ``[d_lo, d_hi)`` — or is :data:`MEM`: the bytes are
     copied straight to or from the user buffer; ``blocks`` are the file
-    blocks they occupy (``None`` → stream through the emitting engine's
-    view walk).
+    blocks they occupy.
     """
 
     slot: object
     d_lo: int
     d_hi: int
-    blocks: BlockSpec = None
+    blocks: BlockSpec
 
     def __repr__(self) -> str:
         return (

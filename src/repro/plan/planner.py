@@ -44,8 +44,10 @@ plan caching
 Geometry comes from the engine: engines that can navigate a compact
 fileview expose it via ``plan_geometry()`` and get materialized
 :class:`~repro.plan.ops.Blocks`; engines that cannot (list-based
-independent access) get deferred pieces the executor streams through
-the engine's own view walk.
+independent access) get a :class:`~repro.plan.ops.ViewWalk` pinning
+their flattened filetype and view, which the data plane walks one tuple
+at a time.  Either way every piece carries its blocks: a plan is a
+value, and a later ``set_view`` cannot retarget it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from repro.plan.ops import (
     Piece,
     ScatterOp,
     UnlockOp,
+    ViewWalk,
 )
 from repro.plan.plan import IOPlan
 from repro.plan.stats import PlanStats
@@ -317,9 +320,10 @@ class Planner:
             return self._plan_sieved(kind, d0, d1, lo, hi, geom, write,
                                      bufsize, sig)
         # One file access per block (sieving off or not worth it); with
-        # no geometry the executor streams the engine's view walk.
-        blocks, coalesced = None, 0
-        if geom is not None:
+        # no geometry, one per tuple of the engine's view walk.
+        if geom is None:
+            blocks, coalesced = ViewWalk(engine.flat, view, lo, hi, d0, d1), 0
+        else:
             blocks, coalesced = _view_blocks(geom, d0, d1, ds)
             if blocks.count > MAX_CACHED_BLOCKS:
                 sig = None
@@ -335,16 +339,15 @@ class Planner:
         :data:`MEM` piece: one pair-kernel call between user memory and
         the file.  Without it (list-based independent access) the piece
         is staged — a gather/scatter op through the engine's codec —
-        and streamed through the engine's view walk, so both engines
-        make the same file access.  A contiguous view's read is
-        ``strict``, as on its direct path.
+        and copied along the engine's view walk, so both engines make
+        the same file access.  A contiguous view's read is ``strict``,
+        as on its direct path.
         """
         engine = self.engine
         view = engine.fh.view
         geom = engine.plan_geometry()
         nbytes = d1 - d0
         coalesced = 0
-        blocks = None
         if view.is_contiguous:
             lo = view.disp + d0
             hi = lo + nbytes
@@ -352,7 +355,9 @@ class Planner:
         else:
             lo = engine.abs_of_data(d0)
             hi = engine.abs_of_data(d1, end=True)
-            if geom is not None:
+            if geom is None:
+                blocks = ViewWalk(engine.flat, view, lo, hi, d0, d1)
+            else:
                 blocks, coalesced = _view_blocks(geom, d0, d1, True)
                 if blocks.count > MAX_CACHED_BLOCKS:
                     sig = None
@@ -429,9 +434,11 @@ class Planner:
             slots = {}
         else:
             # No navigable geometry (conventional independent access):
-            # stage the whole access once and let the executor stream
-            # each window through the engine's sequential view walk.
-            piece = Piece(STAGE, d0, d1, None)
+            # stage the whole access once; each window copies the
+            # tuples of the engine's view walk that fall inside it.
+            walk = ViewWalk(self.engine.flat, self.engine.fh.view, lo, hi,
+                            d0, d1)
+            piece = Piece(STAGE, d0, d1, walk)
             if write:
                 ops.append(GatherOp(d0, d1))
                 for wlo, whi in tile(lo, hi, bufsize):

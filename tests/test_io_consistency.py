@@ -12,9 +12,32 @@ from repro.fs import SimFileSystem
 from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.io.hints import Hints
+from repro.datatypes.packing import typemap_blocks
 from repro.mpi import run_spmd
+from tests.conftest import fill_pattern
 
 ENGINES = ["listless", "list_based"]
+
+#: Backend -> (file system factory, info, the plan's file-op mode).
+BACKENDS = {
+    "mapped": (SimFileSystem, None, "mapped"),
+    "sieved": (lambda: unmapped(SimFileSystem()), None, "sieved"),
+    "direct": (lambda: unmapped(SimFileSystem()),
+               {"ds_read": "false", "ds_write": "false"}, "direct"),
+}
+
+
+def typemap_image(ft, data: np.ndarray) -> np.ndarray:
+    """The file image of ``data`` written through the view ``(0, ft)``,
+    by the type-map oracle (holes zero)."""
+    blocks = typemap_blocks(ft, -(-data.size // ft.size))
+    img = np.zeros(blocks[-1][0] + blocks[-1][1], dtype=np.uint8)
+    pos = 0
+    for off, ln in blocks:
+        ln = min(ln, data.size - pos)
+        img[off:off + ln] = data[pos:pos + ln]
+        pos += ln
+    return img
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -101,14 +124,81 @@ def test_deferred_atomic_write_locks_the_planned_range(engine):
 
     run_spmd(1, worker)
     assert locked == [(0, 120)]
-    if engine == "list_based":
-        # Its deferred pieces walk the view current at wait, so its
-        # bytes do not land where they were planned (an open defect).
-        return
     expect = np.zeros((8, 16), dtype=np.uint8)
     expect[:, :8] = 7
     assert fs.lookup("/f").contents().tolist() == \
         expect.reshape(-1)[:120].tolist()
+
+
+def _file_modes(plan):
+    """The plan's file-op modes, ``rmw``/``window`` read as sieved."""
+    return {"sieved" if op.mode in ("rmw", "window") else op.mode
+            for op in plan.ops if hasattr(op, "mode")}
+
+
+@pytest.mark.parametrize("write", [True, False], ids=["iwrite", "iread"])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_deferred_access_runs_through_the_planned_view(engine, backend,
+                                                       write):
+    """An ``iwrite_at``/``iread_at`` posted through one view and waited
+    after a ``set_view`` moves the bytes the view at post names: its
+    plan carries its blocks, whatever view is current at wait."""
+    make_fs, info, mode = BACKENDS[backend]
+    fs = make_fs()
+    ft = dt.vector(8, 8, 16, dt.BYTE)
+    data = fill_pattern(64, seed=3)
+    raw = fill_pattern(256, seed=4)
+    got = np.zeros(64, dtype=np.uint8)
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                       engine=engine, info=info)
+        if not write:
+            fh.write_at(0, raw)
+        fh.set_view(0, dt.BYTE, ft)
+        req = (fh.iwrite_at(0, data) if write else fh.iread_at(0, got))
+        assert _file_modes(req.plan) == {mode}
+        fh.set_view(4096, dt.BYTE, dt.BYTE)
+        req.wait()
+        fh.close()
+
+    run_spmd(1, worker)
+    if write:
+        img = typemap_image(ft, data)
+        assert fs.lookup("/f").contents().tolist() == img.tolist()
+    else:
+        expect = [b for o, ln in typemap_blocks(ft) for b in raw[o:o + ln]]
+        assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("backend", ["mapped", "sieved"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_atomic_deferred_writers_across_a_view_change_stay_whole(engine,
+                                                                 backend):
+    """Two atomic-mode ``iwrite_at`` calls on the same non-contiguous
+    region, each waited after a ``set_view``, leave one writer's whole
+    data — the check of ``test_atomic_mode_serializes_whole_accesses``."""
+    make_fs, _info, _mode = BACKENDS[backend]
+    fs = make_fs()
+    n = 4096
+    hints = Hints(ind_wr_buffer_size=128)
+
+    def worker(comm):
+        fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                       engine=engine, hints=hints)
+        fh.set_view(0, dt.BYTE, dt.vector(n // 8, 4, 8, dt.BYTE))
+        fh.set_atomicity(True)
+        req = fh.iwrite_at(0, np.full(n // 2, comm.rank + 1, np.uint8))
+        fh.set_view(n, dt.BYTE, dt.BYTE)
+        req.wait()
+        fh.close()
+
+    run_spmd(2, worker)
+    written = fs.lookup("/f").contents()[::8]
+    values = set(np.unique(written).tolist())
+    assert values <= {1, 2}
+    assert len(values) == 1, "atomic accesses interleaved"
 
 
 def test_engines_interoperate_on_one_file():

@@ -10,20 +10,26 @@ import numpy as np
 import pytest
 
 from repro import datatypes as dt
+from repro.bench.noncontig import build_noncontig_filetype
 from repro.fs import SimFileSystem
 from repro.fs.unmapped import unmapped
 from repro.io import File, MODE_CREATE, MODE_RDWR
 from repro.mpi import run_spmd
+from repro.plan.executor import PlanExecutor
 from repro.plan.ops import (
     MEM,
     STAGE,
+    Blocks,
     FileReadOp,
     FileWriteOp,
     GatherOp,
     LockOp,
     ScatterOp,
+    TupleBlocks,
     UnlockOp,
+    ViewWalk,
 )
+from repro.datatypes.packing import typemap_blocks
 from tests.conftest import fill_pattern
 
 ENGINES = ["listless", "list_based"]
@@ -35,6 +41,31 @@ FINE = dict(blockcount=64, blocklen=1, stride=2)
 def fine_vector():
     return dt.vector(FINE["blockcount"], FINE["blocklen"], FINE["stride"],
                      dt.BYTE)
+
+
+def typemap_tuples(ft, disp, d0, d1):
+    """``(abs_offset, length, data_offset)`` of the view ``(disp, ft)``
+    over data bytes ``[d0, d1)``, from the type-map oracle."""
+    out, dpos = [], 0
+    for off, ln in typemap_blocks(ft, -(-d1 // ft.size)):
+        s, e = max(d0 - dpos, 0), min(d1 - dpos, ln)
+        if e > s:
+            out.append((disp + off + s, e - s, dpos + s))
+        dpos += ln
+    return out
+
+
+def merged(tuples):
+    """``(abs_offset, length, data_offset)`` tuples, runs adjacent in
+    both the file and the data merged (the oracle's coalescing)."""
+    out = []
+    for a, ln, d in tuples:
+        if out and out[-1][0] + out[-1][1] == a \
+                and out[-1][2] + out[-1][1] == d:
+            out[-1] = (out[-1][0], out[-1][1] + ln, out[-1][2])
+        else:
+            out.append((a, ln, d))
+    return out
 
 
 def write_modes(plan):
@@ -499,24 +530,34 @@ class TestMappedPlanShape:
     @pytest.mark.parametrize("write", [True, False])
     def test_list_based_stages_and_streams(self, write):
         """The list-based engine has no plan geometry: its one mapped op
-        carries a deferred staged piece, packed/unpacked by the engine's
-        codec and streamed through its view walk."""
+        carries a staged piece, packed/unpacked by the engine's codec,
+        whose blocks are a view walk pinned at plan time — its tuples
+        are the view's type map over the access."""
         fs = SimFileSystem()
+        disp, d0, n = 8, 5, 70
 
         def worker(comm):
             fh = open_one(fs, "list_based")(comm)
-            fh.set_view(0, dt.BYTE, fine_vector())
-            mem = fh._mem(fill_pattern(FINE["blockcount"]), None, None,
-                          dest=not write)
-            plan = (fh.engine.plan_write_independent(mem, 0) if write
-                    else fh.engine.plan_read_independent(mem, 0))
+            ft = fine_vector()
+            fh.set_view(disp, dt.BYTE, ft)
+            mem = fh._mem(fill_pattern(n), None, None, dest=not write)
+            plan = (fh.engine.plan_write_independent(mem, d0) if write
+                    else fh.engine.plan_read_independent(mem, d0))
             shape = ([GatherOp, FileWriteOp] if write
                      else [FileReadOp, ScatterOp])
             assert [type(op) for op in plan.ops] == shape
             fop = plan.ops[1] if write else plan.ops[0]
             assert fop.mode == "mapped"
-            assert [(p.slot, p.blocks) for p in fop.pieces] == \
-                [(STAGE, None)]
+            (piece,) = fop.pieces
+            assert (piece.slot, piece.d_lo, piece.d_hi) == \
+                (STAGE, d0, d0 + n)
+            walk = piece.blocks
+            assert isinstance(walk, ViewWalk)
+            expect = typemap_tuples(ft, disp, d0, d0 + n)
+            assert merged(walk) == expect
+            # Pinned: a new view leaves the planned walk as it was.
+            fh.set_view(4096, dt.BYTE, dt.BYTE)
+            assert merged(walk) == expect
             fh.close()
 
         run_spmd(1, worker)
@@ -538,3 +579,58 @@ class TestMappedPlanShape:
         assert (st["n_writes"], st["n_reads"], st["n_locks"]) == (1, 0, 0)
         assert st["bytes_written"] == FINE["blockcount"]
         assert box["s"]["executed_file_writes"] == 1
+
+
+class TestPiecesCarryBlocks:
+    """A plan is a value: every piece of every plan carries its blocks,
+    and only the list-based engine's independent pieces are walks."""
+
+    @pytest.mark.parametrize("backend", ["mapped", "sieved", "direct"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_piece_carries_its_blocks(self, engine, backend,
+                                            monkeypatch):
+        plans = []
+        run = PlanExecutor.run
+
+        def spy(self, plan, *args):
+            plans.append(plan)
+            return run(self, plan, *args)
+
+        monkeypatch.setattr(PlanExecutor, "run", spy)
+        fs = (SimFileSystem() if backend == "mapped"
+              else unmapped(SimFileSystem()))
+        info = ({"ds_read": "false", "ds_write": "false"}
+                if backend == "direct" else {})
+
+        def worker(comm):
+            for pipeline in ("on", "off"):
+                fh = File.open(comm, fs, "/f", MODE_CREATE | MODE_RDWR,
+                               engine=engine,
+                               info=dict(info, cb_pipeline=pipeline,
+                                         cb_buffer_size="64"))
+                views = ((0, build_noncontig_filetype(comm.size, comm.rank,
+                                                      1, 64)),
+                         (comm.rank * 64, dt.contiguous(64, dt.BYTE)))
+                for disp, ft in views:
+                    fh.set_view(disp, dt.BYTE, ft)
+                    buf = fill_pattern(64)
+                    fh.write_at(0, buf)
+                    fh.read_at(0, buf)
+                    fh.write_at_all(0, buf)
+                    fh.read_at_all(0, buf)
+                    fh.iwrite_at(0, buf).wait()
+                    fh.iread_at(0, buf).wait()
+                fh.close()
+
+        run_spmd(2, worker)
+        kinds = set()
+        for plan in plans:
+            for op in plan.ops:
+                for piece in getattr(op, "pieces", ()):
+                    blocks = piece.blocks
+                    assert isinstance(blocks,
+                                      (Blocks, TupleBlocks, ViewWalk)), plan
+                    if isinstance(blocks, ViewWalk):
+                        assert "collective" not in plan.kind, plan
+                    kinds.add(type(blocks))
+        assert (ViewWalk in kinds) == (engine == "list_based")

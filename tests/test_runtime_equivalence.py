@@ -6,7 +6,10 @@ leave byte-identical file contents and fill byte-identical read buffers.
 The suite drives every access kind the paper's workloads use (explicit
 offsets, independent and collective) through both engines and several
 world sizes, over a family of fileview generators, and diffs sim
-(SimFileSystem) against proc (OsFileSystem over a temp directory).
+(SimFileSystem) against proc (OsFileSystem over a temp directory).  The
+files the write kinds leave — including an ``iwrite_at`` waited after a
+``set_view`` — are checked against the type-map oracle as well, which
+catches a fault both runtimes share.
 """
 
 import time
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import datatypes as dt
 from repro.bench.btio import BTIOConfig, run_btio
+from repro.datatypes.packing import typemap_blocks
 from repro.datatypes.validation import validate_filetype
 from repro.errors import DatatypeError
 from repro.fs import OsFileSystem, ShardedFileSystem, SimFileSystem
@@ -84,6 +88,12 @@ def _worker(comm, view_name, engine, kind, seed, hints=None):
         buf = rng.integers(0, 256, A, dtype=np.uint8)
         if kind == "write_at":
             fh.write_at(0, buf)
+        elif kind == "iwrite_at_view":
+            # Posted through the view, waited after a view change: the
+            # access lands where the view at post put it.
+            req = fh.iwrite_at(0, buf)
+            fh.set_view(4096, dt.BYTE, dt.BYTE)
+            req.wait()
         elif kind == "write_at_all":
             fh.write_at_all(0, buf)
         else:  # reads need content on disk first
@@ -106,10 +116,38 @@ def _worker(comm, view_name, engine, kind, seed, hints=None):
     return body
 
 
+def oracle_bytes(view_name, size, seed):
+    """The file a write kind leaves: every rank's buffer through its
+    view, by the type-map oracle (holes zero)."""
+    img = {}
+    for rank in range(size):
+        ft, disp = VIEWS[view_name](size, rank)
+        rng = np.random.default_rng(seed + rank)
+        buf = rng.integers(0, 256, ft.size * 2, dtype=np.uint8)
+        pos = 0
+        for off, ln in typemap_blocks(ft, 2):
+            for k in range(ln):
+                img[disp + off + k] = buf[pos + k]
+            pos += ln
+    out = np.zeros(max(img) + 1, dtype=np.uint8)
+    out[list(img)] = list(img.values())
+    return bytes(out)
+
+
+def check_oracle(view_name, kind, size, seed, *images):
+    """A write kind's file images equal the oracle's (read kinds are
+    checked against their own backend pair only)."""
+    if "write" in kind:
+        expect = oracle_bytes(view_name, size, seed)
+        for img in images:
+            assert img == expect, "file differs from the type-map oracle"
+
+
 def run_equivalence(view_name, engine, kind, size, tmp_path, seed=7,
                     hints=None):
     """Run the same worker on both backends; return (sim, proc) results
-    as (file bytes, per-rank read buffers)."""
+    as (file bytes, per-rank read buffers), write kinds checked against
+    the type-map oracle."""
 
     def worker(comm, fs):
         return _worker(comm, view_name, engine, kind, seed, hints)(fs)
@@ -122,6 +160,7 @@ def run_equivalence(view_name, engine, kind, size, tmp_path, seed=7,
     proc_reads = Runtime("proc").run(size, worker, proc_fs)
     proc_bytes = bytes(proc_fs.lookup("/eq.out").contents())
     proc_fs.close()
+    check_oracle(view_name, kind, size, seed, sim_bytes, proc_bytes)
     return (sim_bytes, sim_reads), (proc_bytes, proc_reads)
 
 
@@ -138,15 +177,16 @@ def assert_identical(sim, proc):
         assert (a == b).all(), f"rank {r} read buffers diverge"
 
 
-KINDS = ["write_at", "read_at", "write_at_all", "read_at_all"]
+KINDS = ["write_at", "read_at", "write_at_all", "read_at_all",
+         "iwrite_at_view"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("view_name", ["interleaved", "irregular"])
 def test_backends_agree(view_name, kind, engine, tmp_path):
-    """4 access kinds x 2 engines x 2 view families at P=2 — the core
-    conformance matrix (16 cases)."""
+    """5 access kinds x 2 engines x 2 view families at P=2 — the core
+    conformance matrix (20 cases)."""
     sim, proc = run_equivalence(view_name, engine, kind, 2, tmp_path)
     assert_identical(sim, proc)
 
@@ -449,7 +489,7 @@ def test_p2p_matching_backends_agree(op, scope, tag, monkeypatch):
 @pytest.mark.parametrize("view_name", sorted(VIEWS))
 def test_backends_agree_full_sweep(view_name, kind, engine, size,
                                    tmp_path):
-    """The full 4 x 4 x 2 x 3 = 96-case matrix (soak: excluded from
+    """The full 4 x 5 x 2 x 3 = 120-case matrix (soak: excluded from
     tier-1; CI's runtime-proc job runs it)."""
     sim, proc = run_equivalence(view_name, engine, kind, size, tmp_path)
     assert_identical(sim, proc)
@@ -485,6 +525,7 @@ def run_sharded_equivalence(view_name, engine, kind, size, nshards,
         sh_bytes = bytes(sh_fs.lookup("/eq.out").contents())
     finally:
         sh_fs.close()
+    check_oracle(view_name, kind, size, seed, sim_bytes, sh_bytes)
     return (sim_bytes, sim_reads), (sh_bytes, sh_reads)
 
 
@@ -493,8 +534,8 @@ def run_sharded_equivalence(view_name, engine, kind, size, nshards,
 @pytest.mark.parametrize("kind", KINDS)
 def test_sharded_backend_agrees(kind, protocol, engine, tmp_path):
     """Request shipping to 2 shard servers — both protocols (list-I/O
-    and datatype-I/O), both engines, all four access kinds — must leave
-    bytes identical to the plain single-backend run (16 cases)."""
+    and datatype-I/O), both engines, all five access kinds — must leave
+    bytes identical to the plain single-backend run (20 cases)."""
     plain, sharded = run_sharded_equivalence(
         "interleaved", engine, kind, 2, 2, protocol, tmp_path)
     assert_identical(plain, sharded)
@@ -518,8 +559,9 @@ def test_sharded_backend_agrees_proc_runtime(tmp_path):
 @pytest.mark.parametrize("view_name", ["interleaved", "strided_gap"])
 def test_sharded_backend_full_sweep(view_name, kind, protocol, engine,
                                     nshards, tmp_path):
-    """The sharded sweep: 2 views x 4 kinds x 2 protocols x 2 engines x
-    {1,2,4} shards at P=4 (96 cases; soak: CI's shipping job runs it)."""
+    """The sharded sweep: 2 views x 5 kinds x 2 protocols x 2 engines x
+    {1,2,4} shards at P=4 (120 cases; soak: CI's shipping job runs
+    it)."""
     plain, sharded = run_sharded_equivalence(
         view_name, engine, kind, 4, nshards, protocol, tmp_path)
     assert_identical(plain, sharded)

@@ -347,6 +347,36 @@ class TestShipEngagement:
         finally:
             fs.close()
 
+    @pytest.mark.parametrize("protocol", ["list", "dtype"])
+    def test_list_based_direct_write_ships_its_walk(self, tmp_path,
+                                                    protocol):
+        """A list-based direct write ships its view walk, listed once
+        for the wire: each walked tuple counts in ``list_tuples_built``,
+        and the bytes land where the view put them."""
+        fs = ShardedFileSystem(str(tmp_path / "walk"), nshards=2,
+                               stripe_size=64)
+        try:
+            def worker(comm, fs):
+                fh = File.open(comm, fs, "/w.out", MODE_CREATE | MODE_RDWR,
+                               engine="list_based",
+                               hints=Hints(ship_protocol=protocol,
+                                           ds_write=False))
+                fh.set_view(0, dt.BYTE, dt.vector(8, 8, 16, dt.BYTE))
+                before = fh.engine.stats.snapshot()
+                fh.write_at(0, np.full(64, 5, dtype=np.uint8))
+                after = fh.engine.stats.snapshot()
+                fh.close()
+                return before, after
+
+            ((before, after),) = Runtime("sim").run(1, worker, fs)
+            assert after["ship_ops"] - before["ship_ops"] == 1
+            assert (after["list_tuples_built"]
+                    - before["list_tuples_built"]) == 8
+            img = fs.lookup("/w.out").contents()
+            assert img.tolist() == ([5] * 8 + [0] * 8) * 7 + [5] * 8
+        finally:
+            fs.close()
+
     def test_hint_ignored_on_plain_backend(self):
         """ship_protocol on a non-sharded backend is a silent no-op."""
         fs = SimFileSystem()
